@@ -390,23 +390,6 @@ func BenchmarkCompiledSteps(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile measures the CI compilation pipeline itself
-// (canonicalize + analyze + instrument) over all 28 workloads.
-func BenchmarkCompile(b *testing.B) {
-	mods := make([]*ir.Module, len(workloads.All))
-	for i := range workloads.All {
-		mods[i] = workloads.All[i].Build(1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, m := range mods {
-			if _, err := core.Compile(m, core.WithDesign(instrument.CI), core.WithProbeInterval(250)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func selectedWorkloads(b *testing.B) []*workloads.Workload {
 	if testing.Short() {
 		out := make([]*workloads.Workload, 0, len(quickWorkloads))

@@ -53,7 +53,7 @@ import (
 )
 
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddSanitize().AddTier().AddInterleave().AddSeed().AddFleet()
+	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddSanitize().AddTier().AddInterleave().AddSeed().AddFleet().AddProfile()
 	spacing := flag.Bool("spacing", false, "also run the probe-spacing checker on instrumented functions")
 	hot := flag.Bool("hot", false, "compile, run once and print the hottest probe sites instead of the analysis dump")
 	hotN := flag.Int("hot-n", 20, "number of probe sites to print with -hot (0 = all)")
@@ -62,6 +62,15 @@ func main() {
 	fleetPlan := flag.Bool("fleet", false, "print the seeded fleet crash-plan schedule instead of an analysis dump")
 	fleetHorizon := flag.Int64("fleet-horizon", 26_000_000, "-fleet: schedule window in cycles")
 	flag.Parse()
+	stopProfile, err := cf.StartProfile()
+	if err != nil {
+		fail("%v", err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "cidump:", err)
+		}
+	}()
 	if *fleetPlan {
 		experiments.PrintFleetPlan(os.Stdout, cf.Seed, cf.Replicas, cf.Zones, *fleetHorizon, cf.Migrate)
 		return

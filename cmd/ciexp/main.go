@@ -98,7 +98,7 @@ import (
 )
 
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddScale().AddSeed().AddEngine().AddObs().AddSLO().AddInterleave().AddFleet().AddQuantum()
+	cf := cliflags.New(flag.CommandLine).AddScale().AddSeed().AddEngine().AddObs().AddProfile().AddSLO().AddInterleave().AddFleet().AddQuantum()
 	quick := flag.Bool("quick", false, "use a workload subset where supported")
 	all := flag.Bool("all", false, "fig9/fig11: include Naive-Cycles and CnB-Cycles")
 	flag.Usage = func() {
@@ -126,6 +126,11 @@ func main() {
 	}
 
 	eng, err := cf.Engine()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ciexp:", err)
+		os.Exit(1)
+	}
+	stopProfile, err := cf.StartProfile()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ciexp:", err)
 		os.Exit(1)
@@ -214,6 +219,9 @@ func main() {
 			eng.Store.Path(), hits, misses)
 	}
 	if e := cf.Finish(os.Stdout); e != nil && err == nil {
+		err = e
+	}
+	if e := stopProfile(); e != nil && err == nil {
 		err = e
 	}
 	if err != nil {

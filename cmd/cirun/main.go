@@ -39,7 +39,7 @@ import (
 )
 
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddQuantum().AddSanitize().AddTier().AddObs().AddSLO().AddInterleave()
+	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddQuantum().AddSanitize().AddTier().AddObs().AddProfile().AddSLO().AddInterleave()
 	interval := flag.Int64("interval", 5000, "CI interval in cycles (0 disables the handler)")
 	entry := flag.String("entry", "main", "entry function")
 	argsFlag := flag.String("args", "", "comma-separated int64 arguments for the entry function")
@@ -55,6 +55,8 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	stopProfile := startProfile(cf)
+	defer stopProfile()
 	d, err := cf.ParseDesign()
 	if err != nil {
 		fail("%v", err)
@@ -99,6 +101,7 @@ func main() {
 			fail("%v", err)
 		}
 		if rep.Err() != nil {
+			stopProfile()
 			os.Exit(1)
 		}
 		return
@@ -196,7 +199,23 @@ func main() {
 	}
 	finish(cf)
 	if sloViolated {
+		stopProfile()
 		os.Exit(1)
+	}
+}
+
+// startProfile starts the profiles asked for with -cpuprofile and
+// -memprofile and returns the function that completes them, to be
+// deferred and to be called ahead of an os.Exit that follows real work.
+func startProfile(cf *cliflags.Flags) (stop func()) {
+	stopProfile, err := cf.StartProfile()
+	if err != nil {
+		fail("%v", err)
+	}
+	return func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "cirun:", err)
+		}
 	}
 }
 

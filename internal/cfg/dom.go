@@ -16,7 +16,7 @@ type DomTree struct {
 // Dominators computes the dominator tree of g.
 func Dominators(g *Graph) *DomTree {
 	idom := chk(g.N, g.RPO, g.RPOIndex, g.Preds, 0)
-	return newDomTree(g, idom, 0)
+	return newDomTree(g, idom)
 }
 
 // PostDominators computes the postdominator tree of g. Functions with
@@ -149,22 +149,34 @@ func chk(n int, rpo, rpoIndex []int, preds [][]int, root int) []int {
 	return idom
 }
 
-func newDomTree(g *Graph, idom []int, root int) *DomTree {
-	t := &DomTree{g: g, IDom: idom, Children: make([][]int, g.N), depth: make([]int, g.N)}
+// newDomTree builds the tree for the immediate dominators idom of g,
+// computed from the entry. The children lists share one array, counted
+// before it is filled, with each list's capacity ending at its length.
+func newDomTree(g *Graph, idom []int) *DomTree {
+	const root = 0
+	ints := make([]int, 2*g.N) // depth, then the children lists
+	t := &DomTree{g: g, IDom: idom, Children: make([][]int, g.N), depth: ints[:g.N:g.N]}
+	// depth holds the number of children while the lists are carved.
+	for b := 0; b < g.N; b++ {
+		if b != root && idom[b] >= 0 {
+			t.depth[idom[b]]++
+		}
+	}
+	store := ints[g.N:]
+	for b, n := range t.depth {
+		if n > 0 {
+			t.Children[b], store = store[:0:n], store[n:]
+			t.depth[b] = 0
+		}
+	}
 	for b := 0; b < g.N; b++ {
 		if b != root && idom[b] >= 0 {
 			t.Children[idom[b]] = append(t.Children[idom[b]], b)
 		}
 	}
-	// Depths via BFS from root.
-	queue := []int{root}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		for _, c := range t.Children[b] {
-			t.depth[c] = t.depth[b] + 1
-			queue = append(queue, c)
-		}
+	// A block's dominator precedes it in reverse postorder.
+	for _, b := range g.RPO[1:] {
+		t.depth[b] = t.depth[idom[b]] + 1
 	}
 	return t
 }

@@ -25,16 +25,40 @@ type Graph struct {
 }
 
 // New builds the CFG for f. Block indices must be fresh (ir.Func.Reindex).
+//
+// All successor and predecessor lists share one array, counted before
+// it is filled, so a call allocates the same few objects whatever the
+// number of blocks. Each list's capacity ends at its length: a caller
+// that appends to one gets a copy and cannot write into the next.
 func New(f *ir.Func) *Graph {
 	n := len(f.Blocks)
-	g := &Graph{
-		F:        f,
-		N:        n,
-		Succs:    make([][]int, n),
-		Preds:    make([][]int, n),
-		RPOIndex: make([]int, n),
+	lists := make([][]int, 2*n)
+	order := make([]int, 2*n) // RPOIndex, then the array RPO is the tail of
+	g := &Graph{F: f, N: n, Succs: lists[:n:n], Preds: lists[n:], RPOIndex: order[:n:n]}
+	// Count the edges; RPOIndex holds the predecessor counts meanwhile.
+	npreds, edges := g.RPOIndex, 0
+	var buf [2]*ir.Block
+	scratch := buf[:0]
+	for _, b := range f.Blocks {
+		scratch = b.Succs(scratch[:0])
+		edges += len(scratch)
+		for _, s := range scratch {
+			npreds[s.Index]++
+		}
 	}
-	var scratch []*ir.Block
+	// Carve an empty list of the right capacity for every block that
+	// has edges, then append the edges in block order.
+	store := make([]int, 2*edges)
+	carve := func(n int) (list []int) {
+		if n > 0 {
+			list, store = store[:0:n], store[n:]
+		}
+		return list
+	}
+	for i, b := range f.Blocks {
+		g.Succs[i] = carve(len(b.Succs(scratch[:0])))
+		g.Preds[i] = carve(npreds[i])
+	}
 	for i, b := range f.Blocks {
 		scratch = b.Succs(scratch[:0])
 		for _, s := range scratch {
@@ -42,20 +66,21 @@ func New(f *ir.Func) *Graph {
 			g.Preds[s.Index] = append(g.Preds[s.Index], i)
 		}
 	}
-	// Iterative postorder DFS from the entry.
 	for i := range g.RPOIndex {
 		g.RPOIndex[i] = -1
 	}
 	if n == 0 {
 		return g
 	}
+	// Iterative postorder DFS from the entry. The k-th block to finish
+	// is the k-th from the end of the reverse postorder.
 	type frame struct {
 		node int
 		next int
 	}
 	visited := make([]bool, n)
-	post := make([]int, 0, n)
-	stack := []frame{{node: 0}}
+	rpo, first := order[n:], n
+	stack := append(make([]frame, 0, n), frame{node: 0})
 	visited[0] = true
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
@@ -68,13 +93,11 @@ func New(f *ir.Func) *Graph {
 			}
 			continue
 		}
-		post = append(post, fr.node)
+		first--
+		rpo[first] = fr.node
 		stack = stack[:len(stack)-1]
 	}
-	g.RPO = make([]int, len(post))
-	for i := range post {
-		g.RPO[i] = post[len(post)-1-i]
-	}
+	g.RPO = rpo[first:]
 	for i, b := range g.RPO {
 		g.RPOIndex[b] = i
 	}

@@ -1,6 +1,9 @@
 package cfg
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Loop describes one natural loop.
 type Loop struct {
@@ -56,37 +59,65 @@ func FindLoops(g *Graph, dom *DomTree) *LoopForest {
 			}
 			l := lf.ByHeader[h]
 			if l == nil {
-				l = &Loop{Header: h, Blocks: map[int]bool{h: true}, Preheader: -1}
+				l = &Loop{Header: h, Preheader: -1}
 				lf.ByHeader[h] = l
 				lf.Loops = append(lf.Loops, l)
 			}
 			l.Latches = append(l.Latches, t)
-			// Walk backwards from the latch collecting the body.
-			stack := []int{t}
-			for len(stack) > 0 {
-				b := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if l.Blocks[b] {
-					continue
-				}
-				l.Blocks[b] = true
-				for _, p := range g.Preds[b] {
-					if g.Reachable(p) {
-						stack = append(stack, p)
-					}
+		}
+	}
+	if len(lf.Loops) == 0 {
+		return lf
+	}
+	// Bodies: walk backwards from the latches to the header. The body
+	// is listed first, so that its set is allocated at its final size
+	// and the exits need no pass over the set.
+	owner := make([]*Loop, g.N) // the last loop whose walk reached the block
+	var body, stack []int
+	for _, l := range lf.Loops {
+		owner[l.Header] = l
+		body = append(body[:0], l.Header)
+		stack = append(stack[:0], l.Latches...)
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if owner[b] == l {
+				continue
+			}
+			owner[b] = l
+			body = append(body, b)
+			for _, p := range g.Preds[b] {
+				if g.Reachable(p) {
+					stack = append(stack, p)
 				}
 			}
 		}
+		l.Blocks = make(map[int]bool, len(body))
+		for _, b := range body {
+			l.Blocks[b] = true
+		}
+		// Exits are in-loop blocks with a successor outside the loop.
+		for _, b := range body {
+			for _, s := range g.Succs[b] {
+				if owner[s] != l {
+					l.Exits = append(l.Exits, b)
+					break
+				}
+			}
+		}
+		sort.Ints(l.Exits)
+		l.Preheader = findPreheader(g, l)
 	}
 	// Sort loops by size descending so parents precede children.
-	sort.Slice(lf.Loops, func(i, j int) bool {
-		if len(lf.Loops[i].Blocks) != len(lf.Loops[j].Blocks) {
-			return len(lf.Loops[i].Blocks) > len(lf.Loops[j].Blocks)
+	slices.SortFunc(lf.Loops, func(a, b *Loop) int {
+		if len(a.Blocks) != len(b.Blocks) {
+			return len(b.Blocks) - len(a.Blocks)
 		}
-		return lf.Loops[i].Header < lf.Loops[j].Header
+		return a.Header - b.Header
 	})
 	// Nesting: a loop's parent is the smallest loop strictly containing
 	// its header (other than itself).
+	nested := 0
 	for i, l := range lf.Loops {
 		for j := i - 1; j >= 0; j-- {
 			cand := lf.Loops[j]
@@ -99,10 +130,31 @@ func FindLoops(g *Graph, dom *DomTree) *LoopForest {
 			}
 		}
 		if l.Parent != nil {
-			l.Parent.Children = append(l.Parent.Children, l)
 			l.Depth = l.Parent.Depth + 1
+			nested++
 		} else {
 			l.Depth = 1
+		}
+	}
+	if nested > 0 {
+		// The children lists share one array: counted per parent
+		// header, carved, then filled in the order of lf.Loops.
+		nchild := make([]int, g.N)
+		for _, l := range lf.Loops {
+			if l.Parent != nil {
+				nchild[l.Parent.Header]++
+			}
+		}
+		store := make([]*Loop, nested)
+		for _, l := range lf.Loops {
+			if n := nchild[l.Header]; n > 0 {
+				l.Children, store = store[:0:n], store[n:]
+			}
+		}
+		for _, l := range lf.Loops {
+			if l.Parent != nil {
+				l.Parent.Children = append(l.Parent.Children, l)
+			}
 		}
 	}
 	// Innermost loop per block: iterate loops from largest to smallest
@@ -111,19 +163,6 @@ func FindLoops(g *Graph, dom *DomTree) *LoopForest {
 		for b := range l.Blocks {
 			lf.InnermostAt[b] = l
 		}
-	}
-	// Exits and preheaders.
-	for _, l := range lf.Loops {
-		for b := range l.Blocks {
-			for _, s := range g.Succs[b] {
-				if !l.Blocks[s] {
-					l.Exits = append(l.Exits, b)
-					break
-				}
-			}
-		}
-		sort.Ints(l.Exits)
-		l.Preheader = findPreheader(g, l)
 	}
 	return lf
 }

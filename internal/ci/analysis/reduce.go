@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"repro/internal/cfg"
 	"repro/internal/ir"
 )
@@ -30,12 +28,19 @@ func (r *Reduction) Root() *Container {
 }
 
 type reducer struct {
-	f     *ir.Func
-	g     *cfg.Graph
-	lf    *cfg.LoopForest
-	ri    *cfg.RegInfo
-	opts  *Options
-	nodes []*Region
+	f    *ir.Func
+	g    *cfg.Graph
+	lf   *cfg.LoopForest
+	ri   *cfg.RegInfo
+	opts *Options
+	// slots holds the live nodes, each at the index of its container's
+	// entry block, nil elsewhere. Every rule gives the merged container
+	// the entry of the node it was applied at, so a merged node takes
+	// that node's slot and a walk over slots always visits the nodes in
+	// entry-block order.
+	slots []*Region
+	// resume is where the scan continues after the last merge.
+	resume int
 	// blockCost computes a leaf's cost and barrier flag.
 	blockCost func(b *ir.Block) (Cost, bool)
 }
@@ -45,62 +50,113 @@ type reducer struct {
 func reduce(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
 	opts *Options, blockCost func(b *ir.Block) (Cost, bool)) *Reduction {
 
-	r := &reducer{f: f, g: g, lf: lf, ri: ri, opts: opts, blockCost: blockCost}
-	byIndex := make(map[int]*Region, g.N)
-	for _, bi := range g.RPO {
+	r := newReducer(f, g, lf, ri, opts, blockCost)
+	r.run()
+	return r.reduction()
+}
+
+func newReducer(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
+	opts *Options, blockCost func(b *ir.Block) (Cost, bool)) *reducer {
+
+	r := &reducer{f: f, g: g, lf: lf, ri: ri, opts: opts, blockCost: blockCost,
+		slots: make([]*Region, g.N)}
+	// The leaves come out of two arrays, and their edge lists out of a
+	// third that is counted before it is filled.
+	containers := make([]Container, len(g.RPO))
+	regions := make([]Region, len(g.RPO))
+	npreds := make([]int, g.N)
+	edges := 0
+	for k, bi := range g.RPO {
 		b := f.Blocks[bi]
 		cost, barrier := blockCost(b)
-		c := &Container{Kind: CBlock, Block: b, Entry: b, Exit: b, Cost: cost, Barrier: barrier}
-		n := &Region{C: c}
-		byIndex[bi] = n
-		r.nodes = append(r.nodes, n)
+		containers[k] = Container{Kind: CBlock, Block: b, Entry: b, Exit: b, Cost: cost, Barrier: barrier}
+		regions[k].C = &containers[k]
+		r.slots[bi] = &regions[k]
+		for _, si := range distinct(g.Succs[bi]) {
+			npreds[si]++
+			edges++
+		}
+	}
+	store := make([]*Region, 2*edges)
+	carve := func(n int) (list []*Region) {
+		if n > 0 {
+			list, store = store[:0:n], store[n:]
+		}
+		return list
 	}
 	for _, bi := range g.RPO {
-		n := byIndex[bi]
-		seen := map[int]bool{}
-		for _, si := range g.Succs[bi] {
-			if seen[si] {
-				continue // collapse duplicate branch edges
-			}
-			seen[si] = true
-			s := byIndex[si]
+		r.slots[bi].Succs = carve(len(distinct(g.Succs[bi])))
+		r.slots[bi].Preds = carve(npreds[bi])
+	}
+	for _, bi := range g.RPO {
+		n := r.slots[bi]
+		for _, si := range distinct(g.Succs[bi]) {
+			s := r.slots[si]
 			n.Succs = append(n.Succs, s)
 			s.Preds = append(s.Preds, n)
 		}
 	}
-	r.run()
-	r.sortNodes()
-	return &Reduction{Regions: r.nodes}
+	return r
 }
 
-func (r *reducer) sortNodes() {
-	sort.Slice(r.nodes, func(i, j int) bool {
-		return r.nodes[i].C.Entry.Index < r.nodes[j].C.Entry.Index
-	})
-}
-
-func (r *reducer) run() {
-	for changed := true; changed; {
-		changed = false
-		r.sortNodes()
-		for _, n := range r.nodes {
-			if r.trySelfLoop(n) || r.tryChain(n) || r.tryDiamond(n) ||
-				r.tryTriangle(n) || r.tryLoopDo(n) || r.tryLoopWhile(n) {
-				changed = true
-				break
-			}
+// reduction lists the nodes that are left, in entry-block order.
+func (r *reducer) reduction() *Reduction {
+	n := 0
+	for _, x := range r.slots {
+		if x != nil {
+			n++
 		}
+	}
+	left := make([]*Region, 0, n)
+	for _, x := range r.slots {
+		if x != nil {
+			left = append(left, x)
+		}
+	}
+	return &Reduction{Regions: left}
+}
+
+// distinct drops the second edge of a two-way branch whose arms reach
+// the same block; a block has at most two successors.
+func distinct(succs []int) []int {
+	if len(succs) == 2 && succs[0] == succs[1] {
+		return succs[:1]
+	}
+	return succs
+}
+
+// run applies, until none applies, the first rule that matches at the
+// first node in entry-block order that any rule matches at.
+//
+// After a merge the scan does not start over. Whether a rule matches at
+// a node x depends only on the edge lists of x, of its successors and
+// of their successors (the diamond's join is the farthest node any rule
+// looks at), and a merge rewrites the edge lists of the merged node,
+// its predecessors and its successors only. So the scan goes back to
+// the first node within two successor steps of one of those; at every
+// node before it no rule matched before the merge and none can now.
+func (r *reducer) run() {
+	for i := 0; i < len(r.slots); {
+		n := r.slots[i]
+		if n != nil && (r.trySelfLoop(n) || r.tryChain(n) || r.tryDiamond(n) ||
+			r.tryTriangle(n) || r.tryLoopDo(n) || r.tryLoopWhile(n)) {
+			i = r.resume
+			continue
+		}
+		i++
 	}
 }
 
-func hasEdge(u, v *Region) bool {
-	for _, s := range u.Succs {
-		if s == v {
+func contains(list []*Region, x *Region) bool {
+	for _, n := range list {
+		if n == x {
 			return true
 		}
 	}
 	return false
 }
+
+func hasEdge(u, v *Region) bool { return contains(u.Succs, v) }
 
 func remove(list []*Region, x *Region) []*Region {
 	out := list[:0]
@@ -112,86 +168,90 @@ func remove(list []*Region, x *Region) []*Region {
 	return out
 }
 
-// merge replaces the nodes in group with a single node holding c.
+// merge replaces the nodes in group with a single node holding c; u,
+// the node the rule was applied at, is group[0] and becomes that node.
 // External edges are recomputed; edges internal to the group vanish.
-func (r *reducer) merge(group []*Region, c *Container) *Region {
-	in := make(map[*Region]bool, len(group))
-	for _, n := range group {
-		in[n] = true
-	}
-	nn := &Region{C: c}
-	addPred := func(p *Region) {
-		for _, e := range nn.Preds {
-			if e == p {
-				return
-			}
-		}
-		nn.Preds = append(nn.Preds, p)
-	}
-	addSucc := func(s *Region) {
-		for _, e := range nn.Succs {
-			if e == s {
-				return
-			}
-		}
-		nn.Succs = append(nn.Succs, s)
-	}
+func (r *reducer) merge(c *Container, group ...*Region) {
+	u := group[0]
+	in := func(n *Region) bool { return contains(group, n) }
+	var preds, succs []*Region
 	for _, n := range group {
 		for _, p := range n.Preds {
-			if !in[p] {
-				addPred(p)
+			if !in(p) && !contains(preds, p) {
+				preds = append(preds, p)
 			}
 		}
 		for _, s := range n.Succs {
-			if !in[s] {
-				addSucc(s)
+			if !in(s) && !contains(succs, s) {
+				succs = append(succs, s)
 			}
 		}
 	}
-	for _, p := range nn.Preds {
-		newSuccs := p.Succs[:0]
-		added := false
-		for _, s := range p.Succs {
-			if in[s] {
-				if !added {
-					newSuccs = append(newSuccs, nn)
-					added = true
-				}
-				continue
+	// In a neighbour's list the first member of the group becomes u and
+	// the others drop out.
+	replace := func(list []*Region) []*Region {
+		out, added := list[:0], false
+		for _, n := range list {
+			if !in(n) {
+				out = append(out, n)
+			} else if !added {
+				out, added = append(out, u), true
 			}
-			newSuccs = append(newSuccs, s)
 		}
-		p.Succs = newSuccs
+		return out
 	}
-	for _, s := range nn.Succs {
-		newPreds := s.Preds[:0]
-		added := false
-		for _, p := range s.Preds {
-			if in[p] {
-				if !added {
-					newPreds = append(newPreds, nn)
-					added = true
-				}
-				continue
-			}
-			newPreds = append(newPreds, p)
+	for _, p := range preds {
+		p.Succs = replace(p.Succs)
+	}
+	for _, s := range succs {
+		s.Preds = replace(s.Preds)
+	}
+	for _, n := range group[1:] {
+		r.slots[n.C.Entry.Index] = nil
+	}
+	u.C, u.Preds, u.Succs = c, preds, succs
+
+	// The nodes whose edge lists changed are u, preds and succs; a rule
+	// applied at x reads x, x's successors and their successors.
+	r.resume = u.C.Entry.Index
+	r.rescan(u)
+	for _, p := range preds {
+		r.rescan(p)
+	}
+	for _, s := range succs {
+		r.rescan(s)
+	}
+}
+
+// rescan lowers r.resume to the first of the nodes at which a rule
+// reads changed: changed itself, its predecessors and theirs.
+func (r *reducer) rescan(changed *Region) {
+	lower := func(n *Region) {
+		if i := n.C.Entry.Index; i < r.resume {
+			r.resume = i
 		}
-		s.Preds = newPreds
 	}
-	out := r.nodes[:0]
-	for _, n := range r.nodes {
-		if !in[n] {
-			out = append(out, n)
+	lower(changed)
+	for _, p := range changed.Preds {
+		lower(p)
+		for _, q := range p.Preds {
+			lower(q)
 		}
 	}
-	r.nodes = append(out, nn)
-	return nn
 }
 
 // chainChildren flattens nested chains so rule 1 matches "any number of
 // sequential containers".
 func chainChildren(cs ...*Container) []*Container {
-	var out []*Container
+	n := 0
+	for _, c := range cs {
+		if c.Kind == CChain {
+			n += len(c.Children)
+		} else {
+			n++
+		}
+	}
+	out := make([]*Container, 0, n)
 	for _, c := range cs {
 		if c.Kind == CChain {
 			out = append(out, c.Children...)
@@ -219,7 +279,7 @@ func (r *reducer) tryChain(u *Region) bool {
 		Exit:     v.C.Exit,
 		Cost:     u.C.Cost.Add(v.C.Cost),
 	}
-	r.merge([]*Region{u, v}, c)
+	r.merge(c, u, v)
 	return true
 }
 
@@ -277,7 +337,7 @@ func (r *reducer) trySelfLoop(u *Region) bool {
 	// Drop the self edge, then rebuild the node.
 	u.Succs = remove(u.Succs, u)
 	u.Preds = remove(u.Preds, u)
-	r.merge([]*Region{u}, c)
+	r.merge(c, u)
 	return true
 }
 
@@ -308,7 +368,7 @@ func (r *reducer) tryLoopWhile(u *Region) bool {
 			Loop:     l,
 		}
 		c.Cost = loopCost(CLoopWhile, u.C, v.C, trips)
-		r.merge([]*Region{u, v}, c)
+		r.merge(c, u, v)
 		return true
 	}
 	return false
@@ -338,7 +398,7 @@ func (r *reducer) tryLoopDo(u *Region) bool {
 		Loop:     l,
 	}
 	c.Cost = loopCost(CLoopDo, u.C, v.C, trips)
-	r.merge([]*Region{u, v}, c)
+	r.merge(c, u, v)
 	return true
 }
 
@@ -382,7 +442,7 @@ func (r *reducer) tryDiamond(u *Region) bool {
 		Exit:     x.C.Exit,
 		Cost:     u.C.Cost.Add(g).Add(x.C.Cost),
 	}
-	r.merge([]*Region{u, v, w, x}, c)
+	r.merge(c, u, v, w, x)
 	return true
 }
 
@@ -410,7 +470,7 @@ func (r *reducer) tryTriangle(u *Region) bool {
 			Exit:     x.C.Exit,
 			Cost:     u.C.Cost.Add(g).Add(x.C.Cost),
 		}
-		r.merge([]*Region{u, v, x}, c)
+		r.merge(c, u, v, x)
 		return true
 	}
 	return false

@@ -8,10 +8,13 @@
 package cliflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,6 +83,10 @@ type Flags struct {
 	// AddObs
 	TracePath string
 	Metrics   bool
+
+	// AddProfile
+	CPUProfile string
+	MemProfile string
 
 	// AddSLO
 	SLOP999Us    float64
@@ -203,6 +210,56 @@ func (f *Flags) AddObs() *Flags {
 	f.fs.StringVar(&f.TracePath, "trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	f.fs.BoolVar(&f.Metrics, "metrics", false, "print counters and histogram quantiles (p50/p90/p99) after the run")
 	return f
+}
+
+// AddProfile registers the host-side profiling flags -cpuprofile and
+// -memprofile. They are to host time what -trace is to model cycles:
+// the way to find where a run of the tool itself spends its time.
+func (f *Flags) AddProfile() *Flags {
+	f.fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of this run to `file` (read with go tool pprof)")
+	f.fs.StringVar(&f.MemProfile, "memprofile", "", "write an allocation profile of this run to `file` when it ends")
+	return f
+}
+
+// StartProfile creates the files named by -cpuprofile and -memprofile
+// and starts the CPU profile. The returned stop function ends the CPU
+// profile and writes the allocation profile; only its first call does
+// anything, so a tool can both defer it and call it ahead of os.Exit.
+// With neither flag given nothing is created and stop does nothing.
+func (f *Flags) StartProfile() (stop func() error, err error) {
+	var cpu, mem *os.File
+	if f.CPUProfile != "" {
+		if cpu, err = os.Create(f.CPUProfile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	if f.MemProfile != "" {
+		if mem, err = os.Create(f.MemProfile); err != nil {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				cpu.Close()
+			}
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+			cpu = nil
+		}
+		if mem != nil {
+			runtime.GC() // so that the profile includes what the run freed last
+			errs = append(errs, pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
+			mem = nil
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
 // AddSLO registers the overload-plane guard flags -slo-p999us,

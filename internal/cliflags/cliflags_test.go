@@ -2,6 +2,8 @@ package cliflags
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -197,3 +199,60 @@ func TestParseArgs(t *testing.T) {
 		t.Error("ParseArgs accepted a non-integer")
 	}
 }
+
+func TestProfileFlags(t *testing.T) {
+	cases := []struct {
+		name     string
+		cpu, mem bool
+	}{
+		{"neither", false, false},
+		{"cpu only", true, false},
+		{"mem only", false, true},
+		{"both", true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cpuPath, memPath := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+			var args []string
+			if tc.cpu {
+				args = append(args, "-cpuprofile", cpuPath)
+			}
+			if tc.mem {
+				args = append(args, "-memprofile", memPath)
+			}
+			f := newFlags(t, func(f *Flags) *Flags { return f.AddProfile() }, args...)
+			stop, err := f.StartProfile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink = make([]byte, 1<<20) // something for the allocation profile to hold
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			if err := stop(); err != nil {
+				t.Errorf("second stop: %v", err)
+			}
+			for path, want := range map[string]bool{cpuPath: tc.cpu, memPath: tc.mem} {
+				st, err := os.Stat(path)
+				switch {
+				case want && err != nil:
+					t.Errorf("%s: %v", filepath.Base(path), err)
+				case want && st.Size() == 0:
+					t.Errorf("%s is empty", filepath.Base(path))
+				case !want && err == nil:
+					t.Errorf("%s was created without its flag", filepath.Base(path))
+				}
+			}
+		})
+	}
+	t.Run("unwritable path", func(t *testing.T) {
+		bad := filepath.Join(t.TempDir(), "missing", "cpu.prof")
+		f := newFlags(t, func(f *Flags) *Flags { return f.AddProfile() }, "-cpuprofile", bad)
+		if _, err := f.StartProfile(); err == nil {
+			t.Error("StartProfile succeeded on a path it cannot create")
+		}
+	})
+}
+
+var sink []byte

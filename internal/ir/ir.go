@@ -369,7 +369,14 @@ func (m *Module) DeclareExtern(name string, cost int64) *Extern {
 
 // Clone returns a deep copy of the module. Instrumentation operates on
 // clones so one parsed/built program can be compiled under many
-// configurations.
+// configurations. Block indices must be fresh (Func.Reindex): branch
+// targets are found through them.
+//
+// The copy's functions, blocks, instructions, call arguments and probe
+// descriptions each come out of one array sized by a counting pass.
+// Every slice handed out has its capacity cut at its length, so an
+// append to one block or call copies out of the array and cannot reach
+// its neighbour.
 func (m *Module) Clone() *Module {
 	nm := NewModule(m.Name)
 	nm.MemWords = m.MemWords
@@ -380,37 +387,64 @@ func (m *Module) Clone() *Module {
 	for name := range m.Imports {
 		nm.Imports[name] = true
 	}
+	var nblocks, ninstrs, nargs, nprobes int
 	for _, f := range m.Funcs {
-		nf := nm.NewFunc(f.Name, f.NumParams)
-		nf.NumRegs = f.NumRegs
-		nf.NoInstrument = f.NoInstrument
-		// First create all blocks so terminators can point at them.
+		nblocks += len(f.Blocks)
 		for _, b := range f.Blocks {
-			nb := nf.NewBlock(b.Name)
-			nb.Instrs = make([]Instr, len(b.Instrs))
-			for i, ins := range b.Instrs {
-				ci := ins
-				if ins.Args != nil {
-					ci.Args = append([]Reg(nil), ins.Args...)
+			ninstrs += len(b.Instrs)
+			for i := range b.Instrs {
+				nargs += len(b.Instrs[i].Args)
+				if b.Instrs[i].Probe != nil {
+					nprobes++
 				}
-				if ins.Probe != nil {
-					p := *ins.Probe
-					ci.Probe = &p
-				}
-				nb.Instrs[i] = ci
 			}
 		}
+	}
+	funcs := make([]Func, len(m.Funcs))
+	nm.Funcs = make([]*Func, len(m.Funcs))
+	blocks := make([]Block, nblocks)
+	blockPtrs := make([]*Block, nblocks)
+	instrs := make([]Instr, ninstrs)
+	args := make([]Reg, nargs)
+	probes := make([]ProbeInfo, nprobes)
+	for fi, f := range m.Funcs {
+		nf := &funcs[fi]
+		*nf = *f
+		nf.Mod = nm
+		nm.Funcs[fi] = nf
+		n := len(f.Blocks)
+		nf.Blocks = blockPtrs[:n:n]
 		for i, b := range f.Blocks {
-			nb := nf.Blocks[i]
-			nb.Term = b.Term
-			if b.Term.Then != nil {
-				nb.Term.Then = nf.Blocks[b.Term.Then.Index]
-			}
-			if b.Term.Else != nil {
-				nb.Term.Else = nf.Blocks[b.Term.Else.Index]
+			nb := &blocks[i]
+			nf.Blocks[i] = nb
+			k := copy(instrs, b.Instrs)
+			*nb = Block{Name: b.Name, Instrs: instrs[:k:k], Term: b.Term, Index: i}
+			instrs = instrs[k:]
+			for j := range nb.Instrs {
+				in := &nb.Instrs[j]
+				if in.Args != nil {
+					a := copy(args, in.Args)
+					in.Args, args = args[:a:a], args[a:]
+					if a == 0 {
+						in.Args = nil
+					}
+				}
+				if in.Probe != nil {
+					probes[0] = *in.Probe
+					in.Probe, probes = &probes[0], probes[1:]
+				}
 			}
 		}
-		nf.Reindex()
+		// All blocks exist now, so terminators can point at them.
+		for _, nb := range nf.Blocks {
+			if nb.Term.Then != nil {
+				nb.Term.Then = nf.Blocks[nb.Term.Then.Index]
+			}
+			if nb.Term.Else != nil {
+				nb.Term.Else = nf.Blocks[nb.Term.Else.Index]
+			}
+		}
+		blocks, blockPtrs = blocks[n:], blockPtrs[n:]
 	}
 	return nm
 }

@@ -1,10 +1,11 @@
 package ir
 
 import (
-	"bufio"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ParseError reports a syntax or semantic error with its source line.
@@ -17,41 +18,101 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("ir: parse error at line %d: %s", e.Line, e.Msg)
 }
 
+// MaxNumericReg bounds the registers a source may name by number
+// (%0 .. %65535). A number grows the function's frame up to it, so
+// without a bound a 20-byte input costs the VM a gigabyte; the largest
+// function of the Table-7 programs and the benchmark corpus has 531
+// registers. Named registers need no bound: each costs its own text.
+const MaxNumericReg = 1 << 16
+
+// Classes of the token grammar (DESIGN §16). A multi-byte rune is
+// clsSep if unicode.IsSpace says so and clsTok otherwise.
+const (
+	clsTok     = iota // part of a token
+	clsSep            // separates tokens: ASCII white space and ( ) ,
+	clsEq             // '=' is a token by itself wherever it appears
+	clsComment        // ';' and '#' end the line's tokens
+	clsNL             // '\n' ends the line
+)
+
+var byteClass = func() (t [utf8.RuneSelf]uint8) {
+	for _, c := range "\t\v\f\r ()," {
+		t[c] = clsSep
+	}
+	t['='] = clsEq
+	t[';'], t['#'] = clsComment, clsComment
+	t['\n'] = clsNL
+	return t
+}()
+
+// parser reads the source in one pass, a line at a time. Every name it
+// stores (module, functions, blocks, callees, externs) is a substring
+// of src, and blocks, instructions and call arguments are carved out of
+// slabs sized by count, so the work per line allocates nothing.
 type parser struct {
-	mod  *Module
-	line int
+	src  string
+	pos  int      // offset of the first byte of the next line
+	line int      // number of the line toks came from
+	toks []string // tokens of the current line; the buffer is reused
+
+	mod *Module
+	// Slabs for the whole module, with the capacities count computed.
+	// Blocks are reached through pointers and the other three through
+	// sub-slices taken after their last append, so where count fell
+	// short an append merely moves on to a larger array.
+	blocks    []Block
+	blockPtrs []*Block
+	instrs    []Instr
+	args      []Reg
 
 	// per-function state
-	fn      *Func
-	regs    map[string]Reg
-	cur     *Block
-	pending []pendingTerm
+	fn         *Func
+	firstBlock int               // offset of fn's first block in blockPtrs
+	regs       map[string]Reg    // named registers
+	labels     map[string]*Block // block labels
+	cur        *Block
+	curInstrs  int // offset of cur's first instruction in instrs
+	pending    []pendingTerm
 }
 
+// pendingTerm is a jmp or br whose labels resolve at the closing '}'.
 type pendingTerm struct {
-	line  int
-	block *Block
-	kind  TermKind
-	cond  Reg
-	val   Reg
-	then  string
-	els   string
+	line      int
+	block     *Block
+	then, els string // els is empty for jmp
 }
 
 // Parse reads a module in the textual IR syntax produced by
-// Module.String. The result is verified before being returned.
+// Module.String. The result is verified before being returned. Syntax
+// errors are *ParseError values carrying the line; a module that parses
+// but does not verify returns Verify's error.
 func Parse(src string) (*Module, error) {
-	p := &parser{mod: NewModule("m")}
-	sc := bufio.NewScanner(strings.NewReader(src))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	nblocks, ninstrs, nargs := count(src)
+	p := &parser{
+		src:       src,
+		mod:       NewModule("m"),
+		blocks:    make([]Block, 0, nblocks),
+		blockPtrs: make([]*Block, 0, nblocks),
+		instrs:    make([]Instr, 0, ninstrs),
+		args:      make([]Reg, 0, nargs),
+		regs:      make(map[string]Reg),
+		labels:    make(map[string]*Block),
+	}
+	for p.pos < len(src) {
 		p.line++
-		if err := p.parseLine(sc.Text()); err != nil {
+		p.scanLine()
+		if len(p.toks) == 0 {
+			continue
+		}
+		var err error
+		if p.fn == nil {
+			err = p.parseTopLevel(p.toks)
+		} else {
+			err = p.parseBody(p.toks)
+		}
+		if err != nil {
 			return nil, err
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if p.fn != nil {
 		return nil, p.errf("missing closing '}' for func @%s", p.fn.Name)
@@ -71,27 +132,70 @@ func MustParse(src string) *Module {
 	return m
 }
 
+// count sizes the parser's slabs for text as Module.String prints it:
+// a ':' per block label, two lines per block that are not instructions
+// (the label and the terminator), and per call a '@' and one comma
+// fewer than arguments. Other text (blank lines, comments, labels
+// inside instructions, arguments separated by spaces) makes the counts
+// too large or too small, which costs memory or a reallocation.
+func count(src string) (blocks, instrs, args int) {
+	blocks = strings.Count(src, ":")
+	instrs = max(strings.Count(src, "\n")+1-2*blocks, 0)
+	args = strings.Count(src, ",") + strings.Count(src, "@")
+	return blocks, instrs, args
+}
+
+// scanLine splits the line at p.pos into p.toks and moves p.pos past
+// its newline.
+func (p *parser) scanLine() {
+	src, toks := p.src, p.toks[:0]
+	i, start := p.pos, -1 // start of the token being read, -1 between tokens
+scan:
+	for i < len(src) {
+		cls, w := uint8(clsTok), 1
+		if c := src[i]; c < utf8.RuneSelf {
+			cls = byteClass[c]
+		} else {
+			var r rune
+			if r, w = utf8.DecodeRuneInString(src[i:]); unicode.IsSpace(r) {
+				cls = clsSep
+			}
+		}
+		if cls == clsTok {
+			if start < 0 {
+				start = i
+			}
+			i += w
+			continue
+		}
+		if start >= 0 {
+			toks = append(toks, src[start:i])
+			start = -1
+		}
+		switch cls {
+		case clsEq:
+			toks = append(toks, src[i:i+1])
+		case clsComment:
+			if nl := strings.IndexByte(src[i:], '\n'); nl >= 0 {
+				i += nl + 1
+			} else {
+				i = len(src)
+			}
+			break scan
+		case clsNL:
+			i++
+			break scan
+		}
+		i += w
+	}
+	if start >= 0 {
+		toks = append(toks, src[start:i])
+	}
+	p.pos, p.toks = i, toks
+}
+
 func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
-}
-
-func tokenize(line string) []string {
-	if i := strings.IndexAny(line, ";#"); i >= 0 {
-		line = line[:i]
-	}
-	r := strings.NewReplacer("(", " ", ")", " ", ",", " ", "=", " = ")
-	return strings.Fields(r.Replace(line))
-}
-
-func (p *parser) parseLine(raw string) error {
-	toks := tokenize(raw)
-	if len(toks) == 0 {
-		return nil
-	}
-	if p.fn == nil {
-		return p.parseTopLevel(toks)
-	}
-	return p.parseBody(toks)
 }
 
 func (p *parser) parseTopLevel(toks []string) error {
@@ -147,24 +251,59 @@ func (p *parser) parseFuncHeader(toks []string) error {
 	if p.mod.FuncByName(name) != nil {
 		return p.errf("duplicate function @%s", name)
 	}
-	body := toks[2 : len(toks)-1]
+	params := toks[2 : len(toks)-1]
 	noInstr := false
-	if n := len(body); n > 0 && body[n-1] == "noinstrument" {
+	if n := len(params); n > 0 && params[n-1] == "noinstrument" {
 		noInstr = true
-		body = body[:n-1]
+		params = params[:n-1]
 	}
-	p.fn = p.mod.NewFunc(name, len(body))
+	p.fn = p.mod.NewFunc(name, len(params))
 	p.fn.NoInstrument = noInstr
-	p.regs = make(map[string]Reg)
+	p.firstBlock = len(p.blockPtrs)
+	clear(p.regs)
+	clear(p.labels)
 	p.cur = nil
-	p.pending = nil
-	for i, t := range body {
+	p.pending = p.pending[:0]
+	for i, t := range params {
 		if !strings.HasPrefix(t, "%") {
 			return p.errf("bad parameter %q", t)
+		}
+		if t == "%" {
+			return p.errf("empty register name")
+		}
+		if _, dup := p.regs[t[1:]]; dup {
+			return p.errf("duplicate parameter %q", t)
 		}
 		p.regs[t[1:]] = Reg(i)
 	}
 	return nil
+}
+
+// regNumber reads name as a register number the way strconv.Atoi reads
+// it: an optional sign and decimal digits. ok is false when name is not
+// of that shape (it is then a register name); a negative number comes
+// back as -1 and one too large to matter as MaxNumericReg.
+func regNumber(name string) (n int, ok bool) {
+	digits := name
+	if name[0] == '+' || name[0] == '-' {
+		digits = name[1:]
+	}
+	if digits == "" {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		if n < MaxNumericReg {
+			n = n*10 + int(d)
+		}
+	}
+	if name[0] == '-' && n != 0 {
+		return -1, true
+	}
+	return n, true
 }
 
 // reg resolves a register token (%name or %number or _), allocating
@@ -177,9 +316,15 @@ func (p *parser) reg(tok string) (Reg, error) {
 		return NoReg, p.errf("expected register, got %q", tok)
 	}
 	name := tok[1:]
-	if n, err := strconv.Atoi(name); err == nil {
-		for Reg(n) >= Reg(p.fn.NumRegs) {
-			p.fn.NewReg()
+	if name == "" {
+		return NoReg, p.errf("empty register name")
+	}
+	if n, ok := regNumber(name); ok {
+		if n < 0 || n >= MaxNumericReg {
+			return NoReg, p.errf("bad register %q", tok)
+		}
+		if n >= p.fn.NumRegs {
+			p.fn.NumRegs = n + 1
 		}
 		return Reg(n), nil
 	}
@@ -228,49 +373,53 @@ var probeKindByName = func() map[string]ProbeKind {
 	return m
 }()
 
+// closeBlock hands the current block the instructions appended since
+// its label (nil when there are none). The capacity is cut at the
+// length so that a later append to the block copies out of the slab
+// instead of growing into the next block's instructions.
+func (p *parser) closeBlock() {
+	if n := len(p.instrs); p.cur != nil && n > p.curInstrs {
+		p.cur.Instrs = p.instrs[p.curInstrs:n:n]
+	}
+}
+
 func (p *parser) parseBody(toks []string) error {
 	if toks[0] == "}" {
-		if len(p.fn.Blocks) == 0 {
+		if len(toks) > 1 {
+			return p.errf("unexpected tokens after '}'")
+		}
+		if p.cur == nil {
 			return p.errf("function @%s has no blocks", p.fn.Name)
 		}
+		p.closeBlock()
+		p.fn.Blocks = p.blockPtrs[p.firstBlock:len(p.blockPtrs):len(p.blockPtrs)]
 		if err := p.resolveTerms(); err != nil {
 			return err
 		}
-		p.fn.Reindex()
 		p.fn = nil
 		return nil
 	}
 	// Block label?
 	if len(toks) == 1 && strings.HasSuffix(toks[0], ":") {
 		name := strings.TrimSuffix(toks[0], ":")
-		if p.fn.blockByName(name) != nil {
+		if name == "" {
+			return p.errf("empty block label")
+		}
+		if p.labels[name] != nil {
 			return p.errf("duplicate block label %q", name)
 		}
-		p.cur = p.fn.NewBlock(name)
+		p.closeBlock()
+		p.blocks = append(p.blocks, Block{Name: name, Index: len(p.blockPtrs) - p.firstBlock})
+		p.cur = &p.blocks[len(p.blocks)-1]
+		p.blockPtrs = append(p.blockPtrs, p.cur)
+		p.labels[name] = p.cur
+		p.curInstrs = len(p.instrs)
 		return nil
 	}
 	if p.cur == nil {
 		return p.errf("instruction before any block label")
 	}
 	if p.cur.Term.Kind != TermNone {
-		// The terminator was recorded pending; real terminators are
-		// resolved at '}', so Term.Kind stays TermNone until then.
-		return p.errf("instruction after terminator in block %q", p.cur.Name)
-	}
-	return p.parseInstrOrTerm(toks)
-}
-
-func (p *parser) haveTerm(b *Block) bool {
-	for _, pt := range p.pending {
-		if pt.block == b {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *parser) parseInstrOrTerm(toks []string) error {
-	if p.haveTerm(p.cur) {
 		return p.errf("instruction after terminator in block %q", p.cur.Name)
 	}
 	switch toks[0] {
@@ -278,8 +427,8 @@ func (p *parser) parseInstrOrTerm(toks []string) error {
 		if len(toks) != 2 {
 			return p.errf("usage: jmp <label>")
 		}
-		p.pending = append(p.pending, pendingTerm{line: p.line, block: p.cur, kind: TermJmp, then: toks[1], cond: NoReg, val: NoReg})
-		return nil
+		p.cur.Term = Terminator{Kind: TermJmp, Cond: NoReg, Val: NoReg}
+		p.pending = append(p.pending, pendingTerm{line: p.line, block: p.cur, then: toks[1]})
 	case "br":
 		if len(toks) != 4 {
 			return p.errf("usage: br %%cond, <then>, <else>")
@@ -288,8 +437,8 @@ func (p *parser) parseInstrOrTerm(toks []string) error {
 		if err != nil {
 			return err
 		}
-		p.pending = append(p.pending, pendingTerm{line: p.line, block: p.cur, kind: TermBr, cond: c, then: toks[2], els: toks[3], val: NoReg})
-		return nil
+		p.cur.Term = Terminator{Kind: TermBr, Cond: c, Val: NoReg}
+		p.pending = append(p.pending, pendingTerm{line: p.line, block: p.cur, then: toks[2], els: toks[3]})
 	case "ret":
 		val := NoReg
 		if len(toks) == 2 {
@@ -301,14 +450,14 @@ func (p *parser) parseInstrOrTerm(toks []string) error {
 		} else if len(toks) > 2 {
 			return p.errf("usage: ret [%%val]")
 		}
-		p.pending = append(p.pending, pendingTerm{line: p.line, block: p.cur, kind: TermRet, val: val, cond: NoReg})
-		return nil
+		p.cur.Term = Terminator{Kind: TermRet, Cond: NoReg, Val: val}
+	default:
+		in, err := p.parseInstr(toks)
+		if err != nil {
+			return err
+		}
+		p.instrs = append(p.instrs, in)
 	}
-	in, err := p.parseInstr(toks)
-	if err != nil {
-		return err
-	}
-	p.cur.Instrs = append(p.cur.Instrs, in)
 	return nil
 }
 
@@ -407,16 +556,19 @@ func (p *parser) parseInstr(toks []string) (Instr, error) {
 		if len(args) < 1 || !strings.HasPrefix(args[0], "@") {
 			return Instr{}, p.errf("usage: [%%d =] %s @name(args...)", opName)
 		}
-		callee := args[0][1:]
-		var regs []Reg
+		first := len(p.args)
 		for _, t := range args[1:] {
 			r, err := p.reg(t)
 			if err != nil {
 				return Instr{}, err
 			}
-			regs = append(regs, r)
+			p.args = append(p.args, r)
 		}
-		return Instr{Op: op, Dst: dst, A: NoReg, B: NoReg, Callee: callee, Args: regs}, nil
+		var regs []Reg // nil for a call without arguments
+		if n := len(p.args); n > first {
+			regs = p.args[first:n:n]
+		}
+		return Instr{Op: op, Dst: dst, A: NoReg, B: NoReg, Callee: args[0][1:], Args: regs}, nil
 	case op == OpReadCycles:
 		if len(args) != 0 {
 			return Instr{}, p.errf("usage: %%d = rdcyc")
@@ -453,30 +605,25 @@ func (p *parser) parseInstr(toks []string) (Instr, error) {
 	return Instr{}, p.errf("unhandled opcode %q", opName)
 }
 
+// resolveTerms binds the labels of the function's jmp and br
+// terminators, in source order, and checks that every block got a
+// terminator. An unknown label is reported at its terminator's line.
 func (p *parser) resolveTerms() error {
-	terminated := make(map[*Block]bool)
 	for _, pt := range p.pending {
-		t := Terminator{Kind: pt.kind, Cond: pt.cond, Val: pt.val}
-		switch pt.kind {
-		case TermJmp, TermBr:
-			t.Then = p.fn.blockByName(pt.then)
-			if t.Then == nil {
+		t := &pt.block.Term
+		if t.Then = p.labels[pt.then]; t.Then == nil {
+			p.line = pt.line
+			return p.errf("unknown block label %q", pt.then)
+		}
+		if t.Kind == TermBr {
+			if t.Else = p.labels[pt.els]; t.Else == nil {
 				p.line = pt.line
-				return p.errf("unknown block label %q", pt.then)
-			}
-			if pt.kind == TermBr {
-				t.Else = p.fn.blockByName(pt.els)
-				if t.Else == nil {
-					p.line = pt.line
-					return p.errf("unknown block label %q", pt.els)
-				}
+				return p.errf("unknown block label %q", pt.els)
 			}
 		}
-		pt.block.Term = t
-		terminated[pt.block] = true
 	}
 	for _, b := range p.fn.Blocks {
-		if !terminated[b] {
+		if b.Term.Kind == TermNone {
 			return p.errf("block %q in @%s lacks a terminator", b.Name, p.fn.Name)
 		}
 	}

@@ -38,9 +38,18 @@ func (f *Func) Verify() error {
 	if f.NumParams > f.NumRegs {
 		fail("NumParams %d exceeds NumRegs %d", f.NumParams, f.NumRegs)
 	}
-	inFunc := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		inFunc[b] = true
+	// inFunc reports whether t is one of f's blocks: by its index, or,
+	// for a block whose index is stale (reported below), by a search.
+	inFunc := func(t *Block) bool {
+		if t != nil && uint(t.Index) < uint(len(f.Blocks)) && f.Blocks[t.Index] == t {
+			return true
+		}
+		for _, b := range f.Blocks {
+			if b == t {
+				return true
+			}
+		}
+		return false
 	}
 	checkReg := func(b *Block, r Reg, what string) {
 		if r == NoReg {
@@ -130,7 +139,7 @@ func (f *Func) Verify() error {
 		case TermNone:
 			fail("block %q lacks a terminator", b.Name)
 		case TermJmp:
-			if !inFunc[b.Term.Then] {
+			if !inFunc(b.Term.Then) {
 				fail("block %q jumps outside the function", b.Name)
 			}
 		case TermBr:
@@ -138,7 +147,7 @@ func (f *Func) Verify() error {
 			if b.Term.Cond == NoReg {
 				fail("block %q: br requires a condition register", b.Name)
 			}
-			if !inFunc[b.Term.Then] || !inFunc[b.Term.Else] {
+			if !inFunc(b.Term.Then) || !inFunc(b.Term.Else) {
 				fail("block %q branches outside the function", b.Name)
 			}
 		case TermRet:

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repo verification gate: formatting, static checks, build, tests, and
-# a quick chaos smoke run (fault-injection invariants at a 1% rate).
+# Repo verification gate: formatting, static checks, build, tests, ten
+# seconds of parser fuzzing, the benchmark on mini inputs, and the
+# quick smoke runs of every ciexp gate.
 # Run from the repo root; exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")"
@@ -27,6 +28,21 @@ echo "== go test -race =="
 # sweep shards cells across workers sharing memoized modules and
 # read-only baselines, so the whole suite must stay race-clean.
 go test -race ./...
+
+echo "== parser fuzz =="
+# The IR text boundary under the native fuzzer for a fixed ten seconds,
+# in the foreground: no panic, and whatever parses must verify, print
+# and reparse to the same text. A failing input lands in
+# internal/ir/testdata/fuzz/ and fails every later `go test` until it is
+# fixed and committed.
+go test ./internal/ir -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s
+
+echo "== benchmark smoke =="
+# The repository benchmark on its smallest inputs: all four workloads,
+# scored runs only, every operation checked (see benchmark/README.md).
+# It says that the benchmark still builds and verifies, not how fast
+# anything is.
+go run ./benchmark -size mini -trace 0 -seconds 2
 
 echo "== chaos smoke =="
 go run ./cmd/ciexp -quick chaos
