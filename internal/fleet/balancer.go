@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/overload"
 	"repro/internal/sim"
@@ -51,9 +52,20 @@ type balancer struct {
 	// migration barrier; the serial phase drains their queues.
 	drainPending []bool
 
-	// pick scratch, reused across calls to keep the serial phase
-	// allocation-light.
-	routable, zHealthy, zFailing []int
+	// routable is the non-Open backends in index order, maintained by
+	// the breaker state-change hook so p2c sampling never scans.
+	routable []int
+
+	// The current pick's candidate sequence, read through candidate:
+	// seqStart is round-robin's first backend; seqSorted says how many
+	// leading entries of seqOrder least-loaded's selection has put in
+	// place; seqFirst/seqSecond are p2c's two sampled backends (or the
+	// only routable one) and seqLo < seqHi their positions in routable.
+	seqStart            int
+	seqOrder            []int
+	seqSorted           int
+	seqFirst, seqSecond int
+	seqLo, seqHi        int
 
 	rrNext     int
 	nextHealth int64
@@ -73,8 +85,11 @@ func newBalancer(c Config) *balancer {
 	b.zoneSize = make([]int, c.Zones)
 	b.zoneOpen = make([]int, c.Zones)
 	b.drainPending = make([]bool, c.Replicas)
+	b.routable = make([]int, c.Replicas)
+	b.seqOrder = make([]int, c.Replicas)
 	for i := range b.bk {
 		i := i
+		b.routable[i] = i
 		b.zoneOf[i] = i % c.Zones
 		b.zoneSize[b.zoneOf[i]]++
 		b.bk[i].hc = overload.New(&overload.Config{
@@ -91,13 +106,16 @@ func newBalancer(c Config) *balancer {
 				HalfOpenProbes:   4,
 			},
 			OnStateChange: func(from, to overload.State, now int64) {
+				at, _ := slices.BinarySearch(b.routable, i)
 				if to == overload.Open {
 					b.bk[i].ejections++
 					b.zoneOpen[b.zoneOf[i]]++
 					b.drainPending[i] = true
+					b.routable = slices.Delete(b.routable, at, at+1)
 				}
 				if from == overload.Open {
 					b.zoneOpen[b.zoneOf[i]]--
+					b.routable = slices.Insert(b.routable, at, i)
 				}
 				if from == overload.HalfOpen && to == overload.Closed {
 					b.bk[i].readmits++
@@ -189,32 +207,36 @@ func (b *balancer) usable(i int, now int64) bool {
 }
 
 // pick chooses a replica for one attempt under the configured policy.
-// The policy ranks candidates; the first usable one (healthy, or
-// half-open with a probe slot left) wins. Returns false when no
-// backend can take the attempt.
-func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
-	n := len(b.bk)
-	order := make([]int, 0, n)
+// The policy ranks candidates; backends in surviving zones come before
+// backends in zones under correlated outage (at least half the zone
+// ejected), each class in the policy's own ranking, so all three
+// policies steer around a zone outage with their discipline intact.
+// The first usable candidate (healthy, or half-open with a probe slot
+// left) wins; the attempt's excluded replica is passed over unless it
+// is the only candidate. Returns false when no backend can take the
+// attempt.
+//
+// The ranking is never built: pick sets up the sequence (advancing
+// round-robin's cursor, or spending p2c's two draws, exactly once and
+// whatever happens next) and walks it through candidate until a
+// backend is usable — almost always the first. The walk is the only
+// place with side effects on the backends (usable spends half-open
+// probe slots), and it visits candidates in ranking order and stops at
+// the first success, so which backends are asked, and in which order,
+// is a function of the ranking alone. Nothing the walk reads can
+// change under it: usable never moves a breaker between states, so
+// zone classes, routable and outstanding are fixed for the whole pick.
+func (b *balancer) pick(a *attempt) (int, bool) {
+	n := len(b.bk) // length of the candidate sequence
 	switch b.cfg.Policy {
 	case RoundRobin:
-		for k := 0; k < n; k++ {
-			order = append(order, (b.rrNext+k)%n)
-		}
+		b.seqStart = b.rrNext
 		b.rrNext = (b.rrNext + 1) % n
 	case LeastLoaded:
-		for k := 0; k < n; k++ {
-			order = append(order, k)
+		for k := range b.seqOrder {
+			b.seqOrder[k] = k
 		}
-		// stable selection sort by outstanding (n is small)
-		for i := 0; i < len(order); i++ {
-			best := i
-			for j := i + 1; j < len(order); j++ {
-				if b.bk[order[j]].outstanding < b.bk[order[best]].outstanding {
-					best = j
-				}
-			}
-			order[i], order[best] = order[best], order[i]
-		}
+		b.seqSorted = 0
 	case P2CDeadline:
 		// Candidates are sampled over routable (non-Open) backends
 		// only, and always with exactly two draws: the second draw
@@ -222,20 +244,14 @@ func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
 		// rejection loop and no draw is ever spent on an ejected
 		// backend. Ejection windows therefore never shift the seeded
 		// stream's alignment and cross-policy runs stay comparable.
-		routable := b.routable[:0]
-		for k := 0; k < n; k++ {
-			if b.bk[k].hc.BreakerState() != overload.Open {
-				routable = append(routable, k)
-			}
-		}
-		b.routable = routable
-		if m := len(routable); m >= 2 {
-			ii := int(b.rng.Intn(int64(m)))
-			jj := int(b.rng.Intn(int64(m - 1)))
+		n = len(b.routable)
+		if n >= 2 {
+			ii := int(b.rng.Intn(int64(n)))
+			jj := int(b.rng.Intn(int64(n - 1)))
 			if jj >= ii {
 				jj++
 			}
-			i, j := routable[ii], routable[jj]
+			i, j := b.routable[ii], b.routable[jj]
 			remaining := a.reqArrival + b.cfg.DeadlineCycles - a.arrival
 			di, dj := b.estDelay(i), b.estDelay(j)
 			first, second := i, j
@@ -249,52 +265,68 @@ func (b *balancer) pick(f *fleetState, a *attempt) (int, bool) {
 			if di > remaining && dj <= remaining {
 				first, second = second, first
 			}
-			order = append(order, first, second)
-			for _, k := range routable {
-				if k != i && k != j {
-					order = append(order, k)
-				}
+			b.seqFirst, b.seqSecond = first, second
+			b.seqLo, b.seqHi = min(ii, jj), max(ii, jj)
+		} else if n == 1 {
+			b.seqFirst = b.routable[0]
+		}
+	}
+	for _, failing := range [2]bool{false, true} {
+		for k := 0; k < n; k++ {
+			i := b.candidate(k)
+			if b.zoneDown(b.zoneOf[i]) != failing {
+				continue
 			}
-		} else if m == 1 {
-			order = append(order, routable[0])
-		}
-	}
-	if b.cfg.Zones > 1 {
-		order = b.preferSurvivingZones(order)
-	}
-	for _, i := range order {
-		if i == a.exclude && len(order) > 1 {
-			continue
-		}
-		if b.usable(i, a.arrival) {
-			return i, true
+			if i == int(a.exclude) && n > 1 {
+				continue
+			}
+			if b.usable(i, a.arrival) {
+				return i, true
+			}
 		}
 	}
 	return 0, false
 }
 
-// preferSurvivingZones stably partitions the policy's candidate order
-// so backends in surviving zones come before backends in zones under
-// correlated outage, preserving the policy's own ranking within each
-// class. All three policies therefore steer around a zone outage
-// while keeping their discipline intact.
-func (b *balancer) preferSurvivingZones(order []int) []int {
-	healthy := b.zHealthy[:0]
-	failing := b.zFailing[:0]
-	for _, i := range order {
-		if b.zoneDown(b.zoneOf[i]) {
-			failing = append(failing, i)
-		} else {
-			healthy = append(healthy, i)
+// candidate returns entry k of the current pick's policy ranking,
+// doing only the work that entry needs.
+func (b *balancer) candidate(k int) int {
+	switch b.cfg.Policy {
+	case RoundRobin:
+		return (b.seqStart + k) % len(b.bk)
+	case LeastLoaded:
+		// Selection sort by outstanding, one step per new entry: step s
+		// swaps the first least-loaded backend of seqOrder[s:] into
+		// place (n is small, and the first entry is nearly always the
+		// last one asked for).
+		for ; b.seqSorted <= k; b.seqSorted++ {
+			s := b.seqSorted
+			best := s
+			for j := s + 1; j < len(b.seqOrder); j++ {
+				if b.bk[b.seqOrder[j]].outstanding < b.bk[b.seqOrder[best]].outstanding {
+					best = j
+				}
+			}
+			b.seqOrder[s], b.seqOrder[best] = b.seqOrder[best], b.seqOrder[s]
 		}
+		return b.seqOrder[k]
 	}
-	b.zHealthy, b.zFailing = healthy, failing
-	if len(healthy) == 0 || len(failing) == 0 {
-		return order
+	// p2c: the two sampled backends, then the other routable ones in
+	// index order.
+	switch k {
+	case 0:
+		return b.seqFirst
+	case 1:
+		return b.seqSecond
 	}
-	copy(order, healthy)
-	copy(order[len(healthy):], failing)
-	return order
+	k -= 2
+	if k >= b.seqLo {
+		k++
+	}
+	if k >= b.seqHi {
+		k++
+	}
+	return b.routable[k]
 }
 
 // noteRouted records one attempt handed to backend i.
@@ -304,7 +336,7 @@ func (b *balancer) noteRouted(i int) { b.bk[i].outstanding++ }
 // half-open, feeds the real outcome to the health breaker (the
 // bounded re-admission probes).
 func (b *balancer) noteOutcome(o *outcome, now int64) {
-	i := o.att.replica
+	i := int(o.att.replica)
 	b.bk[i].outstanding--
 	if b.bk[i].hc.BreakerState() == overload.HalfOpen {
 		b.bk[i].hc.Observe(now, o.at-o.att.arrival, o.status == stFailed)

@@ -1,9 +1,9 @@
 package fleet
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -18,59 +18,18 @@ const (
 	paretoAlpha = 1.5
 )
 
+// paretoRatio is (xm/H)^alpha, the constant of the inverse CDF.
+var paretoRatio = math.Pow(paretoXm/paretoH, paretoAlpha)
+
 func paretoDemand(rng *sim.RNG) int64 {
 	u := rng.Float64()
-	ratio := math.Pow(paretoXm/paretoH, paretoAlpha)
-	x := paretoXm / math.Pow(1-u*(1-ratio), 1/paretoAlpha)
+	x := paretoXm / math.Pow(1-u*(1-paretoRatio), 1/paretoAlpha)
 	return int64(x)
 }
 
 // retryBackoffBase is the first-retry backoff (~50 µs), doubling per
 // retry with a small deterministic jitter.
 const retryBackoffBase = 130_000
-
-// outAtt is one in-flight attempt of a request.
-type outAtt struct {
-	id      int64
-	replica int
-}
-
-// request is one client request's settlement state.
-type request struct {
-	arrival int64
-	tenant  int32
-	demand  int64
-	retries int
-	hedged  bool
-	done    bool
-	live    int // attempts in flight or scheduled
-	out     []outAtt
-}
-
-// scheduled is a future retry in the retry heap.
-type scheduled struct {
-	at  int64
-	att attempt
-}
-
-type retryHeap []scheduled
-
-func (h retryHeap) Len() int { return len(h) }
-func (h retryHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].att.id < h[j].att.id
-}
-func (h retryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *retryHeap) Push(x interface{}) { *h = append(*h, x.(scheduled)) }
-func (h *retryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
 
 // hedgeEntry tracks a first attempt awaiting its hedge trigger.
 type hedgeEntry struct {
@@ -99,11 +58,12 @@ type clients struct {
 	next []int64   // next arrival time per tenant
 	mean []float64 // mean inter-arrival per tenant (cycles)
 
-	nextReqID, nextAttID int64
-	reqs                 map[int64]*request
-	retryQ               retryHeap
-	hedgeQ               []hedgeEntry
-	cancels              []cancelMsg
+	nextAttID int64
+	reqs      reqRing
+	retryQ    retryHeap
+	hedgeQ    queue[hedgeEntry]
+	cancels   []cancelMsg
+	overflow  *InflightOverflowError // the first one, if any
 
 	retryBudget, hedgeBudget float64
 
@@ -123,7 +83,7 @@ const budgetCap = 1000
 func newClients(c Config) *clients {
 	cl := &clients{
 		cfg:       c,
-		reqs:      make(map[int64]*request),
+		reqs:      newReqRing(1024),
 		perTenant: make([]tenantAcc, c.Tenants),
 	}
 	// Fair share: LoadFactor × cluster capacity, split evenly; the
@@ -143,10 +103,11 @@ func newClients(c Config) *clients {
 	return cl
 }
 
-// arrivals generates every fresh request arriving in [t0, t1), merged
-// across tenants in (arrival, id) order.
-func (cl *clients) arrivals(t0, t1 int64) []attempt {
-	var out []attempt
+// arrivals appends every fresh request arriving in [t0, t1) to the
+// batch, one run per tenant. A tenant's arrivals are generated in send
+// order and take increasing ids, so each run is in `before` order;
+// interleaving the tenants is the batch's merge.
+func (cl *clients) arrivals(b *batch, t0, t1 int64) {
 	for i := 0; i < cl.cfg.Tenants; i++ {
 		for cl.next[i] < t1 {
 			at := cl.next[i]
@@ -154,53 +115,51 @@ func (cl *clients) arrivals(t0, t1 int64) []attempt {
 			if at < t0 {
 				at = t0 // catch-up after a long idle stretch
 			}
-			cl.nextReqID++
 			cl.nextAttID++
 			d := paretoDemand(cl.rngs[i])
-			cl.reqs[cl.nextReqID] = &request{arrival: at, tenant: int32(i), demand: d}
-			out = append(out, attempt{
-				id: cl.nextAttID, reqID: cl.nextReqID, tenant: int32(i),
+			rq := cl.reqs.add(at, d, int32(i))
+			b.due = append(b.due, attempt{
+				id: cl.nextAttID, reqID: rq.id, tenant: int32(i),
 				kind: kindFirst, exclude: -1, arrival: at, reqArrival: at, demand: d,
 			})
 		}
+		b.endRun()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].arrival != out[j].arrival {
-			return out[i].arrival < out[j].arrival
-		}
-		return out[i].id < out[j].id
-	})
-	return out
 }
 
-// dueRetries pops every scheduled retry due before t1, clamping send
-// times into the current epoch.
-func (cl *clients) dueRetries(t1 int64) []attempt {
-	var out []attempt
-	for len(cl.retryQ) > 0 && cl.retryQ[0].at < t1 {
-		s := heap.Pop(&cl.retryQ).(scheduled)
-		a := s.att
-		if a.arrival < t1-EpochCycles {
-			a.arrival = t1 - EpochCycles
+// dueRetries pops every scheduled retry due before t1 into one run of
+// the batch, clamping send times into the epoch that starts at t1 -
+// EpochCycles. The heap yields send-time order; the clamped retries
+// then all share the epoch start, so the head of the run (everything
+// sent at the epoch start) is put in id order to make the run sorted.
+func (cl *clients) dueRetries(b *batch, t1 int64) {
+	t0 := t1 - EpochCycles
+	first := len(b.due)
+	atStart := first
+	for len(cl.retryQ) > 0 && cl.retryQ[0].arrival < t1 {
+		a := cl.retryQ.pop()
+		if a.arrival <= t0 {
+			a.arrival = t0
+			atStart++
 		}
-		out = append(out, a)
+		b.due = append(b.due, a)
 	}
-	return out
+	slices.SortFunc(b.due[first:atStart], func(x, y attempt) int { return cmp.Compare(x.id, y.id) })
+	b.endRun()
 }
 
 // dueHedges walks the hedge FIFO at time t: any first attempt
 // outstanding longer than the hedge delay gets one hedge to a
-// different replica, budget permitting.
-func (cl *clients) dueHedges(t, delay int64) []attempt {
+// different replica, budget permitting. The hedges form one run: all
+// sent at t, with increasing fresh ids.
+func (cl *clients) dueHedges(b *batch, t, delay int64) {
 	if delay <= 0 {
-		return nil
+		return
 	}
-	var out []attempt
-	for len(cl.hedgeQ) > 0 && cl.hedgeQ[0].sendTime+delay <= t {
-		e := cl.hedgeQ[0]
-		cl.hedgeQ = cl.hedgeQ[1:]
-		rq, ok := cl.reqs[e.reqID]
-		if !ok || rq.done || rq.hedged || len(rq.out) == 0 {
+	for cl.hedgeQ.len() > 0 && cl.hedgeQ.live()[0].sendTime+delay <= t {
+		e := cl.hedgeQ.pop()
+		rq := cl.reqs.get(e.reqID)
+		if rq == nil || rq.done || rq.hedged || rq.nOut == 0 {
 			continue
 		}
 		if cl.hedgeBudget < 1 {
@@ -210,24 +169,29 @@ func (cl *clients) dueHedges(t, delay int64) []attempt {
 		cl.hedgeBudget--
 		rq.hedged = true
 		cl.nextAttID++
-		out = append(out, attempt{
+		b.due = append(b.due, attempt{
 			id: cl.nextAttID, reqID: e.reqID, tenant: rq.tenant,
-			kind: kindHedge, exclude: rq.out[0].replica,
+			kind: kindHedge, exclude: rq.outReplica[0],
 			arrival: t, reqArrival: rq.arrival, demand: rq.demand,
 		})
 	}
-	return out
+	b.endRun()
 }
 
 // noteAttempt counts one attempt entering the system and registers it
 // with its request.
 func (cl *clients) noteAttempt(a *attempt) {
 	cl.attempts++
-	rq := cl.reqs[a.reqID]
+	rq := cl.reqs.get(a.reqID)
 	if a.kind != kindRetry {
 		rq.live++ // retries were counted live when scheduled
 	}
-	rq.out = append(rq.out, outAtt{id: a.id, replica: -1})
+	if rq.nOut < maxInflight {
+		rq.outID[rq.nOut], rq.outReplica[rq.nOut] = a.id, -1
+		rq.nOut++
+	} else if cl.overflow == nil {
+		cl.overflow = &InflightOverflowError{ReqID: a.reqID, AttemptID: a.id}
+	}
 	switch a.kind {
 	case kindFirst:
 		cl.injected++
@@ -235,7 +199,7 @@ func (cl *clients) noteAttempt(a *attempt) {
 		cl.retryBudget = math.Min(cl.retryBudget+cl.cfg.RetryBudgetFrac, budgetCap)
 		cl.hedgeBudget = math.Min(cl.hedgeBudget+cl.cfg.HedgeBudgetFrac, budgetCap)
 		if cl.cfg.HedgeDelayCycles > 0 {
-			cl.hedgeQ = append(cl.hedgeQ, hedgeEntry{sendTime: a.arrival, reqID: a.reqID})
+			cl.hedgeQ.push(hedgeEntry{sendTime: a.arrival, reqID: a.reqID})
 		}
 	case kindRetry:
 		cl.retries++
@@ -247,10 +211,10 @@ func (cl *clients) noteAttempt(a *attempt) {
 // bindReplica records where an attempt was routed (for hedge
 // cancellation).
 func (cl *clients) bindReplica(reqID, attID int64, replica int) {
-	rq := cl.reqs[reqID]
-	for i := range rq.out {
-		if rq.out[i].id == attID {
-			rq.out[i].replica = replica
+	rq := cl.reqs.get(reqID)
+	for i := 0; i < int(rq.nOut); i++ {
+		if rq.outID[i] == attID {
+			rq.outReplica[i] = int32(replica)
 			return
 		}
 	}
@@ -259,15 +223,10 @@ func (cl *clients) bindReplica(reqID, attID int64, replica int) {
 // settle applies one terminal attempt outcome. It returns whether the
 // request itself just completed, and the request latency in cycles
 // (-1 for a permanent failure).
-func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
-	rq := cl.reqs[o.att.reqID]
+func (cl *clients) settle(o *outcome) (doneNow bool, lat int64) {
+	rq := cl.reqs.get(o.att.reqID)
 	rq.live--
-	for i := range rq.out {
-		if rq.out[i].id == o.att.id {
-			rq.out = append(rq.out[:i], rq.out[i+1:]...)
-			break
-		}
-	}
+	rq.dropOut(o.att.id)
 	lat = -1
 	switch o.status {
 	case stServed:
@@ -291,9 +250,9 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 				cl.hedgeWins++
 			}
 			// First-wins cancellation of the twin attempt.
-			for _, other := range rq.out {
-				if other.replica >= 0 {
-					cl.cancels = append(cl.cancels, cancelMsg{replica: other.replica, attID: other.id})
+			for i := 0; i < int(rq.nOut); i++ {
+				if r := rq.outReplica[i]; r >= 0 {
+					cl.cancels = append(cl.cancels, cancelMsg{replica: int(r), attID: rq.outID[i]})
 				}
 			}
 		}
@@ -309,7 +268,7 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 			cl.attFailed++
 		}
 		if !rq.done {
-			cl.maybeRetry(rq, &o)
+			cl.maybeRetry(rq, o)
 			if rq.live == 0 {
 				rq.done = true
 				doneNow = true
@@ -319,7 +278,7 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 		}
 	}
 	if rq.done && rq.live == 0 {
-		delete(cl.reqs, o.att.reqID)
+		cl.reqs.release(rq)
 	}
 	return doneNow, lat
 }
@@ -329,7 +288,7 @@ func (cl *clients) settle(o outcome) (doneNow bool, lat int64) {
 // misbehaving tenant retries without backoff; everyone else backs off
 // exponentially with deterministic jitter.
 func (cl *clients) maybeRetry(rq *request, o *outcome) {
-	if rq.retries >= cl.cfg.MaxRetries || cl.cfg.RetryBudgetFrac <= 0 {
+	if int(rq.retries) >= cl.cfg.MaxRetries || cl.cfg.RetryBudgetFrac <= 0 {
 		return
 	}
 	if cl.retryBudget < 1 {
@@ -345,12 +304,11 @@ func (cl *clients) maybeRetry(rq *request, o *outcome) {
 	rq.retries++
 	rq.live++ // stays live while the retry waits in the heap
 	cl.nextAttID++
-	a := attempt{
+	cl.retryQ.push(attempt{
 		id: cl.nextAttID, reqID: o.att.reqID, tenant: rq.tenant,
 		kind: kindRetry, exclude: o.att.replica,
 		arrival: o.at + backoff, reqArrival: rq.arrival, demand: rq.demand,
-	}
-	heap.Push(&cl.retryQ, scheduled{at: a.arrival, att: a})
+	})
 }
 
 // takeCancel removes a pending cancellation for the attempt, if one
@@ -394,6 +352,9 @@ func (cl *clients) fill(res *Result) {
 	res.HedgeWins = cl.hedgeWins
 	res.RetryDenied = cl.retryDenied
 	res.HedgeDenied = cl.hedgeDenied
+	// Each tenant's latencies are sorted once, in place, for its own
+	// tails; the cluster-wide tails come from merging those sorted lists.
+	lists := make([][]int64, 0, len(cl.perTenant))
 	for i := range cl.perTenant {
 		acc := &cl.perTenant[i]
 		ts := TenantStats{
@@ -402,9 +363,41 @@ func (cl *clients) fill(res *Result) {
 			Misbehaving: acc.misbehaving,
 		}
 		if len(acc.lats) > 0 {
-			ts.P99Us = float64(stats.Percentile(acc.lats, 99)) / CyclesPerUs
-			ts.P999Us = float64(stats.Percentile(acc.lats, 99.9)) / CyclesPerUs
+			slices.Sort(acc.lats)
+			ts.P99Us = float64(stats.PercentileSorted(acc.lats, 99)) / CyclesPerUs
+			ts.P999Us = float64(stats.PercentileSorted(acc.lats, 99.9)) / CyclesPerUs
+			lists = append(lists, acc.lats)
 		}
 		res.PerTenant = append(res.PerTenant, ts)
 	}
+	if all := mergeSorted(lists); len(all) > 0 {
+		res.P50Us = float64(stats.PercentileSorted(all, 50)) / CyclesPerUs
+		res.P99Us = float64(stats.PercentileSorted(all, 99)) / CyclesPerUs
+		res.P999Us = float64(stats.PercentileSorted(all, 99.9)) / CyclesPerUs
+		res.MaxUs = float64(all[len(all)-1]) / CyclesPerUs
+	}
+	if cl.overflow != nil {
+		res.InvariantErrs = append(res.InvariantErrs, cl.overflow.Error())
+	}
+}
+
+// mergeSorted merges ascending lists into one ascending slice. It
+// consumes the lists slice (not the lists).
+func mergeSorted(lists [][]int64) []int64 {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]int64, 0, n)
+	for len(out) < n {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0] < lists[best][0]) {
+				best = i
+			}
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+	return out
 }

@@ -21,19 +21,61 @@
 //   - a conservation oracle proving every injected request and every
 //     attempt is accounted exactly once.
 //
-// Execution is bulk-synchronous: virtual time advances in fixed
-// epochs; serial barrier phases (arrival generation, routing, health
-// checks, outcome delivery) alternate with parallel per-replica steps
-// that touch only replica-owned state, sharded across an
-// engine.ShardRunner. Replica state is statically owned and every
-// random stream is consumed either serially or by its owning replica,
-// so reports are byte-identical at any worker count and workers=1
-// degenerates to the plain serial loop.
+// # Execution
+//
+// Execution is bulk-synchronous: virtual time advances in fixed epochs
+// (EpochCycles); a serial barrier phase (health checks, migration,
+// arrival generation, routing, and after the step outcome delivery)
+// alternates with a parallel per-replica step that touches only
+// replica-owned state, sharded across an engine.ShardRunner. Replica
+// state is statically owned and every random stream is consumed either
+// serially or by its owning replica, so reports are byte-identical at
+// any worker count and workers=1 degenerates to the plain serial loop.
+//
+// The serial phase is the hot loop, and it is built to allocate nothing
+// in steady state (epoch.go holds the structures):
+//
+//   - Live requests sit in a power-of-two ring indexed by request id
+//     (reqRing). Ids are consecutive and a request's life is bounded, so
+//     the live ids form a short moving window and slot id&mask never
+//     collides; the ring doubles when the window would outgrow it. A
+//     request's at most two in-flight attempts are stored inline — a
+//     third is an InflightOverflowError, not growth. A finished id is
+//     gone: looking it up finds a free slot or a later id.
+//   - One epoch's attempts are collected in one reused batch as sorted
+//     runs: each tenant's fresh arrivals (generated in send order with
+//     increasing ids), the due retries (popped from a typed heap, the
+//     ones clamped to the epoch start re-ordered by id) and the due
+//     hedges (all sent at the epoch start, fresh ids). A k-way merge of
+//     the runs gives the routing order (send time, then attempt id).
+//     Attempt ids are unique, so that order is strict: a merge, a sort
+//     or any other correct method yields the same sequence, and results
+//     cannot depend on which one is used.
+//   - The balancer never builds its candidate ranking. pick fixes the
+//     sequence (round-robin cursor, p2c's two draws — spent exactly
+//     once per pick whatever follows) and walks it lazily, surviving
+//     zones first, until usable accepts a backend. usable is the only
+//     step with a side effect (it spends a half-open backend's probe
+//     slot), it never changes a breaker's state, and the walk asks
+//     backends strictly in ranking order and stops at the first yes —
+//     so the backends asked, the slots spent and the RNG draws are
+//     those of ranking every backend first. The routable (non-ejected)
+//     set p2c samples from is maintained by the breaker hook, not
+//     scanned per pick.
+//   - Reused across epochs: the batch and its merge scratch, the replica
+//     inboxes/outboxes/cancel boxes, the retry heap's array, and the
+//     head-indexed FIFOs (queue) behind each replica's admission queue
+//     and the hedge queue. Outcomes travel by pointer into the outbox.
+//     Per-tenant latencies are the one list that grows with the run;
+//     each is sorted once at the end and the cluster tails come from
+//     merging the sorted lists.
+//
+// The overload controllers inside (one per replica, per backend, per
+// tenant) run without an obs scope and allocate nothing per decision.
 package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -103,8 +145,9 @@ type Config struct {
 	Seed uint64
 
 	// HorizonCycles is the injection horizon (default 130_000_000 ≈
-	// 50 ms); the run then drains until all work resolves (bounded by
-	// DrainCycles, default 4 × DeadlineCycles... see run loop).
+	// 50 ms); the run then drains until all work resolves, and stops at
+	// the latest 16 deadlines past the horizon (drainEnd); whatever is
+	// unresolved then is reported as InFlightEnd.
 	HorizonCycles int64
 	// LoadFactor scales offered load against the cluster's analytic
 	// capacity (default 0.8; 1.2 is the overloaded soak point).
@@ -153,12 +196,14 @@ type Config struct {
 	// into the retry path.
 	Migrate bool
 
-	// MisbehavingTenant, when >= 0, marks one tenant that offers
-	// MisbehaveFactor (default 4) times its fair share and retries
-	// without backoff. Per-tenant rate isolation at the balancer keeps
-	// it from consuming the other tenants' capacity. Default -1 (none);
-	// the zero value of the struct therefore needs NewConfig or
-	// withDefaults to see "none".
+	// MisbehavingTenant names one tenant that offers MisbehaveFactor
+	// (default 4) times its fair share and retries without backoff.
+	// Per-tenant rate isolation at the balancer keeps it from consuming
+	// the other tenants' capacity. The field has no default: the zero
+	// value means tenant 0, so a zero Config (and
+	// experiments.FleetScaleConfig, which leaves it unset) runs with
+	// tenant 0 misbehaving. Set -1, or any index that is not a tenant,
+	// for none.
 	MisbehavingTenant int
 	MisbehaveFactor   float64
 }
@@ -301,8 +346,8 @@ type Result struct {
 	PerReplica []ReplicaStats
 
 	// InvariantErrs carries any per-replica overload-plane accounting
-	// violations (empty on a healthy run; deterministic, so it is part
-	// of the fingerprint).
+	// violations and any InflightOverflowError (empty on a healthy run;
+	// deterministic, so it is part of the fingerprint).
 	InvariantErrs []string
 }
 
@@ -342,10 +387,11 @@ func Run(cfg Config, pool *engine.Pool) *Result {
 	runner := engine.NewShardRunner(pool, c.Replicas)
 	defer runner.Close()
 
-	drainEnd := c.drainEnd()
-	for t := int64(0); t < drainEnd; t += EpochCycles {
+	var t int64 // epoch start; the workers read it between Step's barriers
+	step := func(i int) { f.replicas[i].step(t, t+EpochCycles) }
+	for drainEnd := c.drainEnd(); t < drainEnd; t += EpochCycles {
 		f.serialPhase(t)
-		runner.Step(func(i int) { f.replicas[i].step(t, t+EpochCycles) })
+		runner.Step(step)
 		f.collect(t + EpochCycles)
 		if t >= c.HorizonCycles && f.outstanding == 0 {
 			break
@@ -361,9 +407,9 @@ type fleetState struct {
 	lb       *balancer
 	cl       *clients
 
-	outstanding int64 // requests injected but not yet terminal
-	latHist     stats.LogHist
-	reqLat      []int64 // completed-request latencies for exact tails
+	outstanding int64         // requests injected but not yet terminal
+	latHist     stats.LogHist // completed-request latencies, for the hedge delay
+	batch       batch         // this epoch's attempts
 }
 
 func newFleetState(c Config) *fleetState {
@@ -432,27 +478,23 @@ func zoneSchedules(c Config) (crash, gray [][]zoneWindow) {
 	return crash, gray
 }
 
-// serialPhase runs one epoch's barrier work at epoch start t: deliver
-// due retries/hedges, generate fresh arrivals, run health checks, and
-// route every attempt due this epoch into replica inboxes.
+// serialPhase runs one epoch's barrier work at epoch start t: run
+// health checks, drain and re-route migrating work, then collect the
+// epoch's attempts — fresh arrivals, due retries, due hedges — and
+// route them into replica inboxes in (send time, id) order.
 func (f *fleetState) serialPhase(t int64) {
 	f.lb.healthTick(f, t)
 	f.migrateDrained(t)
-	var due []attempt
+	b := &f.batch
+	b.reset()
 	if t < f.cfg.HorizonCycles {
-		due = f.cl.arrivals(t, t+EpochCycles)
-		f.outstanding += int64(len(due))
+		f.cl.arrivals(b, t, t+EpochCycles)
+		f.outstanding += int64(len(b.due))
 	}
-	due = append(due, f.cl.dueRetries(t+EpochCycles)...)
-	due = append(due, f.cl.dueHedges(t, f.hedgeDelay())...)
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].arrival != due[j].arrival {
-			return due[i].arrival < due[j].arrival
-		}
-		return due[i].id < due[j].id
-	})
-	for i := range due {
-		f.route(&due[i])
+	f.cl.dueRetries(b, t+EpochCycles)
+	f.cl.dueHedges(b, t, f.hedgeDelay())
+	for _, i := range b.merged() {
+		f.route(&b.due[i])
 	}
 	f.cl.flushCancels(f.replicas)
 }
@@ -474,16 +516,17 @@ func (f *fleetState) migrateDrained(t int64) {
 		if !f.cfg.Migrate {
 			continue
 		}
-		if drain && len(r.q) > 0 {
-			r.migrateOut = append(r.migrateOut, r.q...)
-			r.q = r.q[:0]
+		if drain && r.q.len() > 0 {
+			r.migrateOut = append(r.migrateOut, r.q.live()...)
+			r.q.reset()
 			r.qDemand = 0
 		}
-		for _, a := range r.migrateOut {
+		for k := range r.migrateOut {
+			a := &r.migrateOut[k]
 			f.lb.bk[i].outstanding--
 			if f.cl.takeCancel(a.id) {
 				r.cancelledNotStarted++
-				f.deliver(outcome{att: a, at: t, status: stCancelled})
+				f.deliver(&outcome{att: *a, at: t, status: stCancelled})
 				continue
 			}
 			r.migratedOut++
@@ -500,20 +543,20 @@ func (f *fleetState) migrateDrained(t int64) {
 // tenants for infrastructure failures. A failed migration (no
 // admitting replica anywhere) becomes an attempt failure and feeds the
 // normal retry path.
-func (f *fleetState) rerouteMigrated(a attempt, from int, t int64) {
+func (f *fleetState) rerouteMigrated(a *attempt, from int, t int64) {
 	a.arrival = t
-	a.exclude = from
-	r, ok := f.lb.pick(f, &a)
+	a.exclude = int32(from)
+	r, ok := f.lb.pick(a)
 	if !ok {
 		f.lb.migrationFailed++
-		f.deliver(outcome{att: a, at: t, status: stFailed})
+		f.deliver(&outcome{att: *a, at: t, status: stFailed})
 		return
 	}
-	a.replica = r
+	a.replica = int32(r)
 	f.lb.migrated++
 	f.lb.noteRouted(r)
 	f.cl.bindReplica(a.reqID, a.id, r)
-	f.replicas[r].inbox = append(f.replicas[r].inbox, a)
+	f.replicas[r].inbox = append(f.replicas[r].inbox, *a)
 }
 
 // route sends one attempt through the tenant rate gate and the
@@ -521,17 +564,17 @@ func (f *fleetState) rerouteMigrated(a attempt, from int, t int64) {
 func (f *fleetState) route(a *attempt) {
 	f.cl.noteAttempt(a)
 	if !f.lb.tenantAdmit(a) {
-		f.deliver(outcome{att: *a, at: a.arrival, status: stRejected})
+		f.deliver(&outcome{att: *a, at: a.arrival, status: stRejected})
 		f.lb.tenantRejected++
 		return
 	}
-	r, ok := f.lb.pick(f, a)
+	r, ok := f.lb.pick(a)
 	if !ok {
 		f.lb.unrouted++
-		f.deliver(outcome{att: *a, at: a.arrival, status: stRejected})
+		f.deliver(&outcome{att: *a, at: a.arrival, status: stRejected})
 		return
 	}
-	a.replica = r
+	a.replica = int32(r)
 	f.lb.noteRouted(r)
 	f.cl.bindReplica(a.reqID, a.id, r)
 	f.replicas[r].inbox = append(f.replicas[r].inbox, *a)
@@ -541,8 +584,9 @@ func (f *fleetState) route(a *attempt) {
 // the outcomes to the balancer and the client population.
 func (f *fleetState) collect(now int64) {
 	for _, r := range f.replicas {
-		for _, o := range r.outbox {
-			f.lb.noteOutcome(&o, now)
+		for i := range r.outbox {
+			o := &r.outbox[i]
+			f.lb.noteOutcome(o, now)
 			f.deliver(o)
 		}
 		r.outbox = r.outbox[:0]
@@ -551,13 +595,12 @@ func (f *fleetState) collect(now int64) {
 
 // deliver hands one terminal attempt outcome to the client layer,
 // which settles the request (completion, retry, hedge bookkeeping).
-func (f *fleetState) deliver(o outcome) {
+func (f *fleetState) deliver(o *outcome) {
 	done, lat := f.cl.settle(o)
 	if done {
 		f.outstanding--
 		if lat >= 0 {
 			f.latHist.Add(lat)
-			f.reqLat = append(f.reqLat, lat)
 		}
 	}
 }
@@ -600,14 +643,6 @@ func (f *fleetState) result(c Config) *Result {
 	f.cl.fill(res)
 	f.lb.fill(res)
 	res.InFlightEnd = f.outstanding
-
-	if len(f.reqLat) > 0 {
-		s := stats.Summarize(f.reqLat)
-		res.P50Us = float64(s.P50) / CyclesPerUs
-		res.P99Us = float64(s.P99) / CyclesPerUs
-		res.P999Us = float64(s.P999) / CyclesPerUs
-		res.MaxUs = float64(s.Max) / CyclesPerUs
-	}
 	res.GoodputRPS = float64(res.Served) / (float64(c.HorizonCycles) / 2.6e9)
 	return res
 }

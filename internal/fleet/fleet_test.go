@@ -451,7 +451,7 @@ func TestFleetP2CSamplingStream(t *testing.T) {
 	pickN := func(b *balancer, n int, wantAvoid int) {
 		for k := 0; k < n; k++ {
 			a := attempt{exclude: -1, arrival: int64(k), reqArrival: int64(k)}
-			r, ok := b.pick(nil, &a)
+			r, ok := b.pick(&a)
 			if !ok {
 				t.Fatal("pick found no backend")
 			}

@@ -92,7 +92,7 @@ func (r *Result) Conservation() error {
 			r.HedgeDuplicates, r.Hedges, r.Retries)
 	}
 	for _, e := range r.InvariantErrs {
-		return fmt.Errorf("fleet: replica overload invariant: %s", e)
+		return fmt.Errorf("fleet: invariant broken: %s", e)
 	}
 	return nil
 }

@@ -21,13 +21,13 @@ const (
 type attempt struct {
 	id         int64
 	reqID      int64
-	tenant     int32
-	kind       attemptKind
-	replica    int   // set at routing
-	exclude    int   // replica to avoid (hedges shun their primary); -1 = none
 	arrival    int64 // attempt send time
 	reqArrival int64 // original request arrival (deadline base)
 	demand     int64 // service demand in cycles
+	tenant     int32
+	replica    int32 // set at routing
+	exclude    int32 // replica to avoid (hedges shun their primary); -1 = none
+	kind       attemptKind
 }
 
 // status is an attempt's terminal state.
@@ -65,8 +65,8 @@ type replica struct {
 	cancels []int64
 	outbox  []outcome
 
-	q         []attempt // admitted, not yet started (FIFO)
-	qDemand   int64     // sum of queued demands
+	q         queue[attempt] // admitted, not yet started
+	qDemand   int64          // sum of queued demands
 	cur       attempt
 	busy      bool
 	busyUntil int64
@@ -145,16 +145,16 @@ func (r *replica) isDown(t int64) bool { return t < r.downUntil }
 // oldestSojourn is the queue-delay signal at time t: how long the
 // oldest queued attempt has waited (0 with an empty queue).
 func (r *replica) oldestSojourn(t int64) int64 {
-	if len(r.q) == 0 {
+	if r.q.len() == 0 {
 		return 0
 	}
-	return t - r.q[0].arrival
+	return t - r.q.live()[0].arrival
 }
 
 // inFlight counts admitted attempts not yet terminal, including work
 // parked for migration that never reached a barrier.
 func (r *replica) inFlight() int64 {
-	n := int64(len(r.q) + len(r.migrateOut))
+	n := int64(r.q.len() + len(r.migrateOut))
 	if r.busy {
 		n++
 	}
@@ -167,19 +167,21 @@ func (r *replica) inFlight() int64 {
 // polls in strict event order.
 func (r *replica) step(t0, t1 int64) {
 	for _, id := range r.cancels {
-		for i := range r.q {
-			if r.q[i].id == id {
-				r.qDemand -= r.q[i].demand
+		live := r.q.live()
+		for i := range live {
+			if live[i].id == id {
+				r.qDemand -= live[i].demand
 				r.cancelledNotStarted++
-				r.emit(outcome{att: r.q[i], at: t0, status: stCancelled})
-				r.q = append(r.q[:i], r.q[i+1:]...)
+				r.emit(outcome{att: live[i], at: t0, status: stCancelled})
+				r.q.remove(i)
 				break
 			}
 		}
 	}
 	r.cancels = r.cancels[:0]
 
-	for _, a := range r.inbox {
+	for i := range r.inbox {
+		a := &r.inbox[i]
 		at := a.arrival
 		if at < t0 {
 			at = t0
@@ -192,10 +194,10 @@ func (r *replica) step(t0, t1 int64) {
 }
 
 // admit takes one arrival's admission decision at time at.
-func (r *replica) admit(a attempt, at int64) {
+func (r *replica) admit(a *attempt, at int64) {
 	if r.isDown(at) {
 		r.refused++
-		r.emit(outcome{att: a, at: at, status: stFailed})
+		r.emit(outcome{att: *a, at: at, status: stFailed})
 		return
 	}
 	est := r.qDemand + a.demand
@@ -208,10 +210,10 @@ func (r *replica) admit(a attempt, at int64) {
 		Prio:           overload.PriorityOf(a.id),
 	})
 	if !v.Admitted() {
-		r.emit(outcome{att: a, at: at, status: stRejected})
+		r.emit(outcome{att: *a, at: at, status: stRejected})
 		return
 	}
-	r.q = append(r.q, a)
+	r.q.push(*a)
 	r.qDemand += a.demand
 	r.startNext(at)
 }
@@ -304,15 +306,15 @@ func (r *replica) failover(at, until int64) {
 		r.busy = false
 	}
 	if r.cfg.Migrate {
-		r.migrateOut = append(r.migrateOut, r.q...)
+		r.migrateOut = append(r.migrateOut, r.q.live()...)
 	} else {
-		for _, a := range r.q {
+		for _, a := range r.q.live() {
 			r.emit(outcome{att: a, at: at, status: stFailed})
 		}
-		r.crashKilled += int64(len(r.q))
-		r.killedNotStarted += int64(len(r.q))
+		r.crashKilled += int64(r.q.len())
+		r.killedNotStarted += int64(r.q.len())
 	}
-	r.q = r.q[:0]
+	r.q.reset()
 	r.qDemand = 0
 
 	if until > r.downUntil {
@@ -325,9 +327,8 @@ func (r *replica) failover(at, until int64) {
 // startNext begins service of the queue head at time now, expiring
 // dead-on-arrival work via the overload plane's deadline discipline.
 func (r *replica) startNext(now int64) {
-	for !r.busy && len(r.q) > 0 {
-		a := r.q[0]
-		r.q = r.q[1:]
+	for !r.busy && r.q.len() > 0 {
+		a := r.q.pop()
 		r.qDemand -= a.demand
 		if !r.ctrl.StartOrExpire(now, a.reqArrival+r.cfg.DeadlineCycles, PollIntervalCycles) {
 			r.emit(outcome{att: a, at: now, status: stExpired})
@@ -376,6 +377,6 @@ func (r *replica) stats() ReplicaStats {
 // by a crash, cancelled unstarted by a hedge twin, or drained off by
 // migration.
 func (r *replica) checkInvariants() error {
-	return r.ctrl.Invariants(int64(len(r.q)+len(r.migrateOut)) +
+	return r.ctrl.Invariants(int64(r.q.len()+len(r.migrateOut)) +
 		r.killedNotStarted + r.cancelledNotStarted + r.migratedNotStarted)
 }

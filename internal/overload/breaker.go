@@ -97,13 +97,12 @@ func (b *breaker) transition(c *Controller, to State, now int64) {
 	if from == to {
 		return
 	}
-	name := c.cfg.Name + "/breaker-" + from.String()
-	c.sc.Span("overload", name, 0, b.stateSince, now)
-	c.sc.Instant("overload", c.cfg.Name+"/breaker", 0, now,
+	c.sc.Span("overload", c.names.breakerSpan[from], 0, b.stateSince, now)
+	c.sc.Instant("overload", c.names.breaker, 0, now,
 		obs.S("from", from.String()), obs.S("to", to.String()))
 	if to == Open {
 		c.snap.BreakerTrips++
-		c.sc.Count(c.cfg.Name+"/breaker_trips", 1)
+		c.sc.Count(c.names.breakerTrips, 1)
 	}
 	b.state = to
 	b.stateSince = now
@@ -146,8 +145,14 @@ func (c *Controller) breakerTick(now int64) {
 	b.resetWindow(now)
 }
 
+// resetWindow starts a fresh window at now. Every sample the histogram
+// holds was counted in winTotal, so an empty window (every poll of an
+// Open or HalfOpen breaker, every idle rotation) has nothing to clear.
 func (b *breaker) resetWindow(now int64) {
 	b.winStart = now
+	if b.winTotal == 0 {
+		return
+	}
 	b.winErr = 0
 	b.winTotal = 0
 	b.winHist = stats.LogHist{}

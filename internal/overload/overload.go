@@ -198,8 +198,9 @@ func (s Snapshot) RejectFrac() float64 {
 // Controller is one app's overload-control plane. Nil is the disabled
 // plane: every method no-ops and Admit admits.
 type Controller struct {
-	cfg Config
-	sc  *obs.Scope
+	cfg   Config
+	sc    *obs.Scope
+	names obsNames
 
 	snap Snapshot
 
@@ -229,6 +230,18 @@ type Controller struct {
 	maxStartLate int64 // largest (start - deadline) among served requests
 }
 
+// obsNames holds every obs name the controller emits under, built once
+// in New when there is a scope: the decision paths hand the scope a
+// ready string, so with a nil scope (the usual case inside a fleet)
+// they allocate nothing, and New builds nothing either.
+type obsNames struct {
+	queueDelay, brownoutTransitions, brownout string
+	codelExits, expired, deferred             string
+	breaker, breakerTrips                     string
+	verdict                                   [len(verdictNames)]string
+	breakerSpan                               [len(stateNames)]string
+}
+
 // New builds a controller, or returns the disabled nil controller when
 // cfg is nil.
 func New(cfg *Config) *Controller {
@@ -237,6 +250,24 @@ func New(cfg *Config) *Controller {
 	}
 	c := &Controller{cfg: cfg.withDefaults()}
 	c.sc = c.cfg.Obs
+	if c.sc.Enabled() { // a nil scope never reads a name
+		c.names = obsNames{
+			queueDelay:          c.cfg.Name + "/queue_delay_cycles",
+			brownoutTransitions: c.cfg.Name + "/brownout_transitions",
+			brownout:            c.cfg.Name + "/brownout",
+			codelExits:          c.cfg.Name + "/codel_exits",
+			expired:             c.cfg.Name + "/expired",
+			deferred:            c.cfg.Name + "/deferred",
+			breaker:             c.cfg.Name + "/breaker",
+			breakerTrips:        c.cfg.Name + "/breaker_trips",
+		}
+		for v, name := range verdictNames {
+			c.names.verdict[v] = c.cfg.Name + "/" + name
+		}
+		for st, name := range stateNames {
+			c.names.breakerSpan[st] = c.cfg.Name + "/breaker-" + name
+		}
+	}
 	c.tokens = c.cfg.Burst
 	c.breaker.init(c.cfg.Breaker)
 	return c
@@ -301,7 +332,7 @@ func (c *Controller) Poll(now, queueDelay int64) {
 	c.havePeriod = true
 	c.lastPoll = now
 
-	c.sc.Observe(c.cfg.Name+"/queue_delay_cycles", queueDelay)
+	c.sc.Observe(c.names.queueDelay, queueDelay)
 	c.codelSignal(now, queueDelay)
 	c.breakerTick(now)
 	c.brownoutTick(queueDelay)
@@ -329,8 +360,8 @@ func (c *Controller) brownoutTick(queueDelay int64) {
 		}
 	}
 	if next != c.level {
-		c.sc.Count(c.cfg.Name+"/brownout_transitions", 1)
-		c.sc.Instant("overload", c.cfg.Name+"/brownout", 0, c.lastPoll,
+		c.sc.Count(c.names.brownoutTransitions, 1)
+		c.sc.Instant("overload", c.names.brownout, 0, c.lastPoll,
 			obs.I("from", int64(c.level)), obs.I("to", int64(next)))
 		c.level = next
 	}
@@ -403,7 +434,7 @@ func (c *Controller) account(v Verdict) {
 			c.snap.RejectedBreaker++
 		}
 	}
-	c.sc.Count(c.cfg.Name+"/"+v.String(), 1)
+	c.sc.Count(c.names.verdict[v], 1)
 }
 
 // codelSignal updates the CoDel state machine from the per-poll queue
@@ -413,7 +444,7 @@ func (c *Controller) codelSignal(now, delay int64) {
 		c.firstAbove = 0
 		if c.dropping {
 			c.dropping = false
-			c.sc.Count(c.cfg.Name+"/codel_exits", 1)
+			c.sc.Count(c.names.codelExits, 1)
 		}
 		return
 	}
@@ -460,7 +491,7 @@ func (c *Controller) StartOrExpire(start, deadline, slack int64) bool {
 		if start > deadline+slack {
 			c.snap.Expired++
 			c.breaker.observe(c, start, 0, true)
-			c.sc.Count(c.cfg.Name+"/expired", 1)
+			c.sc.Count(c.names.expired, 1)
 			return false
 		}
 		if late := start - deadline; late > c.maxStartLate {
@@ -478,7 +509,7 @@ func (c *Controller) NoteDeferred() {
 		return
 	}
 	c.snap.Deferred++
-	c.sc.Count(c.cfg.Name+"/deferred", 1)
+	c.sc.Count(c.names.deferred, 1)
 }
 
 // Observe feeds one request outcome into the breaker's rolling window:

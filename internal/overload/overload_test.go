@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -318,20 +319,118 @@ func TestControllerDeterministic(t *testing.T) {
 	}
 }
 
-// The controller emits its accounting onto the obs scope.
+// everyBranchConfig is the controller driveEveryBranch is written for.
+func everyBranchConfig(sc *obs.Scope) *Config {
+	return &Config{
+		Name: "app", RatePerCycle: 1.0 / 1000, Burst: 2,
+		DeadlineCycles: 50_000, TargetDelayCycles: 10_000, WindowCycles: 100_000,
+		Breaker: BreakerConfig{MinSamples: 4, CooldownCycles: 200_000, HalfOpenProbes: 2},
+		Obs:     sc,
+	}
+}
+
+// driveEveryBranch walks a fresh everyBranchConfig controller through
+// every emitting branch of the plane.
+func driveEveryBranch(c *Controller) {
+	// Rate, doomed and low-priority verdicts; brownout up to level 2.
+	c.Poll(1000, 2000)
+	c.Admit(1000, Request{Arrival: 1000})
+	c.Admit(1000, Request{Arrival: 1000})
+	c.Admit(1000, Request{Arrival: 1000})
+	c.Admit(1000, Request{Arrival: 0, EstDelayCycles: 60_000})
+	c.Poll(2000, 25_000)
+	c.Poll(3000, 100_000)
+	c.Admit(4000, Request{Arrival: 4000, Prio: Low})
+	// CoDel: a full window above target enters dropping, recovery exits.
+	c.Poll(110_000, 30_000)
+	c.Admit(120_000, Request{Arrival: 120_000, EstDelayCycles: 20_000})
+	c.Poll(130_000, 1000)
+	// Expiry and deferral.
+	c.StartOrExpire(200_000, 100_000, 1000)
+	c.NoteDeferred()
+	// Breaker: trip, reject, two half-open probes close it; a second
+	// trip, then a failed probe reopens.
+	for i := 0; i < 8; i++ {
+		c.Observe(210_000, 1000, true)
+	}
+	c.Poll(240_000, 0)
+	c.Admit(250_000, Request{Arrival: 250_000})
+	c.Poll(450_000, 0)
+	c.Admit(450_000, Request{Arrival: 450_000})
+	c.Admit(450_000, Request{Arrival: 450_000})
+	c.Observe(460_000, 500, false)
+	c.Observe(460_000, 500, false)
+	for i := 0; i < 8; i++ {
+		c.Observe(470_000, 1000, true)
+	}
+	c.Poll(580_000, 0)
+	c.Poll(800_000, 0)
+	c.Observe(810_000, 1000, true)
+}
+
+// The controller emits its accounting onto the obs scope: every
+// counter, histogram and event of a run that takes each verdict, walks
+// the brownout levels, enters and leaves CoDel dropping, expires,
+// defers, and trips, probes, closes and reopens the breaker. The want
+// text was printed by the commit before the names were precomputed in
+// New, so a name that drifts from "<Config.Name>/<suffix>" fails here.
 func TestObsCountersEmitted(t *testing.T) {
 	sc := obs.New(0)
-	c := New(&Config{Name: "app", RatePerCycle: 1.0 / 1000, Burst: 1, Obs: sc})
-	c.Poll(1000, 2000)
-	c.Admit(1000, Request{})
-	c.Admit(1000, Request{})
-	if got := sc.Counter("app/admit"); got != 1 {
-		t.Fatalf("app/admit = %d, want 1", got)
+	driveEveryBranch(New(everyBranchConfig(sc)))
+
+	var b strings.Builder
+	if err := sc.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got := sc.Counter("app/reject-rate"); got != 1 {
-		t.Fatalf("app/reject-rate = %d, want 1", got)
+	b.WriteString("# events\n")
+	for _, ev := range sc.Events() {
+		fmt.Fprintf(&b, "%c %s %s @%d+%d", ev.Ph, ev.Cat, ev.Name, ev.TS, ev.Dur)
+		for _, a := range ev.Args[:ev.NArg] {
+			if a.IsStr {
+				fmt.Fprintf(&b, " %s=%s", a.Key, a.Str)
+			} else {
+				fmt.Fprintf(&b, " %s=%d", a.Key, a.Val)
+			}
+		}
+		b.WriteString("\n")
 	}
-	if h := sc.Hist("app/queue_delay_cycles"); h == nil || h.N() != 1 {
-		t.Fatal("queue-delay histogram not recorded")
+	const want = `# counters
+app/admit                                4
+app/breaker_trips                        3
+app/brownout_transitions                 7
+app/codel_exits                          1
+app/deferred                             1
+app/expired                              1
+app/reject-breaker                       1
+app/reject-codel                         1
+app/reject-doomed                        1
+app/reject-rate                          1
+app/shed-lowprio                         1
+# histograms
+name                                              n        min        p50        p90        p99        max         mean
+app/queue_delay_cycles                            9          0        992      98304      98304     100000      17555.6
+# events
+i overload app/brownout @2000+0 from=0 to=1
+i overload app/brownout @3000+0 from=1 to=2
+i overload app/brownout @130000+0 from=2 to=0
+X overload app/breaker-closed @0+240000
+i overload app/breaker @240000+0 from=closed to=open
+i overload app/brownout @240000+0 from=0 to=2
+X overload app/breaker-open @240000+210000
+i overload app/breaker @450000+0 from=open to=half-open
+i overload app/brownout @450000+0 from=2 to=0
+X overload app/breaker-half-open @450000+10000
+i overload app/breaker @460000+0 from=half-open to=closed
+X overload app/breaker-closed @460000+120000
+i overload app/breaker @580000+0 from=closed to=open
+i overload app/brownout @580000+0 from=0 to=2
+X overload app/breaker-open @580000+220000
+i overload app/breaker @800000+0 from=open to=half-open
+i overload app/brownout @800000+0 from=2 to=0
+X overload app/breaker-half-open @800000+10000
+i overload app/breaker @810000+0 from=half-open to=open
+`
+	if got := b.String(); got != want {
+		t.Fatalf("obs emission changed:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -100,3 +100,13 @@ func TestLogHistEmpty(t *testing.T) {
 			h.N(), h.Quantile(50), h.Mean())
 	}
 }
+
+// Add sits on handler-fire and per-request paths, so it must stay off
+// the heap.
+func TestLogHistAddDoesNotAllocate(t *testing.T) {
+	var h LogHist
+	v := int64(-5000)
+	if n := testing.AllocsPerRun(1000, func() { h.Add(v); v += 37 }); n != 0 {
+		t.Fatalf("LogHist.Add allocates %v objects per call, want 0", n)
+	}
+}

@@ -6,7 +6,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Percentile returns the p-th percentile (0..100) of xs using
@@ -15,12 +16,15 @@ func Percentile(xs []int64, p float64) int64 {
 	if len(xs) == 0 {
 		panic("stats: percentile of empty slice")
 	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return percentileSorted(s, p)
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return PercentileSorted(s, p)
 }
 
-func percentileSorted(s []int64, p float64) int64 {
+// PercentileSorted is Percentile over a non-empty slice the caller has
+// already sorted ascending: no copy and no sort, so several
+// percentiles of one list cost one sort between them.
+func PercentileSorted(s []int64, p float64) int64 {
 	if p <= 0 {
 		return s[0]
 	}
@@ -85,8 +89,8 @@ func MedianF(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
@@ -109,20 +113,20 @@ func Summarize(xs []int64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return Summary{
 		N:       len(s),
 		Min:     s[0],
 		Max:     s[len(s)-1],
-		P1:      percentileSorted(s, 1),
-		P10:     percentileSorted(s, 10),
-		P25:     percentileSorted(s, 25),
-		P50:     percentileSorted(s, 50),
-		P75:     percentileSorted(s, 75),
-		P90:     percentileSorted(s, 90),
-		P99:     percentileSorted(s, 99),
-		P999:    percentileSorted(s, 99.9),
+		P1:      PercentileSorted(s, 1),
+		P10:     PercentileSorted(s, 10),
+		P25:     PercentileSorted(s, 25),
+		P50:     PercentileSorted(s, 50),
+		P75:     PercentileSorted(s, 75),
+		P90:     PercentileSorted(s, 90),
+		P99:     PercentileSorted(s, 99),
+		P999:    PercentileSorted(s, 99.9),
 		MeanVal: Mean(s),
 	}
 }
@@ -163,7 +167,7 @@ func logBucket(v int64) int {
 	if v < logHistSub {
 		return int(v)
 	}
-	b := 63 - bitsLeadingZeros(uint64(v)) // floor(log2 v), >= 5
+	b := 63 - bits.LeadingZeros64(uint64(v)) // floor(log2 v), >= 5
 	return (b-5)*logHistSub + int(v>>uint(b-5))
 }
 
@@ -240,20 +244,34 @@ func (h *LogHist) Quantile(p float64) int64 {
 		rank = 1
 	}
 	var seen int64
-	// Negative side from most negative upward.
-	for i := logHistBuckets - 1; i >= 0; i-- {
-		if c := h.neg[i]; c > 0 {
-			seen += c
-			if seen >= rank {
-				return clamp(-logBucketLow(i), h.min, h.max)
+	// Only the buckets between the extremes can be occupied, so the
+	// scan starts at min's bucket and stops at max's. Negative side
+	// first, from most negative upward.
+	if h.min < 0 {
+		last := 0
+		if h.max < 0 {
+			last = logBucket(-h.max)
+		}
+		for i := logBucket(-h.min); i >= last; i-- {
+			if c := h.neg[i]; c > 0 {
+				seen += c
+				if seen >= rank {
+					return clamp(-logBucketLow(i), h.min, h.max)
+				}
 			}
 		}
 	}
-	for i := 0; i < logHistBuckets; i++ {
-		if c := h.pos[i]; c > 0 {
-			seen += c
-			if seen >= rank {
-				return clamp(logBucketLow(i), h.min, h.max)
+	if h.max >= 0 {
+		first := 0
+		if h.min > 0 {
+			first = logBucket(h.min)
+		}
+		for i, last := first, logBucket(h.max); i <= last; i++ {
+			if c := h.pos[i]; c > 0 {
+				seen += c
+				if seen >= rank {
+					return clamp(logBucketLow(i), h.min, h.max)
+				}
 			}
 		}
 	}
@@ -292,19 +310,7 @@ func (h *Histogram) Add(v int64) {
 		h.Buckets[0]++
 		return
 	}
-	h.Buckets[63-bitsLeadingZeros(uint64(v))]++
-}
-
-func bitsLeadingZeros(x uint64) int {
-	n := 0
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-		if n == 64 {
-			break
-		}
-	}
-	return n
+	h.Buckets[63-bits.LeadingZeros64(uint64(v))]++
 }
 
 // Fraction returns the share of samples in bucket i.
