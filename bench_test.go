@@ -21,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/ffwd"
-	"repro/internal/ir"
 	"repro/internal/mtcp"
 	"repro/internal/shenango"
 	"repro/internal/stats"
@@ -326,67 +325,6 @@ func BenchmarkAblationProbeInterval(b *testing.B) {
 			over := float64(th.Stats.Cycles)/float64(base.Cycles) - 1
 			b.ReportMetric(over*100, fmt.Sprintf("probeIR=%d-%%", pi))
 		}
-	}
-}
-
-// BenchmarkVMInterpreter measures raw interpreter speed (host ns per
-// simulated IR instruction) — the substrate's own performance.
-func BenchmarkVMInterpreter(b *testing.B) {
-	m := ir.MustParse(`
-func @main(%n) {
-entry:
-  %s = mov 0
-  %i = mov 0
-  jmp head
-head:
-  %c = lt %i, %n
-  br %c, body, exit
-body:
-  %s = add %s, %i
-  %s = xor %s, %i
-  %i = add %i, 1
-  jmp head
-exit:
-  ret %s
-}
-`)
-	b.ResetTimer()
-	var instrs int64
-	for i := 0; i < b.N; i++ {
-		machine := vm.New(m, nil, 1)
-		th := machine.NewThread(0)
-		if _, err := th.Run("main", 200_000); err != nil {
-			b.Fatal(err)
-		}
-		instrs = th.Stats.Instrs
-	}
-	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "M-IR/s")
-}
-
-// BenchmarkCompiledSteps compares the VM's execution tiers on Table-7
-// workloads: simulated IR steps per host second under the interpreter
-// and under the closure-threaded compiled tier, running identically
-// instrumented programs with a live 5000-cycle CI handler. The
-// speedup-x metric is the headline number gated by
-// TestCompiledTierSpeedup against BENCH_baseline.json (see that test
-// for the calibrated floor and why it was revised down from the
-// ROADMAP's aspirational ≥5x).
-func BenchmarkCompiledSteps(b *testing.B) {
-	names := quickWorkloads
-	if !testing.Short() {
-		names = nil
-		for i := range workloads.All {
-			names = append(names, workloads.All[i].Name)
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		ts, err := experiments.MeasureTierSteps(benchEngine(), names, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(ts.InterpStepsPerSec/1e6, "interp-M-steps/s")
-		b.ReportMetric(ts.CompiledStepsPerSec/1e6, "compiled-M-steps/s")
-		b.ReportMetric(ts.Speedup, "speedup-x")
 	}
 }
 

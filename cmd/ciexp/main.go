@@ -26,16 +26,17 @@
 //	                health-checked balancer swept across load factors
 //	                with and without a mid-soak crash plan, judged
 //	                against the resilience guards (goodput floor, retry
-//	                amplification, tenant SLO isolation, worker-count
-//	                byte identity; exits non-zero on violation; -quick
-//	                runs only the 1.2x soak pair), then the zone-outage
-//	                headline: 1-of-4 zones crash-looping at 1.2x load
-//	                with migration on, gated on zero stranded attempts,
-//	                the extended conservation oracle, a 90% goodput
-//	                floor vs the no-outage twin and retry amplification
-//	                ≤ 1.15; -scale N > 1 appends a 64-replica / 4-zone
-//	                scale soak (scale 42 ≈ 10M requests) proving
-//	                serial-vs-parallel byte identity at that size
+//	                amplification, tenant SLO isolation; exits non-zero
+//	                on violation; -quick runs only the 1.2x soak pair),
+//	                then the zone-outage headline: 1-of-4 zones
+//	                crash-looping at 1.2x load with migration on, gated
+//	                on zero stranded attempts, the extended conservation
+//	                oracle, a 90% goodput floor vs the no-outage twin
+//	                and retry amplification ≤ 1.15; -scale N > 1
+//	                appends one 64-replica / 4-zone scale soak over N ×
+//	                10 ms of virtual time (scale 42 ≈ 14M requests),
+//	                gated on the conservation oracle and, at scale ≥ 42,
+//	                on at least 10M injected requests
 //	ciexp quantum   quantum adaptivity: handler-gap tail error vs
 //	                interval-control policy (fixed, AIMD, feedback) at
 //	                2x load with mixed request classes, across the CI,
@@ -72,7 +73,8 @@
 // (p50/p90/p99 interval error per design, handler latency) after the
 // figures.
 //
-// Flags: -scale N (workload size multiplier, default 1),
+// Flags: -scale N (workload size multiplier, default 1; for fleet, the
+// scale soak's horizon),
 // -quick (subset of workloads for fig12; single fault rate for chaos;
 // smaller fuzz corpus for sanitize; two phases for soak), -seed N
 // (chaos/soak fault-plan seed), -workers N, -store FILE, -sanitize

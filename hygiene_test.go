@@ -1,0 +1,134 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// A model run is one goroutine with no host clock: its results are a
+// pure function of its inputs. Host time belongs to benchmark/, and
+// parallelism to sweep cells. This test holds non-test code under
+// internal/ and cmd/ to that, by syntax alone:
+//
+//   - no time.Now or time.Since, no global math/rand source, no
+//     os.Getenv;
+//   - no go statement outside the allow-list below.
+//
+// Each allow-list entry is "file:function" with its reason.
+var goStmtAllowed = map[string]string{
+	"internal/engine/pool.go:Map":   "parallelism across independent sweep cells",
+	"internal/vm/vm.go:RunParallel": "the paper's model-level threads (Figures 9 and 11)",
+}
+
+// randSeeded are the math/rand names that build or name a seeded
+// source instead of drawing from the global one.
+var randSeeded = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
+	"Rand": true, "Source": true, "Source64": true, "Zipf": true, "PCG": true, "ChaCha8": true,
+}
+
+func TestNoHostClockOrStrayGoroutines(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, v := range hygieneViolations(fset, filepath.ToSlash(path), f) {
+				t.Error(v)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// hygieneViolations lists the rule breaks in one parsed file.
+func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
+	imports := map[string]string{} // local name -> import path
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		name := p[strings.LastIndex(p, "/")+1:]
+		if p == "math/rand/v2" {
+			name = "rand"
+		}
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	var out []string
+	report := func(n ast.Node, msg string) {
+		out = append(out, fset.Position(n.Pos()).String()+": "+msg)
+	}
+	for _, decl := range f.Decls {
+		fn := ""
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			fn = fd.Name.Name
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if _, ok := goStmtAllowed[path+":"+fn]; !ok {
+					report(n, "go statement outside the allow-list")
+				}
+			case *ast.SelectorExpr:
+				pkg, ok := n.X.(*ast.Ident)
+				if !ok {
+					break
+				}
+				switch imp, sel := imports[pkg.Name], n.Sel.Name; {
+				case imp == "time" && (sel == "Now" || sel == "Since"):
+					report(n, "host clock time."+sel)
+				case (imp == "math/rand" || imp == "math/rand/v2") && !randSeeded[sel]:
+					report(n, "global math/rand source rand."+sel)
+				case imp == "os" && sel == "Getenv":
+					report(n, "environment read os.Getenv")
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// The checker itself must see each kind of violation.
+func TestHygieneViolationsDetected(t *testing.T) {
+	const src = `package p
+
+import (
+	"math/rand"
+	"os"
+	"time"
+)
+
+func f() {
+	_ = time.Now()
+	_ = time.Since(time.Time{})
+	_ = rand.Intn(3)
+	_ = rand.New(rand.NewSource(1))
+	_ = os.Getenv("X")
+	go f()
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hygieneViolations(fset, "p.go", f); len(got) != 5 {
+		t.Fatalf("want 5 violations (Now, Since, Intn, Getenv, go), got %d:\n%s", len(got), strings.Join(got, "\n"))
+	}
+}

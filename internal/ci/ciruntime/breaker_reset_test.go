@@ -2,7 +2,7 @@ package ciruntime
 
 // Regression test for the breaker→AIMD coupling: when an overload
 // breaker trips, the AIMD backoff learned under the broken regime must
-// not persist. ResetAdaptive snaps the interval back to the registered
+// not persist. ResetQuantum snaps the interval back to the registered
 // base so the half-open probes observe the handler at its design
 // cadence, not the drowned one.
 
@@ -16,7 +16,7 @@ func TestBreakerTripResetsAIMDInterval(t *testing.T) {
 	rt := New()
 	const base = 5000
 	id := rt.RegisterCI(base, func(uint64) {})
-	rt.SetAdaptive(id, AdaptiveConfig{})
+	rt.SetPolicy(id, &AIMD{})
 
 	// Overrun-sized probe gaps back the interval off the base.
 	now := int64(0)
@@ -39,7 +39,7 @@ func TestBreakerTripResetsAIMDInterval(t *testing.T) {
 		OnStateChange: func(from, to overload.State, at int64) {
 			if to == overload.Open {
 				trips++
-				rt.ResetAdaptive(id)
+				rt.ResetQuantum(id)
 			}
 		},
 	})
@@ -59,12 +59,13 @@ func TestBreakerTripResetsAIMDInterval(t *testing.T) {
 	}
 }
 
-// ResetAdaptive must be a no-op for non-adaptive and unknown ciids.
-func TestResetAdaptiveNoOpWithoutAdaptation(t *testing.T) {
+// ResetQuantum must be a no-op for ciids without a policy and unknown
+// ciids.
+func TestResetQuantumNoOpWithoutPolicy(t *testing.T) {
 	rt := New()
 	id := rt.RegisterCI(5000, func(uint64) {})
-	rt.ResetAdaptive(id)  // not adaptive
-	rt.ResetAdaptive(999) // unknown
+	rt.ResetQuantum(id)  // no policy
+	rt.ResetQuantum(999) // unknown
 	if got := rt.CurrentInterval(id); got != 5000 {
 		t.Errorf("interval moved: %d", got)
 	}

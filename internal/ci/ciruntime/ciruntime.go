@@ -170,36 +170,6 @@ func (rt *Runtime) Enabled(ciid int) bool {
 	return h != nil && h.disable == 0 && rt.globalDisable == 0
 }
 
-// AdaptiveConfig tunes the AIMD interval controller of SetAdaptive.
-// Zero fields take the documented defaults.
-type AdaptiveConfig struct {
-	// OverrunFactor classifies a fire as a handler overrun when its
-	// gap exceeds factor × the current interval (default 2): the
-	// handler (or uninstrumented code it ran over) consumed so much of
-	// the thread that the next interrupt could not arrive on time.
-	OverrunFactor float64
-	// MaxBackoffMult caps the backed-off interval at mult × the
-	// registered interval (default 8).
-	MaxBackoffMult int64
-	// TightenAfter is the number of consecutive on-time fires before
-	// the interval is re-tightened additively (default 4).
-	TightenAfter int64
-}
-
-func (c *AdaptiveConfig) withDefaults() AdaptiveConfig {
-	out := *c
-	if out.OverrunFactor <= 1 {
-		out.OverrunFactor = 2
-	}
-	if out.MaxBackoffMult < 1 {
-		out.MaxBackoffMult = 8
-	}
-	if out.TightenAfter <= 0 {
-		out.TightenAfter = 4
-	}
-	return out
-}
-
 // SetPolicy installs a quantum policy for ciid: from the next fire
 // on, every observed inter-fire gap is reported to the policy and the
 // interval it returns becomes the handler's target. The interval in
@@ -223,28 +193,6 @@ func (rt *Runtime) Policy(ciid int) QuantumPolicy {
 		return h.policy
 	}
 	return nil
-}
-
-// SetAdaptive enables AIMD interval adaptation for ciid: every
-// overrun (a fire arriving past OverrunFactor × the current interval)
-// doubles the interval up to the cap — backing the polling rate off a
-// thread that cannot keep up — and TightenAfter consecutive on-time
-// fires shrink it additively back toward the registered interval.
-// This is the graceful-degradation path for handler overruns: the
-// system trades polling frequency for forward progress instead of
-// letting the handler consume the whole thread.
-//
-// Deprecated: SetAdaptive is the pre-QuantumPolicy surface, kept as a
-// thin wrapper over SetPolicy(ciid, &AIMD{...}) with bit-identical
-// interval trajectories. New code should install an AIMD policy (or
-// any other QuantumPolicy) directly.
-func (rt *Runtime) SetAdaptive(ciid int, cfg AdaptiveConfig) {
-	cfg = cfg.withDefaults()
-	rt.SetPolicy(ciid, &AIMD{
-		OverrunFactor:  cfg.OverrunFactor,
-		MaxBackoffMult: cfg.MaxBackoffMult,
-		TightenAfter:   cfg.TightenAfter,
-	})
 }
 
 // Overruns returns how many fires of ciid were classified as handler
@@ -279,13 +227,6 @@ func (rt *Runtime) ResetQuantum(ciid int) {
 		rt.refresh()
 	}
 }
-
-// ResetAdaptive snaps ciid's adaptive state back to the registered
-// base interval.
-//
-// Deprecated: ResetAdaptive is the pre-QuantumPolicy name for
-// ResetQuantum and behaves identically.
-func (rt *Runtime) ResetAdaptive(ciid int) { rt.ResetQuantum(ciid) }
 
 // adapt feeds one observed inter-fire gap to the installed policy and
 // applies the interval it answers with.

@@ -410,7 +410,7 @@ func TestDeregisterSelfInsideHandler(t *testing.T) {
 func TestAdaptiveBackoffAndRetighten(t *testing.T) {
 	rt := New()
 	id := rt.RegisterCI(1000, func(uint64) {}) // 4000 IR at 4 IR/cy
-	rt.SetAdaptive(id, AdaptiveConfig{})       // defaults: 2x factor, 8x cap, 4 fires
+	rt.SetPolicy(id, &AIMD{})                  // defaults: 2x factor, 8x cap, 4 fires
 	if rt.CurrentInterval(id) != 1000 {
 		t.Fatalf("initial interval = %d", rt.CurrentInterval(id))
 	}
@@ -449,7 +449,7 @@ func TestAdaptiveBackoffAndRetighten(t *testing.T) {
 	}
 }
 
-// Without SetAdaptive the interval must never move, whatever the gaps.
+// Without a quantum policy the interval must never move, whatever the gaps.
 func TestNoAdaptationWithoutOptIn(t *testing.T) {
 	rt := New()
 	id := rt.RegisterCI(1000, func(uint64) {})
@@ -472,7 +472,7 @@ func TestAdaptiveAppliesToProbeCycles(t *testing.T) {
 	rt := New()
 	fires := 0
 	id := rt.RegisterCI(1000, func(uint64) { fires++ })
-	rt.SetAdaptive(id, AdaptiveConfig{})
+	rt.SetPolicy(id, &AIMD{})
 	now := int64(0)
 	for i := 0; i < 6; i++ {
 		now += 10_000 // every fire is 10x the target: overruns

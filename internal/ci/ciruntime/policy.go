@@ -38,15 +38,14 @@ func (Fixed) Reset(int64) {}
 // Observe implements QuantumPolicy.
 func (Fixed) Observe(_, cur int64) (int64, bool) { return cur, false }
 
-// AIMD is the additive-increase/multiplicative-decrease controller
-// that SetAdaptive historically hardwired: every overrun (a gap past
-// OverrunFactor × the current interval) doubles the interval up to
-// MaxBackoffMult × base, and TightenAfter consecutive on-time fires
-// shrink it additively (base/8 per step) back toward base. Zero
-// fields take the documented defaults; a positive OverrunFactor ≤ 1
-// is honored (mtcp's strict "cost > interval" classification is
-// factor 1), unlike the AdaptiveConfig bridge which maps ≤ 1 to 2
-// for backward compatibility.
+// AIMD is the additive-increase/multiplicative-decrease controller:
+// every overrun (a gap past OverrunFactor × the current interval)
+// doubles the interval up to MaxBackoffMult × base — backing the
+// polling rate off a thread that cannot keep up — and TightenAfter
+// consecutive on-time fires shrink it additively (base/8 per step)
+// back toward base. Zero fields take the documented defaults; a
+// positive OverrunFactor ≤ 1 is honored (mtcp's strict "cost >
+// interval" classification is factor 1).
 type AIMD struct {
 	// OverrunFactor classifies a fire as an overrun when its gap
 	// exceeds factor × the current interval (default 2).
@@ -68,9 +67,8 @@ func (p *AIMD) Reset(base int64) {
 	p.streak = 0
 }
 
-// Observe implements QuantumPolicy. The arithmetic is a field-for-field
-// port of the pre-policy handlerState.adapt, so interval trajectories
-// are bit-identical to the historical SetAdaptive implementation.
+// Observe implements QuantumPolicy. Its trajectories are pinned in
+// testdata/aimd_trajectories.golden.
 func (p *AIMD) Observe(gap, cur int64) (int64, bool) {
 	factor := p.OverrunFactor
 	if factor <= 0 {

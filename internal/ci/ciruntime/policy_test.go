@@ -1,43 +1,16 @@
 package ciruntime
 
 import (
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
-
-// legacyAdaptive is a verbatim port of the pre-QuantumPolicy
-// handlerState.adapt arithmetic (the hardwired AIMD fields this PR
-// replaced). The trajectory table test below proves the AIMD policy —
-// and therefore the deprecated SetAdaptive wrapper, which constructs
-// one from a defaulted AdaptiveConfig — reproduces it bit for bit.
-type legacyAdaptive struct {
-	cfg          AdaptiveConfig // already defaulted
-	base, cur    int64
-	onTimeStreak int64
-}
-
-func (l *legacyAdaptive) observe(gap int64) int64 {
-	if float64(gap) > l.cfg.OverrunFactor*float64(l.cur) {
-		l.onTimeStreak = 0
-		next := l.cur * 2
-		if cap := l.base * l.cfg.MaxBackoffMult; next > cap {
-			next = cap
-		}
-		l.cur = next
-		return l.cur
-	}
-	l.onTimeStreak++
-	if l.onTimeStreak >= l.cfg.TightenAfter && l.cur > l.base {
-		l.onTimeStreak = 0
-		next := l.cur - l.base/8
-		if next < l.base {
-			next = l.base
-		}
-		l.cur = next
-	}
-	return l.cur
-}
 
 // Seeded gap corpus: a mix of on-time fires, mild lateness and hard
 // overruns, scaled to the interval in force so both backoff and
@@ -58,40 +31,67 @@ func fuzzGaps(seed uint64, cur func() int64) func() int64 {
 	}
 }
 
-// Interval trajectories through the deprecated SetAdaptive wrapper
-// must be bit-identical to the pre-policy implementation over the
-// seeded fuzz corpus, for default and custom configurations.
-func TestAIMDTrajectoryMatchesLegacyAdaptive(t *testing.T) {
-	configs := []AdaptiveConfig{
+// aimdGolden pins AIMD interval trajectories as data: per config row
+// and seed, the final interval, the overrun count and an FNV-1a hash of
+// the 400 intervals after each fire. The rows were generated through
+// the pre-QuantumPolicy adaptive API, whose controller the AIMD policy
+// must keep reproducing bit for bit (that API mapped an OverrunFactor
+// ≤ 1 to 2, hence the explicit 2 in the third row). `go test
+// ./internal/ci/ciruntime -run TestAIMDTrajectoryMatchesLegacyAdaptive
+// -update` regenerates the file.
+const aimdGolden = "testdata/aimd_trajectories.golden"
+
+var update = flag.Bool("update", false, "rewrite "+aimdGolden)
+
+func aimdTrajectories() string {
+	configs := []AIMD{
 		{}, // documented defaults
 		{OverrunFactor: 1.5, MaxBackoffMult: 4, TightenAfter: 2},
-		{OverrunFactor: 1, MaxBackoffMult: 16, TightenAfter: 8}, // factor ≤ 1 defaults to 2 via the bridge
+		{OverrunFactor: 2, MaxBackoffMult: 16, TightenAfter: 8},
 		{OverrunFactor: 3},
 		{MaxBackoffMult: 2, TightenAfter: 1},
 	}
 	const base = 1000
+	var sb strings.Builder
 	for ci, cfg := range configs {
 		for seed := uint64(1); seed <= 8; seed++ {
-			legacy := &legacyAdaptive{cfg: cfg.withDefaults(), base: base, cur: base}
-
 			rt := New()
 			id := rt.RegisterCI(base, func(uint64) {})
-			rt.SetAdaptive(id, cfg)
+			p := cfg
+			rt.SetPolicy(id, &p)
 			now := int64(0)
 			rt.ProbeIR(1<<30, now) // first fire: no meaningful gap
 
+			h := fnv.New64a()
+			var buf [8]byte
 			next := fuzzGaps(seed, func() int64 { return rt.CurrentInterval(id) })
 			for step := 0; step < 400; step++ {
-				gap := next()
-				now += gap
+				now += next()
 				rt.ProbeIR(1<<30, now)
-				want := legacy.observe(gap)
-				if got := rt.CurrentInterval(id); got != want {
-					t.Fatalf("cfg %d seed %d step %d: interval %d, legacy %d (gap %d)",
-						ci, seed, step, got, want, gap)
-				}
+				binary.LittleEndian.PutUint64(buf[:], uint64(rt.CurrentInterval(id)))
+				h.Write(buf[:])
 			}
+			fmt.Fprintf(&sb, "cfg=%d seed=%d final=%d overruns=%d hash=%016x\n",
+				ci, seed, rt.CurrentInterval(id), rt.Overruns(id), h.Sum64())
 		}
+	}
+	return sb.String()
+}
+
+func TestAIMDTrajectoryMatchesLegacyAdaptive(t *testing.T) {
+	got := aimdTrajectories()
+	if *update {
+		if err := os.WriteFile(aimdGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(aimdGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("AIMD trajectories diverge from %s:\ngot:\n%s", aimdGolden, got)
 	}
 }
 

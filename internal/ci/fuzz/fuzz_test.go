@@ -191,7 +191,7 @@ func runModuleFaulty(t *testing.T, m *ir.Module, arg int64, plan *faults.Plan) i
 	ciid := th.RT.RegisterCI(5000, func(uint64) {
 		th.Charge(inj.Overrun() + inj.Stall())
 	})
-	th.RT.SetAdaptive(ciid, ciruntime.AdaptiveConfig{})
+	th.RT.SetPolicy(ciid, &ciruntime.AIMD{})
 	rv, err := th.Run("main", arg)
 	if err != nil {
 		t.Fatalf("faulty run: %v\n%s", err, m)
@@ -274,7 +274,7 @@ func TestCrasherSeed202BudgetBoundary(t *testing.T) {
 			ciid := fth.RT.RegisterCI(5000, func(uint64) {
 				fth.Charge(inj.Overrun() + inj.Stall())
 			})
-			fth.RT.SetAdaptive(ciid, ciruntime.AdaptiveConfig{})
+			fth.RT.SetPolicy(ciid, &ciruntime.AIMD{})
 			got, err := fth.Run("main", 4095)
 			if err != nil {
 				t.Fatalf("%v/plan%d: %v", d, pi, err)

@@ -17,8 +17,7 @@ import (
 // guards assert that goodput degrades gracefully (>= 80% of the
 // no-crash run), retry amplification stays inside the budget bound
 // (<= 1.15x), well-behaved tenants keep their p99.9 SLO, and the
-// conservation oracle balances exactly — byte-identical at any
-// -workers count.
+// conservation oracle balances exactly.
 
 // FleetLoadFactors is the standard sweep, in multiples of the
 // cluster's analytic capacity.
@@ -189,7 +188,7 @@ func CheckFleetZone(noOutage, outage *fleet.Result) []string {
 // FleetScaleConfig is the `-scale`-keyed large-cluster soak: 64
 // replicas in 4 zones at capacity load with migration on and zone 0
 // crash-looping. Scale multiplies the 26M-cycle (10 ms) base horizon;
-// the canonical scale 42 injects ~10.3M requests over ~420 ms of
+// the canonical scale 42 injects ~14.2M requests over ~420 ms of
 // virtual time.
 func FleetScaleConfig(seed uint64, scale int64) fleet.Config {
 	return fleet.Config{
@@ -209,37 +208,22 @@ func FleetScaleConfig(seed uint64, scale int64) fleet.Config {
 // FleetScaleTarget is the canonical -scale for the 10M-request soak.
 const FleetScaleTarget = 42
 
-// PrintFleetScale runs the scale soak twice — serially and on the
-// engine's worker pool — and proves the two reports byte-identical,
-// the conservation identities intact, and the injection volume at the
-// advertised scale. The scale proof of the migration + zone layer.
-func PrintFleetScale(w io.Writer, eng *engine.Engine, seed uint64, scale int64) error {
+// printFleetScale runs the scale soak and proves the conservation
+// identities intact and the injection volume at the advertised scale.
+// The scale proof of the migration + zone layer.
+func printFleetScale(w io.Writer, seed uint64, scale int64) error {
 	cfg := FleetScaleConfig(seed, scale)
 	fmt.Fprintf(w, "fleet scale soak (seed %d, scale %d): %d replicas / %d zones, %.0f ms horizon\n",
 		seed, scale, cfg.Replicas, cfg.Zones, float64(cfg.HorizonCycles)/2.6e6)
-	serial := fleet.Run(cfg, nil)
-	if err := serial.Conservation(); err != nil {
+	res := fleet.Run(cfg, nil)
+	if err := res.Conservation(); err != nil {
 		return fmt.Errorf("fleet scale: %w", err)
 	}
-	// The identity is about shard count, not physical cores: on a
-	// single-core host the engine pool degenerates to one worker, so
-	// force a multi-worker pool to keep the sharded replica phase
-	// genuinely different from the serial discipline.
-	pool := eng.Pool
-	if pool == nil || pool.Workers() <= 1 {
-		pool = engine.NewPool(4)
-	}
-	parallel := fleet.Run(cfg, pool)
-	if serial.Fingerprint() != parallel.Fingerprint() {
-		return fmt.Errorf("fleet scale: report diverges across worker counts: %x (workers) != %x (serial)",
-			parallel.Fingerprint(), serial.Fingerprint())
-	}
 	fmt.Fprintf(w, "  injected %.2fM requests, goodput %.2fM rps, migrated %d (failed %d), zone outages %d\n",
-		float64(serial.Injected)/1e6, serial.GoodputRPS/1e6,
-		serial.Migrated, serial.MigrationFailed, serial.ZoneCrashes)
-	fmt.Fprintf(w, "  byte-identical at -workers 1 vs %d: fingerprint %x\n", pool.Workers(), serial.Fingerprint())
-	if serial.Injected < 10_000_000 && scale >= FleetScaleTarget {
-		return fmt.Errorf("fleet scale: only %d requests injected at scale %d (want >= 10M)", serial.Injected, scale)
+		float64(res.Injected)/1e6, res.GoodputRPS/1e6,
+		res.Migrated, res.MigrationFailed, res.ZoneCrashes)
+	if res.Injected < 10_000_000 && scale >= FleetScaleTarget {
+		return fmt.Errorf("fleet scale: only %d requests injected at scale %d (want >= 10M)", res.Injected, scale)
 	}
 	return nil
 }
@@ -294,9 +278,7 @@ func fleetDeadlineUs(base fleet.Config) float64 {
 }
 
 // PrintFleet runs the sweep and renders the figure table, then judges
-// the soak-load crash/no-crash pair against the resilience guards and
-// re-runs the crash soak on the engine's own worker pool to prove the
-// report is byte-identical at -workers 1 vs N. It then runs the
+// the soak-load crash/no-crash pair against the resilience guards, the
 // zone-outage pair (1-of-4 zones crash-looping with migration on)
 // against the zone guards, and — when scale > 1 — the `-scale`-keyed
 // 64-replica soak. Violations and failed cells return an error so
@@ -327,20 +309,6 @@ func PrintFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 		}
 	}
 	violations := CheckFleetSoak(noCrash, crash, fleetDeadlineUs(base))
-	if crash != nil {
-		// Worker-count byte identity: the sweep cells above ran under
-		// the serial discipline; the same soak on the pool's workers
-		// must produce the identical report.
-		cfg := base
-		cfg.LoadFactor = FleetSoakLoad
-		cfg.Faults = FleetCrashPlan(base.Seed)
-		cfg.CrashReplicas = 1
-		if again := fleet.Run(cfg, eng.Pool); again.Fingerprint() != crash.Fingerprint() {
-			violations = append(violations, fmt.Sprintf(
-				"crash soak diverges across worker counts: fingerprint %x != serial %x",
-				again.Fingerprint(), crash.Fingerprint()))
-		}
-	}
 	// Zone-outage headline: 1-of-4 zones crash-looping at the soak
 	// load with migration draining its queues.
 	noOutage, outage, zoneErrs := MeasureFleetZone(eng, base)
@@ -370,7 +338,7 @@ func PrintFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 		return fmt.Errorf("fleet: %d resilience violation(s)", len(violations))
 	}
 	if scale > 1 {
-		return PrintFleetScale(w, eng, base.Seed, scale)
+		return printFleetScale(w, base.Seed, scale)
 	}
 	return nil
 }

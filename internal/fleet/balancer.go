@@ -49,7 +49,7 @@ type balancer struct {
 	zoneOpen []int
 
 	// drainPending marks backends whose breaker opened since the last
-	// migration barrier; the serial phase drains their queues.
+	// migration barrier; the next barrier drains their queues.
 	drainPending []bool
 
 	// routable is the non-Open backends in index order, maintained by

@@ -50,8 +50,8 @@ type tenantAcc struct {
 
 // clients is the open-loop multi-tenant population: per-tenant
 // Poisson arrivals with bounded-Pareto demands, retry policies under
-// a cluster retry budget, and hedging under a hedge budget. All state
-// is serial-phase-owned.
+// a cluster retry budget, and hedging under a hedge budget. Only the
+// barrier and collect touch it.
 type clients struct {
 	cfg  Config
 	rngs []*sim.RNG

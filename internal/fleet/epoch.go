@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// This file holds the serial phase's reused data structures: the
+// This file holds the barrier's reused data structures: the
 // request ring, the epoch batch and its merge, the retry heap and the
 // head-indexed FIFO. The package comment's "Execution" section says
 // how an epoch uses them.
@@ -113,7 +113,7 @@ func (r *reqRing) release(rq *request) {
 	}
 }
 
-// before is the total order the serial phase routes attempts in: send
+// before is the total order the barrier routes attempts in: send
 // time, then attempt id. Ids are unique, so the order is strict and any
 // correct way of producing it produces the same sequence.
 func before(a, b *attempt) bool {

@@ -23,17 +23,27 @@
 //
 // # Execution
 //
-// Execution is bulk-synchronous: virtual time advances in fixed epochs
-// (EpochCycles); a serial barrier phase (health checks, migration,
-// arrival generation, routing, and after the step outcome delivery)
-// alternates with a parallel per-replica step that touches only
-// replica-owned state, sharded across an engine.ShardRunner. Replica
-// state is statically owned and every random stream is consumed either
-// serially or by its owning replica, so reports are byte-identical at
-// any worker count and workers=1 degenerates to the plain serial loop.
+// A run is one goroutine stepping virtual time in fixed epochs
+// (EpochCycles). Each epoch runs three phases in a fixed order:
 //
-// The serial phase is the hot loop, and it is built to allocate nothing
-// in steady state (epoch.go holds the structures):
+//  1. the barrier at epoch start t: health checks, migration, arrival
+//     generation, and routing into replica inboxes;
+//  2. every replica, in index order, steps over [t, t+EpochCycles):
+//     it applies cancels, admits its inbox and serves its queue;
+//  3. collect drains every outbox in replica order and delivers the
+//     outcomes at t+EpochCycles.
+//
+// The order is the model, not a scheduling artefact: a replica sees
+// only what was routed to it at the epoch start, and the balancer and
+// the clients learn an outcome at the next epoch boundary, so no
+// decision inside an epoch depends on another replica's progress in
+// the same epoch. Every random stream belongs to one component (a
+// tenant, a replica's or a zone's fault injector, the balancer) and is
+// drawn in this fixed order, so a Result is a pure function of its
+// Config.
+//
+// The barrier is the hot loop, and it is built to allocate nothing in
+// steady state (epoch.go holds the structures):
 //
 //   - Live requests sit in a power-of-two ring indexed by request id
 //     (reqRing). Ids are consecutive and a request's life is bounded, so
@@ -288,7 +298,7 @@ type ReplicaStats struct {
 // Result is one fleet run's complete accounting. All fields are
 // values (slices of value structs), so two Results from equal
 // configurations compare equal with reflect.DeepEqual and hash to the
-// same Fingerprint at any worker count.
+// same Fingerprint.
 type Result struct {
 	Cfg struct {
 		Replicas, Tenants int
@@ -361,7 +371,7 @@ func (r *Result) Amplification() float64 {
 }
 
 // Fingerprint hashes the full accounting for byte-identity checks
-// across worker counts.
+// against committed goldens.
 func (r *Result) Fingerprint() uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(s string) {
@@ -379,19 +389,17 @@ func (r *Result) Fingerprint() uint64 {
 // InFlightEnd. Zone outage schedules are drawn out to the same bound.
 func (c Config) drainEnd() int64 { return c.HorizonCycles + 16*c.DeadlineCycles }
 
-// Run executes one fleet soak on the pool's workers. A nil pool runs
-// serially.
-func Run(cfg Config, pool *engine.Pool) *Result {
+// Run executes one fleet soak on the calling goroutine. The pool is
+// unused: a run is serial (see "Execution"), and the parameter remains
+// only for callers that still pass one.
+func Run(cfg Config, _ *engine.Pool) *Result {
 	c := cfg.withDefaults()
 	f := newFleetState(c)
-	runner := engine.NewShardRunner(pool, c.Replicas)
-	defer runner.Close()
-
-	var t int64 // epoch start; the workers read it between Step's barriers
-	step := func(i int) { f.replicas[i].step(t, t+EpochCycles) }
-	for drainEnd := c.drainEnd(); t < drainEnd; t += EpochCycles {
-		f.serialPhase(t)
-		runner.Step(step)
+	for t, drainEnd := int64(0), c.drainEnd(); t < drainEnd; t += EpochCycles {
+		f.barrier(t)
+		for _, r := range f.replicas {
+			r.step(t, t+EpochCycles)
+		}
 		f.collect(t + EpochCycles)
 		if t >= c.HorizonCycles && f.outstanding == 0 {
 			break
@@ -400,7 +408,7 @@ func Run(cfg Config, pool *engine.Pool) *Result {
 	return f.result(c)
 }
 
-// fleetState is the serial-phase view of the whole cluster.
+// fleetState is the whole cluster as the barrier sees it.
 type fleetState struct {
 	cfg      Config
 	replicas []*replica
@@ -439,11 +447,10 @@ type zoneWindow struct {
 
 // zoneSchedules pre-draws each zone's correlated outage windows from
 // its own injector stream ("fleet/zone<z>"), out to the run's drain
-// bound. Drawing the whole schedule up front keeps the parallel phase
-// free of shared RNG state: replicas in a zone share the read-only
-// window slice and consume it with private cursors, so reports stay
-// byte-identical at any worker count. Onsets are spaced from the end
-// of the previous window, like the per-replica classes.
+// bound. A zone's schedule is one list that every replica in the zone
+// reads with its own cursor, so one draw order serves them all whatever
+// order they step in. Onsets are spaced from the end of the previous
+// window, like the per-replica classes.
 func zoneSchedules(c Config) (crash, gray [][]zoneWindow) {
 	crash = make([][]zoneWindow, c.Zones)
 	gray = make([][]zoneWindow, c.Zones)
@@ -478,11 +485,11 @@ func zoneSchedules(c Config) (crash, gray [][]zoneWindow) {
 	return crash, gray
 }
 
-// serialPhase runs one epoch's barrier work at epoch start t: run
-// health checks, drain and re-route migrating work, then collect the
-// epoch's attempts — fresh arrivals, due retries, due hedges — and
-// route them into replica inboxes in (send time, id) order.
-func (f *fleetState) serialPhase(t int64) {
+// barrier runs one epoch's barrier work at epoch start t: run health
+// checks, drain and re-route migrating work, then collect the epoch's
+// attempts — fresh arrivals, due retries, due hedges — and route them
+// into replica inboxes in (send time, id) order.
+func (f *fleetState) barrier(t int64) {
 	f.lb.healthTick(f, t)
 	f.migrateDrained(t)
 	b := &f.batch

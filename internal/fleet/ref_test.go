@@ -102,7 +102,7 @@ func (b *balancer) preferSurvivingZonesRef(order []int) []int {
 	return order
 }
 
-// orderRef is the serial phase's old ordering step: one sort.Slice of
+// orderRef is the barrier's old ordering step: one sort.Slice of
 // the epoch's concatenated attempts by (arrival, id).
 func orderRef(due []attempt) []attempt {
 	due = slices.Clone(due)

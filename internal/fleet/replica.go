@@ -16,8 +16,9 @@ const (
 	kindHedge
 )
 
-// attempt is one routed try of a request. Attempts are created in
-// serial phases and owned by exactly one replica between barriers.
+// attempt is one routed try of a request. Attempts are created at
+// barriers and sit in exactly one replica's inbox, queue or outbox
+// until they settle.
 type attempt struct {
 	id         int64
 	reqID      int64
@@ -52,8 +53,7 @@ type outcome struct {
 // replica is one CI-polled server: a single serving core with an
 // overload-controller admission plane, polled every
 // PollIntervalCycles, subject to seeded crash and gray-failure
-// windows. All fields are replica-owned between barriers; the serial
-// phases read them only at barriers.
+// windows. The barrier reads its state only between steps.
 type replica struct {
 	id   int
 	zone int
@@ -73,7 +73,7 @@ type replica struct {
 
 	// migrateOut parks queued-but-unstarted attempts a crash diverted
 	// (when Config.Migrate is on) until the next barrier's migration
-	// phase drains them. The serial phase also appends an ejected
+	// phase drains them. The barrier also appends an ejected
 	// replica's queue here before re-routing.
 	migrateOut []attempt
 

@@ -107,6 +107,8 @@ type cfunc struct {
 // frame's thread, so concurrent threads are safe.
 type compiledModule struct {
 	funcs map[string]*cfunc
+	// superblocks counts the loop closures compileFunc emitted.
+	superblocks int
 }
 
 // compiledMod returns the module's compiled form, building it on first
@@ -304,6 +306,7 @@ func compileFunc(cf *cfunc, f *ir.Func, mod *ir.Module, model *CostModel, cm *co
 	for _, c := range cands {
 		code[c.pc] = emitSuperblock(ec, c.head, c.body, c.cmp, c.bp)
 	}
+	cm.superblocks += len(cands)
 	cf.code = code
 	cf.zeroRegs = liveInRegs(f)
 }

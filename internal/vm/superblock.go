@@ -231,28 +231,15 @@ func superblockBody(head *ir.Block, p *blockPlan, planOf map[*ir.Block]*blockPla
 	return body, bp
 }
 
-// Superblocks counts the loops the compiled tier turns into
-// superblocks across the module. The fuzz corpus's generation-coverage
-// assertion uses it the same way it uses FusiblePairs: to guarantee the
-// differential oracle exercises the batched loop path rather than
-// vacuously passing on code that never enters it.
+// Superblocks compiles the module against the default cost model and
+// returns how many loop superblocks the compiled tier emitted. The
+// count comes from the emitter itself, so a change that stops emission
+// shows up here. The fuzz corpus's generation-coverage assertion uses
+// it the same way it uses FusiblePairs: to guarantee the differential
+// oracle exercises the batched loop path rather than vacuously passing
+// on code that never enters it.
 func Superblocks(m *ir.Module) int {
-	n := 0
-	for _, f := range m.Funcs {
-		planOf := make(map[*ir.Block]*blockPlan, len(f.Blocks))
-		plans := make([]blockPlan, len(f.Blocks))
-		for i, b := range f.Blocks {
-			units, cb := selectUnits(b)
-			plans[i] = blockPlan{units: units, cmpBr: cb}
-			planOf[b] = &plans[i]
-		}
-		for _, b := range f.Blocks {
-			if body, _ := superblockBody(b, planOf[b], planOf); body != nil {
-				n++
-			}
-		}
-	}
-	return n
+	return compileModule(m, Default()).superblocks
 }
 
 // emitSuperblock compiles one head⇄body loop into a single closure.

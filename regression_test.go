@@ -18,9 +18,11 @@ import (
 	"testing"
 
 	"repro/internal/ci/instrument"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/vm"
 )
 
 var updateBaseline = flag.Bool("update-baseline", false, "rewrite BENCH_baseline.json from current measurements")
@@ -224,9 +226,8 @@ func measureFleetBaseline(t *testing.T) []fleetBaselineRow {
 // CheckFleetZone's gates unconditionally — goodput floor, zero
 // stranded attempts, amplification ceiling — baseline or not. The
 // scale cell is a shrunk (scale 2) FleetScaleConfig soak whose
-// serial-vs-pool fingerprint identity is likewise enforced
-// unconditionally; the canonical 10M-request run stays behind
-// `ciexp -scale 42 fleet`.
+// conservation identities are likewise enforced unconditionally; the
+// canonical 10M-request run stays behind `ciexp -scale 42 fleet`.
 const (
 	fleetZoneBaselineKey   = "fleet/zone"
 	fleetZoneBaselineHash  = "seed=1,replicas=8,zones=4,migrate=1,dur=26000000,v1"
@@ -271,18 +272,14 @@ func measureFleetZoneBaseline(t *testing.T) []fleetZoneBaselineRow {
 func measureFleetScaleBaseline(t *testing.T) fleetZoneBaselineRow {
 	t.Helper()
 	cfg := experiments.FleetScaleConfig(1, fleetScaleTestScale)
-	serial := fleet.Run(cfg, nil)
-	if err := serial.Conservation(); err != nil {
+	res := fleet.Run(cfg, nil)
+	if err := res.Conservation(); err != nil {
 		t.Errorf("scale soak conservation: %v", err)
 	}
-	if parallel := fleet.Run(cfg, engine.NewPool(4)); parallel.Fingerprint() != serial.Fingerprint() {
-		t.Errorf("scale soak diverges across worker counts: %x != serial %x",
-			parallel.Fingerprint(), serial.Fingerprint())
-	}
 	return fleetZoneBaselineRow{
-		Outage: true, Injected: serial.Injected, Served: serial.Served,
-		Migrated: serial.Migrated, MigrationFailed: serial.MigrationFailed,
-		ZoneCrashes: serial.ZoneCrashes, Ejections: serial.Ejections,
+		Outage: true, Injected: res.Injected, Served: res.Served,
+		Migrated: res.Migrated, MigrationFailed: res.MigrationFailed,
+		ZoneCrashes: res.ZoneCrashes, Ejections: res.Ejections,
 	}
 }
 
@@ -585,82 +582,38 @@ func TestSweepRegressionBaseline(t *testing.T) {
 	}
 }
 
-// Compiled-tier speed gate: the closure-threaded tier must stay
-// decisively faster than the interpreter on the Table-7 subset, with
-// bit-identical instruction counts (the speedup of a diverging tier
-// would be meaningless). The measured rates live in BENCH_baseline.json
-// under tier/steps for trend review.
-//
-// The floor is a measured, calibrated number, not the ROADMAP's
-// original ≥5x aspiration: the interpreter already retires a simulated
-// instruction in ~9 host cycles, and a dispatch-floor calibration
-// (µop-switch and closure-chain micro-interpreters both bottom out
-// near 2.2–2.6ns/op in Go) bounds any in-process tier to low single
-// digits. See EXPERIMENTS.md for the measurement recipe and DESIGN.md
-// §12 for the superblock design that gets the tier to its current
-// 1.4–1.8x. The gate exists to catch the tier regressing toward
-// interpreter parity (e.g. superblock detection silently breaking),
-// with a band loose enough for shared-runner noise.
-const (
-	tierStepsKey   = "tier/steps"
-	tierStepsScale = 8
-	// Worst observed full-set speedup is ~1.4x on an unloaded host;
-	// 1.15 leaves headroom for noisy runners while still failing hard
-	// if superblocks or fusion stop engaging (which lands at ~1.0x).
-	tierSpeedupFloor = 1.15
-)
-
-func tierStepsHash() string {
-	return fmt.Sprintf("names=%v,scale=%d,pi=250,v1", baselineNames, tierStepsScale)
-}
-
-func TestCompiledTierSpeedup(t *testing.T) {
-	got, err := experiments.MeasureTierSteps(engine.New(0), baselineNames, tierStepsScale)
+// Compiled-tier engagement gate: the compiled tier's speed comes from
+// loop superblocks and fused instruction pairs, so if either stops
+// being emitted the tier silently falls back toward interpreter speed
+// while every parity check still passes. The counts are deterministic,
+// so they are pinned exactly, per program, over the baseline subset
+// compiled as the VM workloads compile it (CI design, 250-IR probes,
+// scale 8). Host-time speed is the benchmark's job (vm_interp,
+// vm_compiled).
+func TestCompiledTierEngages(t *testing.T) {
+	want := map[string]struct{ superblocks, cmpBr, loadArith, arithStore int }{
+		"radix":     {13, 21, 12, 0},
+		"histogram": {2, 4, 2, 0},
+		"volrend":   {6, 14, 6, 0},
+		"kmeans":    {2, 6, 0, 0},
+	}
+	sel, err := experiments.WorkloadsByName(baselineNames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("tier steps: %d instrs, interp %.1f M/s, compiled %.1f M/s, speedup %.2fx",
-		got.Instrs, got.InterpStepsPerSec/1e6, got.CompiledStepsPerSec/1e6, got.Speedup)
-
-	if *updateBaseline {
-		store, err := engine.OpenStore(baselinePath)
+	eng := engine.New(0)
+	for _, wl := range sel {
+		prog, err := experiments.CompileCached(eng, wl, 8,
+			core.WithDesign(instrument.CI), core.WithProbeInterval(250))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", wl.Name, err)
 		}
-		if err := store.Put(tierStepsKey, tierStepsHash(), got); err != nil {
-			t.Fatal(err)
+		var got struct{ superblocks, cmpBr, loadArith, arithStore int }
+		got.superblocks = vm.Superblocks(prog.Mod)
+		got.cmpBr, got.loadArith, got.arithStore = vm.FusiblePairs(prog.Mod)
+		if got != want[wl.Name] {
+			t.Errorf("%s: superblocks, cmp+br, load+arith, arith+store = %v, want %v",
+				wl.Name, got, want[wl.Name])
 		}
-		if err := store.Save(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("tier baseline rewritten: %s cell %q", baselinePath, tierStepsKey)
-		return
-	}
-
-	store, err := engine.OpenStore(baselinePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, ok := store.Cell(tierStepsKey)
-	if !ok {
-		t.Fatalf("baseline lacks cell %q; regenerate with -update-baseline", tierStepsKey)
-	}
-	var want experiments.TierSteps
-	if err := json.Unmarshal(cell.Data, &want); err != nil {
-		t.Fatalf("baseline cell %q: %v", tierStepsKey, err)
-	}
-	// The VM is deterministic: a changed instruction count means the
-	// measured programs changed and the baseline cell is stale.
-	if got.Instrs != want.Instrs {
-		t.Errorf("measured %d instrs, baseline %d — workload or instrumentation changed, regenerate the baseline",
-			got.Instrs, want.Instrs)
-	}
-	if got.Speedup < tierSpeedupFloor {
-		t.Errorf("compiled tier speedup %.2fx below floor %.2fx (baseline %.2fx) — fast path regressed",
-			got.Speedup, tierSpeedupFloor, want.Speedup)
-	}
-	if got.Speedup > want.Speedup*1.25 {
-		t.Logf("speedup improved well past baseline (%.2fx vs %.2fx); consider -update-baseline",
-			got.Speedup, want.Speedup)
 	}
 }

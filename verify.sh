@@ -103,21 +103,19 @@ stage "chaos smoke" 600 go run ./cmd/ciexp -quick chaos
 stage "soak smoke" 600 go run ./cmd/ciexp -quick soak
 
 # Fleet resilience end-to-end: a small cluster at the 1.2x soak load
-# with replica 0 crashing mid-run; the conservation oracle, the
+# with replica 0 crashing mid-run; the conservation oracle and the
 # resilience guards (goodput floor, retry amplification, tenant SLO)
-# and the serial-vs-workers byte-identity check all run inside, plus
-# the zone-outage headline (fixed 8-replica/4-zone shape); ciexp exits
-# non-zero on any violation.
+# run inside, plus the zone-outage headline (fixed 8-replica/4-zone
+# shape); ciexp exits non-zero on any violation.
 stage "fleet smoke" 600 go run ./cmd/ciexp -quick -replicas 4 fleet
 
 # Correlated-outage end-to-end through the flag plumbing: the crash
 # soak itself runs with replicas spread across 2 failure domains and
 # migration on (queued work drains off crashed/ejected replicas and
 # re-routes), so the extended oracle identities — migration
-# disposition, served-once, zero stranded attempts — and the
-# worker-count byte-identity check all see a migrating fleet; the
-# 1-of-4-zone outage headline gates goodput at the 90% floor and
-# retry amplification at 1.15.
+# disposition, served-once, zero stranded attempts — see a migrating
+# fleet; the 1-of-4-zone outage headline gates goodput at the 90%
+# floor and retry amplification at 1.15.
 stage "zone-outage smoke" 600 go run ./cmd/ciexp -quick -zones 2 -migrate fleet
 
 # Translation validation end-to-end: stage-by-stage semantic checks and
