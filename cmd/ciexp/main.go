@@ -60,11 +60,12 @@
 //	                validate that FILE is a well-formed Chrome
 //	                trace_event JSON document (used by verify.sh)
 //
-// The workload sweeps run on the parallel experiment engine: -workers N
-// shards the cells across N workers (0 = GOMAXPROCS; results are
-// byte-identical at any worker count, and -workers 1 reproduces the
-// serial pipeline exactly), and -store FILE persists per-cell results
-// with content hashes so unchanged cells are skipped on re-runs.
+// Each figure subcommand is an entry of experiments.Figures and runs on
+// the parallel experiment engine: -workers N shards its cells across N
+// workers (0 = GOMAXPROCS; results are byte-identical at any worker
+// count, and -workers 1 reproduces the serial pipeline exactly), and
+// -store FILE persists per-cell results with content hashes so
+// unchanged cells are skipped on re-runs.
 //
 // Observability: -trace FILE writes a Chrome trace_event JSON of the
 // run (probe fires, VM stage transitions, engine cache hits/misses,
@@ -94,29 +95,43 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
 )
 
-func main() {
-	cf := cliflags.New(flag.CommandLine).AddScale().AddSeed().AddEngine().AddObs().AddProfile().AddSLO().AddInterleave().AddFleet().AddQuantum()
-	quick := flag.Bool("quick", false, "use a workload subset where supported")
-	all := flag.Bool("all", false, "fig9/fig11: include Naive-Cycles and CnB-Cycles")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ciexp [flags] fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table7|hybrid|allowable|probes|chaos|ramp|soak|fleet|quantum|sanitize|interleave|all\n")
-		fmt.Fprintf(os.Stderr, "       ciexp tracecheck FILE\n")
-		flag.PrintDefaults()
+// newFlags registers ciexp's flags on fs — the shared cliflags surface
+// plus -quick and -all — and sets its usage text, whose subcommand list
+// is experiments.Figures.
+func newFlags(fs *flag.FlagSet) (cf *cliflags.Flags, quick, all *bool) {
+	cf = cliflags.New(fs).AddScale().AddSeed().AddEngine().AddObs().AddProfile().AddSLO().AddInterleave().AddFleet().AddQuantum()
+	quick = fs.Bool("quick", false, "use a workload subset where supported")
+	all = fs.Bool("all", false, "fig9/fig11: include Naive-Cycles and CnB-Cycles")
+	fs.Usage = func() {
+		var names []string
+		for _, fig := range experiments.Figures {
+			names = append(names, fig.Name)
+		}
+		fmt.Fprintf(fs.Output(), "usage: ciexp [flags] %s|all\n", strings.Join(names, "|"))
+		fmt.Fprintf(fs.Output(), "       ciexp tracecheck FILE\n")
+		fs.PrintDefaults()
 	}
+	return cf, quick, all
+}
+
+func main() {
+	cf, quick, all := newFlags(flag.CommandLine)
 	flag.Parse()
+	usage := flag.CommandLine.Usage
 	if flag.NArg() < 1 {
-		flag.Usage()
+		usage()
 		os.Exit(2)
 	}
 	cmd := flag.Arg(0)
 	if cmd == "tracecheck" {
 		if flag.NArg() != 2 {
-			flag.Usage()
+			usage()
 			os.Exit(2)
 		}
 		if err := tracecheck(flag.Arg(1)); err != nil {
@@ -137,79 +152,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ciexp:", err)
 		os.Exit(1)
 	}
-	scope := cf.Scope()
-	scale := cf.Scale
 
-	run := func(name string, f func() error) {
-		if cmd == name || cmd == "all" {
-			if e := f(); e != nil && err == nil {
-				err = fmt.Errorf("%s: %w", name, e)
-			}
-		}
-	}
+	in := experiments.Inputs{Eng: eng, Flags: cf, Quick: *quick, All: *all}
 	ran := false
-	for _, c := range []struct {
-		name string
-		f    func() error
-	}{
-		{"fig4", func() error { return experiments.PrintFigure4(os.Stdout, scope) }},
-		{"fig5", func() error { return experiments.PrintFigure5(os.Stdout, scope) }},
-		{"fig6", func() error { return experiments.PrintFigure6(os.Stdout, scope) }},
-		{"fig7", func() error { return experiments.PrintFigure7(os.Stdout, scope) }},
-		{"fig8", func() error { return experiments.PrintFigure8(os.Stdout, scope) }},
-		{"fig9", func() error { return experiments.PrintFigureOverhead(os.Stdout, eng, 1, scale, *all) }},
-		{"fig10", func() error { return experiments.PrintFigure10(os.Stdout, eng, scale) }},
-		{"fig11", func() error { return experiments.PrintFigureOverhead(os.Stdout, eng, 32, scale, *all) }},
-		{"fig12", func() error { return experiments.PrintFigure12(os.Stdout, eng, scale, *quick) }},
-		{"table7", func() error { return experiments.PrintTable7(os.Stdout, eng, scale) }},
-		{"hybrid", func() error { return experiments.PrintHybrid(os.Stdout, eng, scale) }},
-		{"allowable", func() error { return experiments.PrintAllowable(os.Stdout, eng, scale) }},
-		{"probes", func() error { return experiments.PrintProbeCounts(os.Stdout, eng, scale) }},
-		{"chaos", func() error {
-			rates := experiments.ChaosRates
-			if *quick {
-				rates = []float64{0.01}
-			}
-			return experiments.PrintChaos(os.Stdout, cf.Seed, rates)
-		}},
-		{"ramp", func() error {
-			qp, err := cf.ParseQuantum()
-			if err != nil {
-				return err
-			}
-			return experiments.PrintRamp(os.Stdout, eng, cf.Seed, cf.SoakDuration*int64(scale), cf.SLO(), qp)
-		}},
-		{"soak", func() error {
-			qp, err := cf.ParseQuantum()
-			if err != nil {
-				return err
-			}
-			return experiments.PrintSoak(os.Stdout, eng, cf.Seed, cf.SoakDuration*int64(scale), cf.SLO(), *quick, qp)
-		}},
-		{"fleet", func() error {
-			cfg, err := cf.FleetConfig(cf.SoakDuration)
-			if err != nil {
-				return err
-			}
-			return experiments.PrintFleet(os.Stdout, eng, cfg, *quick, int64(scale))
-		}},
-		{"quantum", func() error { return experiments.PrintQuantum(os.Stdout, eng, scale, *quick) }},
-		{"sanitize", func() error { return experiments.PrintSanitize(os.Stdout, eng, scale, *quick) }},
-		{"interleave", func() error {
-			bound := cf.Bound
-			if *quick {
-				bound = 1
-			}
-			return experiments.PrintInterleave(os.Stdout, eng, bound, *quick)
-		}},
-	} {
-		if cmd == c.name || cmd == "all" {
-			ran = true
-			run(c.name, c.f)
+	for _, fig := range experiments.Figures {
+		if cmd != fig.Name && cmd != "all" {
+			continue
+		}
+		ran = true
+		if e := fig.Run(os.Stdout, in); e != nil && err == nil {
+			err = fmt.Errorf("%s: %w", fig.Name, e)
 		}
 	}
 	if !ran {
-		flag.Usage()
+		usage()
 		os.Exit(2)
 	}
 	if eng.Store != nil {

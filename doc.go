@@ -7,6 +7,6 @@
 // accurate VM substrate, the 28 Table-7 workloads, and the mTCP /
 // Shenango / FFWD application models. See README.md for the map,
 // DESIGN.md for the architecture and substitutions, and EXPERIMENTS.md
-// for paper-vs-measured results. bench_test.go regenerates every table
-// and figure of the paper's evaluation.
+// for paper-vs-measured results. cmd/ciexp regenerates every table and
+// figure of the paper's evaluation from the experiments.Figures table.
 package repro

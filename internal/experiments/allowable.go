@@ -42,7 +42,8 @@ func MeasureAllowableError(eng *engine.Engine, values []int64, scale int) ([]All
 		values = []int64{25, 50, 100, 250, 500, 1000, 2000}
 	}
 	const target = 5000
-	cells, errs := engine.Map(eng.Pool, len(values), func(i int) (AllowablePoint, error) {
+	label := func(i int) string { return fmt.Sprintf("allowable/%d", values[i]) }
+	return sweep(eng, len(values), label, func(i int) (AllowablePoint, error) {
 		ae := values[i]
 		var overheads []float64
 		var absErrs []int64
@@ -61,12 +62,8 @@ func MeasureAllowableError(eng *engine.Engine, values []int64, scale int) ([]All
 				return AllowablePoint{}, err
 			}
 			probes += prog.Instr.Probes
-			machine := newMachine(eng, prog.Mod, nil, 1)
-			machine.LimitInstrs = runLimit
-			th := machine.NewThread(0)
-			th.RT.IRPerCycle = base.IRPerCycle
+			th, id := ciThread(eng, prog.Mod, 1, nil, base.IRPerCycle, target, nil)
 			th.RT.RecordIntervals = true
-			id := th.RT.RegisterCI(target, func(uint64) { th.Charge(HandlerWorkCycles) })
 			if _, err := th.Run("main", 0); err != nil {
 				return AllowablePoint{}, fmt.Errorf("%s: %w", name, err)
 			}
@@ -89,19 +86,10 @@ func MeasureAllowableError(eng *engine.Engine, values []int64, scale int) ([]All
 		}
 		return pt, nil
 	})
-	var out []AllowablePoint
-	for i, pt := range cells {
-		if errs[i] == nil {
-			out = append(out, pt)
-		}
-	}
-	return out, cellErrors(errs, func(i int) string {
-		return fmt.Sprintf("allowable/%d", values[i])
-	})
 }
 
-// PrintAllowable renders the §3.3 parameter study.
-func PrintAllowable(w io.Writer, eng *engine.Engine, scale int) error {
+// printAllowable renders the §3.3 parameter study.
+func printAllowable(w io.Writer, eng *engine.Engine, scale int) error {
 	pts, errs := MeasureAllowableError(eng, nil, scale)
 	fmt.Fprintln(w, "Allowable-error study (§3.3): overhead and |interval error| vs setting")
 	fmt.Fprintf(w, "%14s%16s%18s%14s\n", "allowable(IR)", "median ovh", "median |err| cy", "static probes")

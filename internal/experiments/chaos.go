@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/ffwd"
 	"repro/internal/mtcp"
@@ -62,18 +63,20 @@ func (r ChaosRow) ok() string {
 }
 
 // RunChaos sweeps all three systems applications across the given
-// fault rates and checks the invariants at every point. The returned
-// rows carry any violations; err is non-nil only when the harness
-// itself fails (it never converts violations into errors — callers
-// decide, so the printer can show a full table).
-func RunChaos(seed uint64, rates []float64) []ChaosRow {
+// fault rates on the engine, one (rate, application) cell each, and
+// checks the invariants at every point. The returned rows carry any
+// violations (it never converts them into errors — callers decide, so
+// the printer can show a full table).
+func RunChaos(eng *engine.Engine, seed uint64, rates []float64) []ChaosRow {
 	if len(rates) == 0 {
 		rates = ChaosRates
 	}
-	var rows []ChaosRow
-	for _, rate := range rates {
-		rows = append(rows, chaosMTCP(seed, rate), chaosShenango(seed, rate), chaosFFWD(seed, rate))
-	}
+	apps := []func(seed uint64, rate float64) ChaosRow{chaosMTCP, chaosShenango, chaosFFWD}
+	n := len(apps)
+	label := func(i int) string { return fmt.Sprintf("chaos/%g/%d", rates[i/n], i%n) }
+	rows, _ := sweep(eng, n*len(rates), label, func(i int) (ChaosRow, error) {
+		return apps[i%n](seed, rates[i/n]), nil
+	})
 	return rows
 }
 
@@ -176,14 +179,14 @@ func boundedDegradation(tput, baseTput, tail, baseTail float64) []string {
 	return v
 }
 
-// PrintChaos runs the sweep and renders the invariant table. It
+// printChaos runs the sweep and renders the invariant table. It
 // returns an error if any invariant was violated, so `ciexp chaos`
 // exits non-zero on a broken degradation path.
-func PrintChaos(w io.Writer, seed uint64, rates []float64) error {
+func printChaos(w io.Writer, eng *engine.Engine, seed uint64, rates []float64) error {
 	fmt.Fprintf(w, "Chaos sweep (seed %d): graceful degradation under uniform fault plans\n", seed)
 	fmt.Fprintf(w, "%-10s %-7s %12s %12s %10s  %s\n",
 		"subsystem", "rate", "throughput", "tail(µs)", "recovered", "invariants")
-	rows := RunChaos(seed, rates)
+	rows := RunChaos(eng, seed, rates)
 	bad := 0
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %-7.3g %12.3f %12.1f %10d  %s\n",

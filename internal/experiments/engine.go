@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/sanitize"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -14,9 +15,10 @@ import (
 
 // This file binds the sweeps to the parallel experiment engine
 // (internal/engine): memoized source modules, baselines and compiled
-// programs keyed by (workload, scale, design, interval-config), plus
-// the per-cell error collection that keeps one failing cell from
-// losing a multi-minute run.
+// programs keyed by (workload, scale, design, interval-config), the one
+// machine setup every measured run uses, and the one sweep loop every
+// figure runs on, whose per-cell error collection keeps one failing
+// cell from losing a multi-minute run.
 
 // CellError records one failed sweep cell; the surrounding sweep keeps
 // going and reports every failure at the end.
@@ -30,16 +32,49 @@ type CellError struct {
 
 func (e CellError) String() string { return fmt.Sprintf("%s: %s", e.Cell, e.Err) }
 
-// cellErrors converts engine.Map error slots into labeled CellErrors,
-// preserving input order.
-func cellErrors(errs []error, label func(i int) string) []CellError {
-	var out []CellError
+// sweep runs cell(0..n-1) on the engine's pool and merges the results
+// in index order, so its output is byte-identical at any worker count.
+// It returns the successful results and one CellError, named by
+// label(i), per failed cell.
+func sweep[T any](eng *engine.Engine, n int, label func(i int) string, cell func(i int) (T, error)) ([]T, []CellError) {
+	results, errs := engine.Map(eng.Pool, n, cell)
+	out := make([]T, 0, n)
+	var cellErrs []CellError
 	for i, err := range errs {
 		if err != nil {
-			out = append(out, CellError{Cell: label(i), Err: err.Error()})
+			cellErrs = append(cellErrs, CellError{Cell: label(i), Err: err.Error()})
+			continue
 		}
+		out = append(out, results[i])
 	}
-	return out
+	return out, cellErrs
+}
+
+// workloadSweep runs measure over sel with each workload one store
+// cell, key/<workload>. A re-run skips the cell while its content hash
+// — tag, the workload's source fingerprint, scale and parts — is
+// unchanged. Failed cells are named tag/<workload>. It returns the
+// surviving workloads' names alongside their results.
+func workloadSweep[T any](eng *engine.Engine, sel []*workloads.Workload, scale int, tag, key string,
+	parts []any, measure func(wl *workloads.Workload) (T, error)) ([]string, []T, []CellError) {
+
+	type named struct {
+		name string
+		val  T
+	}
+	cells, errs := sweep(eng, len(sel), func(i int) string { return tag + "/" + sel[i].Name },
+		func(i int) (named, error) {
+			wl := sel[i]
+			hash := engine.Hash(append([]any{tag, engine.ModuleFingerprint(SourceModule(eng, wl, scale)), scale}, parts...)...)
+			val, _, err := engine.CellDo(eng, key+"/"+wl.Name, hash, func() (T, error) { return measure(wl) })
+			return named{wl.Name, val}, err
+		})
+	names := make([]string, len(cells))
+	vals := make([]T, len(cells))
+	for i, c := range cells {
+		names[i], vals[i] = c.name, c.val
+	}
+	return names, vals, errs
 }
 
 // renderCellErrors prints a failure footer (nothing on a clean sweep,
@@ -72,14 +107,34 @@ func cfgKey(cfg core.Config) string {
 		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize, cfg.Tier)
 }
 
-// newMachine builds a VM on the engine's execution tier (interpreter
-// with a nil engine).
+// newMachine builds a VM over m on the engine's execution tier
+// (interpreter with a nil engine) under the experiments' run limit.
 func newMachine(eng *engine.Engine, m *ir.Module, model *vm.CostModel, threads int) *vm.VM {
 	v := vm.New(m, model, threads)
 	if eng != nil {
 		v.Tier = eng.Tier
 	}
+	v.LimitInstrs = runLimit
 	return v
+}
+
+// ciThread is the measured run's setup: the representative thread (id
+// 0) of a newMachine over the instrumented module m, observed by scope
+// (nil = off) and tuned to irPerCycle, with the measurement handler —
+// HandlerWorkCycles of work per fire — registered at intervalCycles.
+// A non-nil events replaces the runtime's event-threshold rule before
+// registration. It returns the thread and the handler id.
+func ciThread(eng *engine.Engine, m *ir.Module, threads int, scope *obs.Scope,
+	irPerCycle float64, intervalCycles int64, events func(int64) int64) (*vm.Thread, int) {
+
+	machine := newMachine(eng, m, nil, threads)
+	machine.Obs = scope // NewThread copies it
+	th := machine.NewThread(0)
+	th.RT.IRPerCycle = irPerCycle
+	if events != nil {
+		th.RT.EventsPerInterval = events
+	}
+	return th, th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(HandlerWorkCycles) })
 }
 
 // SourceModule returns the workload's uninstrumented module, memoized
@@ -177,6 +232,12 @@ func VerifyCachedModules(eng *engine.Engine) error {
 	})
 	return firstErr
 }
+
+// subsetWorkloads is the representative subset, one workload per
+// control-flow family, behind `ciexp -quick fig12` and the quantum
+// figure.
+var subsetWorkloads = []string{"radix", "histogram", "barnes", "matrix_multiply",
+	"volrend", "swaptions", "water-nsquared", "dedup"}
 
 // AllWorkloads returns pointers to the full Table-7 workload list in
 // paper order.

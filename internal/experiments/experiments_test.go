@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ci/instrument"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -78,6 +79,57 @@ func TestOverheadOrdering(t *testing.T) {
 		if m32[d] >= m1[d] {
 			t.Errorf("%v: overhead should shrink at 32 threads (%.3f -> %.3f)", d, m1[d], m32[d])
 		}
+	}
+}
+
+// The §3.4/§3.5 ablations on the loop-dominated workloads, measured
+// as the median CI overhead at the 5000-cycle target: without the loop
+// transform it is 24.04% against 4.124%, cloning never hurts and helps
+// on swaptions and string_match, and on barnes (34.55/31.40/30.91/
+// 30.71% at 50/250/1000/4000 IR) a longer probe interval never costs
+// more.
+func TestAblations(t *testing.T) {
+	eng := testEngine()
+	overhead := func(name string, opts ...core.Option) float64 {
+		t.Helper()
+		wl := workloads.ByName(name)
+		base, err := BaselineCached(eng, wl, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := CompileCached(eng, wl, 1, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, _ := ciThread(eng, prog.Mod, 1, nil, base.IRPerCycle, 5000, nil)
+		if _, err := th.Run("main", 0); err != nil {
+			t.Fatal(err)
+		}
+		return float64(th.Stats.Cycles)/float64(base.Cycles) - 1
+	}
+	ci := func(opts ...core.Option) []core.Option {
+		return append([]core.Option{core.WithDesign(instrument.CI), core.WithProbeInterval(ProbeIntervalIR)}, opts...)
+	}
+	clonePays := map[string]bool{"swaptions": true, "string_match": true}
+	var full, noTransform []float64
+	for _, name := range []string{"radix", "histogram", "matrix_multiply", "linear_regression", "swaptions", "string_match"} {
+		f, nc, nt := overhead(name, ci()...), overhead(name, ci(core.WithLoopClone(false))...),
+			overhead(name, ci(core.WithLoopTransform(false))...)
+		full, noTransform = append(full, f), append(noTransform, nt)
+		if nc < f || clonePays[name] != (nc > f) {
+			t.Errorf("%s: no-clone overhead %.4f vs full %.4f (cloning should help exactly on %v)", name, nc, f, clonePays)
+		}
+	}
+	if f, nt := stats.MedianF(full), stats.MedianF(noTransform); nt < 4*f {
+		t.Errorf("median overhead without the loop transform %.4f, want at least 4x full %.4f", nt, f)
+	}
+	prev := overhead("barnes", core.WithDesign(instrument.CI), core.WithProbeInterval(50))
+	for _, pi := range []int64{250, 1000, 4000} {
+		o := overhead("barnes", core.WithDesign(instrument.CI), core.WithProbeInterval(pi))
+		if o > prev {
+			t.Errorf("barnes: overhead rose to %.4f at probe interval %d (was %.4f)", o, pi, prev)
+		}
+		prev = o
 	}
 }
 
@@ -181,10 +233,10 @@ func TestTable7Full(t *testing.T) {
 
 func TestPrintersProduceRows(t *testing.T) {
 	var sb strings.Builder
-	if err := PrintFigure7(&sb, nil); err != nil {
+	if err := printFigure7(&sb, testEngine()); err != nil {
 		t.Fatal(err)
 	}
-	if err := PrintFigure8(&sb, nil); err != nil {
+	if err := printFigure8(&sb, testEngine()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -279,7 +331,7 @@ func TestProbeExecutionReduction(t *testing.T) {
 // degradation, progress — must hold at every standard rate, and the
 // printer must render a row per (subsystem, rate) cell.
 func TestChaosInvariantsHold(t *testing.T) {
-	rows := RunChaos(1, ChaosRates)
+	rows := RunChaos(testEngine(), 1, ChaosRates)
 	if want := 3 * len(ChaosRates); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
@@ -299,8 +351,8 @@ func TestChaosInvariantsHold(t *testing.T) {
 		t.Error("no subsystem exercised a recovery path at 1% faults")
 	}
 	var buf bytes.Buffer
-	if err := PrintChaos(&buf, 1, []float64{0.01}); err != nil {
-		t.Fatalf("PrintChaos: %v", err)
+	if err := printChaos(&buf, testEngine(), 1, []float64{0.01}); err != nil {
+		t.Fatalf("printChaos: %v", err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("all invariants hold")) {
 		t.Errorf("unexpected chaos output:\n%s", buf.String())

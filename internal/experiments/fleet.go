@@ -107,8 +107,8 @@ func MeasureFleetRamp(eng *engine.Engine, base fleet.Config, loads []float64) ([
 	if len(loads) == 0 {
 		loads = FleetLoadFactors
 	}
-	n := 2 * len(loads)
-	cells, errs := engine.Map(eng.Pool, n, func(i int) (FleetRow, error) {
+	label := func(i int) string { return fmt.Sprintf("fleet/%.1fx/crash=%t", loads[i/2], i%2 == 1) }
+	return sweep(eng, 2*len(loads), label, func(i int) (FleetRow, error) {
 		cfg := base
 		cfg.LoadFactor = loads[i/2]
 		crash := i%2 == 1
@@ -122,34 +122,23 @@ func MeasureFleetRamp(eng *engine.Engine, base fleet.Config, loads []float64) ([
 		}
 		return FleetRow{Load: loads[i/2], Crash: crash, Res: res}, nil
 	})
-	cellErrs := cellErrors(errs, func(i int) string {
-		return fmt.Sprintf("fleet/%.1fx/crash=%t", loads[i/2], i%2 == 1)
-	})
-	rows := make([]FleetRow, 0, n)
-	for i, row := range cells {
-		if errs[i] == nil {
-			rows = append(rows, row)
-		}
-	}
-	return rows, cellErrs
 }
 
 // MeasureFleetZone runs the zone-outage pair: the no-outage and
 // zone-0-crash-looping soaks at the overloaded load point, both with
 // 4 zones and migration on. Each cell's conservation oracle (which
-// includes the migration identities) is checked before returning.
+// includes the migration identities) is checked before returning; a
+// failed cell leaves both results nil.
 func MeasureFleetZone(eng *engine.Engine, base fleet.Config) (noOutage, outage *fleet.Result, cellErrs []CellError) {
-	cells, errs := engine.Map(eng.Pool, 2, func(i int) (*fleet.Result, error) {
+	label := func(i int) string { return fmt.Sprintf("fleet/zone/outage=%t", i == 1) }
+	cells, cellErrs := sweep(eng, 2, label, func(i int) (*fleet.Result, error) {
 		res := fleet.Run(FleetZoneConfig(base, i == 1), nil)
-		if err := res.Conservation(); err != nil {
-			return nil, err
-		}
-		return res, nil
+		return res, res.Conservation()
 	})
-	cellErrs = cellErrors(errs, func(i int) string {
-		return fmt.Sprintf("fleet/zone/outage=%t", i == 1)
-	})
-	return cells[0], cells[1], cellErrs
+	if len(cellErrs) > 0 {
+		return nil, nil, cellErrs
+	}
+	return cells[0], cells[1], nil
 }
 
 // CheckFleetZone judges the zone-outage pair: the outage must have
@@ -277,14 +266,14 @@ func fleetDeadlineUs(base fleet.Config) float64 {
 	return float64(d) / fleet.CyclesPerUs
 }
 
-// PrintFleet runs the sweep and renders the figure table, then judges
+// printFleet runs the sweep and renders the figure table, then judges
 // the soak-load crash/no-crash pair against the resilience guards, the
 // zone-outage pair (1-of-4 zones crash-looping with migration on)
 // against the zone guards, and — when scale > 1 — the `-scale`-keyed
 // 64-replica soak. Violations and failed cells return an error so
 // `ciexp fleet` exits non-zero. With quick, only the soak load runs
 // (the verify.sh smoke).
-func PrintFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, scale int64) error {
+func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, scale int64) error {
 	loads := FleetLoadFactors
 	if quick {
 		loads = []float64{FleetSoakLoad}

@@ -39,16 +39,10 @@ type HybridRow struct {
 // the watchdog deadline at deadlineMult × target. One program is one
 // engine cell; a failing program is reported without losing the rest.
 func MeasureHybrid(eng *engine.Engine, names []string, target int64, deadlineMult float64, scale int) ([]HybridRow, []CellError) {
-	cells, errs := engine.Map(eng.Pool, len(names), func(i int) (HybridRow, error) {
+	label := func(i int) string { return "hybrid/" + names[i] }
+	return sweep(eng, len(names), label, func(i int) (HybridRow, error) {
 		return measureHybridOne(eng, names[i], target, deadlineMult, scale)
 	})
-	var rows []HybridRow
-	for i, row := range cells {
-		if errs[i] == nil {
-			rows = append(rows, row)
-		}
-	}
-	return rows, cellErrors(errs, func(i int) string { return "hybrid/" + names[i] })
 }
 
 // measureHybridOne runs one program's CI-only vs hybrid comparison.
@@ -57,18 +51,9 @@ func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMul
 	if err != nil {
 		return HybridRow{}, err
 	}
-	baseMachine := newMachine(eng, src, nil, 1)
-	baseMachine.LimitInstrs = runLimit
-	baseThread := baseMachine.NewThread(0)
-	if _, err := baseThread.Run("main", 0); err != nil {
+	base, err := runBaseline(eng, src, name, 1)
+	if err != nil {
 		return HybridRow{}, err
-	}
-	base := Baseline{
-		Workload:   name,
-		Threads:    1,
-		Cycles:     baseThread.Stats.Cycles,
-		Instrs:     baseThread.Stats.Instrs,
-		IRPerCycle: float64(baseThread.Stats.Instrs) / float64(baseThread.Stats.Cycles),
 	}
 	prog, err := core.Compile(src,
 		core.WithDesign(instrument.CI), core.WithProbeInterval(ProbeIntervalIR))
@@ -86,7 +71,6 @@ func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMul
 		model.HWInterruptCost = 10000
 		model.HWTrapCost = 4000
 		machine := newMachine(eng, prog.Mod, model, 1)
-		machine.LimitInstrs = runLimit
 		var gaps []int64
 		var lastFire int64
 		var th *vm.Thread
@@ -193,8 +177,8 @@ var hybridWorkloads = []string{
 	"reverse_index", "barnes", "swaptions",
 }
 
-// PrintHybrid renders the future-work hybrid comparison.
-func PrintHybrid(w io.Writer, eng *engine.Engine, scale int) error {
+// printHybrid renders the future-work hybrid comparison.
+func printHybrid(w io.Writer, eng *engine.Engine, scale int) error {
 	rows, errs := MeasureHybrid(eng, hybridWorkloads, 5000, 2.0, scale)
 	fmt.Fprintln(w, "Hybrid CI + hardware watchdog (paper §5.4 future work), 5000-cycle target")
 	fmt.Fprintf(w, "%-18s%12s%12s%12s%12s%10s%10s%10s\n",

@@ -108,20 +108,20 @@ func RunInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]InterleaveRow, 
 	for i := range specs {
 		specs[i].opts.ContextBound = bound
 	}
-	rows, errs := engine.Map(eng.Pool, len(specs), func(i int) (InterleaveRow, error) {
+	label := func(i int) string { return "interleave/" + specs[i].name }
+	return sweep(eng, len(specs), label, func(i int) (InterleaveRow, error) {
 		rep, err := interleave.VerifyHandlers(specs[i].mod, engine.Serial(), specs[i].opts)
 		if err != nil {
-			return InterleaveRow{Name: specs[i].name}, err
+			return InterleaveRow{}, err
 		}
 		return interleaveRow(specs[i].name, rep), nil
 	})
-	return rows, cellErrors(errs, func(i int) string { return "interleave/" + specs[i].name })
 }
 
-// PrintInterleave renders the interleaving sweep and returns an error
+// printInterleave renders the interleaving sweep and returns an error
 // when any module has an unclassified race or a non-commutative
 // schedule. quick shrinks the fuzz corpus for smoke-test use.
-func PrintInterleave(w io.Writer, eng *engine.Engine, bound int, quick bool) error {
+func printInterleave(w io.Writer, eng *engine.Engine, bound int, quick bool) error {
 	seeds := 20
 	if quick {
 		seeds = 6
@@ -132,9 +132,6 @@ func PrintInterleave(w io.Writer, eng *engine.Engine, bound int, quick bool) err
 		"module", "feasible", "schedules", "shared", "racy", "noncommute", "undelivered")
 	bad := 0
 	for _, r := range rows {
-		if r.Name == "" {
-			continue
-		}
 		fmt.Fprintf(w, "%-20s%7d/%-4d%9d%8d%6d%12d%13d\n",
 			r.Name, r.Feasible, r.Total, r.Schedules, r.Shared, r.Racy, r.NonCommute, r.Undelivered)
 		if r.Racy > 0 || r.NonCommute > 0 {

@@ -4,13 +4,15 @@
 // 9-12, Table 7) and, via the app simulators, the mTCP, Shenango and
 // FFWD results (Figures 4-8).
 //
-// The sweeps run on the parallel experiment engine (internal/engine):
-// each (workload × design × interval) cell is virtual-time independent,
-// so cells are sharded across a bounded worker pool, instrumented
-// modules and baseline runs are memoized across cells, and results
-// merge in input order — output is byte-identical at any worker count,
-// and a single-worker engine reproduces the legacy serial pipeline
-// exactly.
+// Figures lists them as data, each a name and the function that
+// regenerates it, and ciexp is a loop over that table. Every figure
+// runs its cells through one sweep loop (sweep, and workloadSweep for
+// the store-keyed workload sweeps) on the parallel experiment engine
+// (internal/engine): cells are virtual-time independent, so they are
+// sharded across a bounded worker pool, instrumented modules and
+// baseline runs are memoized across cells, and results merge in input
+// order — output is byte-identical at any worker count, and a
+// single-worker engine reproduces the legacy serial pipeline exactly.
 package experiments
 
 import (
@@ -54,9 +56,7 @@ func MeasureBaseline(wl *workloads.Workload, scale, threads int) (Baseline, erro
 // runBaseline measures the uninstrumented module m (shared read-only
 // when it comes from the engine cache).
 func runBaseline(eng *engine.Engine, m *ir.Module, name string, threads int) (Baseline, error) {
-	machine := newMachine(eng, m, nil, threads)
-	machine.LimitInstrs = runLimit
-	th := machine.NewThread(0)
+	th := newMachine(eng, m, nil, threads).NewThread(0)
 	if _, err := th.Run("main", 0); err != nil {
 		return Baseline{}, fmt.Errorf("%s baseline: %w", name, err)
 	}
@@ -106,69 +106,49 @@ func MeasureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.De
 	}
 	irPerCycle := base.IRPerCycle
 	eventScale := 1.0
-	if record {
-		cal := func() (int64, error) {
-			machine := newMachine(eng, prog.Mod, nil, threads)
-			machine.LimitInstrs = runLimit
-			th := machine.NewThread(0)
-			th.RT.IRPerCycle = irPerCycle
-			th.RT.RecordIntervals = true
-			th.RT.EventsPerInterval = func(ic int64) int64 {
-				n := int64(float64(ic) * irPerCycle / 20 * eventScale)
-				if n < 1 {
-					n = 1
-				}
-				return n
+	run := func(rec bool, scope *obs.Scope) (*vm.Thread, int, error) {
+		th, id := ciThread(eng, prog.Mod, threads, scope, irPerCycle, intervalCycles, func(ic int64) int64 {
+			n := int64(float64(ic) * irPerCycle / 20 * eventScale)
+			if n < 1 {
+				n = 1
 			}
-			id := th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(HandlerWorkCycles) })
-			if _, err := th.Run("main", 0); err != nil {
-				return 0, err
-			}
-			ivs := th.RT.Intervals(id)
-			if len(ivs) == 0 {
-				return intervalCycles, nil
-			}
-			return stats.Median(ivs), nil
+			return n
+		})
+		th.RT.RecordIntervals = rec
+		_, err := th.Run("main", 0)
+		return th, id, err
+	}
+	for pass := 0; record && pass < 2; pass++ {
+		th, id, err := run(true, nil)
+		if err != nil {
+			return OverheadRow{}, fmt.Errorf("%s/%v calibration: %w", wl.Name, d, err)
 		}
-		for pass := 0; pass < 2; pass++ {
-			med, err := cal()
-			if err != nil {
-				return OverheadRow{}, fmt.Errorf("%s/%v calibration: %w", wl.Name, d, err)
-			}
-			if med <= 0 {
-				break
-			}
-			s := float64(med) / float64(intervalCycles)
-			if s > 0.95 && s < 1.05 {
-				break
-			}
-			switch d {
-			case instrument.CnB, instrument.CnBCycles:
-				eventScale /= s
-			default:
-				irPerCycle /= s
-			}
+		med := intervalCycles
+		if ivs := th.RT.Intervals(id); len(ivs) > 0 {
+			med = stats.Median(ivs)
+		}
+		if med <= 0 {
+			break
+		}
+		s := float64(med) / float64(intervalCycles)
+		if s > 0.95 && s < 1.05 {
+			break
+		}
+		switch d {
+		case instrument.CnB, instrument.CnBCycles:
+			eventScale /= s
+		default:
+			irPerCycle /= s
 		}
 	}
-	machine := newMachine(eng, prog.Mod, nil, threads)
-	machine.LimitInstrs = runLimit
 	// The measured run (not the calibration passes) feeds the
 	// observability scope: probe-site profile, handler spans.
+	var scope *obs.Scope
 	if eng != nil {
-		machine.Obs = eng.Obs
+		scope = eng.Obs
 	}
-	th := machine.NewThread(0)
-	th.RT.IRPerCycle = irPerCycle
-	th.RT.RecordIntervals = record
-	th.RT.EventsPerInterval = func(ic int64) int64 {
-		n := int64(float64(ic) * irPerCycle / 20 * eventScale)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	id := th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(HandlerWorkCycles) })
-	if _, err := th.Run("main", 0); err != nil {
+	th, id, err := run(record, scope)
+	if err != nil {
 		return OverheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
 	}
 	row := OverheadRow{
@@ -208,11 +188,6 @@ type FigureOverhead struct {
 	Errs []CellError
 }
 
-// MeasureFigureOverhead runs the Figure 9/11 sweep over all workloads.
-func MeasureFigureOverhead(eng *engine.Engine, threads, scale int, designs []instrument.Design) *FigureOverhead {
-	return MeasureFigureOverheadSel(eng, threads, scale, designs, AllWorkloads())
-}
-
 // MeasureFigureOverheadSel runs the Figure 9/11 sweep over a workload
 // selection. Each workload is one engine cell: its baseline plus one
 // measured run per design, skipped wholesale on a store hit.
@@ -225,12 +200,9 @@ func MeasureFigureOverheadSel(eng *engine.Engine, threads, scale int, designs []
 		Designs:        designs,
 		Rows:           make(map[string][]OverheadRow),
 	}
-	cells, errs := engine.Map(eng.Pool, len(sel), func(i int) ([]OverheadRow, error) {
-		wl := sel[i]
-		key := fmt.Sprintf("overhead/t%d/%s", threads, wl.Name)
-		hash := engine.Hash("overhead", engine.ModuleFingerprint(SourceModule(eng, wl, scale)),
-			scale, threads, designs, fig.IntervalCycles, ProbeIntervalIR, HandlerWorkCycles, runLimit)
-		rows, _, err := engine.CellDo(eng, key, hash, func() ([]OverheadRow, error) {
+	names, cells, errs := workloadSweep(eng, sel, scale, "overhead", fmt.Sprintf("overhead/t%d", threads),
+		[]any{threads, designs, fig.IntervalCycles, ProbeIntervalIR, HandlerWorkCycles, runLimit},
+		func(wl *workloads.Workload) ([]OverheadRow, error) {
 			base, err := BaselineCached(eng, wl, scale, threads)
 			if err != nil {
 				return nil, err
@@ -245,19 +217,14 @@ func MeasureFigureOverheadSel(eng *engine.Engine, threads, scale int, designs []
 			}
 			return rows, nil
 		})
-		return rows, err
-	})
+	fig.Errs = errs
 	perDesign := make([][]float64, len(designs))
 	for i, rows := range cells {
-		if errs[i] != nil {
-			continue
-		}
-		fig.Rows[sel[i].Name] = rows
+		fig.Rows[names[i]] = rows
 		for di, row := range rows {
 			perDesign[di] = append(perDesign[di], row.Overhead)
 		}
 	}
-	fig.Errs = cellErrors(errs, func(i int) string { return "overhead/" + sel[i].Name })
 	fig.Medians = make([]float64, len(designs))
 	for di := range designs {
 		fig.Medians[di] = stats.MedianF(perDesign[di])
@@ -281,73 +248,60 @@ type AccuracyRow struct {
 // fatal.
 func MeasureFigureAccuracy(eng *engine.Engine, scale int, designs []instrument.Design) ([]AccuracyRow, []CellError) {
 	const target = 5000
-	sel := AllWorkloads()
-	cells, errs := engine.Map(eng.Pool, len(sel), func(i int) ([]AccuracyRow, error) {
-		wl := sel[i]
-		key := "accuracy/" + wl.Name
-		hash := engine.Hash("accuracy", engine.ModuleFingerprint(SourceModule(eng, wl, scale)),
-			scale, designs, int64(target), ProbeIntervalIR, HandlerWorkCycles, runLimit)
-		return cellDoAccuracy(eng, key, hash, wl, scale, designs, target)
-	})
-	var out []AccuracyRow
-	for i, rows := range cells {
-		if errs[i] == nil {
-			out = append(out, rows...)
-		}
-	}
-	return out, cellErrors(errs, func(i int) string { return "accuracy/" + sel[i].Name })
-}
-
-func cellDoAccuracy(eng *engine.Engine, key, hash string, wl *workloads.Workload,
-	scale int, designs []instrument.Design, target int64) ([]AccuracyRow, error) {
-
-	rows, _, err := engine.CellDo(eng, key, hash, func() ([]AccuracyRow, error) {
-		base, err := BaselineCached(eng, wl, scale, 1)
-		if err != nil {
-			return nil, err
-		}
-		var out []AccuracyRow
-		for _, d := range designs {
-			row, err := MeasureOverhead(eng, wl, d, base, scale, 1, target, true)
+	_, cells, errs := workloadSweep(eng, AllWorkloads(), scale, "accuracy", "accuracy",
+		[]any{designs, int64(target), ProbeIntervalIR, HandlerWorkCycles, runLimit},
+		func(wl *workloads.Workload) ([]AccuracyRow, error) {
+			base, err := BaselineCached(eng, wl, scale, 1)
 			if err != nil {
 				return nil, err
 			}
-			errsCy := make([]int64, 0, len(row.Intervals))
-			for _, gap := range row.Intervals {
-				errsCy = append(errsCy, gap-target)
-			}
-			if len(errsCy) == 0 {
-				errsCy = []int64{0}
-			}
-			var scope *obs.Scope
-			if eng != nil {
-				scope = eng.Obs
-			}
-			if scope.Enabled() {
-				// Feed the per-design interval-error histograms behind
-				// ciexp -metrics (absolute error, paper-CDF style, plus
-				// the signed distribution). Store-skipped cells don't
-				// reach here — re-run without -store for full metrics.
-				name := "interval_error/" + d.String()
-				for _, e := range errsCy {
-					scope.Observe(name, e)
-					if e < 0 {
-						e = -e
-					}
-					scope.Observe("interval_abs_error/"+d.String(), e)
+			var rows []AccuracyRow
+			for _, d := range designs {
+				row, err := MeasureOverhead(eng, wl, d, base, scale, 1, target, true)
+				if err != nil {
+					return nil, err
 				}
+				rows = append(rows, accuracyRow(eng, row, target))
 			}
-			sum := stats.Summarize(errsCy)
-			out = append(out, AccuracyRow{
-				Workload:    wl.Name,
-				Design:      d,
-				Errors:      sum,
-				MedianError: sum.P50,
-			})
+			return rows, nil
+		})
+	var out []AccuracyRow
+	for _, rows := range cells {
+		out = append(out, rows...)
+	}
+	return out, errs
+}
+
+// accuracyRow summarizes one calibrated run's interval errors against
+// target, feeding them to the engine's scope when it is enabled.
+func accuracyRow(eng *engine.Engine, row OverheadRow, target int64) AccuracyRow {
+	errsCy := make([]int64, 0, len(row.Intervals))
+	for _, gap := range row.Intervals {
+		errsCy = append(errsCy, gap-target)
+	}
+	if len(errsCy) == 0 {
+		errsCy = []int64{0}
+	}
+	var scope *obs.Scope
+	if eng != nil {
+		scope = eng.Obs
+	}
+	if scope.Enabled() {
+		// Feed the per-design interval-error histograms behind
+		// ciexp -metrics (absolute error, paper-CDF style, plus the
+		// signed distribution). Store-skipped cells don't reach here —
+		// re-run without -store for full metrics.
+		name := "interval_error/" + row.Design.String()
+		for _, e := range errsCy {
+			scope.Observe(name, e)
+			if e < 0 {
+				e = -e
+			}
+			scope.Observe("interval_abs_error/"+row.Design.String(), e)
 		}
-		return out, nil
-	})
-	return rows, err
+	}
+	sum := stats.Summarize(errsCy)
+	return AccuracyRow{Workload: row.Workload, Design: row.Design, Errors: sum, MedianError: sum.P50}
 }
 
 // SweepPoint is one (interval, kind) aggregate of Figure 12.
@@ -385,23 +339,15 @@ func MeasureFigure12(eng *engine.Engine, scale int, intervals []int64, names []s
 			return nil, nil, err
 		}
 	}
-	cells, errs := engine.Map(eng.Pool, len(sel), func(i int) (fig12Cell, error) {
-		wl := sel[i]
-		key := "fig12/" + wl.Name
-		hash := engine.Hash("fig12", engine.ModuleFingerprint(SourceModule(eng, wl, scale)),
-			scale, intervals, ProbeIntervalIR, HandlerWorkCycles, runLimit)
-		cell, _, err := engine.CellDo(eng, key, hash, func() (fig12Cell, error) {
+	_, cells, errs := workloadSweep(eng, sel, scale, "fig12", "fig12",
+		[]any{intervals, ProbeIntervalIR, HandlerWorkCycles, runLimit},
+		func(wl *workloads.Workload) (fig12Cell, error) {
 			return measureFig12Workload(eng, wl, scale, intervals)
 		})
-		return cell, err
-	})
 	out := make([]SweepPoint, len(intervals))
 	for ii, interval := range intervals {
 		pt := SweepPoint{IntervalCycles: interval}
-		for i, cell := range cells {
-			if errs[i] != nil {
-				continue
-			}
+		for _, cell := range cells {
 			pt.CIAll = append(pt.CIAll, cell.CI[ii])
 			pt.HWAll = append(pt.HWAll, cell.HW[ii])
 		}
@@ -409,7 +355,7 @@ func MeasureFigure12(eng *engine.Engine, scale int, intervals []int64, names []s
 		pt.HWSlowdown = stats.MedianF(pt.HWAll)
 		out[ii] = pt
 	}
-	return out, cellErrors(errs, func(i int) string { return "fig12/" + sel[i].Name }), nil
+	return out, errs, nil
 }
 
 // measureFig12Workload runs one workload's CI and hardware-interrupt
@@ -432,11 +378,7 @@ func measureFig12Workload(eng *engine.Engine, wl *workloads.Workload, scale int,
 	}
 	for _, interval := range intervals {
 		// CI run.
-		machine := newMachine(eng, prog.Mod, nil, 1)
-		machine.LimitInstrs = runLimit
-		th := machine.NewThread(0)
-		th.RT.IRPerCycle = base.IRPerCycle
-		th.RT.RegisterCI(interval, func(uint64) { th.Charge(HandlerWorkCycles) })
+		th, _ := ciThread(eng, prog.Mod, 1, nil, base.IRPerCycle, interval, nil)
 		if _, err := th.Run("main", 0); err != nil {
 			return fig12Cell{}, fmt.Errorf("%s CI@%d: %w", wl.Name, interval, err)
 		}
@@ -444,7 +386,6 @@ func measureFig12Workload(eng *engine.Engine, wl *workloads.Workload, scale int,
 
 		// Hardware-interrupt run on the uninstrumented program.
 		hwMachine := newMachine(eng, hwMod, nil, 1)
-		hwMachine.LimitInstrs = runLimit
 		hwMachine.HW = &vm.HWConfig{
 			IntervalCycles: interval,
 			Handler:        func(t *vm.Thread) { t.Charge(HandlerWorkCycles) },
@@ -477,24 +418,11 @@ const ModelGHz = 2.6
 // with the geo-mean row. One workload is one engine cell; failed cells
 // drop out of the table and the geo-mean.
 func MeasureTable7(eng *engine.Engine, scale int) ([]Table7Row, Table7Row, []CellError) {
-	sel := AllWorkloads()
-	cells, errs := engine.Map(eng.Pool, len(sel), func(i int) (Table7Row, error) {
-		wl := sel[i]
-		key := "table7/" + wl.Name
-		hash := engine.Hash("table7", engine.ModuleFingerprint(SourceModule(eng, wl, scale)),
-			scale, ProbeIntervalIR, HandlerWorkCycles, runLimit)
-		row, _, err := engine.CellDo(eng, key, hash, func() (Table7Row, error) {
-			return measureTable7Workload(eng, wl, scale)
-		})
-		return row, err
-	})
-	var rows []Table7Row
+	_, rows, errs := workloadSweep(eng, AllWorkloads(), scale, "table7", "table7",
+		[]any{ProbeIntervalIR, HandlerWorkCycles, runLimit},
+		func(wl *workloads.Workload) (Table7Row, error) { return measureTable7Workload(eng, wl, scale) })
 	var ci1s, n1s, ci32s, n32s []float64
-	for i, row := range cells {
-		if errs[i] != nil {
-			continue
-		}
-		rows = append(rows, row)
+	for _, row := range rows {
 		ci1s = append(ci1s, row.CI1)
 		n1s = append(n1s, row.N1)
 		ci32s = append(ci32s, row.CI32)
@@ -507,7 +435,7 @@ func MeasureTable7(eng *engine.Engine, scale int) ([]Table7Row, Table7Row, []Cel
 		CI32:     stats.GeoMean(ci32s),
 		N32:      stats.GeoMean(n32s),
 	}
-	return rows, g, cellErrors(errs, func(i int) string { return "table7/" + sel[i].Name })
+	return rows, g, errs
 }
 
 func measureTable7Workload(eng *engine.Engine, wl *workloads.Workload, scale int) (Table7Row, error) {

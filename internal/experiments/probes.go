@@ -7,6 +7,7 @@ import (
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/workloads"
 )
 
 // This file reproduces the §5.4 probe-execution claim: "These results
@@ -30,13 +31,9 @@ type ProbeCountRow struct {
 // MeasureProbeCounts runs each workload under CI and Naive and counts
 // probe executions. One workload is one engine cell.
 func MeasureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]ProbeCountRow, []CellError) {
-	sel := AllWorkloads()
-	cells, errs := engine.Map(eng.Pool, len(sel), func(i int) (ProbeCountRow, error) {
-		wl := sel[i]
-		key := "probes/" + wl.Name
-		hash := engine.Hash("probes", engine.ModuleFingerprint(SourceModule(eng, wl, scale)),
-			scale, intervalCycles, ProbeIntervalIR, HandlerWorkCycles, runLimit)
-		row, _, err := engine.CellDo(eng, key, hash, func() (ProbeCountRow, error) {
+	_, rows, errs := workloadSweep(eng, AllWorkloads(), scale, "probes", "probes",
+		[]any{intervalCycles, ProbeIntervalIR, HandlerWorkCycles, runLimit},
+		func(wl *workloads.Workload) (ProbeCountRow, error) {
 			base, err := BaselineCached(eng, wl, scale, 1)
 			if err != nil {
 				return ProbeCountRow{}, err
@@ -48,11 +45,7 @@ func MeasureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]
 				if err != nil {
 					return row, err
 				}
-				machine := newMachine(eng, prog.Mod, nil, 1)
-				machine.LimitInstrs = runLimit
-				th := machine.NewThread(0)
-				th.RT.IRPerCycle = base.IRPerCycle
-				th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(HandlerWorkCycles) })
+				th, _ := ciThread(eng, prog.Mod, 1, nil, base.IRPerCycle, intervalCycles, nil)
 				if _, err := th.Run("main", 0); err != nil {
 					return row, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
 				}
@@ -72,19 +65,11 @@ func MeasureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]
 			}
 			return row, nil
 		})
-		return row, err
-	})
-	var rows []ProbeCountRow
-	for i, row := range cells {
-		if errs[i] == nil {
-			rows = append(rows, row)
-		}
-	}
-	return rows, cellErrors(errs, func(i int) string { return "probes/" + sel[i].Name })
+	return rows, errs
 }
 
-// PrintProbeCounts renders the probe-execution comparison.
-func PrintProbeCounts(w io.Writer, eng *engine.Engine, scale int) error {
+// printProbeCounts renders the probe-execution comparison.
+func printProbeCounts(w io.Writer, eng *engine.Engine, scale int) error {
 	rows, errs := MeasureProbeCounts(eng, scale, 5000)
 	fmt.Fprintln(w, "Probe executions, CI vs Naive (§5.4: CI reduces executions >50% in most programs)")
 	fmt.Fprintf(w, "%-18s%14s%14s%12s%12s%10s\n",

@@ -155,9 +155,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		if err != nil {
 			return row, err
 		}
-		machine := newMachine(eng, prog.Mod, nil, 1)
-		machine.LimitInstrs = runLimit
-		th := machine.NewThread(0)
+		th := newMachine(eng, prog.Mod, nil, 1).NewThread(0)
 		th.RT.IRPerCycle = base.IRPerCycle
 		th.RT.RecordIntervals = true
 		id := th.RT.RegisterCI(QuantumTargetCycles, func(uint64) { serve(th.Charge) })
@@ -174,7 +172,6 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		row.FinalInterval = th.RT.CurrentInterval(id)
 	case "HW", "UIntr":
 		machine := newMachine(eng, SourceModule(eng, wl, scale), nil, 1)
-		machine.LimitInstrs = runLimit
 		var lastFire int64
 		machine.HW = &vm.HWConfig{
 			IntervalCycles: QuantumTargetCycles,
@@ -246,21 +243,17 @@ type QuantumFigure struct {
 // variants — is one engine cell.
 func MeasureQuantum(eng *engine.Engine, scale int, names []string) (*QuantumFigure, error) {
 	if len(names) == 0 {
-		names = []string{"radix", "histogram", "barnes", "matrix_multiply",
-			"volrend", "swaptions", "water-nsquared", "dedup"}
+		names = subsetWorkloads
 	}
 	sel, err := WorkloadsByName(names)
 	if err != nil {
 		return nil, err
 	}
 	fig := &QuantumFigure{Rows: make(map[string][]QuantumRow)}
-	cells, errs := engine.Map(eng.Pool, len(sel), func(i int) ([]QuantumRow, error) {
-		wl := sel[i]
-		key := "quantum/" + wl.Name
-		hash := engine.Hash("quantum", engine.ModuleFingerprint(SourceModule(eng, wl, scale)),
-			scale, int64(QuantumTargetCycles), QuantumLoadMult, quantumSeed,
-			fmt.Sprint(quantumClasses), QuantumVariants, ProbeIntervalIR, runLimit)
-		rows, _, err := engine.CellDo(eng, key, hash, func() ([]QuantumRow, error) {
+	ran, cells, errs := workloadSweep(eng, sel, scale, "quantum", "quantum",
+		[]any{int64(QuantumTargetCycles), QuantumLoadMult, quantumSeed,
+			fmt.Sprint(quantumClasses), QuantumVariants, ProbeIntervalIR, runLimit},
+		func(wl *workloads.Workload) ([]QuantumRow, error) {
 			base, err := BaselineCached(eng, wl, scale, 1)
 			if err != nil {
 				return nil, err
@@ -275,16 +268,10 @@ func MeasureQuantum(eng *engine.Engine, scale int, names []string) (*QuantumFigu
 			}
 			return rows, nil
 		})
-		return rows, err
-	})
+	fig.Workloads, fig.Errs = ran, errs
 	for i, rows := range cells {
-		if errs[i] != nil {
-			continue
-		}
-		fig.Workloads = append(fig.Workloads, sel[i].Name)
-		fig.Rows[sel[i].Name] = rows
+		fig.Rows[ran[i]] = rows
 	}
-	fig.Errs = cellErrors(errs, func(i int) string { return "quantum/" + sel[i].Name })
 	fig.Agg = aggregateQuantum(fig)
 	return fig, nil
 }
@@ -359,11 +346,11 @@ func (fig *QuantumFigure) CheckQuantum() []string {
 	return bad
 }
 
-// PrintQuantum runs the sweep and renders the adaptivity table, then
+// printQuantum runs the sweep and renders the adaptivity table, then
 // applies the acceptance gates so `ciexp quantum` exits non-zero when
 // the feedback controller stops beating the fixed quantum or the CI
 // rows leave the overhead budget. quick shrinks the workload set.
-func PrintQuantum(w io.Writer, eng *engine.Engine, scale int, quick bool) error {
+func printQuantum(w io.Writer, eng *engine.Engine, scale int, quick bool) error {
 	var names []string
 	if quick {
 		names = []string{"radix", "histogram", "matrix_multiply", "dedup"}

@@ -103,14 +103,14 @@ func TestCheckQuantumGates(t *testing.T) {
 	}
 }
 
-// PrintQuantum renders one row per variant and returns nil on a healthy
+// printQuantum renders one row per variant and returns nil on a healthy
 // sweep — the smoke contract verify.sh leans on.
 func TestPrintQuantumQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick sweep in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := PrintQuantum(&buf, engine.New(0), 1, true); err != nil {
+	if err := printQuantum(&buf, engine.New(0), 1, true); err != nil {
 		t.Fatalf("quick quantum sweep failed: %v\n%s", err, buf.String())
 	}
 	out := buf.String()

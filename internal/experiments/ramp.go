@@ -84,8 +84,8 @@ func MeasureLoadRamp(eng *engine.Engine, seed uint64, durationCycles int64, mult
 	if len(mults) == 0 {
 		mults = RampMults
 	}
-	n := 2 * len(mults)
-	cells, errs := engine.Map(eng.Pool, n, func(i int) (RampRow, error) {
+	label := func(i int) string { return fmt.Sprintf("ramp/%.1fx/admit=%t", mults[i/2], i%2 == 1) }
+	return sweep(eng, 2*len(mults), label, func(i int) (RampRow, error) {
 		mult := mults[i/2]
 		admit := i%2 == 1
 		cfg := shenango.Config{
@@ -104,19 +104,9 @@ func MeasureLoadRamp(eng *engine.Engine, seed uint64, durationCycles int64, mult
 		}
 		return RampRow{Mult: mult, Admission: admit, Res: res}, nil
 	})
-	cellErrs := cellErrors(errs, func(i int) string {
-		return fmt.Sprintf("ramp/%.1fx/admit=%t", mults[i/2], i%2 == 1)
-	})
-	rows := make([]RampRow, 0, n)
-	for i, row := range cells {
-		if errs[i] == nil {
-			rows = append(rows, row)
-		}
-	}
-	return rows, cellErrs
 }
 
-// PrintRamp runs the sweep and renders the figure table, then checks
+// printRamp runs the sweep and renders the figure table, then checks
 // the SLO against every admission-enabled row with RampExcess(mult) as
 // the unavoidable refusal fraction. A zero SLO checks nothing;
 // violations and failed cells return an error so `ciexp ramp` exits
@@ -124,7 +114,7 @@ func MeasureLoadRamp(eng *engine.Engine, seed uint64, durationCycles int64, mult
 // runs the whole ramp under that adaptive handler-interval policy —
 // the SLO guards must hold regardless of how the interval controller
 // moves the probe quantum.
-func PrintRamp(w io.Writer, eng *engine.Engine, seed uint64, durationCycles int64, slo overload.SLO, quantum func() ciruntime.QuantumPolicy) error {
+func printRamp(w io.Writer, eng *engine.Engine, seed uint64, durationCycles int64, slo overload.SLO, quantum func() ciruntime.QuantumPolicy) error {
 	fmt.Fprintf(w, "Load ramp (seed %d): shenango+CI under offered load vs %.2f M req/s capacity\n",
 		seed, RampSaturatingLoad/1e6)
 	fmt.Fprintf(w, "%-6s %-6s %10s %9s %10s %8s %7s %7s %6s\n",

@@ -82,7 +82,8 @@ type sanitizeCell struct {
 // exactness over the same fuzz corpus.
 func RunSanitizeSweep(eng *engine.Engine, seeds int) ([]SanitizeRow, []CellError) {
 	tiered := eng.Tier == vm.TierCompiled
-	cells, errs := engine.Map(eng.Pool, seeds, func(i int) (sanitizeCell, error) {
+	label := func(i int) string { return fmt.Sprintf("sanitize/seed%d", i+1) }
+	cells, errs := sweep(eng, seeds, label, func(i int) (sanitizeCell, error) {
 		seed := uint64(i + 1)
 		src := fuzz.Generate(seed, fuzz.Options{
 			MaxDepth: 2, MaxStmts: 5, MaxFuncs: 2, WithExterns: seed%4 == 0,
@@ -133,10 +134,7 @@ func RunSanitizeSweep(eng *engine.Engine, seeds int) ([]SanitizeRow, []CellError
 	for di, d := range sanitizeDesigns {
 		rows[di].Design = d.String()
 	}
-	for i, cell := range cells {
-		if errs[i] != nil {
-			continue
-		}
+	for _, cell := range cells {
 		for di := range sanitizeDesigns {
 			r := &rows[di]
 			r.Programs++
@@ -161,7 +159,7 @@ func RunSanitizeSweep(eng *engine.Engine, seeds int) ([]SanitizeRow, []CellError
 			}
 		}
 	}
-	return rows, cellErrors(errs, func(i int) string { return fmt.Sprintf("sanitize/seed%d", i+1) })
+	return rows, errs
 }
 
 // SanitizeWorkloads compiles every paper workload under every oracle
@@ -174,7 +172,8 @@ func SanitizeWorkloads(eng *engine.Engine, scale int) (int, []CellError) {
 	defer func() { eng.SanitizeOnMiss = prev }()
 
 	sel := AllWorkloads()
-	cells, errs := engine.Map(eng.Pool, len(sel), func(i int) (int, error) {
+	label := func(i int) string { return "sanitize/" + sel[i].Name }
+	cells, errs := sweep(eng, len(sel), label, func(i int) (int, error) {
 		clean := 0
 		for _, d := range sanitizeDesigns {
 			if _, err := CompileCached(eng, sel[i], scale,
@@ -186,18 +185,16 @@ func SanitizeWorkloads(eng *engine.Engine, scale int) (int, []CellError) {
 		return clean, nil
 	})
 	total := 0
-	for i, n := range cells {
-		if errs[i] == nil {
-			total += n
-		}
+	for _, n := range cells {
+		total += n
 	}
-	return total, cellErrors(errs, func(i int) string { return "sanitize/" + sel[i].Name })
+	return total, errs
 }
 
-// PrintSanitize renders the sanitizer sweep and exits non-zero (via the
+// printSanitize renders the sanitizer sweep and exits non-zero (via the
 // returned error) when any stage check or oracle verdict failed. quick
 // shrinks the fuzz corpus for smoke-test use.
-func PrintSanitize(w io.Writer, eng *engine.Engine, scale int, quick bool) error {
+func printSanitize(w io.Writer, eng *engine.Engine, scale int, quick bool) error {
 	seeds := 300
 	if quick {
 		seeds = 50

@@ -64,7 +64,8 @@ func RunSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []Soak
 	if len(phases) == 0 {
 		phases = SoakPhases
 	}
-	cells, errs := engine.Map(eng.Pool, len(phases), func(i int) (SoakRow, error) {
+	label := func(i int) string { return fmt.Sprintf("soak/phase%d/%.1fx", i, phases[i].Mult) }
+	return sweep(eng, len(phases), label, func(i int) (SoakRow, error) {
 		p := phases[i]
 		cfg := shenango.Config{
 			Kind:           shenango.CIHosted,
@@ -94,16 +95,6 @@ func RunSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []Soak
 		}
 		return row, nil
 	})
-	cellErrs := cellErrors(errs, func(i int) string {
-		return fmt.Sprintf("soak/phase%d/%.1fx", i, phases[i].Mult)
-	})
-	rows := make([]SoakRow, 0, len(phases))
-	for i, row := range cells {
-		if errs[i] == nil {
-			rows = append(rows, row)
-		}
-	}
-	return rows, cellErrs
 }
 
 // soakMTCP is the companion mtcp cell: the CI server saturated by
@@ -135,10 +126,10 @@ func soakMTCP(seed uint64, duration int64) []string {
 	return v
 }
 
-// PrintSoak runs the scripted soak and renders the per-phase table,
+// printSoak runs the scripted soak and renders the per-phase table,
 // then the mtcp companion verdict. Any violated guard in any phase
 // returns an error, so `ciexp soak` exits non-zero.
-func PrintSoak(w io.Writer, eng *engine.Engine, seed uint64, phaseDuration int64, slo overload.SLO, quick bool, quantum func() ciruntime.QuantumPolicy) error {
+func printSoak(w io.Writer, eng *engine.Engine, seed uint64, phaseDuration int64, slo overload.SLO, quick bool, quantum func() ciruntime.QuantumPolicy) error {
 	phases := SoakPhases
 	if quick {
 		phases = soakQuickPhases

@@ -912,21 +912,6 @@ func (s *server) result() Result {
 	return res
 }
 
-// Sweep runs the Figure 4/5 connection sweep for one mode.
-func Sweep(mode Mode, conns []int, workCycles int64) []Result {
-	return SweepObs(mode, conns, workCycles, nil)
-}
-
-// SweepObs is Sweep with an observability scope threaded into every
-// run's Config (nil scope = plain Sweep).
-func SweepObs(mode Mode, conns []int, workCycles int64, scope *obs.Scope) []Result {
-	out := make([]Result, 0, len(conns))
-	for _, c := range conns {
-		out = append(out, Run(Config{Mode: mode, Conns: c, WorkCycles: workCycles, Obs: scope}))
-	}
-	return out
-}
-
 // String renders a result row.
 func (r Result) String() string {
 	return fmt.Sprintf("%-7s conns=%-5d %6.2f Gbps  mean %7.1fµs  p50 %7.1fµs  p99 %8.1fµs  drops=%d",

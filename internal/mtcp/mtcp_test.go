@@ -89,15 +89,13 @@ func TestDropsTriggerRetransmits(t *testing.T) {
 	}
 }
 
+// Figures 4 and 5 sweep the connection count one Run per cell: each
+// row must report the connections and mode it ran with.
 func TestSweepCoversAllConns(t *testing.T) {
-	conns := []int{1, 4, 16}
-	rs := Sweep(CI, conns, 0)
-	if len(rs) != len(conns) {
-		t.Fatalf("sweep returned %d results", len(rs))
-	}
-	for i, r := range rs {
-		if r.Conns != conns[i] || r.Mode != CI {
-			t.Errorf("row %d = %+v", i, r)
+	for _, conns := range []int{1, 4, 16} {
+		r := Run(Config{Mode: CI, Conns: conns})
+		if r.Conns != conns || r.Mode != CI {
+			t.Errorf("conns=%d: row = %+v", conns, r)
 		}
 		if r.String() == "" {
 			t.Error("empty row rendering")

@@ -777,34 +777,3 @@ func (t *Thread) CallHandler(fn string, args ...int64) (int64, error) {
 	t.inHandler = prev
 	return rv, err
 }
-
-// RunParallel executes fn on n threads concurrently, calling args(id)
-// for each thread's arguments and setup(t) — which may register CI
-// handlers — before each thread starts. It returns the per-thread
-// stats. Shared-memory programs must confine cross-thread communication
-// to atomic operations.
-func (vm *VM) RunParallel(n int, fn string, args func(id int) []int64, setup func(t *Thread)) ([]Stats, error) {
-	stats := make([]Stats, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := vm.NewThread(id)
-			if setup != nil {
-				setup(th)
-			}
-			_, err := th.Run(fn, args(id)...)
-			errs[id] = err
-			stats[id] = th.Stats
-		}(id)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
-}

@@ -690,7 +690,10 @@ func median(xs []int64) int64 {
 	return s[len(s)/2]
 }
 
-func TestRunParallelAtomicCounter(t *testing.T) {
+// Threads of one VM share its memory: eight threads run one after
+// another on one goroutine, and their atomic adds all land in the
+// shared counter.
+func TestSequentialThreadsAtomicCounter(t *testing.T) {
 	forEachTier(t, func(t *testing.T, tier Tier) {
 		m := ir.MustParse(`
 mem 64
@@ -712,17 +715,17 @@ exit:
 `)
 		v := newVM(m, nil, 8, tier)
 		v.LimitInstrs = 10_000_000
-		stats, err := v.RunParallel(8, "main", func(id int) []int64 { return []int64{1000} }, nil)
-		if err != nil {
-			t.Fatal(err)
+		for id := 0; id < 8; id++ {
+			th := v.NewThread(id)
+			if _, err := th.Run("main", 1000); err != nil {
+				t.Fatal(err)
+			}
+			if th.Stats.Cycles == 0 || th.Stats.Instrs == 0 {
+				t.Errorf("thread %d has empty stats", id)
+			}
 		}
 		if v.Mem[0] != 8000 {
 			t.Errorf("shared counter = %d, want 8000", v.Mem[0])
-		}
-		for i, s := range stats {
-			if s.Cycles == 0 || s.Instrs == 0 {
-				t.Errorf("thread %d has empty stats", i)
-			}
 		}
 	})
 }

@@ -161,11 +161,15 @@ func TestThreadRegionsDisjoint(t *testing.T) {
 	m := wl.Build(1)
 	v := vm.New(m, nil, 2)
 	v.LimitInstrs = 100_000_000
-	stats, err := v.RunParallel(2, "main", func(id int) []int64 { return []int64{int64(id)} }, nil)
-	if err != nil {
-		t.Fatal(err)
+	var instrs [2]int64
+	for id := range instrs {
+		th := v.NewThread(id)
+		if _, err := th.Run("main", int64(id)); err != nil {
+			t.Fatal(err)
+		}
+		instrs[id] = th.Stats.Instrs
 	}
-	if stats[0].Instrs != stats[1].Instrs {
-		t.Errorf("threads executed different work: %d vs %d", stats[0].Instrs, stats[1].Instrs)
+	if instrs[0] != instrs[1] {
+		t.Errorf("threads executed different work: %d vs %d", instrs[0], instrs[1])
 	}
 }

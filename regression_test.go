@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/ci/instrument"
@@ -35,6 +37,55 @@ var baselineNames = []string{"radix", "histogram", "volrend", "kmeans"}
 
 var baselineDesigns = []instrument.Design{
 	instrument.CI, instrument.CnB, instrument.Naive,
+}
+
+// baselineCell is every gate's access to BENCH_baseline.json. Under
+// -update-baseline it records got as cell key with the given hash and
+// reports false, so the caller skips its comparisons. Otherwise it
+// returns the committed cell decoded as T, failing the test when the
+// cell is missing, does not decode, or holds a different number of
+// rows than got.
+func baselineCell[T any](t *testing.T, key, hash string, got T) (want T, ok bool) {
+	t.Helper()
+	store, err := engine.OpenStore(baselinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateBaseline {
+		if err := store.Put(key, hash, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("baseline rewritten: %s cell %q", baselinePath, key)
+		return want, false
+	}
+	cell, ok := store.Cell(key)
+	if !ok {
+		t.Fatalf("baseline lacks cell %q; regenerate with -update-baseline", key)
+	}
+	if err := json.Unmarshal(cell.Data, &want); err != nil {
+		t.Fatalf("baseline cell %q: %v", key, err)
+	}
+	if g, w := reflect.ValueOf(got), reflect.ValueOf(want); g.Kind() == reflect.Slice && g.Len() != w.Len() {
+		t.Fatalf("%s: fresh measurement has %d rows, baseline %d — regenerate it", key, g.Len(), w.Len())
+	}
+	return want, true
+}
+
+// inBand fails the test when the count got is outside the relative
+// band of want, with an absolute floor so near-zero counts don't trip
+// on small moves.
+func inBand(t *testing.T, tag, what string, got, want, floor int64, relBand float64) {
+	t.Helper()
+	diff := got - want
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff > int64(float64(want)*relBand)+floor {
+		t.Errorf("%s: %s %d vs baseline %d (band ±%.0f%%)", tag, what, got, want, 100*relBand)
+	}
 }
 
 // Overload-plane gate: the admission-on load-ramp rows' reject
@@ -81,52 +132,15 @@ func measureOverloadBaseline(t *testing.T) []overloadBaselineRow {
 	return out
 }
 
-// countInBand reports whether got is within the relative band of want,
-// with an absolute floor so near-zero counts don't trip on small moves.
-func countInBand(got, want, floor int64, relBand float64) bool {
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
-	}
-	limit := int64(float64(want)*relBand) + floor
-	return diff <= limit
-}
-
 func TestOverloadRegressionBaseline(t *testing.T) {
 	got := measureOverloadBaseline(t)
 	if len(got) == 0 {
 		t.Fatal("no admission-enabled ramp rows measured")
 	}
 
-	if *updateBaseline {
-		store, err := engine.OpenStore(baselinePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(overloadBaselineKey, overloadBaselineHash, got); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Save(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("overload baseline rewritten: %s cell %q", baselinePath, overloadBaselineKey)
-		return
-	}
-
-	store, err := engine.OpenStore(baselinePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, ok := store.Cell(overloadBaselineKey)
+	want, ok := baselineCell(t, overloadBaselineKey, overloadBaselineHash, got)
 	if !ok {
-		t.Fatalf("baseline lacks cell %q; regenerate with -update-baseline", overloadBaselineKey)
-	}
-	var want []overloadBaselineRow
-	if err := json.Unmarshal(cell.Data, &want); err != nil {
-		t.Fatalf("baseline cell %q: %v", overloadBaselineKey, err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fresh ramp has %d admission rows, baseline %d — regenerate it", len(got), len(want))
+		return
 	}
 	for i, g := range got {
 		w := want[i]
@@ -138,15 +152,10 @@ func TestOverloadRegressionBaseline(t *testing.T) {
 			t.Errorf("%.1fx: reject fraction %.3f vs baseline %.3f (band ±0.05)",
 				g.Mult, g.RejectFrac, w.RejectFrac)
 		}
-		if !countInBand(g.Rejected, w.Rejected, 64, 0.25) {
-			t.Errorf("%.1fx: rejected %d vs baseline %d (band ±25%%)", g.Mult, g.Rejected, w.Rejected)
-		}
-		if !countInBand(g.Expired, w.Expired, 64, 0.25) {
-			t.Errorf("%.1fx: expired %d vs baseline %d (band ±25%%)", g.Mult, g.Expired, w.Expired)
-		}
-		if !countInBand(g.Shed, w.Shed, 64, 0.25) {
-			t.Errorf("%.1fx: shed %d vs baseline %d (band ±25%%)", g.Mult, g.Shed, w.Shed)
-		}
+		tag := fmt.Sprintf("%.1fx", g.Mult)
+		inBand(t, tag, "rejected", g.Rejected, w.Rejected, 64, 0.25)
+		inBand(t, tag, "expired", g.Expired, w.Expired, 64, 0.25)
+		inBand(t, tag, "shed", g.Shed, w.Shed, 64, 0.25)
 		if (w.MinerShed > 0) != (g.MinerShed > 0) {
 			t.Errorf("%.1fx: miner shedding flipped: %.3f vs baseline %.3f", g.Mult, g.MinerShed, w.MinerShed)
 		}
@@ -292,22 +301,14 @@ func compareFleetZoneRow(t *testing.T, tag string, g, w fleetZoneBaselineRow) {
 		t.Errorf("%s: injected %d vs baseline %d — workload generator changed, regenerate the baseline",
 			tag, g.Injected, w.Injected)
 	}
-	if !countInBand(g.Served, w.Served, 64, 0.10) {
-		t.Errorf("%s: served %d vs baseline %d (band ±10%%)", tag, g.Served, w.Served)
-	}
-	if !countInBand(g.Migrated, w.Migrated, 64, 0.25) {
-		t.Errorf("%s: migrated %d vs baseline %d (band ±25%%)", tag, g.Migrated, w.Migrated)
-	}
-	if !countInBand(g.MigrationFailed, w.MigrationFailed, 16, 0.25) {
-		t.Errorf("%s: migration-failed %d vs baseline %d (band ±25%%)", tag, g.MigrationFailed, w.MigrationFailed)
-	}
+	inBand(t, tag, "served", g.Served, w.Served, 64, 0.10)
+	inBand(t, tag, "migrated", g.Migrated, w.Migrated, 64, 0.25)
+	inBand(t, tag, "migration-failed", g.MigrationFailed, w.MigrationFailed, 16, 0.25)
 	if g.ZoneCrashes != w.ZoneCrashes {
 		t.Errorf("%s: zone crashes %d vs baseline %d — the pre-drawn zone schedule changed, regenerate the baseline",
 			tag, g.ZoneCrashes, w.ZoneCrashes)
 	}
-	if !countInBand(g.Ejections, w.Ejections, 2, 0.25) {
-		t.Errorf("%s: ejections %d vs baseline %d (band ±25%%)", tag, g.Ejections, w.Ejections)
-	}
+	inBand(t, tag, "ejections", g.Ejections, w.Ejections, 2, 0.25)
 }
 
 func TestFleetRegressionBaseline(t *testing.T) {
@@ -318,69 +319,17 @@ func TestFleetRegressionBaseline(t *testing.T) {
 	zone := measureFleetZoneBaseline(t)
 	scale := measureFleetScaleBaseline(t)
 
-	if *updateBaseline {
-		store, err := engine.OpenStore(baselinePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(fleetBaselineKey, fleetBaselineHash, got); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(fleetZoneBaselineKey, fleetZoneBaselineHash, zone); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(fleetScaleBaselineKey, fleetScaleBaselineHash, scale); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Save(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("fleet baselines rewritten: %s cells %q, %q, %q",
-			baselinePath, fleetBaselineKey, fleetZoneBaselineKey, fleetScaleBaselineKey)
+	wantZone, okZone := baselineCell(t, fleetZoneBaselineKey, fleetZoneBaselineHash, zone)
+	wantScale, okScale := baselineCell(t, fleetScaleBaselineKey, fleetScaleBaselineHash, scale)
+	want, ok := baselineCell(t, fleetBaselineKey, fleetBaselineHash, got)
+	if !okZone || !okScale || !ok {
 		return
-	}
-
-	store, err := engine.OpenStore(baselinePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	zcell, ok := store.Cell(fleetZoneBaselineKey)
-	if !ok {
-		t.Fatalf("baseline lacks cell %q; regenerate with -update-baseline", fleetZoneBaselineKey)
-	}
-	var wantZone []fleetZoneBaselineRow
-	if err := json.Unmarshal(zcell.Data, &wantZone); err != nil {
-		t.Fatalf("baseline cell %q: %v", fleetZoneBaselineKey, err)
-	}
-	if len(zone) != len(wantZone) {
-		t.Fatalf("zone pair has %d rows, baseline %d — regenerate it", len(zone), len(wantZone))
 	}
 	for i, g := range zone {
 		compareFleetZoneRow(t, fmt.Sprintf("zone outage=%t", g.Outage), g, wantZone[i])
 	}
-
-	scell, ok := store.Cell(fleetScaleBaselineKey)
-	if !ok {
-		t.Fatalf("baseline lacks cell %q; regenerate with -update-baseline", fleetScaleBaselineKey)
-	}
-	var wantScale fleetZoneBaselineRow
-	if err := json.Unmarshal(scell.Data, &wantScale); err != nil {
-		t.Fatalf("baseline cell %q: %v", fleetScaleBaselineKey, err)
-	}
 	compareFleetZoneRow(t, "scale soak", scale, wantScale)
 
-	cell, ok := store.Cell(fleetBaselineKey)
-	if !ok {
-		t.Fatalf("baseline lacks cell %q; regenerate with -update-baseline", fleetBaselineKey)
-	}
-	var want []fleetBaselineRow
-	if err := json.Unmarshal(cell.Data, &want); err != nil {
-		t.Fatalf("baseline cell %q: %v", fleetBaselineKey, err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fresh sweep has %d rows, baseline %d — regenerate it", len(got), len(want))
-	}
 	for i, g := range got {
 		w := want[i]
 		if g.Load != w.Load || g.Crash != w.Crash {
@@ -395,24 +344,12 @@ func TestFleetRegressionBaseline(t *testing.T) {
 			t.Errorf("%s: injected %d vs baseline %d — workload generator changed, regenerate the baseline",
 				tag, g.Injected, w.Injected)
 		}
-		if !countInBand(g.Served, w.Served, 64, 0.10) {
-			t.Errorf("%s: served %d vs baseline %d (band ±10%%)", tag, g.Served, w.Served)
-		}
-		if !countInBand(g.Retries, w.Retries, 64, 0.25) {
-			t.Errorf("%s: retries %d vs baseline %d (band ±25%%)", tag, g.Retries, w.Retries)
-		}
-		if !countInBand(g.Hedges, w.Hedges, 64, 0.25) {
-			t.Errorf("%s: hedges %d vs baseline %d (band ±25%%)", tag, g.Hedges, w.Hedges)
-		}
-		if !countInBand(g.FailedPerm, w.FailedPerm, 64, 0.25) {
-			t.Errorf("%s: failed-perm %d vs baseline %d (band ±25%%)", tag, g.FailedPerm, w.FailedPerm)
-		}
-		if !countInBand(g.Crashes, w.Crashes, 2, 0.25) {
-			t.Errorf("%s: crashes %d vs baseline %d (band ±25%%)", tag, g.Crashes, w.Crashes)
-		}
-		if !countInBand(g.Ejections, w.Ejections, 2, 0.25) {
-			t.Errorf("%s: ejections %d vs baseline %d (band ±25%%)", tag, g.Ejections, w.Ejections)
-		}
+		inBand(t, tag, "served", g.Served, w.Served, 64, 0.10)
+		inBand(t, tag, "retries", g.Retries, w.Retries, 64, 0.25)
+		inBand(t, tag, "hedges", g.Hedges, w.Hedges, 64, 0.25)
+		inBand(t, tag, "failed-perm", g.FailedPerm, w.FailedPerm, 64, 0.25)
+		inBand(t, tag, "crashes", g.Crashes, w.Crashes, 2, 0.25)
+		inBand(t, tag, "ejections", g.Ejections, w.Ejections, 2, 0.25)
 	}
 }
 
@@ -451,35 +388,9 @@ func TestQuantumRegressionBaseline(t *testing.T) {
 		t.Fatal("no quantum aggregate rows measured")
 	}
 
-	if *updateBaseline {
-		store, err := engine.OpenStore(baselinePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(quantumBaselineKey, quantumBaselineHash, got); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Save(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("quantum baseline rewritten: %s cell %q", baselinePath, quantumBaselineKey)
-		return
-	}
-
-	store, err := engine.OpenStore(baselinePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, ok := store.Cell(quantumBaselineKey)
+	want, ok := baselineCell(t, quantumBaselineKey, quantumBaselineHash, got)
 	if !ok {
-		t.Fatalf("baseline lacks cell %q; regenerate with -update-baseline", quantumBaselineKey)
-	}
-	var want []experiments.QuantumRow
-	if err := json.Unmarshal(cell.Data, &want); err != nil {
-		t.Fatalf("baseline cell %q: %v", quantumBaselineKey, err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fresh sweep has %d variant rows, baseline %d — regenerate it", len(got), len(want))
+		return
 	}
 	for i, g := range got {
 		w := want[i]
@@ -489,15 +400,9 @@ func TestQuantumRegressionBaseline(t *testing.T) {
 			continue
 		}
 		tag := g.Design + "/" + g.Policy
-		if !countInBand(g.P999Err, w.P999Err, 256, 0.25) {
-			t.Errorf("%s: p99.9 gap error %d vs baseline %d (band ±25%%)", tag, g.P999Err, w.P999Err)
-		}
-		if !countInBand(g.Fires, w.Fires, 64, 0.25) {
-			t.Errorf("%s: fires %d vs baseline %d (band ±25%%)", tag, g.Fires, w.Fires)
-		}
-		if !countInBand(g.Overruns, w.Overruns, 64, 0.25) {
-			t.Errorf("%s: overruns %d vs baseline %d (band ±25%%)", tag, g.Overruns, w.Overruns)
-		}
+		inBand(t, tag, "p99.9 gap error", g.P999Err, w.P999Err, 256, 0.25)
+		inBand(t, tag, "fires", g.Fires, w.Fires, 64, 0.25)
+		inBand(t, tag, "overruns", g.Overruns, w.Overruns, 64, 0.25)
 		// Overhead regression = the delivery mechanism got pricier.
 		if d := g.Overhead - w.Overhead; d > 0.02 {
 			t.Errorf("%s: overhead %.4f vs baseline %.4f (band +2 points)", tag, g.Overhead, w.Overhead)
@@ -511,52 +416,24 @@ func TestSweepRegressionBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if *updateBaseline {
-		store, err := engine.OpenStore(baselinePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := engine.New(0)
-		eng.Store = store
-		fig := experiments.MeasureFigureOverheadSel(eng, 1, 1, baselineDesigns, sel)
-		if len(fig.Errs) > 0 {
-			t.Fatalf("cannot baseline a failing sweep: %v", fig.Errs)
-		}
-		if err := store.Save(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("baseline rewritten: %s (%d cells)", baselinePath, len(store.Keys()))
-		return
-	}
-
-	// Fresh measurement, no store: nothing is skipped.
-	fig := experiments.MeasureFigureOverheadSel(engine.New(0), 1, 1, baselineDesigns, sel)
-	if len(fig.Errs) > 0 {
-		t.Fatalf("sweep cells failed: %v", fig.Errs)
-	}
-
-	store, err := engine.OpenStore(baselinePath)
+	// A fresh, empty store: nothing is skipped, and each cell records
+	// the content hash it is stored under.
+	store, err := engine.OpenStore(filepath.Join(t.TempDir(), "overhead.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(store.Keys()) == 0 {
-		t.Fatalf("%s missing or empty; regenerate with -update-baseline", baselinePath)
+	eng := engine.New(0)
+	eng.Store = store
+	fig := experiments.MeasureFigureOverheadSel(eng, 1, 1, baselineDesigns, sel)
+	if len(fig.Errs) > 0 {
+		t.Fatalf("sweep cells failed: %v", fig.Errs)
 	}
 	for _, name := range baselineNames {
 		key := fmt.Sprintf("overhead/t1/%s", name)
-		cell, ok := store.Cell(key)
+		fresh, _ := store.Cell(key)
+		got := fig.Rows[name]
+		want, ok := baselineCell(t, key, fresh.Hash, got)
 		if !ok {
-			t.Errorf("baseline lacks cell %q; regenerate with -update-baseline", key)
-			continue
-		}
-		var want []experiments.OverheadRow
-		if err := json.Unmarshal(cell.Data, &want); err != nil {
-			t.Errorf("baseline cell %q: %v", key, err)
-			continue
-		}
-		got, ok := fig.Rows[name]
-		if !ok || len(got) != len(want) {
-			t.Errorf("%s: fresh sweep has %d rows, baseline %d", name, len(got), len(want))
 			continue
 		}
 		for di, g := range got {
