@@ -60,6 +60,10 @@
 //	                validate that FILE is a well-formed Chrome
 //	                trace_event JSON document (used by verify.sh)
 //
+// Several figure subcommands may be named in one run; they run in the
+// order above, each once, and "all" names every one. An unknown name
+// prints the usage and exits 2 before anything runs.
+//
 // Each figure subcommand is an entry of experiments.Figures and runs on
 // the parallel experiment engine: -workers N shards its cells across N
 // workers (0 = GOMAXPROCS; results are byte-identical at any worker
@@ -113,7 +117,7 @@ func newFlags(fs *flag.FlagSet) (cf *cliflags.Flags, quick, all *bool) {
 		for _, fig := range experiments.Figures {
 			names = append(names, fig.Name)
 		}
-		fmt.Fprintf(fs.Output(), "usage: ciexp [flags] %s|all\n", strings.Join(names, "|"))
+		fmt.Fprintf(fs.Output(), "usage: ciexp [flags] %s|all ...\n", strings.Join(names, "|"))
 		fmt.Fprintf(fs.Output(), "       ciexp tracecheck FILE\n")
 		fs.PrintDefaults()
 	}
@@ -128,8 +132,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	cmd := flag.Arg(0)
-	if cmd == "tracecheck" {
+	if flag.Arg(0) == "tracecheck" {
 		if flag.NArg() != 2 {
 			usage()
 			os.Exit(2)
@@ -142,6 +145,12 @@ func main() {
 		return
 	}
 
+	figs, err := selectFigures(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ciexp:", err)
+		usage()
+		os.Exit(2)
+	}
 	eng, err := cf.Engine()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ciexp:", err)
@@ -154,19 +163,10 @@ func main() {
 	}
 
 	in := experiments.Inputs{Eng: eng, Flags: cf, Quick: *quick, All: *all}
-	ran := false
-	for _, fig := range experiments.Figures {
-		if cmd != fig.Name && cmd != "all" {
-			continue
-		}
-		ran = true
+	for _, fig := range figs {
 		if e := fig.Run(os.Stdout, in); e != nil && err == nil {
 			err = fmt.Errorf("%s: %w", fig.Name, e)
 		}
-	}
-	if !ran {
-		usage()
-		os.Exit(2)
 	}
 	if eng.Store != nil {
 		hits, misses := eng.Store.Skipped()
@@ -186,6 +186,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ciexp:", err)
 		os.Exit(1)
 	}
+}
+
+// selectFigures resolves subcommand names to the figures they name, in
+// experiments.Figures order and each once; "all" names every figure. An
+// unknown name is an error.
+func selectFigures(names []string) ([]experiments.Figure, error) {
+	want := map[string]bool{}
+	for _, n := range names {
+		want[n] = true
+	}
+	var figs []experiments.Figure
+	for _, fig := range experiments.Figures {
+		if want[fig.Name] || want["all"] {
+			figs = append(figs, fig)
+		}
+		delete(want, fig.Name)
+	}
+	delete(want, "all")
+	for _, n := range names {
+		if want[n] {
+			return nil, fmt.Errorf("unknown subcommand %q", n)
+		}
+	}
+	return figs, nil
 }
 
 // tracecheck validates a Chrome trace_event JSON file without external

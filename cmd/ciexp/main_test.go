@@ -5,7 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/help.golden from the current flag set")
@@ -32,5 +35,39 @@ func TestHelpGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("-h output drifted from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+	}
+}
+
+// Every named figure runs, once and in experiments.Figures order; an
+// unknown name rejects the whole command line before anything runs.
+func TestSelectFigures(t *testing.T) {
+	var every []string
+	for _, fig := range experiments.Figures {
+		every = append(every, fig.Name)
+	}
+	for _, tc := range []struct {
+		args []string
+		want []string // nil: rejected
+	}{
+		{[]string{"fig7"}, []string{"fig7"}},
+		{[]string{"fig8", "fig4", "fig8"}, []string{"fig4", "fig8"}},
+		{[]string{"all"}, every},
+		{[]string{"fig7", "all"}, every},
+		{[]string{"fig7", "nosuchfigure"}, nil},
+		{[]string{"tracecheck"}, nil},
+	} {
+		figs, err := selectFigures(tc.args)
+		var got []string
+		for _, fig := range figs {
+			got = append(got, fig.Name)
+		}
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("%v: selected %v, want an error", tc.args, got)
+		case tc.want != nil && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case !slices.Equal(got, tc.want):
+			t.Errorf("%v: selected %v, want %v", tc.args, got, tc.want)
+		}
 	}
 }

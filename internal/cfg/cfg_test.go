@@ -69,19 +69,6 @@ func TestDominatorsDiamond(t *testing.T) {
 	}
 }
 
-func TestPostDominatorsDiamond(t *testing.T) {
-	f := diamond(t)
-	g := New(f)
-	pd := PostDominators(g)
-	// join postdominates everything; ret block's ipdom is -1.
-	if pd.IPDom[0] != 3 || pd.IPDom[1] != 3 || pd.IPDom[2] != 3 {
-		t.Errorf("IPDom = %v, want 3 for blocks 0..2", pd.IPDom)
-	}
-	if pd.IPDom[3] != -1 {
-		t.Errorf("IPDom[join] = %d, want -1", pd.IPDom[3])
-	}
-}
-
 func loopFunc(t *testing.T, n int64) (*ir.Module, *ir.Func) {
 	t.Helper()
 	m := ir.NewModule("t")
@@ -113,11 +100,11 @@ func TestFindLoops(t *testing.T) {
 	if l.Header != head.Index {
 		t.Errorf("header = %d, want %d", l.Header, head.Index)
 	}
-	if !l.Contains(body.Index) || !l.Contains(head.Index) {
+	if !l.Blocks[body.Index] || !l.Blocks[head.Index] {
 		t.Error("loop body/header not in Blocks set")
 	}
-	if l.NumBlocks() != 2 {
-		t.Errorf("loop blocks = %d, want 2", l.NumBlocks())
+	if len(l.Blocks) != 2 {
+		t.Errorf("loop blocks = %d, want 2", len(l.Blocks))
 	}
 	if len(l.Latches) != 1 || l.Latches[0] != body.Index {
 		t.Errorf("latches = %v", l.Latches)
@@ -506,28 +493,6 @@ b:
 	exit := f.BlockByName("ret.unified")
 	if exit == nil || exit.Term.Val != ir.NoReg {
 		t.Error("void rets should unify to a void ret")
-	}
-}
-
-func TestPostDominatorsWithLoop(t *testing.T) {
-	_, f := loopFunc(t, 10)
-	g := New(f)
-	pd := PostDominators(g)
-	exit := f.BlockByName("loop.exit").Index
-	head := f.BlockByName("loop.head").Index
-	body := f.BlockByName("loop.body").Index
-	entry := f.BlockByName("entry").Index
-	if pd.IPDom[entry] != head {
-		t.Errorf("ipdom(entry) = %d, want head %d", pd.IPDom[entry], head)
-	}
-	if pd.IPDom[body] != head {
-		t.Errorf("ipdom(body) = %d, want head %d", pd.IPDom[body], head)
-	}
-	if pd.IPDom[head] != exit {
-		t.Errorf("ipdom(head) = %d, want exit %d", pd.IPDom[head], exit)
-	}
-	if pd.IPDom[exit] != -1 {
-		t.Errorf("ipdom(exit) = %d, want -1", pd.IPDom[exit])
 	}
 }
 

@@ -19,90 +19,6 @@ func Dominators(g *Graph) *DomTree {
 	return newDomTree(g, idom)
 }
 
-// PostDominators computes the postdominator tree of g. Functions with
-// multiple return blocks are handled with a virtual exit; blocks from
-// which no return is reachable (infinite loops) get IPDom -1.
-type PostDomTree struct {
-	// IPDom maps block index to immediate postdominator; a block that
-	// postdominates all paths to exit(s) from itself maps to -1 when it
-	// is itself a virtual-exit child, i.e. return blocks map to -1.
-	IPDom []int
-}
-
-// PostDominators computes immediate postdominators of each block.
-// Return blocks (and blocks with no path to a return) have IPDom -1.
-func PostDominators(g *Graph) *PostDomTree {
-	// Reverse graph with a virtual exit node N.
-	n := g.N + 1
-	exit := g.N
-	preds := make([][]int, n) // preds in reverse graph = succs in original
-	var exits []int
-	for b := 0; b < g.N; b++ {
-		for _, s := range g.Succs[b] {
-			preds[b] = append(preds[b], s)
-		}
-		if len(g.Succs[b]) == 0 && g.Reachable(b) {
-			exits = append(exits, b)
-			preds[b] = append(preds[b], exit)
-		}
-	}
-	// Postorder on the reverse graph from the virtual exit. Successor
-	// function in the reverse graph is the original Preds, plus
-	// exit → each return block.
-	succs := make([][]int, n)
-	for b := 0; b < g.N; b++ {
-		succs[b] = g.Preds[b]
-	}
-	succs[exit] = exits
-
-	rpo, rpoIndex := orderFrom(n, exit, succs)
-	idom := chk(n, rpo, rpoIndex, preds, exit)
-	out := make([]int, g.N)
-	for b := 0; b < g.N; b++ {
-		d := idom[b]
-		if d == exit || b == idom[b] || rpoIndex[b] < 0 {
-			out[b] = -1
-		} else {
-			out[b] = d
-		}
-	}
-	return &PostDomTree{IPDom: out}
-}
-
-func orderFrom(n, root int, succs [][]int) (rpo, rpoIndex []int) {
-	rpoIndex = make([]int, n)
-	for i := range rpoIndex {
-		rpoIndex[i] = -1
-	}
-	type frame struct{ node, next int }
-	visited := make([]bool, n)
-	post := make([]int, 0, n)
-	stack := []frame{{node: root}}
-	visited[root] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.next < len(succs[fr.node]) {
-			s := succs[fr.node][fr.next]
-			fr.next++
-			if !visited[s] {
-				visited[s] = true
-				stack = append(stack, frame{node: s})
-			}
-			continue
-		}
-		post = append(post, fr.node)
-		stack = stack[:len(stack)-1]
-	}
-	rpo = make([]int, len(post))
-	for i := range post {
-		rpo[i] = post[len(post)-1-i]
-	}
-	for i, b := range rpo {
-		rpoIndex[b] = i
-	}
-	return rpo, rpoIndex
-}
-
 // chk runs the Cooper-Harvey-Kennedy iteration. rpo/rpoIndex describe
 // a traversal from root over the graph whose predecessor relation is
 // preds. Unvisited nodes get idom -1; the root maps to itself.

@@ -26,12 +26,6 @@ type Loop struct {
 	Exits []int
 }
 
-// NumBlocks returns the number of blocks in the loop body.
-func (l *Loop) NumBlocks() int { return len(l.Blocks) }
-
-// Contains reports whether block index b belongs to the loop.
-func (l *Loop) Contains(b int) bool { return l.Blocks[b] }
-
 // LoopForest is the set of natural loops of a function with nesting.
 type LoopForest struct {
 	// Loops lists all loops, outermost-first within each nest.

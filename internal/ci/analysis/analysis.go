@@ -7,6 +7,13 @@ import (
 	"repro/internal/ir"
 )
 
+// ExternCostIR is the heuristic IR cost charged for uninstrumented
+// external calls (§4; the paper uses 100).
+const ExternCostIR = 100
+
+// maxCloneBlocks bounds which loops count as "simple" for §3.5 cloning.
+const maxCloneBlocks = 3
+
 // Options configures the analysis phase.
 type Options struct {
 	// ProbeInterval is the compile-time maximum spacing between probes,
@@ -17,9 +24,6 @@ type Options struct {
 	// sets it equal to the probe interval; zero means "same as
 	// ProbeInterval".
 	AllowableError int64
-	// ExternCostIR is the heuristic IR cost charged for uninstrumented
-	// external calls (§4; the paper uses 100).
-	ExternCostIR int64
 	// Imported holds function costs from separately compiled modules
 	// (§2.6 modular compilation).
 	Imported CostTable
@@ -27,9 +31,6 @@ type Options struct {
 	DisableLoopTransform bool
 	// DisableLoopClone turns off §3.5 cloning (for ablations).
 	DisableLoopClone bool
-	// MaxCloneBlocks bounds which loops count as "simple" for cloning;
-	// zero means the default of 3 blocks.
-	MaxCloneBlocks int
 	// StageHook, when non-nil, observes each function right after an
 	// analysis-side pipeline stage mutated it: "canonicalize" (§3.1
 	// return unification, loop-simplify, critical-edge splitting),
@@ -56,12 +57,6 @@ func (o *Options) withDefaults() *Options {
 	}
 	if out.AllowableError <= 0 {
 		out.AllowableError = out.ProbeInterval
-	}
-	if out.ExternCostIR <= 0 {
-		out.ExternCostIR = 100
-	}
-	if out.MaxCloneBlocks <= 0 {
-		out.MaxCloneBlocks = 3
 	}
 	return &out
 }
@@ -313,10 +308,10 @@ func (a *analyzer) instrCost(in *ir.Instr) (Cost, bool) {
 			return cost.AddConst(1), true
 		default:
 			// Unknown at this site: use the extern heuristic and probe.
-			return Const(1 + a.opts.ExternCostIR), true
+			return Const(1 + ExternCostIR), true
 		}
 	case ir.OpExtCall:
-		return Const(1 + a.opts.ExternCostIR), true
+		return Const(1 + ExternCostIR), true
 	case ir.OpProbe:
 		return Const(0), false
 	default:

@@ -201,7 +201,7 @@ entry:
   %d = add %b, 1
   ret %d
 }
-`, Options{ProbeInterval: 50, ExternCostIR: 100})
+`, Options{ProbeInterval: 50})
 	fr := res.Funcs["f"]
 	if !fr.Instrumented {
 		t.Fatal("extcall function must be instrumented (cost exceeds interval)")
@@ -347,7 +347,7 @@ rec:
 	if !fr.Instrumented {
 		t.Error("recursive function must be instrumented")
 	}
-	if fr.Cost.IsKnown() {
+	if fr.Cost.Kind != CostUnknown {
 		t.Errorf("recursive cost = %v, want unknown", fr.Cost)
 	}
 }
@@ -400,7 +400,7 @@ entry:
 	// Local analysis of libfn overwrites the imported entry afterwards,
 	// but caller was analyzed... order is call-graph: libfn first, so
 	// the local result wins. Verify the table has the local cost.
-	if res.Costs["libfn"].Cost.IsKnown() == false {
+	if res.Costs["libfn"].Cost.Kind == CostUnknown {
 		t.Log("local analysis overwrote import as expected")
 	}
 	if caller == nil {

@@ -70,11 +70,6 @@ func (c *Container) IsLoop() bool {
 	return c.Kind == CLoopDo || c.Kind == CLoopWhile || c.Kind == CLoopSelf
 }
 
-// Header returns the loop-header child for loop containers: the child
-// controlling the loop (the single child for CLoopSelf, the entry child
-// otherwise).
-func (c *Container) Header() *Container { return c.Children[0] }
-
 // NumBlocks counts the basic blocks contained in the region.
 func (c *Container) NumBlocks() int {
 	if c.Kind == CBlock {

@@ -51,9 +51,6 @@ func Unknown() Cost { return Cost{Kind: CostUnknown} }
 // IsConst reports whether the cost is a compile-time constant.
 func (c Cost) IsConst() bool { return c.Kind == CostConst }
 
-// IsKnown reports whether the cost is constant or affine.
-func (c Cost) IsKnown() bool { return c.Kind != CostUnknown }
-
 // Add returns c + d, degrading to Unknown when the sum is not
 // representable (different parameters, or any operand unknown).
 func (c Cost) Add(d Cost) Cost {

@@ -54,7 +54,7 @@ func (a *analyzer) canTransform(c *Container) bool {
 // canClone checks the §3.5 preconditions: a simple (small) loop whose
 // trip count is only known at run time.
 func (a *analyzer) canClone(c *Container) bool {
-	if c.Trips.IsConst() || c.NumBlocks() > a.opts.MaxCloneBlocks {
+	if c.Trips.IsConst() || c.NumBlocks() > maxCloneBlocks {
 		return false
 	}
 	return a.canTransform(c)

@@ -226,7 +226,7 @@ func (a *analyzer) walkBlock(b *ir.Block, pending int64) int64 {
 		if cost.IsConst() {
 			pending += cost.C
 		} else {
-			pending += 1 + a.opts.ExternCostIR
+			pending += 1 + ExternCostIR
 			barrier = true
 		}
 		if barrier || pending > a.opts.ProbeInterval {

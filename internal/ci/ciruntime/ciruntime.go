@@ -39,9 +39,8 @@ type handlerState struct {
 	// hold a reference to it; fire paths skip it.
 	gone bool
 	// quantum-policy state (see SetPolicy).
-	policy       QuantumPolicy
-	baseInterval int64
-	overruns     int64
+	policy   QuantumPolicy
+	overruns int64
 }
 
 // Runtime holds the per-thread Compiler Interrupt state.
@@ -173,26 +172,15 @@ func (rt *Runtime) Enabled(ciid int) bool {
 // SetPolicy installs a quantum policy for ciid: from the next fire
 // on, every observed inter-fire gap is reported to the policy and the
 // interval it returns becomes the handler's target. The interval in
-// force at installation time becomes the policy's base (the value
-// ResetQuantum snaps back to). A nil policy removes adaptation,
-// leaving the current interval in place.
+// force at installation time becomes the policy's base. A nil policy
+// removes adaptation, leaving the current interval in place.
 func (rt *Runtime) SetPolicy(ciid int, p QuantumPolicy) {
 	if h := rt.find(ciid); h != nil {
 		h.policy = p
-		h.baseInterval = h.intervalCycles
 		if p != nil {
-			p.Reset(h.baseInterval)
+			p.Reset(h.intervalCycles)
 		}
 	}
-}
-
-// Policy returns the quantum policy installed for ciid (nil when the
-// handler is fixed-interval or unknown).
-func (rt *Runtime) Policy(ciid int) QuantumPolicy {
-	if h := rt.find(ciid); h != nil {
-		return h.policy
-	}
-	return nil
 }
 
 // Overruns returns how many fires of ciid were classified as handler
@@ -211,21 +199,6 @@ func (rt *Runtime) CurrentInterval(ciid int) int64 {
 		return h.intervalCycles
 	}
 	return 0
-}
-
-// ResetQuantum snaps ciid back to the base interval the policy was
-// installed over and resets the policy's internal state. Overload
-// breakers call this when they trip: the backoff the controller
-// learned while the handler was drowning describes the broken regime,
-// and carrying it into recovery would leave the thread polling too
-// slowly exactly when the half-open probes need a fresh view. A no-op
-// for handlers without a policy.
-func (rt *Runtime) ResetQuantum(ciid int) {
-	if h := rt.find(ciid); h != nil && h.policy != nil {
-		h.policy.Reset(h.baseInterval)
-		h.setInterval(h.baseInterval, rt.IRPerCycle)
-		rt.refresh()
-	}
 }
 
 // adapt feeds one observed inter-fire gap to the installed policy and

@@ -189,42 +189,6 @@ func TestFeedbackPIDWorstClassDrives(t *testing.T) {
 	}
 }
 
-// ResetQuantum under an installed policy must snap the interval back
-// to the registered base and rebase the policy, whatever regime the
-// controller had learned.
-func TestResetQuantumSnapsPolicyToBase(t *testing.T) {
-	for _, mk := range []func() QuantumPolicy{
-		func() QuantumPolicy { return &AIMD{} },
-		func() QuantumPolicy { return &FeedbackPID{} },
-	} {
-		rt := New()
-		id := rt.RegisterCI(1000, func(uint64) {})
-		rt.SetPolicy(id, mk())
-		now := int64(0)
-		rt.ProbeIR(1<<30, now)
-		for i := 0; i < 40*32; i++ {
-			now += 5 * rt.CurrentInterval(id)
-			rt.ProbeIR(1<<30, now)
-		}
-		if rt.CurrentInterval(id) == 1000 {
-			t.Fatalf("%T: interval never moved; the reset below would prove nothing", rt.Policy(id))
-		}
-		rt.ResetQuantum(id)
-		if got := rt.CurrentInterval(id); got != 1000 {
-			t.Errorf("%T: interval %d after ResetQuantum, want base 1000", rt.Policy(id), got)
-		}
-		// The policy must be rebased too: an on-time fire right after
-		// the reset must not re-apply the learned backoff.
-		now += 1000
-		rt.ProbeIR(1<<30, now)
-		now += 1000
-		rt.ProbeIR(1<<30, now)
-		if got := rt.CurrentInterval(id); got > 2000 {
-			t.Errorf("%T: interval %d right after reset — policy kept stale state", rt.Policy(id), got)
-		}
-	}
-}
-
 // SetPolicy(nil) removes adaptation but leaves the current interval in
 // force.
 func TestSetPolicyNilStopsAdaptation(t *testing.T) {

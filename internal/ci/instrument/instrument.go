@@ -67,8 +67,7 @@ var Designs = []Design{CI, CICycles, CnB, CD, Naive, NaiveCycles, CnBCycles, Use
 type Options struct {
 	Design Design
 	// Analysis configures the CI analysis (probe interval, allowable
-	// error, extern heuristic). Its ExternCostIR also provides the
-	// increment heuristic for the baseline designs.
+	// error).
 	Analysis analysis.Options
 	// DebugVerify re-runs ir.Verify after every internal stage — each
 	// analysis-side function rewrite plus the module-level observation
@@ -203,12 +202,12 @@ func applyMarks(f *ir.Func, marks []analysis.Mark, cycles bool) int {
 // staticBlockCost is the increment a context-free design charges for a
 // block: one per instruction (+ terminator), plus the extern heuristic
 // for uninstrumented external calls.
-func staticBlockCost(b *ir.Block, externCost int64) int64 {
+func staticBlockCost(b *ir.Block) int64 {
 	cost := int64(len(b.Instrs)) + 1
 	for i := range b.Instrs {
 		switch b.Instrs[i].Op {
 		case ir.OpExtCall:
-			cost += externCost
+			cost += analysis.ExternCostIR
 		case ir.OpProbe:
 			cost--
 		}
@@ -222,10 +221,6 @@ func staticBlockCost(b *ir.Block, externCost int64) int64 {
 // remove probes whose cost can be pushed to, or absorbed from,
 // neighbors.
 func instrumentEveryBlock(m *ir.Module, opts Options, cycles, coredet bool) int {
-	externCost := opts.Analysis.ExternCostIR
-	if externCost <= 0 {
-		externCost = 100
-	}
 	eps := opts.Analysis.AllowableError
 	if eps <= 0 {
 		eps = opts.Analysis.ProbeInterval
@@ -242,7 +237,7 @@ func instrumentEveryBlock(m *ir.Module, opts Options, cycles, coredet bool) int 
 		inc := make([]int64, len(f.Blocks))
 		has := make([]bool, len(f.Blocks))
 		for i, b := range f.Blocks {
-			inc[i] = staticBlockCost(b, externCost)
+			inc[i] = staticBlockCost(b)
 			has[i] = true
 		}
 		if coredet {

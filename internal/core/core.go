@@ -38,9 +38,6 @@ type Config struct {
 	// AllowableErrorIR bounds branch-arm summarization (§3.3); defaults
 	// to the probe interval, as the paper chooses heuristically.
 	AllowableErrorIR int64
-	// ExternCostIR is the heuristic cost of uninstrumented calls (§4;
-	// default 100).
-	ExternCostIR int64
 	// ImportedCosts supplies cost files from other build units (§2.6).
 	ImportedCosts analysis.CostTable
 	// DisableLoopTransform / DisableLoopClone switch off the §3.4/§3.5
@@ -117,7 +114,6 @@ func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 		Analysis: analysis.Options{
 			ProbeInterval:        cfg.ProbeIntervalIR,
 			AllowableError:       cfg.AllowableErrorIR,
-			ExternCostIR:         cfg.ExternCostIR,
 			Imported:             cfg.ImportedCosts,
 			DisableLoopTransform: cfg.DisableLoopTransform,
 			DisableLoopClone:     cfg.DisableLoopClone,
@@ -174,13 +170,8 @@ type RunConfig struct {
 	// per thread and installs it on the run handler (see
 	// ciruntime.QuantumPolicy and WithQuantumPolicy).
 	Quantum func() ciruntime.QuantumPolicy
-	// IRPerCycle tunes the runtime's IR-to-cycle ratio; zero keeps the
-	// paper's default of 4.
-	IRPerCycle float64
 	// RecordIntervals records inter-fire gaps on handler id 1.
 	RecordIntervals bool
-	// Model overrides the VM cost model.
-	Model *vm.CostModel
 	// LimitInstrs bounds per-thread execution (0 = none).
 	LimitInstrs int64
 }
@@ -221,7 +212,7 @@ func (p *Program) Run(fn string, opts ...Option) (*RunResult, error) {
 	if f.NumParams == 0 {
 		args = func(int) []int64 { return nil }
 	}
-	machine := vm.New(p.Mod, rc.Model, threads)
+	machine := vm.New(p.Mod, nil, threads)
 	machine.LimitInstrs = rc.LimitInstrs
 	machine.Obs = scope
 	machine.Tier = p.cfg.Tier
@@ -277,9 +268,6 @@ func (p *Program) Run(fn string, opts ...Option) (*RunResult, error) {
 			}
 		}
 		th := machine.NewThread(id)
-		if rc.IRPerCycle > 0 {
-			th.RT.IRPerCycle = rc.IRPerCycle
-		}
 		th.RT.RecordIntervals = rc.RecordIntervals
 		if scope.Enabled() && rc.IntervalCycles > 0 && !uintr {
 			target := rc.IntervalCycles

@@ -174,12 +174,11 @@ exit:
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := core_testArgs(1000)
-	rp, err := plain.Run("main", WithArgs(args), WithLimit(10_000_000))
+	rp, err := plain.Run("main", WithArgv(1000), WithLimit(10_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := opt.Run("main", WithArgs(args), WithLimit(10_000_000))
+	ro, err := opt.Run("main", WithArgv(1000), WithLimit(10_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +189,6 @@ exit:
 		t.Errorf("optimizer did not shrink execution: %d vs %d instrs",
 			ro.Stats[0].Instrs, rp.Stats[0].Instrs)
 	}
-}
-
-func core_testArgs(n int64) func(int) []int64 {
-	return func(int) []int64 { return []int64{n} }
 }
 
 // End-to-end §2.6 modular compilation: a library unit is compiled with

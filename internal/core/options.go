@@ -60,9 +60,6 @@ func resolve(opts []Option) settings {
 // sanitize.CompileChecked) from an option list.
 func ConfigOf(opts ...Option) Config { return resolve(opts).cfg }
 
-// RunConfigOf resolves opts to the run-side RunConfig.
-func RunConfigOf(opts ...Option) RunConfig { return resolve(opts).rc }
-
 // WithDesign selects the probe design.
 func WithDesign(d instrument.Design) Option {
 	return func(s *settings) { s.cfg.Design = d }
@@ -77,11 +74,6 @@ func WithProbeInterval(n int64) Option {
 // WithAllowableError bounds branch-arm summarization (§3.3).
 func WithAllowableError(n int64) Option {
 	return func(s *settings) { s.cfg.AllowableErrorIR = n }
-}
-
-// WithExternCost sets the heuristic cost of uninstrumented calls (§4).
-func WithExternCost(n int64) Option {
-	return func(s *settings) { s.cfg.ExternCostIR = n }
 }
 
 // WithImportedCosts supplies cost files from other build units (§2.6).
@@ -103,23 +95,6 @@ func WithLoopClone(on bool) Option {
 // WithOptimize runs the IR optimizer before the CI analysis.
 func WithOptimize(on bool) Option {
 	return func(s *settings) { s.cfg.Optimize = on }
-}
-
-// WithDebugVerify re-verifies the IR after every pipeline stage.
-func WithDebugVerify(on bool) Option {
-	return func(s *settings) { s.cfg.DebugVerify = on }
-}
-
-// WithFuncStageHook observes each function after every analysis-side
-// rewrite.
-func WithFuncStageHook(h analysis.StageHook) Option {
-	return func(s *settings) { s.cfg.FuncStageHook = h }
-}
-
-// WithModStageHook observes the module at the instrumentation pipeline
-// points.
-func WithModStageHook(h instrument.ModStageHook) Option {
-	return func(s *settings) { s.cfg.ModStageHook = h }
 }
 
 // WithTier selects the VM execution tier: vm.TierInterpreter (the
@@ -155,11 +130,6 @@ func WithThreads(n int) Option {
 	return func(s *settings) { s.rc.Threads = n }
 }
 
-// WithArgs supplies per-thread argument vectors.
-func WithArgs(fn func(id int) []int64) Option {
-	return func(s *settings) { s.rc.Args = fn }
-}
-
 // WithArgv passes the same fixed arguments to every thread.
 func WithArgv(vals ...int64) Option {
 	return func(s *settings) {
@@ -178,11 +148,6 @@ func WithHandler(h func(irSinceLast uint64)) Option {
 	return func(s *settings) { s.rc.Handler = h }
 }
 
-// WithIRPerCycle tunes the runtime's IR-to-cycle ratio.
-func WithIRPerCycle(f float64) Option {
-	return func(s *settings) { s.rc.IRPerCycle = f }
-}
-
 // WithQuantumPolicy installs an interval-control policy on the run
 // handler registered by WithInterval: each thread gets a fresh policy
 // from make, observing every inter-fire gap and steering the next
@@ -196,11 +161,6 @@ func WithQuantumPolicy(make func() ciruntime.QuantumPolicy) Option {
 // WithRecordIntervals records inter-fire gaps on handler id 1.
 func WithRecordIntervals(on bool) Option {
 	return func(s *settings) { s.rc.RecordIntervals = on }
-}
-
-// WithModel overrides the VM cost model.
-func WithModel(m *vm.CostModel) Option {
-	return func(s *settings) { s.rc.Model = m }
 }
 
 // WithLimit bounds per-thread execution in executed instructions.

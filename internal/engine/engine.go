@@ -62,14 +62,6 @@ func New(workers int) *Engine {
 // pipeline.
 func Serial() *Engine { return New(1) }
 
-// Workers reports the engine's pool concurrency.
-func (e *Engine) Workers() int {
-	if e == nil || e.Pool == nil {
-		return 1
-	}
-	return e.Pool.Workers()
-}
-
 // Hash folds the printed forms of parts into a stable content-hash
 // string, used as the skip-hash of store cells.
 func Hash(parts ...any) string {

@@ -24,9 +24,6 @@ func GuardModule(m *ir.Module) *GuardedModule {
 	return &GuardedModule{Mod: m, fp: ModuleFingerprint(m)}
 }
 
-// Fingerprint returns the fingerprint recorded at guard time.
-func (g *GuardedModule) Fingerprint() uint64 { return g.fp }
-
 // Verify re-fingerprints the module and fails if it no longer matches
 // the insert-time value — i.e. if some consumer wrote to the shared
 // module instead of cloning it.

@@ -32,9 +32,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers reports the pool's concurrency.
-func (p *Pool) Workers() int { return p.workers }
-
 // Map evaluates f(0..n-1) on the pool and returns results and errors
 // indexed by input position — a sorted merge of the shard outputs, so
 // the caller sees input order regardless of completion order. A failed

@@ -102,8 +102,8 @@ type progEntry struct {
 // cfgKey folds every compilation-relevant core.Config field into a
 // cache key component.
 func cfgKey(cfg core.Config) string {
-	return fmt.Sprintf("%v/pi%d/ae%d/xc%d/lt%t/lc%t/o%t/tier-%s",
-		cfg.Design, cfg.ProbeIntervalIR, cfg.AllowableErrorIR, cfg.ExternCostIR,
+	return fmt.Sprintf("%v/pi%d/ae%d/lt%t/lc%t/o%t/tier-%s",
+		cfg.Design, cfg.ProbeIntervalIR, cfg.AllowableErrorIR,
 		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize, cfg.Tier)
 }
 
@@ -205,32 +205,6 @@ func CompileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts .
 		return nil, err
 	}
 	return v.(progEntry).Prog, nil
-}
-
-// VerifyCachedModules re-fingerprints every guarded module in the
-// engine's cache and returns the first mutation found. Tests run it
-// after sweeps to prove that sharing instrumented modules across cells
-// (instead of deep-copying per cell) is sound.
-func VerifyCachedModules(eng *engine.Engine) error {
-	if eng == nil || eng.Cache == nil {
-		return nil
-	}
-	var firstErr error
-	eng.Cache.Range(func(key string, val any) {
-		var g *engine.GuardedModule
-		switch v := val.(type) {
-		case *engine.GuardedModule:
-			g = v
-		case progEntry:
-			g = v.Guard
-		default:
-			return
-		}
-		if err := g.Verify(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", key, err)
-		}
-	})
-	return firstErr
 }
 
 // subsetWorkloads is the representative subset, one workload per

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,7 +50,7 @@ func TestEngineWorkerDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 8, 3} {
 		eng := engine.New(workers)
 		outputs = append(outputs, renderOverheadSubset(t, eng))
-		if err := VerifyCachedModules(eng); err != nil {
+		if err := verifyCachedModules(eng); err != nil {
 			t.Errorf("workers=%d: %v", workers, err)
 		}
 	}
@@ -225,4 +226,30 @@ func TestPartialFailureNotStored(t *testing.T) {
 	if keys := store.Keys(); len(keys) != 0 {
 		t.Errorf("failed cells were persisted: %v", keys)
 	}
+}
+
+// verifyCachedModules re-fingerprints every guarded module in the
+// engine's cache and returns the first mutation found. Run after a
+// sweep, it proves that sharing instrumented modules across cells
+// (instead of deep-copying per cell) is sound.
+func verifyCachedModules(eng *engine.Engine) error {
+	if eng == nil || eng.Cache == nil {
+		return nil
+	}
+	var firstErr error
+	eng.Cache.Range(func(key string, val any) {
+		var g *engine.GuardedModule
+		switch v := val.(type) {
+		case *engine.GuardedModule:
+			g = v
+		case progEntry:
+			g = v.Guard
+		default:
+			return
+		}
+		if err := g.Verify(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", key, err)
+		}
+	})
+	return firstErr
 }

@@ -257,15 +257,6 @@ func CheckFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
 	return v
 }
 
-// fleetDeadlineUs resolves the per-request deadline of a config in µs.
-func fleetDeadlineUs(base fleet.Config) float64 {
-	d := base.DeadlineCycles
-	if d <= 0 {
-		d = fleet.DefaultDeadlineCycles
-	}
-	return float64(d) / fleet.CyclesPerUs
-}
-
 // printFleet runs the sweep and renders the figure table, then judges
 // the soak-load crash/no-crash pair against the resilience guards, the
 // zone-outage pair (1-of-4 zones crash-looping with migration on)
@@ -297,7 +288,7 @@ func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 			}
 		}
 	}
-	violations := CheckFleetSoak(noCrash, crash, fleetDeadlineUs(base))
+	violations := CheckFleetSoak(noCrash, crash, float64(fleet.DefaultDeadlineCycles)/fleet.CyclesPerUs)
 	// Zone-outage headline: 1-of-4 zones crash-looping at the soak
 	// load with migration draining its queues.
 	noOutage, outage, zoneErrs := MeasureFleetZone(eng, base)

@@ -21,10 +21,8 @@ package ffwd
 import (
 	"fmt"
 
-	"repro/internal/ci/ciruntime"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -68,8 +66,9 @@ const (
 	clientIssue  = 20   // client: write the request line
 	delegBaseRTT = 700  // request line out + response line back + pipeline
 	futexPath    = 3800 // mutex: contended futex wait/wake round trip
-	// ciServerInterval is the designated-server polling period (the
-	// paper finds 250-1000 IR ≈ a few hundred cycles works well).
+	// ciServerInterval is the designated-server polling period of
+	// DelegationCI (the paper finds 250-1000 IR ≈ a few hundred cycles
+	// works well).
 	ciServerInterval    = 250
 	ciHandlerInvoke     = 30
 	ciClientOverheadPct = 5 // instrumentation overhead on client code
@@ -80,15 +79,15 @@ const (
 	// unavailable). Clients probe the server line and resume
 	// delegation as soon as it responds again.
 	fallbackTimeout = 20_000
+	// opsPerThread is the number of sampled operations behind the
+	// Figure 8 latency distribution.
+	opsPerThread = 2000
 )
 
 // Config parameterizes one run.
 type Config struct {
 	Design  Design
 	Threads int
-	// OpsPerThread bounds the sampled operations used for the latency
-	// distribution (default 2000).
-	OpsPerThread int
 	// RecordLatencies enables the Figure 8 distribution.
 	RecordLatencies bool
 	Seed            uint64
@@ -102,26 +101,6 @@ type Config struct {
 	// fallback-path counters on the "ffwd" trace category. It lives in
 	// Config (not Result) so Result stays comparable with ==.
 	Obs *obs.Scope
-	// Overload enables the overload plane's brownout for the delegation
-	// designs: when offered client demand exceeds the server's service
-	// capacity, the overflow fraction of operations degrades from
-	// delegation to the MCS bypass path instead of queueing on request
-	// lines without bound. Like Obs it lives in Config so Result stays
-	// comparable; only its presence matters here (the closed-form model
-	// has no poll loop for the full controller to actuate).
-	Overload *overload.Config
-	// ServerIntervalCycles is the designated-server polling period for
-	// DelegationCI (default 250 — the paper finds 250-1000 IR works
-	// well).
-	ServerIntervalCycles int64
-	// Quantum, when non-nil, constructs an interval-control policy for
-	// the designated server (see ciruntime.QuantumPolicy). The
-	// closed-form model has no poll loop, so the policy is settled
-	// analytically: it repeatedly observes the expected per-batch
-	// handler cost at the current interval and the fixed point it
-	// converges to becomes the effective polling period. Nil keeps the
-	// configured interval (bit-identical runs).
-	Quantum func() ciruntime.QuantumPolicy
 }
 
 func (c *Config) withDefaults() Config {
@@ -129,14 +108,8 @@ func (c *Config) withDefaults() Config {
 	if out.Threads < 1 {
 		out.Threads = 1
 	}
-	if out.OpsPerThread <= 0 {
-		out.OpsPerThread = 2000
-	}
 	if out.Seed == 0 {
 		out.Seed = 11
-	}
-	if out.ServerIntervalCycles <= 0 {
-		out.ServerIntervalCycles = ciServerInterval
 	}
 	return out
 }
@@ -159,16 +132,6 @@ type Result struct {
 	// the fallback path.
 	FallbackFrac float64
 	FallbackOps  int64
-	// SatFallbackFrac is the fraction of offered demand the overload
-	// plane routed from delegation to the MCS bypass because the server
-	// was saturated; SatFallbackOps counts sampled operations that took
-	// that path. Both are zero unless Config.Overload is set.
-	SatFallbackFrac float64
-	SatFallbackOps  int64
-	// ServerIntervalCycles is the effective designated-server polling
-	// period (DelegationCI only): the configured interval, or the fixed
-	// point the quantum policy settled to.
-	ServerIntervalCycles int64
 }
 
 // Run evaluates one configuration.
@@ -178,13 +141,6 @@ func Run(cfg Config) Result {
 	T := cfg.Threads
 	var throughput float64 // ops per cycle
 	var sample func() int64
-	// The delegation designs record their offered demand and server
-	// capacity (ops/cycle) so the overload plane below can see by how
-	// much the server is saturated; zero for the locking designs.
-	var delegDemand, delegCap float64
-	// serverInterval is the effective DelegationCI polling period; zero
-	// for every other design (and for the T==1 direct-access bypass).
-	var serverInterval int64
 
 	// MCS cost model, shared by the MCS design and the delegation
 	// designs' stalled-server fallback path.
@@ -213,8 +169,7 @@ func Run(cfg Config) Result {
 		lat := delegationLatency(clients)
 		perClient := 1.0 / float64(clientIssue+lat)
 		serverCap := 1.0 / float64(serverPerReq)
-		delegDemand, delegCap = float64(clients)*perClient, serverCap
-		throughput = minF(delegDemand, serverCap)
+		throughput = minF(float64(clients)*perClient, serverCap)
 		sample = func() int64 {
 			return lat + rng.Intn(2*scanPerLine*int64(clients)+1)
 		}
@@ -226,8 +181,7 @@ func Run(cfg Config) Result {
 			sample = func() int64 { return localOp + cs }
 			break
 		}
-		interval := settleInterval(cfg, T)
-		serverInterval = interval
+		const interval = ciServerInterval
 		// All T threads run client code; one also hosts the server
 		// loop in its CI handler. Requests wait for the next handler
 		// firing (interval/2 on average) plus batch processing.
@@ -236,8 +190,7 @@ func Run(cfg Config) Result {
 		// The designated thread spends its handler time serving.
 		serverShare := 1.0 - float64(ciHandlerInvoke)/float64(interval)
 		serverCap := serverShare / float64(serverPerReq)
-		delegDemand, delegCap = float64(T)*perClient, serverCap
-		throughput = minF(delegDemand, serverCap)
+		throughput = minF(float64(T)*perClient, serverCap)
 		sample = func() int64 {
 			return delegationLatency(T) + rng.Intn(2*scanPerLine*int64(T)+1) + rng.Intn(interval)
 		}
@@ -289,31 +242,6 @@ func Run(cfg Config) Result {
 		}
 	}
 
-	// Overload brownout: when the delegation server is the bottleneck
-	// (offered demand exceeds its service capacity), the overload plane
-	// stops clients from queueing the overflow on their request lines.
-	// The excess fraction of operations degrades to the MCS bypass path
-	// — the same direct-access escape hatch the stall fallback uses —
-	// so the aggregate keeps the server at capacity AND makes progress
-	// on the overflow under the lock, instead of clamping at serverCap.
-	var satFallbackOps int64
-	satFrac := 0.0
-	if cfg.Overload != nil && delegDemand > delegCap && T > 1 {
-		satFrac = 1.0 - delegCap/delegDemand
-		throughput = delegCap + minF(delegDemand-delegCap, 1.0/mcsPer)
-		srng := sim.NewRNG(cfg.Seed ^ 0x6f766c64736174) // "ovldsat" stream
-		delegSample := sample
-		sample = func() int64 {
-			if srng.Float64() < satFrac {
-				satFallbackOps++
-				// The client sees response-line backpressure (one unanswered
-				// round trip) before switching to the bypass lock.
-				return delegationLatency(T) + clientIssue + mcsSample()
-			}
-			return delegSample()
-		}
-	}
-
 	// A stalled delegation server degrades the delegation designs to
 	// the MCS fallback for the stalled fraction of time: throughput
 	// blends the two paths, and a fallback operation pays the timeout
@@ -338,14 +266,12 @@ func Run(cfg Config) Result {
 	}
 
 	res := Result{
-		Design:               cfg.Design,
-		Threads:              T,
-		ThroughputMops:       throughput * 2.6e9 / 1e6,
-		FallbackFrac:         fallbackFrac,
-		SatFallbackFrac:      satFrac,
-		ServerIntervalCycles: serverInterval,
+		Design:         cfg.Design,
+		Threads:        T,
+		ThroughputMops: throughput * 2.6e9 / 1e6,
+		FallbackFrac:   fallbackFrac,
 	}
-	n := cfg.OpsPerThread
+	n := opsPerThread
 	if !cfg.RecordLatencies {
 		n = 256 // enough for a stable mean
 	}
@@ -358,7 +284,6 @@ func Run(cfg Config) Result {
 	}
 	res.MeanLatency = sum / float64(n)
 	res.FallbackOps = fallbackOps
-	res.SatFallbackOps = satFallbackOps
 	if cfg.RecordLatencies {
 		res.LatencySummary = stats.Summarize(lats)
 	}
@@ -370,7 +295,6 @@ func Run(cfg Config) Result {
 		}
 		sc.Count("ffwd/ops_sampled", int64(len(lats)))
 		sc.Count("ffwd/fallback_ops", fallbackOps)
-		sc.Count("ffwd/sat_fallback_ops", satFallbackOps)
 		ts := sc.Tick()
 		sc.Instant("ffwd", "run/"+name, int32(T), ts,
 			obs.I("threads", int64(T)),
@@ -378,35 +302,6 @@ func Run(cfg Config) Result {
 			obs.I("fallback_ops", fallbackOps))
 	}
 	return res
-}
-
-// settleInterval resolves the effective DelegationCI polling period.
-// The closed-form model has no poll loop to adapt in, so the quantum
-// policy is settled analytically: each step feeds the policy the
-// expected per-batch handler cost at the current interval (requests
-// accumulated over one period plus the invoke overhead) and adopts
-// the interval it returns; the fixed point this converges to is the
-// steady-state period an online run would settle at. A nil policy
-// keeps the configured interval, bit-identical to prior behavior.
-func settleInterval(cfg Config, T int) int64 {
-	interval := cfg.ServerIntervalCycles
-	if cfg.Quantum == nil {
-		return interval
-	}
-	p := cfg.Quantum()
-	p.Reset(interval)
-	for i := 0; i < 64; i++ {
-		lat := delegationLatency(T) + interval/2
-		perClient := (1.0 - ciClientOverheadPct/100.0) / float64(clientIssue+lat)
-		demand := float64(T) * perClient // offered ops/cycle at this interval
-		batch := int64(demand*float64(interval))*serverPerReq + ciHandlerInvoke
-		next, _ := p.Observe(batch, interval)
-		if next < 1 {
-			next = 1
-		}
-		interval = next
-	}
-	return interval
 }
 
 // delegationLatency is the request round trip seen by a client with

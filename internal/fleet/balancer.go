@@ -101,8 +101,8 @@ func newBalancer(c Config) *balancer {
 				// the deadline.
 				ErrFracTrip:      0.4,
 				MinSamples:       3,
-				LatencyP99Cycles: c.DeadlineCycles,
-				CooldownCycles:   2 * c.DeadlineCycles,
+				LatencyP99Cycles: DefaultDeadlineCycles,
+				CooldownCycles:   2 * DefaultDeadlineCycles,
 				HalfOpenProbes:   4,
 			},
 			OnStateChange: func(from, to overload.State, now int64) {
@@ -252,7 +252,7 @@ func (b *balancer) pick(a *attempt) (int, bool) {
 				jj++
 			}
 			i, j := b.routable[ii], b.routable[jj]
-			remaining := a.reqArrival + b.cfg.DeadlineCycles - a.arrival
+			remaining := a.reqArrival + DefaultDeadlineCycles - a.arrival
 			di, dj := b.estDelay(i), b.estDelay(j)
 			first, second := i, j
 			if dj < di {

@@ -87,13 +87,13 @@ func newClients(c Config) *clients {
 		perTenant: make([]tenantAcc, c.Tenants),
 	}
 	// Fair share: LoadFactor × cluster capacity, split evenly; the
-	// misbehaving tenant offers MisbehaveFactor times its share.
+	// misbehaving tenant offers misbehaveFactor times its share.
 	totalPerCycle := c.LoadFactor * float64(c.Replicas) / meanDemandCycles
 	share := totalPerCycle / float64(c.Tenants)
 	for i := 0; i < c.Tenants; i++ {
 		rate := share
 		if i == c.MisbehavingTenant {
-			rate *= c.MisbehaveFactor
+			rate *= misbehaveFactor
 			cl.perTenant[i].misbehaving = true
 		}
 		cl.rngs = append(cl.rngs, sim.NewRNG(c.Seed^uint64(0x74656e616e74)^uint64(i)<<32))
@@ -197,7 +197,7 @@ func (cl *clients) noteAttempt(a *attempt) {
 		cl.injected++
 		cl.perTenant[a.tenant].injected++
 		cl.retryBudget = math.Min(cl.retryBudget+cl.cfg.RetryBudgetFrac, budgetCap)
-		cl.hedgeBudget = math.Min(cl.hedgeBudget+cl.cfg.HedgeBudgetFrac, budgetCap)
+		cl.hedgeBudget = math.Min(cl.hedgeBudget+hedgeBudgetFrac, budgetCap)
 		if cl.cfg.HedgeDelayCycles > 0 {
 			cl.hedgeQ.push(hedgeEntry{sendTime: a.arrival, reqID: a.reqID})
 		}
@@ -239,7 +239,7 @@ func (cl *clients) settle(o *outcome) (doneNow bool, lat int64) {
 			lat = o.at - rq.arrival
 			acc := &cl.perTenant[rq.tenant]
 			acc.lats = append(acc.lats, lat)
-			if lat <= cl.cfg.DeadlineCycles {
+			if lat <= DefaultDeadlineCycles {
 				cl.served++
 				acc.served++
 			} else {
@@ -288,7 +288,7 @@ func (cl *clients) settle(o *outcome) (doneNow bool, lat int64) {
 // misbehaving tenant retries without backoff; everyone else backs off
 // exponentially with deterministic jitter.
 func (cl *clients) maybeRetry(rq *request, o *outcome) {
-	if int(rq.retries) >= cl.cfg.MaxRetries || cl.cfg.RetryBudgetFrac <= 0 {
+	if rq.retries >= maxRetries || cl.cfg.RetryBudgetFrac <= 0 {
 		return
 	}
 	if cl.retryBudget < 1 {

@@ -108,9 +108,20 @@ const PollIntervalCycles = 2600
 // demand (xm=2500, H=250_000, alpha=1.5): ~6756 cycles per request.
 const meanDemandCycles = 6756.0
 
-// DefaultDeadlineCycles is the per-request deadline a zero
-// Config.DeadlineCycles takes (~1 ms at the 2.6 GHz model clock).
+// DefaultDeadlineCycles is the per-request deadline from first
+// injection (~1 ms at the 2.6 GHz model clock), propagated to replica
+// admission.
 const DefaultDeadlineCycles = 2_600_000
+
+const (
+	// maxRetries bounds retries per request.
+	maxRetries = 2
+	// hedgeBudgetFrac is the hedge-budget deposit per injected request.
+	hedgeBudgetFrac = 0.05
+	// misbehaveFactor is how many times its fair share the misbehaving
+	// tenant offers.
+	misbehaveFactor = 4
+)
 
 // Policy selects the balancer's routing discipline.
 type Policy int
@@ -163,13 +174,6 @@ type Config struct {
 	// capacity (default 0.8; 1.2 is the overloaded soak point).
 	LoadFactor float64
 
-	// DeadlineCycles is the per-request deadline from first injection
-	// (default 2_600_000 ≈ 1 ms), propagated to replica admission.
-	DeadlineCycles int64
-
-	// MaxRetries bounds retries per request (default 2; 0 disables,
-	// -1 forces 0).
-	MaxRetries int
 	// RetryBudgetFrac is the cluster retry-budget deposit per injected
 	// request (default 0.1; negative disables retries entirely).
 	RetryBudgetFrac float64
@@ -178,9 +182,6 @@ type Config struct {
 	// sent when the first has been outstanding for
 	// max(HedgeDelayCycles, observed p99 latency). 0 disables hedging.
 	HedgeDelayCycles int64
-	// HedgeBudgetFrac is the hedge-budget deposit per injected request
-	// (default 0.05).
-	HedgeBudgetFrac float64
 
 	// Faults seeds crash and gray-failure windows. CrashReplicas
 	// limits how many replicas (0..CrashReplicas-1) are subject to the
@@ -206,8 +207,8 @@ type Config struct {
 	// into the retry path.
 	Migrate bool
 
-	// MisbehavingTenant names one tenant that offers MisbehaveFactor
-	// (default 4) times its fair share and retries without backoff.
+	// MisbehavingTenant names one tenant that offers misbehaveFactor (4)
+	// times its fair share and retries without backoff.
 	// Per-tenant rate isolation at the balancer keeps it from consuming
 	// the other tenants' capacity. The field has no default: the zero
 	// value means tenant 0, so a zero Config (and
@@ -215,7 +216,6 @@ type Config struct {
 	// tenant 0 misbehaving. Set -1, or any index that is not a tenant,
 	// for none.
 	MisbehavingTenant int
-	MisbehaveFactor   float64
 }
 
 func (c Config) withDefaults() Config {
@@ -231,23 +231,11 @@ func (c Config) withDefaults() Config {
 	if c.LoadFactor <= 0 {
 		c.LoadFactor = 0.8
 	}
-	if c.DeadlineCycles <= 0 {
-		c.DeadlineCycles = DefaultDeadlineCycles
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
 	if c.RetryBudgetFrac == 0 {
 		c.RetryBudgetFrac = 0.1
 	}
 	if c.RetryBudgetFrac < 0 {
 		c.RetryBudgetFrac = 0
-	}
-	if c.HedgeBudgetFrac <= 0 {
-		c.HedgeBudgetFrac = 0.05
 	}
 	if c.Faults.Enabled() && c.CrashReplicas <= 0 {
 		c.CrashReplicas = c.Replicas
@@ -260,9 +248,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OutageZones <= 0 || c.OutageZones > c.Zones {
 		c.OutageZones = c.Zones
-	}
-	if c.MisbehaveFactor <= 1 {
-		c.MisbehaveFactor = 4
 	}
 	return c
 }
@@ -362,7 +347,7 @@ type Result struct {
 }
 
 // Amplification is Attempts/Injected — the retry-storm metric the
-// budget bounds at 1 + RetryBudgetFrac + HedgeBudgetFrac.
+// budget bounds at 1 + RetryBudgetFrac + hedgeBudgetFrac.
 func (r *Result) Amplification() float64 {
 	if r.Injected == 0 {
 		return 0
@@ -387,7 +372,7 @@ func (r *Result) Fingerprint() uint64 {
 // drainEnd bounds the run: up to 16 deadlines past the horizon so
 // every attempt reaches a terminal state; whatever is left is
 // InFlightEnd. Zone outage schedules are drawn out to the same bound.
-func (c Config) drainEnd() int64 { return c.HorizonCycles + 16*c.DeadlineCycles }
+func (c Config) drainEnd() int64 { return c.HorizonCycles + 16*DefaultDeadlineCycles }
 
 // Run executes one fleet soak on the calling goroutine. The pool is
 // unused: a run is serial (see "Execution"), and the parameter remains

@@ -196,7 +196,7 @@ func TestFleetTenantIsolation(t *testing.T) {
 	if bad.Rejected == 0 {
 		t.Fatal("misbehaving tenant's excess was never shed at its rate gate")
 	}
-	deadlineUs := float64(withDefaultDeadline(cfg)) / CyclesPerUs
+	deadlineUs := float64(DefaultDeadlineCycles) / CyclesPerUs
 	for i := 1; i < cfg.Tenants; i++ {
 		ts := res.PerTenant[i]
 		if ts.Injected == 0 {
@@ -211,8 +211,6 @@ func TestFleetTenantIsolation(t *testing.T) {
 		}
 	}
 }
-
-func withDefaultDeadline(c Config) int64 { return c.withDefaults().DeadlineCycles }
 
 // A gray-slow replica must be caught by the latency outlier detector
 // even though it keeps answering probes.
@@ -252,7 +250,7 @@ func TestFleetHedgingAccounting(t *testing.T) {
 	if res.Hedges == 0 {
 		t.Fatal("no hedges under a heavy-tailed workload with hedging enabled")
 	}
-	maxHedges := int64(float64(res.Injected)*cfg.withDefaults().HedgeBudgetFrac) + budgetCap
+	maxHedges := int64(float64(res.Injected)*hedgeBudgetFrac) + budgetCap
 	if res.Hedges > maxHedges {
 		t.Fatalf("%d hedges exceed the budget bound %d", res.Hedges, maxHedges)
 	}

@@ -51,7 +51,7 @@ func (b *balancer) pickRef(a *attempt) (int, bool) {
 				jj++
 			}
 			i, j := routable[ii], routable[jj]
-			remaining := a.reqArrival + b.cfg.DeadlineCycles - a.arrival
+			remaining := a.reqArrival + DefaultDeadlineCycles - a.arrival
 			di, dj := b.estDelay(i), b.estDelay(j)
 			first, second := i, j
 			if dj < di {
@@ -206,7 +206,7 @@ func TestPickMatchesReference(t *testing.T) {
 				before[i] = ref.bk[i].hc.Snapshot()
 			}
 
-			a := attempt{exclude: int32(exclude), arrival: now, reqArrival: now - rng.Int63n(2*cfg.DeadlineCycles)}
+			a := attempt{exclude: int32(exclude), arrival: now, reqArrival: now - rng.Int63n(2*DefaultDeadlineCycles)}
 			ra, ga := a, a
 			wantR, wantOK := ref.pickRef(&ra)
 			gotR, gotOK := got.pick(&ga)

@@ -120,7 +120,7 @@ func newReplica(id, zone int, cfg Config, inj *faults.Injector, zoneCrash, zoneG
 		zoneGray:  zoneGray,
 		ctrl: overload.New(&overload.Config{
 			Name:           fmt.Sprintf("fleet/replica%d", id),
-			DeadlineCycles: cfg.DeadlineCycles,
+			DeadlineCycles: DefaultDeadlineCycles,
 			// The balancer's per-backend health breaker owns ejection;
 			// a second breaker inside the replica would fight it.
 			Breaker: overload.BreakerConfig{Disabled: true},
@@ -330,7 +330,7 @@ func (r *replica) startNext(now int64) {
 	for !r.busy && r.q.len() > 0 {
 		a := r.q.pop()
 		r.qDemand -= a.demand
-		if !r.ctrl.StartOrExpire(now, a.reqArrival+r.cfg.DeadlineCycles, PollIntervalCycles) {
+		if !r.ctrl.StartOrExpire(now, a.reqArrival+DefaultDeadlineCycles, PollIntervalCycles) {
 			r.emit(outcome{att: a, at: now, status: stExpired})
 			continue
 		}

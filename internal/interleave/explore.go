@@ -140,7 +140,7 @@ func buildSchedules(feasible []int64, opts Options) (schedules [][]int64, sample
 	if len(multi) > opts.MaxSchedules {
 		// Deterministic thinning: seeded Fisher–Yates, keep the head,
 		// restore canonical order so downstream output is stable.
-		rng := sim.NewRNG(opts.Seed)
+		rng := sim.NewRNG(scheduleSeed)
 		for i := len(multi) - 1; i > 0; i-- {
 			j := rng.Intn(int64(i + 1))
 			multi[i], multi[j] = multi[j], multi[i]

@@ -51,14 +51,19 @@ var ErrNoHandler = errors.New("interleave: module has no handler function")
 // unclassified race or a non-commutative interleaving.
 var ErrRace = errors.New("interleave: handler/main interleaving hazard")
 
+// handlerFunc names the handler body in the module. It may take 0
+// arguments or receive the IR delta as its first argument.
+const handlerFunc = "handler"
+
+// scheduleSeed drives the deterministic sampling of multi-fire
+// schedules past MaxSchedules.
+const scheduleSeed = 1
+
 // Options configures VerifyHandlers. The zero value verifies @handler
 // against @main under the CI design with sensible exploration caps.
 type Options struct {
-	// Entry and Handler name the main function and the handler body in
-	// the module (defaults "main" / "handler"). The handler may take 0
-	// arguments or receive the IR delta as its first argument.
-	Entry   string
-	Handler string
+	// Entry names the main function in the module (default "main").
+	Entry string
 	// Args are the entry arguments when it takes parameters (default
 	// {4095}, matching the sanitize oracle).
 	Args []int64
@@ -83,10 +88,8 @@ type Options struct {
 	// every feasible site). Truncation is reported, never silent.
 	MaxPairSites int
 	// MaxSchedules caps the multi-fire schedules explored (default
-	// 2000); the excess is sampled out deterministically from Seed.
+	// 2000); the excess is sampled out deterministically.
 	MaxSchedules int
-	// Seed drives schedule sampling (default 1).
-	Seed uint64
 	// RetOnly weakens the commutativity oracle to return-value
 	// equality. App models whose handlers feed work to main (queue
 	// producers) are placement-dependent in their store streams by
@@ -109,9 +112,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Entry == "" {
 		o.Entry = "main"
-	}
-	if o.Handler == "" {
-		o.Handler = "handler"
 	}
 	if o.Args == nil {
 		o.Args = []int64{4095}
@@ -136,9 +136,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSchedules <= 0 {
 		o.MaxSchedules = 2000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -211,8 +208,8 @@ func (r *Report) Err() error {
 // findings live in the report and its Err method.
 func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	if src.FuncByName(opts.Handler) == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoHandler, opts.Handler)
+	if src.FuncByName(handlerFunc) == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoHandler, handlerFunc)
 	}
 	if src.FuncByName(opts.Entry) == nil {
 		return nil, fmt.Errorf("interleave: no entry function %q", opts.Entry)
@@ -223,7 +220,7 @@ func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, 
 	if err != nil {
 		return nil, fmt.Errorf("interleave: compile: %w", err)
 	}
-	rep := &Report{Entry: opts.Entry, Handler: opts.Handler, Bound: opts.ContextBound}
+	rep := &Report{Entry: opts.Entry, Handler: handlerFunc, Bound: opts.ContextBound}
 
 	// Record: one cadence run with the access taps on.
 	rec := execute(prog.Mod, opts, execCadence, nil)

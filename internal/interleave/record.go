@@ -127,7 +127,7 @@ func execute(prog *ir.Module, opts Options, mode execMode, schedule []int64) *Ru
 		interval = neverCycles
 	}
 	inj := faults.New(opts.FaultPlan, "interleave/handler")
-	hFn := mod.FuncByName(opts.Handler)
+	hFn := mod.FuncByName(handlerFunc)
 
 	// epoch/curSite tag accesses: the handler closure opens an epoch
 	// for the duration of its IR body. Handlers cannot nest (the CI
@@ -146,7 +146,7 @@ func execute(prog *ir.Module, opts Options, mode execMode, schedule []int64) *Ru
 			args = make([]int64, hFn.NumParams)
 			args[0] = int64(irDelta)
 		}
-		if _, err := th.CallHandler(opts.Handler, args...); err != nil && run.HandlerErr == nil {
+		if _, err := th.CallHandler(handlerFunc, args...); err != nil && run.HandlerErr == nil {
 			run.HandlerErr = err
 		}
 		epoch = 0

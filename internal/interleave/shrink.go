@@ -18,7 +18,7 @@ import (
 func ShrinkRace(src *ir.Module, eng *engine.Engine, opts Options) *ir.Module {
 	pred := func(m *ir.Module) bool {
 		o := opts.withDefaults()
-		if m.FuncByName(o.Handler) == nil || m.FuncByName(o.Entry) == nil {
+		if m.FuncByName(handlerFunc) == nil || m.FuncByName(o.Entry) == nil {
 			return false
 		}
 		rep, err := VerifyHandlers(m, eng, opts)

@@ -104,19 +104,9 @@ func (bl *Builder) Call(callee string, args ...Reg) Reg {
 	return bl.emit(Instr{Op: OpCall, Dst: bl.F.NewReg(), Callee: callee, Args: args})
 }
 
-// CallVoid emits callee(args...) discarding the return value.
-func (bl *Builder) CallVoid(callee string, args ...Reg) {
-	bl.emit(Instr{Op: OpCall, Dst: NoReg, Callee: callee, Args: args})
-}
-
 // ExtCall emits Dst = extern callee(args...) and returns Dst.
 func (bl *Builder) ExtCall(callee string, args ...Reg) Reg {
 	return bl.emit(Instr{Op: OpExtCall, Dst: bl.F.NewReg(), Callee: callee, Args: args})
-}
-
-// ReadCycles emits Dst = cycle counter and returns Dst.
-func (bl *Builder) ReadCycles() Reg {
-	return bl.emit(Instr{Op: OpReadCycles, Dst: bl.F.NewReg()})
 }
 
 // Jmp terminates the current block with an unconditional jump.

@@ -190,7 +190,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				m := NewModule("t")
 				f := m.NewFunc("f", 0)
 				b := NewBuilder(f)
-				b.CallVoid("nosuch")
+				b.Call("nosuch")
 				b.Ret(NoReg)
 				return m
 			},
@@ -206,7 +206,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				f := m.NewFunc("f", 0)
 				b := NewBuilder(f)
 				x := b.Mov(1)
-				b.CallVoid("g", x)
+				b.Call("g", x)
 				b.Ret(NoReg)
 				return m
 			},

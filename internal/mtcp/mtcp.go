@@ -127,16 +127,10 @@ type Config struct {
 	// Adaptive enables AIMD adaptation of the CI polling interval
 	// under handler overruns (CI mode only): overruns double the
 	// interval up to 8x the configured value; sustained on-budget
-	// polls re-tighten it additively. Shorthand for the classic AIMD
-	// quantum policy (strict 1x overrun classification).
+	// polls re-tighten it additively: the classic AIMD quantum policy
+	// (strict 1x overrun classification). Brownout and breaker events
+	// override and reset its interval.
 	Adaptive bool
-	// Quantum, when non-nil, constructs the interval-control policy
-	// for the CI polling loop (see ciruntime.QuantumPolicy): every
-	// poll's handler cost is observed as the gap and the interval the
-	// policy returns becomes the next polling period. Overrides
-	// Adaptive. Brownout and breaker events still override/reset the
-	// policy's interval exactly as they did the private AIMD.
-	Quantum func() ciruntime.QuantumPolicy
 	// Overload optionally enables the overload-control plane (CI mode
 	// only), actuated from the CI poll: admission with deadline
 	// propagation over the app-work backlog, NACKed rejections the
@@ -319,16 +313,11 @@ func RunChecked(cfg Config) (Result, error) {
 	}
 	s.nic.Faults = faults.New(cfg.FaultPlan, "mtcp/net")
 	s.curInterval = cfg.IntervalCycles
-	switch {
-	case cfg.Quantum != nil:
-		s.quantum = cfg.Quantum()
-	case cfg.Adaptive:
+	if cfg.Adaptive {
 		// The classic mtcp AIMD: strict 1x overrun classification
 		// ("the handler cost exceeded its interval"), 8x cap, tighten
 		// after 4 on-budget polls.
 		s.quantum = &ciruntime.AIMD{OverrunFactor: 1}
-	}
-	if s.quantum != nil {
 		s.quantum.Reset(cfg.IntervalCycles)
 	}
 	s.serverIdle = true

@@ -7,25 +7,15 @@ package netsim
 
 import "repro/internal/faults"
 
-// Cycle-domain constants at the 2.6 GHz model clock.
-const (
-	// CyclesPerByte10G is the serialization cost on a 10 Gbps link:
-	// 2.6e9 cycles/s ÷ 1.25e9 bytes/s.
-	CyclesPerByte10G = 2.08
-	// PropagationCycles models NIC/switch/NIC propagation (~1 µs).
-	PropagationCycles = 2600
-)
+// CyclesPerByte10G is the serialization cost on a 10 Gbps link at the
+// 2.6 GHz model clock: 2.6e9 cycles/s ÷ 1.25e9 bytes/s.
+const CyclesPerByte10G = 2.08
 
 // Link is a point-to-point link with a fixed per-byte serialization
 // cost and propagation delay.
 type Link struct {
 	CyclesPerByte float64
 	Propagation   int64
-}
-
-// TenGbps returns the experiments' 10 Gbps link.
-func TenGbps() *Link {
-	return &Link{CyclesPerByte: CyclesPerByte10G, Propagation: PropagationCycles}
 }
 
 // Delay returns the one-way latency for a packet of the given size.

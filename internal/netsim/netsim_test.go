@@ -7,13 +7,14 @@ import (
 )
 
 func TestLinkDelay(t *testing.T) {
-	l := TenGbps()
+	const prop = 2600
+	l := &Link{CyclesPerByte: CyclesPerByte10G, Propagation: prop}
 	d := l.Delay(1000)
 	// 1000 bytes at ~2.08 cy/B plus propagation.
-	if d < 2000+PropagationCycles || d > 2200+PropagationCycles {
+	if d < 2000+prop || d > 2200+prop {
 		t.Errorf("Delay(1000) = %d", d)
 	}
-	if l.Delay(0) != PropagationCycles {
+	if l.Delay(0) != prop {
 		t.Errorf("zero-byte delay = %d, want propagation only", l.Delay(0))
 	}
 	if l.Delay(2000) <= l.Delay(1000) {

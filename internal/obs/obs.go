@@ -104,10 +104,6 @@ func New(ringCap int) *Scope {
 	}
 }
 
-// Disabled returns the disabled scope: nil. Spelled as a constructor
-// so call sites read as intent rather than as a forgotten field.
-func Disabled() *Scope { return nil }
-
 // Enabled reports whether the scope records anything. Hot paths use
 // this to skip building event arguments entirely.
 func (s *Scope) Enabled() bool { return s != nil }

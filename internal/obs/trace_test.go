@@ -134,7 +134,7 @@ func TestWriteTraceIsValidChromeJSON(t *testing.T) {
 
 func TestWriteTraceNilScope(t *testing.T) {
 	var buf bytes.Buffer
-	if err := obs.Disabled().WriteTrace(&buf); err != nil {
+	if err := (*obs.Scope)(nil).WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {

@@ -50,9 +50,13 @@ type Priority int
 const (
 	// High requests are shed only by rejection (rate/CoDel/deadline).
 	High Priority = iota
-	// Low requests are additionally shed at brownout ShedLowPrioLevel.
+	// Low requests are additionally shed at brownout shedLowPrioLevel.
 	Low
 )
+
+// shedLowPrioLevel is the brownout level at which Low-priority requests
+// are shed (shenango's level 1 parks the miner first).
+const shedLowPrioLevel = 2
 
 // PriorityOf deterministically classes the n-th request of a stream:
 // every fourth request is Low, modelling the background/low-urgency
@@ -120,15 +124,10 @@ type Config struct {
 	// WindowCycles is both the CoDel interval and the breaker's rolling
 	// window length (default 1_300_000 ≈ 0.5 ms).
 	WindowCycles int64
-	// ShedLowPrioLevel is the brownout level at which Low-priority
-	// requests are shed (default 2; shenango's level 1 parks the miner
-	// first).
-	ShedLowPrioLevel int
 	// Breaker tunes the circuit breaker.
 	Breaker BreakerConfig
-	// OnStateChange observes breaker transitions; apps use it to snap
-	// an adaptive polling interval back to base when the breaker trips
-	// (see ciruntime.ResetQuantum).
+	// OnStateChange observes breaker transitions; mtcp uses it to snap
+	// its adaptive polling interval back to base when the breaker trips.
 	OnStateChange func(from, to State, now int64)
 	// Obs receives admitted/rejected/shed counters, the queue-delay
 	// histogram and breaker state spans (nil = silent).
@@ -152,9 +151,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.WindowCycles <= 0 {
 		out.WindowCycles = 1_300_000
-	}
-	if out.ShedLowPrioLevel <= 0 {
-		out.ShedLowPrioLevel = 2
 	}
 	out.Breaker = out.Breaker.withDefaults()
 	return out
@@ -409,7 +405,7 @@ func (c *Controller) admit(now int64, rq Request) Verdict {
 		}
 		c.tokens--
 	}
-	if rq.Prio == Low && c.level >= c.cfg.ShedLowPrioLevel {
+	if rq.Prio == Low && c.level >= shedLowPrioLevel {
 		return ShedLowPrio
 	}
 	return Admit

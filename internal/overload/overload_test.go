@@ -189,7 +189,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 }
 
 func TestBrownoutLevelsAndLowPrioShedding(t *testing.T) {
-	c := New(&Config{TargetDelayCycles: 10_000, ShedLowPrioLevel: 2})
+	c := New(&Config{TargetDelayCycles: 10_000})
 	c.Poll(1000, 5000)
 	if c.BrownoutLevel() != 0 {
 		t.Fatalf("level %d at low delay", c.BrownoutLevel())

@@ -72,12 +72,3 @@ func Checked(opts Options) core.Option {
 		return CompileChecked(src, cfg, opts)
 	})
 }
-
-// CompileCheckedText parses textual IR and runs CompileChecked.
-func CompileCheckedText(src string, cfg core.Config, opts Options) (*core.Program, error) {
-	m, err := ir.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileChecked(m, cfg, opts)
-}

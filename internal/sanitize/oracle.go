@@ -42,10 +42,11 @@ func (d *Divergence) Error() string {
 		d.Stage, d.Design, loc, d.Step, d.Detail)
 }
 
+// entryFunc is the function the differential oracle runs.
+const entryFunc = "main"
+
 // ExecOptions configures the differential oracle.
 type ExecOptions struct {
-	// Entry is the function to run (default "main").
-	Entry string
 	// Args are the entry arguments (default: one argument, 4095).
 	Args []int64
 	// LimitInstrs is the per-run step budget (default 50M). Exhausting
@@ -57,9 +58,6 @@ type ExecOptions struct {
 }
 
 func (o ExecOptions) withDefaults() ExecOptions {
-	if o.Entry == "" {
-		o.Entry = "main"
-	}
 	if o.Args == nil {
 		o.Args = []int64{4095}
 	}
@@ -98,10 +96,10 @@ func Execute(m *ir.Module, opts ExecOptions) (*Trace, error) {
 		tr.Stores = append(tr.Stores, storeEv{addr, val})
 	}
 	args := opts.Args
-	if f := mm.FuncByName(opts.Entry); f != nil && f.NumParams == 0 {
+	if f := mm.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
 		args = nil
 	}
-	rv, err := th.Run(opts.Entry, args...)
+	rv, err := th.Run(entryFunc, args...)
 	if err != nil {
 		if errors.Is(err, vm.ErrStepBudget) {
 			return nil, fmt.Errorf("%w: baseline hit the step budget: %v", ErrInconclusive, err)
@@ -140,10 +138,10 @@ func DiffTrace(base *Trace, instrumented *ir.Module, design string, opts ExecOpt
 		step++
 	}
 	args := opts.Args
-	if f := mm.FuncByName(opts.Entry); f != nil && f.NumParams == 0 {
+	if f := mm.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
 		args = nil
 	}
-	rv, err := th.Run(opts.Entry, args...)
+	rv, err := th.Run(entryFunc, args...)
 	if err != nil {
 		if errors.Is(err, vm.ErrStepBudget) {
 			return fmt.Errorf("%w: instrumented %s hit the step budget: %v", ErrInconclusive, design, err)

@@ -68,9 +68,10 @@ type funcSnap struct {
 }
 
 // Checker accumulates stage observations for one compilation. Attach
-// FuncHook/ModHook to the pipeline (or use CompileChecked, which does
-// the wiring) and inspect Err afterwards. A Checker is single-use and
-// not safe for concurrent hooks — the pipeline is sequential.
+// CheckFunc/CheckModule to the pipeline's stage hooks (or use
+// CompileChecked, which does the wiring) and inspect Err afterwards. A
+// Checker is single-use and not safe for concurrent hooks — the
+// pipeline is sequential.
 type Checker struct {
 	funcs map[string]*funcSnap
 	// inputText / analysisText are printed snapshots used as the
@@ -78,49 +79,21 @@ type Checker struct {
 	// module, baseline designs against the input.
 	inputText    string
 	analysisText string
-	errs         []error
-	// MaxErrors caps accumulation (default 8); further findings are
-	// dropped so a badly broken stage doesn't flood the report.
-	MaxErrors int
+	err          error // the first violation
 }
 
 // NewChecker returns an empty Checker.
 func NewChecker() *Checker {
-	return &Checker{funcs: make(map[string]*funcSnap), MaxErrors: 8}
+	return &Checker{funcs: make(map[string]*funcSnap)}
 }
 
 // Err returns the first recorded violation, or nil.
-func (c *Checker) Err() error {
-	if len(c.errs) == 0 {
-		return nil
-	}
-	return c.errs[0]
-}
-
-// Errors returns all recorded violations in observation order.
-func (c *Checker) Errors() []error { return c.errs }
+func (c *Checker) Err() error { return c.err }
 
 func (c *Checker) report(stage, fn, check, detail string) {
-	max := c.MaxErrors
-	if max <= 0 {
-		max = 8
+	if c.err == nil {
+		c.err = &StageError{Stage: stage, Func: fn, Check: check, Detail: detail}
 	}
-	if len(c.errs) >= max {
-		return
-	}
-	c.errs = append(c.errs, &StageError{Stage: stage, Func: fn, Check: check, Detail: detail})
-}
-
-// FuncHook returns the analysis-side stage observer; wire it into
-// analysis.Options.StageHook (or core.Config.FuncStageHook).
-func (c *Checker) FuncHook() func(stage string, f *ir.Func) {
-	return c.CheckFunc
-}
-
-// ModHook returns the module-level stage observer; wire it into
-// instrument.Options.StageHook (or core.Config.ModStageHook).
-func (c *Checker) ModHook() func(stage string, m *ir.Module) {
-	return c.CheckModule
 }
 
 // CheckFunc validates one function against its previous snapshot and

@@ -55,10 +55,10 @@ func runTier(m *ir.Module, tier vm.Tier, opts ExecOptions) (*TierTrace, error) {
 		tr.stores = append(tr.stores, tierStoreEv{addr, old + add, true})
 	}
 	args := opts.Args
-	if f := mm.FuncByName(opts.Entry); f != nil && f.NumParams == 0 {
+	if f := mm.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
 		args = nil
 	}
-	rv, err := th.Run(opts.Entry, args...)
+	rv, err := th.Run(entryFunc, args...)
 	if err != nil {
 		if errors.Is(err, vm.ErrStepBudget) {
 			return nil, fmt.Errorf("%w: %s tier hit the step budget: %v", ErrInconclusive, tier, err)

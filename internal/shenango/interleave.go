@@ -119,7 +119,7 @@ func InterleaveSpec() (*ir.Module, interleave.Options) {
 
 // InterleaveRacySpec returns the deliberately-racy steering variant:
 // the verifier must classify word 0 as RACY. Kept as a permanent
-// detection regression (and a cidump demo), not a production model.
+// detection regression, not a production model.
 func InterleaveRacySpec() (*ir.Module, interleave.Options) {
 	return ir.MustParse(interleaveRacyIR), interleave.Options{RetOnly: true}
 }

@@ -73,6 +73,9 @@ const (
 	rejectPerPacket = 50
 )
 
+// workers is the number of application worker cores.
+const workers = 16
+
 // Config parameterizes one run.
 type Config struct {
 	Kind Kind
@@ -80,8 +83,6 @@ type Config struct {
 	IntervalCycles int64
 	// OfferedLoad is the request arrival rate in requests/second.
 	OfferedLoad float64
-	// Workers is the number of application worker cores (default 16).
-	Workers int
 	// DurationCycles is the simulated time (default 130M ≈ 50 ms).
 	DurationCycles int64
 	Seed           uint64
@@ -112,9 +113,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Workers <= 0 {
-		out.Workers = 16
-	}
 	if out.DurationCycles <= 0 {
 		out.DurationCycles = 130_000_000
 	}
@@ -231,8 +229,8 @@ func RunChecked(cfg Config) (Result, error) {
 		cfg:          cfg,
 		eng:          sim.NewEngine(),
 		rng:          sim.NewRNG(cfg.Seed),
-		workerFree:   make([]int64, cfg.Workers),
-		stalledUntil: make([]int64, cfg.Workers),
+		workerFree:   make([]int64, workers),
+		stalledUntil: make([]int64, workers),
 		stallInj:     faults.New(cfg.FaultPlan, "shenango/worker"),
 		warmup:       cfg.DurationCycles / 5,
 	}
@@ -292,7 +290,7 @@ func (s *state) scheduleStall() {
 	if !ok {
 		return
 	}
-	w := int(s.stallCount % int64(s.cfg.Workers))
+	w := int(s.stallCount % int64(workers))
 	s.stallCount++
 	s.eng.After(gap, func() {
 		now := s.eng.Now()
@@ -355,7 +353,7 @@ func (s *state) schedulePoll() {
 				egressWait = gap
 			}
 			for _, rq := range s.ingress {
-				est := minLive + int64(len(admitted))*serviceMean/int64(s.cfg.Workers)
+				est := minLive + int64(len(admitted))*serviceMean/int64(workers)
 				if est < tEndEst {
 					est = tEndEst
 				}
@@ -556,7 +554,7 @@ func (s *state) result() Result {
 		res.P999Us = float64(stats.Percentile(s.latencies, 99.9)) / 2600
 	}
 	if cfg.Kind == Dedicated || cfg.Kind == CIHosted {
-		capacity := float64(cfg.Workers) * float64(cfg.DurationCycles)
+		capacity := float64(workers) * float64(cfg.DurationCycles)
 		share := 1 - float64(s.workerBusy)/capacity
 		if share < 0 {
 			share = 0

@@ -163,6 +163,3 @@ func (e *Engine) RunDeadline(limit int64, d Deadline) (int, error) {
 	}
 	return n, nil
 }
-
-// Pending reports whether events remain scheduled.
-func (e *Engine) Pending() bool { return len(e.queue) > 0 }

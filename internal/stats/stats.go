@@ -55,18 +55,6 @@ func Mean(xs []int64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MeanF returns the arithmetic mean of float64 values.
-func MeanF(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // GeoMean returns the geometric mean of positive values; zero and
 // negative inputs are skipped.
 func GeoMean(xs []float64) float64 {
@@ -292,31 +280,4 @@ func clamp(v, lo, hi int64) int64 {
 func (h *LogHist) String() string {
 	return fmt.Sprintf("n=%d min=%d p50=%d p90=%d p99=%d max=%d mean=%.1f",
 		h.N(), h.Min(), h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Max(), h.Mean())
-}
-
-// Histogram counts values into log2-spaced buckets, for latency
-// distribution plots (Figure 8).
-type Histogram struct {
-	// Buckets[i] counts values v with 2^i <= v < 2^(i+1); Buckets[0]
-	// also counts v < 1.
-	Buckets [64]int64
-	Total   int64
-}
-
-// Add records one value.
-func (h *Histogram) Add(v int64) {
-	h.Total++
-	if v < 1 {
-		h.Buckets[0]++
-		return
-	}
-	h.Buckets[63-bits.LeadingZeros64(uint64(v))]++
-}
-
-// Fraction returns the share of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.Total)
 }

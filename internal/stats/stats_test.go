@@ -40,9 +40,6 @@ func TestMeans(t *testing.T) {
 	if got := Mean([]int64{2, 4, 6}); got != 4 {
 		t.Errorf("mean = %v", got)
 	}
-	if got := MeanF([]float64{1.5, 2.5}); got != 2 {
-		t.Errorf("meanf = %v", got)
-	}
 	if got := GeoMean([]float64{1, 4, 16}); math.Abs(got-4) > 1e-9 {
 		t.Errorf("geomean = %v, want 4", got)
 	}
@@ -77,30 +74,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.N != 0 {
 		t.Errorf("empty summary = %+v", z)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	h.Add(0)
-	h.Add(1)
-	h.Add(2)
-	h.Add(3)
-	h.Add(1024)
-	if h.Total != 5 {
-		t.Errorf("total = %d", h.Total)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1
-		t.Errorf("bucket0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[1] != 2 { // 2 and 3
-		t.Errorf("bucket1 = %d, want 2", h.Buckets[1])
-	}
-	if h.Buckets[10] != 1 { // 1024
-		t.Errorf("bucket10 = %d, want 1", h.Buckets[10])
-	}
-	if got := h.Fraction(1); math.Abs(got-0.4) > 1e-9 {
-		t.Errorf("fraction = %v", got)
 	}
 }
 

@@ -24,28 +24,17 @@ type HWConfig struct {
 	// bill its own work.
 	Handler func(t *Thread)
 	// User marks the interrupt source as a hardware user-level
-	// interrupt: cost defaults switch to UIntrCost/UIntrLatency and
+	// interrupt: the costs switch to UIntrCost/UIntrLatency and
 	// Stats.UIntrs counts the deliveries.
 	User bool
-	// Cost and TrapCost, when positive, override the cost model's
-	// per-delivery total and pre-handler split for this config — the
-	// delivery-latency knob of the uintr design axis.
-	Cost     int64
-	TrapCost int64
 }
 
 // costs resolves the per-delivery total and pre-handler split for this
-// config against the model's defaults.
+// config from the model.
 func (hw *HWConfig) costs(m *CostModel) (total, pre int64) {
 	total, pre = m.HWInterruptCost, m.HWTrapCost
 	if hw.User {
 		total, pre = m.UIntrCost, m.UIntrLatency
-	}
-	if hw.Cost > 0 {
-		total = hw.Cost
-	}
-	if hw.TrapCost > 0 {
-		pre = hw.TrapCost
 	}
 	if pre <= 0 || pre > total {
 		pre = total

@@ -95,12 +95,22 @@ stage "parser fuzz" 300 go test ./internal/ir -run '^$' -fuzz '^FuzzParse$' -fuz
 # anything is.
 stage "benchmark smoke" 600 go run ./benchmark -size mini -trace 0 -seconds 2
 
-stage "chaos smoke" 600 go run ./cmd/ciexp -quick chaos
-
-# Overload plane end-to-end: saturation and 2x-overload phases with
-# chaos composed in must hold the SLO guard (-slo-p999us/-max-reject
-# defaults); ciexp exits non-zero on any violated phase.
-stage "soak smoke" 600 go run ./cmd/ciexp -quick soak
+# The ciexp gates that need no flag beyond -quick, in one process:
+#   - chaos: the fault-injection sweep's degradation invariants;
+#   - soak: saturation and 2x-overload phases with chaos composed in
+#     must hold the SLO guard (-slo-p999us/-max-reject defaults);
+#   - quantum: the handler-gap figure across interval policies
+#     (fixed/AIMD/feedback) and all four designs on the quick workload
+#     subset, failing when the feedback controller stops beating the
+#     fixed quantum or the CI rows leave the overhead budget;
+#   - sanitize: stage-by-stage semantic checks and the differential
+#     execution oracle over a fuzz corpus and all workloads;
+#   - interleave: context-bound-1 exploration over the three app
+#     sharing-protocol models and a fuzz corpus with generated
+#     handlers, failing on an unclassified race or a non-commutative
+#     schedule.
+# ciexp runs every named figure and exits non-zero when any one fails.
+stage "ciexp smoke" 600 go run ./cmd/ciexp -quick chaos soak sanitize quantum interleave
 
 # Fleet resilience end-to-end: a small cluster at the 1.2x soak load
 # with replica 0 crashing mid-run; the conservation oracle and the
@@ -118,10 +128,6 @@ stage "fleet smoke" 600 go run ./cmd/ciexp -quick -replicas 4 fleet
 # floor and retry amplification at 1.15.
 stage "zone-outage smoke" 600 go run ./cmd/ciexp -quick -zones 2 -migrate fleet
 
-# Translation validation end-to-end: stage-by-stage semantic checks and
-# the differential execution oracle over a fuzz corpus + all workloads.
-stage "sanitize smoke" 600 go run ./cmd/ciexp -quick sanitize
-
 # Tier differential end-to-end: the same sanitize sweep with the
 # compiled tier selected additionally runs every corpus program under
 # both tiers and cross-checks store streams, returns, final memory,
@@ -129,19 +135,6 @@ stage "sanitize smoke" 600 go run ./cmd/ciexp -quick sanitize
 # suite above already covers the compiled tier's deopt path via the
 # tier-parameterized VM conformance tests.
 stage "tier smoke" 600 go run ./cmd/ciexp -quick -tier=compiled sanitize
-
-# Quantum adaptivity end-to-end: the handler-gap figure across interval
-# policies (fixed/AIMD/feedback) and all four designs on the quick
-# workload subset; ciexp exits non-zero when the feedback controller
-# stops beating the fixed quantum or the CI rows leave the overhead
-# budget.
-stage "quantum smoke" 600 go run ./cmd/ciexp -quick quantum
-
-# Handler interleaving verifier end-to-end: context-bound-1 exploration
-# over the three app sharing-protocol models and a fuzz corpus with
-# generated handlers; ciexp exits non-zero on an unclassified race or a
-# non-commutative schedule.
-stage "interleave smoke" 600 go run ./cmd/ciexp -quick interleave
 
 # Observability end-to-end: a figure run with -trace must emit a
 # well-formed Chrome trace_event JSON (validated in Go; no jq needed).
