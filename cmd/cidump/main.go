@@ -61,7 +61,7 @@ func main() {
 	entry := flag.String("entry", "main", "-hot: entry function")
 	fleetPlan := flag.Bool("fleet", false, "print the seeded fleet crash-plan schedule instead of an analysis dump")
 	fleetHorizon := flag.Int64("fleet-horizon", 26_000_000, "-fleet: schedule window in cycles")
-	flag.Parse()
+	cf.Parse(os.Args[1:])
 	stopProfile, err := cf.StartProfile()
 	if err != nil {
 		fail("%v", err)

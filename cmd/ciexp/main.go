@@ -67,9 +67,7 @@
 // Each figure subcommand is an entry of experiments.Figures and runs on
 // the parallel experiment engine: -workers N shards its cells across N
 // workers (0 = GOMAXPROCS; results are byte-identical at any worker
-// count, and -workers 1 reproduces the serial pipeline exactly), and
-// -store FILE persists per-cell results with content hashes so
-// unchanged cells are skipped on re-runs.
+// count, and -workers 1 reproduces the serial pipeline exactly).
 //
 // Observability: -trace FILE writes a Chrome trace_event JSON of the
 // run (probe fires, VM stage transitions, engine cache hits/misses,
@@ -82,7 +80,7 @@
 // scale soak's horizon),
 // -quick (subset of workloads for fig12; single fault rate for chaos;
 // smaller fuzz corpus for sanitize; two phases for soak), -seed N
-// (chaos/soak fault-plan seed), -workers N, -store FILE, -sanitize
+// (chaos/soak fault-plan seed), -workers N, -sanitize
 // (route every cache-miss compile in any sweep through the
 // translation-validation stage checks), -trace FILE, -metrics,
 // -slo-p999us/-max-reject (the overload SLO guard for ramp and soak),
@@ -109,7 +107,7 @@ import (
 // plus -quick and -all — and sets its usage text, whose subcommand list
 // is experiments.Figures.
 func newFlags(fs *flag.FlagSet) (cf *cliflags.Flags, quick, all *bool) {
-	cf = cliflags.New(fs).AddScale().AddSeed().AddEngine().AddObs().AddProfile().AddSLO().AddInterleave().AddFleet().AddQuantum()
+	cf = cliflags.New(fs).AddScale().AddSeed().AddEngine().AddObs().AddProfile().AddSLO().AddBound().AddFleet().AddQuantum()
 	quick = fs.Bool("quick", false, "use a workload subset where supported")
 	all = fs.Bool("all", false, "fig9/fig11: include Naive-Cycles and CnB-Cycles")
 	fs.Usage = func() {
@@ -126,7 +124,7 @@ func newFlags(fs *flag.FlagSet) (cf *cliflags.Flags, quick, all *bool) {
 
 func main() {
 	cf, quick, all := newFlags(flag.CommandLine)
-	flag.Parse()
+	cf.Parse(os.Args[1:])
 	usage := flag.CommandLine.Usage
 	if flag.NArg() < 1 {
 		usage()
@@ -167,14 +165,6 @@ func main() {
 		if e := fig.Run(os.Stdout, in); e != nil && err == nil {
 			err = fmt.Errorf("%s: %w", fig.Name, e)
 		}
-	}
-	if eng.Store != nil {
-		hits, misses := eng.Store.Skipped()
-		if e := eng.Store.Save(); e != nil && err == nil {
-			err = e
-		}
-		fmt.Fprintf(os.Stderr, "ciexp: store %s: %d cell(s) skipped, %d ran fresh\n",
-			eng.Store.Path(), hits, misses)
 	}
 	if e := cf.Finish(os.Stdout); e != nil && err == nil {
 		err = e

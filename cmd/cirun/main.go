@@ -39,7 +39,7 @@ import (
 )
 
 func main() {
-	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddQuantum().AddSanitize().AddTier().AddObs().AddProfile().AddSLO().AddInterleave()
+	cf := cliflags.New(flag.CommandLine).AddDesign().AddCompile().AddQuantum().AddSanitize().AddTier().AddObs().AddProfile().AddSLO().AddMaxGap().AddInterleave()
 	interval := flag.Int64("interval", 5000, "CI interval in cycles (0 disables the handler)")
 	entry := flag.String("entry", "main", "entry function")
 	argsFlag := flag.String("args", "", "comma-separated int64 arguments for the entry function")
@@ -49,7 +49,7 @@ func main() {
 	printIR := flag.Bool("print", false, "print the instrumented IR and exit")
 	costs := flag.Bool("costs", false, "print the exported cost file (§2.6) and exit")
 	timeline := flag.Int("timeline", 0, "record and print the last N interrupt-timeline events")
-	flag.Parse()
+	cf.Parse(os.Args[1:])
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cirun [flags] program.ir")
 		flag.PrintDefaults()

@@ -13,12 +13,16 @@ import (
 
 // A model run is one goroutine with no host clock: its results are a
 // pure function of its inputs. Host time belongs to benchmark/, and
-// parallelism to sweep cells. This test holds non-test code under
-// internal/ and cmd/ to that, by syntax alone:
+// parallelism to sweep cells. A run's results are printed, never kept
+// on disk where a later binary could serve them as its own. This test
+// holds non-test code under internal/ and cmd/ to that, by syntax
+// alone:
 //
 //   - no time.Now or time.Since, no global math/rand source, no
 //     os.Getenv;
-//   - no go statement outside the allow-list below.
+//   - no go statement outside goStmtAllowed;
+//   - no file write (os.Create, os.CreateTemp, os.WriteFile,
+//     os.OpenFile, os.Rename, os.MkdirAll) outside fileWriteAllowed.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -26,6 +30,17 @@ import (
 // scales by the thread count.
 var goStmtAllowed = map[string]string{
 	"internal/engine/pool.go:Map": "parallelism across independent sweep cells",
+}
+
+var fileWriteAllowed = map[string]string{
+	"internal/obs/trace.go:WriteTraceFile":       "the -trace file a user asked for",
+	"internal/cliflags/cliflags.go:StartProfile": "the -cpuprofile and -memprofile files a user asked for",
+	"internal/sanitize/repro.go:SaveRepro":       "pins a shrunk reproducer as a test input under testdata/repro",
+}
+
+// fileWrites are the os functions that create, write or move files.
+var fileWrites = map[string]bool{
+	"Create": true, "CreateTemp": true, "WriteFile": true, "OpenFile": true, "Rename": true, "MkdirAll": true,
 }
 
 // randSeeded are the math/rand names that build or name a seeded
@@ -98,6 +113,10 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					report(n, "global math/rand source rand."+sel)
 				case imp == "os" && sel == "Getenv":
 					report(n, "environment read os.Getenv")
+				case imp == "os" && fileWrites[sel]:
+					if _, ok := fileWriteAllowed[path+":"+fn]; !ok {
+						report(n, "file write os."+sel+" outside the allow-list")
+					}
 				}
 			}
 			return true
@@ -122,6 +141,7 @@ func f() {
 	_ = rand.Intn(3)
 	_ = rand.New(rand.NewSource(1))
 	_ = os.Getenv("X")
+	_ = os.WriteFile("x", nil, 0o644)
 	go f()
 }
 `
@@ -130,7 +150,7 @@ func f() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hygieneViolations(fset, "p.go", f); len(got) != 5 {
-		t.Fatalf("want 5 violations (Now, Since, Intn, Getenv, go), got %d:\n%s", len(got), strings.Join(got, "\n"))
+	if got := hygieneViolations(fset, "p.go", f); len(got) != 6 {
+		t.Fatalf("want 6 violations (Now, Since, Intn, Getenv, WriteFile, go), got %d:\n%s", len(got), strings.Join(got, "\n"))
 	}
 }

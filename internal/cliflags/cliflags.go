@@ -71,10 +71,9 @@ type Flags struct {
 	QuantumPolicy string
 
 	// AddEngine / AddTier
-	Workers   int
-	StorePath string
-	Sanitize  bool
-	Tier      string
+	Workers  int
+	Sanitize bool
+	Tier     string
 
 	// AddSeed / AddScale
 	Seed  uint64
@@ -88,13 +87,13 @@ type Flags struct {
 	CPUProfile string
 	MemProfile string
 
-	// AddSLO
+	// AddSLO / AddMaxGap
 	SLOP999Us    float64
 	SLOMaxUs     float64
 	MaxReject    float64
 	SoakDuration int64
 
-	// AddInterleave
+	// AddInterleave / AddBound
 	Interleave bool
 	Bound      int
 
@@ -163,11 +162,10 @@ func ParseQuantum(name string) (func() ciruntime.QuantumPolicy, error) {
 	return nil, fmt.Errorf("unknown quantum policy %q (want fixed, aimd or feedback)", name)
 }
 
-// AddEngine registers the experiment-engine flags -workers, -store,
-// -sanitize and -tier.
+// AddEngine registers the experiment-engine flags -workers, -sanitize
+// and -tier.
 func (f *Flags) AddEngine() *Flags {
 	f.fs.IntVar(&f.Workers, "workers", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
-	f.fs.StringVar(&f.StorePath, "store", "", "incremental result store (BENCH_*.json); unchanged cells are skipped")
 	f.AddSanitize()
 	f.AddTier()
 	return f
@@ -269,9 +267,15 @@ func (f *Flags) StartProfile() (stop func() error, err error) {
 // under admission runs ~8% above 1 - 1/multiplier).
 func (f *Flags) AddSLO() *Flags {
 	f.fs.Float64Var(&f.SLOP999Us, "slo-p999us", 500, "SLO: p99.9 latency ceiling in µs (0 disables the guard)")
-	f.fs.Float64Var(&f.SLOMaxUs, "slo-maxus", 0, "SLO: worst-case inter-fire gap ceiling in µs (0 disables the guard)")
 	f.fs.Float64Var(&f.MaxReject, "max-reject", 0.1, "SLO: max rejected fraction beyond the unavoidable excess load")
 	f.fs.Int64Var(&f.SoakDuration, "soak-duration", 26_000_000, "soak: per-phase duration in cycles")
+	return f
+}
+
+// AddMaxGap registers -slo-maxus, cirun's gate on the worst-case
+// inter-fire gap.
+func (f *Flags) AddMaxGap() *Flags {
+	f.fs.Float64Var(&f.SLOMaxUs, "slo-maxus", 0, "SLO: worst-case inter-fire gap ceiling in µs (0 disables the guard)")
 	return f
 }
 
@@ -280,8 +284,37 @@ func (f *Flags) AddSLO() *Flags {
 func (f *Flags) AddInterleave() *Flags {
 	f.fs.BoolVar(&f.Interleave, "interleave", false,
 		"run the handler interleaving verifier (probe-schedule exploration + race table)")
+	return f.AddBound()
+}
+
+// AddBound registers -bound alone (ciexp's interleave sweep wants it
+// without -interleave). Parse rejects a value outside 1-3.
+func (f *Flags) AddBound() *Flags {
 	f.fs.IntVar(&f.Bound, "bound", 2, "interleave: context bound (max forced handler fires per schedule, 1-3)")
 	return f
+}
+
+// Parse parses args (os.Args[1:] in the tools) and then checks that a
+// registered -bound lies in 1-3, the context bounds the interleaving
+// verifier explores; interleave.Options would clamp any other value
+// silently. The check runs here rather than in a flag.Value so that -h
+// keeps showing "-bound int". A bad value is handled like any flag
+// error: the error and the usage are printed, and under
+// flag.ExitOnError the process exits 2.
+func (f *Flags) Parse(args []string) error {
+	if err := f.fs.Parse(args); err != nil {
+		return err
+	}
+	if f.fs.Lookup("bound") == nil || (f.Bound >= 1 && f.Bound <= 3) {
+		return nil
+	}
+	err := fmt.Errorf("invalid value %d for flag -bound: want 1-3", f.Bound)
+	fmt.Fprintln(f.fs.Output(), err)
+	f.fs.Usage()
+	if f.fs.ErrorHandling() == flag.ExitOnError {
+		os.Exit(2)
+	}
+	return err
 }
 
 // AddFleet registers the fleet-experiment flags -replicas, -tenants,
@@ -348,7 +381,7 @@ func (f *Flags) Scope() *obs.Scope {
 	return f.scope
 }
 
-// Engine builds the experiment engine from -workers/-store/-sanitize
+// Engine builds the experiment engine from -workers/-sanitize/-tier
 // and attaches the observability scope.
 func (f *Flags) Engine() (*engine.Engine, error) {
 	eng := engine.New(f.Workers)
@@ -359,13 +392,6 @@ func (f *Flags) Engine() (*engine.Engine, error) {
 			return nil, err
 		}
 		eng.Tier = tier
-	}
-	if f.StorePath != "" {
-		store, err := engine.OpenStore(f.StorePath)
-		if err != nil {
-			return nil, err
-		}
-		eng.Store = store
 	}
 	eng.AttachObs(f.Scope())
 	return eng, nil

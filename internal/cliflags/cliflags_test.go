@@ -14,7 +14,7 @@ func newFlags(t *testing.T, add func(f *Flags) *Flags, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := add(New(fs))
-	if err := fs.Parse(args); err != nil {
+	if err := f.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -43,7 +43,7 @@ func TestSharedDefaults(t *testing.T) {
 	if f.Design != "ci" || f.ProbeInterval != 250 || f.AllowableError != 0 {
 		t.Errorf("compile defaults: %+v", f)
 	}
-	if f.Workers != 0 || f.StorePath != "" || f.Sanitize {
+	if f.Workers != 0 || f.Sanitize {
 		t.Errorf("engine defaults: %+v", f)
 	}
 	if f.Seed != 1 || f.Scale != 1 {
@@ -143,6 +143,33 @@ func TestSLOFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// -bound outside 1-3 fails at parse time with the usage, for every tool
+// that registers it; in range it parses.
+func TestBoundRange(t *testing.T) {
+	for _, tc := range []struct {
+		arg string
+		ok  bool
+	}{{"0", false}, {"1", true}, {"3", true}, {"4", false}, {"7", false}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		var out strings.Builder
+		fs.SetOutput(&out)
+		f := New(fs).AddInterleave()
+		err := f.Parse([]string{"-bound", tc.arg})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("-bound %s: %v", tc.arg, err)
+		case tc.ok && f.Bound != int(tc.arg[0]-'0'):
+			t.Errorf("-bound %s parsed as %d", tc.arg, f.Bound)
+		case !tc.ok && err == nil:
+			t.Errorf("-bound %s accepted, want a parse error", tc.arg)
+		case !tc.ok && !strings.Contains(out.String(), "-interleave"):
+			t.Errorf("-bound %s: no usage printed:\n%s", tc.arg, out.String())
+		}
+	}
+	// A tool without -bound leaves Bound at 0, which is no error.
+	newFlags(t, func(f *Flags) *Flags { return f.AddSeed() })
 }
 
 func TestFleetZoneFlags(t *testing.T) {

@@ -1,23 +1,16 @@
 package engine
 
 import (
-	"fmt"
-	"hash/fnv"
-	"strconv"
-
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
-// Engine bundles the three layers of the experiment engine: the worker
-// pool (sharding), the memoization cache (module/baseline reuse) and
-// the optional incremental result store (skip-hash persistence).
+// Engine bundles the two layers of the experiment engine: the worker
+// pool (sharding) and the in-process memoization cache (module and
+// baseline reuse).
 type Engine struct {
 	Pool  *Pool
 	Cache *Cache
-	// Store, when non-nil, persists sweep cells keyed by content hash
-	// so unchanged cells are skipped on re-runs.
-	Store *Store
 	// SanitizeOnMiss routes cache-miss compilations through the
 	// translation-validation sanitizer (stage checks on every pass)
 	// instead of the plain pipeline. Cache hits are unaffected, so the
@@ -52,7 +45,7 @@ func (e *Engine) AttachObs(scope *obs.Scope) {
 }
 
 // New returns an engine with the given worker count (<= 0 selects
-// GOMAXPROCS), a default-capacity cache and no store.
+// GOMAXPROCS) and a default-capacity cache.
 func New(workers int) *Engine {
 	return &Engine{Pool: NewPool(workers), Cache: NewCache(DefaultCacheCap)}
 }
@@ -61,28 +54,3 @@ func New(workers int) *Engine {
 // configuration whose output is byte-identical to the legacy serial
 // pipeline.
 func Serial() *Engine { return New(1) }
-
-// Hash folds the printed forms of parts into a stable content-hash
-// string, used as the skip-hash of store cells.
-func Hash(parts ...any) string {
-	h := fnv.New64a()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%v\x1f", p)
-	}
-	return strconv.FormatUint(h.Sum64(), 16)
-}
-
-// CellDo runs one store-aware sweep cell: when e has a store holding
-// key with a matching input hash, the stored result is decoded and
-// compute is skipped (skipped=true); otherwise compute runs and its
-// result is recorded. Engines without a store always compute.
-func CellDo[T any](e *Engine, key, hash string, compute func() (T, error)) (out T, skipped bool, err error) {
-	if e != nil && e.Store != nil && e.Store.Lookup(key, hash, &out) {
-		return out, true, nil
-	}
-	out, err = compute()
-	if err == nil && e != nil && e.Store != nil {
-		err = e.Store.Put(key, hash, out)
-	}
-	return out, false, err
-}

@@ -3,8 +3,6 @@ package engine_test
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -169,143 +167,6 @@ func TestCacheSingleflight(t *testing.T) {
 	wg.Wait()
 	if n := builds.Load(); n != 1 {
 		t.Errorf("build ran %d times under concurrency, want 1", n)
-	}
-}
-
-type cellResult struct {
-	Name  string
-	Value float64
-	Runs  int64
-}
-
-func TestStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	s, err := engine.OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := cellResult{Name: "radix", Value: 1.0625, Runs: 400000000}
-	if err := s.Put("overhead/radix", "h1", in); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := engine.OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out cellResult
-	if !s2.Lookup("overhead/radix", "h1", &out) {
-		t.Fatal("matching hash should hit")
-	}
-	if out != in {
-		t.Fatalf("round trip changed the cell: %+v != %+v", out, in)
-	}
-	if s2.Lookup("overhead/radix", "h2", &out) {
-		t.Fatal("changed hash must force a fresh run")
-	}
-	if s2.Lookup("missing", "h1", &out) {
-		t.Fatal("unknown key must miss")
-	}
-	hits, misses := s2.Skipped()
-	if hits != 1 || misses != 2 {
-		t.Errorf("skip accounting = %d hits / %d misses, want 1/2", hits, misses)
-	}
-}
-
-// A store file from a different schema version is discarded wholesale:
-// every cell re-runs rather than decoding stale shapes.
-func TestStoreVersionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	content := `{"version": 99, "cells": {"k": {"hash": "h", "data": 1}}}`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := engine.OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keys := s.Keys(); len(keys) != 0 {
-		t.Errorf("version-mismatched store kept cells: %v", keys)
-	}
-}
-
-// Save is a no-op when nothing changed, and atomic (no partial file)
-// when it writes.
-func TestStoreSaveNoopAndAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-	s, err := engine.OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("clean store should not write a file")
-	}
-	if err := s.Put("k", "h", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "BENCH_test.json" {
-		t.Errorf("temp files left behind: %v", ents)
-	}
-}
-
-func TestCellDoSkipsOnHashMatch(t *testing.T) {
-	e := engine.Serial()
-	store, err := engine.OpenStore(filepath.Join(t.TempDir(), "BENCH_test.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Store = store
-	computes := 0
-	compute := func() (cellResult, error) { computes++; return cellResult{Name: "x", Value: 2.5}, nil }
-
-	first, skipped, err := engine.CellDo(e, "cell", "h1", compute)
-	if err != nil || skipped {
-		t.Fatalf("first CellDo: skipped=%v err=%v", skipped, err)
-	}
-	second, skipped, err := engine.CellDo(e, "cell", "h1", compute)
-	if err != nil || !skipped {
-		t.Fatalf("second CellDo: skipped=%v err=%v", skipped, err)
-	}
-	if second != first {
-		t.Fatalf("stored cell differs: %+v != %+v", second, first)
-	}
-	if _, skipped, _ = engine.CellDo(e, "cell", "h2", compute); skipped {
-		t.Fatal("hash change must force recompute")
-	}
-	if computes != 2 {
-		t.Errorf("compute ran %d times, want 2", computes)
-	}
-}
-
-// Hash must distinguish inputs and stay stable for equal inputs.
-func TestHashStableAndDistinct(t *testing.T) {
-	a := engine.Hash("overhead", 1, int64(5000), true)
-	if b := engine.Hash("overhead", 1, int64(5000), true); b != a {
-		t.Errorf("equal inputs hash differently: %s vs %s", a, b)
-	}
-	for _, other := range []string{
-		engine.Hash("overhead", 2, int64(5000), true),
-		engine.Hash("overhead", 1, int64(5001), true),
-		engine.Hash("accuracy", 1, int64(5000), true),
-		engine.Hash("overhead", 1, int64(5000)),
-	} {
-		if other == a {
-			t.Errorf("distinct inputs collided on %s", a)
-		}
 	}
 }
 

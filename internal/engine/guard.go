@@ -21,24 +21,24 @@ type GuardedModule struct {
 
 // GuardModule fingerprints m and wraps it for shared, read-only use.
 func GuardModule(m *ir.Module) *GuardedModule {
-	return &GuardedModule{Mod: m, fp: ModuleFingerprint(m)}
+	return &GuardedModule{Mod: m, fp: moduleFingerprint(m)}
 }
 
 // Verify re-fingerprints the module and fails if it no longer matches
 // the insert-time value — i.e. if some consumer wrote to the shared
 // module instead of cloning it.
 func (g *GuardedModule) Verify() error {
-	if now := ModuleFingerprint(g.Mod); now != g.fp {
+	if now := moduleFingerprint(g.Mod); now != g.fp {
 		return fmt.Errorf("engine: cached module %q was mutated (fingerprint %x, was %x)",
 			g.Mod.Name, now, g.fp)
 	}
 	return nil
 }
 
-// ModuleFingerprint hashes the module's complete printed form —
+// moduleFingerprint hashes the module's complete printed form —
 // functions, blocks, instructions, probes, externs and memory size —
 // into a 64-bit content fingerprint.
-func ModuleFingerprint(m *ir.Module) uint64 {
+func moduleFingerprint(m *ir.Module) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(m.String()))
 	return h.Sum64()

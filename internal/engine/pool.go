@@ -1,9 +1,8 @@
 // Package engine is the parallel experiment engine behind the §5
 // evaluation sweeps: a bounded worker pool that shards independent
-// (workload × design × interval) cells across GOMAXPROCS, a memoization
-// cache that reuses instrumented modules and baseline runs across
-// cells, and an incremental JSON result store that skips unchanged
-// cells on re-runs.
+// (workload × design × interval) cells across GOMAXPROCS, and an
+// in-process memoization cache that reuses instrumented modules and
+// baseline runs across cells.
 //
 // Every VM run is virtual-time deterministic (per-thread RNGs are
 // seeded by thread id), so a cell's result is a pure function of its

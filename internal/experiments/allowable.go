@@ -17,8 +17,8 @@ import (
 // which is why the paper heuristically sets allowable error equal to
 // the probe interval.
 
-// AllowablePoint is one allowable-error setting's aggregate.
-type AllowablePoint struct {
+// allowablePoint is one allowable-error setting's aggregate.
+type allowablePoint struct {
 	AllowableErrorIR int64
 	// MedianOverhead across the sampled workloads.
 	MedianOverhead float64
@@ -34,38 +34,38 @@ var allowableWorkloads = []string{
 	"volrend", "fluidanimate", "word_count", "raytrace", "dedup", "radiosity",
 }
 
-// MeasureAllowableError sweeps the allowable-error parameter at a
+// measureAllowableError sweeps the allowable-error parameter at a
 // fixed probe interval and 5000-cycle target. One setting is one
 // engine cell; failed settings are reported, not fatal.
-func MeasureAllowableError(eng *engine.Engine, values []int64, scale int) ([]AllowablePoint, []CellError) {
+func measureAllowableError(eng *engine.Engine, values []int64, scale int) ([]allowablePoint, []cellError) {
 	if len(values) == 0 {
 		values = []int64{25, 50, 100, 250, 500, 1000, 2000}
 	}
 	const target = 5000
 	label := func(i int) string { return fmt.Sprintf("allowable/%d", values[i]) }
-	return sweep(eng, len(values), label, func(i int) (AllowablePoint, error) {
+	return sweep(eng, len(values), label, func(i int) (allowablePoint, error) {
 		ae := values[i]
 		var overheads []float64
 		var absErrs []int64
 		probes := 0
 		for _, name := range allowableWorkloads {
 			wl := workloads.ByName(name)
-			base, err := BaselineCached(eng, wl, scale, 1)
+			base, err := baselineCached(eng, wl, scale, 1)
 			if err != nil {
-				return AllowablePoint{}, err
+				return allowablePoint{}, err
 			}
-			prog, err := CompileCached(eng, wl, scale,
+			prog, err := compileCached(eng, wl, scale,
 				core.WithDesign(instrument.CI),
-				core.WithProbeInterval(ProbeIntervalIR),
+				core.WithProbeInterval(probeIntervalIR),
 				core.WithAllowableError(ae))
 			if err != nil {
-				return AllowablePoint{}, err
+				return allowablePoint{}, err
 			}
 			probes += prog.Instr.Probes
 			th, id := ciThread(eng, prog.Mod, 1, nil, base.IRPerCycle, target, nil)
 			th.RT.RecordIntervals = true
 			if _, err := th.Run("main", 0); err != nil {
-				return AllowablePoint{}, fmt.Errorf("%s: %w", name, err)
+				return allowablePoint{}, fmt.Errorf("%s: %w", name, err)
 			}
 			overheads = append(overheads, float64(th.Stats.Cycles)/float64(base.Cycles)-1)
 			for _, g := range th.RT.Intervals(id) {
@@ -76,7 +76,7 @@ func MeasureAllowableError(eng *engine.Engine, values []int64, scale int) ([]All
 				absErrs = append(absErrs, e)
 			}
 		}
-		pt := AllowablePoint{
+		pt := allowablePoint{
 			AllowableErrorIR: ae,
 			MedianOverhead:   stats.MedianF(overheads),
 			Probes:           probes,
@@ -90,7 +90,7 @@ func MeasureAllowableError(eng *engine.Engine, values []int64, scale int) ([]All
 
 // printAllowable renders the §3.3 parameter study.
 func printAllowable(w io.Writer, eng *engine.Engine, scale int) error {
-	pts, errs := MeasureAllowableError(eng, nil, scale)
+	pts, errs := measureAllowableError(eng, nil, scale)
 	fmt.Fprintln(w, "Allowable-error study (§3.3): overhead and |interval error| vs setting")
 	fmt.Fprintf(w, "%14s%16s%18s%14s\n", "allowable(IR)", "median ovh", "median |err| cy", "static probes")
 	for _, p := range pts {

@@ -15,9 +15,8 @@ import (
 var mtcpConns = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // printLines renders one line per cell of an n-cell sweep, in cell
-// order. The app models' runs cannot fail, so the cells carry no store
-// key; the engine's scope collects their scheduling-decision trace
-// events and latency histograms.
+// order. The app models' runs cannot fail; the engine's scope collects
+// their scheduling-decision trace events and latency histograms.
 func printLines(w io.Writer, eng *engine.Engine, tag string, n int, line func(i int) string) error {
 	lines, errs := sweep(eng, n, func(i int) string { return fmt.Sprintf("%s/%d", tag, i) },
 		func(i int) (string, error) { return line(i), nil })

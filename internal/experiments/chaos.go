@@ -28,8 +28,8 @@ import (
 //  4. progress — no run hangs: the simulators' event-loop deadlines
 //     return errors instead of spinning, and none may fire.
 
-// ChaosRates is the standard sweep: fault-free, 0.1%, 1%.
-var ChaosRates = []float64{0, 0.001, 0.01}
+// chaosRates is the standard sweep: fault-free, 0.1%, 1%.
+var chaosRates = []float64{0, 0.001, 0.01}
 
 // chaosBounds are the degradation invariants' constants: under any
 // swept fault rate, p99-class tails may grow at most tailFactor x the
@@ -40,8 +40,8 @@ const (
 	chaosThroughputFloor = 0.4
 )
 
-// ChaosRow is one (subsystem, rate) cell of the sweep.
-type ChaosRow struct {
+// chaosRow is one (subsystem, rate) cell of the sweep.
+type chaosRow struct {
 	Subsystem string
 	Rate      float64
 	// Throughput and TailUs are the subsystem's headline metric and
@@ -55,37 +55,37 @@ type ChaosRow struct {
 	Violations []string
 }
 
-func (r ChaosRow) ok() string {
+func (r chaosRow) ok() string {
 	if len(r.Violations) == 0 {
 		return "ok"
 	}
 	return fmt.Sprintf("VIOLATED: %v", r.Violations)
 }
 
-// RunChaos sweeps all three systems applications across the given
+// runChaos sweeps all three systems applications across the given
 // fault rates on the engine, one (rate, application) cell each, and
 // checks the invariants at every point. The returned rows carry any
 // violations (it never converts them into errors — callers decide, so
 // the printer can show a full table).
-func RunChaos(eng *engine.Engine, seed uint64, rates []float64) []ChaosRow {
+func runChaos(eng *engine.Engine, seed uint64, rates []float64) []chaosRow {
 	if len(rates) == 0 {
-		rates = ChaosRates
+		rates = chaosRates
 	}
-	apps := []func(seed uint64, rate float64) ChaosRow{chaosMTCP, chaosShenango, chaosFFWD}
+	apps := []func(seed uint64, rate float64) chaosRow{chaosMTCP, chaosShenango, chaosFFWD}
 	n := len(apps)
 	label := func(i int) string { return fmt.Sprintf("chaos/%g/%d", rates[i/n], i%n) }
-	rows, _ := sweep(eng, n*len(rates), label, func(i int) (ChaosRow, error) {
+	rows, _ := sweep(eng, n*len(rates), label, func(i int) (chaosRow, error) {
 		return apps[i%n](seed, rates[i/n]), nil
 	})
 	return rows
 }
 
-func chaosMTCP(seed uint64, rate float64) ChaosRow {
+func chaosMTCP(seed uint64, rate float64) chaosRow {
 	cfg := mtcp.Config{
 		Mode: mtcp.CI, Conns: 32, Adaptive: true,
 		Seed: seed, FaultPlan: faults.Uniform(seed, rate),
 	}
-	row := ChaosRow{Subsystem: "mtcp", Rate: rate}
+	row := chaosRow{Subsystem: "mtcp", Rate: rate}
 	r, err := mtcp.RunChecked(cfg)
 	row.Throughput = r.ThroughputGbps
 	row.TailUs = r.P99LatencyUs
@@ -109,12 +109,12 @@ func chaosMTCP(seed uint64, rate float64) ChaosRow {
 	return row
 }
 
-func chaosShenango(seed uint64, rate float64) ChaosRow {
+func chaosShenango(seed uint64, rate float64) chaosRow {
 	cfg := shenango.Config{
 		Kind: shenango.CIHosted, OfferedLoad: 200e3,
 		Seed: seed, FaultPlan: faults.Uniform(seed, rate),
 	}
-	row := ChaosRow{Subsystem: "shenango", Rate: rate}
+	row := chaosRow{Subsystem: "shenango", Rate: rate}
 	r, err := shenango.RunChecked(cfg)
 	row.Throughput = r.AchievedLoad
 	row.TailUs = r.P999Us
@@ -133,12 +133,12 @@ func chaosShenango(seed uint64, rate float64) ChaosRow {
 	return row
 }
 
-func chaosFFWD(seed uint64, rate float64) ChaosRow {
+func chaosFFWD(seed uint64, rate float64) chaosRow {
 	cfg := ffwd.Config{
 		Design: ffwd.DelegationCI, Threads: 32, RecordLatencies: true,
 		Seed: seed, FaultPlan: faults.Uniform(seed, rate),
 	}
-	row := ChaosRow{Subsystem: "ffwd", Rate: rate}
+	row := chaosRow{Subsystem: "ffwd", Rate: rate}
 	r := ffwd.Run(cfg)
 	row.Throughput = r.ThroughputMops
 	row.TailUs = float64(r.LatencySummary.Max) / 2600
@@ -186,7 +186,7 @@ func printChaos(w io.Writer, eng *engine.Engine, seed uint64, rates []float64) e
 	fmt.Fprintf(w, "Chaos sweep (seed %d): graceful degradation under uniform fault plans\n", seed)
 	fmt.Fprintf(w, "%-10s %-7s %12s %12s %10s  %s\n",
 		"subsystem", "rate", "throughput", "tail(µs)", "recovered", "invariants")
-	rows := RunChaos(eng, seed, rates)
+	rows := runChaos(eng, seed, rates)
 	bad := 0
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %-7.3g %12.3f %12.1f %10d  %s\n",

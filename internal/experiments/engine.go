@@ -20,29 +20,28 @@ import (
 // figure runs on, whose per-cell error collection keeps one failing
 // cell from losing a multi-minute run.
 
-// CellError records one failed sweep cell; the surrounding sweep keeps
+// cellError records one failed sweep cell; the surrounding sweep keeps
 // going and reports every failure at the end.
-type CellError struct {
+type cellError struct {
 	// Cell names the failed unit, e.g. "fig9/barnes".
 	Cell string
-	// Err is the failure rendered as a string (store- and
-	// JSON-friendly).
+	// Err is the failure rendered as a string.
 	Err string
 }
 
-func (e CellError) String() string { return fmt.Sprintf("%s: %s", e.Cell, e.Err) }
+func (e cellError) String() string { return fmt.Sprintf("%s: %s", e.Cell, e.Err) }
 
 // sweep runs cell(0..n-1) on the engine's pool and merges the results
 // in index order, so its output is byte-identical at any worker count.
-// It returns the successful results and one CellError, named by
+// It returns the successful results and one cellError, named by
 // label(i), per failed cell.
-func sweep[T any](eng *engine.Engine, n int, label func(i int) string, cell func(i int) (T, error)) ([]T, []CellError) {
+func sweep[T any](eng *engine.Engine, n int, label func(i int) string, cell func(i int) (T, error)) ([]T, []cellError) {
 	results, errs := engine.Map(eng.Pool, n, cell)
 	out := make([]T, 0, n)
-	var cellErrs []CellError
+	var cellErrs []cellError
 	for i, err := range errs {
 		if err != nil {
-			cellErrs = append(cellErrs, CellError{Cell: label(i), Err: err.Error()})
+			cellErrs = append(cellErrs, cellError{Cell: label(i), Err: err.Error()})
 			continue
 		}
 		out = append(out, results[i])
@@ -50,13 +49,11 @@ func sweep[T any](eng *engine.Engine, n int, label func(i int) string, cell func
 	return out, cellErrs
 }
 
-// workloadSweep runs measure over sel with each workload one store
-// cell, key/<workload>. A re-run skips the cell while its content hash
-// — tag, the workload's source fingerprint, scale and parts — is
-// unchanged. Failed cells are named tag/<workload>. It returns the
-// surviving workloads' names alongside their results.
-func workloadSweep[T any](eng *engine.Engine, sel []*workloads.Workload, scale int, tag, key string,
-	parts []any, measure func(wl *workloads.Workload) (T, error)) ([]string, []T, []CellError) {
+// workloadSweep runs measure over sel with each workload one cell,
+// named tag/<workload> when it fails. It returns the surviving
+// workloads' names alongside their results.
+func workloadSweep[T any](eng *engine.Engine, sel []*workloads.Workload, tag string,
+	measure func(wl *workloads.Workload) (T, error)) ([]string, []T, []cellError) {
 
 	type named struct {
 		name string
@@ -64,10 +61,8 @@ func workloadSweep[T any](eng *engine.Engine, sel []*workloads.Workload, scale i
 	}
 	cells, errs := sweep(eng, len(sel), func(i int) string { return tag + "/" + sel[i].Name },
 		func(i int) (named, error) {
-			wl := sel[i]
-			hash := engine.Hash(append([]any{tag, engine.ModuleFingerprint(SourceModule(eng, wl, scale)), scale}, parts...)...)
-			val, _, err := engine.CellDo(eng, key+"/"+wl.Name, hash, func() (T, error) { return measure(wl) })
-			return named{wl.Name, val}, err
+			val, err := measure(sel[i])
+			return named{sel[i].Name, val}, err
 		})
 	names := make([]string, len(cells))
 	vals := make([]T, len(cells))
@@ -80,7 +75,7 @@ func workloadSweep[T any](eng *engine.Engine, sel []*workloads.Workload, scale i
 // renderCellErrors prints a failure footer (nothing on a clean sweep,
 // keeping successful output byte-identical to the serial pipeline) and
 // returns an aggregate error when any cell failed.
-func renderCellErrors(w io.Writer, errs []CellError) error {
+func renderCellErrors(w io.Writer, errs []cellError) error {
 	if len(errs) == 0 {
 		return nil
 	}
@@ -121,7 +116,7 @@ func newMachine(eng *engine.Engine, m *ir.Module, model *vm.CostModel, threads i
 // ciThread is the measured run's setup: the representative thread (id
 // 0) of a newMachine over the instrumented module m, observed by scope
 // (nil = off) and tuned to irPerCycle, with the measurement handler —
-// HandlerWorkCycles of work per fire — registered at intervalCycles.
+// handlerWorkCycles of work per fire — registered at intervalCycles.
 // A non-nil events replaces the runtime's event-threshold rule before
 // registration. It returns the thread and the handler id.
 func ciThread(eng *engine.Engine, m *ir.Module, threads int, scope *obs.Scope,
@@ -134,13 +129,13 @@ func ciThread(eng *engine.Engine, m *ir.Module, threads int, scope *obs.Scope,
 	if events != nil {
 		th.RT.EventsPerInterval = events
 	}
-	return th, th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(HandlerWorkCycles) })
+	return th, th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(handlerWorkCycles) })
 }
 
-// SourceModule returns the workload's uninstrumented module, memoized
+// sourceModule returns the workload's uninstrumented module, memoized
 // per (workload, scale) and shared read-only across cells (core.Compile
 // clones it before instrumenting). With a nil engine it builds fresh.
-func SourceModule(eng *engine.Engine, wl *workloads.Workload, scale int) *ir.Module {
+func sourceModule(eng *engine.Engine, wl *workloads.Workload, scale int) *ir.Module {
 	if eng == nil || eng.Cache == nil {
 		return wl.Build(scale)
 	}
@@ -151,20 +146,20 @@ func SourceModule(eng *engine.Engine, wl *workloads.Workload, scale int) *ir.Mod
 	return v.(*engine.GuardedModule).Mod
 }
 
-// BaselineCached returns the workload's uninstrumented baseline run,
+// baselineCached returns the workload's uninstrumented baseline run,
 // memoized per (workload, scale, threads).
-func BaselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads int) (Baseline, error) {
+func baselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads int) (baseline, error) {
 	if eng == nil || eng.Cache == nil {
-		return MeasureBaseline(wl, scale, threads)
+		return measureBaseline(wl, scale, threads)
 	}
 	key := fmt.Sprintf("base/%s/s%d/t%d", wl.Name, scale, threads)
 	v, err := eng.Cache.Get(key, func() (any, error) {
-		return runBaseline(eng, SourceModule(eng, wl, scale), wl.Name, threads)
+		return runBaseline(eng, sourceModule(eng, wl, scale), wl.Name, threads)
 	})
 	if err != nil {
-		return Baseline{}, err
+		return baseline{}, err
 	}
-	return v.(Baseline), nil
+	return v.(baseline), nil
 }
 
 // compileMaybeChecked compiles src under the resolved options, routing
@@ -179,11 +174,11 @@ func compileMaybeChecked(eng *engine.Engine, src *ir.Module, opts []core.Option)
 	return core.Compile(src, opts...)
 }
 
-// CompileCached compiles the workload under the given options, memoized
+// compileCached compiles the workload under the given options, memoized
 // per (workload, scale, resolved config). The returned program's module
 // is shared across cells; callers must treat it as read-only (VM runs
 // do — the fingerprint guard in the cache proves it).
-func CompileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts ...core.Option) (*core.Program, error) {
+func compileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts ...core.Option) (*core.Program, error) {
 	if eng != nil {
 		// Bake the engine's tier into the program (an explicit WithTier
 		// among opts still wins — options apply in order).
@@ -191,11 +186,11 @@ func CompileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts .
 	}
 	cfg := core.ConfigOf(opts...)
 	if eng == nil || eng.Cache == nil || cfg.ImportedCosts != nil {
-		return compileMaybeChecked(eng, SourceModule(eng, wl, scale), opts)
+		return compileMaybeChecked(eng, sourceModule(eng, wl, scale), opts)
 	}
 	key := fmt.Sprintf("prog/%s/s%d/%s", wl.Name, scale, cfgKey(cfg))
 	v, err := eng.Cache.Get(key, func() (any, error) {
-		prog, err := compileMaybeChecked(eng, SourceModule(eng, wl, scale), opts)
+		prog, err := compileMaybeChecked(eng, sourceModule(eng, wl, scale), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -213,9 +208,9 @@ func CompileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts .
 var subsetWorkloads = []string{"radix", "histogram", "barnes", "matrix_multiply",
 	"volrend", "swaptions", "water-nsquared", "dedup"}
 
-// AllWorkloads returns pointers to the full Table-7 workload list in
+// allWorkloads returns pointers to the full Table-7 workload list in
 // paper order.
-func AllWorkloads() []*workloads.Workload {
+func allWorkloads() []*workloads.Workload {
 	sel := make([]*workloads.Workload, len(workloads.All))
 	for i := range workloads.All {
 		sel[i] = &workloads.All[i]
@@ -223,8 +218,8 @@ func AllWorkloads() []*workloads.Workload {
 	return sel
 }
 
-// WorkloadsByName resolves names to workloads, failing on unknowns.
-func WorkloadsByName(names []string) ([]*workloads.Workload, error) {
+// workloadsByName resolves names to workloads, failing on unknowns.
+func workloadsByName(names []string) ([]*workloads.Workload, error) {
 	sel := make([]*workloads.Workload, 0, len(names))
 	for _, n := range names {
 		wl := workloads.ByName(n)

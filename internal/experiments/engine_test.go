@@ -18,12 +18,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
 
-// detSubset is the workload selection the determinism tests sweep: big
-// enough to exercise cross-cell cache sharing, small enough to run on
-// every `go test`.
+// detSubset is the workload selection the determinism tests sweep, the
+// regression baseline's: big enough to exercise cross-cell cache
+// sharing, small enough to run on every `go test`.
 func detSubset(t *testing.T) []*workloads.Workload {
 	t.Helper()
-	sel, err := WorkloadsByName([]string{"radix", "histogram", "volrend", "kmeans"})
+	sel, err := workloadsByName(baselineNames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +32,9 @@ func detSubset(t *testing.T) []*workloads.Workload {
 
 func renderOverheadSubset(t *testing.T, eng *engine.Engine) string {
 	t.Helper()
-	designs := []instrument.Design{instrument.CI, instrument.CnB, instrument.Naive}
-	fig := MeasureFigureOverheadSel(eng, 1, 1, designs, detSubset(t))
+	fig := measureFigureOverheadSel(eng, 1, 1, baselineDesigns, detSubset(t))
 	var buf bytes.Buffer
-	fig.Render(&buf)
+	fig.render(&buf)
 	if err := renderCellErrors(&buf, fig.Errs); err != nil {
 		t.Fatal(err)
 	}
@@ -105,37 +104,6 @@ func TestFiguresWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// Re-running a sweep against a populated store must skip every
-// unchanged cell and still produce identical results.
-func TestStoreSkipsUnchangedCells(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_overhead.json")
-	run := func() (string, int64, int64) {
-		store, err := engine.OpenStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := engine.New(4)
-		eng.Store = store
-		out := renderOverheadSubset(t, eng)
-		if err := store.Save(); err != nil {
-			t.Fatal(err)
-		}
-		hits, misses := store.Skipped()
-		return out, hits, misses
-	}
-	first, hits, misses := run()
-	if hits != 0 || misses == 0 {
-		t.Fatalf("cold run: %d hits / %d misses, want 0 hits", hits, misses)
-	}
-	second, hits, misses := run()
-	if misses != 0 || hits == 0 {
-		t.Errorf("warm run: %d hits / %d misses, want all hits", hits, misses)
-	}
-	if second != first {
-		t.Errorf("store replay changed the output:\n%s\nvs\n%s", second, first)
-	}
-}
-
 // faultingWorkload builds a program whose main immediately loads from
 // address -1: compilation succeeds, every VM run faults.
 func faultingWorkload() *workloads.Workload {
@@ -163,13 +131,13 @@ func faultingWorkload() *workloads.Workload {
 // sweep completes, the error is reported per cell, and the footer only
 // appears when something actually failed.
 func TestSweepPartialFailure(t *testing.T) {
-	good, err := WorkloadsByName([]string{"radix", "histogram"})
+	good, err := workloadsByName([]string{"radix", "histogram"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel := []*workloads.Workload{good[0], faultingWorkload(), good[1]}
 	designs := []instrument.Design{instrument.CI, instrument.Naive}
-	fig := MeasureFigureOverheadSel(engine.New(4), 1, 1, designs, sel)
+	fig := measureFigureOverheadSel(engine.New(4), 1, 1, designs, sel)
 
 	if len(fig.Errs) != 1 {
 		t.Fatalf("cell errors = %v, want exactly one", fig.Errs)
@@ -206,25 +174,6 @@ func TestSweepPartialFailure(t *testing.T) {
 	buf.Reset()
 	if err := renderCellErrors(&buf, nil); err != nil || buf.Len() != 0 {
 		t.Errorf("clean sweep rendered a footer: err=%v output=%q", err, buf.String())
-	}
-}
-
-// The same partial-failure contract on the probe-count sweep, whose
-// cells go through CellDo: the store must not record failed cells.
-func TestPartialFailureNotStored(t *testing.T) {
-	store, err := engine.OpenStore(filepath.Join(t.TempDir(), "BENCH_x.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(2)
-	eng.Store = store
-	sel := []*workloads.Workload{faultingWorkload()}
-	fig := MeasureFigureOverheadSel(eng, 1, 1, []instrument.Design{instrument.CI}, sel)
-	if len(fig.Errs) != 1 {
-		t.Fatalf("errs = %v", fig.Errs)
-	}
-	if keys := store.Keys(); len(keys) != 0 {
-		t.Errorf("failed cells were persisted: %v", keys)
 	}
 }
 

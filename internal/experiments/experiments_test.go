@@ -19,7 +19,7 @@ func testEngine() *engine.Engine { return engine.New(4) }
 
 func TestMeasureBaseline(t *testing.T) {
 	wl := workloads.ByName("histogram")
-	base, err := MeasureBaseline(wl, 1, 1)
+	base, err := measureBaseline(wl, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestMeasureBaseline(t *testing.T) {
 	if base.IRPerCycle <= 0.1 || base.IRPerCycle > 2 {
 		t.Errorf("IR/cycle = %v, implausible", base.IRPerCycle)
 	}
-	base32, err := MeasureBaseline(wl, 1, 32)
+	base32, err := measureBaseline(wl, 1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +48,12 @@ func TestOverheadOrdering(t *testing.T) {
 		per := make(map[instrument.Design][]float64)
 		for _, n := range names {
 			wl := workloads.ByName(n)
-			base, err := BaselineCached(eng, wl, 1, threads)
+			base, err := baselineCached(eng, wl, 1, threads)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, d := range designs {
-				row, err := MeasureOverhead(eng, wl, d, base, 1, threads, 5000, false)
+				row, err := measureOverhead(eng, wl, d, base, 1, threads, 5000, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,11 +93,11 @@ func TestAblations(t *testing.T) {
 	overhead := func(name string, opts ...core.Option) float64 {
 		t.Helper()
 		wl := workloads.ByName(name)
-		base, err := BaselineCached(eng, wl, 1, 1)
+		base, err := baselineCached(eng, wl, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := CompileCached(eng, wl, 1, opts...)
+		prog, err := compileCached(eng, wl, 1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestAblations(t *testing.T) {
 		return float64(th.Stats.Cycles)/float64(base.Cycles) - 1
 	}
 	ci := func(opts ...core.Option) []core.Option {
-		return append([]core.Option{core.WithDesign(instrument.CI), core.WithProbeInterval(ProbeIntervalIR)}, opts...)
+		return append([]core.Option{core.WithDesign(instrument.CI), core.WithProbeInterval(probeIntervalIR)}, opts...)
 	}
 	clonePays := map[string]bool{"swaptions": true, "string_match": true}
 	var full, noTransform []float64
@@ -137,7 +137,7 @@ func TestAblations(t *testing.T) {
 // (≈10x at 5k cycles), CI stays nearly flat, and hardware wins only at
 // very long intervals.
 func TestFigure12Shape(t *testing.T) {
-	pts, cerrs, err := MeasureFigure12(testEngine(), 1, []int64{2000, 5000, 500000},
+	pts, cerrs, err := measureFigure12(testEngine(), 1, []int64{2000, 5000, 500000},
 		[]string{"radix", "histogram", "volrend", "barnes"})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestFigure12Shape(t *testing.T) {
 	if len(cerrs) > 0 {
 		t.Fatalf("cell errors: %v", cerrs)
 	}
-	byInterval := map[int64]SweepPoint{}
+	byInterval := map[int64]sweepPoint{}
 	for _, p := range pts {
 		byInterval[p.IntervalCycles] = p
 	}
@@ -169,12 +169,12 @@ func TestFigure12Shape(t *testing.T) {
 func TestAccuracyCalibration(t *testing.T) {
 	eng := testEngine()
 	wl := workloads.ByName("ocean-cp")
-	base, err := BaselineCached(eng, wl, 1, 1)
+	base, err := baselineCached(eng, wl, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []instrument.Design{instrument.CI, instrument.Naive, instrument.CnB} {
-		row, err := MeasureOverhead(eng, wl, d, base, 1, 1, 5000, true)
+		row, err := measureOverhead(eng, wl, d, base, 1, 1, 5000, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,11 +191,11 @@ func TestAccuracyCalibration(t *testing.T) {
 func TestCICyclesNeverEarly(t *testing.T) {
 	eng := testEngine()
 	wl := workloads.ByName("swaptions")
-	base, err := BaselineCached(eng, wl, 1, 1)
+	base, err := baselineCached(eng, wl, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := MeasureOverhead(eng, wl, instrument.CICycles, base, 1, 1, 5000, true)
+	row, err := measureOverhead(eng, wl, instrument.CICycles, base, 1, 1, 5000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestTable7Full(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all 28 workloads at 2 thread counts")
 	}
-	rows, geo, cerrs := MeasureTable7(testEngine(), 1)
+	rows, geo, cerrs := measureTable7(testEngine(), 1)
 	if len(cerrs) > 0 {
 		t.Fatalf("cell errors: %v", cerrs)
 	}
@@ -250,7 +250,7 @@ func TestPrintersProduceRows(t *testing.T) {
 // The hybrid watchdog (§5.4 future work) must bound late interrupts on
 // gap-heavy programs and stay inert on gap-free ones.
 func TestHybridWatchdog(t *testing.T) {
-	rows, cerrs := MeasureHybrid(testEngine(), []string{"syscall-gaps", "word_count"}, 5000, 2.0, 1)
+	rows, cerrs := measureHybrid(testEngine(), []string{"syscall-gaps", "word_count"}, 5000, 2.0, 1)
 	if len(cerrs) > 0 {
 		t.Fatalf("cell errors: %v", cerrs)
 	}
@@ -279,7 +279,7 @@ func TestHybridWatchdog(t *testing.T) {
 // §3.3: the allowable-error parameter's impact is negligible beyond
 // ~500 IR, and larger settings can only remove probes.
 func TestAllowableErrorStudy(t *testing.T) {
-	pts, cerrs := MeasureAllowableError(testEngine(), []int64{50, 500, 2000}, 1)
+	pts, cerrs := measureAllowableError(testEngine(), []int64{50, 500, 2000}, 1)
 	if len(cerrs) > 0 {
 		t.Fatalf("cell errors: %v", cerrs)
 	}
@@ -305,7 +305,7 @@ func TestAllowableErrorStudy(t *testing.T) {
 // §5.4: CI reduces dynamic probe executions by more than 50% versus
 // Naive in the vast majority of workloads.
 func TestProbeExecutionReduction(t *testing.T) {
-	rows, cerrs := MeasureProbeCounts(testEngine(), 1, 5000)
+	rows, cerrs := measureProbeCounts(testEngine(), 1, 5000)
 	if len(cerrs) > 0 {
 		t.Fatalf("cell errors: %v", cerrs)
 	}
@@ -331,8 +331,8 @@ func TestProbeExecutionReduction(t *testing.T) {
 // degradation, progress — must hold at every standard rate, and the
 // printer must render a row per (subsystem, rate) cell.
 func TestChaosInvariantsHold(t *testing.T) {
-	rows := RunChaos(testEngine(), 1, ChaosRates)
-	if want := 3 * len(ChaosRates); len(rows) != want {
+	rows := runChaos(testEngine(), 1, chaosRates)
+	if want := 3 * len(chaosRates); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	sawRecovery := false

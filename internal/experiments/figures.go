@@ -50,7 +50,7 @@ var Figures = []Figure{
 	{"allowable", func(w io.Writer, in Inputs) error { return printAllowable(w, in.Eng, in.Flags.Scale) }},
 	{"probes", func(w io.Writer, in Inputs) error { return printProbeCounts(w, in.Eng, in.Flags.Scale) }},
 	{"chaos", func(w io.Writer, in Inputs) error {
-		rates := ChaosRates
+		rates := chaosRates
 		if in.Quick {
 			rates = []float64{0.01}
 		}
@@ -111,13 +111,13 @@ func printFigureOverhead(w io.Writer, eng *engine.Engine, threads, scale int, al
 	if all {
 		designs = allDesigns
 	}
-	fig := MeasureFigureOverheadSel(eng, threads, scale, designs, AllWorkloads())
-	fig.Render(w)
+	fig := measureFigureOverheadSel(eng, threads, scale, designs, allWorkloads())
+	fig.render(w)
 	return renderCellErrors(w, fig.Errs)
 }
 
-// Render writes the figure as the evaluation's table format.
-func (fig *FigureOverhead) Render(w io.Writer) {
+// render writes the figure as the evaluation's table format.
+func (fig *figureOverhead) render(w io.Writer) {
 	figName := "Figure 9"
 	if fig.Threads != 1 {
 		figName = "Figure 11"
@@ -149,7 +149,7 @@ func (fig *FigureOverhead) Render(w io.Writer) {
 
 // PrintFigure10 renders the interval-accuracy table.
 func PrintFigure10(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, errs := MeasureFigureAccuracy(eng, scale, figureDesigns)
+	rows, errs := measureFigureAccuracy(eng, scale, figureDesigns)
 	fmt.Fprintln(w, "Figure 10: interval error vs 5000-cycle target (cycles), 1 thread")
 	fmt.Fprintf(w, "%-18s%-12s%10s%10s%10s%10s%10s\n",
 		"workload", "design", "p10", "median", "p90", "p99", "mean")
@@ -167,7 +167,7 @@ func printFigure12(w io.Writer, eng *engine.Engine, scale int, quick bool) error
 	if quick {
 		names = subsetWorkloads
 	}
-	pts, cerrs, err := MeasureFigure12(eng, scale, nil, names)
+	pts, cerrs, err := measureFigure12(eng, scale, nil, names)
 	if err != nil {
 		return err
 	}
@@ -181,7 +181,7 @@ func printFigure12(w io.Writer, eng *engine.Engine, scale int, quick bool) error
 
 // PrintTable7 renders Table 7.
 func PrintTable7(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, geo, errs := MeasureTable7(eng, scale)
+	rows, geo, errs := measureTable7(eng, scale)
 	fmt.Fprintln(w, "Table 7: runtimes (PT in model-ms) and normalized CI / Naive, 1 & 32 threads")
 	fmt.Fprintf(w, "%-18s%10s%8s%8s%10s%8s%8s\n", "workload", "PT(1)", "CI(1)", "N(1)", "PT(32)", "CI(32)", "N(32)")
 	for _, r := range rows {

@@ -19,35 +19,35 @@ import (
 // (<= 1.15x), well-behaved tenants keep their p99.9 SLO, and the
 // conservation oracle balances exactly.
 
-// FleetLoadFactors is the standard sweep, in multiples of the
+// fleetLoadFactors is the standard sweep, in multiples of the
 // cluster's analytic capacity.
-var FleetLoadFactors = []float64{0.6, 0.9, 1.2}
+var fleetLoadFactors = []float64{0.6, 0.9, 1.2}
 
-// FleetSoakLoad is the overloaded soak point whose crash/no-crash pair
+// fleetSoakLoad is the overloaded soak point whose crash/no-crash pair
 // the resilience guards are checked against.
-const FleetSoakLoad = 1.2
+const fleetSoakLoad = 1.2
 
 // Fleet resilience guards (the acceptance bar of the crash-soak
 // headline).
 const (
-	// FleetGoodputFloor is the minimum crash-run goodput as a fraction
+	// fleetGoodputFloor is the minimum crash-run goodput as a fraction
 	// of the no-crash run at the same load.
-	FleetGoodputFloor = 0.80
-	// FleetAmpCeiling bounds retry amplification (attempts/injected);
+	fleetGoodputFloor = 0.80
+	// fleetAmpCeiling bounds retry amplification (attempts/injected);
 	// the retry + hedge budgets guarantee it by construction.
-	FleetAmpCeiling = 1.15
-	// FleetZoneGoodputFloor is the zone-outage bar: with one of four
+	fleetAmpCeiling = 1.15
+	// fleetZoneGoodputFloor is the zone-outage bar: with one of four
 	// zones crash-looping and migration draining its queues, goodput
 	// must stay within 90% of the no-outage run.
-	FleetZoneGoodputFloor = 0.90
-	// FleetZoneCount is the standard failure-domain count.
-	FleetZoneCount = 4
+	fleetZoneGoodputFloor = 0.90
+	// fleetZoneCount is the standard failure-domain count.
+	fleetZoneCount = 4
 )
 
-// FleetCrashPlan is the standard mid-soak crash plan: exponentially
+// fleetCrashPlan is the standard mid-soak crash plan: exponentially
 // spaced whole-replica crashes (mean gap ~2.3 ms) with a 1 ms cold
 // restart, applied to replica 0 only.
-func FleetCrashPlan(seed uint64) *faults.Plan {
+func fleetCrashPlan(seed uint64) *faults.Plan {
 	return &faults.Plan{
 		Seed:               seed,
 		CrashMeanGapCycles: 6_000_000,
@@ -55,13 +55,13 @@ func FleetCrashPlan(seed uint64) *faults.Plan {
 	}
 }
 
-// FleetZonePlan is the standard correlated-outage plan: one zone
+// fleetZonePlan is the standard correlated-outage plan: one zone
 // (zone 0) crash-loops with exponentially spaced whole-zone outages
 // (mean gap ~5 ms) and a 0.5 ms correlated restart — roughly a 20%
 // outage duty cycle on a quarter of the cluster at the standard seed
 // (the breaker's recovery lag stretches each window's effective
 // downtime past the raw schedule).
-func FleetZonePlan(seed uint64) *faults.Plan {
+func fleetZonePlan(seed uint64) *faults.Plan {
 	return &faults.Plan{
 		Seed:                   seed,
 		ZoneCrashMeanGapCycles: 13_000_000,
@@ -73,24 +73,24 @@ func FleetZonePlan(seed uint64) *faults.Plan {
 // canonical cluster shape (two replicas per zone across four zones —
 // the headline is a fixed experiment, so it does not inherit
 // -replicas) at the overloaded soak point with migration on; the
-// outage cell applies FleetZonePlan to zone 0 only.
+// outage cell applies fleetZonePlan to zone 0 only.
 func FleetZoneConfig(base fleet.Config, outage bool) fleet.Config {
 	cfg := base
-	cfg.Replicas = 2 * FleetZoneCount
-	cfg.LoadFactor = FleetSoakLoad
-	cfg.Zones = FleetZoneCount
+	cfg.Replicas = 2 * fleetZoneCount
+	cfg.LoadFactor = fleetSoakLoad
+	cfg.Zones = fleetZoneCount
 	cfg.Migrate = true
 	cfg.Faults = nil
 	cfg.CrashReplicas = 0
 	if outage {
-		cfg.Faults = FleetZonePlan(base.Seed)
+		cfg.Faults = fleetZonePlan(base.Seed)
 		cfg.OutageZones = 1
 	}
 	return cfg
 }
 
-// FleetRow is one (load factor, crash plan) cell of the sweep.
-type FleetRow struct {
+// fleetRow is one (load factor, crash plan) cell of the sweep.
+type fleetRow struct {
 	// Load is the offered load in multiples of cluster capacity.
 	Load float64
 	// Crash reports whether the crash plan was applied to replica 0.
@@ -99,37 +99,37 @@ type FleetRow struct {
 	Res *fleet.Result
 }
 
-// MeasureFleetRamp sweeps the fleet across loads × {no-crash, crash}.
+// measureFleetRamp sweeps the fleet across loads × {no-crash, crash}.
 // One run is one engine cell; every cell's conservation oracle is
 // checked before the row is returned. Rows come back ordered by
 // (load, no-crash-first).
-func MeasureFleetRamp(eng *engine.Engine, base fleet.Config, loads []float64) ([]FleetRow, []CellError) {
+func measureFleetRamp(eng *engine.Engine, base fleet.Config, loads []float64) ([]fleetRow, []cellError) {
 	if len(loads) == 0 {
-		loads = FleetLoadFactors
+		loads = fleetLoadFactors
 	}
 	label := func(i int) string { return fmt.Sprintf("fleet/%.1fx/crash=%t", loads[i/2], i%2 == 1) }
-	return sweep(eng, 2*len(loads), label, func(i int) (FleetRow, error) {
+	return sweep(eng, 2*len(loads), label, func(i int) (fleetRow, error) {
 		cfg := base
 		cfg.LoadFactor = loads[i/2]
 		crash := i%2 == 1
 		if crash {
-			cfg.Faults = FleetCrashPlan(base.Seed)
+			cfg.Faults = fleetCrashPlan(base.Seed)
 			cfg.CrashReplicas = 1
 		}
 		res := fleet.Run(cfg, nil)
 		if err := res.Conservation(); err != nil {
-			return FleetRow{}, err
+			return fleetRow{}, err
 		}
-		return FleetRow{Load: loads[i/2], Crash: crash, Res: res}, nil
+		return fleetRow{Load: loads[i/2], Crash: crash, Res: res}, nil
 	})
 }
 
-// MeasureFleetZone runs the zone-outage pair: the no-outage and
+// measureFleetZone runs the zone-outage pair: the no-outage and
 // zone-0-crash-looping soaks at the overloaded load point, both with
 // 4 zones and migration on. Each cell's conservation oracle (which
 // includes the migration identities) is checked before returning; a
 // failed cell leaves both results nil.
-func MeasureFleetZone(eng *engine.Engine, base fleet.Config) (noOutage, outage *fleet.Result, cellErrs []CellError) {
+func measureFleetZone(eng *engine.Engine, base fleet.Config) (noOutage, outage *fleet.Result, cellErrs []cellError) {
 	label := func(i int) string { return fmt.Sprintf("fleet/zone/outage=%t", i == 1) }
 	cells, cellErrs := sweep(eng, 2, label, func(i int) (*fleet.Result, error) {
 		res := fleet.Run(FleetZoneConfig(base, i == 1), nil)
@@ -141,11 +141,11 @@ func MeasureFleetZone(eng *engine.Engine, base fleet.Config) (noOutage, outage *
 	return cells[0], cells[1], nil
 }
 
-// CheckFleetZone judges the zone-outage pair: the outage must have
+// checkFleetZone judges the zone-outage pair: the outage must have
 // happened and been drained by migration with nothing stranded, and
 // the cluster must ride through it — goodput within the zone floor of
 // the no-outage run, amplification inside the budget bound.
-func CheckFleetZone(noOutage, outage *fleet.Result) []string {
+func checkFleetZone(noOutage, outage *fleet.Result) []string {
 	var v []string
 	if noOutage == nil || outage == nil {
 		return []string{"zone pair incomplete (a cell failed)"}
@@ -163,13 +163,13 @@ func CheckFleetZone(noOutage, outage *fleet.Result) []string {
 	if stranded != 0 {
 		v = append(v, fmt.Sprintf("migration stranded %d queued attempts", stranded))
 	}
-	if ratio := outage.GoodputRPS / noOutage.GoodputRPS; ratio < FleetZoneGoodputFloor {
+	if ratio := outage.GoodputRPS / noOutage.GoodputRPS; ratio < fleetZoneGoodputFloor {
 		v = append(v, fmt.Sprintf("zone-outage goodput %.1f%% of no-outage run (floor %.0f%%)",
-			100*ratio, 100*FleetZoneGoodputFloor))
+			100*ratio, 100*fleetZoneGoodputFloor))
 	}
-	if amp := outage.Amplification(); amp > FleetAmpCeiling+1e-9 {
+	if amp := outage.Amplification(); amp > fleetAmpCeiling+1e-9 {
 		v = append(v, fmt.Sprintf("retry amplification %.3f exceeds %.2f under zone outage",
-			amp, FleetAmpCeiling))
+			amp, fleetAmpCeiling))
 	}
 	return v
 }
@@ -183,19 +183,19 @@ func FleetScaleConfig(seed uint64, scale int64) fleet.Config {
 	return fleet.Config{
 		Replicas:      64,
 		Tenants:       8,
-		Zones:         FleetZoneCount,
+		Zones:         fleetZoneCount,
 		Policy:        fleet.P2CDeadline,
 		Seed:          seed,
 		HorizonCycles: scale * 26_000_000,
 		LoadFactor:    1.0,
 		Migrate:       true,
-		Faults:        FleetZonePlan(seed),
+		Faults:        fleetZonePlan(seed),
 		OutageZones:   1,
 	}
 }
 
-// FleetScaleTarget is the canonical -scale for the 10M-request soak.
-const FleetScaleTarget = 42
+// fleetScaleTarget is the canonical -scale for the 10M-request soak.
+const fleetScaleTarget = 42
 
 // printFleetScale runs the scale soak and proves the conservation
 // identities intact and the injection volume at the advertised scale.
@@ -211,17 +211,17 @@ func printFleetScale(w io.Writer, seed uint64, scale int64) error {
 	fmt.Fprintf(w, "  injected %.2fM requests, goodput %.2fM rps, migrated %d (failed %d), zone outages %d\n",
 		float64(res.Injected)/1e6, res.GoodputRPS/1e6,
 		res.Migrated, res.MigrationFailed, res.ZoneCrashes)
-	if res.Injected < 10_000_000 && scale >= FleetScaleTarget {
+	if res.Injected < 10_000_000 && scale >= fleetScaleTarget {
 		return fmt.Errorf("fleet scale: only %d requests injected at scale %d (want >= 10M)", res.Injected, scale)
 	}
 	return nil
 }
 
-// CheckFleetSoak judges the crash/no-crash pair at the soak load
+// checkFleetSoak judges the crash/no-crash pair at the soak load
 // against the resilience guards, returning one string per violation.
 // deadlineUs is the per-request deadline (the well-behaved tenants'
 // p99.9 SLO bound).
-func CheckFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
+func checkFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
 	var v []string
 	if noCrash == nil || crash == nil {
 		return []string{"soak pair incomplete (a cell failed)"}
@@ -235,14 +235,14 @@ func CheckFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
 	if crash.Readmissions == 0 {
 		v = append(v, "balancer never re-admitted the recovered replica")
 	}
-	if ratio := crash.GoodputRPS / noCrash.GoodputRPS; ratio < FleetGoodputFloor {
+	if ratio := crash.GoodputRPS / noCrash.GoodputRPS; ratio < fleetGoodputFloor {
 		v = append(v, fmt.Sprintf("crash goodput %.1f%% of no-crash run (floor %.0f%%)",
-			100*ratio, 100*FleetGoodputFloor))
+			100*ratio, 100*fleetGoodputFloor))
 	}
 	for _, r := range []*fleet.Result{noCrash, crash} {
-		if amp := r.Amplification(); amp > FleetAmpCeiling+1e-9 {
+		if amp := r.Amplification(); amp > fleetAmpCeiling+1e-9 {
 			v = append(v, fmt.Sprintf("retry amplification %.3f exceeds %.2f (crash=%t)",
-				amp, FleetAmpCeiling, r.Crashes > 0))
+				amp, fleetAmpCeiling, r.Crashes > 0))
 		}
 	}
 	for i, ts := range crash.PerTenant {
@@ -265,22 +265,22 @@ func CheckFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
 // `ciexp fleet` exits non-zero. With quick, only the soak load runs
 // (the verify.sh smoke).
 func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, scale int64) error {
-	loads := FleetLoadFactors
+	loads := fleetLoadFactors
 	if quick {
-		loads = []float64{FleetSoakLoad}
+		loads = []float64{fleetSoakLoad}
 	}
 	fmt.Fprintf(w, "Fleet soak (seed %d): %d replicas (%s), %d tenants, capacity %.2f M req/s\n",
 		base.Seed, base.Replicas, base.Policy, base.Tenants, fleet.CapacityRPS(base.Replicas)/1e6)
 	fmt.Fprintf(w, "%-6s %-6s %9s %8s %9s %10s %8s %8s %6s %6s %7s\n",
 		"load", "crash", "goodput", "p50(µs)", "p99.9(µs)", "max(µs)", "retries", "hedges", "amp", "eject", "failed")
-	rows, cellErrs := MeasureFleetRamp(eng, base, loads)
+	rows, cellErrs := measureFleetRamp(eng, base, loads)
 	var noCrash, crash *fleet.Result
 	for _, r := range rows {
 		res := r.Res
 		fmt.Fprintf(w, "%-6.1f %-6t %8.2fM %8.1f %9.1f %10.1f %8d %8d %6.3f %6d %7d\n",
 			r.Load, r.Crash, res.GoodputRPS/1e6, res.P50Us, res.P999Us, res.MaxUs,
 			res.Retries, res.Hedges, res.Amplification(), res.Ejections, res.AttemptFailed)
-		if r.Load == FleetSoakLoad {
+		if r.Load == fleetSoakLoad {
 			if r.Crash {
 				crash = res
 			} else {
@@ -288,13 +288,13 @@ func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 			}
 		}
 	}
-	violations := CheckFleetSoak(noCrash, crash, float64(fleet.DefaultDeadlineCycles)/fleet.CyclesPerUs)
+	violations := checkFleetSoak(noCrash, crash, float64(fleet.DefaultDeadlineCycles)/fleet.CyclesPerUs)
 	// Zone-outage headline: 1-of-4 zones crash-looping at the soak
 	// load with migration draining its queues.
-	noOutage, outage, zoneErrs := MeasureFleetZone(eng, base)
+	noOutage, outage, zoneErrs := measureFleetZone(eng, base)
 	cellErrs = append(cellErrs, zoneErrs...)
 	if noOutage != nil && outage != nil {
-		fmt.Fprintf(w, "zone outage (%d zones, zone 0 crash-looping, migration on):\n", FleetZoneCount)
+		fmt.Fprintf(w, "zone outage (%d zones, zone 0 crash-looping, migration on):\n", fleetZoneCount)
 		for _, p := range []struct {
 			name string
 			res  *fleet.Result
@@ -304,9 +304,9 @@ func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 				p.res.Migrated, p.res.MigrationFailed, p.res.Amplification())
 		}
 		fmt.Fprintf(w, "  goodput under outage: %.1f%% of no-outage (floor %.0f%%)\n",
-			100*outage.GoodputRPS/noOutage.GoodputRPS, 100*FleetZoneGoodputFloor)
+			100*outage.GoodputRPS/noOutage.GoodputRPS, 100*fleetZoneGoodputFloor)
 	}
-	violations = append(violations, CheckFleetZone(noOutage, outage)...)
+	violations = append(violations, checkFleetZone(noOutage, outage)...)
 
 	for _, v := range violations {
 		fmt.Fprintf(w, "resilience violation: %s\n", v)
@@ -331,14 +331,14 @@ func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 // whether a migration drain would save its queue. The crash cells
 // apply the plan to replica 0 only; the other replicas' streams are
 // shown for exploration with -replicas > 1 sweeps. With zones > 1 the
-// zone-outage schedules (FleetZonePlan, zone 0 only — the `ciexp
+// zone-outage schedules (fleetZonePlan, zone 0 only — the `ciexp
 // fleet` zone cell) are shown too. The debugging window into the
 // fleet fault plan (cidump -fleet).
 func PrintFleetPlan(w io.Writer, seed uint64, replicas, zones int, horizonCycles int64, migrate bool) {
 	if zones <= 0 {
 		zones = 1
 	}
-	plan := FleetCrashPlan(seed)
+	plan := fleetCrashPlan(seed)
 	fmt.Fprintf(w, "fleet crash plan (seed %d, horizon %.1f ms): mean gap %.1f ms, down %.1f ms, migration %s\n",
 		seed, float64(horizonCycles)/2.6e6,
 		float64(plan.CrashMeanGapCycles)/2.6e6, float64(plan.CrashDownCycles)/2.6e6,
@@ -365,7 +365,7 @@ func PrintFleetPlan(w io.Writer, seed uint64, replicas, zones int, horizonCycles
 	if zones <= 1 {
 		return
 	}
-	zplan := FleetZonePlan(seed)
+	zplan := fleetZonePlan(seed)
 	fmt.Fprintf(w, "zone outage plan (%d zones, zone 0 only): mean gap %.1f ms, down %.1f ms\n",
 		zones, float64(zplan.ZoneCrashMeanGapCycles)/2.6e6, float64(zplan.ZoneCrashDownCycles)/2.6e6)
 	inj := faults.New(zplan, "fleet/zone0")

@@ -21,9 +21,9 @@ import (
 // every CI delivery — fires only when compiler interrupts go quiet
 // (system calls, uninstrumented library code), bounding the late tail.
 
-// HybridRow compares CI-only and hybrid interval accuracy/overhead on
+// hybridRow compares CI-only and hybrid interval accuracy/overhead on
 // one workload.
-type HybridRow struct {
+type hybridRow struct {
 	Workload string
 	// P99 late error (cycles above target) for CI alone and hybrid.
 	CIP99, HybridP99 int64
@@ -35,32 +35,32 @@ type HybridRow struct {
 	WatchdogFires int64
 }
 
-// MeasureHybrid runs the comparison at the given target interval with
+// measureHybrid runs the comparison at the given target interval with
 // the watchdog deadline at deadlineMult × target. One program is one
 // engine cell; a failing program is reported without losing the rest.
-func MeasureHybrid(eng *engine.Engine, names []string, target int64, deadlineMult float64, scale int) ([]HybridRow, []CellError) {
+func measureHybrid(eng *engine.Engine, names []string, target int64, deadlineMult float64, scale int) ([]hybridRow, []cellError) {
 	label := func(i int) string { return "hybrid/" + names[i] }
-	return sweep(eng, len(names), label, func(i int) (HybridRow, error) {
+	return sweep(eng, len(names), label, func(i int) (hybridRow, error) {
 		return measureHybridOne(eng, names[i], target, deadlineMult, scale)
 	})
 }
 
 // measureHybridOne runs one program's CI-only vs hybrid comparison.
-func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMult float64, scale int) (HybridRow, error) {
+func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMult float64, scale int) (hybridRow, error) {
 	src, err := hybridProgram(name, scale)
 	if err != nil {
-		return HybridRow{}, err
+		return hybridRow{}, err
 	}
 	base, err := runBaseline(eng, src, name, 1)
 	if err != nil {
-		return HybridRow{}, err
+		return hybridRow{}, err
 	}
 	prog, err := core.Compile(src,
-		core.WithDesign(instrument.CI), core.WithProbeInterval(ProbeIntervalIR))
+		core.WithDesign(instrument.CI), core.WithProbeInterval(probeIntervalIR))
 	if err != nil {
-		return HybridRow{}, err
+		return hybridRow{}, err
 	}
-	row := HybridRow{Workload: name}
+	row := hybridRow{Workload: name}
 
 	runOne := func(hybrid bool) (stats.Summary, float64, int64, error) {
 		// The watchdog is a plain timer interrupt into a user
@@ -78,7 +78,7 @@ func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMul
 			now := th.Now()
 			gaps = append(gaps, now-lastFire)
 			lastFire = now
-			th.Charge(HandlerWorkCycles)
+			th.Charge(handlerWorkCycles)
 		}
 		if hybrid {
 			machine.HW = &vm.HWConfig{
@@ -113,11 +113,11 @@ func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMul
 
 	ciSum, ciOver, _, err := runOne(false)
 	if err != nil {
-		return HybridRow{}, err
+		return hybridRow{}, err
 	}
 	hySum, hyOver, hwFires, err := runOne(true)
 	if err != nil {
-		return HybridRow{}, err
+		return hybridRow{}, err
 	}
 	row.CIP99, row.HybridP99 = ciSum.P99, hySum.P99
 	row.CIMax, row.HybridMax = ciSum.Max, hySum.Max
@@ -179,7 +179,7 @@ var hybridWorkloads = []string{
 
 // printHybrid renders the future-work hybrid comparison.
 func printHybrid(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, errs := MeasureHybrid(eng, hybridWorkloads, 5000, 2.0, scale)
+	rows, errs := measureHybrid(eng, hybridWorkloads, 5000, 2.0, scale)
 	fmt.Fprintln(w, "Hybrid CI + hardware watchdog (paper §5.4 future work), 5000-cycle target")
 	fmt.Fprintf(w, "%-18s%12s%12s%12s%12s%10s%10s%10s\n",
 		"workload", "CI p99 err", "hyb p99", "CI max", "hyb max", "CI ovh", "hyb ovh", "hw fires")

@@ -20,8 +20,8 @@ import (
 // schedule. It is the sweep behind `ciexp interleave` and the
 // interleave smoke gate in verify.sh.
 
-// InterleaveRow is one verified module's summary.
-type InterleaveRow struct {
+// interleaveRow is one verified module's summary.
+type interleaveRow struct {
 	Name string
 	// Feasible / Total count fire-capable and executed probe sites.
 	Feasible, Total int64
@@ -39,8 +39,9 @@ type InterleaveRow struct {
 	Detail string
 }
 
-func interleaveRow(name string, rep *interleave.Report) InterleaveRow {
-	row := InterleaveRow{
+// newInterleaveRow summarizes one explorer report as a table row.
+func newInterleaveRow(name string, rep *interleave.Report) interleaveRow {
+	row := interleaveRow{
 		Name:     name,
 		Feasible: int64(rep.FeasibleSites), Total: rep.TotalSites,
 		Schedules:   rep.Schedules,
@@ -85,12 +86,12 @@ func appInterleaveSpecs() []interleaveSpec {
 	}
 }
 
-// RunInterleaveSweep verifies the three app models and `seeds` fuzz
+// runInterleaveSweep verifies the three app models and `seeds` fuzz
 // programs with generated handlers at the given context bound. One
 // module is one engine cell; the whole sweep shards across the engine
 // pool, and each cell's own exploration runs serially so results are
 // byte-identical at any worker count.
-func RunInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]InterleaveRow, []CellError) {
+func runInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]interleaveRow, []cellError) {
 	specs := appInterleaveSpecs()
 	for i := 0; i < seeds; i++ {
 		seed := uint64(i + 1)
@@ -109,12 +110,12 @@ func RunInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]InterleaveRow, 
 		specs[i].opts.ContextBound = bound
 	}
 	label := func(i int) string { return "interleave/" + specs[i].name }
-	return sweep(eng, len(specs), label, func(i int) (InterleaveRow, error) {
+	return sweep(eng, len(specs), label, func(i int) (interleaveRow, error) {
 		rep, err := interleave.VerifyHandlers(specs[i].mod, engine.Serial(), specs[i].opts)
 		if err != nil {
-			return InterleaveRow{}, err
+			return interleaveRow{}, err
 		}
-		return interleaveRow(specs[i].name, rep), nil
+		return newInterleaveRow(specs[i].name, rep), nil
 	})
 }
 
@@ -127,7 +128,7 @@ func printInterleave(w io.Writer, eng *engine.Engine, bound int, quick bool) err
 		seeds = 6
 	}
 	fmt.Fprintf(w, "Handler interleaving sweep: 3 app models + %d fuzz programs, context bound %d\n", seeds, bound)
-	rows, errs := RunInterleaveSweep(eng, seeds, bound)
+	rows, errs := runInterleaveSweep(eng, seeds, bound)
 	fmt.Fprintf(w, "%-20s%10s%11s%8s%6s%12s%13s\n",
 		"module", "feasible", "schedules", "shared", "racy", "noncommute", "undelivered")
 	bad := 0

@@ -7,7 +7,7 @@
 // Figures lists them as data, each a name and the function that
 // regenerates it, and ciexp is a loop over that table. Every figure
 // runs its cells through one sweep loop (sweep, and workloadSweep for
-// the store-keyed workload sweeps) on the parallel experiment engine
+// the one-cell-per-workload sweeps) on the parallel experiment engine
 // (internal/engine): cells are virtual-time independent, so they are
 // sharded across a bounded worker pool, instrumented modules and
 // baseline runs are memoized across cells, and results merge in input
@@ -28,15 +28,15 @@ import (
 	"repro/internal/workloads"
 )
 
-// HandlerWorkCycles models the paper's measurement handler ("collects
+// handlerWorkCycles models the paper's measurement handler ("collects
 // statistics using RDTSCP and nothing else").
-const HandlerWorkCycles = 25
+const handlerWorkCycles = 25
 
 // runLimit bounds every experiment run.
 const runLimit = 400_000_000
 
-// Baseline holds one workload's uninstrumented reference run.
-type Baseline struct {
+// baseline holds one workload's uninstrumented reference run.
+type baseline struct {
 	Workload   string
 	Threads    int
 	Cycles     int64
@@ -44,23 +44,23 @@ type Baseline struct {
 	IRPerCycle float64
 }
 
-// MeasureBaseline runs the workload uninstrumented on one
+// measureBaseline runs the workload uninstrumented on one
 // representative thread of a T-thread machine (threads are
 // virtual-time independent; the contention model carries the thread
 // count) and returns the reference cycles and the profiled IR/cycle
 // ratio used to tune the CI runtime (§4 footnote 3).
-func MeasureBaseline(wl *workloads.Workload, scale, threads int) (Baseline, error) {
+func measureBaseline(wl *workloads.Workload, scale, threads int) (baseline, error) {
 	return runBaseline(nil, wl.Build(scale), wl.Name, threads)
 }
 
 // runBaseline measures the uninstrumented module m (shared read-only
 // when it comes from the engine cache).
-func runBaseline(eng *engine.Engine, m *ir.Module, name string, threads int) (Baseline, error) {
+func runBaseline(eng *engine.Engine, m *ir.Module, name string, threads int) (baseline, error) {
 	th := newMachine(eng, m, nil, threads).NewThread(0)
 	if _, err := th.Run("main", 0); err != nil {
-		return Baseline{}, fmt.Errorf("%s baseline: %w", name, err)
+		return baseline{}, fmt.Errorf("%s baseline: %w", name, err)
 	}
-	return Baseline{
+	return baseline{
 		Workload:   name,
 		Threads:    threads,
 		Cycles:     th.Stats.Cycles,
@@ -69,8 +69,8 @@ func runBaseline(eng *engine.Engine, m *ir.Module, name string, threads int) (Ba
 	}, nil
 }
 
-// OverheadRow is one (workload, design) overhead measurement.
-type OverheadRow struct {
+// overheadRow is one (workload, design) overhead measurement.
+type overheadRow struct {
 	Workload string
 	Design   instrument.Design
 	Threads  int
@@ -88,7 +88,7 @@ type OverheadRow struct {
 	Intervals []int64
 }
 
-// MeasureOverhead instruments the workload with the design, tuned for
+// measureOverhead instruments the workload with the design, tuned for
 // the target cycle interval, and measures its runtime against the
 // baseline. When record is set, a calibration pass first adjusts the
 // design's ratio so its median interval lands near the target — the
@@ -96,13 +96,13 @@ type OverheadRow struct {
 // method to approximate a target interval in cycles"). The compiled
 // module is memoized in eng (nil runs uncached) and shared read-only
 // across cells.
-func MeasureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.Design, base Baseline,
-	scale, threads int, intervalCycles int64, record bool) (OverheadRow, error) {
+func measureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.Design, base baseline,
+	scale, threads int, intervalCycles int64, record bool) (overheadRow, error) {
 
-	prog, err := CompileCached(eng, wl, scale,
-		core.WithDesign(d), core.WithProbeInterval(ProbeIntervalIR))
+	prog, err := compileCached(eng, wl, scale,
+		core.WithDesign(d), core.WithProbeInterval(probeIntervalIR))
 	if err != nil {
-		return OverheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
+		return overheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
 	}
 	irPerCycle := base.IRPerCycle
 	eventScale := 1.0
@@ -121,7 +121,7 @@ func MeasureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.De
 	for pass := 0; record && pass < 2; pass++ {
 		th, id, err := run(true, nil)
 		if err != nil {
-			return OverheadRow{}, fmt.Errorf("%s/%v calibration: %w", wl.Name, d, err)
+			return overheadRow{}, fmt.Errorf("%s/%v calibration: %w", wl.Name, d, err)
 		}
 		med := intervalCycles
 		if ivs := th.RT.Intervals(id); len(ivs) > 0 {
@@ -149,9 +149,9 @@ func MeasureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.De
 	}
 	th, id, err := run(record, scope)
 	if err != nil {
-		return OverheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
+		return overheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
 	}
-	row := OverheadRow{
+	row := overheadRow{
 		Workload: wl.Name,
 		Design:   d,
 		Threads:  threads,
@@ -168,48 +168,47 @@ func MeasureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.De
 	return row, nil
 }
 
-// ProbeIntervalIR is the compile-time probe interval used across the
+// probeIntervalIR is the compile-time probe interval used across the
 // evaluation.
-const ProbeIntervalIR = 250
+const probeIntervalIR = 250
 
-// FigureOverhead computes Figure 9 (threads=1) or Figure 11
+// figureOverhead computes Figure 9 (threads=1) or Figure 11
 // (threads=32): per-workload overhead for each design at a 5,000-cycle
 // target interval.
-type FigureOverhead struct {
+type figureOverhead struct {
 	Threads        int
 	IntervalCycles int64
 	Designs        []instrument.Design
 	// Rows[workload][design index]
-	Rows map[string][]OverheadRow
+	Rows map[string][]overheadRow
 	// Medians[design index] is the median overhead across workloads.
 	Medians []float64
 	// Errs collects failed workload cells; their rows are absent and
 	// excluded from the medians.
-	Errs []CellError
+	Errs []cellError
 }
 
-// MeasureFigureOverheadSel runs the Figure 9/11 sweep over a workload
+// measureFigureOverheadSel runs the Figure 9/11 sweep over a workload
 // selection. Each workload is one engine cell: its baseline plus one
-// measured run per design, skipped wholesale on a store hit.
-func MeasureFigureOverheadSel(eng *engine.Engine, threads, scale int, designs []instrument.Design,
-	sel []*workloads.Workload) *FigureOverhead {
+// measured run per design.
+func measureFigureOverheadSel(eng *engine.Engine, threads, scale int, designs []instrument.Design,
+	sel []*workloads.Workload) *figureOverhead {
 
-	fig := &FigureOverhead{
+	fig := &figureOverhead{
 		Threads:        threads,
 		IntervalCycles: 5000,
 		Designs:        designs,
-		Rows:           make(map[string][]OverheadRow),
+		Rows:           make(map[string][]overheadRow),
 	}
-	names, cells, errs := workloadSweep(eng, sel, scale, "overhead", fmt.Sprintf("overhead/t%d", threads),
-		[]any{threads, designs, fig.IntervalCycles, ProbeIntervalIR, HandlerWorkCycles, runLimit},
-		func(wl *workloads.Workload) ([]OverheadRow, error) {
-			base, err := BaselineCached(eng, wl, scale, threads)
+	names, cells, errs := workloadSweep(eng, sel, "overhead",
+		func(wl *workloads.Workload) ([]overheadRow, error) {
+			base, err := baselineCached(eng, wl, scale, threads)
 			if err != nil {
 				return nil, err
 			}
-			rows := make([]OverheadRow, 0, len(designs))
+			rows := make([]overheadRow, 0, len(designs))
 			for _, d := range designs {
-				row, err := MeasureOverhead(eng, wl, d, base, scale, threads, fig.IntervalCycles, false)
+				row, err := measureOverhead(eng, wl, d, base, scale, threads, fig.IntervalCycles, false)
 				if err != nil {
 					return nil, err
 				}
@@ -232,8 +231,8 @@ func MeasureFigureOverheadSel(eng *engine.Engine, threads, scale int, designs []
 	return fig
 }
 
-// AccuracyRow is one workload's interval-error distribution (Figure 10).
-type AccuracyRow struct {
+// accuracyRow is one workload's interval-error distribution (Figure 10).
+type accuracyRow struct {
 	Workload string
 	Design   instrument.Design
 	// Errors summarizes (gap - target) in cycles.
@@ -242,39 +241,38 @@ type AccuracyRow struct {
 	MedianError int64
 }
 
-// MeasureFigureAccuracy computes Figure 10: interval error percentiles
+// measureFigureAccuracy computes Figure 10: interval error percentiles
 // per workload at a 5,000-cycle target, single thread. One workload
 // (all designs) is one engine cell; failed cells are reported, not
 // fatal.
-func MeasureFigureAccuracy(eng *engine.Engine, scale int, designs []instrument.Design) ([]AccuracyRow, []CellError) {
+func measureFigureAccuracy(eng *engine.Engine, scale int, designs []instrument.Design) ([]accuracyRow, []cellError) {
 	const target = 5000
-	_, cells, errs := workloadSweep(eng, AllWorkloads(), scale, "accuracy", "accuracy",
-		[]any{designs, int64(target), ProbeIntervalIR, HandlerWorkCycles, runLimit},
-		func(wl *workloads.Workload) ([]AccuracyRow, error) {
-			base, err := BaselineCached(eng, wl, scale, 1)
+	_, cells, errs := workloadSweep(eng, allWorkloads(), "accuracy",
+		func(wl *workloads.Workload) ([]accuracyRow, error) {
+			base, err := baselineCached(eng, wl, scale, 1)
 			if err != nil {
 				return nil, err
 			}
-			var rows []AccuracyRow
+			var rows []accuracyRow
 			for _, d := range designs {
-				row, err := MeasureOverhead(eng, wl, d, base, scale, 1, target, true)
+				row, err := measureOverhead(eng, wl, d, base, scale, 1, target, true)
 				if err != nil {
 					return nil, err
 				}
-				rows = append(rows, accuracyRow(eng, row, target))
+				rows = append(rows, newAccuracyRow(eng, row, target))
 			}
 			return rows, nil
 		})
-	var out []AccuracyRow
+	var out []accuracyRow
 	for _, rows := range cells {
 		out = append(out, rows...)
 	}
 	return out, errs
 }
 
-// accuracyRow summarizes one calibrated run's interval errors against
+// newAccuracyRow summarizes one calibrated run's interval errors against
 // target, feeding them to the engine's scope when it is enabled.
-func accuracyRow(eng *engine.Engine, row OverheadRow, target int64) AccuracyRow {
+func newAccuracyRow(eng *engine.Engine, row overheadRow, target int64) accuracyRow {
 	errsCy := make([]int64, 0, len(row.Intervals))
 	for _, gap := range row.Intervals {
 		errsCy = append(errsCy, gap-target)
@@ -289,8 +287,7 @@ func accuracyRow(eng *engine.Engine, row OverheadRow, target int64) AccuracyRow 
 	if scope.Enabled() {
 		// Feed the per-design interval-error histograms behind
 		// ciexp -metrics (absolute error, paper-CDF style, plus the
-		// signed distribution). Store-skipped cells don't reach here —
-		// re-run without -store for full metrics.
+		// signed distribution).
 		name := "interval_error/" + row.Design.String()
 		for _, e := range errsCy {
 			scope.Observe(name, e)
@@ -301,11 +298,11 @@ func accuracyRow(eng *engine.Engine, row OverheadRow, target int64) AccuracyRow 
 		}
 	}
 	sum := stats.Summarize(errsCy)
-	return AccuracyRow{Workload: row.Workload, Design: row.Design, Errors: sum, MedianError: sum.P50}
+	return accuracyRow{Workload: row.Workload, Design: row.Design, Errors: sum, MedianError: sum.P50}
 }
 
-// SweepPoint is one (interval, kind) aggregate of Figure 12.
-type SweepPoint struct {
+// sweepPoint is one (interval, kind) aggregate of Figure 12.
+type sweepPoint struct {
 	IntervalCycles int64
 	// CISlowdown / HWSlowdown are the median slowdown factors across
 	// workloads for compiler interrupts and hardware interrupts.
@@ -317,36 +314,35 @@ type SweepPoint struct {
 }
 
 // fig12Cell is one workload's slowdown vectors across the interval
-// sweep (the store unit of Figure 12).
+// sweep (the cell unit of Figure 12).
 type fig12Cell struct {
 	CI, HW []float64
 }
 
-// MeasureFigure12 sweeps the interrupt interval and compares CI against
+// measureFigure12 sweeps the interrupt interval and compares CI against
 // hardware (performance-counter) interrupts across all workloads. One
 // workload (all intervals) is one engine cell. The error return is
 // reserved for configuration mistakes (unknown workload names);
-// per-cell run failures land in the CellError list.
-func MeasureFigure12(eng *engine.Engine, scale int, intervals []int64, names []string) ([]SweepPoint, []CellError, error) {
+// per-cell run failures land in the cellError list.
+func measureFigure12(eng *engine.Engine, scale int, intervals []int64, names []string) ([]sweepPoint, []cellError, error) {
 	if len(intervals) == 0 {
 		intervals = []int64{500, 1000, 2000, 5000, 10000, 20000, 50000, 100000, 500000}
 	}
-	sel := AllWorkloads()
+	sel := allWorkloads()
 	if len(names) > 0 {
 		var err error
-		sel, err = WorkloadsByName(names)
+		sel, err = workloadsByName(names)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	_, cells, errs := workloadSweep(eng, sel, scale, "fig12", "fig12",
-		[]any{intervals, ProbeIntervalIR, HandlerWorkCycles, runLimit},
+	_, cells, errs := workloadSweep(eng, sel, "fig12",
 		func(wl *workloads.Workload) (fig12Cell, error) {
 			return measureFig12Workload(eng, wl, scale, intervals)
 		})
-	out := make([]SweepPoint, len(intervals))
+	out := make([]sweepPoint, len(intervals))
 	for ii, interval := range intervals {
-		pt := SweepPoint{IntervalCycles: interval}
+		pt := sweepPoint{IntervalCycles: interval}
 		for _, cell := range cells {
 			pt.CIAll = append(pt.CIAll, cell.CI[ii])
 			pt.HWAll = append(pt.HWAll, cell.HW[ii])
@@ -362,16 +358,16 @@ func MeasureFigure12(eng *engine.Engine, scale int, intervals []int64, names []s
 // slowdowns across every interval, reusing the memoized baseline,
 // CI-instrumented module and uninstrumented source module.
 func measureFig12Workload(eng *engine.Engine, wl *workloads.Workload, scale int, intervals []int64) (fig12Cell, error) {
-	base, err := BaselineCached(eng, wl, scale, 1)
+	base, err := baselineCached(eng, wl, scale, 1)
 	if err != nil {
 		return fig12Cell{}, err
 	}
-	prog, err := CompileCached(eng, wl, scale,
-		core.WithDesign(instrument.CI), core.WithProbeInterval(ProbeIntervalIR))
+	prog, err := compileCached(eng, wl, scale,
+		core.WithDesign(instrument.CI), core.WithProbeInterval(probeIntervalIR))
 	if err != nil {
 		return fig12Cell{}, err
 	}
-	hwMod := SourceModule(eng, wl, scale)
+	hwMod := sourceModule(eng, wl, scale)
 	cell := fig12Cell{
 		CI: make([]float64, 0, len(intervals)),
 		HW: make([]float64, 0, len(intervals)),
@@ -388,7 +384,7 @@ func measureFig12Workload(eng *engine.Engine, wl *workloads.Workload, scale int,
 		hwMachine := newMachine(eng, hwMod, nil, 1)
 		hwMachine.HW = &vm.HWConfig{
 			IntervalCycles: interval,
-			Handler:        func(t *vm.Thread) { t.Charge(HandlerWorkCycles) },
+			Handler:        func(t *vm.Thread) { t.Charge(handlerWorkCycles) },
 		}
 		hth := hwMachine.NewThread(0)
 		if _, err := hth.Run("main", 0); err != nil {
@@ -399,8 +395,8 @@ func measureFig12Workload(eng *engine.Engine, wl *workloads.Workload, scale int,
 	return cell, nil
 }
 
-// Table7Row mirrors one row of Table 7.
-type Table7Row struct {
+// table7Row mirrors one row of Table 7.
+type table7Row struct {
 	Workload string
 	// PTms1/PTms32 are the uninstrumented ("pthreads") runtimes in
 	// virtual milliseconds at a 2.6 GHz model clock.
@@ -409,18 +405,17 @@ type Table7Row struct {
 	CI1, N1, CI32, N32 float64
 }
 
-// ModelGHz converts virtual cycles to milliseconds for Table 7's
+// modelGHz converts virtual cycles to milliseconds for Table 7's
 // absolute column.
-const ModelGHz = 2.6
+const modelGHz = 2.6
 
-// MeasureTable7 reproduces Table 7: per-workload absolute baseline
+// measureTable7 reproduces Table 7: per-workload absolute baseline
 // runtime plus normalized CI and Naive runtimes for 1 and 32 threads,
 // with the geo-mean row. One workload is one engine cell; failed cells
 // drop out of the table and the geo-mean.
-func MeasureTable7(eng *engine.Engine, scale int) ([]Table7Row, Table7Row, []CellError) {
-	_, rows, errs := workloadSweep(eng, AllWorkloads(), scale, "table7", "table7",
-		[]any{ProbeIntervalIR, HandlerWorkCycles, runLimit},
-		func(wl *workloads.Workload) (Table7Row, error) { return measureTable7Workload(eng, wl, scale) })
+func measureTable7(eng *engine.Engine, scale int) ([]table7Row, table7Row, []cellError) {
+	_, rows, errs := workloadSweep(eng, allWorkloads(), "table7",
+		func(wl *workloads.Workload) (table7Row, error) { return measureTable7Workload(eng, wl, scale) })
 	var ci1s, n1s, ci32s, n32s []float64
 	for _, row := range rows {
 		ci1s = append(ci1s, row.CI1)
@@ -428,7 +423,7 @@ func MeasureTable7(eng *engine.Engine, scale int) ([]Table7Row, Table7Row, []Cel
 		ci32s = append(ci32s, row.CI32)
 		n32s = append(n32s, row.N32)
 	}
-	g := Table7Row{
+	g := table7Row{
 		Workload: "geo-mean",
 		CI1:      stats.GeoMean(ci1s),
 		N1:       stats.GeoMean(n1s),
@@ -438,22 +433,22 @@ func MeasureTable7(eng *engine.Engine, scale int) ([]Table7Row, Table7Row, []Cel
 	return rows, g, errs
 }
 
-func measureTable7Workload(eng *engine.Engine, wl *workloads.Workload, scale int) (Table7Row, error) {
-	row := Table7Row{Workload: wl.Name}
+func measureTable7Workload(eng *engine.Engine, wl *workloads.Workload, scale int) (table7Row, error) {
+	row := table7Row{Workload: wl.Name}
 	for _, threads := range []int{1, 32} {
-		base, err := BaselineCached(eng, wl, scale, threads)
+		base, err := baselineCached(eng, wl, scale, threads)
 		if err != nil {
 			return row, err
 		}
-		ci, err := MeasureOverhead(eng, wl, instrument.CI, base, scale, threads, 5000, false)
+		ci, err := measureOverhead(eng, wl, instrument.CI, base, scale, threads, 5000, false)
 		if err != nil {
 			return row, err
 		}
-		nv, err := MeasureOverhead(eng, wl, instrument.Naive, base, scale, threads, 5000, false)
+		nv, err := measureOverhead(eng, wl, instrument.Naive, base, scale, threads, 5000, false)
 		if err != nil {
 			return row, err
 		}
-		ms := float64(base.Cycles) / (ModelGHz * 1e6)
+		ms := float64(base.Cycles) / (modelGHz * 1e6)
 		if threads == 1 {
 			row.PTms1, row.CI1, row.N1 = ms, ci.Norm, nv.Norm
 		} else {

@@ -15,8 +15,8 @@ import (
 // probes executed... in the vast majority of applications, CI reduced
 // probe executions by over 50% vs. Naive."
 
-// ProbeCountRow compares dynamic probe executions per workload.
-type ProbeCountRow struct {
+// probeCountRow compares dynamic probe executions per workload.
+type probeCountRow struct {
 	Workload string
 	// CIProbes / NaiveProbes are dynamic probe executions.
 	CIProbes, NaiveProbes int64
@@ -28,20 +28,19 @@ type ProbeCountRow struct {
 	TakenRate float64
 }
 
-// MeasureProbeCounts runs each workload under CI and Naive and counts
+// measureProbeCounts runs each workload under CI and Naive and counts
 // probe executions. One workload is one engine cell.
-func MeasureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]ProbeCountRow, []CellError) {
-	_, rows, errs := workloadSweep(eng, AllWorkloads(), scale, "probes", "probes",
-		[]any{intervalCycles, ProbeIntervalIR, HandlerWorkCycles, runLimit},
-		func(wl *workloads.Workload) (ProbeCountRow, error) {
-			base, err := BaselineCached(eng, wl, scale, 1)
+func measureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]probeCountRow, []cellError) {
+	_, rows, errs := workloadSweep(eng, allWorkloads(), "probes",
+		func(wl *workloads.Workload) (probeCountRow, error) {
+			base, err := baselineCached(eng, wl, scale, 1)
 			if err != nil {
-				return ProbeCountRow{}, err
+				return probeCountRow{}, err
 			}
-			row := ProbeCountRow{Workload: wl.Name}
+			row := probeCountRow{Workload: wl.Name}
 			for _, d := range []instrument.Design{instrument.CI, instrument.Naive} {
-				prog, err := CompileCached(eng, wl, scale,
-					core.WithDesign(d), core.WithProbeInterval(ProbeIntervalIR))
+				prog, err := compileCached(eng, wl, scale,
+					core.WithDesign(d), core.WithProbeInterval(probeIntervalIR))
 				if err != nil {
 					return row, err
 				}
@@ -70,7 +69,7 @@ func MeasureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]
 
 // printProbeCounts renders the probe-execution comparison.
 func printProbeCounts(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, errs := MeasureProbeCounts(eng, scale, 5000)
+	rows, errs := measureProbeCounts(eng, scale, 5000)
 	fmt.Fprintln(w, "Probe executions, CI vs Naive (§5.4: CI reduces executions >50% in most programs)")
 	fmt.Fprintf(w, "%-18s%14s%14s%12s%12s%10s\n",
 		"workload", "CI dynamic", "Naive dyn", "reduction", "CI static", "taken")

@@ -28,21 +28,21 @@ import (
 // so the numbers are comparable to Figure 9's).
 
 const (
-	// QuantumTargetCycles is the registered base quantum, matching the
+	// quantumTargetCycles is the registered base quantum, matching the
 	// 5000-cycle target of Figures 9-12.
-	QuantumTargetCycles = 5000
-	// QuantumLoadMult scales every request class's service cost — the
-	// 2.0x overload point of the ramp sweep (RampMults' last entry).
-	QuantumLoadMult = 2.0
+	quantumTargetCycles = 5000
+	// quantumLoadMult scales every request class's service cost — the
+	// 2.0x overload point of the ramp sweep (rampMults' last entry).
+	quantumLoadMult = 2.0
 	// quantumSeed seeds the per-run request-class stream. Every variant
 	// re-seeds identically, so all designs and policies serve the same
 	// request sequence.
 	quantumSeed = 17
-	// QuantumOverheadBudget bounds what interval adaptation may add on
+	// quantumOverheadBudget bounds what interval adaptation may add on
 	// top of the design's inherent probe overhead: an adaptive CI row's
 	// overhead must stay within this many points of the fixed-interval
 	// CI row's (Table 7's ≤2% bar, applied to the policy machinery).
-	QuantumOverheadBudget = 0.02
+	quantumOverheadBudget = 0.02
 )
 
 // quantumClasses is the request mix served from the handler: mostly
@@ -73,26 +73,26 @@ func quantumClassOf(rng *sim.RNG) int {
 // quantumCost is the charged service cost of one request of the class
 // at the figure's load multiple.
 func quantumCost(class int) int64 {
-	return int64(QuantumLoadMult * float64(quantumClasses[class].Cost))
+	return int64(quantumLoadMult * float64(quantumClasses[class].Cost))
 }
 
-// QuantumVariant is one (design, policy) column pair of the figure.
-type QuantumVariant struct {
+// quantumVariant is one (design, policy) column pair of the figure.
+type quantumVariant struct {
 	Design string // CI, Naive, HW, UIntr
 	Policy string // fixed, aimd, feedback; "-" where no policy applies
 }
 
-// QuantumVariants is the figure's row set: both probe designs under
+// quantumVariants is the figure's row set: both probe designs under
 // all three policies, plus the two interrupt designs (whose cadence is
 // a hardware timer — no software policy applies).
-var QuantumVariants = []QuantumVariant{
+var quantumVariants = []quantumVariant{
 	{"CI", "fixed"}, {"CI", "aimd"}, {"CI", "feedback"},
 	{"Naive", "fixed"}, {"Naive", "aimd"}, {"Naive", "feedback"},
 	{"HW", "-"}, {"UIntr", "-"},
 }
 
-// QuantumRow is one (workload, design, policy) measurement.
-type QuantumRow struct {
+// quantumRow is one (workload, design, policy) measurement.
+type quantumRow struct {
 	Workload string
 	Design   string
 	Policy   string
@@ -128,7 +128,7 @@ func quantumPolicyFor(policy string, classOf func() int) ciruntime.QuantumPolicy
 // measureQuantumVariant runs one workload under one (design, policy)
 // pair and summarizes its gap error against the target quantum.
 func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int,
-	base Baseline, v QuantumVariant) (QuantumRow, error) {
+	base baseline, v quantumVariant) (quantumRow, error) {
 
 	rng := sim.NewRNG(quantumSeed)
 	var charged int64
@@ -141,7 +141,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		charge(cost)
 	}
 
-	row := QuantumRow{Workload: wl.Name, Design: v.Design, Policy: v.Policy}
+	row := quantumRow{Workload: wl.Name, Design: v.Design, Policy: v.Policy}
 	var gaps []int64
 	var cycles int64
 	switch v.Design {
@@ -150,15 +150,15 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		if v.Design == "Naive" {
 			d = instrument.Naive
 		}
-		prog, err := CompileCached(eng, wl, scale,
-			core.WithDesign(d), core.WithProbeInterval(ProbeIntervalIR))
+		prog, err := compileCached(eng, wl, scale,
+			core.WithDesign(d), core.WithProbeInterval(probeIntervalIR))
 		if err != nil {
 			return row, err
 		}
 		th := newMachine(eng, prog.Mod, nil, 1).NewThread(0)
 		th.RT.IRPerCycle = base.IRPerCycle
 		th.RT.RecordIntervals = true
-		id := th.RT.RegisterCI(QuantumTargetCycles, func(uint64) { serve(th.Charge) })
+		id := th.RT.RegisterCI(quantumTargetCycles, func(uint64) { serve(th.Charge) })
 		if p := quantumPolicyFor(v.Policy, func() int { return lastClass }); p != nil {
 			th.RT.SetPolicy(id, p)
 		}
@@ -171,10 +171,10 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		row.Fires = th.RT.Fires(id)
 		row.FinalInterval = th.RT.CurrentInterval(id)
 	case "HW", "UIntr":
-		machine := newMachine(eng, SourceModule(eng, wl, scale), nil, 1)
+		machine := newMachine(eng, sourceModule(eng, wl, scale), nil, 1)
 		var lastFire int64
 		machine.HW = &vm.HWConfig{
-			IntervalCycles: QuantumTargetCycles,
+			IntervalCycles: quantumTargetCycles,
 			User:           v.Design == "UIntr",
 			Handler: func(t *vm.Thread) {
 				now := t.Now()
@@ -189,7 +189,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		}
 		cycles = th.Stats.Cycles
 		row.Fires = th.Stats.HandlerCalls
-		row.FinalInterval = QuantumTargetCycles
+		row.FinalInterval = quantumTargetCycles
 	default:
 		return row, fmt.Errorf("unknown quantum design %q", v.Design)
 	}
@@ -201,7 +201,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	}
 	errs := make([]int64, 0, len(gaps))
 	for _, g := range gaps {
-		e := g - QuantumTargetCycles
+		e := g - quantumTargetCycles
 		if e < 0 {
 			e = -e
 		}
@@ -212,8 +212,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	}
 	if eng != nil && eng.Obs.Enabled() {
 		// The per-variant interval-error histograms behind
-		// `ciexp quantum -metrics`. Store-skipped cells don't reach
-		// here — re-run without -store for full metrics.
+		// `ciexp quantum -metrics`.
 		name := "quantum/abs_error/" + v.Design + "/" + v.Policy
 		for _, e := range errs {
 			eng.Obs.Observe(name, e)
@@ -228,38 +227,36 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	return row, nil
 }
 
-// QuantumFigure is the full sweep: per-workload rows plus the
+// quantumFigure is the full sweep: per-workload rows plus the
 // per-variant aggregate (median error quantiles and overhead across
 // workloads, summed fire/overrun counts).
-type QuantumFigure struct {
+type quantumFigure struct {
 	Workloads []string
-	Rows      map[string][]QuantumRow
-	Agg       []QuantumRow
-	Errs      []CellError
+	Rows      map[string][]quantumRow
+	Agg       []quantumRow
+	Errs      []cellError
 }
 
-// MeasureQuantum runs the adaptivity sweep over the named workloads
+// measureQuantum runs the adaptivity sweep over the named workloads
 // (nil = the figure's default selection). One workload — all eight
 // variants — is one engine cell.
-func MeasureQuantum(eng *engine.Engine, scale int, names []string) (*QuantumFigure, error) {
+func measureQuantum(eng *engine.Engine, scale int, names []string) (*quantumFigure, error) {
 	if len(names) == 0 {
 		names = subsetWorkloads
 	}
-	sel, err := WorkloadsByName(names)
+	sel, err := workloadsByName(names)
 	if err != nil {
 		return nil, err
 	}
-	fig := &QuantumFigure{Rows: make(map[string][]QuantumRow)}
-	ran, cells, errs := workloadSweep(eng, sel, scale, "quantum", "quantum",
-		[]any{int64(QuantumTargetCycles), QuantumLoadMult, quantumSeed,
-			fmt.Sprint(quantumClasses), QuantumVariants, ProbeIntervalIR, runLimit},
-		func(wl *workloads.Workload) ([]QuantumRow, error) {
-			base, err := BaselineCached(eng, wl, scale, 1)
+	fig := &quantumFigure{Rows: make(map[string][]quantumRow)}
+	ran, cells, errs := workloadSweep(eng, sel, "quantum",
+		func(wl *workloads.Workload) ([]quantumRow, error) {
+			base, err := baselineCached(eng, wl, scale, 1)
 			if err != nil {
 				return nil, err
 			}
-			rows := make([]QuantumRow, 0, len(QuantumVariants))
-			for _, v := range QuantumVariants {
+			rows := make([]quantumRow, 0, len(quantumVariants))
+			for _, v := range quantumVariants {
 				row, err := measureQuantumVariant(eng, wl, scale, base, v)
 				if err != nil {
 					return nil, err
@@ -279,12 +276,12 @@ func MeasureQuantum(eng *engine.Engine, scale int, names []string) (*QuantumFigu
 // aggregateQuantum folds the per-workload rows into one row per
 // variant: median error quantiles, gap and overhead across workloads;
 // fires and overruns summed.
-func aggregateQuantum(fig *QuantumFigure) []QuantumRow {
-	agg := make([]QuantumRow, 0, len(QuantumVariants))
-	for vi, v := range QuantumVariants {
+func aggregateQuantum(fig *quantumFigure) []quantumRow {
+	agg := make([]quantumRow, 0, len(quantumVariants))
+	for vi, v := range quantumVariants {
 		var p50s, p999s, maxes, finals []int64
 		var gapMeans, ovhs []float64
-		out := QuantumRow{Workload: "median", Design: v.Design, Policy: v.Policy}
+		out := quantumRow{Workload: "median", Design: v.Design, Policy: v.Policy}
 		for _, name := range fig.Workloads {
 			row := fig.Rows[name][vi]
 			p50s = append(p50s, row.P50Err)
@@ -309,25 +306,25 @@ func aggregateQuantum(fig *QuantumFigure) []QuantumRow {
 	return agg
 }
 
-// QuantumAgg returns the aggregate row for one (design, policy) pair,
+// quantumAgg returns the aggregate row for one (design, policy) pair,
 // or false when the sweep produced no rows for it.
-func (fig *QuantumFigure) QuantumAgg(design, policy string) (QuantumRow, bool) {
+func (fig *quantumFigure) quantumAgg(design, policy string) (quantumRow, bool) {
 	for _, r := range fig.Agg {
 		if r.Design == design && r.Policy == policy {
 			return r, len(fig.Workloads) > 0
 		}
 	}
-	return QuantumRow{}, false
+	return quantumRow{}, false
 }
 
-// CheckQuantum evaluates the figure's acceptance gates and returns one
+// checkQuantum evaluates the figure's acceptance gates and returns one
 // message per violation: FeedbackPID must beat the fixed interval on
 // p99.9 gap error under the CI design, and an adaptive CI row must not
 // cost more than the overhead budget on top of the fixed CI row.
-func (fig *QuantumFigure) CheckQuantum() []string {
+func (fig *quantumFigure) checkQuantum() []string {
 	var bad []string
-	fixed, ok1 := fig.QuantumAgg("CI", "fixed")
-	fb, ok2 := fig.QuantumAgg("CI", "feedback")
+	fixed, ok1 := fig.quantumAgg("CI", "fixed")
+	fb, ok2 := fig.quantumAgg("CI", "feedback")
 	if !ok1 || !ok2 {
 		return []string{"sweep produced no CI rows to gate"}
 	}
@@ -337,10 +334,10 @@ func (fig *QuantumFigure) CheckQuantum() []string {
 			fb.P999Err, fixed.P999Err))
 	}
 	for _, policy := range []string{"aimd", "feedback"} {
-		if r, ok := fig.QuantumAgg("CI", policy); ok && r.Overhead > fixed.Overhead+QuantumOverheadBudget {
+		if r, ok := fig.quantumAgg("CI", policy); ok && r.Overhead > fixed.Overhead+quantumOverheadBudget {
 			bad = append(bad, fmt.Sprintf(
 				"CI/%s overhead %.2f%% exceeds the fixed row's %.2f%% by more than the %.0f-point budget",
-				policy, 100*r.Overhead, 100*fixed.Overhead, 100*QuantumOverheadBudget))
+				policy, 100*r.Overhead, 100*fixed.Overhead, 100*quantumOverheadBudget))
 		}
 	}
 	return bad
@@ -355,12 +352,12 @@ func printQuantum(w io.Writer, eng *engine.Engine, scale int, quick bool) error 
 	if quick {
 		names = []string{"radix", "histogram", "matrix_multiply", "dedup"}
 	}
-	fig, err := MeasureQuantum(eng, scale, names)
+	fig, err := measureQuantum(eng, scale, names)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Quantum adaptivity: handler-gap error vs %d-cycle target at %.1fx load, mixed request classes (%d workloads)\n",
-		QuantumTargetCycles, QuantumLoadMult, len(fig.Workloads))
+		quantumTargetCycles, quantumLoadMult, len(fig.Workloads))
 	fmt.Fprintf(w, "%-8s%-10s%12s%14s%12s%12s%10s%10s%10s\n",
 		"design", "policy", "p50|err|", "p99.9|err|", "max|err|", "mean-gap", "ovh", "overruns", "final-int")
 	for _, r := range fig.Agg {
@@ -368,7 +365,7 @@ func printQuantum(w io.Writer, eng *engine.Engine, scale int, quick bool) error 
 			r.Design, r.Policy, r.P50Err, r.P999Err, r.MaxErr, r.MeanGap,
 			100*r.Overhead, r.Overruns, r.FinalInterval)
 	}
-	violations := fig.CheckQuantum()
+	violations := fig.checkQuantum()
 	for _, v := range violations {
 		fmt.Fprintf(w, "gate violation: %s\n", v)
 	}

@@ -17,9 +17,9 @@ var quantumNames = []string{"radix", "histogram"}
 // variant re-seeds the request-class stream, so the figure — rows,
 // aggregates and rendered table — is byte-identical at -workers 1 vs N.
 func TestQuantumWorkerDeterminism(t *testing.T) {
-	var figs []*QuantumFigure
+	var figs []*quantumFigure
 	for _, workers := range []int{1, 4} {
-		fig, err := MeasureQuantum(engine.New(workers), 1, quantumNames)
+		fig, err := measureQuantum(engine.New(workers), 1, quantumNames)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestQuantumWorkerDeterminism(t *testing.T) {
 // samples — a variant with zero fires means its delivery mechanism
 // never engaged and the comparison is vacuous.
 func TestQuantumAllVariantsFire(t *testing.T) {
-	fig, err := MeasureQuantum(engine.New(0), 1, quantumNames)
+	fig, err := measureQuantum(engine.New(0), 1, quantumNames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,37 +68,37 @@ func TestQuantumAllVariantsFire(t *testing.T) {
 			}
 		case r.Design == "CI" && r.Policy == "aimd":
 			if r.Overruns == 0 {
-				t.Errorf("CI/aimd saw no overruns at %.1fx load", QuantumLoadMult)
+				t.Errorf("CI/aimd saw no overruns at %.1fx load", quantumLoadMult)
 			}
 		}
 	}
 }
 
-// CheckQuantum's gates, exercised on fabricated aggregates so both the
+// checkQuantum's gates, exercised on fabricated aggregates so both the
 // passing and each failing direction are pinned without a full sweep.
 func TestCheckQuantumGates(t *testing.T) {
-	mk := func(fixedP999, fbP999 int64, fixedOvh, aimdOvh, fbOvh float64) *QuantumFigure {
-		return &QuantumFigure{
+	mk := func(fixedP999, fbP999 int64, fixedOvh, aimdOvh, fbOvh float64) *quantumFigure {
+		return &quantumFigure{
 			Workloads: []string{"w"},
-			Agg: []QuantumRow{
+			Agg: []quantumRow{
 				{Design: "CI", Policy: "fixed", P999Err: fixedP999, Overhead: fixedOvh},
 				{Design: "CI", Policy: "aimd", P999Err: fixedP999, Overhead: aimdOvh},
 				{Design: "CI", Policy: "feedback", P999Err: fbP999, Overhead: fbOvh},
 			},
 		}
 	}
-	if bad := mk(25000, 23000, 0.03, 0.03, 0.04).CheckQuantum(); len(bad) != 0 {
+	if bad := mk(25000, 23000, 0.03, 0.03, 0.04).checkQuantum(); len(bad) != 0 {
 		t.Errorf("healthy figure flagged: %v", bad)
 	}
-	if bad := mk(23000, 25000, 0.03, 0.03, 0.03).CheckQuantum(); len(bad) != 1 ||
+	if bad := mk(23000, 25000, 0.03, 0.03, 0.03).checkQuantum(); len(bad) != 1 ||
 		!strings.Contains(bad[0], "p99.9") {
 		t.Errorf("regressed controller not flagged: %v", bad)
 	}
-	if bad := mk(25000, 23000, 0.03, 0.08, 0.03).CheckQuantum(); len(bad) != 1 ||
+	if bad := mk(25000, 23000, 0.03, 0.08, 0.03).checkQuantum(); len(bad) != 1 ||
 		!strings.Contains(bad[0], "aimd") {
 		t.Errorf("over-budget aimd row not flagged: %v", bad)
 	}
-	if bad := (&QuantumFigure{}).CheckQuantum(); len(bad) != 1 {
+	if bad := (&quantumFigure{}).checkQuantum(); len(bad) != 1 {
 		t.Errorf("empty sweep must report an ungateable figure: %v", bad)
 	}
 }
@@ -114,7 +114,7 @@ func TestPrintQuantumQuick(t *testing.T) {
 		t.Fatalf("quick quantum sweep failed: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, v := range QuantumVariants {
+	for _, v := range quantumVariants {
 		if !strings.Contains(out, v.Design) {
 			t.Errorf("rendered table lacks a %s row:\n%s", v.Design, out)
 		}

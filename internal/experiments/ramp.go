@@ -19,51 +19,51 @@ import (
 // rejection actuated from the CI probe handler) the tail stays flat
 // and goodput holds near capacity, with the excess refused cheaply.
 
-// RampSaturatingLoad is the offered load that saturates the CI-hosted
+// rampSaturatingLoad is the offered load that saturates the CI-hosted
 // IOKernel: one request costs two steered packets (ingress + egress),
 // so capacity ≈ 2.6 GHz / (2 × 600 cycles) ≈ 2.17 M requests/s.
-const RampSaturatingLoad = 2.6e9 / 1200.0
+const rampSaturatingLoad = 2.6e9 / 1200.0
 
-// RampMults is the standard sweep, in multiples of RampSaturatingLoad.
-var RampMults = []float64{0.8, 1.0, 1.5, 2.0}
+// rampMults is the standard sweep, in multiples of rampSaturatingLoad.
+var rampMults = []float64{0.8, 1.0, 1.5, 2.0}
 
-// RampDeadlineCycles is the propagated client deadline used by the
+// rampDeadlineCycles is the propagated client deadline used by the
 // ramp and soak experiments (~77 µs at 2.6 GHz).
-const RampDeadlineCycles = 200_000
+const rampDeadlineCycles = 200_000
 
-// RampOperationalFrac is the fraction of RampSaturatingLoad the
+// rampOperationalFrac is the fraction of rampSaturatingLoad the
 // CI-hosted IOKernel can actually serve: the raw steering bound ignores
 // the fixed per-poll handler cost and the (cheap but non-zero) reject
 // NACKs, which together eat ~12% of the budget. The SLO's "unavoidable
 // excess" is measured against this operational capacity, not the raw
 // bound — at exactly 1.0x offered load a correct controller already
 // must refuse ~12%.
-const RampOperationalFrac = 0.88
+const rampOperationalFrac = 0.88
 
-// RampExcess is the load fraction a perfect controller must refuse at
+// rampExcess is the load fraction a perfect controller must refuse at
 // the given offered-load multiple: max(0, 1 - operational/mult).
-func RampExcess(mult float64) float64 {
+func rampExcess(mult float64) float64 {
 	if mult <= 0 {
 		return 0
 	}
-	e := 1 - RampOperationalFrac/mult
+	e := 1 - rampOperationalFrac/mult
 	if e < 0 {
 		return 0
 	}
 	return e
 }
 
-// RampOverloadConfig is the tuned shenango admission configuration the
+// rampOverloadConfig is the tuned shenango admission configuration the
 // ramp, soak and regression tests share. Deadline-based early
 // rejection is the load-shedding mechanism: the token bucket stays
 // disabled so the control loop is purely feedback-driven.
-func RampOverloadConfig() *overload.Config {
-	return &overload.Config{DeadlineCycles: RampDeadlineCycles}
+func rampOverloadConfig() *overload.Config {
+	return &overload.Config{DeadlineCycles: rampDeadlineCycles}
 }
 
-// RampRow is one (load multiple, admission) cell of the sweep.
-type RampRow struct {
-	// Mult is the offered load in multiples of RampSaturatingLoad.
+// rampRow is one (load multiple, admission) cell of the sweep.
+type rampRow struct {
+	// Mult is the offered load in multiples of rampSaturatingLoad.
 	Mult float64
 	// Admission reports whether the overload plane was enabled.
 	Admission bool
@@ -71,43 +71,43 @@ type RampRow struct {
 	Res shenango.Result
 }
 
-// GoodputFrac is the achieved load as a fraction of the saturating
+// goodputFrac is the achieved load as a fraction of the saturating
 // capacity.
-func (r RampRow) GoodputFrac() float64 { return r.Res.AchievedLoad / RampSaturatingLoad }
+func (r rampRow) goodputFrac() float64 { return r.Res.AchievedLoad / rampSaturatingLoad }
 
-// MeasureLoadRamp sweeps shenango (CIHosted) across mults × {admission
+// measureLoadRamp sweeps shenango (CIHosted) across mults × {admission
 // off, on}. One run is one engine cell; rows come back ordered by
 // (mult, admission-off-first). A non-nil quantum factory installs an
 // adaptive handler-interval policy (AIMD / feedback PID) in every
 // cell's CI runtime; nil keeps the paper's fixed interval.
-func MeasureLoadRamp(eng *engine.Engine, seed uint64, durationCycles int64, mults []float64, quantum func() ciruntime.QuantumPolicy) ([]RampRow, []CellError) {
+func measureLoadRamp(eng *engine.Engine, seed uint64, durationCycles int64, mults []float64, quantum func() ciruntime.QuantumPolicy) ([]rampRow, []cellError) {
 	if len(mults) == 0 {
-		mults = RampMults
+		mults = rampMults
 	}
 	label := func(i int) string { return fmt.Sprintf("ramp/%.1fx/admit=%t", mults[i/2], i%2 == 1) }
-	return sweep(eng, 2*len(mults), label, func(i int) (RampRow, error) {
+	return sweep(eng, 2*len(mults), label, func(i int) (rampRow, error) {
 		mult := mults[i/2]
 		admit := i%2 == 1
 		cfg := shenango.Config{
 			Kind:           shenango.CIHosted,
-			OfferedLoad:    mult * RampSaturatingLoad,
+			OfferedLoad:    mult * rampSaturatingLoad,
 			Seed:           seed,
 			DurationCycles: durationCycles,
 			Quantum:        quantum,
 		}
 		if admit {
-			cfg.Overload = RampOverloadConfig()
+			cfg.Overload = rampOverloadConfig()
 		}
 		res, err := shenango.RunChecked(cfg)
 		if err != nil {
-			return RampRow{}, err
+			return rampRow{}, err
 		}
-		return RampRow{Mult: mult, Admission: admit, Res: res}, nil
+		return rampRow{Mult: mult, Admission: admit, Res: res}, nil
 	})
 }
 
 // printRamp runs the sweep and renders the figure table, then checks
-// the SLO against every admission-enabled row with RampExcess(mult) as
+// the SLO against every admission-enabled row with rampExcess(mult) as
 // the unavoidable refusal fraction. A zero SLO checks nothing;
 // violations and failed cells return an error so `ciexp ramp` exits
 // non-zero. A non-nil quantum factory (-quantum-policy aimd|feedback)
@@ -116,18 +116,18 @@ func MeasureLoadRamp(eng *engine.Engine, seed uint64, durationCycles int64, mult
 // moves the probe quantum.
 func printRamp(w io.Writer, eng *engine.Engine, seed uint64, durationCycles int64, slo overload.SLO, quantum func() ciruntime.QuantumPolicy) error {
 	fmt.Fprintf(w, "Load ramp (seed %d): shenango+CI under offered load vs %.2f M req/s capacity\n",
-		seed, RampSaturatingLoad/1e6)
+		seed, rampSaturatingLoad/1e6)
 	fmt.Fprintf(w, "%-6s %-6s %10s %9s %10s %8s %7s %7s %6s\n",
 		"load", "admit", "goodput", "p50(µs)", "p99.9(µs)", "reject", "shed", "miner", "brown")
-	rows, cellErrs := MeasureLoadRamp(eng, seed, durationCycles, nil, quantum)
+	rows, cellErrs := measureLoadRamp(eng, seed, durationCycles, nil, quantum)
 	var violations []string
 	for _, r := range rows {
 		s := r.Res.Overload
 		fmt.Fprintf(w, "%-6.1f %-6t %9.2f%% %9.1f %10.1f %7.1f%% %7d %6.0f%% %6d\n",
-			r.Mult, r.Admission, 100*r.GoodputFrac(), r.Res.MedianUs, r.Res.P999Us,
+			r.Mult, r.Admission, 100*r.goodputFrac(), r.Res.MedianUs, r.Res.P999Us,
 			100*s.RejectFrac(), s.Shed, 100*r.Res.MinerHashRate, s.MaxBrownout)
 		if r.Admission {
-			if err := slo.Check(r.Res.P999Us, s.RejectFrac(), RampExcess(r.Mult)); err != nil {
+			if err := slo.Check(r.Res.P999Us, s.RejectFrac(), rampExcess(r.Mult)); err != nil {
 				violations = append(violations, fmt.Sprintf("%.1fx: %v", r.Mult, err))
 			}
 		}

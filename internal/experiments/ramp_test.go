@@ -11,24 +11,24 @@ import (
 const rampTestDuration = 26_000_000 // 10 ms of virtual time
 
 // rampByKey indexes rows by (mult, admission).
-func rampByKey(t *testing.T, rows []RampRow) map[[2]any]RampRow {
+func rampByKey(t *testing.T, rows []rampRow) map[[2]any]rampRow {
 	t.Helper()
-	m := make(map[[2]any]RampRow, len(rows))
+	m := make(map[[2]any]rampRow, len(rows))
 	for _, r := range rows {
 		m[[2]any{r.Mult, r.Admission}] = r
 	}
 	return m
 }
 
-func runRamp(t *testing.T, workers int) []RampRow {
+func runRamp(t *testing.T, workers int) []rampRow {
 	t.Helper()
 	eng := &engine.Engine{Pool: engine.NewPool(workers)}
-	rows, cellErrs := MeasureLoadRamp(eng, 7, rampTestDuration, nil, nil)
+	rows, cellErrs := measureLoadRamp(eng, 7, rampTestDuration, nil, nil)
 	if len(cellErrs) > 0 {
 		t.Fatalf("ramp cells failed: %v", cellErrs)
 	}
-	if len(rows) != 2*len(RampMults) {
-		t.Fatalf("got %d rows, want %d", len(rows), 2*len(RampMults))
+	if len(rows) != 2*len(rampMults) {
+		t.Fatalf("got %d rows, want %d", len(rows), 2*len(rampMults))
 	}
 	return rows
 }
@@ -84,7 +84,7 @@ func TestRampNoAdmissionDiverges(t *testing.T) {
 	// Double the horizon: the tail keeps growing with run length
 	// (unbounded growth), while the admission-enabled tail stays put.
 	eng := &engine.Engine{Pool: engine.NewPool(1)}
-	longRows, cellErrs := MeasureLoadRamp(eng, 7, 2*rampTestDuration, []float64{2.0}, nil)
+	longRows, cellErrs := measureLoadRamp(eng, 7, 2*rampTestDuration, []float64{2.0}, nil)
 	if len(cellErrs) > 0 {
 		t.Fatalf("long ramp cells failed: %v", cellErrs)
 	}
@@ -119,7 +119,7 @@ func TestRampQuantumPoliciesHoldSLO(t *testing.T) {
 		"feedback": func() ciruntime.QuantumPolicy { return &ciruntime.FeedbackPID{} },
 	}
 	for name, factory := range policies {
-		rows, cellErrs := MeasureLoadRamp(eng, 7, rampTestDuration, nil, factory)
+		rows, cellErrs := measureLoadRamp(eng, 7, rampTestDuration, nil, factory)
 		if len(cellErrs) > 0 {
 			t.Fatalf("%s: ramp cells failed: %v", name, cellErrs)
 		}
@@ -134,14 +134,14 @@ func TestRampQuantumPoliciesHoldSLO(t *testing.T) {
 			if !r.Admission {
 				continue
 			}
-			if err := slo.Check(r.Res.P999Us, r.Res.Overload.RejectFrac(), RampExcess(r.Mult)); err != nil {
+			if err := slo.Check(r.Res.P999Us, r.Res.Overload.RejectFrac(), rampExcess(r.Mult)); err != nil {
 				t.Errorf("%s at %.1fx: SLO violated under adaptive quantum: %v", name, r.Mult, err)
 			}
 		}
 		if !differs {
 			t.Errorf("%s: sweep byte-identical to the fixed quantum — policy never reached the poll loop", name)
 		}
-		soakRows, soakErrs := RunSoak(eng, 7, rampTestDuration, soakQuickPhases, slo, factory)
+		soakRows, soakErrs := runSoak(eng, 7, rampTestDuration, soakQuickPhases, slo, factory)
 		if len(soakErrs) > 0 {
 			t.Fatalf("%s: soak cells failed: %v", name, soakErrs)
 		}

@@ -30,8 +30,8 @@ var sanitizeDesigns = [...]instrument.Design{
 	instrument.UserInterrupt,
 }
 
-// SanitizeRow aggregates one design's verdicts over the fuzz sweep.
-type SanitizeRow struct {
+// sanitizeRow aggregates one design's verdicts over the fuzz sweep.
+type sanitizeRow struct {
 	Design string
 	// Programs is the number of fuzz programs compiled.
 	Programs int
@@ -72,7 +72,7 @@ type sanitizeCell struct {
 	TierDiverged [len(sanitizeDesigns)]bool
 }
 
-// RunSanitizeSweep fuzzes `seeds` programs and pushes each through
+// runSanitizeSweep fuzzes `seeds` programs and pushes each through
 // sanitize.CompileChecked (stage checks + differential oracle) for
 // every oracle design. One seed is one engine cell; the whole sweep
 // shards across the engine pool. An engine on the compiled tier
@@ -80,7 +80,7 @@ type sanitizeCell struct {
 // tier-differential oracle (sanitize.DiffTiers), so
 // `ciexp sanitize -tier=compiled` gates the compiled tier's bit
 // exactness over the same fuzz corpus.
-func RunSanitizeSweep(eng *engine.Engine, seeds int) ([]SanitizeRow, []CellError) {
+func runSanitizeSweep(eng *engine.Engine, seeds int) ([]sanitizeRow, []cellError) {
 	tiered := eng.Tier == vm.TierCompiled
 	label := func(i int) string { return fmt.Sprintf("sanitize/seed%d", i+1) }
 	cells, errs := sweep(eng, seeds, label, func(i int) (sanitizeCell, error) {
@@ -130,7 +130,7 @@ func RunSanitizeSweep(eng *engine.Engine, seeds int) ([]SanitizeRow, []CellError
 		return cell, nil
 	})
 
-	rows := make([]SanitizeRow, len(sanitizeDesigns))
+	rows := make([]sanitizeRow, len(sanitizeDesigns))
 	for di, d := range sanitizeDesigns {
 		rows[di].Design = d.String()
 	}
@@ -162,22 +162,22 @@ func RunSanitizeSweep(eng *engine.Engine, seeds int) ([]SanitizeRow, []CellError
 	return rows, errs
 }
 
-// SanitizeWorkloads compiles every paper workload under every oracle
+// sanitizeWorkloads compiles every paper workload under every oracle
 // design with the engine's sanitize-on-miss mode forced on, proving the
 // stage checks hold on the curated benchmarks, not just fuzz programs.
 // Returns the number of clean (workload, design) cells.
-func SanitizeWorkloads(eng *engine.Engine, scale int) (int, []CellError) {
+func sanitizeWorkloads(eng *engine.Engine, scale int) (int, []cellError) {
 	prev := eng.SanitizeOnMiss
 	eng.SanitizeOnMiss = true
 	defer func() { eng.SanitizeOnMiss = prev }()
 
-	sel := AllWorkloads()
+	sel := allWorkloads()
 	label := func(i int) string { return "sanitize/" + sel[i].Name }
 	cells, errs := sweep(eng, len(sel), label, func(i int) (int, error) {
 		clean := 0
 		for _, d := range sanitizeDesigns {
-			if _, err := CompileCached(eng, sel[i], scale,
-				core.WithDesign(d), core.WithProbeInterval(ProbeIntervalIR)); err != nil {
+			if _, err := compileCached(eng, sel[i], scale,
+				core.WithDesign(d), core.WithProbeInterval(probeIntervalIR)); err != nil {
 				return clean, fmt.Errorf("%v: %w", d, err)
 			}
 			clean++
@@ -206,7 +206,7 @@ func printSanitize(w io.Writer, eng *engine.Engine, scale int, quick bool) error
 	}
 	fmt.Fprintf(w, "Translation-validation sweep: %d fuzz programs x %d designs (stage checks + differential oracle)%s\n",
 		seeds, len(sanitizeDesigns), suffix)
-	rows, errs := RunSanitizeSweep(eng, seeds)
+	rows, errs := runSanitizeSweep(eng, seeds)
 	fmt.Fprintf(w, "%-12s%10s%8s%14s%13s%13s",
 		"design", "programs", "clean", "inconclusive", "stage errs", "divergences")
 	if tiered {
@@ -227,9 +227,9 @@ func printSanitize(w io.Writer, eng *engine.Engine, scale int, quick bool) error
 		}
 	}
 
-	clean, werrs := SanitizeWorkloads(eng, scale)
+	clean, werrs := sanitizeWorkloads(eng, scale)
 	fmt.Fprintf(w, "workloads: %d/%d (workload, design) cells stage-check clean\n",
-		clean, len(AllWorkloads())*len(sanitizeDesigns))
+		clean, len(allWorkloads())*len(sanitizeDesigns))
 	errs = append(errs, werrs...)
 
 	if err := renderCellErrors(w, errs); err != nil {

@@ -21,16 +21,16 @@ import (
 // breaker must not latch, recovery phases must see the tail come back
 // down), and does it stay deterministic with faults in the loop?
 
-// SoakPhase is one scripted phase of the soak: an offered-load multiple
-// of RampSaturatingLoad with a uniform fault rate composed in.
-type SoakPhase struct {
+// soakPhase is one scripted phase of the soak: an offered-load multiple
+// of rampSaturatingLoad with a uniform fault rate composed in.
+type soakPhase struct {
 	Mult      float64
 	FaultRate float64
 }
 
-// SoakPhases is the standard script: ramp up into 2x overload under
+// soakPhases is the standard script: ramp up into 2x overload under
 // faults, then back down to verify recovery.
-var SoakPhases = []SoakPhase{
+var soakPhases = []soakPhase{
 	{Mult: 0.5, FaultRate: 0},
 	{Mult: 1.0, FaultRate: 0.001},
 	{Mult: 2.0, FaultRate: 0.01},
@@ -39,46 +39,46 @@ var SoakPhases = []SoakPhase{
 }
 
 // soakQuickPhases is the -quick subset: saturation and overload only.
-var soakQuickPhases = []SoakPhase{
+var soakQuickPhases = []soakPhase{
 	{Mult: 1.0, FaultRate: 0.001},
 	{Mult: 2.0, FaultRate: 0.01},
 }
 
-// SoakRow is one phase's outcome. Violations lists every guard the
+// soakRow is one phase's outcome. Violations lists every guard the
 // phase broke (empty = pass); it is computed deterministically inside
 // the cell so rows shard cleanly across workers.
-type SoakRow struct {
+type soakRow struct {
 	Phase int
-	SoakPhase
+	soakPhase
 	Res        shenango.Result
 	Violations []string
 }
 
-// RunSoak executes the phases on the engine (one phase = one cell) with
+// runSoak executes the phases on the engine (one phase = one cell) with
 // the admission plane on, checking per phase: the run's own invariants
 // (shenango's conservation oracle plus the overload plane's accounting
 // oracle via RunChecked), determinism under the composed fault plan,
 // and the SLO with the phase's unavoidable excess. A non-nil quantum
 // factory runs every phase under that adaptive handler-interval policy.
-func RunSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []SoakPhase, slo overload.SLO, quantum func() ciruntime.QuantumPolicy) ([]SoakRow, []CellError) {
+func runSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []soakPhase, slo overload.SLO, quantum func() ciruntime.QuantumPolicy) ([]soakRow, []cellError) {
 	if len(phases) == 0 {
-		phases = SoakPhases
+		phases = soakPhases
 	}
 	label := func(i int) string { return fmt.Sprintf("soak/phase%d/%.1fx", i, phases[i].Mult) }
-	return sweep(eng, len(phases), label, func(i int) (SoakRow, error) {
+	return sweep(eng, len(phases), label, func(i int) (soakRow, error) {
 		p := phases[i]
 		cfg := shenango.Config{
 			Kind:           shenango.CIHosted,
-			OfferedLoad:    p.Mult * RampSaturatingLoad,
+			OfferedLoad:    p.Mult * rampSaturatingLoad,
 			Seed:           seed + uint64(i),
 			DurationCycles: phaseDuration,
-			Overload:       RampOverloadConfig(),
+			Overload:       rampOverloadConfig(),
 			Quantum:        quantum,
 		}
 		if p.FaultRate > 0 {
 			cfg.FaultPlan = faults.Uniform(seed+uint64(i), p.FaultRate)
 		}
-		row := SoakRow{Phase: i, SoakPhase: p}
+		row := soakRow{Phase: i, soakPhase: p}
 		res, err := shenango.RunChecked(cfg)
 		if err != nil {
 			return row, err
@@ -87,7 +87,7 @@ func RunSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []Soak
 		if res2, _ := shenango.RunChecked(cfg); res2 != res {
 			row.Violations = append(row.Violations, "determinism: re-run differs")
 		}
-		if err := slo.Check(res.P999Us, res.Overload.RejectFrac(), RampExcess(p.Mult)); err != nil {
+		if err := slo.Check(res.P999Us, res.Overload.RejectFrac(), rampExcess(p.Mult)); err != nil {
 			row.Violations = append(row.Violations, err.Error())
 		}
 		if p.Mult >= 2 && res.Overload.MaxBrownout < 1 {
@@ -130,7 +130,7 @@ func soakMTCP(seed uint64, duration int64) []string {
 // then the mtcp companion verdict. Any violated guard in any phase
 // returns an error, so `ciexp soak` exits non-zero.
 func printSoak(w io.Writer, eng *engine.Engine, seed uint64, phaseDuration int64, slo overload.SLO, quick bool, quantum func() ciruntime.QuantumPolicy) error {
-	phases := SoakPhases
+	phases := soakPhases
 	if quick {
 		phases = soakQuickPhases
 	}
@@ -138,7 +138,7 @@ func printSoak(w io.Writer, eng *engine.Engine, seed uint64, phaseDuration int64
 		seed, len(phases), float64(phaseDuration)/2.6e6)
 	fmt.Fprintf(w, "%-6s %-6s %-7s %10s %10s %8s %6s  %s\n",
 		"phase", "load", "faults", "goodput", "p99.9(µs)", "reject", "brown", "guards")
-	rows, cellErrs := RunSoak(eng, seed, phaseDuration, phases, slo, quantum)
+	rows, cellErrs := runSoak(eng, seed, phaseDuration, phases, slo, quantum)
 	bad := 0
 	for _, r := range rows {
 		s := r.Res.Overload
@@ -148,7 +148,7 @@ func printSoak(w io.Writer, eng *engine.Engine, seed uint64, phaseDuration int64
 			bad += len(r.Violations)
 		}
 		fmt.Fprintf(w, "%-6d %-6.1f %-7.3g %9.2f%% %10.1f %7.1f%% %6d  %s\n",
-			r.Phase, r.Mult, r.FaultRate, 100*r.Res.AchievedLoad/RampSaturatingLoad,
+			r.Phase, r.Mult, r.FaultRate, 100*r.Res.AchievedLoad/rampSaturatingLoad,
 			r.Res.P999Us, 100*s.RejectFrac(), s.MaxBrownout, verdict)
 	}
 	mv := soakMTCP(seed, 2*phaseDuration)

@@ -9,7 +9,7 @@
 // in deployment:
 //
 //   - Bernoulli packet drop / corruption / reordering on the network
-//     path, on top of the NIC's ring-overflow loss (internal/netsim).
+//     path, on top of the NIC's ring-overflow loss (internal/mtcp/netsim.go).
 //   - External-call stall spikes modelling page faults and slow
 //     syscalls inside otherwise-instrumented code.
 //   - Delegation/worker server stalls: a server core goes quiet for a

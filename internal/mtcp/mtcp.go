@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/ci/ciruntime"
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/sim"
@@ -223,8 +222,8 @@ type server struct {
 	cfg  Config
 	eng  *sim.Engine
 	rng  *sim.RNG
-	link *netsim.Link
-	nic  *netsim.NIC
+	link *link
+	nic  *nic
 
 	appInj   *faults.Injector // app-side stall spikes
 	ciInj    *faults.Injector // handler-overrun spikes
@@ -275,8 +274,8 @@ type server struct {
 	admitSeq   int64                // admission counter for priority tagging
 	rejects    int64                // client-observed NACKs
 	connRetx   []int64              // observed retransmits per connection
-	deferQ     []netsim.Packet      // brownout-deferred packets (one poll)
-	procBuf    []netsim.Packet      // scratch: deferred + fresh merge
+	deferQ     []packet             // brownout-deferred packets (one poll)
+	procBuf    []packet             // scratch: deferred + fresh merge
 
 	// orig-mode state
 	serverIdle bool
@@ -301,8 +300,8 @@ func RunChecked(cfg Config) (Result, error) {
 		cfg:      cfg,
 		eng:      sim.NewEngine(),
 		rng:      sim.NewRNG(cfg.Seed),
-		link:     &netsim.Link{CyclesPerByte: netsim.CyclesPerByte10G, Propagation: 26000},
-		nic:      netsim.NewNIC(ringSize),
+		link:     &link{CyclesPerByte: cyclesPerByte10G, Propagation: 26000},
+		nic:      newNIC(ringSize),
 		appInj:   faults.New(cfg.FaultPlan, "mtcp/app"),
 		ciInj:    faults.New(cfg.FaultPlan, "mtcp/ci"),
 		gen:      make([]int64, cfg.Conns),
@@ -415,7 +414,7 @@ func (s *server) transmit(conn int, gen int64, isRetx bool) {
 			s.crashFailedPkts++
 			return
 		}
-		ok := s.nic.Push(netsim.Packet{
+		ok := s.nic.Push(packet{
 			Arrival: s.eng.Now(), Conn: conn, Seq: gen,
 			Bytes: reqBytes, Retransmit: isRetx,
 		})
@@ -503,7 +502,7 @@ func (s *server) armRTO(conn int, gen int64, attempt int) {
 // admit filters drained packets through checksum and duplicate
 // suppression, returning the packets the stack accepts as new
 // requests. Discards still cost receive-path cycles at the caller.
-func (s *server) admit(pkts []netsim.Packet) []netsim.Packet {
+func (s *server) admit(pkts []packet) []packet {
 	out := pkts[:0]
 	for _, p := range pkts {
 		if p.Corrupt {
