@@ -208,7 +208,7 @@ func execute(prog *ir.Module, opts Options, mode execMode, schedule []int64) *Ru
 		args = padded
 	}
 	run.Ret, run.Err = th.Run(opts.Entry, args...)
-	run.Mem = append([]int64(nil), machine.Mem...)
+	run.Mem = machine.Memory()
 	return run
 }
 

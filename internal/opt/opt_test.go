@@ -133,7 +133,7 @@ entry:
 	if _, err := th.Run("f", 1); err != nil {
 		t.Fatal(err)
 	}
-	if machine.Mem[7] != 9 {
+	if machine.Memory()[7] != 9 {
 		t.Error("call side effect lost")
 	}
 }

@@ -107,7 +107,7 @@ func Execute(m *ir.Module, opts ExecOptions) (*Trace, error) {
 		return nil, fmt.Errorf("sanitize: baseline run failed: %w", err)
 	}
 	tr.Ret = rv
-	tr.Mem = append([]int64(nil), machine.Mem...)
+	tr.Mem = machine.Memory()
 	return tr, nil
 }
 
@@ -159,13 +159,31 @@ func DiffTrace(base *Trace, instrumented *ir.Module, design string, opts ExecOpt
 		return &Divergence{Stage: "exec", Design: design, Step: -1,
 			Detail: fmt.Sprintf("returned %d, baseline returned %d", rv, base.Ret)}
 	}
-	for i, v := range machine.Mem {
-		if i < len(base.Mem) && v != base.Mem[i] {
-			return &Divergence{Stage: "exec", Design: design, Step: -1,
-				Detail: fmt.Sprintf("final mem[%d] = %d, baseline %d", i, v, base.Mem[i])}
-		}
+	mem := machine.Memory()
+	if i := memDiff(mem, base.Mem); i >= 0 {
+		return &Divergence{Stage: "exec", Design: design, Step: -1,
+			Detail: fmt.Sprintf("final mem[%d] = %d, baseline %d", i, wordAt(mem, i), wordAt(base.Mem, i))}
 	}
 	return nil
+}
+
+// memDiff returns the first address at which two final memories differ,
+// each read as zero past its end, or -1 when they agree.
+func memDiff(a, b []int64) int {
+	for i := range max(len(a), len(b)) {
+		if wordAt(a, i) != wordAt(b, i) {
+			return i
+		}
+	}
+	return -1
+}
+
+// wordAt reads mem[i], zero past the end.
+func wordAt(mem []int64, i int) int64 {
+	if i < len(mem) {
+		return mem[i]
+	}
+	return 0
 }
 
 // DiffExec is the one-shot differential oracle: identical observable

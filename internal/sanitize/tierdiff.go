@@ -66,7 +66,7 @@ func runTier(m *ir.Module, tier vm.Tier, opts ExecOptions) (*TierTrace, error) {
 		return nil, fmt.Errorf("sanitize: %s tier run failed: %w", tier, err)
 	}
 	tr.Ret = rv
-	tr.Mem = append([]int64(nil), machine.Mem...)
+	tr.Mem = machine.Memory()
 	tr.Fires = th.RT.Fires(hid)
 	tr.Stats = th.Stats
 	return tr, nil
@@ -108,10 +108,8 @@ func diffTierTraces(ref, got *TierTrace) error {
 	if got.Ret != ref.Ret {
 		return div(-1, "returned %d, interpreter returned %d", got.Ret, ref.Ret)
 	}
-	for i := range got.Mem {
-		if i < len(ref.Mem) && got.Mem[i] != ref.Mem[i] {
-			return div(-1, "final mem[%d] = %d, interpreter %d", i, got.Mem[i], ref.Mem[i])
-		}
+	if i := memDiff(got.Mem, ref.Mem); i >= 0 {
+		return div(-1, "final mem[%d] = %d, interpreter %d", i, wordAt(got.Mem, i), wordAt(ref.Mem, i))
 	}
 	if got.Fires != ref.Fires {
 		return div(-1, "handler fired %d times, interpreter %d", got.Fires, ref.Fires)

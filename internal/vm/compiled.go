@@ -80,8 +80,9 @@ var MiscompileForTest bool
 // distinguishes).
 type op func(fr *frame) int
 
-// frame is a compiled activation record. Frames live in the thread's
-// depth-indexed pool so steady-state execution is allocation-free.
+// frame is an activation record of either tier (the interpreter uses
+// only regs). Frames live in the thread's depth-indexed pool so
+// steady-state execution is allocation-free.
 type frame struct {
 	t    *Thread
 	regs []int64
@@ -95,7 +96,7 @@ type cfunc struct {
 	numParams int
 	numRegs   int
 	// zeroRegs is the entry live-in set (see liveInRegs): the only
-	// registers pushFrame must zero when recycling a pooled frame.
+	// registers a call must zero in a recycled pooled frame.
 	zeroRegs []int32
 	code     []op
 }
@@ -104,7 +105,7 @@ type cfunc struct {
 // once per VM (under VM.compileOnce), shared by all threads. Closures
 // capture only immutable compile-time state (cost constants, IR
 // metadata, callee pointers) and reach all mutable state through the
-// frame's thread, so concurrent threads are safe.
+// frame's thread, so every thread of the VM can run them.
 type compiledModule struct {
 	funcs map[string]*cfunc
 	// superblocks counts the loop closures compileFunc emitted.
@@ -504,11 +505,6 @@ func compileCompute(in *ir.Instr, next int) op {
 	}
 }
 
-// memFault builds the interpreter's exact out-of-bounds error.
-func (t *Thread) memFault(addr int64) error {
-	return fmt.Errorf("vm: %w: address %d (mem size %d)", ErrMemFault, addr, len(t.VM.Mem))
-}
-
 // emitUnit emits one non-simple unit.
 func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 	in := u.a
@@ -526,11 +522,13 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 			if aReg != ir.NoReg {
 				addr += fr.regs[aReg]
 			}
-			if uint64(addr) >= uint64(len(t.VM.Mem)) {
-				fr.err = t.memFault(addr)
-				return -1
+			if uint64(addr) >= uint64(len(t.VM.mem)) {
+				if err := t.VM.grow(addr); err != nil {
+					fr.err = err
+					return -1
+				}
 			}
-			v := t.VM.Mem[addr]
+			v := t.VM.mem[addr]
 			fr.regs[dst] = v
 			if t.OnLoad != nil {
 				t.OnLoad(fname, bname, addr, v)
@@ -548,12 +546,14 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 			if aReg != ir.NoReg {
 				addr += fr.regs[aReg]
 			}
-			if uint64(addr) >= uint64(len(t.VM.Mem)) {
-				fr.err = t.memFault(addr)
-				return -1
+			if uint64(addr) >= uint64(len(t.VM.mem)) {
+				if err := t.VM.grow(addr); err != nil {
+					fr.err = err
+					return -1
+				}
 			}
 			v := fr.regs[vReg]
-			t.VM.Mem[addr] = v
+			t.VM.mem[addr] = v
 			if t.OnStore != nil {
 				t.OnStore(fname, bname, addr, v)
 			}
@@ -570,12 +570,14 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 			if aReg != ir.NoReg {
 				addr += fr.regs[aReg]
 			}
-			if uint64(addr) >= uint64(len(t.VM.Mem)) {
-				fr.err = t.memFault(addr)
-				return -1
+			if uint64(addr) >= uint64(len(t.VM.mem)) {
+				if err := t.VM.grow(addr); err != nil {
+					fr.err = err
+					return -1
+				}
 			}
 			add := fr.regs[vReg]
-			old := atomic.AddInt64(&t.VM.Mem[addr], add) - add
+			old := atomic.AddInt64(&t.VM.mem[addr], add) - add
 			if dst != ir.NoReg {
 				fr.regs[dst] = old
 			}
@@ -599,11 +601,13 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 			if aReg != ir.NoReg {
 				addr += fr.regs[aReg]
 			}
-			if uint64(addr) >= uint64(len(t.VM.Mem)) {
-				fr.err = t.memFault(addr)
-				return -1
+			if uint64(addr) >= uint64(len(t.VM.mem)) {
+				if err := t.VM.grow(addr); err != nil {
+					fr.err = err
+					return -1
+				}
 			}
-			v := t.VM.Mem[addr]
+			v := t.VM.mem[addr]
 			fr.regs[dst] = v
 			if t.OnLoad != nil {
 				t.OnLoad(fname, bname, addr, v)
@@ -629,12 +633,14 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 			if aReg != ir.NoReg {
 				addr += fr.regs[aReg]
 			}
-			if uint64(addr) >= uint64(len(t.VM.Mem)) {
-				fr.err = t.memFault(addr)
-				return -1
+			if uint64(addr) >= uint64(len(t.VM.mem)) {
+				if err := t.VM.grow(addr); err != nil {
+					fr.err = err
+					return -1
+				}
 			}
 			v := fr.regs[vReg]
-			t.VM.Mem[addr] = v
+			t.VM.mem[addr] = v
 			if t.OnStore != nil {
 				t.OnStore(fname, bname, addr, v)
 			}
@@ -659,10 +665,13 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 			t := fr.t
 			t.Stats.Instrs++
 			t.Stats.Cycles += callCost
-			nfr, err := t.pushFrame(callee)
+			nfr, err := t.pushFrame(callee.name, callee.numRegs)
 			if err != nil {
 				fr.err = err
 				return -1
+			}
+			for _, r := range callee.zeroRegs {
+				nfr.regs[r] = 0
 			}
 			for k, r := range argRegs {
 				nfr.regs[k] = fr.regs[r]
@@ -1005,32 +1014,27 @@ func emitEpilogue(ec *emitCtx, b *ir.Block, cmpBr *ir.Instr) op {
 	}
 }
 
-// pushFrame takes a frame from the thread's depth-indexed pool,
-// sizing its register file for cf and zeroing the entry live-in set.
-// The caller decrements t.depth when the frame's dispatch loop exits.
-func (t *Thread) pushFrame(cf *cfunc) (*frame, error) {
+// pushFrame takes the frame for the next call depth from the thread's
+// pool, which both tiers share, with a register file of numRegs words.
+// The registers of a recycled frame hold its previous occupant's
+// values: the caller writes the arguments and zeroes every other
+// register the callee can read before writing — all of them on the
+// interpreter, the entry live-in set (liveInRegs) on the compiled tier.
+// The caller decrements t.depth when the callee returns.
+func (t *Thread) pushFrame(name string, numRegs int) (*frame, error) {
 	t.depth++
 	if t.depth > maxDepth {
 		t.depth--
-		return nil, fmt.Errorf("vm: %w: depth exceeds %d in %q", ErrCallDepth, maxDepth, cf.name)
+		return nil, fmt.Errorf("vm: %w: depth exceeds %d in %q", ErrCallDepth, maxDepth, name)
 	}
 	if len(t.frames) < t.depth {
 		t.frames = append(t.frames, &frame{t: t})
 	}
 	fr := t.frames[t.depth-1]
-	if cap(fr.regs) < cf.numRegs {
-		// Fresh allocation: already all-zero.
-		fr.regs = make([]int64, cf.numRegs)
+	if cap(fr.regs) < numRegs {
+		fr.regs = make([]int64, numRegs)
 	} else {
-		// Recycled frame: zero only the entry live-in registers. Every
-		// other register is written before any possible read (liveInRegs),
-		// so leftover values from the frame's previous occupant are
-		// unobservable and parity with the interpreter's zeroed file holds.
-		regs := fr.regs[:cf.numRegs]
-		for _, r := range cf.zeroRegs {
-			regs[r] = 0
-		}
-		fr.regs = regs
+		fr.regs = fr.regs[:numRegs]
 	}
 	fr.ret = 0
 	fr.err = nil
@@ -1040,9 +1044,12 @@ func (t *Thread) pushFrame(cf *cfunc) (*frame, error) {
 // callCompiled runs cf on the compiled tier: pooled frame, argument
 // copy, then the closure-threaded dispatch loop.
 func (t *Thread) callCompiled(cf *cfunc, args []int64) (int64, error) {
-	fr, err := t.pushFrame(cf)
+	fr, err := t.pushFrame(cf.name, cf.numRegs)
 	if err != nil {
 		return 0, err
+	}
+	for _, r := range cf.zeroRegs {
+		fr.regs[r] = 0
 	}
 	copy(fr.regs, args)
 	code := cf.code

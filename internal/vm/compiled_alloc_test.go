@@ -1,10 +1,11 @@
 package vm
 
-// Allocation discipline of the compiled tier: once a thread has warmed
-// its frame pool, a whole run — dispatch, probes, memory ops, nested
-// calls — must be 0-alloc with observers disabled. Attaching an
-// observer surface deopts the thread to the interpreter and must not
-// corrupt stats while doing so.
+// Allocation discipline of both tiers: once a thread has warmed its
+// frame pool and its VM has grown memory over the words the program
+// touches, a whole run — dispatch, probes, memory ops, nested calls —
+// must be 0-alloc with observers disabled. On the compiled tier,
+// attaching an observer surface deopts the thread to the interpreter
+// and must not corrupt stats while doing so.
 
 import (
 	"testing"
@@ -57,26 +58,29 @@ func compiledAllocModule(t *testing.T) *ir.Module {
 }
 
 func TestCompiledFastPathZeroAlloc(t *testing.T) {
-	m := compiledAllocModule(t)
-	v := newVM(m, nil, 1, TierCompiled)
-	v.LimitInstrs = 50_000_000
-	th := v.NewThread(0)
-	th.RT.RegisterCI(2000, func(uint64) {})
-	// Warm up: first run compiles the module and grows the frame pool.
-	if _, err := th.Run("main", 5000); err != nil {
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(20, func() {
+	forEachTier(t, func(t *testing.T, tier Tier) {
+		m := compiledAllocModule(t)
+		v := newVM(m, nil, 1, tier)
+		v.LimitInstrs = 50_000_000
+		th := v.NewThread(0)
+		th.RT.RegisterCI(2000, func(uint64) {})
+		// Warm up: the first run compiles the module, grows the frame
+		// pool and grows memory.
 		if _, err := th.Run("main", 5000); err != nil {
 			t.Fatal(err)
 		}
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := th.Run("main", 5000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s run allocated %.2f times with observers disabled, want 0", tier, n)
+		}
+		if th.Stats.ProbesTaken == 0 || th.Stats.HandlerCalls == 0 {
+			t.Fatalf("measurement missed the probe fire path: %+v", th.Stats)
+		}
 	})
-	if n != 0 {
-		t.Errorf("compiled run allocated %.2f times with observers disabled, want 0", n)
-	}
-	if th.Stats.ProbesTaken == 0 || th.Stats.HandlerCalls == 0 {
-		t.Fatalf("measurement missed the probe fire path: %+v", th.Stats)
-	}
 }
 
 // Enabling an observer surface mid-stream deopts the thread to the

@@ -231,8 +231,8 @@ func TestOnProbeForcedFiresDriveSchedules(t *testing.T) {
 		if fires != 3 {
 			t.Fatalf("forced fires = %d, want 3 (1 at site 3 + 2 at site 7)", fires)
 		}
-		if v.Mem[0] != 3 {
-			t.Errorf("handler IR ran %d times, want 3", v.Mem[0])
+		if v.Memory()[0] != 3 {
+			t.Errorf("handler IR ran %d times, want 3", v.Memory()[0])
 		}
 		if th.Stats.HandlerCalls != 3 || th.Stats.ProbesTaken != 2 {
 			t.Errorf("stats = %+v, want 3 handler calls over 2 firing probes", th.Stats)

@@ -1,25 +1,24 @@
 // Entry-liveness analysis for the compiled tier's frame pooling.
 //
-// The interpreter allocates a fresh (zeroed) register file per call;
-// the compiled tier reuses pooled frames, so a recycled frame starts
-// with whatever the previous occupant left behind. Zeroing the whole
-// file per call is what the pool was supposed to avoid — on
-// call-heavy workloads the memclr dominates the profile. Instead,
-// compileFunc computes the function's live-in register set (registers
-// some path can read before writing) with a standard backward
-// dataflow over the CFG, and pushFrame zeroes only those. Registers
-// outside the set are written before every possible read, so the
-// garbage they hold is unobservable and parity with the interpreter's
-// all-zero file is exact. The IR has no indirect register addressing,
-// which is what makes the use/def sets syntactically complete.
+// Both tiers take register files from one pool of frames (pushFrame),
+// so a recycled frame starts with whatever its previous occupant left
+// behind, while the semantics give every call an all-zero file. The
+// interpreter clears the whole file per call: it pays no measurable
+// price for that next to its dispatch. The compiled tier, whose
+// dispatch is cheaper, zeroes less: compileFunc computes the
+// function's live-in register set (registers some path can read
+// before writing) with a standard backward dataflow over the CFG, and
+// a compiled call zeroes only those. Registers outside the set are
+// written before every possible read, so the garbage they hold is
+// unobservable and parity with the all-zero file is exact. The IR has
+// no indirect register addressing, which is what makes the use/def
+// sets syntactically complete.
 package vm
 
 import "repro/internal/ir"
 
 // regSet is a dense bitset over a function's virtual registers.
 type regSet []uint64
-
-func newRegSet(numRegs int) regSet { return make(regSet, (numRegs+63)/64) }
 
 func (s regSet) add(r ir.Reg) {
 	if r != ir.NoReg {
@@ -91,14 +90,20 @@ func instrRegs(in *ir.Instr, use, def func(ir.Reg)) {
 // register some path from entry can read before writing. Classic
 // backward may-analysis — per-block gen (read before written) and
 // kill (written) sets, then liveIn = gen ∪ (liveOut \ kill) iterated
-// to fixpoint — returned as a sorted index list for pushFrame.
+// to fixpoint — returned as a sorted index list for the compiled
+// tier's calls. All the sets share one slab, so the analysis allocates
+// per function, not per block and iteration.
 func liveInRegs(f *ir.Func) []int32 {
 	n := len(f.Blocks)
-	gen := make([]regSet, n)
-	kill := make([]regSet, n)
-	liveIn := make([]regSet, n)
+	words := (f.NumRegs + 63) / 64
+	slab := make(regSet, (3*n+1)*words)
+	sets := make([]regSet, 3*n+1)
+	for i := range sets {
+		sets[i] = slab[i*words : (i+1)*words : (i+1)*words]
+	}
+	gen, kill, liveIn, liveOut := sets[:n], sets[n:2*n], sets[2*n:3*n], sets[3*n]
 	for i, b := range f.Blocks {
-		g, k := newRegSet(f.NumRegs), newRegSet(f.NumRegs)
+		g, k := gen[i], kill[i]
 		for j := range b.Instrs {
 			instrRegs(&b.Instrs[j],
 				func(r ir.Reg) {
@@ -118,8 +123,6 @@ func liveInRegs(f *ir.Func) []int32 {
 				g.add(b.Term.Val)
 			}
 		}
-		gen[i], kill[i] = g, k
-		liveIn[i] = newRegSet(f.NumRegs)
 		copy(liveIn[i], g)
 	}
 	// Local block index: the analysis runs on a module other VMs may be
@@ -132,9 +135,8 @@ func liveInRegs(f *ir.Func) []int32 {
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			liveOut := newRegSet(f.NumRegs)
-			succs = b.Succs(succs[:0])
+			clear(liveOut)
+			succs = f.Blocks[i].Succs(succs[:0])
 			for _, s := range succs {
 				liveOut.orInto(liveIn[idx[s]])
 			}

@@ -344,7 +344,6 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 			rem = t.limit - t.Stats.Instrs
 		}
 		regs := fr.regs
-		mem := t.VM.Mem
 		rng := t.rng
 		var cyc, ins int64
 		for {
@@ -500,12 +499,19 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 					if u.a >= 0 {
 						addr += regs[u.a]
 					}
+					// Memory is read per access, not once per loop: a
+					// grow replaces the slice, and a loop-carried copy
+					// cost the loop about 10% on vm_compiled.
+					mem := t.VM.mem
 					if uint64(addr) >= uint64(len(mem)) {
-						t.Stats.Cycles += cyc - u.cycCorr
-						t.Stats.Instrs += ins - u.insCorr
-						t.rng = rng
-						fr.err = t.memFault(addr)
-						return -1
+						if err := t.VM.grow(addr); err != nil {
+							t.Stats.Cycles += cyc - u.cycCorr
+							t.Stats.Instrs += ins - u.insCorr
+							t.rng = rng
+							fr.err = err
+							return -1
+						}
+						mem = t.VM.mem
 					}
 					v := mem[addr]
 					regs[u.dst] = v
@@ -542,12 +548,16 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 					if u.a >= 0 {
 						addr += regs[u.a]
 					}
+					mem := t.VM.mem
 					if uint64(addr) >= uint64(len(mem)) {
-						t.Stats.Cycles += cyc - u.cycCorr
-						t.Stats.Instrs += ins - u.insCorr
-						t.rng = rng
-						fr.err = t.memFault(addr)
-						return -1
+						if err := t.VM.grow(addr); err != nil {
+							t.Stats.Cycles += cyc - u.cycCorr
+							t.Stats.Instrs += ins - u.insCorr
+							t.rng = rng
+							fr.err = err
+							return -1
+						}
+						mem = t.VM.mem
 					}
 					v := regs[u.b]
 					mem[addr] = v
@@ -584,12 +594,16 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 					if u.a >= 0 {
 						addr += regs[u.a]
 					}
+					mem := t.VM.mem
 					if uint64(addr) >= uint64(len(mem)) {
-						t.Stats.Cycles += cyc - u.cycCorr
-						t.Stats.Instrs += ins - u.insCorr
-						t.rng = rng
-						fr.err = t.memFault(addr)
-						return -1
+						if err := t.VM.grow(addr); err != nil {
+							t.Stats.Cycles += cyc - u.cycCorr
+							t.Stats.Instrs += ins - u.insCorr
+							t.rng = rng
+							fr.err = err
+							return -1
+						}
+						mem = t.VM.mem
 					}
 					add := regs[u.b]
 					old := atomic.AddInt64(&mem[addr], add) - add

@@ -43,12 +43,18 @@ func (hw *HWConfig) costs(m *CostModel) (total, pre int64) {
 }
 
 // VM is a virtual machine instance: a module, a cost model, flat shared
-// memory and a thread count (used by the contention model).
+// memory and a thread count (used by the contention model). The
+// threads of one VM run one at a time.
+//
+// The memory is the module's MemWords words (at least one), all zero
+// at start; an address outside [0, MemWords) faults. Only the prefix a
+// run touches is allocated: New allocates a few words, and a load or
+// store past the prefix doubles it (capped at MemWords) before it
+// completes. Memory returns the whole logical memory.
 type VM struct {
 	Mod     *ir.Module
 	Model   *CostModel
 	Threads int
-	Mem     []int64
 	// HW, when non-nil, enables hardware interrupts on all threads.
 	HW *HWConfig
 	// LimitInstrs aborts a run after this many executed IR instructions
@@ -77,7 +83,15 @@ type VM struct {
 
 	compileOnce sync.Once
 	compiled    *compiledModule
+
+	// mem is the allocated prefix of the logical memory; every word
+	// at or past len(mem) and below memWords is zero.
+	mem      []int64
+	memWords int64
 }
+
+// memPrefix is how many words New allocates.
+const memPrefix = 256
 
 // New creates a VM for the module with the given cost model (nil for
 // Default) and thread count (minimum 1).
@@ -88,11 +102,35 @@ func New(mod *ir.Module, model *CostModel, threads int) *VM {
 	if threads < 1 {
 		threads = 1
 	}
-	mem := mod.MemWords
-	if mem < 1 {
-		mem = 1
+	words := max(mod.MemWords, 1)
+	return &VM{Mod: mod, Model: model, Threads: threads,
+		mem: make([]int64, min(words, memPrefix)), memWords: words}
+}
+
+// Memory returns a copy of the logical memory: MemWords words, with
+// every word no run has written still zero.
+func (vm *VM) Memory() []int64 {
+	out := make([]int64, vm.memWords)
+	copy(out, vm.mem)
+	return out
+}
+
+// grow is the slow path of every memory access whose address is past
+// the allocated prefix: it doubles the prefix until it covers addr,
+// capped at memWords, or returns the fault for an address outside the
+// logical memory. Callers that cache vm.mem re-read it after a grow.
+func (vm *VM) grow(addr int64) error {
+	if uint64(addr) >= uint64(vm.memWords) {
+		return fmt.Errorf("vm: %w: address %d (mem size %d)", ErrMemFault, addr, vm.memWords)
 	}
-	return &VM{Mod: mod, Model: model, Threads: threads, Mem: make([]int64, mem)}
+	n := int64(len(vm.mem))
+	for n <= addr {
+		n *= 2
+	}
+	mem := make([]int64, min(n, vm.memWords))
+	copy(mem, vm.mem)
+	vm.mem = mem
+	return nil
 }
 
 // Stats aggregates one thread's execution counters.
@@ -168,10 +206,10 @@ type Thread struct {
 	depth      int
 	limit      int64
 	funcMap    map[string]*ir.Func
-	// frames is the compiled tier's register-frame pool, indexed by call
+	// frames is the register-frame pool of both tiers, indexed by call
 	// depth − 1. Pointers are stable (each frame is allocated once, the
 	// first time its depth is reached), so frames in flight across a
-	// nested dispatch loop stay valid while deeper calls extend the pool.
+	// nested call stay valid while deeper calls extend the pool.
 	frames []*frame
 }
 
@@ -244,7 +282,15 @@ func (t *Thread) exec(f *ir.Func, args []int64) (int64, error) {
 			return t.callCompiled(cf, args)
 		}
 	}
-	return t.call(f, args)
+	fr, err := t.pushFrame(f.Name, f.NumRegs)
+	if err != nil {
+		return 0, err
+	}
+	clear(fr.regs)
+	copy(fr.regs, args)
+	rv, err := t.call(f, fr.regs)
+	t.depth--
+	return rv, err
 }
 
 func (t *Thread) rand() uint64 {
@@ -277,13 +323,17 @@ func (t *Thread) memCost(base int64) int64 {
 	return int64(float64(c) * t.memMul)
 }
 
+// memAddr resolves a memory operand to a word address inside the
+// allocated prefix, growing the prefix when the address is past it.
 func (t *Thread) memAddr(regs []int64, base ir.Reg, off int64) (int64, error) {
 	addr := off
 	if base != ir.NoReg {
 		addr += regs[base]
 	}
-	if addr < 0 || addr >= int64(len(t.VM.Mem)) {
-		return 0, fmt.Errorf("vm: %w: address %d (mem size %d)", ErrMemFault, addr, len(t.VM.Mem))
+	if uint64(addr) >= uint64(len(t.VM.mem)) {
+		if err := t.VM.grow(addr); err != nil {
+			return 0, err
+		}
 	}
 	return addr, nil
 }
@@ -358,16 +408,10 @@ func (t *Thread) checkOverrun(charged int64, fired int, kind string) error {
 
 const maxDepth = 4096
 
-func (t *Thread) call(f *ir.Func, args []int64) (int64, error) {
-	t.depth++
-	if t.depth > maxDepth {
-		t.depth--
-		return 0, fmt.Errorf("vm: %w: depth exceeds %d in %q", ErrCallDepth, maxDepth, f.Name)
-	}
-	defer func() { t.depth-- }()
-
-	regs := make([]int64, f.NumRegs)
-	copy(regs, args)
+// call interprets f in regs, the register file of the frame its caller
+// pushed with the arguments in place and every other register zero.
+// The caller pops the frame.
+func (t *Thread) call(f *ir.Func, regs []int64) (int64, error) {
 	m := t.model
 	b := f.Blocks[0]
 	for {
@@ -397,7 +441,7 @@ func (t *Thread) call(f *ir.Func, args []int64) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				regs[in.Dst] = t.VM.Mem[addr]
+				regs[in.Dst] = t.VM.mem[addr]
 				if t.OnLoad != nil {
 					t.OnLoad(f.Name, b.Name, addr, regs[in.Dst])
 				}
@@ -407,7 +451,7 @@ func (t *Thread) call(f *ir.Func, args []int64) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				t.VM.Mem[addr] = regs[in.B]
+				t.VM.mem[addr] = regs[in.B]
 				if t.OnStore != nil {
 					t.OnStore(f.Name, b.Name, addr, regs[in.B])
 				}
@@ -417,7 +461,7 @@ func (t *Thread) call(f *ir.Func, args []int64) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				old := atomic.AddInt64(&t.VM.Mem[addr], regs[in.B]) - regs[in.B]
+				old := atomic.AddInt64(&t.VM.mem[addr], regs[in.B]) - regs[in.B]
 				if in.Dst != ir.NoReg {
 					regs[in.Dst] = old
 				}
@@ -432,11 +476,16 @@ func (t *Thread) call(f *ir.Func, args []int64) (int64, error) {
 				if callee == nil {
 					return 0, fmt.Errorf("vm: call to unknown function %q", in.Callee)
 				}
-				cargs := make([]int64, len(in.Args))
-				for k, r := range in.Args {
-					cargs[k] = regs[r]
+				cfr, err := t.pushFrame(callee.Name, callee.NumRegs)
+				if err != nil {
+					return 0, err
 				}
-				rv, err := t.call(callee, cargs)
+				for k, r := range in.Args {
+					cfr.regs[k] = regs[r]
+				}
+				clear(cfr.regs[len(in.Args):])
+				rv, err := t.call(callee, cfr.regs)
+				t.depth--
 				if err != nil {
 					return 0, err
 				}
@@ -513,8 +562,10 @@ func (t *Thread) call(f *ir.Func, args []int64) (int64, error) {
 		if t.limit > 0 && t.Stats.Instrs > t.limit {
 			return 0, fmt.Errorf("vm: %w: instruction limit %d in %q", ErrStepBudget, t.limit, f.Name)
 		}
-		if err := t.checkHW(); err != nil {
-			return 0, err
+		if t.VM.HW != nil {
+			if err := t.checkHW(); err != nil {
+				return 0, err
+			}
 		}
 		switch b.Term.Kind {
 		case ir.TermJmp:

@@ -724,8 +724,8 @@ exit:
 				t.Errorf("thread %d has empty stats", id)
 			}
 		}
-		if v.Mem[0] != 8000 {
-			t.Errorf("shared counter = %d, want 8000", v.Mem[0])
+		if v.Memory()[0] != 8000 {
+			t.Errorf("shared counter = %d, want 8000", v.Memory()[0])
 		}
 	})
 }
@@ -837,7 +837,7 @@ exit:
 			th := v.NewThread(0)
 			th.RT.RegisterCI(300, func(uint64) {
 				fires++
-				if v.Mem[0] != 0 {
+				if v.Memory()[0] != 0 {
 					violations++
 				}
 			})
