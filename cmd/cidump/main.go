@@ -100,10 +100,16 @@ func main() {
 		runHot(cf, m, *entry, *interval, *hotN)
 		return
 	}
-	res := analysis.Analyze(m, analysis.Options{
-		ProbeInterval:  cf.ProbeInterval,
-		AllowableError: cf.AllowableError,
+	// The probes go in as a CI compile puts them in, through the
+	// instrumenter; the dump prints the analysis that placed them.
+	inst, err := instrument.Instrument(m, instrument.Options{
+		Design:   instrument.CI,
+		Analysis: analysis.Options{ProbeInterval: cf.ProbeInterval, AllowableError: cf.AllowableError},
 	})
+	if err != nil {
+		fail("%v", err)
+	}
+	res := inst.Analysis
 
 	names := make([]string, 0, len(res.Funcs))
 	for n := range res.Funcs {
@@ -134,8 +140,6 @@ func main() {
 			}
 		}
 		if *spacing && fr.Instrumented {
-			// Materialize probes in place to validate spacing.
-			applyMarks(fr)
 			if err := analysis.CheckSpacing(fr.Fn, 100, cf.ProbeInterval); err != nil {
 				fmt.Printf("  spacing: VIOLATION: %v\n", err)
 			} else {
@@ -237,31 +241,6 @@ func runHot(cf *cliflags.Flags, m *ir.Module, entry string, interval int64, n in
 		d, prog.Instr.Probes, res.Stats[0].Cycles, res.Stats[0].HandlerCalls)
 	if err := scope.WriteHotSites(os.Stdout, n); err != nil {
 		fail("%v", err)
-	}
-}
-
-func applyMarks(fr *analysis.FuncResult) {
-	byBlock := map[*ir.Block][]analysis.Mark{}
-	for _, mk := range fr.Marks {
-		byBlock[mk.Block] = append(byBlock[mk.Block], mk)
-	}
-	for b, ms := range byBlock {
-		sort.Slice(ms, func(i, j int) bool { return ms[i].Index > ms[j].Index })
-		for _, mk := range ms {
-			kind := ir.ProbeIR
-			pi := &ir.ProbeInfo{Kind: kind, Inc: mk.Inc, IndVar: ir.NoReg, Base: ir.NoReg}
-			if mk.Loop {
-				pi.Kind = ir.ProbeIRLoop
-				pi.IndVar, pi.Base = mk.IndVar, mk.Base
-			}
-			idx := mk.Index
-			if idx > len(b.Instrs) {
-				idx = len(b.Instrs)
-			}
-			b.Instrs = append(b.Instrs, ir.Instr{})
-			copy(b.Instrs[idx+1:], b.Instrs[idx:])
-			b.Instrs[idx] = ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi}
-		}
 	}
 }
 

@@ -22,7 +22,10 @@ import (
 //     os.Getenv;
 //   - no go statement outside goStmtAllowed;
 //   - no file write (os.Create, os.CreateTemp, os.WriteFile,
-//     os.OpenFile, os.Rename, os.MkdirAll) outside fileWriteAllowed.
+//     os.OpenFile, os.Rename, os.MkdirAll) outside fileWriteAllowed;
+//   - no sort.Slice or sort.SliceStable on the compile path
+//     (compilePath): slices.SortFunc and slices.SortStableFunc take a
+//     typed comparison and no reflection-based swapper.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -37,6 +40,10 @@ var fileWriteAllowed = map[string]string{
 	"internal/cliflags/cliflags.go:StartProfile": "the -cpuprofile and -memprofile files a user asked for",
 	"internal/sanitize/repro.go:SaveRepro":       "pins a shrunk reproducer as a test input under testdata/repro",
 }
+
+// compilePath are the packages between IR text and an instrumented
+// module.
+var compilePath = []string{"internal/ir/", "internal/cfg/", "internal/opt/", "internal/ci/"}
 
 // fileWrites are the os functions that create, write or move files.
 var fileWrites = map[string]bool{
@@ -117,12 +124,23 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					if _, ok := fileWriteAllowed[path+":"+fn]; !ok {
 						report(n, "file write os."+sel+" outside the allow-list")
 					}
+				case imp == "sort" && (sel == "Slice" || sel == "SliceStable") && onCompilePath(path):
+					report(n, "sort."+sel+" on the compile path; use slices.SortFunc or slices.SortStableFunc")
 				}
 			}
 			return true
 		})
 	}
 	return out
+}
+
+func onCompilePath(path string) bool {
+	for _, p := range compilePath {
+		if strings.HasPrefix(path, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // The checker itself must see each kind of violation.
@@ -152,5 +170,31 @@ func f() {
 	}
 	if got := hygieneViolations(fset, "p.go", f); len(got) != 6 {
 		t.Fatalf("want 6 violations (Now, Since, Intn, Getenv, WriteFile, go), got %d:\n%s", len(got), strings.Join(got, "\n"))
+	}
+}
+
+// The sort rule holds on the compile path only: the same file fails
+// under internal/cfg and passes under internal/fleet.
+func TestHygieneSortRule(t *testing.T) {
+	const src = `package p
+
+import "sort"
+
+func f(xs []int) {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	sort.SliceStable(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	sort.Ints(xs)
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hygieneViolations(fset, "internal/cfg/p.go", f); len(got) != 2 {
+		t.Errorf("internal/cfg: want 2 violations (Slice, SliceStable), got %d:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	if got := hygieneViolations(fset, "internal/fleet/p.go", f); len(got) != 0 {
+		t.Errorf("internal/fleet: want no violation, got:\n%s", strings.Join(got, "\n"))
 	}
 }

@@ -100,7 +100,7 @@ func TestFindLoops(t *testing.T) {
 	if l.Header != head.Index {
 		t.Errorf("header = %d, want %d", l.Header, head.Index)
 	}
-	if !l.Blocks[body.Index] || !l.Blocks[head.Index] {
+	if !l.Has(body.Index) || !l.Has(head.Index) {
 		t.Error("loop body/header not in Blocks set")
 	}
 	if len(l.Blocks) != 2 {
@@ -161,12 +161,12 @@ func TestNestedLoops(t *testing.T) {
 		t.Errorf("inner depth = %d", inner.Depth)
 	}
 	// InnermostAt for an inner-loop block must be the inner loop.
-	for bidx := range inner.Blocks {
+	for _, bidx := range inner.Blocks {
 		if lf.InnermostAt[bidx] != inner {
 			t.Errorf("InnermostAt[%d] is not the inner loop", bidx)
 		}
 	}
-	if !outer.Blocks[inner.Header] {
+	if !outer.Has(inner.Header) {
 		t.Error("outer loop must contain the inner header")
 	}
 }
@@ -196,7 +196,7 @@ exit:
 `
 	m := ir.MustParse(src)
 	f := m.FuncByName("f")
-	if !LoopSimplify(f) {
+	if !LoopSimplify(NewAnalyses(f)) {
 		t.Fatal("LoopSimplify reported no change")
 	}
 	if err := f.Verify(); err != nil {
@@ -215,7 +215,7 @@ exit:
 		t.Errorf("latches = %d, want 1\n%s", len(l.Latches), f)
 	}
 	// Idempotent.
-	if LoopSimplify(f) {
+	if LoopSimplify(NewAnalyses(f)) {
 		t.Error("LoopSimplify not idempotent")
 	}
 }
@@ -233,7 +233,7 @@ exit:
 `
 	m := ir.MustParse(src)
 	f := m.FuncByName("f")
-	LoopSimplify(f)
+	LoopSimplify(NewAnalyses(f))
 	if err := f.Verify(); err != nil {
 		t.Fatalf("after simplify: %v\n%s", err, f)
 	}
@@ -267,7 +267,7 @@ exit:
 `
 	m := ir.MustParse(src)
 	f := m.FuncByName("f")
-	if !SplitCriticalEdges(f) {
+	if !SplitCriticalEdges(NewAnalyses(f)) {
 		t.Fatal("no critical edges split")
 	}
 	if err := f.Verify(); err != nil {
@@ -284,7 +284,7 @@ exit:
 			}
 		}
 	}
-	if SplitCriticalEdges(f) {
+	if SplitCriticalEdges(NewAnalyses(f)) {
 		t.Error("SplitCriticalEdges not idempotent")
 	}
 }

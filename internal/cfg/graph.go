@@ -9,8 +9,8 @@ package cfg
 import "repro/internal/ir"
 
 // Graph caches the CFG structure of a function, keyed by Block.Index.
-// It must be rebuilt (cfg.New) after any transform that changes blocks
-// or terminators.
+// It describes the function as it was when built: hold it in an
+// Analyses, which drops it when a transform edits blocks or terminators.
 type Graph struct {
 	F *ir.Func
 	// N is the number of blocks.
@@ -106,3 +106,67 @@ func New(f *ir.Func) *Graph {
 
 // Reachable reports whether block index b is reachable from the entry.
 func (g *Graph) Reachable(b int) bool { return g.RPOIndex[b] >= 0 }
+
+// Analyses is the CFG analyses of one function: its graph, dominator
+// tree, loop forest and register info, each computed on first use and
+// kept until an edit invalidates it, the way LLVM's analysis manager
+// serves a function pass. The invalidation rule is the transform's to
+// keep:
+//
+//   - an edit of blocks or terminators (a block added, removed or
+//     moved, an edge retargeted) calls CFGChanged, which drops all four;
+//   - an edit of instructions alone calls InstrsChanged, which drops the
+//     register info and keeps the graph, dominators and loops.
+//
+// A graph in the bundle implies fresh block indices: Graph reindexes
+// the function before it builds one.
+type Analyses struct {
+	f     *ir.Func
+	graph *Graph
+	dom   *DomTree
+	loops *LoopForest
+	regs  *RegInfo
+}
+
+// NewAnalyses returns an empty bundle for f.
+func NewAnalyses(f *ir.Func) *Analyses { return &Analyses{f: f} }
+
+// Graph returns the function's CFG.
+func (a *Analyses) Graph() *Graph {
+	if a.graph == nil {
+		a.f.Reindex()
+		a.graph = New(a.f)
+	}
+	return a.graph
+}
+
+// Dom returns the dominator tree.
+func (a *Analyses) Dom() *DomTree {
+	if a.dom == nil {
+		a.dom = Dominators(a.Graph())
+	}
+	return a.dom
+}
+
+// Loops returns the loop forest.
+func (a *Analyses) Loops() *LoopForest {
+	if a.loops == nil {
+		a.loops = FindLoops(a.Graph(), a.Dom())
+	}
+	return a.loops
+}
+
+// Regs returns the register definition info.
+func (a *Analyses) Regs() *RegInfo {
+	if a.regs == nil {
+		a.regs = AnalyzeRegs(a.f)
+	}
+	return a.regs
+}
+
+// CFGChanged drops every analysis: blocks or terminators were edited.
+func (a *Analyses) CFGChanged() { *a = Analyses{f: a.f} }
+
+// InstrsChanged drops the register info: instructions were edited, and
+// blocks and terminators were not.
+func (a *Analyses) InstrsChanged() { a.regs = nil }

@@ -29,12 +29,14 @@ func (ri *RegInfo) DefSite(r ir.Reg) (block, index int, ok bool) {
 
 // AnalyzeRegs scans f and records definition sites for every register.
 func AnalyzeRegs(f *ir.Func) *RegInfo {
+	n := f.NumRegs
+	ints := make([]int, 3*n) // defCount, onlyDefBlock, onlyDefIndex
 	ri := &RegInfo{
 		f:            f,
-		defCount:     make([]int, f.NumRegs),
-		onlyDef:      make([]*ir.Instr, f.NumRegs),
-		onlyDefBlock: make([]int, f.NumRegs),
-		onlyDefIndex: make([]int, f.NumRegs),
+		defCount:     ints[:n:n],
+		onlyDef:      make([]*ir.Instr, n),
+		onlyDefBlock: ints[n : 2*n : 2*n],
+		onlyDefIndex: ints[2*n:],
 	}
 	for bi, b := range f.Blocks {
 		for i := range b.Instrs {
@@ -94,7 +96,7 @@ func (ri *RegInfo) SingleDefOutside(r ir.Reg, l *Loop) bool {
 	if int(r) < ri.f.NumParams {
 		return ri.defCount[r] == 0
 	}
-	return ri.defCount[r] == 1 && !l.Blocks[ri.onlyDefBlock[r]]
+	return ri.defCount[r] == 1 && !l.Has(ri.onlyDefBlock[r])
 }
 
 // Induction describes a recognized canonical induction variable of a
@@ -168,8 +170,8 @@ func AnalyzeInduction(f *ir.Func, g *Graph, l *Loop, ri *RegInfo) Induction {
 		return none
 	}
 	// Exactly one branch target must leave the loop.
-	thenIn := l.Blocks[header.Term.Then.Index]
-	elseIn := l.Blocks[header.Term.Else.Index]
+	thenIn := l.Has(header.Term.Then.Index)
+	elseIn := l.Has(header.Term.Else.Index)
 	if thenIn == elseIn {
 		return none
 	}
@@ -231,7 +233,7 @@ func AnalyzeInduction(f *ir.Func, g *Graph, l *Loop, ri *RegInfo) Induction {
 			if in.Dst != indReg || in.Op == ir.OpStore || in.Op == ir.OpProbe {
 				continue
 			}
-			if l.Blocks[bi] {
+			if l.Has(bi) {
 				inLoopDefs++
 				stepIn = in
 				stepBlock, stepIndex = bi, ii

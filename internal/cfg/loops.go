@@ -1,8 +1,8 @@
 package cfg
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Loop describes one natural loop.
@@ -11,8 +11,9 @@ type Loop struct {
 	Header int
 	// Latches are the blocks with back edges to the header.
 	Latches []int
-	// Blocks is the set of block indices in the loop (header included).
-	Blocks map[int]bool
+	// Blocks lists the block indices in the loop (header included) in
+	// ascending order; Has tests membership.
+	Blocks []int
 	// Parent is the innermost enclosing loop, nil for top-level loops.
 	Parent *Loop
 	// Children are the loops nested immediately inside this one.
@@ -22,84 +23,135 @@ type Loop struct {
 	// Preheader is the unique block outside the loop whose only
 	// successor is the header, or -1 when the loop is not simplified.
 	Preheader int
-	// Exits are in-loop blocks with a successor outside the loop.
+	// Exits are in-loop blocks with a successor outside the loop, in
+	// ascending order.
 	Exits []int
+	// set holds Blocks as one bit per block index of the graph.
+	set []uint64
+}
+
+// Has reports whether block index b is in the loop. An index the graph
+// did not have (a block added since) is not.
+func (l *Loop) Has(b int) bool {
+	w := uint(b) >> 6
+	return w < uint(len(l.set)) && l.set[w]&(1<<(uint(b)&63)) != 0
 }
 
 // LoopForest is the set of natural loops of a function with nesting.
 type LoopForest struct {
 	// Loops lists all loops, outermost-first within each nest.
 	Loops []*Loop
-	// ByHeader maps header block index to its loop.
-	ByHeader map[int]*Loop
 	// InnermostAt maps block index to the innermost loop containing it
-	// (nil if the block is not in any loop).
+	// (nil if the block is not in any loop). A header's innermost loop
+	// is the loop it heads: natural loops with different headers are
+	// disjoint or nested, and a loop nested in another cannot contain
+	// that loop's header, which dominates it.
 	InnermostAt []*Loop
 }
 
 // FindLoops detects the natural loops of g using the dominator tree.
 // Back edges t→h with h dominating t define loops; loops sharing a
 // header are merged, as is conventional.
+//
+// A forest takes its memory from a few slabs whatever the number of
+// loops: one for the Loop values, one for the loop pointers (Loops,
+// InnermostAt and the children lists), one for the membership bits and
+// two for the index lists (latches, then bodies and exits). Every list
+// handed out has its capacity cut at its length.
 func FindLoops(g *Graph, dom *DomTree) *LoopForest {
-	lf := &LoopForest{ByHeader: make(map[int]*Loop), InnermostAt: make([]*Loop, g.N)}
-	// Collect back edges.
-	for t := 0; t < g.N; t++ {
-		if !g.Reachable(t) {
-			continue
+	// A loop's latches are its header's reachable predecessors that the
+	// header dominates. Preds lists them in block order, one entry per
+	// branch arm, the order and multiplicity of the back edges.
+	isLatch := func(h, p int) bool { return g.Reachable(p) && dom.Dominates(h, p) }
+	nloops, nlatches := 0, 0
+	for h := 0; h < g.N; h++ {
+		n := 0
+		for _, p := range g.Preds[h] {
+			if isLatch(h, p) {
+				n++
+			}
 		}
-		for _, h := range g.Succs[t] {
-			if !dom.Dominates(h, t) {
-				continue
-			}
-			l := lf.ByHeader[h]
-			if l == nil {
-				l = &Loop{Header: h, Preheader: -1}
-				lf.ByHeader[h] = l
-				lf.Loops = append(lf.Loops, l)
-			}
-			l.Latches = append(l.Latches, t)
+		if n > 0 {
+			nloops++
+			nlatches += n
 		}
 	}
-	if len(lf.Loops) == 0 {
+	ptrs := make([]*Loop, g.N+2*nloops) // InnermostAt, Loops, children
+	lf := &LoopForest{InnermostAt: ptrs[:g.N:g.N]}
+	if nloops == 0 {
 		return lf
 	}
-	// Bodies: walk backwards from the latches to the header. The body
-	// is listed first, so that its set is allocated at its final size
-	// and the exits need no pass over the set.
-	owner := make([]*Loop, g.N) // the last loop whose walk reached the block
-	var body, stack []int
-	for _, l := range lf.Loops {
-		owner[l.Header] = l
-		body = append(body[:0], l.Header)
-		stack = append(stack[:0], l.Latches...)
+	lf.Loops = ptrs[g.N : g.N+nloops : g.N+nloops]
+	children := ptrs[g.N+nloops:]
+	loops := make([]Loop, nloops)
+	words := (g.N + 63) >> 6
+	set := make([]uint64, nloops*words)
+	ints := make([]int, nlatches+g.N) // the latches, then a work stack
+	latches, stack := ints[:0:nlatches], ints[nlatches:nlatches:len(ints)]
+
+	// Bodies: walk backwards from the latches to the header, marking a
+	// block when it is first pushed.
+	nbody, nexits, k := 0, 0, 0
+	for h := 0; h < g.N; h++ {
+		first := len(latches)
+		for _, p := range g.Preds[h] {
+			if isLatch(h, p) {
+				latches = append(latches, p)
+			}
+		}
+		if len(latches) == first {
+			continue
+		}
+		l := &loops[k]
+		*l = Loop{Header: h, Latches: latches[first:len(latches):len(latches)], Preheader: -1,
+			set: set[k*words : (k+1)*words : (k+1)*words]}
+		lf.Loops[k] = l
+		k++
+		l.set[h>>6] |= 1 << (h & 63)
+		size := 1
+		stack = stack[:0]
+		push := func(b int) {
+			if !l.Has(b) {
+				l.set[b>>6] |= 1 << (b & 63)
+				size++
+				stack = append(stack, b)
+			}
+		}
+		for _, t := range l.Latches {
+			push(t)
+		}
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if owner[b] == l {
-				continue
-			}
-			owner[b] = l
-			body = append(body, b)
 			for _, p := range g.Preds[b] {
 				if g.Reachable(p) {
-					stack = append(stack, p)
+					push(p)
 				}
 			}
 		}
-		l.Blocks = make(map[int]bool, len(body))
-		for _, b := range body {
-			l.Blocks[b] = true
-		}
-		// Exits are in-loop blocks with a successor outside the loop.
-		for _, b := range body {
-			for _, s := range g.Succs[b] {
-				if owner[s] != l {
-					l.Exits = append(l.Exits, b)
-					break
-				}
+		nbody += size
+		l.each(func(b int) {
+			if l.exits(g, b) {
+				nexits++
+			}
+		})
+	}
+	// Blocks and exits, in ascending order, read off the bits.
+	lists := make([]int, nbody+nexits)
+	for _, l := range lf.Loops {
+		n := 0
+		l.each(func(b int) { lists[n] = b; n++ })
+		l.Blocks, lists = lists[:n:n], lists[n:]
+		n = 0
+		for _, b := range l.Blocks {
+			if l.exits(g, b) {
+				lists[n] = b
+				n++
 			}
 		}
-		sort.Ints(l.Exits)
+		if n > 0 {
+			l.Exits, lists = lists[:n:n], lists[n:]
+		}
 		l.Preheader = findPreheader(g, l)
 	}
 	// Sort loops by size descending so parents precede children.
@@ -111,11 +163,13 @@ func FindLoops(g *Graph, dom *DomTree) *LoopForest {
 	})
 	// Nesting: a loop's parent is the smallest loop strictly containing
 	// its header (other than itself).
+	nchild := stack[:g.N] // the stack is done; count children per parent header
+	clear(nchild)
 	nested := 0
 	for i, l := range lf.Loops {
 		for j := i - 1; j >= 0; j-- {
 			cand := lf.Loops[j]
-			if cand != l && cand.Blocks[l.Header] {
+			if cand != l && cand.Has(l.Header) {
 				// Loops are sorted by size descending, so scanning j
 				// downward visits smaller loops first; the first match
 				// is the smallest strict container.
@@ -125,24 +179,18 @@ func FindLoops(g *Graph, dom *DomTree) *LoopForest {
 		}
 		if l.Parent != nil {
 			l.Depth = l.Parent.Depth + 1
+			nchild[l.Parent.Header]++
 			nested++
 		} else {
 			l.Depth = 1
 		}
 	}
 	if nested > 0 {
-		// The children lists share one array: counted per parent
-		// header, carved, then filled in the order of lf.Loops.
-		nchild := make([]int, g.N)
-		for _, l := range lf.Loops {
-			if l.Parent != nil {
-				nchild[l.Parent.Header]++
-			}
-		}
-		store := make([]*Loop, nested)
+		// The children lists are carved per parent, then filled in the
+		// order of lf.Loops.
 		for _, l := range lf.Loops {
 			if n := nchild[l.Header]; n > 0 {
-				l.Children, store = store[:0:n], store[n:]
+				l.Children, children = children[:0:n], children[n:]
 			}
 		}
 		for _, l := range lf.Loops {
@@ -154,11 +202,31 @@ func FindLoops(g *Graph, dom *DomTree) *LoopForest {
 	// Innermost loop per block: iterate loops from largest to smallest
 	// so smaller (inner) loops overwrite.
 	for _, l := range lf.Loops {
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			lf.InnermostAt[b] = l
 		}
 	}
 	return lf
+}
+
+// each calls fn for every block of the loop's set in ascending order.
+func (l *Loop) each(fn func(int)) {
+	for w, word := range l.set {
+		for word != 0 {
+			fn(w<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+}
+
+// exits reports whether in-loop block b has a successor outside l.
+func (l *Loop) exits(g *Graph, b int) bool {
+	for _, s := range g.Succs[b] {
+		if !l.Has(s) {
+			return true
+		}
+	}
+	return false
 }
 
 func findPreheader(g *Graph, l *Loop) int {
@@ -166,7 +234,7 @@ func findPreheader(g *Graph, l *Loop) int {
 	// header, and must have the header as its only successor.
 	ph := -1
 	for _, p := range g.Preds[l.Header] {
-		if l.Blocks[p] {
+		if l.Has(p) {
 			continue
 		}
 		if ph != -1 {

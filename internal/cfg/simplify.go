@@ -4,12 +4,12 @@ import "repro/internal/ir"
 
 // SplitCriticalEdges inserts an empty block on every critical edge
 // (an edge whose source has multiple successors and whose destination
-// has multiple predecessors). This is part of the §3.1 pre-processing
-// that rewrites CFGs into the canonical forms the container-matching
-// rules expect. Returns true if the function changed.
-func SplitCriticalEdges(f *ir.Func) bool {
-	f.Reindex()
-	g := New(f)
+// has multiple predecessors) of a's function. This is part of the §3.1
+// pre-processing that rewrites CFGs into the canonical forms the
+// container-matching rules expect. Returns true if the function
+// changed, and then a holds no analyses.
+func SplitCriticalEdges(a *Analyses) bool {
+	f, g := a.f, a.Graph()
 	changed := false
 	// Snapshot the block list: we append while iterating.
 	blocks := append([]*ir.Block(nil), f.Blocks...)
@@ -35,39 +35,35 @@ func SplitCriticalEdges(f *ir.Func) bool {
 	}
 	if changed {
 		f.Reindex()
+		a.CFGChanged()
 	}
 	return changed
 }
 
-// LoopSimplify canonicalizes every natural loop of f, in the manner of
-// LLVM's loop-simplify pass: each loop gets a dedicated preheader (a
-// unique out-of-loop predecessor of the header whose only successor is
-// the header) and a single latch (back edges from multiple latches are
-// funneled through a fresh block). Returns true if the function changed.
-func LoopSimplify(f *ir.Func) bool {
+// LoopSimplify canonicalizes every natural loop of a's function, in the
+// manner of LLVM's loop-simplify pass: each loop gets a dedicated
+// preheader (a unique out-of-loop predecessor of the header whose only
+// successor is the header) and a single latch (back edges from multiple
+// latches are funneled through a fresh block). Returns true if the
+// function changed. The analyses of the last pass, the one that found
+// nothing to change, stay in a for the caller.
+func LoopSimplify(a *Analyses) bool {
 	changed := false
 	for pass := 0; pass < 8; pass++ { // loop count is small; a few passes reach fixpoint
-		f.Reindex()
-		g := New(f)
-		dom := Dominators(g)
-		lf := FindLoops(g, dom)
+		g, lf := a.Graph(), a.Loops()
 		passChanged := false
 		for _, l := range lf.Loops {
-			if insertPreheader(f, g, l) {
+			if insertPreheader(a.f, g, l) || mergeLatches(a.f, g, l) {
 				passChanged = true
 				break // CFG changed; rebuild analyses
-			}
-			if mergeLatches(f, g, l) {
-				passChanged = true
-				break
 			}
 		}
 		if !passChanged {
 			break
 		}
+		a.CFGChanged()
 		changed = true
 	}
-	f.Reindex()
 	return changed
 }
 
@@ -82,7 +78,7 @@ func insertPreheader(f *ir.Func, g *Graph, l *Loop) bool {
 	// Redirect all out-of-loop predecessors to the preheader.
 	redirected := false
 	for _, pi := range g.Preds[l.Header] {
-		if l.Blocks[pi] {
+		if l.Has(pi) {
 			continue
 		}
 		p := f.Blocks[pi]
@@ -142,9 +138,10 @@ func mergeLatches(f *ir.Func, g *Graph, l *Loop) bool {
 // to a fixpoint. Returns true if the function changed.
 func Canonicalize(f *ir.Func) bool {
 	changed := UnifyReturns(f)
+	a := NewAnalyses(f)
 	for i := 0; i < 8; i++ {
-		c1 := LoopSimplify(f)
-		c2 := SplitCriticalEdges(f)
+		c1 := LoopSimplify(a)
+		c2 := SplitCriticalEdges(a)
 		if !c1 && !c2 {
 			break
 		}

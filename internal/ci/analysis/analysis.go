@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -180,8 +181,8 @@ func callOrder(m *ir.Module) ([]*ir.Func, map[string]bool) {
 		order = append(order, f)
 	}
 	// Deterministic root order.
-	funcs := append([]*ir.Func(nil), m.Funcs...)
-	sort.Slice(funcs, func(i, j int) bool { return funcs[i].Name < funcs[j].Name })
+	funcs := slices.Clone(m.Funcs)
+	slices.SortFunc(funcs, func(a, b *ir.Func) int { return strings.Compare(a.Name, b.Name) })
 	for _, f := range funcs {
 		visit(f)
 	}
@@ -190,9 +191,9 @@ func callOrder(m *ir.Module) ([]*ir.Func, map[string]bool) {
 
 // analyzer holds per-function analysis state.
 type analyzer struct {
-	f     *ir.Func
-	g     *cfg.Graph
-	lf    *cfg.LoopForest
+	f *ir.Func
+	// ri is the register info of the function the reduction was built
+	// on; the loop rewrites do not refresh it.
 	ri    *cfg.RegInfo
 	opts  *Options
 	costs CostTable
@@ -205,13 +206,16 @@ type analyzer struct {
 func analyzeFunc(f *ir.Func, opts *Options, costs CostTable, isRecursive bool) *FuncResult {
 	// §3.1 pre-processing: unify returns and simplify loops. Critical
 	// edges are split only if the rules get stuck — blanket splitting
-	// would erase the triangle (2b) and self-loop (3c) patterns.
+	// would erase the triangle (2b) and self-loop (3c) patterns. The
+	// analyses loop-simplify built last describe the function it
+	// returns, and the reduction reads them.
 	cfg.UnifyReturns(f)
-	cfg.LoopSimplify(f)
-	a := newAnalyzer(f, opts, costs)
-	if a.res.Reduction.Root() == nil && cfg.SplitCriticalEdges(f) {
-		cfg.LoopSimplify(f)
-		a = newAnalyzer(f, opts, costs)
+	an := cfg.NewAnalyses(f)
+	cfg.LoopSimplify(an)
+	a := newAnalyzer(f, an, opts, costs)
+	if a.res.Reduction.Root() == nil && cfg.SplitCriticalEdges(an) {
+		cfg.LoopSimplify(an)
+		a = newAnalyzer(f, an, opts, costs)
 	}
 	opts.stage("canonicalize", f)
 	a.res.Instrumented = false
@@ -247,26 +251,14 @@ func analyzeFunc(f *ir.Func, opts *Options, costs CostTable, isRecursive bool) *
 	return a.res
 }
 
-func newAnalyzer(f *ir.Func, opts *Options, costs CostTable) *analyzer {
-	f.Reindex()
-	g := cfg.New(f)
-	dom := cfg.Dominators(g)
-	lf := cfg.FindLoops(g, dom)
-	ri := cfg.AnalyzeRegs(f)
+func newAnalyzer(f *ir.Func, an *cfg.Analyses, opts *Options, costs CostTable) *analyzer {
 	a := &analyzer{
-		f: f, g: g, lf: lf, ri: ri, opts: opts, costs: costs,
+		f: f, ri: an.Regs(), opts: opts, costs: costs,
 		flushThreshold: opts.AllowableError / 2,
 	}
 	a.res = &FuncResult{Fn: f}
-	a.res.Reduction = reduce(f, g, lf, ri, opts, a.blockCost)
+	a.res.Reduction = reduce(f, an.Graph(), an.Loops(), a.ri, opts, a.blockCost)
 	return a
-}
-
-// rebuild refreshes CFG-derived state after a loop rewrite.
-func (a *analyzer) rebuild() {
-	a.f.Reindex()
-	a.g = cfg.New(a.f)
-	a.ri = cfg.AnalyzeRegs(a.f)
 }
 
 // instrCost returns the static cost contribution of one instruction and

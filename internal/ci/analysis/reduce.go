@@ -43,6 +43,65 @@ type reducer struct {
 	resume int
 	// blockCost computes a leaf's cost and barrier flag.
 	blockCost func(b *ir.Block) (Cost, bool)
+	// arena holds the merged containers and their lists.
+	arena arena
+	// preds and succs are merge's scratch lists.
+	preds, succs []*Region
+}
+
+// arena hands out a reduction's merged containers, their child lists
+// and the edge lists a merge outgrows, from chunks, so a merge
+// allocates only when a chunk runs out. It belongs to one function's
+// reducer, and what it hands out lives as long as the FuncResult whose
+// Reduction holds it.
+type arena struct {
+	containers slab[Container]
+	children   slab[*Container]
+	edges      slab[*Region]
+}
+
+// slab carves slices out of chunks of at least size elements. Each
+// slice has its capacity cut at its length.
+type slab[T any] struct {
+	chunk []T
+	used  int // elements of chunk handed out
+	last  int // where the last slice handed out starts
+	size  int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if s.used+n > len(s.chunk) {
+		s.chunk, s.used = make([]T, max(n, s.size)), 0
+	}
+	s.last = s.used
+	s.used += n
+	return s.chunk[s.last:s.used:s.used]
+}
+
+// grow returns list with n more elements after it: in place when list
+// is the last slice taken and its chunk has room, else in a new slice.
+func (s *slab[T]) grow(list []T, n int) []T {
+	if len(list) > 0 && s.used-s.last == len(list) && &s.chunk[s.last] == &list[0] && s.used+n <= len(s.chunk) {
+		s.used += n
+		return s.chunk[s.last:s.used:s.used]
+	}
+	out := s.take(len(list) + n)
+	copy(out, list)
+	return out
+}
+
+// container returns c placed in the arena.
+func (r *reducer) container(c Container) *Container {
+	p := &r.arena.containers.take(1)[0]
+	*p = c
+	return p
+}
+
+// children returns cs as a child list from the arena.
+func (r *reducer) children(cs ...*Container) []*Container {
+	out := r.arena.children.take(len(cs))
+	copy(out, cs)
+	return out
 }
 
 // reduce builds leaf containers for all reachable blocks and applies
@@ -60,6 +119,11 @@ func newReducer(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
 
 	r := &reducer{f: f, g: g, lf: lf, ri: ri, opts: opts, blockCost: blockCost,
 		slots: make([]*Region, g.N)}
+	// Chunk sizes are fractions of the leaf count, set by measuring
+	// allocations against bytes on the benchmark's corpus: a chain grows
+	// in place, so few merges need a container of their own.
+	n := len(g.RPO)
+	r.arena.containers.size, r.arena.children.size, r.arena.edges.size = n/4+1, n, n/2+1
 	// The leaves come out of two arrays, and their edge lists out of a
 	// third that is counted before it is filled.
 	containers := make([]Container, len(g.RPO))
@@ -174,7 +238,7 @@ func remove(list []*Region, x *Region) []*Region {
 func (r *reducer) merge(c *Container, group ...*Region) {
 	u := group[0]
 	in := func(n *Region) bool { return contains(group, n) }
-	var preds, succs []*Region
+	preds, succs := r.preds[:0], r.succs[:0]
 	for _, n := range group {
 		for _, p := range n.Preds {
 			if !in(p) && !contains(preds, p) {
@@ -209,7 +273,8 @@ func (r *reducer) merge(c *Container, group ...*Region) {
 	for _, n := range group[1:] {
 		r.slots[n.C.Entry.Index] = nil
 	}
-	u.C, u.Preds, u.Succs = c, preds, succs
+	u.C, u.Preds, u.Succs = c, r.fit(u.Preds, preds), r.fit(u.Succs, succs)
+	r.preds, r.succs = preds, succs
 
 	// The nodes whose edge lists changed are u, preds and succs; a rule
 	// applied at x reads x, x's successors and their successors.
@@ -221,6 +286,17 @@ func (r *reducer) merge(c *Container, group ...*Region) {
 	for _, s := range succs {
 		r.rescan(s)
 	}
+}
+
+// fit copies src into list's array when it has room, else into a list
+// from the arena.
+func (r *reducer) fit(list, src []*Region) []*Region {
+	if cap(list) < len(src) {
+		list = r.arena.edges.take(len(src))
+	}
+	list = list[:len(src):len(src)]
+	copy(list, src)
+	return list
 }
 
 // rescan lowers r.resume to the first of the nodes at which a rule
@@ -240,30 +316,10 @@ func (r *reducer) rescan(changed *Region) {
 	}
 }
 
-// chainChildren flattens nested chains so rule 1 matches "any number of
-// sequential containers".
-func chainChildren(cs ...*Container) []*Container {
-	n := 0
-	for _, c := range cs {
-		if c.Kind == CChain {
-			n += len(c.Children)
-		} else {
-			n++
-		}
-	}
-	out := make([]*Container, 0, n)
-	for _, c := range cs {
-		if c.Kind == CChain {
-			out = append(out, c.Children...)
-		} else {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // tryChain implements rule 1 pairwise (u followed by v); repeated
-// application and chain flattening yield arbitrary-length chains.
+// application and chain flattening yield arbitrary-length chains. A
+// chain that grows again is extended in place: it is the container of
+// a live node, so no other container holds it.
 func (r *reducer) tryChain(u *Region) bool {
 	if len(u.Succs) != 1 {
 		return false
@@ -272,13 +328,18 @@ func (r *reducer) tryChain(u *Region) bool {
 	if v == u || len(v.Preds) != 1 || hasEdge(v, u) {
 		return false
 	}
-	c := &Container{
-		Kind:     CChain,
-		Children: chainChildren(u.C, v.C),
-		Entry:    u.C.Entry,
-		Exit:     v.C.Exit,
-		Cost:     u.C.Cost.Add(v.C.Cost),
+	c := u.C
+	if c.Kind != CChain {
+		c = r.container(Container{Kind: CChain, Children: r.children(u.C), Entry: u.C.Entry, Cost: u.C.Cost})
 	}
+	tail := []*Container{v.C}
+	if v.C.Kind == CChain {
+		tail = v.C.Children
+	}
+	c.Children = r.arena.children.grow(c.Children, len(tail))
+	copy(c.Children[len(c.Children)-len(tail):], tail)
+	c.Exit = v.C.Exit
+	c.Cost = c.Cost.Add(v.C.Cost)
 	r.merge(c, u, v)
 	return true
 }
@@ -286,8 +347,8 @@ func (r *reducer) tryChain(u *Region) bool {
 // loopInfo looks up the natural loop headed at the container's entry
 // block and its induction/trip analysis.
 func (r *reducer) loopInfo(header *ir.Block) (*cfg.Loop, cfg.Induction, Cost) {
-	l := r.lf.ByHeader[header.Index]
-	if l == nil {
+	l := r.lf.InnermostAt[header.Index]
+	if l == nil || l.Header != header.Index {
 		return nil, cfg.Induction{}, Unknown()
 	}
 	iv := cfg.AnalyzeInduction(r.f, r.g, l, r.ri)
@@ -324,16 +385,16 @@ func (r *reducer) trySelfLoop(u *Region) bool {
 		return false
 	}
 	l, iv, trips := r.loopInfo(u.C.Entry)
-	c := &Container{
+	c := r.container(Container{
 		Kind:     CLoopSelf,
-		Children: []*Container{u.C},
+		Children: r.children(u.C),
 		Entry:    u.C.Entry,
 		Exit:     u.C.Exit,
+		Cost:     loopCost(CLoopSelf, u.C, nil, trips),
 		Trips:    trips,
 		Ind:      iv,
 		Loop:     l,
-	}
-	c.Cost = loopCost(CLoopSelf, u.C, nil, trips)
+	})
 	// Drop the self edge, then rebuild the node.
 	u.Succs = remove(u.Succs, u)
 	u.Preds = remove(u.Preds, u)
@@ -358,16 +419,16 @@ func (r *reducer) tryLoopWhile(u *Region) bool {
 			continue
 		}
 		l, iv, trips := r.loopInfo(u.C.Entry)
-		c := &Container{
+		c := r.container(Container{
 			Kind:     CLoopWhile,
-			Children: []*Container{u.C, v.C},
+			Children: r.children(u.C, v.C),
 			Entry:    u.C.Entry,
 			Exit:     u.C.Exit, // exits through the header's test
+			Cost:     loopCost(CLoopWhile, u.C, v.C, trips),
 			Trips:    trips,
 			Ind:      iv,
 			Loop:     l,
-		}
-		c.Cost = loopCost(CLoopWhile, u.C, v.C, trips)
+		})
 		r.merge(c, u, v)
 		return true
 	}
@@ -388,16 +449,16 @@ func (r *reducer) tryLoopDo(u *Region) bool {
 		return false
 	}
 	l, iv, trips := r.loopInfo(u.C.Entry)
-	c := &Container{
+	c := r.container(Container{
 		Kind:     CLoopDo,
-		Children: []*Container{u.C, v.C},
+		Children: r.children(u.C, v.C),
 		Entry:    u.C.Entry,
 		Exit:     v.C.Exit,
+		Cost:     loopCost(CLoopDo, u.C, v.C, trips),
 		Trips:    trips,
 		Ind:      iv,
 		Loop:     l,
-	}
-	c.Cost = loopCost(CLoopDo, u.C, v.C, trips)
+	})
 	r.merge(c, u, v)
 	return true
 }
@@ -435,13 +496,13 @@ func (r *reducer) tryDiamond(u *Region) bool {
 		return false
 	}
 	g := r.branchArmCost(v.C.Cost, w.C.Cost)
-	c := &Container{
+	c := r.container(Container{
 		Kind:     CDiamond,
-		Children: []*Container{u.C, v.C, w.C, x.C},
+		Children: r.children(u.C, v.C, w.C, x.C),
 		Entry:    u.C.Entry,
 		Exit:     x.C.Exit,
 		Cost:     u.C.Cost.Add(g).Add(x.C.Cost),
-	}
+	})
 	r.merge(c, u, v, w, x)
 	return true
 }
@@ -463,13 +524,13 @@ func (r *reducer) tryTriangle(u *Region) bool {
 			continue
 		}
 		g := r.branchArmCost(v.C.Cost, Const(0))
-		c := &Container{
+		c := r.container(Container{
 			Kind:     CTriangle,
-			Children: []*Container{u.C, v.C, x.C},
+			Children: r.children(u.C, v.C, x.C),
 			Entry:    u.C.Entry,
 			Exit:     x.C.Exit,
 			Cost:     u.C.Cost.Add(g).Add(x.C.Cost),
-		}
+		})
 		r.merge(c, u, v, x)
 		return true
 	}

@@ -18,10 +18,8 @@ import (
 // a non-nil error may occasionally flag safe-but-unprovable placements,
 // e.g. dynamic loop probes whose increment the checker cannot bound).
 func CheckSpacing(f *ir.Func, externCostIR, maxGap int64) error {
-	f.Reindex()
-	g := cfg.New(f)
-	dom := cfg.Dominators(g)
-	lf := cfg.FindLoops(g, dom)
+	an := cfg.NewAnalyses(f)
+	g, dom, lf := an.Graph(), an.Dom(), an.Loops()
 
 	// Per-block: IR cost before the first probe, after the last probe,
 	// total cost, and whether the block contains a probe.
@@ -71,7 +69,7 @@ func CheckSpacing(f *ir.Func, externCostIR, maxGap int64) error {
 	for _, l := range lf.Loops {
 		probed := false
 		var iterCost int64
-		for bi := range l.Blocks {
+		for _, bi := range l.Blocks {
 			if hasProbe[bi] {
 				probed = true
 			}
@@ -87,7 +85,7 @@ func CheckSpacing(f *ir.Func, externCostIR, maxGap int64) error {
 			continue
 		}
 		trips := int64(1)
-		if iv := cfg.AnalyzeInduction(f, g, l, cfg.AnalyzeRegs(f)); iv.Found {
+		if iv := cfg.AnalyzeInduction(f, g, l, an.Regs()); iv.Found {
 			if tc, ok := iv.TripCount(); ok {
 				trips = tc
 			} else {
@@ -154,7 +152,7 @@ func loopExitsToDynamicProbe(f *ir.Func, g *cfg.Graph, l *cfg.Loop) bool {
 	found := false
 	for _, ei := range l.Exits {
 		for _, si := range g.Succs[ei] {
-			if l.Blocks[si] {
+			if l.Has(si) {
 				continue
 			}
 			b := f.Blocks[si]

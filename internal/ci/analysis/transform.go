@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -81,7 +82,7 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 		panic("analysis: transformLoop preconditions violated")
 	}
 	// Which branch side exits the loop?
-	thenExits := !l.Blocks[h.Term.Then.Index]
+	thenExits := !l.Has(h.Term.Then.Index)
 	exitTarget := h.Term.Then
 	if !thenExits {
 		exitTarget = h.Term.Else
@@ -102,7 +103,8 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 	cOut := f.NewReg()
 	cmpCopy := *cmp
 	cmpCopy.Dst = cOut
-	outer.Instrs = append(outer.Instrs, cmpCopy)
+	var buf [5]ir.Instr // outer's one instruction, then chunk's
+	code := append(buf[:0], cmpCopy)
 	if thenExits {
 		outer.Term = ir.Terminator{Kind: ir.TermBr, Cond: cOut, Then: exitTarget, Else: chunk, Val: ir.NoReg}
 	} else {
@@ -111,7 +113,7 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 
 	// chunk: k = i; j = min(i + advance, bound[+1]); jump into the loop.
 	k, lim, j := f.NewReg(), f.NewReg(), f.NewReg()
-	chunk.Instrs = append(chunk.Instrs,
+	code = append(code,
 		ir.Instr{Op: ir.OpMov, Dst: k, A: iv.IndVar, B: ir.NoReg},
 		ir.Instr{Op: ir.OpAdd, Dst: lim, A: iv.IndVar, B: ir.NoReg, Imm: advance, BImm: true},
 	)
@@ -120,17 +122,19 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 		leExtra = 1
 	}
 	if iv.Bound == ir.NoReg {
-		chunk.Instrs = append(chunk.Instrs,
+		code = append(code,
 			ir.Instr{Op: ir.OpMin, Dst: j, A: lim, B: ir.NoReg, Imm: iv.BoundConst + leExtra, BImm: true})
 	} else if leExtra != 0 {
 		bplus := f.NewReg()
-		chunk.Instrs = append(chunk.Instrs,
+		code = append(code,
 			ir.Instr{Op: ir.OpAdd, Dst: bplus, A: iv.Bound, B: ir.NoReg, Imm: 1, BImm: true},
 			ir.Instr{Op: ir.OpMin, Dst: j, A: lim, B: bplus})
 	} else {
-		chunk.Instrs = append(chunk.Instrs,
+		code = append(code,
 			ir.Instr{Op: ir.OpMin, Dst: j, A: lim, B: iv.Bound})
 	}
+	code = slices.Clone(code)
+	outer.Instrs, chunk.Instrs = code[:1:1], code[1:]
 	chunk.Term = ir.Terminator{Kind: ir.TermJmp, Then: h, Cond: ir.NoReg, Val: ir.NoReg}
 
 	// Header now tests i < j (strict, against the chunk limit).
@@ -176,40 +180,38 @@ func (a *analyzer) cloneLoop(c *Container, perIter int64) {
 	h := f.Blocks[l.Header]
 	ph := f.Blocks[l.Preheader]
 
-	// Deep-copy the loop blocks.
-	cloneOf := make(map[*ir.Block]*ir.Block, len(l.Blocks))
-	var origs []*ir.Block
-	for bi := range l.Blocks {
-		origs = append(origs, f.Blocks[bi])
+	// Deep-copy the loop blocks, in ascending index order: the clone of
+	// l.Blocks[k] is f.Blocks[base+k], and the copies' instructions
+	// share one array.
+	base, n := len(f.Blocks), 0
+	for _, bi := range l.Blocks {
+		n += len(f.Blocks[bi].Instrs)
 	}
-	// Deterministic order.
-	for i := 0; i < len(origs); i++ {
-		for j := i + 1; j < len(origs); j++ {
-			if origs[j].Index < origs[i].Index {
-				origs[i], origs[j] = origs[j], origs[i]
-			}
-		}
-	}
-	for _, ob := range origs {
+	instrs := make([]ir.Instr, n)
+	for _, bi := range l.Blocks {
+		ob := f.Blocks[bi]
 		nb := f.NewBlock(ob.Name + ".fast")
-		nb.Instrs = make([]ir.Instr, len(ob.Instrs))
+		n := len(ob.Instrs)
+		nb.Instrs, instrs = instrs[:n:n], instrs[n:]
 		for i, in := range ob.Instrs {
-			ci := in
 			if in.Args != nil {
-				ci.Args = append([]ir.Reg(nil), in.Args...)
+				in.Args = append([]ir.Reg(nil), in.Args...)
 			}
 			if in.Probe != nil {
 				p := *in.Probe
-				ci.Probe = &p
+				in.Probe = &p
 			}
-			nb.Instrs[i] = ci
+			nb.Instrs[i] = in
 		}
 		nb.Term = ob.Term
-		cloneOf[ob] = nb
+	}
+	cloneOf := func(b *ir.Block) *ir.Block {
+		k, _ := slices.BinarySearch(l.Blocks, b.Index)
+		return f.Blocks[base+k]
 	}
 	// Fast-path exit probe: (i - k) * incPerStep, then on to the
 	// original exit target.
-	thenExits := !l.Blocks[h.Term.Then.Index]
+	thenExits := !l.Has(h.Term.Then.Index)
 	exitTarget := h.Term.Then
 	if !thenExits {
 		exitTarget = h.Term.Else
@@ -221,11 +223,10 @@ func (a *analyzer) cloneLoop(c *Container, perIter int64) {
 
 	// Rewire clone terminators: in-loop targets to clones; the exit
 	// edge to the fast probe.
-	for _, ob := range origs {
-		nb := cloneOf[ob]
+	for _, nb := range f.Blocks[base : base+len(l.Blocks)] {
 		remap := func(t *ir.Block) *ir.Block {
-			if cl, ok := cloneOf[t]; ok {
-				return cl
+			if l.Has(t.Index) {
+				return cloneOf(t)
 			}
 			if t == exitTarget {
 				return fastProbe
@@ -266,6 +267,6 @@ func (a *analyzer) cloneLoop(c *Container, perIter int64) {
 	ph.Instrs = append(ph.Instrs,
 		ir.Instr{Op: ir.OpMul, Dst: est, A: diff, B: ir.NoReg, Imm: perIter, BImm: true},
 		ir.Instr{Op: ir.OpCmpLe, Dst: cond, A: est, B: ir.NoReg, Imm: a.opts.ProbeInterval, BImm: true})
-	ph.Term = ir.Terminator{Kind: ir.TermBr, Cond: cond, Then: cloneOf[h], Else: h, Val: ir.NoReg}
+	ph.Term = ir.Terminator{Kind: ir.TermBr, Cond: cond, Then: cloneOf(h), Else: h, Val: ir.NoReg}
 	f.Reindex()
 }

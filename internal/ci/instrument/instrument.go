@@ -17,7 +17,7 @@ package instrument
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/ci/analysis"
@@ -160,43 +160,85 @@ func Instrument(m *ir.Module, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// applyMarks inserts probe instructions at the analysis marks. Marks in
-// the same block are applied in descending index order so positions
-// stay valid.
+// applyMarks inserts probe instructions at the analysis marks in one
+// pass. The marks are ordered by block, and within a block by
+// descending index with ties in the analysis's order: inserting them
+// one at a time in that order, each before Instrs[Index] (or at the
+// end when Index is past it), gives the layout this builds directly.
+// Each marked block's instructions are rebuilt once, at their final
+// size, from one array per function, and the probes' descriptions come
+// from another.
 func applyMarks(f *ir.Func, marks []analysis.Mark, cycles bool) int {
-	byBlock := make(map[*ir.Block][]analysis.Mark)
-	for _, mk := range marks {
-		byBlock[mk.Block] = append(byBlock[mk.Block], mk)
+	if len(marks) == 0 {
+		return 0
 	}
-	n := 0
-	for b, ms := range byBlock {
-		sort.SliceStable(ms, func(i, j int) bool { return ms[i].Index > ms[j].Index })
-		for _, mk := range ms {
-			kind := ir.ProbeIR
-			switch {
-			case mk.Loop && cycles:
-				kind = ir.ProbeCyclesLoop
-			case mk.Loop:
-				kind = ir.ProbeIRLoop
-			case cycles:
-				kind = ir.ProbeCycles
-			}
-			pi := &ir.ProbeInfo{Kind: kind, Inc: mk.Inc, IndVar: mk.IndVar, Base: mk.Base}
-			if !mk.Loop {
-				pi.IndVar, pi.Base = ir.NoReg, ir.NoReg
-			}
-			in := ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi}
-			idx := mk.Index
-			if idx > len(b.Instrs) {
-				idx = len(b.Instrs)
-			}
-			b.Instrs = append(b.Instrs, ir.Instr{})
-			copy(b.Instrs[idx+1:], b.Instrs[idx:])
-			b.Instrs[idx] = in
-			n++
+	f.Reindex()
+	ms := slices.Clone(marks)
+	slices.SortStableFunc(ms, func(a, b analysis.Mark) int {
+		if a.Block != b.Block {
+			return a.Block.Index - b.Block.Index
+		}
+		return b.Index - a.Index
+	})
+	total := len(ms)
+	for i, mk := range ms {
+		if i == 0 || mk.Block != ms[i-1].Block {
+			total += len(mk.Block.Instrs)
 		}
 	}
-	return n
+	instrs := make([]ir.Instr, total)
+	infos := make([]ir.ProbeInfo, len(ms))
+	probe := func(mk analysis.Mark) ir.Instr {
+		pi := &infos[0]
+		infos = infos[1:]
+		*pi = ir.ProbeInfo{Kind: ir.ProbeIR, Inc: mk.Inc, IndVar: ir.NoReg, Base: ir.NoReg}
+		switch {
+		case mk.Loop && cycles:
+			pi.Kind = ir.ProbeCyclesLoop
+		case mk.Loop:
+			pi.Kind = ir.ProbeIRLoop
+		case cycles:
+			pi.Kind = ir.ProbeCycles
+		}
+		if mk.Loop {
+			pi.IndVar, pi.Base = mk.IndVar, mk.Base
+		}
+		return ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi}
+	}
+	for len(ms) > 0 {
+		b, old := ms[0].Block, ms[0].Block.Instrs
+		k := 1
+		for k < len(ms) && ms[k].Block == b {
+			k++
+		}
+		group := ms[:k]
+		ms = ms[k:]
+		// Marks past the end land at the end in group order; the others
+		// sit before their instruction, the later-inserted first.
+		past := 0
+		for past < len(group) && group[past].Index > len(old) {
+			past++
+		}
+		n, out := 0, instrs[:len(old)+k:len(old)+k]
+		instrs = instrs[len(old)+k:]
+		r := len(group) - 1
+		for at := 0; at <= len(old); at++ {
+			for ; r >= past && group[r].Index == at; r-- {
+				out[n] = probe(group[r])
+				n++
+			}
+			if at < len(old) {
+				out[n] = old[at]
+				n++
+			}
+		}
+		for _, mk := range group[:past] {
+			out[n] = probe(mk)
+			n++
+		}
+		b.Instrs = out
+	}
+	return len(marks)
 }
 
 // staticBlockCost is the increment a context-free design charges for a
@@ -247,14 +289,31 @@ func instrumentEveryBlock(m *ir.Module, opts Options, cycles, coredet bool) int 
 		if cycles {
 			kind = ir.ProbeCycles
 		}
+		// Every probed block is rebuilt once, one probe longer, from one
+		// array per function; the probes' descriptions share another.
+		nprobes, total := 0, 0
+		for i, b := range f.Blocks {
+			if has[i] {
+				nprobes++
+				total += len(b.Instrs) + 1
+			}
+		}
+		instrs := make([]ir.Instr, total)
+		infos := make([]ir.ProbeInfo, nprobes)
 		for i, b := range f.Blocks {
 			if !has[i] {
 				continue
 			}
-			pi := &ir.ProbeInfo{Kind: kind, Inc: inc[i], IndVar: ir.NoReg, Base: ir.NoReg}
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi})
-			probes++
+			n := len(b.Instrs) + 1
+			out := instrs[:n:n]
+			instrs = instrs[n:]
+			copy(out, b.Instrs)
+			infos[0] = ir.ProbeInfo{Kind: kind, Inc: inc[i], IndVar: ir.NoReg, Base: ir.NoReg}
+			out[n-1] = ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: &infos[0]}
+			infos = infos[1:]
+			b.Instrs = out
 		}
+		probes += nprobes
 	}
 	return probes
 }
@@ -265,8 +324,8 @@ func instrumentEveryBlock(m *ir.Module, opts Options, cycles, coredet bool) int 
 // whose predecessors all carry probes with costs within eps (and no
 // back-edges) absorbs their mean and the predecessors drop theirs.
 func applyBalance(f *ir.Func, inc []int64, has []bool, eps int64) {
-	g := cfg.New(f)
-	lf := cfg.FindLoops(g, cfg.Dominators(g))
+	an := cfg.NewAnalyses(f)
+	g, lf := an.Graph(), an.Loops()
 	// Pass 1: push down, but never into or out of loop bodies —
 	// CoreDet's balance cannot move counter updates across back edges,
 	// which is why CD's *dynamic* probe count stays close to Naive's
@@ -338,10 +397,7 @@ func instrumentCallsAndBackedges(m *ir.Module, cycles bool) int {
 		if f.NoInstrument {
 			continue
 		}
-		f.Reindex()
-		g := cfg.New(f)
-		dom := cfg.Dominators(g)
-		lf := cfg.FindLoops(g, dom)
+		lf := cfg.NewAnalyses(f).Loops()
 		latch := make(map[int]bool)
 		for _, l := range lf.Loops {
 			for _, t := range l.Latches {

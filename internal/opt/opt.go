@@ -9,8 +9,11 @@
 //   - straight-line block merging
 //   - unreachable block elimination
 //
-// Passes iterate to a fixpoint. Optimize never changes observable
-// behavior: memory operations, calls and probes are preserved.
+// Passes iterate to a fixpoint and share one cfg.Analyses per function:
+// a pass that edits instructions only keeps the graph and dominators,
+// and one that edits blocks or terminators drops them. Optimize never
+// changes observable behavior: memory operations, calls and probes are
+// preserved.
 package opt
 
 import (
@@ -44,26 +47,32 @@ func Module(m *ir.Module) Stats {
 // Func optimizes one function to a fixpoint.
 func Func(f *ir.Func) Stats {
 	var total Stats
+	an := cfg.NewAnalyses(f)
+	uses := make([]int, f.NumRegs)
 	for pass := 0; pass < 10; pass++ {
 		changed := false
 		s := Stats{}
-		if n := foldConstants(f); n > 0 {
+		if n := foldConstants(f, an); n > 0 {
 			s.Folded += n
 			changed = true
 		}
-		if n := eliminateDead(f); n > 0 {
+		if n := eliminateDead(f, uses); n > 0 {
+			an.InstrsChanged()
 			s.DeadRemoved += n
 			changed = true
 		}
 		if n := threadJumps(f); n > 0 {
+			an.CFGChanged()
 			s.JumpsThreaded += n
 			changed = true
 		}
-		if n := mergeBlocks(f); n > 0 {
+		if n := mergeBlocks(f, an.Graph()); n > 0 {
+			an.CFGChanged()
 			s.BlocksMerged += n
 			changed = true
 		}
-		if n := removeUnreachable(f); n > 0 {
+		if n := removeUnreachable(f, an.Graph()); n > 0 {
+			an.CFGChanged()
 			s.BlocksRemoved += n
 			changed = true
 		}
@@ -143,13 +152,11 @@ func b2i(b bool) int64 {
 
 // foldConstants performs block-local constant/copy propagation plus a
 // global pass over single-definition constant registers (found via the
-// cfg reg analysis, so it is safe across blocks).
-func foldConstants(f *ir.Func) int {
-	folded := 0
-	f.Reindex()
-	ri := cfg.AnalyzeRegs(f)
-	g := cfg.New(f)
-	dom := cfg.Dominators(g)
+// cfg reg analysis, so it is safe across blocks). It tells an what it
+// edited.
+func foldConstants(f *ir.Func, an *cfg.Analyses) int {
+	folded, branches := 0, 0
+	ri, dom := an.Regs(), an.Dom()
 	for _, b := range f.Blocks {
 		// Block-local environment: register -> known constant. Any
 		// redefinition invalidates; calls do not clobber registers in
@@ -251,8 +258,15 @@ func foldConstants(f *ir.Func) int {
 				}
 				b.Term = ir.Terminator{Kind: ir.TermJmp, Then: target, Cond: ir.NoReg, Val: ir.NoReg}
 				folded++
+				branches++
 			}
 		}
+	}
+	switch {
+	case branches > 0:
+		an.CFGChanged()
+	case folded > 0:
+		an.InstrsChanged()
 	}
 	return folded
 }
@@ -276,11 +290,11 @@ func hasSideEffects(in *ir.Instr) bool {
 
 // eliminateDead removes pure instructions whose destination is never
 // read (including by terminators or probes), iterating within the
-// pass.
-func eliminateDead(f *ir.Func) int {
+// pass. uses is scratch of f.NumRegs counters.
+func eliminateDead(f *ir.Func, uses []int) int {
 	removed := 0
 	for {
-		uses := make([]int, f.NumRegs)
+		clear(uses)
 		markUse := func(r ir.Reg) {
 			if r != ir.NoReg {
 				uses[r]++
@@ -377,10 +391,16 @@ func threadJumps(f *ir.Func) int {
 }
 
 // mergeBlocks appends a single-predecessor block into its unique
-// unconditional predecessor.
-func mergeBlocks(f *ir.Func) int {
-	f.Reindex()
-	g := cfg.New(f)
+// unconditional predecessor. g is the graph before the first merge; the
+// predecessor counts it reads are kept current across merges here.
+func mergeBlocks(f *ir.Func, g *cfg.Graph) int {
+	var npreds []int // nil until the first merge
+	preds := func(b *ir.Block) int {
+		if npreds == nil {
+			return len(g.Preds[b.Index])
+		}
+		return npreds[b.Index]
+	}
 	merged := 0
 	for _, b := range f.Blocks {
 		for {
@@ -391,27 +411,33 @@ func mergeBlocks(f *ir.Func) int {
 			if succ == b || succ == f.Entry() {
 				break
 			}
-			if len(g.Preds[succ.Index]) != 1 {
+			if preds(succ) != 1 {
 				break
+			}
+			if npreds == nil {
+				npreds = make([]int, g.N)
+				for i, p := range g.Preds {
+					npreds[i] = len(p)
+				}
 			}
 			b.Instrs = append(b.Instrs, succ.Instrs...)
 			succ.Instrs = nil
 			b.Term = succ.Term
 			succ.Term = ir.Terminator{Kind: ir.TermJmp, Then: b, Cond: ir.NoReg, Val: ir.NoReg}
-			// succ is now unreachable; a later pass removes it. Refresh
-			// the graph before further merging through this block.
-			f.Reindex()
-			g = cfg.New(f)
+			// succ is now unreachable; a later pass removes it. Its
+			// successors trade it for b, it loses its one predecessor
+			// (b), and b gains it.
+			npreds[succ.Index] = 0
+			npreds[b.Index]++
 			merged++
 		}
 	}
 	return merged
 }
 
-// removeUnreachable drops blocks with no path from the entry.
-func removeUnreachable(f *ir.Func) int {
-	f.Reindex()
-	g := cfg.New(f)
+// removeUnreachable drops blocks with no path from the entry; g is the
+// function's current graph.
+func removeUnreachable(f *ir.Func, g *cfg.Graph) int {
 	out := f.Blocks[:0]
 	removed := 0
 	for _, b := range f.Blocks {

@@ -7,8 +7,9 @@
 //
 //   - blocks that were reachable before a stage stay reachable after it
 //     (no unreachable-block leaks from a botched rewire);
-//   - every natural loop body is dominated by its header (no stage
-//     introduces irreducible control flow);
+//   - no stage introduces irreducible control flow: every retreating
+//     edge's target dominates its source, unless that was already
+//     false before the stage;
 //   - stages that are CFG-neutral or only interpose blocks
 //     (canonicalization, probe insertion) preserve pairwise dominance
 //     between surviving blocks;
@@ -45,7 +46,7 @@ type StageError struct {
 	// Func is the offending function (empty for module-wide checks).
 	Func string
 	// Check names the violated invariant: "verify", "reachability",
-	// "loop-dominance", "dominance", "clone-edges" or "probe-only-diff".
+	// "irreducible", "dominance", "clone-edges" or "probe-only-diff".
 	Check string
 	// Detail describes the violation.
 	Detail string
@@ -60,11 +61,18 @@ func (e *StageError) Error() string {
 }
 
 // funcSnap is a per-function structural snapshot taken after a stage.
+// The checks walk its lists, which are in block order, so that of
+// several violations the same one is reported first on every run.
 type funcSnap struct {
 	stage  string
-	blocks map[string]bool            // all block names
-	reach  map[string]bool            // reachable block names
-	dom    map[string]map[string]bool // dom[a][b]: a strictly dominates b (reachable only)
+	names  []string           // all block names, in block order
+	blocks map[string]bool    // all block names
+	reach  map[string]bool    // reachable block names
+	pairs  [][2]string        // (a, b) where a strictly dominates b, reachable only, by b's index
+	dom    map[[2]string]bool // the pairs as a set
+	// irreducible describes the first retreating edge whose target does
+	// not dominate its source, "" if there is none.
+	irreducible string
 }
 
 // Checker accumulates stage observations for one compilation. Attach
@@ -104,12 +112,15 @@ func (c *Checker) CheckFunc(stage string, f *ir.Func) {
 		c.report(stage, f.Name, "verify", err.Error())
 		return
 	}
-	cur, g, dt := snapFunc(stage, f)
-	c.checkLoopDominance(stage, f, g, dt)
+	cur, g := snapFunc(stage, f)
+	prev := c.funcs[f.Name]
+	if prev != nil && prev.irreducible == "" && cur.irreducible != "" {
+		c.report(stage, f.Name, "irreducible", cur.irreducible)
+	}
 	if stage == "loop-clone" {
 		c.checkCloneEdges(stage, f, g)
 	}
-	if prev := c.funcs[f.Name]; prev != nil {
+	if prev != nil {
 		c.checkReachMonotonic(stage, f.Name, prev, cur)
 		// Canonicalization only merges returns and interposes
 		// preheaders/split blocks, and probe insertion is CFG-neutral:
@@ -134,7 +145,7 @@ func (c *Checker) CheckModule(stage string, m *ir.Module) {
 	case "input":
 		c.inputText = m.String()
 		for _, f := range m.Funcs {
-			snap, _, _ := snapFunc(stage, f)
+			snap, _ := snapFunc(stage, f)
 			c.funcs[f.Name] = snap
 		}
 	case "analysis":
@@ -160,38 +171,50 @@ func (c *Checker) CheckModule(stage string, m *ir.Module) {
 
 // snapFunc computes the structural snapshot of f. It reindexes f (a
 // maintenance no-op for well-formed pipeline states).
-func snapFunc(stage string, f *ir.Func) (*funcSnap, *cfg.Graph, *cfg.DomTree) {
-	f.Reindex()
-	g := cfg.New(f)
-	dt := cfg.Dominators(g)
+func snapFunc(stage string, f *ir.Func) (*funcSnap, *cfg.Graph) {
+	an := cfg.NewAnalyses(f)
+	g, dt := an.Graph(), an.Dom()
 	s := &funcSnap{
 		stage:  stage,
+		names:  make([]string, len(f.Blocks)),
 		blocks: make(map[string]bool, len(f.Blocks)),
 		reach:  make(map[string]bool, len(f.Blocks)),
-		dom:    make(map[string]map[string]bool),
+		dom:    make(map[[2]string]bool),
 	}
-	for _, b := range f.Blocks {
+	for i, b := range f.Blocks {
+		s.names[i] = b.Name
 		s.blocks[b.Name] = true
 	}
 	for _, bi := range g.RPO {
 		s.reach[f.Blocks[bi].Name] = true
 	}
 	for _, p := range dt.StrictDomPairs() {
-		an := f.Blocks[p[0]].Name
-		if s.dom[an] == nil {
-			s.dom[an] = make(map[string]bool)
-		}
-		s.dom[an][f.Blocks[p[1]].Name] = true
+		pair := [2]string{f.Blocks[p[0]].Name, f.Blocks[p[1]].Name}
+		s.pairs = append(s.pairs, pair)
+		s.dom[pair] = true
 	}
-	return s, g, dt
+	// An edge t→h is retreating when h does not come after t in reverse
+	// postorder. In a reducible graph every retreating edge is a back
+	// edge, whose target dominates its source; one that is not enters a
+	// loop a second way.
+	for _, t := range g.RPO {
+		for _, h := range g.Succs[t] {
+			if g.RPOIndex[h] <= g.RPOIndex[t] && !dt.Dominates(h, t) {
+				s.irreducible = fmt.Sprintf("retreating edge %q -> %q enters a loop its target does not dominate",
+					f.Blocks[t].Name, f.Blocks[h].Name)
+				return s, g
+			}
+		}
+	}
+	return s, g
 }
 
 // checkReachMonotonic: a block that was reachable before the stage and
 // still exists must still be reachable — transforms may delete blocks
 // but never orphan them.
 func (c *Checker) checkReachMonotonic(stage, fn string, prev, cur *funcSnap) {
-	for name := range prev.reach {
-		if cur.blocks[name] && !cur.reach[name] {
+	for _, name := range prev.names {
+		if prev.reach[name] && cur.blocks[name] && !cur.reach[name] {
 			c.report(stage, fn, "reachability",
 				fmt.Sprintf("block %q was reachable after stage %q but is now orphaned", name, prev.stage))
 		}
@@ -201,31 +224,10 @@ func (c *Checker) checkReachMonotonic(stage, fn string, prev, cur *funcSnap) {
 // checkDomPreserved: for CFG-neutral or interposing-only stages, if a
 // dominated b before and both survive reachable, a still dominates b.
 func (c *Checker) checkDomPreserved(stage, fn string, prev, cur *funcSnap) {
-	for a, set := range prev.dom {
-		if !cur.reach[a] {
-			continue
-		}
-		for b := range set {
-			if cur.reach[b] && !cur.dom[a][b] {
-				c.report(stage, fn, "dominance",
-					fmt.Sprintf("%q dominated %q after stage %q but no longer does", a, b, prev.stage))
-			}
-		}
-	}
-}
-
-// checkLoopDominance: every natural-loop body block must be dominated
-// by its header; a violation means a stage manufactured irreducible
-// control flow.
-func (c *Checker) checkLoopDominance(stage string, f *ir.Func, g *cfg.Graph, dt *cfg.DomTree) {
-	lf := cfg.FindLoops(g, dt)
-	for _, l := range lf.Loops {
-		for bi := range l.Blocks {
-			if !dt.Dominates(l.Header, bi) {
-				c.report(stage, f.Name, "loop-dominance",
-					fmt.Sprintf("loop header %q does not dominate body block %q",
-						f.Blocks[l.Header].Name, f.Blocks[bi].Name))
-			}
+	for _, p := range prev.pairs {
+		if cur.reach[p[0]] && cur.reach[p[1]] && !cur.dom[p] {
+			c.report(stage, fn, "dominance",
+				fmt.Sprintf("%q dominated %q after stage %q but no longer does", p[0], p[1], prev.stage))
 		}
 	}
 }
