@@ -59,6 +59,12 @@
 //	ciexp tracecheck FILE
 //	                validate that FILE is a well-formed Chrome
 //	                trace_event JSON document (used by verify.sh)
+//	ciexp fleetplan print the seeded fault schedule `ciexp fleet`'s
+//	                cells replay: per replica (labelled with its zone)
+//	                the crash windows at -seed over the -soak-duration
+//	                horizon, plus, with -zones > 1, the zone-0 outage
+//	                schedule; -replicas sets how many streams to show
+//	                and -migrate whether the header notes drain/re-route
 //
 // Several figure subcommands may be named in one run; they run in the
 // order above, each once, and "all" names every one. An unknown name
@@ -84,7 +90,7 @@
 // (route every cache-miss compile in any sweep through the
 // translation-validation stage checks), -trace FILE, -metrics,
 // -slo-p999us/-max-reject (the overload SLO guard for ramp and soak),
-// -soak-duration N (per-phase cycles),
+// -soak-duration N (per-phase cycles; the fleet and fleetplan horizon),
 // -quantum-policy fixed|aimd|feedback (the handler-interval policy for
 // ramp and soak),
 // -replicas/-tenants/-lb/-hedge-ms/-retry-budget/-zones/-migrate (the
@@ -94,8 +100,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -117,65 +125,85 @@ func newFlags(fs *flag.FlagSet) (cf *cliflags.Flags, quick, all *bool) {
 		}
 		fmt.Fprintf(fs.Output(), "usage: ciexp [flags] %s|all ...\n", strings.Join(names, "|"))
 		fmt.Fprintf(fs.Output(), "       ciexp tracecheck FILE\n")
+		fmt.Fprintf(fs.Output(), "       ciexp [-seed N -replicas N -zones N -migrate -soak-duration N] fleetplan\n")
 		fs.PrintDefaults()
 	}
 	return cf, quick, all
 }
 
-func main() {
-	cf, quick, all := newFlags(flag.CommandLine)
-	cf.Parse(os.Args[1:])
-	usage := flag.CommandLine.Usage
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is ciexp with its arguments and output streams; it returns the
+// exit status: 0 on success, 1 on a failed figure or gate, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ciexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cf, quick, all := newFlags(fs)
+	if err := cf.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if flag.Arg(0) == "tracecheck" {
-		if flag.NArg() != 2 {
-			usage()
-			os.Exit(2)
+	switch {
+	case fs.NArg() < 1:
+		fs.Usage()
+		return 2
+	case fs.Arg(0) == "tracecheck":
+		if fs.NArg() != 2 {
+			fs.Usage()
+			return 2
 		}
-		if err := tracecheck(flag.Arg(1)); err != nil {
-			fmt.Fprintln(os.Stderr, "ciexp: tracecheck:", err)
-			os.Exit(1)
+		if err := tracecheck(stdout, fs.Arg(1)); err != nil {
+			fmt.Fprintln(stderr, "ciexp: tracecheck:", err)
+			return 1
 		}
-		fmt.Printf("tracecheck: %s OK\n", flag.Arg(1))
-		return
+		fmt.Fprintf(stdout, "tracecheck: %s OK\n", fs.Arg(1))
+		return 0
+	case fs.Arg(0) == "fleetplan":
+		if fs.NArg() != 1 {
+			fs.Usage()
+			return 2
+		}
+		experiments.PrintFleetPlan(stdout, cf.Seed, cf.Replicas, cf.Zones, cf.SoakDuration, cf.Migrate)
+		return 0
 	}
 
-	figs, err := selectFigures(flag.Args())
+	figs, err := selectFigures(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ciexp:", err)
-		usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ciexp:", err)
+		fs.Usage()
+		return 2
 	}
 	eng, err := cf.Engine()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ciexp:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ciexp:", err)
+		return 1
 	}
 	stopProfile, err := cf.StartProfile()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ciexp:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ciexp:", err)
+		return 1
 	}
 
 	in := experiments.Inputs{Eng: eng, Flags: cf, Quick: *quick, All: *all}
 	for _, fig := range figs {
-		if e := fig.Run(os.Stdout, in); e != nil && err == nil {
+		if e := fig.Run(stdout, in); e != nil && err == nil {
 			err = fmt.Errorf("%s: %w", fig.Name, e)
 		}
 	}
-	if e := cf.Finish(os.Stdout); e != nil && err == nil {
+	if e := cf.Finish(stdout); e != nil && err == nil {
 		err = e
 	}
 	if e := stopProfile(); e != nil && err == nil {
 		err = e
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ciexp:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ciexp:", err)
+		return 1
 	}
+	return 0
 }
 
 // selectFigures resolves subcommand names to the figures they name, in
@@ -206,7 +234,7 @@ func selectFigures(names []string) ([]experiments.Figure, error) {
 // tooling (jq-free, for verify.sh): the document must parse as JSON,
 // carry a traceEvents array, and every event must have a name and a
 // one-character phase.
-func tracecheck(path string) error {
+func tracecheck(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -231,6 +259,6 @@ func tracecheck(path string) error {
 			return fmt.Errorf("%s: event %d malformed (name=%q ph=%q)", path, i, ev.Name, ev.Ph)
 		}
 	}
-	fmt.Printf("tracecheck: %d events\n", len(doc.TraceEvents))
+	fmt.Fprintf(w, "tracecheck: %d events\n", len(doc.TraceEvents))
 	return nil
 }

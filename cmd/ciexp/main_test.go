@@ -71,3 +71,38 @@ func TestSelectFigures(t *testing.T) {
 		}
 	}
 }
+
+// fleetplan prints the fault schedule ciexp fleet's cells replay, at
+// the -soak-duration horizon those cells run.
+func TestFleetPlanGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-zones", "4", "-migrate", "fleetplan"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.Bytes())
+	}
+	golden := filepath.Join("..", "..", "internal", "experiments", "testdata", "fleet_plan.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("fleetplan drifted from %s:\ngot:\n%s\nwant:\n%s", golden, stdout.Bytes(), want)
+	}
+}
+
+// A command line naming no subcommand, an unknown one, or a subcommand
+// with the wrong operands exits 2 before anything runs.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"nosuchfigure"},
+		{"fig7", "nosuchfigure"},
+		{"tracecheck"},
+		{"fleetplan", "extra"},
+		{"-bound", "9", "fig7"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout.String())
+		}
+	}
+}

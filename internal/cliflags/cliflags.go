@@ -1,10 +1,11 @@
-// Package cliflags is the shared flag surface of the three CLIs
-// (ciexp, cirun, cidump). Each tool used to re-declare -sanitize,
-// -workers, -seed and friends with drifting defaults; here every flag
-// has one registration helper, one default and one parser, so the
-// tools stay in lockstep. The package also owns the CLI ends of the
-// observability layer: -trace FILE and -metrics build one obs.Scope,
-// and Finish writes the trace file / metrics report after the run.
+// Package cliflags is the shared flag surface of the two CLIs (ciexp,
+// cirun). Each tool used to re-declare -design, -tier, -seed and
+// friends with drifting defaults; here every shared flag has one
+// registration helper, one default and one parser, so the tools stay
+// in lockstep, and a tool registers only the helpers whose flags it
+// reads. The package also owns the CLI ends of the observability
+// layer: -trace FILE and -metrics build one obs.Scope, and Finish
+// writes the trace file / metrics report after the run.
 package cliflags
 
 import (
@@ -16,7 +17,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/ci/ciruntime"
@@ -87,15 +87,13 @@ type Flags struct {
 	CPUProfile string
 	MemProfile string
 
-	// AddSLO / AddMaxGap
+	// AddSLO
 	SLOP999Us    float64
-	SLOMaxUs     float64
 	MaxReject    float64
 	SoakDuration int64
 
-	// AddInterleave / AddBound
-	Interleave bool
-	Bound      int
+	// AddBound
+	Bound int
 
 	// AddFleet
 	Replicas    int
@@ -166,13 +164,12 @@ func ParseQuantum(name string) (func() ciruntime.QuantumPolicy, error) {
 // and -tier.
 func (f *Flags) AddEngine() *Flags {
 	f.fs.IntVar(&f.Workers, "workers", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
-	f.AddSanitize()
-	f.AddTier()
-	return f
+	f.fs.BoolVar(&f.Sanitize, "sanitize", false, "run stage-by-stage translation validation on every compile")
+	return f.AddTier()
 }
 
-// AddTier registers -tier alone (cirun and cidump want it without the
-// engine flags).
+// AddTier registers -tier alone (cirun wants it without the engine
+// flags).
 func (f *Flags) AddTier() *Flags {
 	f.fs.StringVar(&f.Tier, "tier", "interpreter",
 		"VM execution tier: interpreter (reference) or compiled (closure-threaded, cycle-exact)")
@@ -182,13 +179,6 @@ func (f *Flags) AddTier() *Flags {
 // ParseTier resolves the registered -tier flag value.
 func (f *Flags) ParseTier() (vm.Tier, error) {
 	return vm.ParseTier(f.Tier)
-}
-
-// AddSanitize registers -sanitize alone (cidump wants it without the
-// engine flags).
-func (f *Flags) AddSanitize() *Flags {
-	f.fs.BoolVar(&f.Sanitize, "sanitize", false, "run stage-by-stage translation validation on every compile")
-	return f
 }
 
 // AddSeed registers -seed.
@@ -272,23 +262,8 @@ func (f *Flags) AddSLO() *Flags {
 	return f
 }
 
-// AddMaxGap registers -slo-maxus, cirun's gate on the worst-case
-// inter-fire gap.
-func (f *Flags) AddMaxGap() *Flags {
-	f.fs.Float64Var(&f.SLOMaxUs, "slo-maxus", 0, "SLO: worst-case inter-fire gap ceiling in µs (0 disables the guard)")
-	return f
-}
-
-// AddInterleave registers the handler-interleaving-verifier flags
-// -interleave and -bound.
-func (f *Flags) AddInterleave() *Flags {
-	f.fs.BoolVar(&f.Interleave, "interleave", false,
-		"run the handler interleaving verifier (probe-schedule exploration + race table)")
-	return f.AddBound()
-}
-
-// AddBound registers -bound alone (ciexp's interleave sweep wants it
-// without -interleave). Parse rejects a value outside 1-3.
+// AddBound registers -bound, the interleaving verifier's context
+// bound. Parse rejects a value outside 1-3.
 func (f *Flags) AddBound() *Flags {
 	f.fs.IntVar(&f.Bound, "bound", 2, "interleave: context bound (max forced handler fires per schedule, 1-3)")
 	return f
@@ -412,21 +387,4 @@ func (f *Flags) Finish(w io.Writer) error {
 		return scope.WriteMetrics(w)
 	}
 	return nil
-}
-
-// ParseArgs parses a comma-separated int64 list (the -args flag of
-// cirun).
-func ParseArgs(s string) ([]int64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int64
-	for _, tok := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad argument %q", tok)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

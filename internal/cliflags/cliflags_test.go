@@ -155,7 +155,7 @@ func TestBoundRange(t *testing.T) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		var out strings.Builder
 		fs.SetOutput(&out)
-		f := New(fs).AddInterleave()
+		f := New(fs).AddBound()
 		err := f.Parse([]string{"-bound", tc.arg})
 		switch {
 		case tc.ok && err != nil:
@@ -164,7 +164,7 @@ func TestBoundRange(t *testing.T) {
 			t.Errorf("-bound %s parsed as %d", tc.arg, f.Bound)
 		case !tc.ok && err == nil:
 			t.Errorf("-bound %s accepted, want a parse error", tc.arg)
-		case !tc.ok && !strings.Contains(out.String(), "-interleave"):
+		case !tc.ok && !strings.Contains(out.String(), "context bound"):
 			t.Errorf("-bound %s: no usage printed:\n%s", tc.arg, out.String())
 		}
 	}
@@ -211,19 +211,6 @@ func TestQuantumFlag(t *testing.T) {
 	}
 	if _, err := ParseQuantum("bogus"); err == nil {
 		t.Error("ParseQuantum accepted an unknown policy")
-	}
-}
-
-func TestParseArgs(t *testing.T) {
-	got, err := ParseArgs("1, -2,3")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != -2 || got[2] != 3 {
-		t.Errorf("ParseArgs = %v, %v", got, err)
-	}
-	if got, err := ParseArgs(""); err != nil || got != nil {
-		t.Errorf("ParseArgs(empty) = %v, %v", got, err)
-	}
-	if _, err := ParseArgs("1,x"); err == nil {
-		t.Error("ParseArgs accepted a non-integer")
 	}
 }
 

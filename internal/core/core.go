@@ -76,22 +76,10 @@ type Program struct {
 }
 
 // Compile clones src and instruments the clone per the resolved
-// options. src itself is not modified. With WithSanitize the
-// compilation is delegated to the installed interceptor (translation
-// validation); with WithObs each pipeline stage emits a trace instant
-// and the scope carries over to Run.
+// options. src itself is not modified. With WithObs each pipeline
+// stage emits a trace instant and the scope carries over to Run.
 func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 	st := resolve(opts)
-	if st.sanitize != nil {
-		p, err := st.sanitize(src, st.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if p.obs == nil {
-			p.obs = st.obs
-		}
-		return p, nil
-	}
 	cfg := st.cfg
 	if scope := st.obs; scope.Enabled() {
 		inner := cfg.ModStageHook
@@ -129,7 +117,7 @@ func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 }
 
 // CompileConfig compiles src from a programmatically built Config —
-// the struct entry point for callers (like the sanitize interceptor)
+// the struct entry point for callers (like sanitize.CompileChecked)
 // that assemble configurations as values rather than option lists.
 // Equivalent to Compile with the matching fine-grained options.
 func CompileConfig(src *ir.Module, cfg Config, opts ...Option) (*Program, error) {

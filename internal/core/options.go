@@ -17,19 +17,16 @@ import (
 	"repro/internal/ci/analysis"
 	"repro/internal/ci/ciruntime"
 	"repro/internal/ci/instrument"
-	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
-// settings is the resolved option state: compile config, run config,
-// the observability scope shared by both phases, and an optional
-// compile interceptor.
+// settings is the resolved option state: compile config, run config
+// and the observability scope shared by both phases.
 type settings struct {
-	cfg      Config
-	rc       RunConfig
-	obs      *obs.Scope
-	sanitize SanitizeFunc
+	cfg Config
+	rc  RunConfig
+	obs *obs.Scope
 	// tierSet marks an explicit WithTier so Program.Run can distinguish
 	// "override the compiled-in tier" from the zero value.
 	tierSet bool
@@ -38,12 +35,6 @@ type settings struct {
 // Option configures Compile and/or Run. Compile ignores run-only
 // options and vice versa, so one option slice can serve both phases.
 type Option func(*settings)
-
-// SanitizeFunc intercepts compilation: when installed via WithSanitize,
-// Compile delegates to it with the resolved Config. The sanitize
-// package's Checked adapter routes this through full translation
-// validation without core importing it (which would cycle).
-type SanitizeFunc func(src *ir.Module, cfg Config) (*Program, error)
 
 func resolve(opts []Option) settings {
 	var st settings
@@ -108,13 +99,6 @@ func WithTier(t vm.Tier) Option {
 		s.cfg.Tier = t
 		s.tierSet = true
 	}
-}
-
-// WithSanitize installs a compile interceptor, typically
-// sanitize.Checked(...), that routes compilation through translation
-// validation.
-func WithSanitize(fn SanitizeFunc) Option {
-	return func(s *settings) { s.sanitize = fn }
 }
 
 // WithObs attaches an observability scope to both phases: Compile

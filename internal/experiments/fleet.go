@@ -333,7 +333,7 @@ func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 // shown for exploration with -replicas > 1 sweeps. With zones > 1 the
 // zone-outage schedules (fleetZonePlan, zone 0 only — the `ciexp
 // fleet` zone cell) are shown too. The debugging window into the
-// fleet fault plan (cidump -fleet).
+// fleet fault plan (ciexp fleetplan).
 func PrintFleetPlan(w io.Writer, seed uint64, replicas, zones int, horizonCycles int64, migrate bool) {
 	if zones <= 0 {
 		zones = 1

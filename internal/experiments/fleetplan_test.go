@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The `cidump -fleet` schedule dump is golden-tested: the plan is
+// The `ciexp fleetplan` schedule dump is golden-tested: the plan is
 // drawn from seeded injector streams, so its text is a pure function
 // of (seed, replicas, zones, horizon, migrate) and any drift means
 // either the stream layout or the rendering changed — both worth a

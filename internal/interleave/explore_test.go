@@ -204,7 +204,7 @@ func TestExplorationDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRaceTableGolden(t *testing.T) {
-	// Pin the cidump-facing table format byte-for-byte on a module
+	// Pin the cirun-facing table format byte-for-byte on a module
 	// exercising several classes at once plus a non-commute finding.
 	src := mainHead + `
   %one = mov 1

@@ -27,8 +27,8 @@
 //     pinned under testdata/repro/.
 //
 // VerifyHandlers is the CompileChecked-style entry; cmd/ciexp
-// (interleave subcommand), cmd/cirun (-interleave) and cmd/cidump
-// (-interleave race table) wire it to the CLI.
+// (interleave subcommand) and cmd/cirun (-interleave race table) wire
+// it to the CLI.
 package interleave
 
 import (

@@ -6,7 +6,7 @@ import (
 	"text/tabwriter"
 )
 
-// WriteTable renders the race table for one report — the cidump
+// WriteTable renders the race table for one report — the cirun
 // -interleave output and the golden-file format. Every line is a pure
 // function of the report, which is itself deterministic at any worker
 // count, so the table can be golden-tested byte-for-byte.

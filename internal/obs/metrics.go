@@ -1,5 +1,5 @@
 // Plain-text metrics rendering: counters, histogram quantiles and the
-// hottest-probe-sites table. This is the -metrics / cidump -hot
+// hottest-probe-sites table. This is the -metrics / cirun -hot
 // surface; EXPERIMENTS.md documents how the interval-error histograms
 // here reproduce the paper's accuracy CDFs.
 package obs
@@ -50,7 +50,7 @@ func (s *Scope) WriteMetrics(w io.Writer) error {
 		}
 	}
 	if nsites > 0 {
-		fmt.Fprintf(bw, "# probe sites: %d distinct (see cidump -hot for the table)\n", nsites)
+		fmt.Fprintf(bw, "# probe sites: %d distinct (see cirun -hot N for the table)\n", nsites)
 	}
 	if dropped > 0 {
 		fmt.Fprintf(bw, "# trace ring dropped %d event(s)\n", dropped)
@@ -65,7 +65,7 @@ type stHist struct {
 
 // WriteHotSites renders the hottest-probe-sites profile table: up to n
 // sites by descending probe executions, with fire counts and fire
-// rate. This is the cidump -hot surface.
+// rate. This is the cirun -hot surface.
 func (s *Scope) WriteHotSites(w io.Writer, n int) error {
 	bw := bufio.NewWriter(w)
 	sites := s.HotSites(n)

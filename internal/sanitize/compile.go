@@ -59,16 +59,3 @@ func CompileChecked(src *ir.Module, cfg core.Config, opts Options) (*core.Progra
 	}
 	return prog, nil
 }
-
-// Checked adapts CompileChecked to the functional-options API: it
-// returns a core.Option that makes core.Compile route the whole
-// compilation through translation validation with these opts:
-//
-//	prog, err := core.Compile(src,
-//	    core.WithDesign(instrument.CI),
-//	    sanitize.Checked(sanitize.Options{Exec: true}))
-func Checked(opts Options) core.Option {
-	return core.WithSanitize(func(src *ir.Module, cfg core.Config) (*core.Program, error) {
-		return CompileChecked(src, cfg, opts)
-	})
-}

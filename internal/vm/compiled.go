@@ -20,10 +20,10 @@
 //   - Fused pairs preserve the interpreter's interleaving of charges,
 //     fault checks and observer calls; fusion only removes dispatch.
 //
-// Deopt rules: a thread with an OnProbe hook (forced-fire schedules),
-// an attached trace, or an enabled obs scope falls back to the
-// interpreter at Run/CallHandler entry — those surfaces observe
-// per-instruction state the fast path does not materialize. The
+// Deopt rules: a thread with an OnProbe hook (forced-fire schedules)
+// or an enabled obs scope falls back to the interpreter at
+// Run/CallHandler entry — those surfaces observe per-instruction
+// state the fast path does not materialize. The
 // OnStore/OnLoad/OnAtomic observers are supported natively (nil-checked
 // on memory ops only), so the differential oracle compares real
 // compiled execution, not a deopt shadow.

@@ -76,8 +76,8 @@ type VM struct {
 	// the module into closure-threaded code with fused superinstructions
 	// and a single-compare untaken-probe path. The compiled tier is
 	// cycle-exact — Stats match the interpreter bit for bit — and
-	// threads with an OnProbe hook, an attached trace, or an enabled obs
-	// scope transparently deoptimize back to the interpreter (see
+	// threads with an OnProbe hook or an enabled obs scope
+	// transparently deoptimize back to the interpreter (see
 	// compiled.go for the deopt rules).
 	Tier Tier
 
@@ -199,7 +199,6 @@ type Thread struct {
 	rng        uint64
 	nextHW     int64
 	hwOverhead int64
-	trace      *Trace
 	obs        *obs.Scope
 	inExt      bool
 	inHandler  bool
@@ -272,12 +271,11 @@ func (t *Thread) Run(fn string, args ...int64) (int64, error) {
 
 // exec routes execution to the selected tier. The compiled tier only
 // runs when no deopt-forcing observer is attached: OnProbe (forced-fire
-// schedules), an attached trace, and an enabled obs scope all need the
-// interpreter's full observation surface, so those threads fall back
-// per run. OnStore/OnLoad/OnAtomic are supported natively by the
+// schedules) and an enabled obs scope both need the interpreter's full
+// observation surface, so those threads fall back per run. OnStore/OnLoad/OnAtomic are supported natively by the
 // compiled closures and do not deopt.
 func (t *Thread) exec(f *ir.Func, args []int64) (int64, error) {
-	if t.VM.Tier == TierCompiled && t.OnProbe == nil && t.trace == nil && t.obs == nil {
+	if t.VM.Tier == TierCompiled && t.OnProbe == nil && t.obs == nil {
 		if cf := t.VM.compiledMod().funcs[f.Name]; cf != nil {
 			return t.callCompiled(cf, args)
 		}
@@ -358,9 +356,6 @@ func (t *Thread) checkHW() error {
 			t.Stats.HWInterrupts++
 		}
 		t.Stats.HandlerCalls++
-		if t.trace != nil {
-			t.trace.add(TraceEvent{Kind: TraceHW, Cycle: t.Stats.Cycles, Detail: total})
-		}
 		if t.obs != nil {
 			name := "hw-interrupt"
 			if hw.User {
@@ -617,9 +612,6 @@ func (t *Thread) execExtCall(in *ir.Instr, regs []int64) error {
 		return fmt.Errorf("vm: extcall to unknown extern %q", in.Callee)
 	}
 	t.Stats.ExtCalls++
-	if t.trace != nil {
-		t.trace.add(TraceEvent{Kind: TraceExtCall, Cycle: t.Stats.Cycles, Detail: ext.Cost, Name: ext.Name})
-	}
 	extStart := t.Stats.Cycles
 	if ext.Blocking {
 		// Blocking system call: interrupts are deferred and

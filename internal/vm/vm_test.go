@@ -3,12 +3,12 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/ci/analysis"
 	"repro/internal/ci/instrument"
 	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 // forEachTier runs the test body once per execution tier, so the
@@ -946,8 +946,10 @@ exit:
 }
 
 func TestTraceTimeline(t *testing.T) {
-	// Attaching a trace deopts the compiled tier to the interpreter;
-	// running both tiers pins that the fallback preserves the timeline.
+	// The interrupt timeline of a run (handler fires, external calls)
+	// lands in the obs scope that -trace writes out. An enabled scope
+	// deopts the compiled tier to the interpreter; running both tiers
+	// pins that the fallback keeps the timeline.
 	forEachTier(t, func(t *testing.T, tier Tier) {
 		m := ir.MustParse(`
 extern @lib cost 3000
@@ -974,45 +976,39 @@ exit:
 		}
 		v := newVM(m, nil, 1, tier)
 		v.LimitInstrs = 10_000_000
+		scope := obs.New(64)
+		v.Obs = scope
 		th := v.NewThread(0)
-		tr := NewTrace(64)
-		th.AttachTrace(tr)
 		th.RT.RegisterCI(2000, func(uint64) {})
 		if _, err := th.Run("main", 200); err != nil {
 			t.Fatal(err)
 		}
-		var handlers, extcalls int
-		var lastCycle int64 = -1
-		for _, e := range tr.Events() {
-			if e.Cycle < lastCycle {
-				t.Fatalf("trace not time-ordered: %d after %d", e.Cycle, lastCycle)
+		var fires, extcalls int
+		last := map[string]int64{}
+		for _, e := range scope.Events() {
+			if e.TS < last[e.Name] {
+				t.Fatalf("%s events not time-ordered: %d after %d", e.Name, e.TS, last[e.Name])
 			}
-			lastCycle = e.Cycle
-			switch e.Kind {
-			case TraceHandler:
-				handlers++
-				if e.Detail <= 0 {
-					t.Error("handler event without IR delta")
-				}
-			case TraceExtCall:
+			last[e.Name] = e.TS
+			switch e.Name {
+			case "probe-fire":
+				fires++
+			case "extcall":
 				extcalls++
-				if e.Name != "lib" || e.Detail != 3000 {
+				if e.Args[0].Str != "lib" || e.Dur != 3000 {
 					t.Errorf("extcall event = %+v", e)
 				}
 			}
 		}
-		if handlers == 0 || extcalls == 0 {
-			t.Fatalf("timeline missing events: handlers=%d extcalls=%d", handlers, extcalls)
+		if fires == 0 || extcalls == 0 {
+			t.Fatalf("timeline missing events: fires=%d extcalls=%d", fires, extcalls)
 		}
 		// The ring must bound memory: 200 extcalls exceed capacity 64.
-		if len(tr.Events()) > 64 {
-			t.Errorf("ring exceeded capacity: %d", len(tr.Events()))
+		if n := len(scope.Events()); n > 64 {
+			t.Errorf("ring exceeded capacity: %d", n)
 		}
-		if tr.Dropped == 0 {
+		if scope.Dropped() == 0 {
 			t.Error("expected drops with a small ring")
-		}
-		if s := tr.String(); !strings.Contains(s, "extcall") || !strings.Contains(s, "dropped") {
-			t.Errorf("rendering incomplete:\n%s", s)
 		}
 	})
 }

@@ -13,7 +13,7 @@ cd "$(dirname "$0")"
 # zombie is dead and only waits for init to reap it, so it is not one.
 leftovers() {
     ps -eo pid,stat,etime,comm | awk '$2 !~ /^Z/' |
-        grep -E ' (go|compile|link|vet|ciexp|cirun|cidump|benchmark[^ ]*|[^ ]+\.test)$' || true
+        grep -E ' (go|compile|link|vet|ciexp|cirun|benchmark[^ ]*|[^ ]+\.test)$' || true
 }
 # Whatever of that kind already runs belongs to someone else.
 foreign=" $(leftovers | awk '{printf "%s ", $1}')"
