@@ -58,7 +58,8 @@ func TestGenerateCoversFusiblePairs(t *testing.T) {
 		cmpBr += cb
 		loadArith += la
 		arithStore += as
-		superRaw += vm.Superblocks(m)
+		loops, _ := vm.Superblocks(m)
+		superRaw += loops
 		// The differential oracle runs instrumented programs, so the
 		// superblock loop path must also survive instrumentation (the
 		// chunked inner loops the transform emits are its main target).
@@ -69,7 +70,8 @@ func TestGenerateCoversFusiblePairs(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		superInstr += vm.Superblocks(im)
+		loops, _ = vm.Superblocks(im)
+		superInstr += loops
 	}
 	if cmpBr == 0 || loadArith == 0 || arithStore == 0 {
 		t.Errorf("fusible pairs over the 60-seed corpus: cmp+br %d, load+arith %d, arith+store %d — every class must appear",

@@ -569,7 +569,8 @@ func shiftFirstRow(t *testing.T, cell []byte, s shift) []byte {
 }
 
 // Compiled-tier engagement gate: the compiled tier's speed comes from
-// loop superblocks and fused instruction pairs, so if either stops
+// loop superblocks, the address-mode µops in their bodies and fused
+// instruction pairs, so if any of them stops
 // being emitted the tier silently falls back toward interpreter speed
 // while every parity check still passes. The counts are deterministic,
 // so they are pinned exactly, per program, over the baseline subset
@@ -577,11 +578,12 @@ func shiftFirstRow(t *testing.T, cell []byte, s shift) []byte {
 // scale 8). Host-time speed is the benchmark's job (vm_interp,
 // vm_compiled).
 func TestCompiledTierEngages(t *testing.T) {
-	want := map[string]struct{ superblocks, cmpBr, loadArith, arithStore int }{
-		"radix":     {13, 21, 12, 0},
-		"histogram": {2, 4, 2, 0},
-		"volrend":   {6, 14, 6, 0},
-		"kmeans":    {2, 6, 0, 0},
+	type counts struct{ superblocks, addrOps, cmpBr, loadArith, arithStore int }
+	want := map[string]counts{
+		"radix":     {13, 29, 21, 12, 0},
+		"histogram": {2, 4, 4, 2, 0},
+		"volrend":   {6, 6, 14, 6, 0},
+		"kmeans":    {2, 1, 6, 0, 0},
 	}
 	sel, err := workloadsByName(baselineNames)
 	if err != nil {
@@ -594,11 +596,11 @@ func TestCompiledTierEngages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", wl.Name, err)
 		}
-		var got struct{ superblocks, cmpBr, loadArith, arithStore int }
-		got.superblocks = vm.Superblocks(prog.Mod)
+		var got counts
+		got.superblocks, got.addrOps = vm.Superblocks(prog.Mod)
 		got.cmpBr, got.loadArith, got.arithStore = vm.FusiblePairs(prog.Mod)
 		if got != want[wl.Name] {
-			t.Errorf("%s: superblocks, cmp+br, load+arith, arith+store = %v, want %v",
+			t.Errorf("%s: superblocks, address µops, cmp+br, load+arith, arith+store = %v, want %v",
 				wl.Name, got, want[wl.Name])
 		}
 	}

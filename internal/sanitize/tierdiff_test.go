@@ -182,3 +182,56 @@ func TestPinnedReprosTierParity(t *testing.T) {
 		})
 	}
 }
+
+// addressModeSrc is a loop whose load and store take their address
+// from the add just before them, the shape of every memory access in
+// the Table-7 loop bodies. The fuzz corpus never produces it (its
+// addresses are `and` results).
+const addressModeSrc = `
+mem 256
+func @main(%n) {
+entry:
+  %b = and %n, 127
+  %base = mov 64
+  %i = mov 0
+  %s = mov 0
+  jmp head
+head:
+  %c = lt %i, %b
+  br %c, body, exit
+body:
+  %a = add %base, %i
+  %v = load %a, 0
+  %s = add %s, %v
+  %s = add %s, %i
+  %p = add %base, %i
+  store %p, 1, %s
+  %i = add %i, 1
+  jmp head
+exit:
+  ret %s
+}
+`
+
+// The tier oracle must cover the compiled tier's address-mode µops,
+// which the fuzz corpus above never emits: a loop built of them agrees
+// across tiers raw and under each oracle design.
+func TestTierOracleCoversAddressModeOps(t *testing.T) {
+	src := ir.MustParse(addressModeSrc)
+	if _, addrOps := vm.Superblocks(src); addrOps != 2 {
+		t.Fatalf("address-mode µops = %d, want the load and the store fused", addrOps)
+	}
+	eo := sanitize.ExecOptions{LimitInstrs: 20_000_000}
+	if err := sanitize.DiffTiers(src, eo); err != nil {
+		t.Errorf("source: %v", err)
+	}
+	for _, d := range oracleDesigns {
+		prog, err := core.Compile(src, core.WithDesign(d), core.WithProbeInterval(60))
+		if err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		if err := sanitize.DiffTiers(prog.Mod, eo); err != nil {
+			t.Errorf("%v: %v", d, err)
+		}
+	}
+}

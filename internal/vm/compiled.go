@@ -108,8 +108,9 @@ type cfunc struct {
 // frame's thread, so every thread of the VM can run them.
 type compiledModule struct {
 	funcs map[string]*cfunc
-	// superblocks counts the loop closures compileFunc emitted.
-	superblocks int
+	// superblocks counts the loop closures compileFunc emitted, and
+	// addrOps the address-mode µops in their bodies.
+	superblocks, addrOps int
 }
 
 // compiledMod returns the module's compiled form, building it on first
@@ -289,8 +290,10 @@ func compileFunc(cf *cfunc, f *ir.Func, mod *ir.Module, model *CostModel, cm *co
 	}
 	var cands []sbCand
 	superPC := make(map[*ir.Block]int)
+	// A superblock's register view is frameRegs words, so larger
+	// functions run on the plain path only.
 	for i, b := range f.Blocks {
-		if body, bp := superblockBody(b, &plans[i], planOf); body != nil {
+		if body, bp := superblockBody(b, &plans[i], planOf); body != nil && f.NumRegs <= frameRegs {
 			superPC[b] = pc
 			cands = append(cands, sbCand{head: b, body: body, cmp: plans[i].cmpBr, bp: bp, pc: pc})
 			pc++
@@ -1014,8 +1017,13 @@ func emitEpilogue(ec *emitCtx, b *ir.Block, cmpBr *ir.Instr) op {
 	}
 }
 
+// frameRegs is the least capacity of a pooled frame's register file,
+// so a superblock can index a fixed-size view without bounds checks.
+const frameRegs = 256
+
 // pushFrame takes the frame for the next call depth from the thread's
-// pool, which both tiers share, with a register file of numRegs words.
+// pool, which both tiers share, with a register file of numRegs words
+// (capacity at least frameRegs).
 // The registers of a recycled frame hold its previous occupant's
 // values: the caller writes the arguments and zeroes every other
 // register the callee can read before writing — all of them on the
@@ -1032,7 +1040,7 @@ func (t *Thread) pushFrame(name string, numRegs int) (*frame, error) {
 	}
 	fr := t.frames[t.depth-1]
 	if cap(fr.regs) < numRegs {
-		fr.regs = make([]int64, numRegs)
+		fr.regs = make([]int64, numRegs, max(numRegs, frameRegs))
 	} else {
 		fr.regs = fr.regs[:numRegs]
 	}

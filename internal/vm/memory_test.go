@@ -100,7 +100,7 @@ func TestMemoryGrowsOnFirstTouch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			forEachTier(t, func(t *testing.T, tier Tier) {
 				m := ir.MustParse(memLoopSrc)
-				if n := Superblocks(m); n != 1 {
+				if n, _ := Superblocks(m); n != 1 {
 					t.Fatalf("Superblocks = %d, want the loop to be one", n)
 				}
 				got := runMem(m, tier, false, nil, "main", tc.addr, tc.n)
@@ -174,7 +174,7 @@ exit:
 		if err := m.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		if n := Superblocks(m); n != 1 {
+		if n, _ := Superblocks(m); n != 1 {
 			t.Fatalf("Superblocks = %d, want the inner loop to be one", n)
 		}
 		var fires int64

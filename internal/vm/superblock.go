@@ -36,6 +36,20 @@
 //     tier-differential harness's planted cycle drift survives the fast
 //     path.
 //
+// Two layout choices keep each µop cheap:
+//
+//   - Address-mode µops. An add reg-reg whose sum is the base of the
+//     next load or store fuses with it into one µop that still writes
+//     the sum register. The add is charged with the body statics, so
+//     the fused µop keeps the memory op's own correction constants.
+//   - A register file without bounds checks. Register operands are
+//     uint8 and index a *[256]int64 view of the frame, which pushFrame
+//     guarantees by giving every pooled frame at least frameRegs words;
+//     functions with more registers run on the plain path.
+//
+// Every memory µop shares one copy of the draw, charge, grow and
+// observer-flush code.
+//
 // Loops containing probes, calls, extcalls, or rdcyc never become
 // superblocks (those units observe or advance state the batching would
 // have to unwind); they run on the plain closure path unchanged.
@@ -87,28 +101,35 @@ const (
 	sbGeRI
 	sbMinRI
 	sbMaxRI
+	// Memory µops, in this order: the fused add+access kinds come last.
 	sbLoad
 	sbStore
 	sbAtomic
+	sbAddLoad  // base = a + b; dst = Mem[base + imm]
+	sbAddStore // base = a + b; Mem[base + imm] = v
 )
 
-// sop is one superblock µop. For memory ops, cost is the static base
-// cost and cycCorr/insCorr are the statics batched ahead of this op's
-// fault/observer point that a mid-iteration flush must subtract.
+// sop is one superblock µop, 32 bytes so that indexing the µop array
+// is a shift. ALU µops read a (and b) into dst. Memory µops address
+// Mem[base + imm] (Mem[imm] without hasBase), loads and atomics write
+// dst (an atomic only with hasDst), stores and atomics read v; their
+// static base cost is looked up by kind, and cycCorr/insCorr are the
+// statics batched ahead of this op's fault/observer point that a
+// mid-iteration flush must subtract.
 type sop struct {
-	kind      uint8
-	dst, a, b int32
-	imm       int64
-	cost      int64
-	cycCorr   int64
-	insCorr   int64
+	kind             uint8
+	dst, a, b        uint8
+	base, v          uint8
+	hasBase, hasDst  bool
+	imm              int64
+	cycCorr, insCorr int64
 }
 
 // sbALU translates a mov or binary-ALU instruction into its µop,
 // normalizing immediates the same way compileCompute does (shift masks,
 // divide-by-zero-immediate folding to zero).
 func sbALU(in *ir.Instr) sop {
-	u := sop{dst: int32(in.Dst), a: int32(in.A), b: int32(in.B), imm: in.Imm}
+	u := sop{dst: uint8(in.Dst), a: uint8(in.A), b: uint8(in.B), imm: in.Imm}
 	if in.Op == ir.OpMov {
 		if in.BImm {
 			u.kind = sbMovI
@@ -127,12 +148,12 @@ func sbALU(in *ir.Instr) sop {
 			u.kind = sbMulRI
 		case ir.OpDiv:
 			if in.Imm == 0 {
-				return sop{kind: sbMovI, dst: int32(in.Dst), imm: 0}
+				return sop{kind: sbMovI, dst: uint8(in.Dst), imm: 0}
 			}
 			u.kind = sbDivRI
 		case ir.OpRem:
 			if in.Imm == 0 {
-				return sop{kind: sbMovI, dst: int32(in.Dst), imm: 0}
+				return sop{kind: sbMovI, dst: uint8(in.Dst), imm: 0}
 			}
 			u.kind = sbRemRI
 		case ir.OpAnd:
@@ -232,14 +253,17 @@ func superblockBody(head *ir.Block, p *blockPlan, planOf map[*ir.Block]*blockPla
 }
 
 // Superblocks compiles the module against the default cost model and
-// returns how many loop superblocks the compiled tier emitted. The
-// count comes from the emitter itself, so a change that stops emission
-// shows up here. The fuzz corpus's generation-coverage assertion uses
-// it the same way it uses FusiblePairs: to guarantee the differential
-// oracle exercises the batched loop path rather than vacuously passing
-// on code that never enters it.
-func Superblocks(m *ir.Module) int {
-	return compileModule(m, Default()).superblocks
+// returns how many loop superblocks the compiled tier emitted and how
+// many address-mode µops (an add fused into the load or store it
+// addresses) their bodies hold. The counts come from the emitter
+// itself, so a change that stops emission shows up here. The fuzz
+// corpus's generation-coverage assertion uses them the same way it
+// uses FusiblePairs: to guarantee the differential oracle exercises
+// the batched loop path rather than vacuously passing on code that
+// never enters it.
+func Superblocks(m *ir.Module) (loops, addrOps int) {
+	cm := compileModule(m, Default())
+	return cm.superblocks, cm.addrOps
 }
 
 // emitSuperblock compiles one head⇄body loop into a single closure.
@@ -279,13 +303,25 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 	// time that op's fault check / observer callback runs).
 	var uops []sop
 	var es, ei int64 // statics and instrs earned so far within the body
-	memUop := func(kind uint8, dst, base, val ir.Reg, off, cost int64) {
-		uops = append(uops, sop{
-			kind: kind, dst: int32(dst), a: int32(base), b: int32(val),
-			imm: off, cost: cost,
+	memUop := func(kind uint8, dst, base, val ir.Reg, off int64) {
+		u := sop{
+			kind: kind, dst: uint8(dst), base: uint8(base), v: uint8(val),
+			hasBase: base != ir.NoReg, hasDst: dst != ir.NoReg,
+			imm:     off,
 			cycCorr: bodyStatic - es,
 			insCorr: bodyIns - (ei + 1),
-		})
+		}
+		// An add that computes this access's base fuses into it; the
+		// add is already earned here, so the constants stay the access's.
+		if n := len(uops) - 1; n >= 0 && kind != sbAtomic && u.hasBase &&
+			uops[n].kind == sbAddRR && uops[n].dst == u.base {
+			u.kind += sbAddLoad - sbLoad
+			u.a, u.b = uops[n].a, uops[n].b
+			uops[n] = u
+			ec.cm.addrOps++
+			return
+		}
+		uops = append(uops, u)
 	}
 	for _, u := range bp.units {
 		switch u.kind {
@@ -294,18 +330,18 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 			es += m.OpCost[u.a.Op]
 			ei++
 		case uLoad:
-			memUop(sbLoad, u.a.Dst, u.a.A, ir.NoReg, u.a.Imm, m.OpCost[ir.OpLoad])
+			memUop(sbLoad, u.a.Dst, u.a.A, ir.NoReg, u.a.Imm)
 			ei++
 		case uStore:
-			memUop(sbStore, ir.NoReg, u.a.A, u.a.B, u.a.Imm, m.OpCost[ir.OpStore])
+			memUop(sbStore, ir.NoReg, u.a.A, u.a.B, u.a.Imm)
 			ei++
 		case uAtomic:
-			memUop(sbAtomic, u.a.Dst, u.a.A, u.a.B, u.a.Imm, m.OpCost[ir.OpAtomicAdd])
+			memUop(sbAtomic, u.a.Dst, u.a.A, u.a.B, u.a.Imm)
 			ei++
 		case uLoadArith:
 			// Load charges and observes first; the fused ALU op's charge
 			// lands after the callback, so it is unearned at that point.
-			memUop(sbLoad, u.a.Dst, u.a.A, ir.NoReg, u.a.Imm, m.OpCost[ir.OpLoad])
+			memUop(sbLoad, u.a.Dst, u.a.A, ir.NoReg, u.a.Imm)
 			uops = append(uops, sbALU(u.b))
 			es += m.OpCost[u.b.Op]
 			ei += 2
@@ -316,19 +352,21 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 			uops = append(uops, sbALU(u.a))
 			es += m.OpCost[u.a.Op]
 			ei++
-			memUop(sbStore, ir.NoReg, u.b.A, u.b.B, u.b.Imm, m.OpCost[ir.OpStore])
+			memUop(sbStore, ir.NoReg, u.b.A, u.b.B, u.b.Imm)
 			ei++
 		}
 	}
 
 	cu := sbALU(cmp)
-	cond := int(cmp.Dst)
+	cond := cu.dst
 	plainPC := ec.pcOf[head]
 	elsePC := ec.entry(head.Term.Else)
 	fname, bname := ec.f.Name, body.Name
 	missLo := m.MissP2
 	missHi := m.MissP2 + m.MissP1
 	missC1, missC2 := m.MissCost1, m.MissCost2
+	load, store := m.OpCost[ir.OpLoad], m.OpCost[ir.OpStore]
+	memBase := [...]int64{load, store, m.OpCost[ir.OpAtomicAdd], load, store} // by kind - sbLoad
 	iterIns := 2 + bodyIns
 
 	return func(fr *frame) int {
@@ -343,7 +381,7 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 		if limited {
 			rem = t.limit - t.Stats.Instrs
 		}
-		regs := fr.regs
+		regs := (*[frameRegs]int64)(fr.regs[:frameRegs])
 		rng := t.rng
 		var cyc, ins int64
 		for {
@@ -477,7 +515,7 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 					regs[u.dst] = min(regs[u.a], u.imm)
 				case sbMaxRI:
 					regs[u.dst] = max(regs[u.a], u.imm)
-				case sbLoad:
+				case sbLoad, sbStore, sbAtomic, sbAddLoad, sbAddStore:
 					rng += 0x9e3779b97f4a7c15
 					z := rng
 					z ^= z >> 30
@@ -485,7 +523,7 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 					z ^= z >> 27
 					z *= 0x94d049bb133111eb
 					z ^= z >> 31
-					c := u.cost
+					c := memBase[u.kind-sbLoad]
 					if r := int64(z & 1023); r < missLo {
 						c += missC2
 					} else if r < missHi {
@@ -495,15 +533,21 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 						c = int64(float64(c) * t.memMul)
 					}
 					cyc += c
-					addr := u.imm
-					if u.a >= 0 {
-						addr += regs[u.a]
+					var addr int64
+					if u.kind >= sbAddLoad {
+						addr = regs[u.a] + regs[u.b]
+						regs[u.base] = addr
+					} else if u.hasBase {
+						addr = regs[u.base]
 					}
+					addr += u.imm
 					// Memory is read per access, not once per loop: a
 					// grow replaces the slice, and a loop-carried copy
-					// cost the loop about 10% on vm_compiled.
+					// cost the loop about 10% on vm_compiled. A grow
+					// makes addr addressable, so the loop runs at most
+					// once; its exit proves the accesses below in bounds.
 					mem := t.VM.mem
-					if uint64(addr) >= uint64(len(mem)) {
+					for uint64(addr) >= uint64(len(mem)) {
 						if err := t.VM.grow(addr); err != nil {
 							t.Stats.Cycles += cyc - u.cycCorr
 							t.Stats.Instrs += ins - u.insCorr
@@ -513,112 +557,40 @@ func emitSuperblock(ec *emitCtx, head, body *ir.Block, cmp *ir.Instr, bp *blockP
 						}
 						mem = t.VM.mem
 					}
-					v := mem[addr]
-					regs[u.dst] = v
-					if t.OnLoad != nil {
+					// v is the word loaded, stored, or read by the atomic.
+					var v, add int64
+					var observed bool
+					switch u.kind {
+					case sbLoad, sbAddLoad:
+						v = mem[addr]
+						regs[u.dst] = v
+						observed = t.OnLoad != nil
+					case sbStore, sbAddStore:
+						v = regs[u.v]
+						mem[addr] = v
+						observed = t.OnStore != nil
+					default:
+						add = regs[u.v]
+						v = atomic.AddInt64(&mem[addr], add) - add
+						if u.hasDst {
+							regs[u.dst] = v
+						}
+						observed = t.OnAtomic != nil || t.OnStore != nil
+					}
+					if observed {
 						t.Stats.Cycles += cyc - u.cycCorr
 						t.Stats.Instrs += ins - u.insCorr
 						cyc, ins = u.cycCorr, u.insCorr
 						t.rng = rng
-						t.OnLoad(fname, bname, addr, v)
-						rng = t.rng
-						if limited {
-							rem = t.limit - t.Stats.Instrs
-						}
-					}
-				case sbStore:
-					rng += 0x9e3779b97f4a7c15
-					z := rng
-					z ^= z >> 30
-					z *= 0xbf58476d1ce4e5b9
-					z ^= z >> 27
-					z *= 0x94d049bb133111eb
-					z ^= z >> 31
-					c := u.cost
-					if r := int64(z & 1023); r < missLo {
-						c += missC2
-					} else if r < missHi {
-						c += missC1
-					}
-					if t.memMul != 1 {
-						c = int64(float64(c) * t.memMul)
-					}
-					cyc += c
-					addr := u.imm
-					if u.a >= 0 {
-						addr += regs[u.a]
-					}
-					mem := t.VM.mem
-					if uint64(addr) >= uint64(len(mem)) {
-						if err := t.VM.grow(addr); err != nil {
-							t.Stats.Cycles += cyc - u.cycCorr
-							t.Stats.Instrs += ins - u.insCorr
-							t.rng = rng
-							fr.err = err
-							return -1
-						}
-						mem = t.VM.mem
-					}
-					v := regs[u.b]
-					mem[addr] = v
-					if t.OnStore != nil {
-						t.Stats.Cycles += cyc - u.cycCorr
-						t.Stats.Instrs += ins - u.insCorr
-						cyc, ins = u.cycCorr, u.insCorr
-						t.rng = rng
-						t.OnStore(fname, bname, addr, v)
-						rng = t.rng
-						if limited {
-							rem = t.limit - t.Stats.Instrs
-						}
-					}
-				case sbAtomic:
-					rng += 0x9e3779b97f4a7c15
-					z := rng
-					z ^= z >> 30
-					z *= 0xbf58476d1ce4e5b9
-					z ^= z >> 27
-					z *= 0x94d049bb133111eb
-					z ^= z >> 31
-					c := u.cost
-					if r := int64(z & 1023); r < missLo {
-						c += missC2
-					} else if r < missHi {
-						c += missC1
-					}
-					if t.memMul != 1 {
-						c = int64(float64(c) * t.memMul)
-					}
-					cyc += c
-					addr := u.imm
-					if u.a >= 0 {
-						addr += regs[u.a]
-					}
-					mem := t.VM.mem
-					if uint64(addr) >= uint64(len(mem)) {
-						if err := t.VM.grow(addr); err != nil {
-							t.Stats.Cycles += cyc - u.cycCorr
-							t.Stats.Instrs += ins - u.insCorr
-							t.rng = rng
-							fr.err = err
-							return -1
-						}
-						mem = t.VM.mem
-					}
-					add := regs[u.b]
-					old := atomic.AddInt64(&mem[addr], add) - add
-					if u.dst >= 0 {
-						regs[u.dst] = old
-					}
-					if t.OnAtomic != nil || t.OnStore != nil {
-						t.Stats.Cycles += cyc - u.cycCorr
-						t.Stats.Instrs += ins - u.insCorr
-						cyc, ins = u.cycCorr, u.insCorr
-						t.rng = rng
-						if t.OnAtomic != nil {
-							t.OnAtomic(fname, bname, addr, old, add)
-						} else {
-							t.OnStore(fname, bname, addr, old+add)
+						switch {
+						case u.kind == sbLoad || u.kind == sbAddLoad:
+							t.OnLoad(fname, bname, addr, v)
+						case u.kind != sbAtomic:
+							t.OnStore(fname, bname, addr, v)
+						case t.OnAtomic != nil:
+							t.OnAtomic(fname, bname, addr, v, add)
+						default:
+							t.OnStore(fname, bname, addr, v+add)
 						}
 						rng = t.rng
 						if limited {

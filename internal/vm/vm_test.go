@@ -3,6 +3,8 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ci/analysis"
@@ -538,6 +540,86 @@ exit:
 			got := exec(t, TierCompiled, d)
 			if got != ref {
 				t.Errorf("tier divergence:\n interp  %+v\n compiled %+v", ref, got)
+			}
+		})
+	}
+}
+
+// fusedStoreLoopSrc is a counted loop whose only access is a store
+// addressed by the add just before it: for k < %n, mem[%addr+k] = k.
+const fusedStoreLoopSrc = `
+mem 4096
+func @main(%addr, %n) {
+entry:
+  %k = mov 0
+  jmp head
+head:
+  %c = lt %k, %n
+  br %c, body, exit
+body:
+  %a = add %addr, %k
+  store %a, 0, %k
+  %k = add %k, 1
+  jmp head
+exit:
+  ret %k
+}
+`
+
+// At an address-mode µop the superblock flushes its batched charges
+// exactly as the interpreter charged them: a fused access that faults
+// past MemWords, and observers that read Stats from inside their
+// callbacks, see the interpreter's Stats and error. A function with
+// more registers than the superblock's register view runs the same
+// loop on the plain path and matches too.
+func TestFusedAccessMatchesInterpreter(t *testing.T) {
+	var wide strings.Builder
+	for r := 0; r < 300; r++ {
+		fmt.Fprintf(&wide, "  %%w%d = mov %d\n", r, r)
+	}
+	wideSrc := strings.Replace(memLoopSrc, "entry:\n", "entry:\n"+wide.String(), 1)
+	for _, tc := range []struct {
+		name           string
+		src            string
+		args           []int64
+		observe        bool
+		loops, addrOps int // Superblocks
+		fault          bool
+	}{
+		{name: "fused load faults past MemWords", src: memLoopSrc, args: []int64{4090, 10}, loops: 1, addrOps: 1, fault: true},
+		{name: "fused store faults past MemWords", src: fusedStoreLoopSrc, args: []int64{4090, 10}, loops: 1, addrOps: 1, fault: true},
+		{name: "observers read Stats at a fused load", src: memLoopSrc, args: []int64{100, 50}, observe: true, loops: 1, addrOps: 1},
+		{name: "observers read Stats at a fused store", src: fusedStoreLoopSrc, args: []int64{100, 50}, observe: true, loops: 1, addrOps: 1},
+		{name: "more than 256 registers run on the plain path", src: wideSrc, args: []int64{4090, 10}, observe: true, fault: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := ir.MustParse(tc.src)
+			if loops, addrOps := Superblocks(m); loops != tc.loops || addrOps != tc.addrOps {
+				t.Fatalf("Superblocks = %d loops, %d address µops; want %d, %d", loops, addrOps, tc.loops, tc.addrOps)
+			}
+			var runs [2]memRun
+			var seen [2][]Stats
+			for i, tier := range []Tier{TierInterpreter, TierCompiled} {
+				setup := func(th *Thread) {
+					if !tc.observe {
+						return
+					}
+					th.OnLoad = func(string, string, int64, int64) { seen[i] = append(seen[i], th.Stats) }
+					th.OnStore = func(string, string, int64, int64) { seen[i] = append(seen[i], th.Stats) }
+				}
+				runs[i] = runMem(m, tier, false, setup, "main", tc.args...)
+			}
+			ref, got := runs[0], runs[1]
+			if (ref.err != "") != tc.fault {
+				t.Fatalf("interpreter error %q, want a fault: %v", ref.err, tc.fault)
+			}
+			if !got.equal(ref) {
+				t.Errorf("compiled tier differs from the interpreter:\n interp   ret=%d err=%q %+v\n compiled ret=%d err=%q %+v",
+					ref.ret, ref.err, ref.stats, got.ret, got.err, got.stats)
+			}
+			if tc.observe && (len(seen[0]) == 0 || !slices.Equal(seen[1], seen[0])) {
+				t.Errorf("Stats seen inside the observers differ (%d interpreter, %d compiled callbacks)",
+					len(seen[0]), len(seen[1]))
 			}
 		})
 	}

@@ -128,13 +128,25 @@ stage "fleet smoke" 600 go run ./cmd/ciexp -quick -replicas 4 fleet
 # floor and retry amplification at 1.15.
 stage "zone-outage smoke" 600 go run ./cmd/ciexp -quick -zones 2 -migrate fleet
 
-# Tier differential end-to-end: the same sanitize sweep with the
-# compiled tier selected additionally runs every corpus program under
-# both tiers and cross-checks store streams, returns, final memory,
-# fire counts, and exact Stats parity (the tier oracle). The -race
-# suite above already covers the compiled tier's deopt path via the
-# tier-parameterized VM conformance tests.
-stage "tier smoke" 600 go run ./cmd/ciexp -quick -tier=compiled sanitize
+# Tier differential end-to-end: every figure, Figures 4-12 included,
+# runs once on each tier, and the two outputs must agree line for line
+# outside the 7-line sanitize table. That table differs by design: on
+# the compiled tier the sanitize sweep also runs every corpus program
+# under both tiers and cross-checks store streams, returns, final
+# memory, fire counts and exact Stats (the tier oracle), and prints
+# its columns. The -race suite above already covers the compiled
+# tier's deopt path via the tier-parameterized VM conformance tests.
+tier_dir="${TMPDIR:-/tmp}/ciexp-tier-smoke"
+stage "tier smoke" 600 sh -c '
+    mkdir -p "$1" &&
+        go run ./cmd/ciexp -quick all > "$1/interpreter.txt" &&
+        go run ./cmd/ciexp -quick -tier=compiled all > "$1/compiled.txt" || exit 1
+    for tier in interpreter compiled; do
+        awk "/^Translation-validation sweep:/ { skip = 7 } skip { skip--; next } { print }" \
+            "$1/$tier.txt" > "$1/$tier.cut" || exit 1
+    done
+    diff "$1/interpreter.cut" "$1/compiled.cut"' sh "$tier_dir"
+rm -rf "$tier_dir"
 
 # Observability end-to-end: a figure run with -trace must emit a
 # well-formed Chrome trace_event JSON (validated in Go; no jq needed).
