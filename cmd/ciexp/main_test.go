@@ -6,26 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/help.golden from the current flag set")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata from the current tool")
 
-// The -h text is ciexp's CLI surface: the usage line generated from
-// experiments.Figures plus every flag's default. A flag or subcommand
-// that vanishes, or a default that moves, shows up here. Refresh with
-// go test ./cmd/ciexp -update.
-func TestHelpGolden(t *testing.T) {
-	fs := flag.NewFlagSet("ciexp", flag.ContinueOnError)
-	newFlags(fs)
-	var got bytes.Buffer
-	fs.SetOutput(&got)
-	fs.Usage()
-	golden := filepath.Join("testdata", "help.golden")
+// checkGolden compares got with testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,8 +27,48 @@ func TestHelpGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("-h output drifted from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// The -h text is ciexp's CLI surface: the usage line generated from
+// experiments.Figures plus every flag's default. A flag or subcommand
+// that vanishes, or a default that moves, shows up here.
+func TestHelpGolden(t *testing.T) {
+	fs := flag.NewFlagSet("ciexp", flag.ContinueOnError)
+	newFlags(fs)
+	var got bytes.Buffer
+	fs.SetOutput(&got)
+	fs.Usage()
+	checkGolden(t, "help.golden", got.Bytes())
+}
+
+// The output contract: every figure at -quick, and the fleet sweep in
+// the two shapes its flags change, byte for byte. The goldens are
+// written from a serial run (-workers 1) and checked at -workers 4, so
+// a pass also says that no printed row depends on the worker count.
+// Refresh with go test ./cmd/ciexp -update after an intended change.
+func TestOutputGolden(t *testing.T) {
+	workers := "4"
+	if *update {
+		workers = "1"
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"quick_all.golden", []string{"-quick", "all"}},
+		{"fleet_replicas4.golden", []string{"-quick", "-replicas", "4", "fleet"}},
+		{"fleet_zones2_migrate.golden", []string{"-quick", "-zones", "2", "-migrate", "fleet"}},
+	} {
+		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append([]string{"-workers", workers}, tc.args...), &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+				t.Fatalf("exit %d; stderr:\n%s", code, stderr.Bytes())
+			}
+			checkGolden(t, tc.golden, stdout.Bytes())
+		})
 	}
 }
 
