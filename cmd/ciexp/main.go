@@ -73,7 +73,9 @@
 // Each figure subcommand is an entry of experiments.Figures and runs on
 // the parallel experiment engine: -workers N shards its cells across N
 // workers (0 = GOMAXPROCS; results are byte-identical at any worker
-// count, and -workers 1 reproduces the serial pipeline exactly).
+// count, and -workers 1 reproduces the serial pipeline exactly). Every
+// VM run executes on the compiled tier, which matches the interpreter
+// cycle for cycle; `ciexp sanitize` checks that over its fuzz corpus.
 //
 // Observability: -trace FILE writes a Chrome trace_event JSON of the
 // run (probe fires, VM stage transitions, engine cache hits/misses,
@@ -176,18 +178,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	eng, err := cf.Engine()
-	if err != nil {
-		fmt.Fprintln(stderr, "ciexp:", err)
-		return 1
-	}
 	stopProfile, err := cf.StartProfile()
 	if err != nil {
 		fmt.Fprintln(stderr, "ciexp:", err)
 		return 1
 	}
 
-	in := experiments.Inputs{Eng: eng, Flags: cf, Quick: *quick, All: *all}
+	in := experiments.Inputs{Eng: cf.Engine(), Flags: cf, Quick: *quick, All: *all}
 	for _, fig := range figs {
 		if e := fig.Run(stdout, in); e != nil && err == nil {
 			err = fmt.Errorf("%s: %w", fig.Name, e)

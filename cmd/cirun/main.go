@@ -35,6 +35,11 @@
 // A checked compile followed by a run is spelled
 // `cirun -sanitize p.ir && cirun p.ir`.
 //
+// Runs execute on the VM's compiled tier. A run whose probes an
+// enabled observability scope watches (-hot, -trace, -metrics) falls
+// back to the interpreter, which the compiled tier matches cycle for
+// cycle.
+//
 // -quantum-policy picks the handler interval controller (fixed, aimd,
 // feedback). -trace FILE writes a Chrome trace_event JSON of the run
 // (probe fires, handler windows, hardware interrupts, external calls)
@@ -64,6 +69,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sanitize"
 	"repro/internal/stats"
+	"repro/internal/vm"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -86,7 +92,7 @@ type options struct {
 
 // newFlags registers cirun's flags on fs and sets its usage text.
 func newFlags(fs *flag.FlagSet) *options {
-	o := &options{cf: cliflags.New(fs).AddDesign().AddCompile().AddQuantum().AddTier().AddObs().AddProfile().AddBound()}
+	o := &options{cf: cliflags.New(fs).AddDesign().AddCompile().AddQuantum().AddObs().AddProfile().AddBound()}
 	fs.Int64Var(&o.interval, "interval", 5000, "CI interval in cycles (0 disables the handler)")
 	fs.StringVar(&o.entry, "entry", "main", "entry function")
 	fs.StringVar(&o.args, "args", "", "comma-separated int64 arguments for the entry function")
@@ -155,10 +161,6 @@ func (o *options) exec(path string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tier, err := o.cf.ParseTier()
-	if err != nil {
-		return err
-	}
 	quantum, err := o.cf.ParseQuantum()
 	if err != nil {
 		return err
@@ -206,7 +208,7 @@ func (o *options) exec(path string, stdout, stderr io.Writer) error {
 		core.WithProbeInterval(o.cf.ProbeInterval),
 		core.WithAllowableError(o.cf.AllowableError),
 		core.WithOptimize(o.optimize),
-		core.WithTier(tier),
+		core.WithTier(vm.TierCompiled),
 		core.WithObs(scope))
 	if err != nil {
 		return err

@@ -1,5 +1,5 @@
 // Package cliflags is the shared flag surface of the two CLIs (ciexp,
-// cirun). Each tool used to re-declare -design, -tier, -seed and
+// cirun). Each tool used to re-declare -design, -seed and
 // friends with drifting defaults; here every shared flag has one
 // registration helper, one default and one parser, so the tools stay
 // in lockstep, and a tool registers only the helpers whose flags it
@@ -25,7 +25,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/overload"
-	"repro/internal/vm"
 )
 
 // DesignByName maps the CLI spellings to probe designs. cirun's
@@ -70,10 +69,9 @@ type Flags struct {
 	// AddQuantum
 	QuantumPolicy string
 
-	// AddEngine / AddTier
+	// AddEngine
 	Workers  int
 	Sanitize bool
-	Tier     string
 
 	// AddSeed / AddScale
 	Seed  uint64
@@ -160,25 +158,12 @@ func ParseQuantum(name string) (func() ciruntime.QuantumPolicy, error) {
 	return nil, fmt.Errorf("unknown quantum policy %q (want fixed, aimd or feedback)", name)
 }
 
-// AddEngine registers the experiment-engine flags -workers, -sanitize
-// and -tier.
+// AddEngine registers the experiment-engine flags -workers and
+// -sanitize.
 func (f *Flags) AddEngine() *Flags {
 	f.fs.IntVar(&f.Workers, "workers", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
 	f.fs.BoolVar(&f.Sanitize, "sanitize", false, "run stage-by-stage translation validation on every compile")
-	return f.AddTier()
-}
-
-// AddTier registers -tier alone (cirun wants it without the engine
-// flags).
-func (f *Flags) AddTier() *Flags {
-	f.fs.StringVar(&f.Tier, "tier", "interpreter",
-		"VM execution tier: interpreter (reference) or compiled (closure-threaded, cycle-exact)")
 	return f
-}
-
-// ParseTier resolves the registered -tier flag value.
-func (f *Flags) ParseTier() (vm.Tier, error) {
-	return vm.ParseTier(f.Tier)
 }
 
 // AddSeed registers -seed.
@@ -356,20 +341,13 @@ func (f *Flags) Scope() *obs.Scope {
 	return f.scope
 }
 
-// Engine builds the experiment engine from -workers/-sanitize/-tier
-// and attaches the observability scope.
-func (f *Flags) Engine() (*engine.Engine, error) {
+// Engine builds the experiment engine from -workers/-sanitize and
+// attaches the observability scope.
+func (f *Flags) Engine() *engine.Engine {
 	eng := engine.New(f.Workers)
 	eng.SanitizeOnMiss = f.Sanitize
-	if f.Tier != "" {
-		tier, err := f.ParseTier()
-		if err != nil {
-			return nil, err
-		}
-		eng.Tier = tier
-	}
 	eng.AttachObs(f.Scope())
-	return eng, nil
+	return eng
 }
 
 // Finish flushes the observability outputs: the Chrome trace JSON to

@@ -83,10 +83,7 @@ func TestScopeEnabledAndMemoized(t *testing.T) {
 func TestEngineWiresScopeObserver(t *testing.T) {
 	f := newFlags(t, func(f *Flags) *Flags { return f.AddEngine().AddObs() },
 		"-workers", "1", "-metrics")
-	eng, err := f.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := f.Engine()
 	if eng.Obs != f.Scope() {
 		t.Error("engine not attached to the CLI scope")
 	}

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/obs"
-	"repro/internal/vm"
-)
+import "repro/internal/obs"
 
 // Engine bundles the two layers of the experiment engine: the worker
 // pool (sharding) and the in-process memoization cache (module and
@@ -20,10 +17,6 @@ type Engine struct {
 	// hit/miss instants and counters. Attach it via AttachObs so the
 	// cache observer is wired as well.
 	Obs *obs.Scope
-	// Tier selects the VM execution tier for every cell the engine
-	// runs (interpreter by default). It is folded into compile cache
-	// keys, so one engine can host both tiers without aliasing.
-	Tier vm.Tier
 }
 
 // AttachObs points the engine (and its cache) at an observability

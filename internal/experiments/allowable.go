@@ -62,7 +62,7 @@ func measureAllowableError(eng *engine.Engine, values []int64, scale int) ([]all
 				return allowablePoint{}, err
 			}
 			probes += prog.Instr.Probes
-			th, id := ciThread(eng, prog.Mod, 1, nil, base.IRPerCycle, target, nil)
+			th, id := ciThread(prog.Mod, 1, nil, base.IRPerCycle, target, nil)
 			th.RT.RecordIntervals = true
 			if _, err := th.Run("main", 0); err != nil {
 				return allowablePoint{}, fmt.Errorf("%s: %w", name, err)

@@ -102,13 +102,11 @@ func cfgKey(cfg core.Config) string {
 		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize, cfg.Tier)
 }
 
-// newMachine builds a VM over m on the engine's execution tier
-// (interpreter with a nil engine) under the experiments' run limit.
-func newMachine(eng *engine.Engine, m *ir.Module, model *vm.CostModel, threads int) *vm.VM {
+// newMachine builds a VM over m on the compiled tier under the
+// experiments' run limit.
+func newMachine(m *ir.Module, model *vm.CostModel, threads int) *vm.VM {
 	v := vm.New(m, model, threads)
-	if eng != nil {
-		v.Tier = eng.Tier
-	}
+	v.Tier = vm.TierCompiled
 	v.LimitInstrs = runLimit
 	return v
 }
@@ -119,10 +117,10 @@ func newMachine(eng *engine.Engine, m *ir.Module, model *vm.CostModel, threads i
 // handlerWorkCycles of work per fire — registered at intervalCycles.
 // A non-nil events replaces the runtime's event-threshold rule before
 // registration. It returns the thread and the handler id.
-func ciThread(eng *engine.Engine, m *ir.Module, threads int, scope *obs.Scope,
+func ciThread(m *ir.Module, threads int, scope *obs.Scope,
 	irPerCycle float64, intervalCycles int64, events func(int64) int64) (*vm.Thread, int) {
 
-	machine := newMachine(eng, m, nil, threads)
+	machine := newMachine(m, nil, threads)
 	machine.Obs = scope // NewThread copies it
 	th := machine.NewThread(0)
 	th.RT.IRPerCycle = irPerCycle
@@ -154,7 +152,7 @@ func baselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads i
 	}
 	key := fmt.Sprintf("base/%s/s%d/t%d", wl.Name, scale, threads)
 	v, err := eng.Cache.Get(key, func() (any, error) {
-		return runBaseline(eng, sourceModule(eng, wl, scale), wl.Name, threads)
+		return runBaseline(sourceModule(eng, wl, scale), wl.Name, threads)
 	})
 	if err != nil {
 		return baseline{}, err
@@ -179,11 +177,9 @@ func compileMaybeChecked(eng *engine.Engine, src *ir.Module, opts []core.Option)
 // is shared across cells; callers must treat it as read-only (VM runs
 // do — the fingerprint guard in the cache proves it).
 func compileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts ...core.Option) (*core.Program, error) {
-	if eng != nil {
-		// Bake the engine's tier into the program (an explicit WithTier
-		// among opts still wins — options apply in order).
-		opts = append([]core.Option{core.WithTier(eng.Tier)}, opts...)
-	}
+	// Programs run on the compiled tier (an explicit WithTier among
+	// opts still wins — options apply in order).
+	opts = append([]core.Option{core.WithTier(vm.TierCompiled)}, opts...)
 	cfg := core.ConfigOf(opts...)
 	if eng == nil || eng.Cache == nil || cfg.ImportedCosts != nil {
 		return compileMaybeChecked(eng, sourceModule(eng, wl, scale), opts)

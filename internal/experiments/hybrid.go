@@ -51,7 +51,7 @@ func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMul
 	if err != nil {
 		return hybridRow{}, err
 	}
-	base, err := runBaseline(eng, src, name, 1)
+	base, err := runBaseline(src, name, 1)
 	if err != nil {
 		return hybridRow{}, err
 	}
@@ -70,7 +70,7 @@ func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMul
 		model := vm.Default()
 		model.HWInterruptCost = 10000
 		model.HWTrapCost = 4000
-		machine := newMachine(eng, prog.Mod, model, 1)
+		machine := newMachine(prog.Mod, model, 1)
 		var gaps []int64
 		var lastFire int64
 		var th *vm.Thread

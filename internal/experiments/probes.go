@@ -44,7 +44,7 @@ func measureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]
 				if err != nil {
 					return row, err
 				}
-				th, _ := ciThread(eng, prog.Mod, 1, nil, base.IRPerCycle, intervalCycles, nil)
+				th, _ := ciThread(prog.Mod, 1, nil, base.IRPerCycle, intervalCycles, nil)
 				if _, err := th.Run("main", 0); err != nil {
 					return row, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
 				}

@@ -155,7 +155,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		if err != nil {
 			return row, err
 		}
-		th := newMachine(eng, prog.Mod, nil, 1).NewThread(0)
+		th := newMachine(prog.Mod, nil, 1).NewThread(0)
 		th.RT.IRPerCycle = base.IRPerCycle
 		th.RT.RecordIntervals = true
 		id := th.RT.RegisterCI(quantumTargetCycles, func(uint64) { serve(th.Charge) })
@@ -171,7 +171,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		row.Fires = th.RT.Fires(id)
 		row.FinalInterval = th.RT.CurrentInterval(id)
 	case "HW", "UIntr":
-		machine := newMachine(eng, sourceModule(eng, wl, scale), nil, 1)
+		machine := newMachine(sourceModule(eng, wl, scale), nil, 1)
 		var lastFire int64
 		machine.HW = &vm.HWConfig{
 			IntervalCycles: quantumTargetCycles,

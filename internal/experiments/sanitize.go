@@ -10,14 +10,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sanitize"
-	"repro/internal/vm"
 )
 
 // This file drives the translation-validation sanitizer from the
 // experiment CLI: a fuzz sweep that compiles random programs under the
 // full stage checks and the differential execution oracle, plus a
 // stage-checked compile of every paper workload. It is the sweep behind
-// `ciexp sanitize` and the smoke gate in verify.sh.
+// `ciexp sanitize`.
 
 // sanitizeDesigns is the oracle design set: the two CI variants, the
 // CoreDet-style and naive-balance baselines, and the probe-free
@@ -35,7 +34,8 @@ type sanitizeRow struct {
 	Design string
 	// Programs is the number of fuzz programs compiled.
 	Programs int
-	// Clean counts programs that passed both stage checks and oracle.
+	// Clean counts programs that passed both stage checks and oracle;
+	// each of them also ran under the tier-differential oracle.
 	Clean int
 	// Inconclusive counts oracle runs that hit the step budget.
 	Inconclusive int
@@ -43,11 +43,8 @@ type sanitizeRow struct {
 	StageErrors int
 	// Divergences counts differential-oracle failures.
 	Divergences int
-	// TierChecked / TierDivergences count tier-differential oracle runs
-	// (compiled vs interpreter, stat parity included) and their
-	// failures. Only populated when the engine's tier is the compiled
-	// one; the sweep output is unchanged otherwise.
-	TierChecked     int
+	// TierDivergences counts tier-differential oracle failures
+	// (compiled vs interpreter, stat parity included).
 	TierDivergences int
 	// FirstFailure is the first stage error or divergence, if any.
 	FirstFailure string
@@ -66,22 +63,18 @@ const (
 type sanitizeCell struct {
 	Verdicts [len(sanitizeDesigns)]sanitizeVerdict
 	Failures [len(sanitizeDesigns)]string
-	// TierChecked / TierDiverged mark per-design tier-differential
-	// verdicts (engine on the compiled tier only).
-	TierChecked  [len(sanitizeDesigns)]bool
+	// TierDiverged marks per-design tier-differential divergences.
 	TierDiverged [len(sanitizeDesigns)]bool
 }
 
 // runSanitizeSweep fuzzes `seeds` programs and pushes each through
 // sanitize.CompileChecked (stage checks + differential oracle) for
 // every oracle design. One seed is one engine cell; the whole sweep
-// shards across the engine pool. An engine on the compiled tier
-// additionally runs every clean instrumented module through the
-// tier-differential oracle (sanitize.DiffTiers), so
-// `ciexp sanitize -tier=compiled` gates the compiled tier's bit
-// exactness over the same fuzz corpus.
+// shards across the engine pool. Every clean instrumented module also
+// runs through the tier-differential oracle (sanitize.DiffTiers), so
+// `ciexp sanitize` gates the compiled tier's bit exactness over the
+// same fuzz corpus.
 func runSanitizeSweep(eng *engine.Engine, seeds int) ([]sanitizeRow, []cellError) {
-	tiered := eng.Tier == vm.TierCompiled
 	label := func(i int) string { return fmt.Sprintf("sanitize/seed%d", i+1) }
 	cells, errs := sweep(eng, seeds, label, func(i int) (sanitizeCell, error) {
 		seed := uint64(i + 1)
@@ -102,18 +95,15 @@ func runSanitizeSweep(eng *engine.Engine, seeds int) ([]sanitizeRow, []cellError
 			switch {
 			case err == nil:
 				cell.Verdicts[di] = verdictClean
-				if tiered {
-					cell.TierChecked[di] = true
-					terr := sanitize.DiffTiers(prog.Mod, eo)
-					var tdiv *sanitize.Divergence
-					switch {
-					case terr == nil || errors.Is(terr, sanitize.ErrInconclusive):
-					case errors.As(terr, &tdiv):
-						cell.TierDiverged[di] = true
-						cell.Failures[di] = fmt.Sprintf("seed %d: %v", seed, tdiv)
-					default:
-						return cell, fmt.Errorf("seed %d/%v: tier oracle: %w", seed, d, terr)
-					}
+				terr := sanitize.DiffTiers(prog.Mod, eo)
+				var tdiv *sanitize.Divergence
+				switch {
+				case terr == nil || errors.Is(terr, sanitize.ErrInconclusive):
+				case errors.As(terr, &tdiv):
+					cell.TierDiverged[di] = true
+					cell.Failures[di] = fmt.Sprintf("seed %d: %v", seed, tdiv)
+				default:
+					return cell, fmt.Errorf("seed %d/%v: tier oracle: %w", seed, d, terr)
 				}
 			case errors.Is(err, sanitize.ErrInconclusive):
 				cell.Verdicts[di] = verdictInconclusive
@@ -147,9 +137,6 @@ func runSanitizeSweep(eng *engine.Engine, seeds int) ([]sanitizeRow, []cellError
 				r.StageErrors++
 			case verdictDivergence:
 				r.Divergences++
-			}
-			if cell.TierChecked[di] {
-				r.TierChecked++
 			}
 			if cell.TierDiverged[di] {
 				r.TierDivergences++
@@ -199,28 +186,16 @@ func printSanitize(w io.Writer, eng *engine.Engine, scale int, quick bool) error
 	if quick {
 		seeds = 50
 	}
-	tiered := eng.Tier == vm.TierCompiled
-	suffix := ""
-	if tiered {
-		suffix = " + tier-differential oracle (compiled vs interpreter)"
-	}
-	fmt.Fprintf(w, "Translation-validation sweep: %d fuzz programs x %d designs (stage checks + differential oracle)%s\n",
-		seeds, len(sanitizeDesigns), suffix)
+	fmt.Fprintf(w, "Translation-validation sweep: %d fuzz programs x %d designs (stage checks + differential oracle) + tier-differential oracle (compiled vs interpreter)\n",
+		seeds, len(sanitizeDesigns))
 	rows, errs := runSanitizeSweep(eng, seeds)
-	fmt.Fprintf(w, "%-12s%10s%8s%14s%13s%13s",
-		"design", "programs", "clean", "inconclusive", "stage errs", "divergences")
-	if tiered {
-		fmt.Fprintf(w, "%12s%11s", "tier runs", "tier divs")
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-12s%10s%8s%14s%13s%13s%12s%11s\n",
+		"design", "programs", "clean", "inconclusive", "stage errs", "divergences", "tier runs", "tier divs")
 	bad := 0
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s%10d%8d%14d%13d%13d",
-			r.Design, r.Programs, r.Clean, r.Inconclusive, r.StageErrors, r.Divergences)
-		if tiered {
-			fmt.Fprintf(w, "%12d%11d", r.TierChecked, r.TierDivergences)
-		}
-		fmt.Fprintln(w)
+		// Every clean program is one tier-oracle run.
+		fmt.Fprintf(w, "%-12s%10d%8d%14d%13d%13d%12d%11d\n",
+			r.Design, r.Programs, r.Clean, r.Inconclusive, r.StageErrors, r.Divergences, r.Clean, r.TierDivergences)
 		bad += r.StageErrors + r.Divergences + r.TierDivergences
 		if r.FirstFailure != "" {
 			fmt.Fprintf(w, "  first failure: %s\n", r.FirstFailure)

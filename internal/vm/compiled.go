@@ -31,7 +31,6 @@ package vm
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -48,23 +47,12 @@ const (
 	TierCompiled
 )
 
-// String returns the CLI spelling of the tier.
+// String names the tier.
 func (t Tier) String() string {
 	if t == TierCompiled {
 		return "compiled"
 	}
 	return "interpreter"
-}
-
-// ParseTier resolves a -tier flag value (case-insensitive).
-func ParseTier(s string) (Tier, error) {
-	switch strings.ToLower(s) {
-	case "", "interp", "interpreter":
-		return TierInterpreter, nil
-	case "compiled":
-		return TierCompiled, nil
-	}
-	return 0, fmt.Errorf("vm: unknown tier %q (want interpreter or compiled)", s)
 }
 
 // MiscompileForTest, when set before a VM first compiles its module,
