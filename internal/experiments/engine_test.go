@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/ci/instrument"
-	"repro/internal/cliflags"
 	"repro/internal/engine"
 	"repro/internal/ir"
 	"repro/internal/workloads"
@@ -79,28 +78,6 @@ func TestEngineWorkerDeterminism(t *testing.T) {
 	if outputs[0] != string(want) {
 		t.Errorf("output drifted from golden file (rerun with -update if intended):\ngot:\n%s\nwant:\n%s",
 			outputs[0], want)
-	}
-}
-
-// Figures 4-8 and the chaos sweep run their cells on the engine like
-// every other figure, so their output too is byte-identical at any
-// worker count.
-func TestFiguresWorkerDeterminism(t *testing.T) {
-	render := func(workers int) string {
-		in := Inputs{Eng: engine.New(workers), Flags: &cliflags.Flags{Seed: 1}, Quick: true}
-		var buf bytes.Buffer
-		for _, fig := range Figures {
-			switch fig.Name {
-			case "fig4", "fig5", "fig6", "fig7", "fig8", "chaos":
-				if err := fig.Run(&buf, in); err != nil {
-					t.Fatalf("workers=%d %s: %v", workers, fig.Name, err)
-				}
-			}
-		}
-		return buf.String()
-	}
-	if serial, parallel := render(1), render(4); parallel != serial {
-		t.Errorf("output at workers=4 differs from workers=1:\n%s\nvs\n%s", parallel, serial)
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,26 +99,5 @@ func TestCheckQuantumGates(t *testing.T) {
 	}
 	if bad := (&quantumFigure{}).checkQuantum(); len(bad) != 1 {
 		t.Errorf("empty sweep must report an ungateable figure: %v", bad)
-	}
-}
-
-// printQuantum renders one row per variant and returns nil on a healthy
-// sweep — the smoke contract verify.sh leans on.
-func TestPrintQuantumQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick sweep in -short mode")
-	}
-	var buf bytes.Buffer
-	if err := printQuantum(&buf, engine.New(0), 1, true); err != nil {
-		t.Fatalf("quick quantum sweep failed: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, v := range quantumVariants {
-		if !strings.Contains(out, v.Design) {
-			t.Errorf("rendered table lacks a %s row:\n%s", v.Design, out)
-		}
-	}
-	if !strings.Contains(out, "feedback") || !strings.Contains(out, "UIntr") {
-		t.Errorf("rendered table lacks the feedback or UIntr rows:\n%s", out)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/overload"
 	"repro/internal/sim"
@@ -89,26 +88,6 @@ func zoneConfig() Config {
 		},
 		CrashReplicas:    2,
 		HedgeDelayCycles: 260_000,
-	}
-}
-
-// Run ignores its pool: callers that still pass one (the benchmark
-// passes a pool of two) get the serial result at any worker count.
-func TestFleetWorkerCountByteIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"base", testConfig()},
-		{"zones+migration", zoneConfig()},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			base := Run(tc.cfg, nil)
-			if got := Run(tc.cfg, engine.NewPool(4)); !reflect.DeepEqual(base, got) {
-				t.Fatalf("pool of 4 diverges from the nil-pool run:\nnil:  %+v\ngot:  %+v", base, got)
-			}
-		})
 	}
 }
 

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Repo verification gate: formatting, static checks, build, tests, ten
-# seconds of parser fuzzing, the benchmark on mini inputs, and the
-# quick smoke runs of every ciexp gate.
+# seconds of parser fuzzing, the benchmark on mini inputs, and a traced
+# ciexp run. Every ciexp gate's quick run (chaos, soak, quantum,
+# sanitize, interleave, fleet and the rest) is a golden that `go test`
+# checks: cmd/ciexp TestOutputGolden.
 # Run from the repo root; exits non-zero on the first failure, and
 # fails if anything it started is still running when it ends.
 set -eu
@@ -94,59 +96,6 @@ stage "parser fuzz" 300 go test ./internal/ir -run '^$' -fuzz '^FuzzParse$' -fuz
 # It says that the benchmark still builds and verifies, not how fast
 # anything is.
 stage "benchmark smoke" 600 go run ./benchmark -size mini -trace 0 -seconds 2
-
-# The ciexp gates that need no flag beyond -quick, in one process:
-#   - chaos: the fault-injection sweep's degradation invariants;
-#   - soak: saturation and 2x-overload phases with chaos composed in
-#     must hold the SLO guard (-slo-p999us/-max-reject defaults);
-#   - quantum: the handler-gap figure across interval policies
-#     (fixed/AIMD/feedback) and all four designs on the quick workload
-#     subset, failing when the feedback controller stops beating the
-#     fixed quantum or the CI rows leave the overhead budget;
-#   - sanitize: stage-by-stage semantic checks and the differential
-#     execution oracle over a fuzz corpus and all workloads;
-#   - interleave: context-bound-1 exploration over the three app
-#     sharing-protocol models and a fuzz corpus with generated
-#     handlers, failing on an unclassified race or a non-commutative
-#     schedule.
-# ciexp runs every named figure and exits non-zero when any one fails.
-stage "ciexp smoke" 600 go run ./cmd/ciexp -quick chaos soak sanitize quantum interleave
-
-# Fleet resilience end-to-end: a small cluster at the 1.2x soak load
-# with replica 0 crashing mid-run; the conservation oracle and the
-# resilience guards (goodput floor, retry amplification, tenant SLO)
-# run inside, plus the zone-outage headline (fixed 8-replica/4-zone
-# shape); ciexp exits non-zero on any violation.
-stage "fleet smoke" 600 go run ./cmd/ciexp -quick -replicas 4 fleet
-
-# Correlated-outage end-to-end through the flag plumbing: the crash
-# soak itself runs with replicas spread across 2 failure domains and
-# migration on (queued work drains off crashed/ejected replicas and
-# re-routes), so the extended oracle identities — migration
-# disposition, served-once, zero stranded attempts — see a migrating
-# fleet; the 1-of-4-zone outage headline gates goodput at the 90%
-# floor and retry amplification at 1.15.
-stage "zone-outage smoke" 600 go run ./cmd/ciexp -quick -zones 2 -migrate fleet
-
-# Tier differential end-to-end: every figure, Figures 4-12 included,
-# runs once on each tier, and the two outputs must agree line for line
-# outside the 7-line sanitize table. That table differs by design: on
-# the compiled tier the sanitize sweep also runs every corpus program
-# under both tiers and cross-checks store streams, returns, final
-# memory, fire counts and exact Stats (the tier oracle), and prints
-# its columns. The -race suite above already covers the compiled
-# tier's deopt path via the tier-parameterized VM conformance tests.
-tier_dir="${TMPDIR:-/tmp}/ciexp-tier-smoke"
-stage "tier smoke" 600 sh -c '
-    mkdir -p "$1" &&
-        go run ./cmd/ciexp -quick all > "$1/interpreter.txt" &&
-        go run ./cmd/ciexp -quick -tier=compiled all > "$1/compiled.txt" || exit 1
-    for tier in interpreter compiled; do
-        awk "/^Translation-validation sweep:/ { skip = 7 } skip { skip--; next } { print }" \
-            "$1/$tier.txt" > "$1/$tier.cut" || exit 1
-    done
-    diff "$1/interpreter.cut" "$1/compiled.cut"' sh "$tier_dir"
-rm -rf "$tier_dir"
 
 # Observability end-to-end: a figure run with -trace must emit a
 # well-formed Chrome trace_event JSON (validated in Go; no jq needed).
