@@ -263,7 +263,7 @@ func checkFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
 // against the zone guards, and — when scale > 1 — the `-scale`-keyed
 // 64-replica soak. Violations and failed cells return an error so
 // `ciexp fleet` exits non-zero. With quick, only the soak load runs
-// (the verify.sh smoke).
+// (the shape the cmd/ciexp output goldens pin).
 func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, scale int64) error {
 	loads := fleetLoadFactors
 	if quick {

@@ -17,8 +17,7 @@ import (
 // experiment CLI: every app sharing-protocol model plus a fuzz corpus
 // with generated handlers goes through record → detect → explore, and
 // the sweep fails on any unclassified race or non-commutative
-// schedule. It is the sweep behind `ciexp interleave` and the
-// interleave smoke gate in verify.sh.
+// schedule. It is the sweep behind `ciexp interleave`.
 
 // interleaveRow is one verified module's summary.
 type interleaveRow struct {
