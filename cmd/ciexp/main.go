@@ -190,7 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			err = fmt.Errorf("%s: %w", fig.Name, e)
 		}
 	}
-	if e := cf.Finish(stdout); e != nil && err == nil {
+	if e := cf.Finish(stdout, stderr); e != nil && err == nil {
 		err = e
 	}
 	if e := stopProfile(); e != nil && err == nil {

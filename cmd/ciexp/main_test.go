@@ -72,6 +72,22 @@ func TestOutputGolden(t *testing.T) {
 	}
 }
 
+// -trace reports the file it wrote on the stderr run was given, not on
+// the process's, so an in-process caller sees it.
+func TestTraceLineOnToolStderr(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-quick", "-trace", path, "allowable"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.Bytes())
+	}
+	if want := "trace: wrote " + path + " ("; !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("stderr = %q, want a line starting %q", stderr.String(), want)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Error(err)
+	}
+}
+
 // Every named figure runs, once and in experiments.Figures order; an
 // unknown name rejects the whole command line before anything runs.
 func TestSelectFigures(t *testing.T) {

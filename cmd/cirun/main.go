@@ -267,7 +267,7 @@ func (o *options) exec(path string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if err := o.cf.Finish(stdout); err != nil {
+	if err := o.cf.Finish(stdout, stderr); err != nil {
 		return err
 	}
 	if sloViolated {

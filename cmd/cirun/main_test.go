@@ -85,6 +85,23 @@ func TestModeGoldens(t *testing.T) {
 	}
 }
 
+// -trace reports the file it wrote on the stderr run was given, not on
+// the process's, so an in-process caller sees it.
+func TestTraceLineOnToolStderr(t *testing.T) {
+	radix := writeProgram(t, "radix.ir", workloads.ByName("radix").Build(1).String())
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-trace", path, "-args", "0", radix}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.Bytes())
+	}
+	if want := "trace: wrote " + path + " ("; !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("stderr = %q, want a line starting %q", stderr.String(), want)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Error(err)
+	}
+}
+
 // A program that fails to parse or to verify exits 1 with the parser's
 // message in every mode, before any mode does its work.
 func TestMalformedInput(t *testing.T) {

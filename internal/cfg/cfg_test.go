@@ -38,8 +38,8 @@ func TestGraphBasics(t *testing.T) {
 	if g.N != 4 {
 		t.Fatalf("N = %d", g.N)
 	}
-	if len(g.Succs[0]) != 2 || len(g.Preds[3]) != 2 {
-		t.Errorf("succs(entry)=%v preds(join)=%v", g.Succs[0], g.Preds[3])
+	if len(g.Succs(0)) != 2 || len(g.Preds(3)) != 2 {
+		t.Errorf("succs(entry)=%v preds(join)=%v", g.Succs(0), g.Preds(3))
 	}
 	if g.RPO[0] != 0 {
 		t.Errorf("RPO does not start at entry: %v", g.RPO)
@@ -275,11 +275,11 @@ exit:
 	}
 	g := New(f)
 	for b := 0; b < g.N; b++ {
-		if len(g.Succs[b]) < 2 {
+		if len(g.Succs(b)) < 2 {
 			continue
 		}
-		for _, s := range g.Succs[b] {
-			if len(g.Preds[s]) >= 2 {
+		for _, s := range g.Succs(b) {
+			if len(g.Preds(int(s))) >= 2 {
 				t.Errorf("critical edge %s -> %s remains", f.Blocks[b].Name, f.Blocks[s].Name)
 			}
 		}
@@ -293,7 +293,7 @@ func TestAnalyzeInductionConstTrips(t *testing.T) {
 	_, f := loopFunc(t, 100)
 	g := New(f)
 	lf := FindLoops(g, Dominators(g))
-	ri := AnalyzeRegs(f)
+	ri := NewAnalyses(f).Regs()
 	iv := AnalyzeInduction(f, g, lf.Loops[0], ri)
 	if !iv.Found {
 		t.Fatalf("induction not found\n%s", f)
@@ -327,7 +327,7 @@ exit:
 	f := m.FuncByName("f")
 	g := New(f)
 	lf := FindLoops(g, Dominators(g))
-	ri := AnalyzeRegs(f)
+	ri := NewAnalyses(f).Regs()
 	iv := AnalyzeInduction(f, g, lf.Loops[0], ri)
 	if !iv.Found || !iv.BoundIsParam || iv.BoundParam != 0 || iv.Step != 2 {
 		t.Fatalf("induction = %+v", iv)
@@ -362,7 +362,7 @@ exit:
 	f := m.FuncByName("f")
 	g := New(f)
 	lf := FindLoops(g, Dominators(g))
-	ri := AnalyzeRegs(f)
+	ri := NewAnalyses(f).Regs()
 	iv := AnalyzeInduction(f, g, lf.Loops[0], ri)
 	if iv.Found && (iv.BoundIsParam || iv.BoundIsConst) {
 		t.Errorf("mutated bound must not be const/param: %+v", iv)
@@ -390,7 +390,7 @@ exit:
 	f := m.FuncByName("f")
 	g := New(f)
 	lf := FindLoops(g, Dominators(g))
-	ri := AnalyzeRegs(f)
+	ri := NewAnalyses(f).Regs()
 	iv := AnalyzeInduction(f, g, lf.Loops[0], ri)
 	if !iv.Found {
 		t.Fatal("gt-form induction not recognized")
@@ -413,7 +413,7 @@ entry:
 `
 	m := ir.MustParse(src)
 	f := m.FuncByName("f")
-	ri := AnalyzeRegs(f)
+	ri := NewAnalyses(f).Regs()
 	if v, ok := ri.ConstValue(1); !ok || v != 42 {
 		t.Errorf("ConstValue(%%c) = %d, %v", v, ok)
 	}
@@ -518,7 +518,7 @@ exit:
 	f := m.FuncByName("f")
 	g := New(f)
 	lf := FindLoops(g, Dominators(g))
-	ri := AnalyzeRegs(f)
+	ri := NewAnalyses(f).Regs()
 	l := lf.Loops[0]
 	if !ri.SingleDefOutside(1, l) { // %k
 		t.Error("%k defined once outside the loop")

@@ -6,29 +6,52 @@ type DomTree struct {
 	g *Graph
 	// IDom maps block index to its immediate dominator; the entry maps
 	// to itself and unreachable blocks map to -1.
-	IDom []int
-	// Children maps block index to dominated children indices.
-	Children [][]int
+	IDom []int32
 	// depth in the dominator tree, used for O(h) Dominates queries.
-	depth []int
+	depth []int32
+	// ints holds IDom and depth.
+	ints []int32
 }
 
 // Dominators computes the dominator tree of g.
 func Dominators(g *Graph) *DomTree {
-	idom := chk(g.N, g.RPO, g.RPOIndex, g.Preds, 0)
-	return newDomTree(g, idom)
+	t := new(DomTree)
+	t.build(g)
+	return t
 }
 
-// chk runs the Cooper-Harvey-Kennedy iteration. rpo/rpoIndex describe
-// a traversal from root over the graph whose predecessor relation is
-// preds. Unvisited nodes get idom -1; the root maps to itself.
-func chk(n int, rpo, rpoIndex []int, preds [][]int, root int) []int {
-	idom := make([]int, n)
+// build makes t the dominator tree of g, in t's own array when it is
+// large enough.
+func (t *DomTree) build(g *Graph) {
+	if cap(t.ints) < 2*g.N {
+		t.ints = make([]int32, 2*g.N)
+	}
+	ints := t.ints[:2*g.N]
+	*t = DomTree{g: g, IDom: ints[:g.N:g.N], depth: ints[g.N:], ints: ints}
+	chk(t.IDom, g)
+	// A block's dominator precedes it in reverse postorder.
+	clear(t.depth)
+	if len(g.RPO) > 0 {
+		for _, b := range g.RPO[1:] {
+			t.depth[b] = t.depth[t.IDom[b]] + 1
+		}
+	}
+}
+
+// chk runs the Cooper-Harvey-Kennedy iteration over g from its entry,
+// writing the immediate dominators to idom. Unreachable blocks get -1;
+// the entry maps to itself.
+func chk(idom []int32, g *Graph) {
+	const root = 0
+	rpoIndex := g.RPOIndex
 	for i := range idom {
 		idom[i] = -1
 	}
+	if g.N == 0 {
+		return
+	}
 	idom[root] = root
-	intersect := func(a, b int) int {
+	intersect := func(a, b int32) int32 {
 		for a != b {
 			for rpoIndex[a] > rpoIndex[b] {
 				a = idom[a]
@@ -41,12 +64,12 @@ func chk(n int, rpo, rpoIndex []int, preds [][]int, root int) []int {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
+		for _, b := range g.RPO {
 			if b == root {
 				continue
 			}
-			newIdom := -1
-			for _, p := range preds[b] {
+			newIdom := int32(-1)
+			for _, p := range g.Preds(int(b)) {
 				if rpoIndex[p] < 0 || idom[p] == -1 {
 					continue
 				}
@@ -62,39 +85,6 @@ func chk(n int, rpo, rpoIndex []int, preds [][]int, root int) []int {
 			}
 		}
 	}
-	return idom
-}
-
-// newDomTree builds the tree for the immediate dominators idom of g,
-// computed from the entry. The children lists share one array, counted
-// before it is filled, with each list's capacity ending at its length.
-func newDomTree(g *Graph, idom []int) *DomTree {
-	const root = 0
-	ints := make([]int, 2*g.N) // depth, then the children lists
-	t := &DomTree{g: g, IDom: idom, Children: make([][]int, g.N), depth: ints[:g.N:g.N]}
-	// depth holds the number of children while the lists are carved.
-	for b := 0; b < g.N; b++ {
-		if b != root && idom[b] >= 0 {
-			t.depth[idom[b]]++
-		}
-	}
-	store := ints[g.N:]
-	for b, n := range t.depth {
-		if n > 0 {
-			t.Children[b], store = store[:0:n], store[n:]
-			t.depth[b] = 0
-		}
-	}
-	for b := 0; b < g.N; b++ {
-		if b != root && idom[b] >= 0 {
-			t.Children[idom[b]] = append(t.Children[idom[b]], b)
-		}
-	}
-	// A block's dominator precedes it in reverse postorder.
-	for _, b := range g.RPO[1:] {
-		t.depth[b] = t.depth[idom[b]] + 1
-	}
-	return t
 }
 
 // StrictDomPairs returns every ordered pair (a, b) of reachable blocks
@@ -109,9 +99,9 @@ func (t *DomTree) StrictDomPairs() [][2]int {
 		if !t.g.Reachable(b) || t.IDom[b] < 0 {
 			continue
 		}
-		for a := b; a != t.IDom[a]; {
+		for a := int32(b); a != t.IDom[a]; {
 			a = t.IDom[a]
-			out = append(out, [2]int{a, b})
+			out = append(out, [2]int{int(a), b})
 		}
 	}
 	return out
@@ -123,7 +113,7 @@ func (t *DomTree) Dominates(a, b int) bool {
 		return false // unreachable
 	}
 	for t.depth[b] > t.depth[a] {
-		b = t.IDom[b]
+		b = int(t.IDom[b])
 	}
 	return a == b
 }

@@ -7,54 +7,78 @@ import "repro/internal/ir"
 // parametric function costs.
 type RegInfo struct {
 	f *ir.Func
-	// defCount[r] is the number of static definitions of r. Parameters
-	// have an implicit definition not counted here.
-	defCount []int
-	// onlyDef[r] is the unique defining instruction when defCount==1.
-	onlyDef []*ir.Instr
-	// onlyDefBlock[r] is that definition's block index.
-	onlyDefBlock []int
-	// onlyDefIndex[r] is the definition's index within its block.
-	onlyDefIndex []int
+	// The static definitions of register r are sites[first[r]:first[r+1]],
+	// in block and instruction order. Parameters have an implicit
+	// definition not listed here.
+	first []int32
+	sites []defSite
 }
+
+// defSite is where an instruction defining a register sits.
+type defSite struct{ block, index int32 }
 
 // DefSite returns the unique definition site (block index, instruction
 // index) of r, when r has exactly one static definition.
 func (ri *RegInfo) DefSite(r ir.Reg) (block, index int, ok bool) {
-	if r == ir.NoReg || int(r) >= len(ri.defCount) || ri.defCount[r] != 1 {
+	if ri.defCount(r) != 1 {
 		return 0, 0, false
 	}
-	return ri.onlyDefBlock[r], ri.onlyDefIndex[r], true
+	s := ri.sites[ri.first[r]]
+	return int(s.block), int(s.index), true
 }
 
-// AnalyzeRegs scans f and records definition sites for every register.
-func AnalyzeRegs(f *ir.Func) *RegInfo {
-	n := f.NumRegs
-	ints := make([]int, 3*n) // defCount, onlyDefBlock, onlyDefIndex
-	ri := &RegInfo{
-		f:            f,
-		defCount:     ints[:n:n],
-		onlyDef:      make([]*ir.Instr, n),
-		onlyDefBlock: ints[n : 2*n : 2*n],
-		onlyDefIndex: ints[2*n:],
+// defs returns the definition sites of r.
+func (ri *RegInfo) defs(r ir.Reg) []defSite {
+	if r < 0 || int(r) >= len(ri.first)-1 {
+		return nil
 	}
-	for bi, b := range f.Blocks {
+	return ri.sites[ri.first[r]:ri.first[r+1]]
+}
+
+// defCount returns the number of static definitions of r.
+func (ri *RegInfo) defCount(r ir.Reg) int { return len(ri.defs(r)) }
+
+// instr returns the instruction at s.
+func (ri *RegInfo) instr(s defSite) *ir.Instr { return &ri.f.Blocks[s.block].Instrs[s.index] }
+
+// defines reports whether in is a static definition of its Dst.
+func defines(in *ir.Instr) bool {
+	switch in.Op {
+	case ir.OpStore, ir.OpProbe, ir.OpNop:
+		return false
+	}
+	return in.Dst != ir.NoReg
+}
+
+// build makes ri the register info of f, in ri's own arrays when they
+// are large enough. It counts the definitions per register, then files
+// each site at its register's cursor.
+func (ri *RegInfo) build(f *ir.Func) {
+	n := f.NumRegs
+	first := grown(ri.first, n+2)
+	clear(first)
+	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Dst == ir.NoReg {
-				continue
+			if in := &b.Instrs[i]; defines(in) {
+				first[in.Dst+2]++
 			}
-			switch in.Op {
-			case ir.OpStore, ir.OpProbe, ir.OpNop:
-				continue
-			}
-			ri.defCount[in.Dst]++
-			ri.onlyDef[in.Dst] = in
-			ri.onlyDefBlock[in.Dst] = bi
-			ri.onlyDefIndex[in.Dst] = i
 		}
 	}
-	return ri
+	// first[r+1] becomes the start of r's sites, then the cursor that
+	// ends at the start of r+1.
+	for r := 2; r < n+2; r++ {
+		first[r] += first[r-1]
+	}
+	sites := grown(ri.sites, int(first[n+1]))
+	for bi, b := range f.Blocks {
+		for i := range b.Instrs {
+			if in := &b.Instrs[i]; defines(in) {
+				sites[first[in.Dst+1]] = defSite{int32(bi), int32(i)}
+				first[in.Dst+1]++
+			}
+		}
+	}
+	*ri = RegInfo{f: f, first: first[:n+1], sites: sites}
 }
 
 // ConstValue reports whether r is a compile-time constant: a register
@@ -64,10 +88,10 @@ func (ri *RegInfo) ConstValue(r ir.Reg) (int64, bool) {
 	if r == ir.NoReg || int(r) < ri.f.NumParams {
 		return 0, false
 	}
-	if ri.defCount[r] != 1 {
+	if ri.defCount(r) != 1 {
 		return 0, false
 	}
-	d := ri.onlyDef[r]
+	d := ri.instr(ri.sites[ri.first[r]])
 	if d.Op == ir.OpMov && d.BImm {
 		return d.Imm, true
 	}
@@ -80,7 +104,7 @@ func (ri *RegInfo) ParamValue(r ir.Reg) (int, bool) {
 	if r == ir.NoReg || int(r) >= ri.f.NumParams {
 		return 0, false
 	}
-	if ri.defCount[r] != 0 {
+	if ri.defCount(r) != 0 {
 		return 0, false
 	}
 	return int(r), true
@@ -94,9 +118,10 @@ func (ri *RegInfo) SingleDefOutside(r ir.Reg, l *Loop) bool {
 		return false
 	}
 	if int(r) < ri.f.NumParams {
-		return ri.defCount[r] == 0
+		return ri.defCount(r) == 0
 	}
-	return ri.defCount[r] == 1 && !l.Has(ri.onlyDefBlock[r])
+	defs := ri.defs(r)
+	return len(defs) == 1 && !l.Has(int(defs[0].block))
 }
 
 // Induction describes a recognized canonical induction variable of a
@@ -163,6 +188,8 @@ func (iv *Induction) ParamTripCount() (param int, step int64, initConst int64, o
 //	pre:     %i defined once outside the loop (mov const / mov reg)
 //
 // Loops whose condition is written `gt/ge %bound, %i` are normalized.
+// ri must describe f as it is: the definitions of the induction
+// register are read from it.
 func AnalyzeInduction(f *ir.Func, g *Graph, l *Loop, ri *RegInfo) Induction {
 	none := Induction{}
 	header := f.Blocks[l.Header]
@@ -227,20 +254,15 @@ func AnalyzeInduction(f *ir.Func, g *Graph, l *Loop, ri *RegInfo) Induction {
 	stepBlock, stepIndex := -1, -1
 	var outDef *ir.Instr
 	inLoopDefs, outLoopDefs := 0, 0
-	for bi, b := range f.Blocks {
-		for ii := range b.Instrs {
-			in := &b.Instrs[ii]
-			if in.Dst != indReg || in.Op == ir.OpStore || in.Op == ir.OpProbe {
-				continue
-			}
-			if l.Has(bi) {
-				inLoopDefs++
-				stepIn = in
-				stepBlock, stepIndex = bi, ii
-			} else {
-				outLoopDefs++
-				outDef = in
-			}
+	for _, d := range ri.defs(indReg) {
+		in := ri.instr(d)
+		if l.Has(int(d.block)) {
+			inLoopDefs++
+			stepIn = in
+			stepBlock, stepIndex = int(d.block), int(d.index)
+		} else {
+			outLoopDefs++
+			outDef = in
 		}
 	}
 	if inLoopDefs != 1 || outLoopDefs != 1 {

@@ -41,7 +41,8 @@ func findLoopsRef(g *Graph, dom *DomTree) *refForest {
 		if !g.Reachable(t) {
 			continue
 		}
-		for _, h := range g.Succs[t] {
+		for _, s := range g.Succs(t) {
+			h := int(s)
 			if !dom.Dominates(h, t) {
 				continue
 			}
@@ -74,9 +75,9 @@ func findLoopsRef(g *Graph, dom *DomTree) *refForest {
 			}
 			owner[b] = l
 			body = append(body, b)
-			for _, p := range g.Preds[b] {
-				if g.Reachable(p) {
-					stack = append(stack, p)
+			for _, p := range g.Preds(b) {
+				if g.Reachable(int(p)) {
+					stack = append(stack, int(p))
 				}
 			}
 		}
@@ -86,7 +87,7 @@ func findLoopsRef(g *Graph, dom *DomTree) *refForest {
 		}
 		// Exits are in-loop blocks with a successor outside the loop.
 		for _, b := range body {
-			for _, s := range g.Succs[b] {
+			for _, s := range g.Succs(b) {
 				if owner[s] != l {
 					l.Exits = append(l.Exits, b)
 					break
@@ -159,16 +160,16 @@ func findPreheaderRef(g *Graph, l *refLoop) int {
 	// The preheader is the unique out-of-loop predecessor of the
 	// header, and must have the header as its only successor.
 	ph := -1
-	for _, p := range g.Preds[l.Header] {
-		if l.Blocks[p] {
+	for _, p := range g.Preds(l.Header) {
+		if l.Blocks[int(p)] {
 			continue
 		}
 		if ph != -1 {
 			return -1
 		}
-		ph = p
+		ph = int(p)
 	}
-	if ph == -1 || len(g.Succs[ph]) != 1 {
+	if ph == -1 || len(g.Succs(ph)) != 1 {
 		return -1
 	}
 	return ph

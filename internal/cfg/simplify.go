@@ -18,7 +18,7 @@ func SplitCriticalEdges(a *Analyses) bool {
 			continue
 		}
 		split := func(target *ir.Block) *ir.Block {
-			if len(g.Preds[target.Index]) < 2 {
+			if len(g.Preds(target.Index)) < 2 {
 				return target
 			}
 			nb := f.NewBlock(b.Name + ".crit")
@@ -77,8 +77,8 @@ func insertPreheader(f *ir.Func, g *Graph, l *Loop) bool {
 	ph.Term = ir.Terminator{Kind: ir.TermJmp, Then: header, Cond: ir.NoReg, Val: ir.NoReg}
 	// Redirect all out-of-loop predecessors to the preheader.
 	redirected := false
-	for _, pi := range g.Preds[l.Header] {
-		if l.Has(pi) {
+	for _, pi := range g.Preds(l.Header) {
+		if l.Has(int(pi)) {
 			continue
 		}
 		p := f.Blocks[pi]

@@ -3,6 +3,7 @@ package cfg
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
@@ -24,44 +25,85 @@ func ladder(n int) *ir.Func {
 }
 
 // TestNewAllocsIndependentOfSize gates the storage of the graph: the
-// edge lists of all blocks share one counted array, so building the
-// graph of 2000 blocks allocates as many objects as that of 20.
-// Before, every block with an edge had lists of its own (2 to 4
+// offsets, reverse postorder and edge lists of all blocks share one
+// counted int32 array, so building the graph of 2000 blocks allocates
+// as many objects as that of 20: the Graph, the array and the visit
+// stack. Before the lists moved into that array each block had list
+// headers of its own and a build took 6 objects; before they shared one
+// array, every block with an edge had lists of its own (2 to 4
 // allocations each).
 func TestNewAllocsIndependentOfSize(t *testing.T) {
 	for _, n := range []int{20, 2000} {
 		f := ladder(n)
-		if allocs := testing.AllocsPerRun(10, func() { New(f) }); allocs > 8 {
-			t.Errorf("New on %d blocks: %.0f allocations, want at most 8", n, allocs)
+		if allocs := testing.AllocsPerRun(10, func() { New(f) }); allocs > 3 {
+			t.Errorf("New on %d blocks: %.0f allocations, want at most 3", n, allocs)
 		}
+	}
+}
+
+// TestAnalysesRebuildInPlace checks that a bundle builds the graph,
+// dominators and register info into the memory of the ones it dropped,
+// for its own function after an edit and for the next function after
+// Reset, and that what it builds there matches a fresh build.
+func TestAnalysesRebuildInPlace(t *testing.T) {
+	big, small := ladder(40), ladder(12)
+	a := NewAnalyses(big)
+	a.Graph()
+	a.Dom()
+	a.Regs()
+	if allocs := testing.AllocsPerRun(10, func() {
+		a.CFGChanged()
+		a.Graph()
+		a.Dom()
+		a.Regs()
+	}); allocs != 0 {
+		t.Errorf("rebuild after CFGChanged: %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		a.Reset(small)
+		a.Graph()
+		a.Dom()
+		a.Regs()
+		a.Reset(big)
+	}); allocs != 0 {
+		t.Errorf("Reset to a smaller function: %.0f allocations, want 0", allocs)
+	}
+	a.Reset(small)
+	g, dom := a.Graph(), a.Dom()
+	fg := New(small)
+	fdom := Dominators(fg)
+	for b := 0; b < fg.N; b++ {
+		if !slices.Equal(g.Succs(b), fg.Succs(b)) || !slices.Equal(g.Preds(b), fg.Preds(b)) {
+			t.Errorf("block %d: reused graph has succs %v preds %v, fresh %v %v", b, g.Succs(b), g.Preds(b), fg.Succs(b), fg.Preds(b))
+		}
+	}
+	if !slices.Equal(g.RPO, fg.RPO) || !slices.Equal(g.RPOIndex, fg.RPOIndex) || !slices.Equal(dom.IDom, fdom.IDom) {
+		t.Errorf("reused graph or tree differs from a fresh build")
 	}
 }
 
 // TestListsDoNotShareCapacity checks that a consumer appending to one
-// successor, predecessor or dominator-tree children list gets a copy
-// and leaves the list stored next to it alone.
+// successor or predecessor list gets a copy and leaves the list stored
+// next to it alone.
 func TestListsDoNotShareCapacity(t *testing.T) {
 	f := ladder(6)
 	g := New(f)
-	dom := Dominators(g)
-	want := [][][]int{clone(g.Succs), clone(g.Preds), clone(dom.Children)}
-	for _, lists := range [][][]int{g.Succs, g.Preds, dom.Children} {
-		for i := range lists {
-			if len(lists[i]) != cap(lists[i]) {
-				t.Errorf("list %d: len %d, cap %d", i, len(lists[i]), cap(lists[i]))
+	lists := func() (out [][]int32) {
+		for b := 0; b < g.N; b++ {
+			out = append(out, slices.Clone(g.Succs(b)), slices.Clone(g.Preds(b)))
+		}
+		return out
+	}
+	want := lists()
+	for b := 0; b < g.N; b++ {
+		for _, l := range [][]int32{g.Succs(b), g.Preds(b)} {
+			if len(l) != cap(l) {
+				t.Errorf("block %d: list len %d, cap %d", b, len(l), cap(l))
 			}
-			_ = append(lists[i], -1)
+			_ = append(l, -1)
 		}
 	}
-	if got := [][][]int{g.Succs, g.Preds, dom.Children}; !reflect.DeepEqual(got, want) {
+	if got := lists(); !reflect.DeepEqual(got, want) {
 		t.Errorf("lists changed by appends:\n got %v\nwant %v", got, want)
 	}
-}
-
-func clone(lists [][]int) [][]int {
-	out := make([][]int, len(lists))
-	for i, l := range lists {
-		out[i] = append([]int(nil), l...)
-	}
-	return out
 }

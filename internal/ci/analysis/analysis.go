@@ -131,8 +131,12 @@ func Analyze(m *ir.Module, opts Options) *ModuleResult {
 		res.Costs[name] = fi
 	}
 	order, recursive := callOrder(m)
+	// One bundle serves every function in turn: the analyses of one
+	// are done with before the next is analyzed.
+	an := cfg.NewAnalyses(nil)
 	for _, f := range order {
-		fr := analyzeFunc(f, o, res.Costs, recursive[f.Name])
+		an.Reset(f)
+		fr := analyzeFunc(f, an, o, res.Costs, recursive[f.Name])
 		res.Funcs[f.Name] = fr
 		res.Costs[f.Name] = FuncInfo{Name: f.Name, Instrumented: fr.Instrumented, Cost: fr.Cost}
 	}
@@ -168,7 +172,7 @@ func callOrder(m *ir.Module) ([]*ir.Func, map[string]bool) {
 				if in.Op != ir.OpCall {
 					continue
 				}
-				if callee := m.FuncByName(in.Callee); callee != nil {
+				if callee := m.FuncByName(in.Call.Callee); callee != nil {
 					visit(callee)
 					// Propagate recursion discovered through this edge.
 					if st[callee.Name] == visiting {
@@ -203,14 +207,14 @@ type analyzer struct {
 	flushThreshold int64
 }
 
-func analyzeFunc(f *ir.Func, opts *Options, costs CostTable, isRecursive bool) *FuncResult {
+// analyzeFunc analyzes f; an is an empty bundle for f.
+func analyzeFunc(f *ir.Func, an *cfg.Analyses, opts *Options, costs CostTable, isRecursive bool) *FuncResult {
 	// §3.1 pre-processing: unify returns and simplify loops. Critical
 	// edges are split only if the rules get stuck — blanket splitting
 	// would erase the triangle (2b) and self-loop (3c) patterns. The
 	// analyses loop-simplify built last describe the function it
 	// returns, and the reduction reads them.
 	cfg.UnifyReturns(f)
-	an := cfg.NewAnalyses(f)
 	cfg.LoopSimplify(an)
 	a := newAnalyzer(f, an, opts, costs)
 	if a.res.Reduction.Root() == nil && cfg.SplitCriticalEdges(an) {
@@ -267,7 +271,7 @@ func newAnalyzer(f *ir.Func, an *cfg.Analyses, opts *Options, costs CostTable) *
 func (a *analyzer) instrCost(in *ir.Instr) (Cost, bool) {
 	switch in.Op {
 	case ir.OpCall:
-		fi, ok := a.costs[in.Callee]
+		fi, ok := a.costs[in.Call.Callee]
 		if !ok {
 			// Callee not yet analyzed (recursion) — treated as
 			// self-accounting.
@@ -279,10 +283,10 @@ func (a *analyzer) instrCost(in *ir.Instr) (Cost, bool) {
 		// Uninstrumented callee: charge its cost, substituting
 		// argument values into parametric costs.
 		cost := fi.Cost.Subst(func(p int) Cost {
-			if p >= len(in.Args) {
+			if p >= len(in.Call.Args) {
 				return Unknown()
 			}
-			arg := in.Args[p]
+			arg := in.Call.Args[p]
 			if c, ok := a.ri.ConstValue(arg); ok {
 				return Const(c)
 			}

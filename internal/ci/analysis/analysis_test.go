@@ -667,8 +667,8 @@ l5.end:
 	for _, ch := range root.Children {
 		if ch.IsLoop() {
 			loops++
-			if !ch.Trips.IsConst() {
-				t.Errorf("loop %s has non-constant trips %v; backedge counts were known", ch.Entry.Name, ch.Trips)
+			if !ch.Loop.Trips.IsConst() {
+				t.Errorf("loop %s has non-constant trips %v; backedge counts were known", ch.Entry.Name, ch.Loop.Trips)
 			}
 		}
 	}

@@ -43,8 +43,15 @@ func (k CKind) String() string { return ckindNames[k] }
 // Container is a node of the hierarchical abstraction built by the
 // production-rule system (§3.2). Every container is a single-entry,
 // single-exit region of the CFG.
+//
+// Every reachable block gets a leaf, so the fields only loop containers
+// use live in a LoopInfo behind Loop: a leaf is 96 bytes.
 type Container struct {
-	Kind     CKind
+	Kind CKind
+	// Barrier marks leaves containing uninstrumentable calls (external
+	// library calls / unknown-cost NoInstrument callees) after which a
+	// probe must be placed (§3).
+	Barrier  bool
 	Children []*Container
 	// Block is the wrapped basic block for CBlock leaves.
 	Block *ir.Block
@@ -53,16 +60,19 @@ type Container struct {
 	// Cost is the evaluated cost (Table 6); for loop containers it
 	// already includes the trip multiplication when trips are known.
 	Cost Cost
-	// Trips is the body execution count for loop containers.
+	// Loop is set for loop containers and nil for the others.
+	Loop *LoopInfo
+}
+
+// LoopInfo is what a loop container knows of its loop.
+type LoopInfo struct {
+	// Trips is the body execution count.
 	Trips Cost
-	// Ind is the recognized induction variable for loop containers.
+	// Ind is the recognized induction variable.
 	Ind cfg.Induction
-	// Loop is the natural loop for loop containers, when matched.
-	Loop *cfg.Loop
-	// Barrier marks leaves containing uninstrumentable calls (external
-	// library calls / unknown-cost NoInstrument callees) after which a
-	// probe must be placed (§3).
-	Barrier bool
+	// Natural is the natural loop headed at the container's entry, when
+	// there is one.
+	Natural *cfg.Loop
 }
 
 // IsLoop reports whether the container is one of the loop kinds.
@@ -101,7 +111,7 @@ func (c *Container) dump(sb *strings.Builder, depth int) {
 	}
 	fmt.Fprintf(sb, "%s cost=%s", c.Kind, c.Cost)
 	if c.IsLoop() {
-		fmt.Fprintf(sb, " trips=%s", c.Trips)
+		fmt.Fprintf(sb, " trips=%s", c.Loop.Trips)
 	}
 	sb.WriteByte('\n')
 	for _, ch := range c.Children {

@@ -57,8 +57,8 @@ func reduceBothWays(f *ir.Func) (resumed, restarted string, root bool) {
 	cost := func(b *ir.Block) (Cost, bool) { return Const(int64(1 + b.Index%7)), false }
 	f.Reindex()
 	build := func() *reducer {
-		g := cfg.New(f)
-		return newReducer(f, g, cfg.FindLoops(g, cfg.Dominators(g)), cfg.AnalyzeRegs(f), opts, cost)
+		an := cfg.NewAnalyses(f)
+		return newReducer(f, an.Graph(), an.Loops(), an.Regs(), opts, cost)
 	}
 	a := build()
 	a.run()

@@ -129,8 +129,8 @@ func CheckSpacing(f *ir.Func, externCostIR, maxGap int64) error {
 				return fmt.Errorf("analysis: %d probe-free IR flowing out of %q (budget %d)",
 					out, f.Blocks[bi].Name, 2*maxGap)
 			}
-			for _, si := range g.Succs[bi] {
-				if dom.Dominates(si, bi) {
+			for _, si := range g.Succs(int(bi)) {
+				if dom.Dominates(int(si), int(bi)) {
 					continue // back edge: handled by the loop checks
 				}
 				if out > pending[si] {
@@ -151,8 +151,8 @@ func CheckSpacing(f *ir.Func, externCostIR, maxGap int64) error {
 func loopExitsToDynamicProbe(f *ir.Func, g *cfg.Graph, l *cfg.Loop) bool {
 	found := false
 	for _, ei := range l.Exits {
-		for _, si := range g.Succs[ei] {
-			if l.Has(si) {
+		for _, si := range g.Succs(ei) {
+			if l.Has(int(si)) {
 				continue
 			}
 			b := f.Blocks[si]

@@ -32,7 +32,7 @@ func findHeaderCmp(h *ir.Block) *ir.Instr {
 // whose bound is stable across the loop and whose body is free of
 // probe barriers.
 func (a *analyzer) canTransform(c *Container) bool {
-	l, iv := c.Loop, c.Ind
+	l, iv := c.Loop.Natural, c.Loop.Ind
 	if l == nil || !iv.Found || l.Preheader < 0 {
 		return false
 	}
@@ -55,7 +55,7 @@ func (a *analyzer) canTransform(c *Container) bool {
 // canClone checks the §3.5 preconditions: a simple (small) loop whose
 // trip count is only known at run time.
 func (a *analyzer) canClone(c *Container) bool {
-	if c.Trips.IsConst() || c.NumBlocks() > maxCloneBlocks {
+	if c.Loop.Trips.IsConst() || c.NumBlocks() > maxCloneBlocks {
 		return false
 	}
 	return a.canTransform(c)
@@ -75,7 +75,7 @@ func incPerStep(perIter, step int64) int64 {
 // loop bounded to roughly ProbeInterval IR, inside an outer loop that
 // probes once per chunk with a dynamically computed increment.
 func (a *analyzer) transformLoop(c *Container, perIter int64) {
-	f, l, iv := a.f, c.Loop, c.Ind
+	f, l, iv := a.f, c.Loop.Natural, c.Loop.Ind
 	h := f.Blocks[l.Header]
 	cmp := findHeaderCmp(h)
 	if cmp == nil {
@@ -176,32 +176,50 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 // after the loop. The original loop remains and is subsequently
 // transformed (§3.4) as the slow path.
 func (a *analyzer) cloneLoop(c *Container, perIter int64) {
-	f, l, iv := a.f, c.Loop, c.Ind
+	f, l, iv := a.f, c.Loop.Natural, c.Loop.Ind
 	h := f.Blocks[l.Header]
 	ph := f.Blocks[l.Preheader]
 
 	// Deep-copy the loop blocks, in ascending index order: the clone of
-	// l.Blocks[k] is f.Blocks[base+k], and the copies' instructions
-	// share one array.
-	base, n := len(f.Blocks), 0
+	// l.Blocks[k] is f.Blocks[base+k]. The copies' instructions, call
+	// records, call arguments and probe descriptions each share one
+	// array, as in ir.Module.Clone.
+	base, n, ncalls, nargs, nprobes := len(f.Blocks), 0, 0, 0, 0
 	for _, bi := range l.Blocks {
-		n += len(f.Blocks[bi].Instrs)
+		for i := range f.Blocks[bi].Instrs {
+			in := &f.Blocks[bi].Instrs[i]
+			n++
+			if in.Call != nil {
+				ncalls++
+				nargs += len(in.Call.Args)
+			}
+			if in.Probe != nil {
+				nprobes++
+			}
+		}
 	}
 	instrs := make([]ir.Instr, n)
+	calls := make([]ir.Call, ncalls)
+	args := make([]ir.Reg, nargs)
+	probes := make([]ir.ProbeInfo, nprobes)
 	for _, bi := range l.Blocks {
 		ob := f.Blocks[bi]
 		nb := f.NewBlock(ob.Name + ".fast")
-		n := len(ob.Instrs)
+		n := copy(instrs, ob.Instrs)
 		nb.Instrs, instrs = instrs[:n:n], instrs[n:]
-		for i, in := range ob.Instrs {
-			if in.Args != nil {
-				in.Args = append([]ir.Reg(nil), in.Args...)
+		for i := range nb.Instrs {
+			in := &nb.Instrs[i]
+			if in.Call != nil {
+				calls[0].Callee = in.Call.Callee
+				if k := copy(args, in.Call.Args); k > 0 {
+					calls[0].Args, args = args[:k:k], args[k:]
+				}
+				in.Call, calls = &calls[0], calls[1:]
 			}
 			if in.Probe != nil {
-				p := *in.Probe
-				in.Probe = &p
+				probes[0] = *in.Probe
+				in.Probe, probes = &probes[0], probes[1:]
 			}
-			nb.Instrs[i] = in
 		}
 		nb.Term = ob.Term
 	}

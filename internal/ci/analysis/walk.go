@@ -71,8 +71,8 @@ func (a *analyzer) flushBefore(c *Container, pending int64) int64 {
 		return pending
 	}
 	if c.IsLoop() {
-		if c.Loop != nil && c.Loop.Preheader >= 0 {
-			a.markEnd(a.f.Blocks[c.Loop.Preheader], pending)
+		if l := c.Loop.Natural; l != nil && l.Preheader >= 0 {
+			a.markEnd(a.f.Blocks[l.Preheader], pending)
 		}
 		return 0
 	}
@@ -172,7 +172,7 @@ func (a *analyzer) visitLoop(c *Container) int64 {
 		// the outer re-test, the chunk setup, the final outer test, and
 		// (when cloned) the run-time size guard in the preheader.
 		residual := int64(9)
-		if !c.Trips.IsConst() && !a.opts.DisableLoopClone && a.canClone(c) {
+		if !c.Loop.Trips.IsConst() && !a.opts.DisableLoopClone && a.canClone(c) {
 			a.cloneLoop(c, perIter)
 			a.res.LoopsCloned++
 			a.opts.stage("loop-clone", a.f)

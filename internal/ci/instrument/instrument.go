@@ -335,9 +335,9 @@ func applyBalance(f *ir.Func, inc []int64, has []bool, eps int64) {
 		if !has[bi] || lf.InnermostAt[bi] != nil {
 			continue
 		}
-		ok := len(g.Succs[bi]) > 0
-		for _, s := range g.Succs[bi] {
-			if len(g.Preds[s]) != 1 || s == bi || lf.InnermostAt[s] != nil {
+		ok := len(g.Succs(int(bi))) > 0
+		for _, s := range g.Succs(int(bi)) {
+			if len(g.Preds(int(s))) != 1 || s == bi || lf.InnermostAt[s] != nil {
 				ok = false
 				break
 			}
@@ -345,21 +345,21 @@ func applyBalance(f *ir.Func, inc []int64, has []bool, eps int64) {
 		if !ok {
 			continue
 		}
-		for _, s := range g.Succs[bi] {
+		for _, s := range g.Succs(int(bi)) {
 			inc[s] += inc[bi]
 		}
 		has[bi] = false
 	}
 	// Pass 2: absorb predecessors (forward edges only).
 	for _, bi := range g.RPO {
-		preds := g.Preds[bi]
+		preds := g.Preds(int(bi))
 		if len(preds) < 2 {
 			continue
 		}
 		ok := true
 		var lo, hi, sum int64
 		for k, p := range preds {
-			if !has[p] || g.RPOIndex[p] >= g.RPOIndex[bi] || len(g.Succs[p]) != 1 {
+			if !has[p] || g.RPOIndex[p] >= g.RPOIndex[bi] || len(g.Succs(int(p))) != 1 {
 				ok = false
 				break
 			}

@@ -351,18 +351,20 @@ func (f *Flags) Engine() *engine.Engine {
 }
 
 // Finish flushes the observability outputs: the Chrome trace JSON to
-// -trace's path and, with -metrics, the metrics report to w.
-func (f *Flags) Finish(w io.Writer) error {
+// -trace's path, with a line saying so on stderr, and, with -metrics,
+// the metrics report to stdout. The writers are the tool's own, so an
+// in-process run sees both.
+func (f *Flags) Finish(stdout, stderr io.Writer) error {
 	scope := f.Scope()
 	if f.TracePath != "" {
 		if err := scope.WriteTraceFile(f.TracePath); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events, %d dropped)\n",
+		fmt.Fprintf(stderr, "trace: wrote %s (%d events, %d dropped)\n",
 			f.TracePath, len(scope.Events()), scope.Dropped())
 	}
 	if f.Metrics {
-		return scope.WriteMetrics(w)
+		return scope.WriteMetrics(stdout)
 	}
 	return nil
 }

@@ -105,12 +105,15 @@ func TestFinishWritesTraceAndMetrics(t *testing.T) {
 	f := newFlags(t, func(f *Flags) *Flags { return f.AddObs() },
 		"-trace", path, "-metrics")
 	f.Scope().Count("x", 1)
-	var sb strings.Builder
-	if err := f.Finish(&sb); err != nil {
+	var sb, errb strings.Builder
+	if err := f.Finish(&sb, &errb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "x") {
 		t.Errorf("metrics output lacks counter: %q", sb.String())
+	}
+	if want := "trace: wrote " + path + " ("; !strings.HasPrefix(errb.String(), want) {
+		t.Errorf("stderr = %q, want a line starting %q", errb.String(), want)
 	}
 }
 

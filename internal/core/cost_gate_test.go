@@ -1,11 +1,30 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/workloads"
 )
+
+// table7 builds the 28 Table-7 programs at scale 1.
+func table7() []*ir.Module {
+	var mods []*ir.Module
+	for _, w := range workloads.All {
+		mods = append(mods, w.Build(1))
+	}
+	return mods
+}
+
+// compileAll compiles every module under opts.
+func compileAll(t *testing.T, mods []*ir.Module, opts []Option) {
+	for _, m := range mods {
+		if _, err := Compile(m, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // TestCompileAllocsPerConfig gates the allocations of Compile on the 28
 // Table-7 programs at scale 1, under each configuration of the
@@ -15,25 +34,54 @@ import (
 // per function and took its memory from slabs (loop sets as bit sets,
 // one-pass probe insertion, the reducer's arena, one analysis bundle
 // shared by the optimizer's passes), the same measurement read
-// CI 6 281, CI-Cycles 6 280, Naive 1 184 and CI+opt 8 102; it reads
-// 2 551, 2 551, 482 and 3 145 now.
+// CI 6 281, CI-Cycles 6 280, Naive 1 184 and CI+opt 8 102. Before the
+// graph became one int32 array and one bundle's memory served every
+// function of a module, it read 2 551, 2 551, 482 and 3 145; it reads
+// 2 375, 2 375, 491 and 2 605 now (Naive's nine more are the call-record
+// arrays of the clones of the nine programs that make calls).
 func TestCompileAllocsPerConfig(t *testing.T) {
-	bound := map[string]float64{"CI": 2679, "CI-Cycles": 2679, "Naive": 506, "CI+opt": 3302}
-	var mods []*ir.Module
-	for _, w := range workloads.All {
-		mods = append(mods, w.Build(1))
-	}
+	bound := map[string]float64{"CI": 2494, "CI-Cycles": 2494, "Naive": 516, "CI+opt": 2736}
+	mods := table7()
 	for _, c := range goldenConfigs {
-		allocs := testing.AllocsPerRun(3, func() {
-			for _, m := range mods {
-				if _, err := Compile(m, c.opts...); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+		allocs := testing.AllocsPerRun(3, func() { compileAll(t, mods, c.opts) })
 		t.Logf("%s: %.0f allocations", c.name, allocs)
 		if allocs > bound[c.name] {
 			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, allocs, bound[c.name])
 		}
 	}
+}
+
+// TestCompileBytesPerConfig gates the bytes Compile allocates on the
+// same programs and configurations, each bound the count at the time of
+// writing plus 5%. The counts repeat to within a few bytes. Before
+// instructions shrank to 40 bytes (call and probe records behind
+// pointers), leaf containers to 96 (loop fields in a loop record), the
+// graph to one int32 array and the analyses to one reused bundle per
+// module, the measurement read CI 666 056 B, CI-Cycles 666 056 B,
+// Naive 304 736 B and CI+opt 832 264 B; it reads 440 504, 440 504,
+// 185 904 and 494 200 now.
+func TestCompileBytesPerConfig(t *testing.T) {
+	bound := map[string]float64{"CI": 462529, "CI-Cycles": 462529, "Naive": 195199, "CI+opt": 518910}
+	mods := table7()
+	for _, c := range goldenConfigs {
+		bytes := bytesPerRun(3, func() { compileAll(t, mods, c.opts) })
+		t.Logf("%s: %.0f bytes", c.name, bytes)
+		if bytes > bound[c.name] {
+			t.Errorf("%s: %.0f bytes, want at most %.0f", c.name, bytes, bound[c.name])
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes f
+// allocates per call, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

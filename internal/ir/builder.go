@@ -8,6 +8,9 @@ import "fmt"
 type Builder struct {
 	F *Func
 	B *Block
+	// calls is a chunk the call records of Call and ExtCall are taken
+	// from.
+	calls []Call
 }
 
 // NewBuilder returns a builder positioned at the function's entry
@@ -101,12 +104,23 @@ func (bl *Builder) AtomicAdd(base Reg, off int64, val Reg) Reg {
 
 // Call emits Dst = callee(args...) and returns Dst.
 func (bl *Builder) Call(callee string, args ...Reg) Reg {
-	return bl.emit(Instr{Op: OpCall, Dst: bl.F.NewReg(), Callee: callee, Args: args})
+	return bl.emit(Instr{Op: OpCall, Dst: bl.F.NewReg(), Call: bl.call(callee, args)})
 }
 
 // ExtCall emits Dst = extern callee(args...) and returns Dst.
 func (bl *Builder) ExtCall(callee string, args ...Reg) Reg {
-	return bl.emit(Instr{Op: OpExtCall, Dst: bl.F.NewReg(), Callee: callee, Args: args})
+	return bl.emit(Instr{Op: OpExtCall, Dst: bl.F.NewReg(), Call: bl.call(callee, args)})
+}
+
+// call returns a call record taken from the builder's chunk.
+func (bl *Builder) call(callee string, args []Reg) *Call {
+	if len(bl.calls) == 0 {
+		bl.calls = make([]Call, 16)
+	}
+	c := &bl.calls[0]
+	bl.calls = bl.calls[1:]
+	*c = Call{Callee: callee, Args: args}
+	return c
 }
 
 // Jmp terminates the current block with an unconditional jump.

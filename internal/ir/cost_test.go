@@ -83,7 +83,7 @@ only:
 		f := mod.Funcs[0]
 		entry := f.Blocks[0]
 		first := &entry.Instrs[0]
-		first.Args = append(first.Args, 0)[:2]
+		first.Call.Args = append(first.Call.Args, 0)[:2]
 		entry.Instrs = append(entry.Instrs, ir.Instr{Op: ir.OpNop, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg})[:2]
 		f.Blocks = append(f.Blocks, entry)[:2]
 		if got := mod.String(); got != want {

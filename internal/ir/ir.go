@@ -60,8 +60,9 @@ const (
 	// OpAtomicAdd performs Dst = Mem[A+Imm]; Mem[A+Imm] += B atomically
 	// with respect to other VM threads.
 	OpAtomicAdd
-	// OpCall invokes Callee (a function in the same module) with Args;
-	// the callee's return value lands in Dst (NoReg discards it).
+	// OpCall invokes Call.Callee (a function in the same module) with
+	// Call.Args; the callee's return value lands in Dst (NoReg discards
+	// it).
 	OpCall
 	// OpExtCall invokes an uninstrumented external function declared in
 	// the module's extern table. The VM charges its declared cost; the
@@ -157,6 +158,12 @@ type ProbeInfo struct {
 	Base   Reg
 }
 
+// Call is the call record of an OpCall or OpExtCall instruction.
+type Call struct {
+	Callee string
+	Args   []Reg
+}
+
 // Instr is a single IR instruction.
 //
 // Operand conventions:
@@ -165,17 +172,19 @@ type ProbeInfo struct {
 //   - OpLoad:        Dst = Mem[A + Imm]        (A may be NoReg)
 //   - OpStore:       Mem[A + Imm] = B          (A may be NoReg)
 //   - OpAtomicAdd:   Dst = Mem[A+Imm]; Mem[A+Imm] += B
-//   - OpCall/OpExtCall: Dst = Callee(Args...)
+//   - OpCall/OpExtCall: Dst = Call.Callee(Call.Args...)
 //   - OpProbe:       see Probe
+//
+// Only calls use Call and only probes use Probe, so those live behind
+// pointers and an instruction is 40 bytes.
 type Instr struct {
-	Op     Opcode
-	Dst    Reg
-	A, B   Reg
-	Imm    int64
-	BImm   bool
-	Callee string
-	Args   []Reg
-	Probe  *ProbeInfo
+	Op    Opcode
+	BImm  bool
+	Dst   Reg
+	A, B  Reg
+	Imm   int64
+	Call  *Call
+	Probe *ProbeInfo
 }
 
 // TermKind enumerates block terminators.
@@ -372,11 +381,11 @@ func (m *Module) DeclareExtern(name string, cost int64) *Extern {
 // configurations. Block indices must be fresh (Func.Reindex): branch
 // targets are found through them.
 //
-// The copy's functions, blocks, instructions, call arguments and probe
-// descriptions each come out of one array sized by a counting pass.
-// Every slice handed out has its capacity cut at its length, so an
-// append to one block or call copies out of the array and cannot reach
-// its neighbour.
+// The copy's functions, blocks, instructions, call records, call
+// arguments and probe descriptions each come out of one array sized by
+// a counting pass. Every slice handed out has its capacity cut at its
+// length, so an append to one block or call copies out of the array and
+// cannot reach its neighbour.
 func (m *Module) Clone() *Module {
 	nm := NewModule(m.Name)
 	nm.MemWords = m.MemWords
@@ -387,13 +396,16 @@ func (m *Module) Clone() *Module {
 	for name := range m.Imports {
 		nm.Imports[name] = true
 	}
-	var nblocks, ninstrs, nargs, nprobes int
+	var nblocks, ninstrs, ncalls, nargs, nprobes int
 	for _, f := range m.Funcs {
 		nblocks += len(f.Blocks)
 		for _, b := range f.Blocks {
 			ninstrs += len(b.Instrs)
 			for i := range b.Instrs {
-				nargs += len(b.Instrs[i].Args)
+				if c := b.Instrs[i].Call; c != nil {
+					ncalls++
+					nargs += len(c.Args)
+				}
 				if b.Instrs[i].Probe != nil {
 					nprobes++
 				}
@@ -405,6 +417,7 @@ func (m *Module) Clone() *Module {
 	blocks := make([]Block, nblocks)
 	blockPtrs := make([]*Block, nblocks)
 	instrs := make([]Instr, ninstrs)
+	calls := make([]Call, ncalls)
 	args := make([]Reg, nargs)
 	probes := make([]ProbeInfo, nprobes)
 	for fi, f := range m.Funcs {
@@ -422,12 +435,15 @@ func (m *Module) Clone() *Module {
 			instrs = instrs[k:]
 			for j := range nb.Instrs {
 				in := &nb.Instrs[j]
-				if in.Args != nil {
-					a := copy(args, in.Args)
-					in.Args, args = args[:a:a], args[a:]
-					if a == 0 {
-						in.Args = nil
+				if in.Call != nil {
+					c := &calls[0]
+					calls = calls[1:]
+					c.Callee = in.Call.Callee
+					if len(in.Call.Args) > 0 {
+						a := copy(args, in.Call.Args)
+						c.Args, args = args[:a:a], args[a:]
 					}
+					in.Call = c
 				}
 				if in.Probe != nil {
 					probes[0] = *in.Probe

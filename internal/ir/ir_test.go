@@ -141,6 +141,40 @@ func TestCloneCopiesProbes(t *testing.T) {
 	}
 }
 
+// A clone's call records and probe descriptions are its own: editing a
+// callee, an argument or a probe of the clone leaves the source as it
+// was.
+func TestCloneOwnsCallAndProbeRecords(t *testing.T) {
+	m := MustParse(`
+extern @lib cost 10
+func @g(%a, %b) {
+entry:
+  ret %a
+}
+func @f(%x) {
+entry:
+  %y = call @g(%x, %x)
+  %z = extcall @lib(%y)
+  probe irloop 3 %x %y
+  ret %z
+}`)
+	want := m.String()
+	c := m.Clone()
+	ins := c.FuncByName("f").Blocks[0].Instrs
+	ins[0].Call.Callee = "lib"
+	ins[0].Call.Args[1] = 0
+	ins[1].Call.Callee = "g"
+	ins[1].Call.Args[0] = 1
+	ins[2].Probe.Inc = 99
+	ins[2].Probe.Base = 0
+	if got := m.String(); got != want {
+		t.Errorf("source changed by edits of its clone:\n%s\nwant:\n%s", got, want)
+	}
+	if c.String() == want {
+		t.Error("the clone's edits did not take")
+	}
+}
+
 func TestNumInstrs(t *testing.T) {
 	m := buildCountedLoopModule(t, 3)
 	f := m.FuncByName("main")

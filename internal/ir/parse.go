@@ -47,8 +47,9 @@ var byteClass = func() (t [utf8.RuneSelf]uint8) {
 
 // parser reads the source in one pass, a line at a time. Every name it
 // stores (module, functions, blocks, callees, externs) is a substring
-// of src, and blocks, instructions and call arguments are carved out of
-// slabs sized by count, so the work per line allocates nothing.
+// of src, and blocks, instructions, call records and call arguments are
+// carved out of slabs sized by count, so the work per line allocates
+// nothing.
 type parser struct {
 	src  string
 	pos  int      // offset of the first byte of the next line
@@ -57,12 +58,14 @@ type parser struct {
 
 	mod *Module
 	// Slabs for the whole module, with the capacities count computed.
-	// Blocks are reached through pointers and the other three through
-	// sub-slices taken after their last append, so where count fell
-	// short an append merely moves on to a larger array.
+	// Blocks and call records are reached through pointers and the
+	// other three through sub-slices taken after their last append, so
+	// where count fell short an append merely moves on to a larger
+	// array.
 	blocks    []Block
 	blockPtrs []*Block
 	instrs    []Instr
+	calls     []Call
 	args      []Reg
 
 	// per-function state
@@ -87,13 +90,14 @@ type pendingTerm struct {
 // errors are *ParseError values carrying the line; a module that parses
 // but does not verify returns Verify's error.
 func Parse(src string) (*Module, error) {
-	nblocks, ninstrs, nargs := count(src)
+	nblocks, ninstrs, ncalls, nargs := count(src)
 	p := &parser{
 		src:       src,
 		mod:       NewModule("m"),
 		blocks:    make([]Block, 0, nblocks),
 		blockPtrs: make([]*Block, 0, nblocks),
 		instrs:    make([]Instr, 0, ninstrs),
+		calls:     make([]Call, 0, ncalls),
 		args:      make([]Reg, 0, nargs),
 		regs:      make(map[string]Reg),
 		labels:    make(map[string]*Block),
@@ -134,15 +138,17 @@ func MustParse(src string) *Module {
 
 // count sizes the parser's slabs for text as Module.String prints it:
 // a ':' per block label, two lines per block that are not instructions
-// (the label and the terminator), and per call a '@' and one comma
-// fewer than arguments. Other text (blank lines, comments, labels
-// inside instructions, arguments separated by spaces) makes the counts
-// too large or too small, which costs memory or a reallocation.
-func count(src string) (blocks, instrs, args int) {
+// (the label and the terminator), per call a "call @" (an extcall ends
+// in one too), and per call a '@' and one comma fewer than arguments.
+// Other text (blank lines, comments, labels inside instructions,
+// arguments separated by spaces) makes the counts too large or too
+// small, which costs memory or a reallocation.
+func count(src string) (blocks, instrs, calls, args int) {
 	blocks = strings.Count(src, ":")
 	instrs = max(strings.Count(src, "\n")+1-2*blocks, 0)
+	calls = strings.Count(src, "call @")
 	args = strings.Count(src, ",") + strings.Count(src, "@")
-	return blocks, instrs, args
+	return blocks, instrs, calls, args
 }
 
 // scanLine splits the line at p.pos into p.toks and moves p.pos past
@@ -564,11 +570,12 @@ func (p *parser) parseInstr(toks []string) (Instr, error) {
 			}
 			p.args = append(p.args, r)
 		}
-		var regs []Reg // nil for a call without arguments
+		c := Call{Callee: args[0][1:]} // Args nil for a call without arguments
 		if n := len(p.args); n > first {
-			regs = p.args[first:n:n]
+			c.Args = p.args[first:n:n]
 		}
-		return Instr{Op: op, Dst: dst, A: NoReg, B: NoReg, Callee: args[0][1:], Args: regs}, nil
+		p.calls = append(p.calls, c)
+		return Instr{Op: op, Dst: dst, A: NoReg, B: NoReg, Call: &p.calls[len(p.calls)-1]}, nil
 	case op == OpReadCycles:
 		if len(args) != 0 {
 			return Instr{}, p.errf("usage: %%d = rdcyc")

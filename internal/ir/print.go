@@ -100,10 +100,10 @@ func (in *Instr) String() string {
 		return fmt.Sprintf("%s = aadd %s, %d, %s", regStr(in.Dst), regStr(in.A), in.Imm, regStr(in.B))
 	case OpCall, OpExtCall:
 		var args []string
-		for _, a := range in.Args {
+		for _, a := range in.Call.Args {
 			args = append(args, regStr(a))
 		}
-		callee := fmt.Sprintf("%s @%s(%s)", in.Op, in.Callee, strings.Join(args, ", "))
+		callee := fmt.Sprintf("%s @%s(%s)", in.Op, in.Call.Callee, strings.Join(args, ", "))
 		if in.Dst == NoReg {
 			return callee
 		}

@@ -85,28 +85,31 @@ func (f *Func) Verify() error {
 				checkReg(b, in.Dst, "dst")
 				checkReg(b, in.A, "base")
 				checkReg(b, in.B, "value")
-			case OpCall:
-				target := f.Mod.FuncByName(in.Callee)
-				switch {
-				case target != nil:
-					if len(in.Args) != target.NumParams {
-						fail("block %q: call @%s with %d args, want %d", b.Name, in.Callee, len(in.Args), target.NumParams)
+			case OpCall, OpExtCall:
+				c := in.Call
+				if c == nil {
+					fail("block %q: %s without a call record", b.Name, in.Op)
+					continue
+				}
+				if in.Op == OpExtCall {
+					if _, ok := f.Mod.Externs[c.Callee]; !ok {
+						fail("block %q: extcall to undeclared extern @%s", b.Name, c.Callee)
 					}
-				case f.Mod.Imports[in.Callee]:
-					// Cross-module call: arity checked at link time.
-				default:
-					fail("block %q: call to undefined function @%s", b.Name, in.Callee)
+				} else {
+					target := f.Mod.FuncByName(c.Callee)
+					switch {
+					case target != nil:
+						if len(c.Args) != target.NumParams {
+							fail("block %q: call @%s with %d args, want %d", b.Name, c.Callee, len(c.Args), target.NumParams)
+						}
+					case f.Mod.Imports[c.Callee]:
+						// Cross-module call: arity checked at link time.
+					default:
+						fail("block %q: call to undefined function @%s", b.Name, c.Callee)
+					}
 				}
 				checkReg(b, in.Dst, "dst")
-				for _, a := range in.Args {
-					checkReg(b, a, "arg")
-				}
-			case OpExtCall:
-				if _, ok := f.Mod.Externs[in.Callee]; !ok {
-					fail("block %q: extcall to undeclared extern @%s", b.Name, in.Callee)
-				}
-				checkReg(b, in.Dst, "dst")
-				for _, a := range in.Args {
+				for _, a := range c.Args {
 					checkReg(b, a, "arg")
 				}
 			case OpReadCycles:

@@ -31,10 +31,13 @@ type Stats struct {
 }
 
 // Module optimizes every function of m and returns aggregate stats.
+// One analysis bundle serves the functions in turn.
 func Module(m *ir.Module) Stats {
 	var total Stats
+	an := cfg.NewAnalyses(nil)
 	for _, f := range m.Funcs {
-		s := Func(f)
+		an.Reset(f)
+		s := optimize(f, an)
 		total.Folded += s.Folded
 		total.DeadRemoved += s.DeadRemoved
 		total.BlocksMerged += s.BlocksMerged
@@ -44,10 +47,9 @@ func Module(m *ir.Module) Stats {
 	return total
 }
 
-// Func optimizes one function to a fixpoint.
-func Func(f *ir.Func) Stats {
+// optimize optimizes f to a fixpoint; an is an empty bundle for f.
+func optimize(f *ir.Func, an *cfg.Analyses) Stats {
 	var total Stats
-	an := cfg.NewAnalyses(f)
 	uses := make([]int, f.NumRegs)
 	for pass := 0; pass < 10; pass++ {
 		changed := false
@@ -314,7 +316,7 @@ func eliminateDead(f *ir.Func, uses []int) int {
 					markUse(in.A)
 					markUse(in.B)
 				case ir.OpCall, ir.OpExtCall:
-					for _, a := range in.Args {
+					for _, a := range in.Call.Args {
 						markUse(a)
 					}
 				case ir.OpProbe:
@@ -397,7 +399,7 @@ func mergeBlocks(f *ir.Func, g *cfg.Graph) int {
 	var npreds []int // nil until the first merge
 	preds := func(b *ir.Block) int {
 		if npreds == nil {
-			return len(g.Preds[b.Index])
+			return len(g.Preds(b.Index))
 		}
 		return npreds[b.Index]
 	}
@@ -416,8 +418,8 @@ func mergeBlocks(f *ir.Func, g *cfg.Graph) int {
 			}
 			if npreds == nil {
 				npreds = make([]int, g.N)
-				for i, p := range g.Preds {
-					npreds[i] = len(p)
+				for i := range npreds {
+					npreds[i] = len(g.Preds(i))
 				}
 			}
 			b.Instrs = append(b.Instrs, succ.Instrs...)

@@ -3,6 +3,7 @@ package opt
 import (
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/ci/fuzz"
 	"repro/internal/ir"
 	"repro/internal/vm"
@@ -33,7 +34,7 @@ entry:
 }
 `)
 	f := m.FuncByName("f")
-	s := Func(f)
+	s := optimize(f, cfg.NewAnalyses(f))
 	if s.Folded == 0 {
 		t.Fatalf("nothing folded:\n%s", f)
 	}
@@ -61,7 +62,7 @@ no:
 }
 `)
 	f := m.FuncByName("f")
-	Func(f)
+	optimize(f, cfg.NewAnalyses(f))
 	if got := run(t, m, "f", 5); got != 15 {
 		t.Fatalf("result = %d, want 15", got)
 	}
@@ -83,7 +84,7 @@ entry:
 }
 `)
 	f := m.FuncByName("f")
-	s := Func(f)
+	s := optimize(f, cfg.NewAnalyses(f))
 	if s.DeadRemoved < 3 {
 		t.Errorf("DeadRemoved = %d, want >= 3 (two dead chains + rdcyc)\n%s", s.DeadRemoved, f)
 	}
@@ -115,7 +116,7 @@ entry:
 }
 `)
 	f := m.FuncByName("f")
-	Func(f)
+	optimize(f, cfg.NewAnalyses(f))
 	counts := map[ir.Opcode]int{}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
@@ -154,7 +155,7 @@ tail:
 }
 `)
 	f := m.FuncByName("f")
-	s := Func(f)
+	s := optimize(f, cfg.NewAnalyses(f))
 	if got := run(t, m, "f", 1); got != 3 {
 		t.Fatalf("result = %d", got)
 	}
@@ -182,7 +183,7 @@ join:
 	orig0 := run(t, m.Clone(), "f", 10) // skips def: %v == 0 -> 1
 	orig1 := run(t, m.Clone(), "f", 1)  // takes def: 78
 	f := m.FuncByName("f")
-	Func(f)
+	optimize(f, cfg.NewAnalyses(f))
 	if got := run(t, m, "f", 10); got != orig0 {
 		t.Errorf("non-dominated path changed: %d, want %d\n%s", got, orig0, f)
 	}

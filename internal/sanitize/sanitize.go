@@ -198,8 +198,8 @@ func snapFunc(stage string, f *ir.Func) (*funcSnap, *cfg.Graph) {
 	// edge, whose target dominates its source; one that is not enters a
 	// loop a second way.
 	for _, t := range g.RPO {
-		for _, h := range g.Succs[t] {
-			if g.RPOIndex[h] <= g.RPOIndex[t] && !dt.Dominates(h, t) {
+		for _, h := range g.Succs(int(t)) {
+			if g.RPOIndex[h] <= g.RPOIndex[t] && !dt.Dominates(int(h), int(t)) {
 				s.irreducible = fmt.Sprintf("retreating edge %q -> %q enters a loop its target does not dominate",
 					f.Blocks[t].Name, f.Blocks[h].Name)
 				return s, g
@@ -243,7 +243,7 @@ func (c *Checker) checkCloneEdges(stage string, f *ir.Func, g *cfg.Graph) {
 		if !isFast(b) || isProbeExit(b) || !g.Reachable(bi) {
 			continue
 		}
-		for _, pi := range g.Preds[bi] {
+		for _, pi := range g.Preds(bi) {
 			p := f.Blocks[pi]
 			if isFast(p) {
 				continue

@@ -639,9 +639,9 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 		}
 	case uCall:
 		callCost := m.OpCost[ir.OpCall]
-		callee := ec.cm.funcs[in.Callee]
-		calleeName := in.Callee
-		argRegs := in.Args
+		callee := ec.cm.funcs[in.Call.Callee]
+		calleeName := in.Call.Callee
+		argRegs := in.Call.Args
 		dst := in.Dst
 		if callee == nil {
 			return func(fr *frame) int {

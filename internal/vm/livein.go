@@ -77,7 +77,7 @@ func instrRegs(in *ir.Instr, use, def func(ir.Reg)) {
 		use(in.B)
 		def(in.Dst)
 	case in.Op == ir.OpCall, in.Op == ir.OpExtCall:
-		for _, r := range in.Args {
+		for _, r := range in.Call.Args {
 			use(r)
 		}
 		def(in.Dst)
