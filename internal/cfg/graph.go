@@ -155,9 +155,14 @@ func (g *Graph) Reachable(b int) bool { return g.RPOIndex[b] >= 0 }
 // keep:
 //
 //   - an edit of blocks or terminators (a block added, removed or
-//     moved, an edge retargeted) calls CFGChanged, which drops all four;
-//   - an edit of instructions alone calls InstrsChanged, which drops the
-//     register info and keeps the graph, dominators and loops.
+//     moved, an edge retargeted) calls CFGChanged, which drops all four,
+//     and so does one that adds or moves instructions;
+//   - instructions are deleted through DeleteInstrs, which keeps the
+//     graph, dominators and loops and the register info current;
+//   - an instruction rewritten in place that defines the register it
+//     defined before (an operand or an opcode folded) needs no call: the
+//     register info records where each register is defined and reads
+//     the instructions themselves.
 //
 // A graph in the bundle implies fresh block indices: Graph reindexes
 // the function before it builds one.
@@ -166,7 +171,7 @@ func (g *Graph) Reachable(b int) bool { return g.RPOIndex[b] >= 0 }
 // dropped, and Reset moves it on to another function the same way, so
 // one bundle serves a whole module at the cost of its largest function.
 // An analysis it returned is therefore valid only until the next
-// CFGChanged, InstrsChanged (for the register info) or Reset. The loops
+// CFGChanged or Reset. The loops
 // of a forest are the exception: each build allocates them anew, so a
 // *Loop stays valid for as long as it is held.
 type Analyses struct {
@@ -233,6 +238,40 @@ func (a *Analyses) Regs() *RegInfo {
 // CFGChanged drops every analysis: blocks or terminators were edited.
 func (a *Analyses) CFGChanged() { a.valid = 0 }
 
-// InstrsChanged drops the register info: instructions were edited, and
-// blocks and terminators were not.
-func (a *Analyses) InstrsChanged() { a.valid &^= validRegs }
+// DeleteInstrs deletes from every block the instructions dead reports,
+// keeping the order of the others, and returns how many it deleted.
+// The register info, when the bundle holds it, is brought up to date in
+// place: the sites of the deleted definitions drop out and the others
+// move with their instructions.
+func (a *Analyses) DeleteInstrs(dead func(in *ir.Instr) bool) int {
+	ri := &a.regs
+	keep := a.valid&validRegs != 0
+	deleted := 0
+	for bi, b := range a.f.Blocks {
+		// The first k instructions kept are in place; only those after a
+		// deleted one move.
+		k := 0
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if dead(in) {
+				if keep && defines(in) {
+					ri.site(in.Dst, bi, i).index = -1
+				}
+				deleted++
+				continue
+			}
+			if k < i {
+				if keep && defines(in) {
+					ri.site(in.Dst, bi, i).index = int32(k)
+				}
+				b.Instrs[k] = *in
+			}
+			k++
+		}
+		b.Instrs = b.Instrs[:k]
+	}
+	if keep && deleted > 0 {
+		ri.compact()
+	}
+	return deleted
+}

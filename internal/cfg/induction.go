@@ -81,6 +81,33 @@ func (ri *RegInfo) build(f *ir.Func) {
 	*ri = RegInfo{f: f, first: first[:n+1], sites: sites}
 }
 
+// site returns r's definition site at instruction index of block.
+func (ri *RegInfo) site(r ir.Reg, block, index int) *defSite {
+	for k := ri.first[r]; k < ri.first[r+1]; k++ {
+		if s := &ri.sites[k]; s.block == int32(block) && s.index == int32(index) {
+			return s
+		}
+	}
+	panic("cfg: register info has no site for a definition")
+}
+
+// compact drops the sites whose index is -1.
+func (ri *RegInfo) compact() {
+	n := int32(0)
+	for r := 0; r+1 < len(ri.first); r++ {
+		lo, hi := ri.first[r], ri.first[r+1]
+		ri.first[r] = n
+		for _, s := range ri.sites[lo:hi] {
+			if s.index >= 0 {
+				ri.sites[n] = s
+				n++
+			}
+		}
+	}
+	ri.first[len(ri.first)-1] = n
+	ri.sites = ri.sites[:n]
+}
+
 // ConstValue reports whether r is a compile-time constant: a register
 // whose single static definition is `mov imm` (and which is not a
 // parameter).

@@ -10,34 +10,45 @@ import "repro/internal/ir"
 // changed, and then a holds no analyses.
 func SplitCriticalEdges(a *Analyses) bool {
 	f, g := a.f, a.Graph()
-	changed := false
-	// Snapshot the block list: we append while iterating.
-	blocks := append([]*ir.Block(nil), f.Blocks...)
+	critical := func(target *ir.Block) bool { return len(g.Preds(target.Index)) >= 2 }
+	n := 0
+	for _, b := range f.Blocks {
+		if b.Term.Kind == ir.TermBr {
+			for _, t := range [2]*ir.Block{b.Term.Then, b.Term.Else} {
+				if critical(t) {
+					n++
+				}
+			}
+		}
+	}
+	if n == 0 {
+		return false
+	}
+	// The new blocks go after the old ones, which the loop walks.
+	blocks := f.Blocks
+	f.ReserveBlocks(n)
 	for _, b := range blocks {
 		if b.Term.Kind != ir.TermBr {
 			continue
 		}
+		name := "" // both arms' blocks start from one name
 		split := func(target *ir.Block) *ir.Block {
-			if len(g.Preds(target.Index)) < 2 {
+			if !critical(target) {
 				return target
 			}
-			nb := f.NewBlock(b.Name + ".crit")
+			if name == "" {
+				name = b.Name + ".crit"
+			}
+			nb := f.NewBlock(name)
 			nb.Term = ir.Terminator{Kind: ir.TermJmp, Then: target, Cond: ir.NoReg, Val: ir.NoReg}
-			changed = true
 			return nb
 		}
-		if then := split(b.Term.Then); then != b.Term.Then {
-			b.Term.Then = then
-		}
-		if els := split(b.Term.Else); els != b.Term.Else {
-			b.Term.Else = els
-		}
+		b.Term.Then = split(b.Term.Then)
+		b.Term.Else = split(b.Term.Else)
 	}
-	if changed {
-		f.Reindex()
-		a.CFGChanged()
-	}
-	return changed
+	f.Reindex()
+	a.CFGChanged()
+	return true
 }
 
 // LoopSimplify canonicalizes every natural loop of a's function, in the

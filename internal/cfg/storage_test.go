@@ -107,3 +107,68 @@ func TestListsDoNotShareCapacity(t *testing.T) {
 		t.Errorf("lists changed by appends:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestDeleteInstrsKeepsRegInfo checks that the register info DeleteInstrs
+// updates in place equals one built afresh after the deletion: the
+// deleted definitions' sites drop out, the sites after them in a block
+// move down, and a register left with one definition reads as constant.
+func TestDeleteInstrsKeepsRegInfo(t *testing.T) {
+	const src = `
+func @f(%p) {
+entry:
+  %a = mov 1
+  %b = add %p, 2
+  %a = mov 3
+  %c = mov 4
+  store %p, 0, %c
+  br %p, left, right
+left:
+  %d = mul %b, %b
+  %e = mov 5
+  %c = add %c, 1
+  jmp right
+right:
+  %f = sub %c, %a
+  ret %f
+}
+`
+	cases := []struct {
+		name string
+		dead func(in *ir.Instr) bool
+		want int
+	}{
+		{"none", func(*ir.Instr) bool { return false }, 0},
+		{"first instruction", func(in *ir.Instr) bool { return in.Op == ir.OpMov && in.Imm == 1 }, 1},
+		{"one of two definitions", func(in *ir.Instr) bool { return in.Op == ir.OpMov && in.Imm == 3 }, 1},
+		{"every mov", func(in *ir.Instr) bool { return in.Op == ir.OpMov }, 4},
+		{"middle of a block", func(in *ir.Instr) bool { return in.Op == ir.OpMul || in.Op == ir.OpAdd && in.A == 0 }, 2},
+		{"all but the store", func(in *ir.Instr) bool { return in.Op != ir.OpStore }, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := ir.MustParse(src).FuncByName("f")
+			a := NewAnalyses(f)
+			a.Graph()
+			a.Regs()
+			if n := a.DeleteInstrs(tc.dead); n != tc.want {
+				t.Errorf("deleted %d instructions, want %d", n, tc.want)
+			}
+			if a.valid&validRegs == 0 {
+				t.Fatal("DeleteInstrs dropped the register info")
+			}
+			kept := a.Regs()
+			var fresh RegInfo
+			fresh.build(f)
+			if !slices.Equal(kept.first, fresh.first) || !slices.Equal(kept.sites, fresh.sites) {
+				t.Errorf("kept register info %v %v, fresh %v %v", kept.first, kept.sites, fresh.first, fresh.sites)
+			}
+			for r := ir.Reg(0); int(r) < f.NumRegs; r++ {
+				kv, kok := kept.ConstValue(r)
+				fv, fok := fresh.ConstValue(r)
+				if kv != fv || kok != fok {
+					t.Errorf("ConstValue(%d): kept %d %v, fresh %d %v", r, kv, kok, fv, fok)
+				}
+			}
+		})
+	}
+}

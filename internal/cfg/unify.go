@@ -8,29 +8,27 @@ import "repro/internal/ir"
 // what the container rules of the CI analysis reduce completely, so
 // this runs as part of Canonicalize. Returns true if f changed.
 func UnifyReturns(f *ir.Func) bool {
-	var rets []*ir.Block
+	rets, hasVal := 0, false
 	for _, b := range f.Blocks {
 		if b.Term.Kind == ir.TermRet {
-			rets = append(rets, b)
+			rets++
+			hasVal = hasVal || b.Term.Val != ir.NoReg
 		}
 	}
-	if len(rets) <= 1 {
+	if rets <= 1 {
 		return false
-	}
-	hasVal := false
-	for _, b := range rets {
-		if b.Term.Val != ir.NoReg {
-			hasVal = true
-			break
-		}
 	}
 	retReg := ir.NoReg
 	if hasVal {
 		retReg = f.NewReg()
 	}
+	blocks := f.Blocks // the exit block goes after them
 	exit := f.NewBlock("ret.unified")
 	exit.Term = ir.Terminator{Kind: ir.TermRet, Val: retReg, Cond: ir.NoReg}
-	for _, b := range rets {
+	for _, b := range blocks {
+		if b.Term.Kind != ir.TermRet {
+			continue
+		}
 		if hasVal && b.Term.Val != ir.NoReg {
 			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMov, Dst: retReg, A: b.Term.Val, B: ir.NoReg})
 		}

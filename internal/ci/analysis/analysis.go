@@ -131,12 +131,12 @@ func Analyze(m *ir.Module, opts Options) *ModuleResult {
 		res.Costs[name] = fi
 	}
 	order, recursive := callOrder(m)
-	// One bundle serves every function in turn: the analyses of one
-	// are done with before the next is analyzed.
-	an := cfg.NewAnalyses(nil)
+	// One bundle and one reducer scratch serve every function in turn:
+	// the analyses of one are done with before the next is analyzed.
+	an, sc := cfg.NewAnalyses(nil), newScratch(m)
 	for _, f := range order {
 		an.Reset(f)
-		fr := analyzeFunc(f, an, o, res.Costs, recursive[f.Name])
+		fr := analyzeFunc(f, an, sc, o, res.Costs, recursive[f.Name])
 		res.Funcs[f.Name] = fr
 		res.Costs[f.Name] = FuncInfo{Name: f.Name, Instrumented: fr.Instrumented, Cost: fr.Cost}
 	}
@@ -207,8 +207,9 @@ type analyzer struct {
 	flushThreshold int64
 }
 
-// analyzeFunc analyzes f; an is an empty bundle for f.
-func analyzeFunc(f *ir.Func, an *cfg.Analyses, opts *Options, costs CostTable, isRecursive bool) *FuncResult {
+// analyzeFunc analyzes f; an is an empty bundle for f and sc the
+// Analyze call's scratch.
+func analyzeFunc(f *ir.Func, an *cfg.Analyses, sc *scratch, opts *Options, costs CostTable, isRecursive bool) *FuncResult {
 	// §3.1 pre-processing: unify returns and simplify loops. Critical
 	// edges are split only if the rules get stuck — blanket splitting
 	// would erase the triangle (2b) and self-loop (3c) patterns. The
@@ -216,10 +217,10 @@ func analyzeFunc(f *ir.Func, an *cfg.Analyses, opts *Options, costs CostTable, i
 	// returns, and the reduction reads them.
 	cfg.UnifyReturns(f)
 	cfg.LoopSimplify(an)
-	a := newAnalyzer(f, an, opts, costs)
+	a := newAnalyzer(f, an, sc, opts, costs)
 	if a.res.Reduction.Root() == nil && cfg.SplitCriticalEdges(an) {
 		cfg.LoopSimplify(an)
-		a = newAnalyzer(f, an, opts, costs)
+		a = newAnalyzer(f, an, sc, opts, costs)
 	}
 	opts.stage("canonicalize", f)
 	a.res.Instrumented = false
@@ -255,13 +256,13 @@ func analyzeFunc(f *ir.Func, an *cfg.Analyses, opts *Options, costs CostTable, i
 	return a.res
 }
 
-func newAnalyzer(f *ir.Func, an *cfg.Analyses, opts *Options, costs CostTable) *analyzer {
-	a := &analyzer{
+func newAnalyzer(f *ir.Func, an *cfg.Analyses, sc *scratch, opts *Options, costs CostTable) analyzer {
+	a := analyzer{
 		f: f, ri: an.Regs(), opts: opts, costs: costs,
 		flushThreshold: opts.AllowableError / 2,
 	}
 	a.res = &FuncResult{Fn: f}
-	a.res.Reduction = reduce(f, an.Graph(), an.Loops(), a.ri, opts, a.blockCost)
+	a.res.Reduction = reduce(f, an.Graph(), an.Loops(), a.ri, opts, a.blockCost, sc)
 	return a
 }
 

@@ -37,16 +37,58 @@ type reducer struct {
 	// entry block, nil elsewhere. Every rule gives the merged container
 	// the entry of the node it was applied at, so a merged node takes
 	// that node's slot and a walk over slots always visits the nodes in
-	// entry-block order.
+	// entry-block order. Its array is sc's.
 	slots []*Region
 	// resume is where the scan continues after the last merge.
 	resume int
-	// blockCost computes a leaf's cost and barrier flag.
-	blockCost func(b *ir.Block) (Cost, bool)
 	// arena holds the merged containers and their lists.
 	arena arena
-	// preds and succs are merge's scratch lists.
+	sc    *scratch
+}
+
+// scratch is the memory one Analyze call lends the reduction of each of
+// its functions in turn. Nothing a FuncResult keeps points into it: the
+// edge lists of the nodes a reduction leaves are copied out
+// (reduction), and a node that merges away drops its own.
+type scratch struct {
+	slots  []*Region
+	npreds []int32
+	// store holds the leaves' edge lists.
+	store []*Region
+	// preds and succs are merge's lists.
 	preds, succs []*Region
+}
+
+// newScratch returns scratch sized for m's largest function and the
+// blocks canonicalization may add to it (one unified return, then a
+// preheader or a latch), so that most modules need no more: n slots and
+// predecessor counts, and 4n list entries for the leaves' edges (a
+// block has at most two successors, and an edge sits in two lists).
+func newScratch(m *ir.Module) *scratch {
+	n := 0
+	for _, f := range m.Funcs {
+		n = max(n, len(f.Blocks)+3)
+	}
+	const merge = 8 // none of merge's lists outgrew this on the benchmark's corpus
+	regs := make([]*Region, 5*n+2*merge)
+	return &scratch{
+		slots:  regs[:n:n],
+		store:  regs[n : 5*n : 5*n],
+		preds:  regs[5*n : 5*n : 5*n+merge],
+		succs:  regs[5*n+merge : 5*n+merge],
+		npreds: make([]int32, n),
+	}
+}
+
+// zeroed returns s resliced to n zero elements, in a new array when s
+// is too short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // arena hands out a reduction's merged containers, their child lists,
@@ -108,18 +150,20 @@ func (r *reducer) children(cs ...*Container) []*Container {
 // reduce builds leaf containers for all reachable blocks and applies
 // the Figure 3 rules to fixpoint.
 func reduce(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
-	opts *Options, blockCost func(b *ir.Block) (Cost, bool)) *Reduction {
+	opts *Options, blockCost func(b *ir.Block) (Cost, bool), sc *scratch) *Reduction {
 
-	r := newReducer(f, g, lf, ri, opts, blockCost)
+	r := newReducer(f, g, lf, ri, opts, blockCost, sc)
 	r.run()
 	return r.reduction()
 }
 
+// newReducer returns the reducer of f's leaves; blockCost computes a
+// leaf's cost and barrier flag.
 func newReducer(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
-	opts *Options, blockCost func(b *ir.Block) (Cost, bool)) *reducer {
+	opts *Options, blockCost func(b *ir.Block) (Cost, bool), sc *scratch) reducer {
 
-	r := &reducer{f: f, g: g, lf: lf, ri: ri, opts: opts, blockCost: blockCost,
-		slots: make([]*Region, g.N)}
+	sc.slots = zeroed(sc.slots, g.N)
+	r := reducer{f: f, g: g, lf: lf, ri: ri, opts: opts, slots: sc.slots, sc: sc}
 	// Chunk sizes are fractions of the leaf count, set by measuring
 	// allocations against bytes on the benchmark's corpus: a chain grows
 	// in place, so few merges need a container of their own.
@@ -130,7 +174,8 @@ func newReducer(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
 	// third that is counted before it is filled.
 	containers := make([]Container, len(g.RPO))
 	regions := make([]Region, len(g.RPO))
-	npreds := make([]int32, g.N)
+	sc.npreds = zeroed(sc.npreds, g.N)
+	npreds := sc.npreds
 	edges := 0
 	for k, bi := range g.RPO {
 		b := f.Blocks[bi]
@@ -143,7 +188,8 @@ func newReducer(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
 			edges++
 		}
 	}
-	store := make([]*Region, 2*edges)
+	sc.store = zeroed(sc.store, 2*edges)
+	store := sc.store
 	carve := func(n int) (list []*Region) {
 		if n > 0 {
 			list, store = store[:0:n], store[n:]
@@ -165,17 +211,33 @@ func newReducer(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, ri *cfg.RegInfo,
 	return r
 }
 
-// reduction lists the nodes that are left, in entry-block order.
+// reduction lists the nodes that are left, in entry-block order, with
+// their edge lists copied out of the scratch into one array of their
+// own.
 func (r *reducer) reduction() *Reduction {
-	n := 0
+	n, edges := 0, 0
 	for _, x := range r.slots {
 		if x != nil {
 			n++
+			edges += len(x.Preds) + len(x.Succs)
 		}
 	}
 	left := make([]*Region, 0, n)
+	var lists []*Region
+	if edges > 0 {
+		lists = make([]*Region, edges)
+	}
+	own := func(list []*Region) []*Region {
+		if len(list) == 0 {
+			return nil
+		}
+		k := copy(lists, list)
+		list, lists = lists[:k:k], lists[k:]
+		return list
+	}
 	for _, x := range r.slots {
 		if x != nil {
+			x.Preds, x.Succs = own(x.Preds), own(x.Succs)
 			left = append(left, x)
 		}
 	}
@@ -240,7 +302,7 @@ func remove(list []*Region, x *Region) []*Region {
 func (r *reducer) merge(c *Container, group ...*Region) {
 	u := group[0]
 	in := func(n *Region) bool { return contains(group, n) }
-	preds, succs := r.preds[:0], r.succs[:0]
+	preds, succs := r.sc.preds[:0], r.sc.succs[:0]
 	for _, n := range group {
 		for _, p := range n.Preds {
 			if !in(p) && !contains(preds, p) {
@@ -274,9 +336,10 @@ func (r *reducer) merge(c *Container, group ...*Region) {
 	}
 	for _, n := range group[1:] {
 		r.slots[n.C.Entry.Index] = nil
+		n.Preds, n.Succs = nil, nil
 	}
 	u.C, u.Preds, u.Succs = c, r.fit(u.Preds, preds), r.fit(u.Succs, succs)
-	r.preds, r.succs = preds, succs
+	r.sc.preds, r.sc.succs = preds, succs
 
 	// The nodes whose edge lists changed are u, preds and succs; a rule
 	// applied at x reads x, x's successors and their successors.

@@ -56,9 +56,9 @@ func reduceBothWays(f *ir.Func) (resumed, restarted string, root bool) {
 	opts := (&Options{ProbeInterval: 250}).withDefaults()
 	cost := func(b *ir.Block) (Cost, bool) { return Const(int64(1 + b.Index%7)), false }
 	f.Reindex()
-	build := func() *reducer {
+	build := func() reducer {
 		an := cfg.NewAnalyses(f)
-		return newReducer(f, an.Graph(), an.Loops(), an.Regs(), opts, cost)
+		return newReducer(f, an.Graph(), an.Loops(), an.Regs(), opts, cost, new(scratch))
 	}
 	a := build()
 	a.run()

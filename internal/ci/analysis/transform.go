@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/ir"
 )
@@ -71,6 +72,9 @@ func incPerStep(perIter, step int64) int64 {
 	return inc
 }
 
+// transformBlocks is the number of blocks transformLoop adds.
+const transformBlocks = 3
+
 // transformLoop rewrites the loop per Table 5: an uninstrumented inner
 // loop bounded to roughly ProbeInterval IR, inside an outer loop that
 // probes once per chunk with a dynamically computed increment.
@@ -95,16 +99,30 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 	}
 	advance := iters * iv.Step
 
-	outer := f.NewBlock(h.Name + ".outer")
-	chunk := f.NewBlock(h.Name + ".chunk")
-	probeB := f.NewBlock(h.Name + ".chunkprobe")
+	// The three names are cut from one string: ".chunk" is a prefix of
+	// ".chunkprobe".
+	names := h.Name + ".chunkprobe" + h.Name + ".outer"
+	n := len(h.Name)
+	f.ReserveBlocks(transformBlocks)
+	outer := f.NewBlock(names[n+len(".chunkprobe"):])
+	chunk := f.NewBlock(names[:n+len(".chunk")])
+	probeB := f.NewBlock(names[:n+len(".chunkprobe")])
 
 	// outer: re-test the original condition against the original bound.
 	cOut := f.NewReg()
 	cmpCopy := *cmp
 	cmpCopy.Dst = cOut
-	var buf [5]ir.Instr // outer's one instruction, then chunk's
-	code := append(buf[:0], cmpCopy)
+	leExtra := int64(0)
+	if iv.CmpOp == ir.OpCmpLe {
+		leExtra = 1
+	}
+	// outer's one instruction, then chunk's three, or four when a
+	// register bound needs its +1.
+	ncode := 4
+	if iv.Bound != ir.NoReg && leExtra != 0 {
+		ncode = 5
+	}
+	code := append(make([]ir.Instr, 0, ncode), cmpCopy)
 	if thenExits {
 		outer.Term = ir.Terminator{Kind: ir.TermBr, Cond: cOut, Then: exitTarget, Else: chunk, Val: ir.NoReg}
 	} else {
@@ -117,10 +135,6 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 		ir.Instr{Op: ir.OpMov, Dst: k, A: iv.IndVar, B: ir.NoReg},
 		ir.Instr{Op: ir.OpAdd, Dst: lim, A: iv.IndVar, B: ir.NoReg, Imm: advance, BImm: true},
 	)
-	leExtra := int64(0)
-	if iv.CmpOp == ir.OpCmpLe {
-		leExtra = 1
-	}
 	if iv.Bound == ir.NoReg {
 		code = append(code,
 			ir.Instr{Op: ir.OpMin, Dst: j, A: lim, B: ir.NoReg, Imm: iv.BoundConst + leExtra, BImm: true})
@@ -133,7 +147,6 @@ func (a *analyzer) transformLoop(c *Container, perIter int64) {
 		code = append(code,
 			ir.Instr{Op: ir.OpMin, Dst: j, A: lim, B: iv.Bound})
 	}
-	code = slices.Clone(code)
 	outer.Instrs, chunk.Instrs = code[:1:1], code[1:]
 	chunk.Term = ir.Terminator{Kind: ir.TermJmp, Then: h, Cond: ir.NoReg, Val: ir.NoReg}
 
@@ -202,9 +215,34 @@ func (a *analyzer) cloneLoop(c *Container, perIter int64) {
 	calls := make([]ir.Call, ncalls)
 	args := make([]ir.Reg, nargs)
 	probes := make([]ir.ProbeInfo, nprobes)
+	// The names are cut from one string: each block's name and ".fast",
+	// the header's with ".fastprobe", which has ".fast" as its prefix.
+	var sb strings.Builder
+	size := len("probe")
+	for _, bi := range l.Blocks {
+		size += len(f.Blocks[bi].Name) + len(".fast")
+	}
+	sb.Grow(size)
+	for _, bi := range l.Blocks {
+		sb.WriteString(f.Blocks[bi].Name)
+		sb.WriteString(".fast")
+		if bi == l.Header {
+			sb.WriteString("probe")
+		}
+	}
+	names, probeName := sb.String(), ""
+	// The transform of the original loop follows (visitLoop): one
+	// reservation serves its blocks too.
+	f.ReserveBlocks(len(l.Blocks) + 1 + transformBlocks)
 	for _, bi := range l.Blocks {
 		ob := f.Blocks[bi]
-		nb := f.NewBlock(ob.Name + ".fast")
+		end := len(ob.Name) + len(".fast")
+		nb := f.NewBlock(names[:end])
+		if bi == l.Header {
+			end += len("probe")
+			probeName = names[:end]
+		}
+		names = names[end:]
 		n := copy(instrs, ob.Instrs)
 		nb.Instrs, instrs = instrs[:n:n], instrs[n:]
 		for i := range nb.Instrs {
@@ -234,7 +272,7 @@ func (a *analyzer) cloneLoop(c *Container, perIter int64) {
 	if !thenExits {
 		exitTarget = h.Term.Else
 	}
-	fastProbe := f.NewBlock(h.Name + ".fastprobe")
+	fastProbe := f.NewBlock(probeName)
 	kf := f.NewReg()
 	a.markLoop(fastProbe, 0, incPerStep(perIter, iv.Step), iv.IndVar, kf)
 	fastProbe.Term = ir.Terminator{Kind: ir.TermJmp, Then: exitTarget, Cond: ir.NoReg, Val: ir.NoReg}

@@ -36,11 +36,15 @@ func compileAll(t *testing.T, mods []*ir.Module, opts []Option) {
 // shared by the optimizer's passes), the same measurement read
 // CI 6 281, CI-Cycles 6 280, Naive 1 184 and CI+opt 8 102. Before the
 // graph became one int32 array and one bundle's memory served every
-// function of a module, it read 2 551, 2 551, 482 and 3 145; it reads
-// 2 375, 2 375, 491 and 2 605 now (Naive's nine more are the call-record
-// arrays of the clones of the nine programs that make calls).
+// function of a module, it read 2 551, 2 551, 482 and 3 145. Before
+// blocks came from a per-function slab, each loop transform's names
+// from one string and the reducer's per-function arrays from scratch
+// one Analyze call reuses, it read 2 375, 2 375, 491 and 2 605 (Naive's
+// nine more than before are the call-record arrays of the clones of the
+// nine programs that make calls); it reads 1 837, 1 838, 491 and 2 060
+// now.
 func TestCompileAllocsPerConfig(t *testing.T) {
-	bound := map[string]float64{"CI": 2494, "CI-Cycles": 2494, "Naive": 516, "CI+opt": 2736}
+	bound := map[string]float64{"CI": 1929, "CI-Cycles": 1930, "Naive": 516, "CI+opt": 2163}
 	mods := table7()
 	for _, c := range goldenConfigs {
 		allocs := testing.AllocsPerRun(3, func() { compileAll(t, mods, c.opts) })
@@ -58,10 +62,12 @@ func TestCompileAllocsPerConfig(t *testing.T) {
 // pointers), leaf containers to 96 (loop fields in a loop record), the
 // graph to one int32 array and the analyses to one reused bundle per
 // module, the measurement read CI 666 056 B, CI-Cycles 666 056 B,
-// Naive 304 736 B and CI+opt 832 264 B; it reads 440 504, 440 504,
-// 185 904 and 494 200 now.
+// Naive 304 736 B and CI+opt 832 264 B. Before the block slab and the
+// reducer's scratch it read 440 504, 440 504, 185 904 and 494 200; it
+// reads 431 171, 431 171, 186 448 and 484 189 now (Naive's 544 more are
+// the slab's slice header every Func now carries).
 func TestCompileBytesPerConfig(t *testing.T) {
-	bound := map[string]float64{"CI": 462529, "CI-Cycles": 462529, "Naive": 195199, "CI+opt": 518910}
+	bound := map[string]float64{"CI": 452730, "CI-Cycles": 452730, "Naive": 195770, "CI+opt": 508398}
 	mods := table7()
 	for _, c := range goldenConfigs {
 		bytes := bytesPerRun(3, func() { compileAll(t, mods, c.opts) })

@@ -12,7 +12,11 @@
 // and a structural verifier (verify.go).
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+)
 
 // Reg identifies a virtual register within a function. Parameters are
 // registers 0..NumParams-1. NoReg marks an absent operand.
@@ -245,6 +249,10 @@ type Func struct {
 	NoInstrument bool
 	// Mod is the owning module.
 	Mod *Module
+	// spare holds the blocks ReserveBlocks set aside and NewBlock has
+	// not handed out yet. It belongs to this Func value alone: a copy
+	// of the struct must not take it along.
+	spare []Block
 }
 
 // Entry returns the function's entry block, or nil for an empty body.
@@ -262,24 +270,46 @@ func (f *Func) NewReg() Reg {
 	return r
 }
 
-// NewBlock appends a new, empty, unterminated block with the given name
-// (made unique if needed) and returns it.
+// NewBlock appends a new, empty, unterminated block and returns it. It
+// is named name, or "bN" for N the block count when name is empty; a
+// name some block already has gets the first free suffix ".1", ".2", ….
+// The block comes out of the function's slab (see ReserveBlocks), or is
+// allocated alone when the slab is empty.
 func (f *Func) NewBlock(name string) *Block {
 	if name == "" {
-		name = fmt.Sprintf("b%d", len(f.Blocks))
+		name = "b" + strconv.Itoa(len(f.Blocks))
 	}
 	if f.blockByName(name) != nil {
-		base := name
+		base := name + "."
 		for i := 1; ; i++ {
-			name = fmt.Sprintf("%s.%d", base, i)
+			name = base + strconv.Itoa(i)
 			if f.blockByName(name) == nil {
 				break
 			}
 		}
 	}
-	b := &Block{Name: name, Index: len(f.Blocks)}
+	if len(f.spare) == 0 {
+		f.ReserveBlocks(1)
+	}
+	b := &f.spare[0]
+	f.spare = f.spare[1:]
+	*b = Block{Name: name, Index: len(f.Blocks)}
 	f.Blocks = append(f.Blocks, b)
 	return b
+}
+
+// ReserveBlocks readies the function for n more NewBlock calls: their
+// blocks come out of one array and Blocks has room for them, so a
+// transform that adds n blocks allocates at most twice, not n times and
+// more for Blocks. When
+// the slab has fewer than n blocks left, a new array of exactly n
+// replaces it, so a reservation that is used in full allocates no byte
+// more than n separate blocks would.
+func (f *Func) ReserveBlocks(n int) {
+	if len(f.spare) < n {
+		f.spare = make([]Block, n)
+	}
+	f.Blocks = slices.Grow(f.Blocks, n)
 }
 
 func (f *Func) blockByName(name string) *Block {
@@ -423,7 +453,7 @@ func (m *Module) Clone() *Module {
 	for fi, f := range m.Funcs {
 		nf := &funcs[fi]
 		*nf = *f
-		nf.Mod = nm
+		nf.Mod, nf.spare = nm, nil
 		nm.Funcs[fi] = nf
 		n := len(f.Blocks)
 		nf.Blocks = blockPtrs[:n:n]

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,14 +64,56 @@ func TestBlockSuccs(t *testing.T) {
 	}
 }
 
+// TestNewBlockUniqueNames pins NewBlock's naming rule, with blocks allocated
+// one at a time and from a reservation: an empty name gives "bN" for N
+// the block count, and a name a block has gets the first free suffix
+// ".1", ".2", …, which a removed block frees.
 func TestNewBlockUniqueNames(t *testing.T) {
-	m := NewModule("t")
-	f := m.NewFunc("f", 0)
-	a := f.NewBlock("x")
-	b := f.NewBlock("x")
-	c := f.NewBlock("x")
-	if a.Name == b.Name || b.Name == c.Name || a.Name == c.Name {
-		t.Errorf("duplicate block names: %q %q %q", a.Name, b.Name, c.Name)
+	// A step adds a block named add and wants it named want, or, when
+	// remove is set, drops the block of that name.
+	type step struct{ add, want, remove string }
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"empty names count blocks", []step{
+			{add: "", want: "b0"}, {add: "", want: "b1"}, {add: "x", want: "x"}, {add: "", want: "b3"},
+		}},
+		{"repeats take suffixes", []step{
+			{add: "x", want: "x"}, {add: "x", want: "x.1"}, {add: "x", want: "x.2"},
+			{add: "x.1", want: "x.1.1"}, {add: "y", want: "y"}, {add: "x", want: "x.3"},
+		}},
+		{"a removed block frees its name", []step{
+			{add: "x", want: "x"}, {add: "x", want: "x.1"}, {add: "x", want: "x.2"},
+			{remove: "x.1"}, {add: "x", want: "x.1"}, {remove: "x"}, {add: "x", want: "x"},
+			{add: "x", want: "x.3"},
+		}},
+		{"an empty name counts the blocks left", []step{
+			{add: "", want: "b0"}, {add: "", want: "b1"}, {remove: "b0"}, {add: "", want: "b1.1"},
+			{add: "", want: "b2"},
+		}},
+	}
+	for _, tc := range cases {
+		for _, reserve := range []int{0, len(tc.steps)} {
+			t.Run(fmt.Sprintf("%s/reserve%d", tc.name, reserve), func(t *testing.T) {
+				f := NewModule("t").NewFunc("f", 0)
+				f.ReserveBlocks(reserve)
+				for i, s := range tc.steps {
+					if s.remove != "" {
+						f.Blocks = slices.DeleteFunc(f.Blocks, func(b *Block) bool { return b.Name == s.remove })
+						f.Reindex()
+						continue
+					}
+					b := f.NewBlock(s.add)
+					if b.Name != s.want {
+						t.Errorf("step %d: NewBlock(%q) named %q, want %q", i, s.add, b.Name, s.want)
+					}
+					if b.Index != len(f.Blocks)-1 || f.Blocks[b.Index] != b {
+						t.Errorf("step %d: block %q at index %d of %d", i, b.Name, b.Index, len(f.Blocks))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -119,6 +163,58 @@ func TestCloneIsDeep(t *testing.T) {
 		if b.Term.Then != nil && orig[b.Term.Then] {
 			t.Error("clone terminator points into original function")
 		}
+	}
+}
+
+// TestCloneSharesNoBlock checks that a clone made after NewBlock calls,
+// with or without blocks left in the source's slab, shares no block
+// with its source: blocks added to one side and edited leave the other
+// side's text as it was, whichever side grows first.
+func TestCloneSharesNoBlock(t *testing.T) {
+	grow := func(m *Module, name string) {
+		f := m.FuncByName("main")
+		for i := 0; i < 3; i++ {
+			b := f.NewBlock(name)
+			b.Instrs = append(b.Instrs, Instr{Op: OpMov, Dst: f.NewReg(), A: NoReg, B: NoReg, Imm: int64(i), BImm: true})
+			b.Term = Terminator{Kind: TermRet, Cond: NoReg, Val: NoReg}
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		reserve     int
+		sourceFirst bool
+	}{
+		{"clone grows first", 0, false},
+		{"clone grows first, slab left", 4, false},
+		{"source grows first", 0, true},
+		{"source grows first, slab left", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := buildCountedLoopModule(t, 3)
+			f := m.FuncByName("main")
+			f.ReserveBlocks(tc.reserve)
+			f.NewBlock("extra").Term = Terminator{Kind: TermRet, Cond: NoReg, Val: NoReg}
+			c := m.Clone()
+			first, second := c, m
+			if tc.sourceFirst {
+				first, second = m, c
+			}
+			grow(first, "first")
+			want := first.String()
+			grow(second, "second")
+			if got := first.String(); got != want {
+				t.Errorf("the other side's new blocks changed this one:\n%s\nwant:\n%s", got, want)
+			}
+			orig := make(map[*Block]bool)
+			for _, b := range f.Blocks {
+				orig[b] = true
+			}
+			for _, b := range c.FuncByName("main").Blocks {
+				if orig[b] {
+					t.Errorf("block %q is in both the source and the clone", b.Name)
+				}
+			}
+		})
 	}
 }
 

@@ -58,8 +58,7 @@ func optimize(f *ir.Func, an *cfg.Analyses) Stats {
 			s.Folded += n
 			changed = true
 		}
-		if n := eliminateDead(f, uses); n > 0 {
-			an.InstrsChanged()
+		if n := eliminateDead(f, an, uses); n > 0 {
 			s.DeadRemoved += n
 			changed = true
 		}
@@ -154,8 +153,9 @@ func b2i(b bool) int64 {
 
 // foldConstants performs block-local constant/copy propagation plus a
 // global pass over single-definition constant registers (found via the
-// cfg reg analysis, so it is safe across blocks). It tells an what it
-// edited.
+// cfg reg analysis, so it is safe across blocks). A folded instruction
+// still defines its register, so the register info stays current; a
+// folded branch drops an's analyses.
 func foldConstants(f *ir.Func, an *cfg.Analyses) int {
 	folded, branches := 0, 0
 	ri, dom := an.Regs(), an.Dom()
@@ -264,11 +264,8 @@ func foldConstants(f *ir.Func, an *cfg.Analyses) int {
 			}
 		}
 	}
-	switch {
-	case branches > 0:
+	if branches > 0 {
 		an.CFGChanged()
-	case folded > 0:
-		an.InstrsChanged()
 	}
 	return folded
 }
@@ -292,8 +289,9 @@ func hasSideEffects(in *ir.Instr) bool {
 
 // eliminateDead removes pure instructions whose destination is never
 // read (including by terminators or probes), iterating within the
-// pass. uses is scratch of f.NumRegs counters.
-func eliminateDead(f *ir.Func, uses []int) int {
+// pass, through an, which keeps its analyses current. uses is scratch
+// of f.NumRegs counters.
+func eliminateDead(f *ir.Func, an *cfg.Analyses, uses []int) int {
 	removed := 0
 	for {
 		clear(uses)
@@ -338,23 +336,13 @@ func eliminateDead(f *ir.Func, uses []int) int {
 		}
 		// Parameters are observable (callers pass them); their defs can
 		// still die, but a param register itself has no defining instr.
-		changed := false
-		for _, b := range f.Blocks {
-			out := b.Instrs[:0]
-			for i := range b.Instrs {
-				in := b.Instrs[i]
-				if in.Dst != ir.NoReg && uses[in.Dst] == 0 && !hasSideEffects(&in) {
-					removed++
-					changed = true
-					continue
-				}
-				out = append(out, in)
-			}
-			b.Instrs = out
-		}
-		if !changed {
+		n := an.DeleteInstrs(func(in *ir.Instr) bool {
+			return in.Dst != ir.NoReg && uses[in.Dst] == 0 && !hasSideEffects(in)
+		})
+		if n == 0 {
 			return removed
 		}
+		removed += n
 	}
 }
 

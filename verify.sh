@@ -9,13 +9,14 @@
 set -eu
 cd "$(dirname "$0")"
 
-# leftovers lists the live processes a stage could have started, by
-# executable name (pid, state, elapsed, name). Not `pgrep -f`: its
-# pattern also matches the command line of the shell that runs it. A
-# zombie is dead and only waits for init to reap it, so it is not one.
+# leftovers lists the live processes a stage could have started, and a
+# `go tool pprof -http` server left serving, by executable name (pid,
+# state, elapsed, name). Not `pgrep -f`: its pattern also matches the
+# command line of the shell that runs it. A zombie is dead and only
+# waits for init to reap it, so it is not one.
 leftovers() {
     ps -eo pid,stat,etime,comm | awk '$2 !~ /^Z/' |
-        grep -E ' (go|compile|link|vet|ciexp|cirun|benchmark[^ ]*|[^ ]+\.test)$' || true
+        grep -E ' (go|compile|link|vet|pprof|ciexp|cirun|benchmark[^ ]*|[^ ]+\.test)$' || true
 }
 # Whatever of that kind already runs belongs to someone else.
 foreign=" $(leftovers | awk '{printf "%s ", $1}')"
