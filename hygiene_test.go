@@ -23,9 +23,9 @@ import (
 //   - no go statement outside goStmtAllowed;
 //   - no file write (os.Create, os.CreateTemp, os.WriteFile,
 //     os.OpenFile, os.Rename, os.MkdirAll) outside fileWriteAllowed;
-//   - no sort.Slice or sort.SliceStable on the compile path
-//     (compilePath): slices.SortFunc and slices.SortStableFunc take a
-//     typed comparison and no reflection-based swapper.
+//   - no sort.Slice or sort.SliceStable on the hot paths (hotPaths):
+//     slices.SortFunc and slices.SortStableFunc take a typed
+//     comparison and no reflection-based swapper.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -41,9 +41,13 @@ var fileWriteAllowed = map[string]string{
 	"internal/sanitize/repro.go:SaveRepro":       "pins a shrunk reproducer as a test input under testdata/repro",
 }
 
-// compilePath are the packages between IR text and an instrumented
-// module.
-var compilePath = []string{"internal/ir/", "internal/cfg/", "internal/opt/", "internal/ci/"}
+// hotPaths are the packages between IR text and an instrumented module,
+// and the fleet model's: the fleet, its overload controllers and the
+// statistics its result pass reads.
+var hotPaths = []string{
+	"internal/ir/", "internal/cfg/", "internal/opt/", "internal/ci/",
+	"internal/fleet/", "internal/overload/", "internal/stats/",
+}
 
 // fileWrites are the os functions that create, write or move files.
 var fileWrites = map[string]bool{
@@ -124,8 +128,8 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					if _, ok := fileWriteAllowed[path+":"+fn]; !ok {
 						report(n, "file write os."+sel+" outside the allow-list")
 					}
-				case imp == "sort" && (sel == "Slice" || sel == "SliceStable") && onCompilePath(path):
-					report(n, "sort."+sel+" on the compile path; use slices.SortFunc or slices.SortStableFunc")
+				case imp == "sort" && (sel == "Slice" || sel == "SliceStable") && onHotPath(path):
+					report(n, "sort."+sel+" on a hot path; use slices.SortFunc or slices.SortStableFunc")
 				}
 			}
 			return true
@@ -134,8 +138,8 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 	return out
 }
 
-func onCompilePath(path string) bool {
-	for _, p := range compilePath {
+func onHotPath(path string) bool {
+	for _, p := range hotPaths {
 		if strings.HasPrefix(path, p) {
 			return true
 		}
@@ -173,8 +177,8 @@ func f() {
 	}
 }
 
-// The sort rule holds on the compile path only: the same file fails
-// under internal/cfg and passes under internal/fleet.
+// The sort rule holds on the hot paths only: the same file fails under
+// internal/cfg and internal/fleet, and passes under internal/interleave.
 func TestHygieneSortRule(t *testing.T) {
 	const src = `package p
 
@@ -194,7 +198,10 @@ func f(xs []int) {
 	if got := hygieneViolations(fset, "internal/cfg/p.go", f); len(got) != 2 {
 		t.Errorf("internal/cfg: want 2 violations (Slice, SliceStable), got %d:\n%s", len(got), strings.Join(got, "\n"))
 	}
-	if got := hygieneViolations(fset, "internal/fleet/p.go", f); len(got) != 0 {
-		t.Errorf("internal/fleet: want no violation, got:\n%s", strings.Join(got, "\n"))
+	if got := hygieneViolations(fset, "internal/fleet/p.go", f); len(got) != 2 {
+		t.Errorf("internal/fleet: want 2 violations (Slice, SliceStable), got %d:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	if got := hygieneViolations(fset, "internal/interleave/p.go", f); len(got) != 0 {
+		t.Errorf("internal/interleave: want no violation, got:\n%s", strings.Join(got, "\n"))
 	}
 }

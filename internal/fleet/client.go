@@ -34,7 +34,7 @@ const retryBackoffBase = 130_000
 // hedgeEntry tracks a first attempt awaiting its hedge trigger.
 type hedgeEntry struct {
 	sendTime int64
-	reqID    int64
+	req      reqHandle
 }
 
 type cancelMsg struct {
@@ -59,7 +59,7 @@ type clients struct {
 	mean []float64 // mean inter-arrival per tenant (cycles)
 
 	nextAttID int64
-	reqs      reqRing
+	reqs      reqSlab
 	retryQ    retryHeap
 	hedgeQ    queue[hedgeEntry]
 	cancels   []cancelMsg
@@ -83,7 +83,7 @@ const budgetCap = 1000
 func newClients(c Config) *clients {
 	cl := &clients{
 		cfg:       c,
-		reqs:      newReqRing(1024),
+		reqs:      newReqSlab(1024),
 		perTenant: make([]tenantAcc, c.Tenants),
 	}
 	// Fair share: LoadFactor × cluster capacity, split evenly; the
@@ -96,6 +96,7 @@ func newClients(c Config) *clients {
 			rate *= misbehaveFactor
 			cl.perTenant[i].misbehaving = true
 		}
+		cl.perTenant[i].lats = make([]int64, 0, expectedArrivals(c, rate))
 		cl.rngs = append(cl.rngs, sim.NewRNG(c.Seed^uint64(0x74656e616e74)^uint64(i)<<32))
 		cl.mean = append(cl.mean, 1/rate)
 		cl.next = append(cl.next, cl.rngs[i].Exp(1/rate))
@@ -117,9 +118,8 @@ func (cl *clients) arrivals(b *batch, t0, t1 int64) {
 			}
 			cl.nextAttID++
 			d := paretoDemand(cl.rngs[i])
-			rq := cl.reqs.add(at, d, int32(i))
 			b.due = append(b.due, attempt{
-				id: cl.nextAttID, reqID: rq.id, tenant: int32(i),
+				id: cl.nextAttID, req: cl.reqs.add(at, d, int32(i)), tenant: int32(i),
 				kind: kindFirst, exclude: -1, arrival: at, reqArrival: at, demand: d,
 			})
 		}
@@ -158,7 +158,7 @@ func (cl *clients) dueHedges(b *batch, t, delay int64) {
 	}
 	for cl.hedgeQ.len() > 0 && cl.hedgeQ.live()[0].sendTime+delay <= t {
 		e := cl.hedgeQ.pop()
-		rq := cl.reqs.get(e.reqID)
+		rq := cl.reqs.get(e.req)
 		if rq == nil || rq.done || rq.hedged || rq.nOut == 0 {
 			continue
 		}
@@ -170,7 +170,7 @@ func (cl *clients) dueHedges(b *batch, t, delay int64) {
 		rq.hedged = true
 		cl.nextAttID++
 		b.due = append(b.due, attempt{
-			id: cl.nextAttID, reqID: e.reqID, tenant: rq.tenant,
+			id: cl.nextAttID, req: e.req, tenant: rq.tenant,
 			kind: kindHedge, exclude: rq.outReplica[0],
 			arrival: t, reqArrival: rq.arrival, demand: rq.demand,
 		})
@@ -182,7 +182,7 @@ func (cl *clients) dueHedges(b *batch, t, delay int64) {
 // with its request.
 func (cl *clients) noteAttempt(a *attempt) {
 	cl.attempts++
-	rq := cl.reqs.get(a.reqID)
+	rq := cl.reqs.get(a.req)
 	if a.kind != kindRetry {
 		rq.live++ // retries were counted live when scheduled
 	}
@@ -190,7 +190,7 @@ func (cl *clients) noteAttempt(a *attempt) {
 		rq.outID[rq.nOut], rq.outReplica[rq.nOut] = a.id, -1
 		rq.nOut++
 	} else if cl.overflow == nil {
-		cl.overflow = &InflightOverflowError{ReqID: a.reqID, AttemptID: a.id}
+		cl.overflow = &InflightOverflowError{ReqID: rq.id, AttemptID: a.id}
 	}
 	switch a.kind {
 	case kindFirst:
@@ -199,7 +199,7 @@ func (cl *clients) noteAttempt(a *attempt) {
 		cl.retryBudget = math.Min(cl.retryBudget+cl.cfg.RetryBudgetFrac, budgetCap)
 		cl.hedgeBudget = math.Min(cl.hedgeBudget+hedgeBudgetFrac, budgetCap)
 		if cl.cfg.HedgeDelayCycles > 0 {
-			cl.hedgeQ.push(hedgeEntry{sendTime: a.arrival, reqID: a.reqID})
+			cl.hedgeQ.push(hedgeEntry{sendTime: a.arrival, req: a.req})
 		}
 	case kindRetry:
 		cl.retries++
@@ -210,8 +210,8 @@ func (cl *clients) noteAttempt(a *attempt) {
 
 // bindReplica records where an attempt was routed (for hedge
 // cancellation).
-func (cl *clients) bindReplica(reqID, attID int64, replica int) {
-	rq := cl.reqs.get(reqID)
+func (cl *clients) bindReplica(h reqHandle, attID int64, replica int) {
+	rq := cl.reqs.get(h)
 	for i := 0; i < int(rq.nOut); i++ {
 		if rq.outID[i] == attID {
 			rq.outReplica[i] = int32(replica)
@@ -224,7 +224,7 @@ func (cl *clients) bindReplica(reqID, attID int64, replica int) {
 // request itself just completed, and the request latency in cycles
 // (-1 for a permanent failure).
 func (cl *clients) settle(o *outcome) (doneNow bool, lat int64) {
-	rq := cl.reqs.get(o.att.reqID)
+	rq := cl.reqs.get(o.att.req)
 	rq.live--
 	rq.dropOut(o.att.id)
 	lat = -1
@@ -278,7 +278,7 @@ func (cl *clients) settle(o *outcome) (doneNow bool, lat int64) {
 		}
 	}
 	if rq.done && rq.live == 0 {
-		cl.reqs.release(rq)
+		cl.reqs.release(o.att.req)
 	}
 	return doneNow, lat
 }
@@ -305,7 +305,7 @@ func (cl *clients) maybeRetry(rq *request, o *outcome) {
 	rq.live++ // stays live while the retry waits in the heap
 	cl.nextAttID++
 	cl.retryQ.push(attempt{
-		id: cl.nextAttID, reqID: o.att.reqID, tenant: rq.tenant,
+		id: cl.nextAttID, req: o.att.req, tenant: rq.tenant,
 		kind: kindRetry, exclude: o.att.replica,
 		arrival: o.at + backoff, reqArrival: rq.arrival, demand: rq.demand,
 	})
@@ -335,6 +335,17 @@ func (cl *clients) flushCancels(replicas []*replica) {
 	cl.cancels = cl.cancels[:0]
 }
 
+// expectedArrivals sizes a tenant's latency list once: its arrivals
+// over every epoch that generates any (see arrivals) are Poisson with
+// mean rate × that span, and the list gets room for four standard
+// deviations above the mean. Only served requests are recorded, so the
+// list almost never outgrows it; if it does, append still grows it.
+func expectedArrivals(c Config, rate float64) int {
+	epochs := (c.HorizonCycles + EpochCycles - 1) / EpochCycles
+	mean := rate * float64(epochs*EpochCycles)
+	return int(math.Ceil(mean + 4*math.Sqrt(mean)))
+}
+
 func (cl *clients) fill(res *Result) {
 	res.Injected = cl.injected
 	res.Served = cl.served
@@ -353,7 +364,8 @@ func (cl *clients) fill(res *Result) {
 	res.RetryDenied = cl.retryDenied
 	res.HedgeDenied = cl.hedgeDenied
 	// Each tenant's latencies are sorted once, in place, for its own
-	// tails; the cluster-wide tails come from merging those sorted lists.
+	// tails; the cluster-wide tails are read off those sorted lists by
+	// rank, without merging them.
 	lists := make([][]int64, 0, len(cl.perTenant))
 	for i := range cl.perTenant {
 		acc := &cl.perTenant[i]
@@ -370,34 +382,17 @@ func (cl *clients) fill(res *Result) {
 		}
 		res.PerTenant = append(res.PerTenant, ts)
 	}
-	if all := mergeSorted(lists); len(all) > 0 {
-		res.P50Us = float64(stats.PercentileSorted(all, 50)) / CyclesPerUs
-		res.P99Us = float64(stats.PercentileSorted(all, 99)) / CyclesPerUs
-		res.P999Us = float64(stats.PercentileSorted(all, 99.9)) / CyclesPerUs
-		res.MaxUs = float64(all[len(all)-1]) / CyclesPerUs
+	if len(lists) > 0 {
+		res.P50Us = float64(stats.PercentileSortedLists(lists, 50)) / CyclesPerUs
+		res.P99Us = float64(stats.PercentileSortedLists(lists, 99)) / CyclesPerUs
+		res.P999Us = float64(stats.PercentileSortedLists(lists, 99.9)) / CyclesPerUs
+		top := lists[0][len(lists[0])-1]
+		for _, l := range lists[1:] {
+			top = max(top, l[len(l)-1])
+		}
+		res.MaxUs = float64(top) / CyclesPerUs
 	}
 	if cl.overflow != nil {
 		res.InvariantErrs = append(res.InvariantErrs, cl.overflow.Error())
 	}
-}
-
-// mergeSorted merges ascending lists into one ascending slice. It
-// consumes the lists slice (not the lists).
-func mergeSorted(lists [][]int64) []int64 {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]int64, 0, n)
-	for len(out) < n {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || l[0] < lists[best][0]) {
-				best = i
-			}
-		}
-		out = append(out, lists[best][0])
-		lists[best] = lists[best][1:]
-	}
-	return out
 }

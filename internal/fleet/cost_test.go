@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/fleet"
@@ -15,11 +16,13 @@ import (
 // short mini horizons amortize over few attempts.
 //
 // Measured allocations per attempt, serial run, seed 1 (the full-size
-// soaks amortize the set-up further and read lower still):
+// soaks amortize the set-up further and read lower still). The slab
+// column is the request slab, presized latency lists, tails read by
+// rank and window histograms only for enabled breakers:
 //
-//	             map + per-request objects + eager pick   ring, merge, lazy pick
-//	mini scale   6.646 (233 137 / 35 078 attempts)        0.052 (1 809)
-//	mini zone    5.541 (259 460 / 46 825 attempts)        0.010 (458)
+//	             map + per-request objects + eager pick   ring, merge, lazy pick   slab
+//	mini scale   6.646 (233 137 / 35 078 attempts)        0.052 (1 809)            0.048 (1 697)
+//	mini zone    5.541 (259 460 / 46 825 attempts)        0.010 (458)              0.008 (395)
 func TestRunAllocsPerAttempt(t *testing.T) {
 	scale, zone := benchShapes(1)
 	for _, tc := range []goldenCase{{"scale", scale}, {"zone", zone}} {
@@ -31,4 +34,43 @@ func TestRunAllocsPerAttempt(t *testing.T) {
 			t.Errorf("%s: %.3f allocations per attempt, want <= 0.25", tc.name, per)
 		}
 	}
+}
+
+// TestRunBytesPerAttempt gates the bytes one whole Run allocates per
+// attempt on the benchmark's mini shapes, seed 1, each bound the count
+// at the time of writing plus 5%. The counts repeat to within a few
+// hundred bytes a run.
+//
+//	             ring, growing latency lists,     slab, presized lists,
+//	             merge copy, inline histograms    rank tails, lazy histograms
+//	mini scale   203.1 (7 125 048 B)              96.9 (3 400 184 B)
+//	mini zone     97.0 (4 542 152 B)              69.7 (3 264 120 B)
+func TestRunBytesPerAttempt(t *testing.T) {
+	scale, zone := benchShapes(1)
+	for _, tc := range []struct {
+		goldenCase
+		bound float64
+	}{{goldenCase{"scale", scale}, 101.7}, {goldenCase{"zone", zone}, 73.2}} {
+		var attempts int64
+		bytes := bytesPerRun(2, func() { attempts = fleet.Run(tc.cfg, nil).Attempts })
+		per := bytes / float64(attempts)
+		t.Logf("%s: %.0f bytes / %d attempts = %.1f", tc.name, bytes, attempts, per)
+		if per > tc.bound {
+			t.Errorf("%s: %.1f bytes per attempt, want at most %.1f", tc.name, per, tc.bound)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes f
+// allocates per call, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

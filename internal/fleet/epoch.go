@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the barrier's reused data structures: the
-// request ring, the epoch batch and its merge, the retry heap and the
+// request slab, the epoch batch and its merge, the retry heap and the
 // head-indexed FIFO. The package comment's "Execution" section says
 // how an epoch uses them.
 
@@ -18,15 +18,16 @@ import (
 const maxInflight = 2
 
 // request is one client request's settlement state, stored inline in
-// the ring (64 bytes, one cache line). The in-flight attempts are
+// the slab (64 bytes, one cache line). The in-flight attempts are
 // out{ID,Replica}[:nOut], oldest first.
 type request struct {
-	id, arrival, demand int64 // id 0 marks a free slot
+	id, arrival, demand int64 // id is the request's sequence number, from 1
 	outID               [maxInflight]int64
 	outReplica          [maxInflight]int32 // -1 until routed
 	tenant              int32
 	retries             int32
-	live                int8 // attempts in flight or scheduled
+	gen                 uint32 // the slot's generation; see reqSlab
+	live                int8   // attempts in flight or scheduled
 	nOut                int8
 	hedged, done        bool
 }
@@ -51,7 +52,7 @@ func (rq *request) dropOut(id int64) {
 // request's record silently. The attempt itself still runs and settles;
 // only its cancellation tracking is lost.
 type InflightOverflowError struct {
-	ReqID, AttemptID int64
+	ReqID, AttemptID int64 // ReqID is the request's sequence number
 }
 
 func (e *InflightOverflowError) Error() string {
@@ -59,58 +60,79 @@ func (e *InflightOverflowError) Error() string {
 		e.AttemptID, e.ReqID, maxInflight+1)
 }
 
-// reqRing stores the live requests in a power-of-two ring indexed by
-// request id. Ids are handed out consecutively, and a request lives
-// for a bounded time (deadline, retries, drain), so the live ids always
-// sit in a window [head, last] far smaller than the run: slot id&mask
-// is collision-free as long as the ring is at least as long as the
-// window, and add doubles it when the window would outgrow it. There is
-// no map and no per-request object. A *request is valid until the next
-// add (growth moves the slots).
-type reqRing struct {
+// reqHandle names a request in the slab: its slot, and the slot's
+// generation when the request took it.
+type reqHandle struct {
+	slot, gen uint32
+}
+
+// reqSlab stores the live requests, one slot each, so it is as long as
+// the most requests ever live at once — not as long as the span of
+// their sequence numbers, which a few slow requests stretch far
+// further. Released slots go on a free list and are reused last in,
+// first out; only when the list is empty does the slab take a fresh
+// slot, doubling its array when that is full. There is no map and no
+// per-request object.
+//
+// Release bumps the slot's generation, so a handle resolves only while
+// its request lives: once the request is released, and after the slot
+// is reused, get finds another generation and returns nil. Generations
+// start at 1, so the zero handle
+// is never live; they wrap after 2^32 reuses of one slot, and no handle
+// outlives its request by anything near that. A *request is valid
+// until the next add (growth moves the slots).
+type reqSlab struct {
 	slots []request
-	head  int64 // every id below head is gone
-	last  int64 // highest id handed out
+	free  []uint32 // released slots, the next one to reuse last; cap(free) == cap(slots)
+	seq   int64    // sequence number of the last request added
 }
 
-func newReqRing(size int) reqRing { return reqRing{slots: make([]request, size), head: 1} }
+// newReqSlab makes a slab with room for size > 0 live requests before
+// its first growth.
+func newReqSlab(size int) reqSlab {
+	return reqSlab{slots: make([]request, 0, size), free: make([]uint32, 0, size)}
+}
 
-// add stores a new request under the next id and returns it.
-func (r *reqRing) add(arrival, demand int64, tenant int32) *request {
-	r.last++
-	if r.last-r.head >= int64(len(r.slots)) {
-		old := r.slots
-		r.slots = make([]request, 2*len(old))
-		mask := int64(len(r.slots) - 1)
-		for i := range old {
-			if old[i].id != 0 {
-				r.slots[old[i].id&mask] = old[i]
-			}
+// add stores a new request, numbered seq+1, and returns its handle.
+func (s *reqSlab) add(arrival, demand int64, tenant int32) reqHandle {
+	var i uint32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if len(s.slots) == cap(s.slots) {
+			// The free list is empty, so it can be replaced.
+			grown := make([]request, len(s.slots), 2*cap(s.slots))
+			copy(grown, s.slots)
+			s.slots = grown
+			s.free = make([]uint32, 0, cap(grown))
 		}
+		i = uint32(len(s.slots))
+		s.slots = s.slots[:i+1]
+		s.slots[i].gen = 1
 	}
-	rq := &r.slots[r.last&int64(len(r.slots)-1)]
-	*rq = request{id: r.last, arrival: arrival, demand: demand, tenant: tenant}
-	return rq
+	s.seq++
+	rq := &s.slots[i]
+	*rq = request{id: s.seq, arrival: arrival, demand: demand, tenant: tenant, gen: rq.gen}
+	return reqHandle{slot: i, gen: rq.gen}
 }
 
-// get returns request id, or nil when it is gone: released, or never
-// handed out. A released id's slot is free or holds a later id, so the
-// stored id decides.
-func (r *reqRing) get(id int64) *request {
-	if rq := &r.slots[id&int64(len(r.slots)-1)]; rq.id == id && id != 0 {
-		return rq
+// get returns the request h names, or nil when it is gone: released,
+// or never handed out.
+func (s *reqSlab) get(h reqHandle) *request {
+	if int(h.slot) < len(s.slots) {
+		if rq := &s.slots[h.slot]; rq.gen == h.gen {
+			return rq
+		}
 	}
 	return nil
 }
 
-// release frees a finished request's slot and moves head past every id
-// that is gone, which is what keeps the window short.
-func (r *reqRing) release(rq *request) {
-	rq.id = 0
-	mask := int64(len(r.slots) - 1)
-	for r.head <= r.last && r.slots[r.head&mask].id != r.head {
-		r.head++
-	}
+// release frees a finished request's slot for reuse; h stops
+// resolving.
+func (s *reqSlab) release(h reqHandle) {
+	s.slots[h.slot].gen++
+	s.free = append(s.free, h.slot)
 }
 
 // before is the total order the barrier routes attempts in: send

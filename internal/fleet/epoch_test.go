@@ -2,91 +2,148 @@ package fleet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
-// The ring's contract: a live id is found with its contents whatever
-// happened around it; a released id is gone for good (dueHedges relies
-// on that to drop hedges of finished requests), even once its slot
-// holds a later id; the ring only grows when the live window does.
-func TestReqRing(t *testing.T) {
-	t.Run("wrap-around without growth", func(t *testing.T) {
-		r := newReqRing(4)
+// The slab's contract: a live request is found through its handle with
+// its contents whatever happened around it; a released request is gone
+// for good (dueHedges relies on that to drop hedges of finished
+// requests), even once its slot holds a later request; the slab only
+// grows when the live set does.
+func TestReqSlab(t *testing.T) {
+	t.Run("reuse without growth", func(t *testing.T) {
+		s := newReqSlab(4)
+		hs := map[int64]reqHandle{}
 		for i := int64(1); i <= 1000; i++ {
-			rq := r.add(i*10, i, int32(i%7))
-			if rq.id != i || r.get(i) != rq {
-				t.Fatalf("request %d stored as %d", i, rq.id)
+			h := s.add(i*10, i, int32(i%7))
+			hs[i] = h
+			if rq := s.get(h); rq == nil || rq.id != i || rq.arrival != i*10 {
+				t.Fatalf("request %d stored as %+v", i, rq)
 			}
-			if i > 2 { // two live at a time: ids i-1 and i
-				old := r.get(i - 2)
-				if old == nil || old.arrival != (i-2)*10 {
+			if i > 2 { // two live at a time: requests i-1 and i
+				old := s.get(hs[i-2])
+				if old == nil || old.id != i-2 || old.arrival != (i-2)*10 {
 					t.Fatalf("live request %d lost or overwritten: %+v", i-2, old)
 				}
-				r.release(old)
-				if r.get(i-2) != nil {
+				s.release(hs[i-2])
+				if s.get(hs[i-2]) != nil {
 					t.Fatalf("released request %d still found", i-2)
 				}
 			}
 		}
-		if len(r.slots) != 4 {
-			t.Fatalf("ring grew to %d slots with at most 3 live requests", len(r.slots))
+		if cap(s.slots) != 4 || len(s.slots) != 3 {
+			t.Fatalf("slab has %d of %d slots in use with at most 3 live requests", len(s.slots), cap(s.slots))
 		}
 	})
 
 	t.Run("growth while the oldest request is live", func(t *testing.T) {
-		r := newReqRing(4)
-		r.add(111, 222, 3) // id 1 outlives everything
-		for i := int64(2); i <= 300; i++ {
-			r.add(i, i, 0)
+		s := newReqSlab(4)
+		first := s.add(111, 222, 3) // outlives everything
+		hs := []reqHandle{first}
+		const n = 6000
+		for i := int64(2); i <= n; i++ {
+			h := s.add(i, i, int32(i%5))
+			hs = append(hs, h)
 			if i%3 != 0 {
-				r.release(r.get(i)) // ids far apart stay live: 3, 6, 9, ...
+				s.release(h) // 2 000 requests stay live: 3, 6, 9, ...
 			}
 		}
-		if len(r.slots) < 300 {
-			t.Fatalf("ring has %d slots for a live window of 300 ids", len(r.slots))
+		if live := 1 + n/3; len(s.slots) != live || cap(s.slots) > 2*live {
+			t.Fatalf("slab has %d of %d slots in use for %d live requests", len(s.slots), cap(s.slots), live)
 		}
-		if rq := r.get(1); rq == nil || rq.arrival != 111 || rq.demand != 222 || rq.tenant != 3 {
+		if rq := s.get(first); rq == nil || rq.id != 1 || rq.arrival != 111 || rq.demand != 222 || rq.tenant != 3 {
 			t.Fatalf("oldest request did not survive growth: %+v", rq)
 		}
-		for i := int64(2); i <= 300; i++ {
-			rq := r.get(i)
+		for k, h := range hs[1:] {
+			i := int64(k + 2)
+			rq := s.get(h)
 			if live := i%3 == 0; (rq != nil) != live {
 				t.Fatalf("request %d: found=%t, live=%t", i, rq != nil, live)
-			} else if live && rq.arrival != i {
+			} else if live && (rq.id != i || rq.arrival != i || rq.tenant != int32(i%5)) {
 				t.Fatalf("request %d came back with another's contents: %+v", i, rq)
 			}
-		}
-		// Releasing the oldest lets head jump over the gone ids.
-		r.release(r.get(1))
-		if r.head != 3 {
-			t.Fatalf("head = %d after the oldest request left, want 3 (the next live id)", r.head)
 		}
 	})
 
 	t.Run("gone means gone", func(t *testing.T) {
-		r := newReqRing(4)
-		if r.get(0) != nil || r.get(1) != nil || r.get(5) != nil {
-			t.Fatal("an id never handed out was found")
+		s := newReqSlab(4)
+		if s.get(reqHandle{}) != nil || s.get(reqHandle{slot: 3, gen: 1}) != nil {
+			t.Fatal("a handle never handed out was found")
 		}
-		r.release(r.add(1, 1, 0))
-		for i := int64(2); i <= 9; i++ { // ids 5 and 9 reuse id 1's slot
-			r.add(i, i, 0)
-			if r.get(1) != nil {
-				t.Fatalf("completed request 1 found again after request %d took its slot", i)
+		h := s.add(1, 1, 0)
+		s.release(h)
+		if s.get(h) != nil {
+			t.Fatal("released request 1 found")
+		}
+		for i := int64(2); i <= 9; i++ { // every one reuses request 1's slot
+			h2 := s.add(i, i, 0)
+			if h2.slot != h.slot {
+				t.Fatalf("request %d took slot %d, not the freed slot %d", i, h2.slot, h.slot)
 			}
-			r.release(r.get(i))
+			if s.get(h) != nil {
+				t.Fatalf("released request 1 found again after request %d took its slot", i)
+			}
+			if rq := s.get(h2); rq == nil || rq.id != i {
+				t.Fatalf("request %d not found through its own handle", i)
+			}
+			s.release(h2)
+		}
+	})
+
+	t.Run("deterministic reuse", func(t *testing.T) {
+		// Two slabs driven alike hand out the same handles, and freed
+		// slots come back last freed, first reused.
+		var slabs [2]reqSlab
+		var got [2][]reqHandle
+		for k := range slabs {
+			s := &slabs[k]
+			*s = newReqSlab(2)
+			rng := rand.New(rand.NewSource(53))
+			var live []reqHandle
+			for step := 0; step < 5000; step++ {
+				if len(live) == 0 || rng.Intn(2) == 0 {
+					h := s.add(0, 0, 0)
+					live = append(live, h)
+					got[k] = append(got[k], h)
+					continue
+				}
+				i := rng.Intn(len(live))
+				s.release(live[i])
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+		if !slices.Equal(got[0], got[1]) {
+			t.Fatal("two slabs driven alike handed out different handles")
+		}
+		s := newReqSlab(8)
+		var hs []reqHandle
+		for range 5 {
+			hs = append(hs, s.add(0, 0, 0))
+		}
+		s.release(hs[1])
+		s.release(hs[3])
+		s.release(hs[0])
+		for _, want := range []uint32{hs[0].slot, hs[3].slot, hs[1].slot, 5} {
+			if h := s.add(0, 0, 0); h.slot != want {
+				t.Fatalf("add took slot %d, want %d (last freed first, then a fresh slot)", h.slot, want)
+			}
 		}
 	})
 
 	t.Run("random against a map", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(37))
-		r := newReqRing(2)
-		model := map[int64]int64{} // id -> arrival
+		s := newReqSlab(2)
+		model := map[int64]int64{} // sequence number -> arrival
+		handles := map[int64]reqHandle{}
 		var ids []int64
 		for step := 0; step < 20_000; step++ {
 			if len(ids) == 0 || rng.Intn(100) < 52 {
-				rq := r.add(rng.Int63(), 0, 0)
+				h := s.add(rng.Int63(), 0, 0)
+				rq := s.get(h)
 				model[rq.id] = rq.arrival
+				handles[rq.id] = h
 				ids = append(ids, rq.id)
 			} else {
 				k := rng.Intn(len(ids))
@@ -95,16 +152,23 @@ func TestReqRing(t *testing.T) {
 				}
 				id := ids[k]
 				ids = append(ids[:k], ids[k+1:]...)
-				r.release(r.get(id))
+				s.release(handles[id])
 				delete(model, id)
 			}
-			probe := 1 + rng.Int63n(r.last+2)
+			probe := 1 + rng.Int63n(s.seq)
 			want, live := model[probe]
-			if rq := r.get(probe); (rq != nil) != live || live && rq.arrival != want {
-				t.Fatalf("step %d: get(%d) = %+v, model says live=%t arrival=%d", step, probe, rq, live, want)
+			if rq := s.get(handles[probe]); (rq != nil) != live || live && (rq.id != probe || rq.arrival != want) {
+				t.Fatalf("step %d: request %d = %+v, model says live=%t arrival=%d", step, probe, rq, live, want)
 			}
 		}
 	})
+}
+
+// A request is one cache line.
+func TestRequestLayout(t *testing.T) {
+	if n := unsafe.Sizeof(request{}); n > 64 {
+		t.Errorf("request is %d bytes, want at most 64", n)
+	}
 }
 
 // A third in-flight attempt cannot be recorded, and must not be
@@ -125,11 +189,12 @@ func TestInflightOverflowIsTypedError(t *testing.T) {
 	}
 	cl.noteAttempt(&third)
 	overflow := cl.overflow
-	if overflow == nil || overflow.ReqID != first.reqID || overflow.AttemptID != third.id {
+	rq := cl.reqs.get(first.req)
+	if overflow == nil || overflow.ReqID != rq.id || overflow.AttemptID != third.id {
 		t.Fatalf("third in-flight attempt gave %v, want an InflightOverflowError for request %d attempt %d",
-			overflow, first.reqID, third.id)
+			overflow, rq.id, third.id)
 	}
-	if rq := cl.reqs.get(first.reqID); rq.nOut != maxInflight {
+	if rq.nOut != maxInflight {
 		t.Fatalf("request records %d in-flight attempts, want %d", rq.nOut, maxInflight)
 	}
 	res := &Result{}

@@ -45,13 +45,16 @@
 // The barrier is the hot loop, and it is built to allocate nothing in
 // steady state (epoch.go holds the structures):
 //
-//   - Live requests sit in a power-of-two ring indexed by request id
-//     (reqRing). Ids are consecutive and a request's life is bounded, so
-//     the live ids form a short moving window and slot id&mask never
-//     collides; the ring doubles when the window would outgrow it. A
+//   - Live requests sit in a slab (reqSlab), one 64-byte slot each, so
+//     it is as long as the most requests ever live at once rather than
+//     the span of their sequence numbers, which a few slow requests
+//     stretch far wider. Released slots are reused last in, first out;
+//     the slab doubles only when none is free. Attempts and hedge
+//     entries name their request by a handle (slot and generation);
+//     release bumps the slot's generation, so a finished request is
+//     gone: its handle reads nil, also after the slot is reused. A
 //     request's at most two in-flight attempts are stored inline — a
-//     third is an InflightOverflowError, not growth. A finished id is
-//     gone: looking it up finds a free slot or a later id.
+//     third is an InflightOverflowError, not growth.
 //   - One epoch's attempts are collected in one reused batch as sorted
 //     runs: each tenant's fresh arrivals (generated in send order with
 //     increasing ids), the due retries (popped from a typed heap, the
@@ -76,9 +79,14 @@
 //     inboxes/outboxes/cancel boxes, the retry heap's array, and the
 //     head-indexed FIFOs (queue) behind each replica's admission queue
 //     and the hedge queue. Outcomes travel by pointer into the outbox.
-//     Per-tenant latencies are the one list that grows with the run;
-//     each is sorted once at the end and the cluster tails come from
-//     merging the sorted lists.
+//   - Per-tenant latencies are the one record that grows with the run.
+//     Each tenant's list is sized once, at set-up, for its Poisson
+//     arrivals over the horizon plus four standard deviations, so it
+//     practically never regrows. At the end each list is sorted once,
+//     in place, for the tenant's tails; the cluster tails are read off
+//     the sorted lists by rank (stats.PercentileSortedLists), and the
+//     max is the largest list tail, so no merged copy is built and
+//     every percentile stays exact.
 //
 // The overload controllers inside (one per replica, per backend, per
 // tenant) run without an obs scope and allocate nothing per decision.
@@ -380,6 +388,14 @@ func (c Config) drainEnd() int64 { return c.HorizonCycles + 16*DefaultDeadlineCy
 func Run(cfg Config, _ *engine.Pool) *Result {
 	c := cfg.withDefaults()
 	f := newFleetState(c)
+	f.run()
+	return f.result(c)
+}
+
+// run steps the epochs until the work past the horizon has drained or
+// the drain bound is reached.
+func (f *fleetState) run() {
+	c := &f.cfg
 	for t, drainEnd := int64(0), c.drainEnd(); t < drainEnd; t += EpochCycles {
 		f.barrier(t)
 		for _, r := range f.replicas {
@@ -390,7 +406,6 @@ func Run(cfg Config, _ *engine.Pool) *Result {
 			break
 		}
 	}
-	return f.result(c)
 }
 
 // fleetState is the whole cluster as the barrier sees it.
@@ -547,7 +562,7 @@ func (f *fleetState) rerouteMigrated(a *attempt, from int, t int64) {
 	a.replica = int32(r)
 	f.lb.migrated++
 	f.lb.noteRouted(r)
-	f.cl.bindReplica(a.reqID, a.id, r)
+	f.cl.bindReplica(a.req, a.id, r)
 	f.replicas[r].inbox = append(f.replicas[r].inbox, *a)
 }
 
@@ -568,7 +583,7 @@ func (f *fleetState) route(a *attempt) {
 	}
 	a.replica = int32(r)
 	f.lb.noteRouted(r)
-	f.cl.bindReplica(a.reqID, a.id, r)
+	f.cl.bindReplica(a.req, a.id, r)
 	f.replicas[r].inbox = append(f.replicas[r].inbox, *a)
 }
 

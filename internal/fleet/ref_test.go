@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/overload"
+	"repro/internal/stats"
 )
 
 // pickRef is the eager pick this package shipped before the candidate
@@ -320,7 +321,7 @@ func TestEpochOrderMatchesReference(t *testing.T) {
 		for i := range b.due {
 			a := &b.due[i]
 			cl.noteAttempt(a)
-			cl.bindReplica(a.reqID, a.id, rng.Intn(cfg.Replicas))
+			cl.bindReplica(a.req, a.id, rng.Intn(cfg.Replicas))
 			if rng.Intn(3) == 0 { // some complete before their hedge is due
 				cl.settle(&outcome{att: *a, at: a.arrival + 1, status: stServed})
 			}
@@ -380,4 +381,70 @@ func TestEpochOrderMatchesReference(t *testing.T) {
 	if clamped < 1000 || dupArrivals < 1000 || hedged < 1000 {
 		t.Errorf("generator too tame: %d clamped retries, %d duplicate arrivals, %d hedges", clamped, dupArrivals, hedged)
 	}
+}
+
+// mergeSorted is the merge the result pass used before the cluster
+// tails were read off the tenants' lists by rank, kept verbatim: it
+// merges ascending lists into one ascending slice, consuming the lists
+// slice (not the lists).
+func mergeSorted(lists [][]int64) []int64 {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]int64, 0, n)
+	for len(out) < n {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0] < lists[best][0]) {
+				best = i
+			}
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+	return out
+}
+
+// TailsRef is that result pass's tail computation over the tenants'
+// latency lists: each list sorted, the sorted lists merged, every tail
+// read off the merge with PercentileSorted. Only the tail fields of the
+// Result it returns are set. It and RunLatencies are exported for
+// TestTailsMatchReference, which drives them on the benchmark's shapes
+// from package fleet_test (package fleet cannot import the experiments
+// package that builds them).
+func TailsRef(lats [][]int64) *Result {
+	res := &Result{}
+	var lists [][]int64
+	for _, l := range lats {
+		l = slices.Clone(l)
+		slices.Sort(l)
+		var ts TenantStats
+		if len(l) > 0 {
+			ts.P99Us = float64(stats.PercentileSorted(l, 99)) / CyclesPerUs
+			ts.P999Us = float64(stats.PercentileSorted(l, 99.9)) / CyclesPerUs
+			lists = append(lists, l)
+		}
+		res.PerTenant = append(res.PerTenant, ts)
+	}
+	if all := mergeSorted(lists); len(all) > 0 {
+		res.P50Us = float64(stats.PercentileSorted(all, 50)) / CyclesPerUs
+		res.P99Us = float64(stats.PercentileSorted(all, 99)) / CyclesPerUs
+		res.P999Us = float64(stats.PercentileSorted(all, 99.9)) / CyclesPerUs
+		res.MaxUs = float64(all[len(all)-1]) / CyclesPerUs
+	}
+	return res
+}
+
+// RunLatencies is Run, also returning a copy of each tenant's latency
+// list as the run recorded it, before the result pass sorts it.
+func RunLatencies(cfg Config) (*Result, [][]int64) {
+	c := cfg.withDefaults()
+	f := newFleetState(c)
+	f.run()
+	var lats [][]int64
+	for _, acc := range f.cl.perTenant {
+		lats = append(lats, slices.Clone(acc.lats))
+	}
+	return f.result(c), lats
 }

@@ -21,7 +21,7 @@ const (
 // until they settle.
 type attempt struct {
 	id         int64
-	reqID      int64
+	req        reqHandle
 	arrival    int64 // attempt send time
 	reqArrival int64 // original request arrival (deadline base)
 	demand     int64 // service demand in cycles

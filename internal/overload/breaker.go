@@ -24,8 +24,11 @@ var stateNames = [...]string{Closed: "closed", Open: "open", HalfOpen: "half-ope
 func (s State) String() string { return stateNames[s] }
 
 // BreakerConfig tunes the circuit breaker. Zero fields take the
-// documented defaults; Disabled turns the breaker off entirely.
+// documented defaults.
 type BreakerConfig struct {
+	// Disabled turns the breaker off entirely: it admits everything,
+	// records nothing and carries no window histogram, which makes its
+	// controller ~32 KB smaller.
 	Disabled bool
 	// ErrFracTrip trips the breaker when a full window's failure
 	// fraction exceeds it (default 0.5).
@@ -63,6 +66,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // error/latency windows judged at rotation time, Open with a cooldown,
 // HalfOpen probing. All transitions happen on caller timestamps, so the
 // breaker is as deterministic as the rest of the plane.
+//
+// A disabled breaker never records a sample (breakerTick, allow and
+// observe return first), so it has no window histogram: winHist is nil,
+// and New allocates the ~31 KB LogHist only for an enabled breaker.
+// A fleet runs most of its controllers (replica admission, tenant
+// gates) with the breaker off.
 type breaker struct {
 	cfg BreakerConfig
 
@@ -74,13 +83,18 @@ type breaker struct {
 	winStart int64
 	winErr   int64
 	winTotal int64
-	winHist  stats.LogHist
+	winHist  *stats.LogHist // nil when cfg.Disabled
 
 	probesLeft   int64
 	probeSuccess int64
 }
 
-func (b *breaker) init(cfg BreakerConfig) { b.cfg = cfg }
+// init configures the breaker; hist is its window histogram, nil
+// exactly when cfg.Disabled.
+func (b *breaker) init(cfg BreakerConfig, hist *stats.LogHist) {
+	b.cfg = cfg
+	b.winHist = hist
+}
 
 // cooldown resolves the configured or defaulted open duration.
 func (b *breaker) cooldown(c *Controller) int64 {
@@ -155,7 +169,7 @@ func (b *breaker) resetWindow(now int64) {
 	}
 	b.winErr = 0
 	b.winTotal = 0
-	b.winHist = stats.LogHist{}
+	*b.winHist = stats.LogHist{}
 }
 
 // allow is the breaker's admission gate: Closed admits, Open rejects,

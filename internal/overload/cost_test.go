@@ -1,6 +1,12 @@
 package overload
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/stats"
+)
 
 // With no obs scope the decision paths must stay off the heap: a fleet
 // run calls them a few times per attempt on hundreds of controllers.
@@ -25,4 +31,44 @@ func TestDecisionPathsDoNotAllocate(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("Admit/Poll/Observe/StartOrExpire allocate %v objects per walk with a nil scope, want 0", n)
 	}
+}
+
+// A controller whose breaker is disabled never records a window, so it
+// must not carry the window histogram: New then allocates the
+// controller alone. With the histogram inline in every controller, New
+// allocated one 32 768-byte object whatever the breaker; now a disabled
+// breaker's controller takes 768 bytes, and an enabled one still keeps
+// controller and histogram in one 32 768-byte object.
+func TestNewDisabledBreakerBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		disabled bool
+		min, max float64
+	}{
+		{"disabled", true, 0, 2048},
+		{"enabled", false, float64(unsafe.Sizeof(stats.LogHist{})), 40 << 10},
+	} {
+		cfg := &Config{Breaker: BreakerConfig{Disabled: tc.disabled}}
+		allocs := testing.AllocsPerRun(10, func() { New(cfg) })
+		bytes := bytesPerRun(10, func() { New(cfg) })
+		t.Logf("%s: %.0f allocations, %.0f bytes", tc.name, allocs, bytes)
+		if allocs != 1 || bytes < tc.min || bytes >= tc.max {
+			t.Errorf("%s breaker: New allocates %.0f objects, %.0f bytes; want 1 object of [%.0f, %.0f) bytes",
+				tc.name, allocs, bytes, tc.min, tc.max)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes f
+// allocates per call, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

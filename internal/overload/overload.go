@@ -41,6 +41,7 @@ import (
 	"math"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Priority classifies a request for brownout shedding. Apps tag
@@ -244,7 +245,21 @@ func New(cfg *Config) *Controller {
 	if cfg == nil {
 		return nil
 	}
-	c := &Controller{cfg: cfg.withDefaults()}
+	// One allocation either way: an enabled breaker's window histogram
+	// lives in the same object as its controller, a disabled one has
+	// none (see breaker).
+	var c *Controller
+	var hist *stats.LogHist
+	if cfg.Breaker.Disabled {
+		c = &Controller{}
+	} else {
+		both := &struct {
+			Controller
+			hist stats.LogHist
+		}{}
+		c, hist = &both.Controller, &both.hist
+	}
+	c.cfg = cfg.withDefaults()
 	c.sc = c.cfg.Obs
 	if c.sc.Enabled() { // a nil scope never reads a name
 		c.names = obsNames{
@@ -265,7 +280,7 @@ func New(cfg *Config) *Controller {
 		}
 	}
 	c.tokens = c.cfg.Burst
-	c.breaker.init(c.cfg.Breaker)
+	c.breaker.init(c.cfg.Breaker, hist)
 	return c
 }
 

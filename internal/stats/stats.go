@@ -25,19 +25,65 @@ func Percentile(xs []int64, p float64) int64 {
 // already sorted ascending: no copy and no sort, so several
 // percentiles of one list cost one sort between them.
 func PercentileSorted(s []int64, p float64) int64 {
+	return s[nearestRank(len(s), p)-1]
+}
+
+// PercentileSortedLists is PercentileSorted of the ascending merge of
+// lists, each sorted ascending, without building the merge: it returns
+// the least value v that at least nearestRank of the samples do not
+// exceed, found by bisecting the value range and counting with one
+// binary search per list. Empty lists are allowed; it panics when every
+// list is empty.
+func PercentileSortedLists(lists [][]int64, p float64) int64 {
+	n := 0
+	var lo, hi int64
+	for _, l := range lists {
+		if len(l) == 0 {
+			continue
+		}
+		if n == 0 || l[0] < lo {
+			lo = l[0]
+		}
+		if n == 0 || l[len(l)-1] > hi {
+			hi = l[len(l)-1]
+		}
+		n += len(l)
+	}
+	if n == 0 {
+		panic("stats: percentile of empty lists")
+	}
+	rank := nearestRank(n, p)
+	// Invariant: fewer than rank samples are below lo, and at least
+	// rank are at most hi.
+	for lo < hi {
+		mid := lo + int64(uint64(hi-lo)/2) // hi-lo may overflow int64
+		atMost := 0
+		for _, l := range lists {
+			i, _ := slices.BinarySearch(l, mid+1) // mid < hi: no overflow
+			atMost += i
+		}
+		if atMost >= rank {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// nearestRank is the 1-based rank of the p-th percentile (0..100) of n
+// sorted samples: ceil(p/100·n), at least 1; p <= 0 is the minimum and
+// p >= 100 the maximum.
+func nearestRank(n int, p float64) int {
 	if p <= 0 {
-		return s[0]
+		return 1
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return n
 	}
 	// The epsilon guards against float artifacts like 99.9/100*1000
 	// evaluating to 999.0000000000001.
-	rank := int(math.Ceil(p/100*float64(len(s)) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
+	return max(int(math.Ceil(p/100*float64(n)-1e-9)), 1)
 }
 
 // Median returns the 50th percentile.

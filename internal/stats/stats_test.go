@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -100,4 +101,82 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The rank rule every percentile of a sorted list goes through.
+func TestNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		want int
+	}{
+		{10, 0, 1},
+		{10, -5, 1},
+		{10, 100, 10},
+		{10, 250, 10},
+		{1000, 99.9, 999}, // 99.9/100*1000 is 999.0000000000001 in float64
+		{1000, 99, 990},
+		{1000, 50, 500},
+		{1000, 0.01, 1}, // ceil(0.1) = 1
+		{1, 0, 1},
+		{1, 50, 1},
+		{1, 99.9, 1},
+		{1, 100, 1},
+		{3, 50, 2},
+	} {
+		if got := nearestRank(tc.n, tc.p); got != tc.want {
+			t.Errorf("nearestRank(%d, %v) = %d, want %d", tc.n, tc.p, got, tc.want)
+		}
+	}
+}
+
+// Property: the cross-list percentile is PercentileSorted of the
+// merged list, over lists with ties, singletons, empty lists and
+// values of both signs up to the int64 extremes.
+func TestPercentileSortedListsMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ps := []float64{-1, 0, 0.1, 1, 25, 50, 90, 99, 99.9, 99.99, 100, 120}
+	for trial := 0; trial < 3000; trial++ {
+		lists := make([][]int64, rng.Intn(9))
+		var all []int64
+		spread := []int64{1, 3, 1000, math.MaxInt64}[rng.Intn(4)]
+		for i := range lists {
+			var l []int64
+			switch rng.Intn(4) {
+			case 0: // an empty tenant
+			case 1:
+				l = []int64{rng.Int63n(spread)}
+			default:
+				l = make([]int64, rng.Intn(300))
+				for k := range l {
+					l[k] = rng.Int63n(spread)
+					if spread == math.MaxInt64 && rng.Intn(2) == 0 {
+						l[k] = -l[k] - 1 // reaches math.MinInt64
+					}
+				}
+			}
+			slices.Sort(l)
+			lists[i] = l
+			all = append(all, l...)
+		}
+		if len(all) == 0 {
+			continue
+		}
+		slices.Sort(all)
+		for _, p := range ps {
+			if got, want := PercentileSortedLists(lists, p), PercentileSorted(all, p); got != want {
+				t.Fatalf("trial %d: p%v over %d lists of %d samples = %d, merged list says %d",
+					trial, p, len(lists), len(all), got, want)
+			}
+		}
+	}
+}
+
+func TestPercentileSortedListsPanicsOnEmpty(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	PercentileSortedLists([][]int64{nil, {}}, 50)
 }
