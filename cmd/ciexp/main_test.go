@@ -44,11 +44,12 @@ func TestHelpGolden(t *testing.T) {
 	checkGolden(t, "help.golden", got.Bytes())
 }
 
-// The output contract: every figure at -quick, and the fleet sweep in
-// the two shapes its flags change, byte for byte. The goldens are
-// written from a serial run (-workers 1) and checked at -workers 4, so
-// a pass also says that no printed row depends on the worker count.
-// Refresh with go test ./cmd/ciexp -update after an intended change.
+// The output contract: every figure at -quick, the fleet sweep in the
+// two shapes its flags change, and two runs whose gates fail, byte for
+// byte, with their exit status and stderr. The goldens are written from
+// a serial run (-workers 1) and checked at -workers 4, so a pass also
+// says that no printed row depends on the worker count. Refresh with
+// go test ./cmd/ciexp -update after an intended change.
 func TestOutputGolden(t *testing.T) {
 	workers := "4"
 	if *update {
@@ -57,15 +58,26 @@ func TestOutputGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		args   []string
+		code   int
+		stderr string
 	}{
-		{"quick_all.golden", []string{"-quick", "all"}},
-		{"fleet_replicas4.golden", []string{"-quick", "-replicas", "4", "fleet"}},
-		{"fleet_zones2_migrate.golden", []string{"-quick", "-zones", "2", "-migrate", "fleet"}},
+		{"quick_all.golden", []string{"-quick", "all"}, 0, ""},
+		{"fleet_replicas4.golden", []string{"-quick", "-replicas", "4", "fleet"}, 0, ""},
+		{"fleet_zones2_migrate.golden", []string{"-quick", "-zones", "2", "-migrate", "fleet"}, 0, ""},
+		// A 1 µs p99.9 bound fails every admission row of the ramp and
+		// every soak phase; only the first figure's error reaches stderr.
+		{"gate_violations.golden", []string{"-quick", "-slo-p999us", "1", "ramp", "soak"}, 1,
+			"ciexp: ramp: ramp: 4 SLO violation(s)\n"},
+		// A 1 ms horizon is too short for the crash and zone plans to
+		// play out, so both fleet pairs fail their guards.
+		{"fleet_gate_violations.golden", []string{"-quick", "-soak-duration", "2600000", "fleet"}, 1,
+			"ciexp: fleet: fleet: 3 resilience violation(s)\n"},
 	} {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if code := run(append([]string{"-workers", workers}, tc.args...), &stdout, &stderr); code != 0 || stderr.Len() != 0 {
-				t.Fatalf("exit %d; stderr:\n%s", code, stderr.Bytes())
+			code := run(append([]string{"-workers", workers}, tc.args...), &stdout, &stderr)
+			if code != tc.code || stderr.String() != tc.stderr {
+				t.Fatalf("exit %d, want %d; stderr:\n%s\nwant:\n%s", code, tc.code, stderr.Bytes(), tc.stderr)
 			}
 			checkGolden(t, tc.golden, stdout.Bytes())
 		})
