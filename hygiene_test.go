@@ -25,7 +25,9 @@ import (
 //     os.OpenFile, os.Rename, os.MkdirAll) outside fileWriteAllowed;
 //   - no sort.Slice or sort.SliceStable on the hot paths (hotPaths):
 //     slices.SortFunc and slices.SortStableFunc take a typed
-//     comparison and no reflection-based swapper.
+//     comparison and no reflection-based swapper;
+//   - no fmt.Fprint* in internal/experiments outside fprintAllowed: a
+//     figure returns a table, and one renderer prints every table.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -39,6 +41,13 @@ var fileWriteAllowed = map[string]string{
 	"internal/obs/trace.go:WriteTraceFile":       "the -trace file a user asked for",
 	"internal/cliflags/cliflags.go:StartProfile": "the -cpuprofile and -memprofile files a user asked for",
 	"internal/sanitize/repro.go:SaveRepro":       "pins a shrunk reproducer as a test input under testdata/repro",
+}
+
+// fprintAllowed are the places in internal/experiments that print,
+// each a file or "file:function".
+var fprintAllowed = map[string]string{
+	"internal/experiments/table.go":                "the renderer every figure prints through",
+	"internal/experiments/fleet.go:PrintFleetPlan": "the fleet fault plan's debugging printout (ciexp fleetplan)",
 }
 
 // hotPaths are the packages between IR text and an instrumented module,
@@ -130,6 +139,11 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					}
 				case imp == "sort" && (sel == "Slice" || sel == "SliceStable") && onHotPath(path):
 					report(n, "sort."+sel+" on a hot path; use slices.SortFunc or slices.SortStableFunc")
+				case imp == "fmt" && strings.HasPrefix(sel, "Fprint") && strings.HasPrefix(path, "internal/experiments/"):
+					_, inFile := fprintAllowed[path]
+					if _, inFunc := fprintAllowed[path+":"+fn]; !inFile && !inFunc {
+						report(n, "fmt."+sel+" outside the figure renderer; return the rows in a table")
+					}
 				}
 			}
 			return true
@@ -203,5 +217,40 @@ func f(xs []int) {
 	}
 	if got := hygieneViolations(fset, "internal/interleave/p.go", f); len(got) != 0 {
 		t.Errorf("internal/interleave: want no violation, got:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// The print rule holds in internal/experiments only, outside the
+// renderer's file and PrintFleetPlan.
+func TestHygieneFprintRule(t *testing.T) {
+	const src = `package p
+
+import (
+	"fmt"
+	"io"
+)
+
+func f(w io.Writer) {
+	fmt.Fprintf(w, "%d\n", 1)
+	fmt.Fprintln(w)
+	_ = fmt.Sprintf("%d", 1)
+}
+
+func PrintFleetPlan(w io.Writer) { fmt.Fprint(w, "plan") }
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]int{
+		"internal/experiments/p.go":     3,
+		"internal/experiments/fleet.go": 2,
+		"internal/experiments/table.go": 0,
+		"internal/fleet/p.go":           0,
+	} {
+		if got := hygieneViolations(fset, path, f); len(got) != want {
+			t.Errorf("%s: want %d violations, got %d:\n%s", path, want, len(got), strings.Join(got, "\n"))
+		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
@@ -76,11 +75,7 @@ func measureAllowableError(eng *engine.Engine, values []int64, scale int) ([]all
 				absErrs = append(absErrs, e)
 			}
 		}
-		pt := allowablePoint{
-			AllowableErrorIR: ae,
-			MedianOverhead:   stats.MedianF(overheads),
-			Probes:           probes,
-		}
+		pt := allowablePoint{AllowableErrorIR: ae, MedianOverhead: stats.MedianF(overheads), Probes: probes}
 		if len(absErrs) > 0 {
 			pt.MedianAbsError = stats.Median(absErrs)
 		}
@@ -88,15 +83,15 @@ func measureAllowableError(eng *engine.Engine, values []int64, scale int) ([]all
 	})
 }
 
-// printAllowable renders the §3.3 parameter study.
-func printAllowable(w io.Writer, eng *engine.Engine, scale int) error {
-	pts, errs := measureAllowableError(eng, nil, scale)
-	fmt.Fprintln(w, "Allowable-error study (§3.3): overhead and |interval error| vs setting")
-	fmt.Fprintf(w, "%14s%16s%18s%14s\n", "allowable(IR)", "median ovh", "median |err| cy", "static probes")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%14d%15.1f%%%18d%14d\n",
-			p.AllowableErrorIR, p.MedianOverhead*100, p.MedianAbsError, p.Probes)
+func allowableTable(pts []allowablePoint, _ Inputs) *table {
+	t := &table{
+		title: []string{"Allowable-error study (§3.3): overhead and |interval error| vs setting"},
+		cols: []column{{"allowable(IR)", "%14s", "%14d"}, {"median ovh", "%16s", "%15.1f%%"},
+			{"median |err| cy", "%18s", "%18d"}, {"static probes", "%14s", "%14d"}},
+		notes: []string{"(the paper: negligible impact beyond 500 IR — hence allowable = probe interval)"},
 	}
-	fmt.Fprintln(w, "(the paper: negligible impact beyond 500 IR — hence allowable = probe interval)")
-	return renderCellErrors(w, errs)
+	for _, p := range pts {
+		t.rows = append(t.rows, []any{p.AllowableErrorIR, p.MedianOverhead * 100, p.MedianAbsError, p.Probes})
+	}
+	return t
 }

@@ -4,10 +4,10 @@ package experiments
 // of testdata/baseline.json afresh and compares it with the committed
 // cell. The models are deterministic, so unchanged code reproduces
 // every cell exactly; the bands absorb intentional tuning without
-// churning the file on every commit. The gates that hold by
-// construction — the fleet's retry-amplification ceiling, the
-// zone-outage and quantum acceptance gates, the scale soak's
-// conservation identities — run inside measure, baseline or not.
+// churning the file on every commit. The fleet and quantum cells also
+// hold their measurement to the figure's own gate (gateFleet,
+// gateQuantum), baseline or not, and the scale cell to the
+// conservation identities.
 //
 // After an intended change of the measured numbers:
 //
@@ -26,9 +26,11 @@ import (
 	"testing"
 
 	"repro/internal/ci/instrument"
+	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fleet"
+	"repro/internal/shenango"
 	"repro/internal/vm"
 )
 
@@ -228,17 +230,31 @@ func fleetBaselineConfig() fleet.Config {
 	}
 }
 
-func measureFleetRampCell(t *testing.T, eng *engine.Engine) any {
-	rows, errs := measureFleetRamp(eng, fleetBaselineConfig(), nil)
-	if len(errs) > 0 {
-		t.Fatalf("fleet cells failed: %v", errs)
-	}
-	var out []fleetBaselineRow
-	for _, r := range rows {
-		if amp := r.Res.Amplification(); amp > fleetAmpCeiling+1e-9 {
-			t.Errorf("%.1fx crash=%t: retry amplification %.3f exceeds the %.2f budget bound",
-				r.Load, r.Crash, amp, fleetAmpCeiling)
+// baselineFleet is `ciexp fleet`'s figure at the baseline config,
+// measured once per engine and held to gateFleet; the fleet/ramp and
+// fleet/zone cells read its rows.
+var baselineFleet struct {
+	eng *engine.Engine
+	fig *fleetFigure
+}
+
+func measureBaselineFleet(t *testing.T, eng *engine.Engine) *fleetFigure {
+	if baselineFleet.eng != eng {
+		fig, errs := measureFleet(eng, fleetBaselineConfig(), fleetLoadFactors, 1)
+		if len(errs) > 0 {
+			t.Fatalf("fleet cells failed: %v", errs)
 		}
+		for _, v := range gateFleet(fig, Inputs{Flags: &cliflags.Flags{Scale: 1}}) {
+			t.Errorf("fleet gate violation: %s", v)
+		}
+		baselineFleet.eng, baselineFleet.fig = eng, fig
+	}
+	return baselineFleet.fig
+}
+
+func measureFleetRampCell(t *testing.T, eng *engine.Engine) any {
+	var out []fleetBaselineRow
+	for _, r := range measureBaselineFleet(t, eng).Rows {
 		out = append(out, fleetBaselineRow{
 			Load: r.Load, Crash: r.Crash,
 			Injected: r.Res.Injected, Served: r.Res.Served,
@@ -280,10 +296,10 @@ func compareFleetRamp(got, want []fleetBaselineRow) []string {
 }
 
 // Zone-outage and scale cells: the migration and zone layer's
-// accounting at the standard seed. The zone pair re-runs `ciexp
-// fleet`'s headline (1-of-4 zones crash-looping at 1.2x with migration
-// on) under checkFleetZone's gates — goodput floor, zero stranded
-// attempts, amplification ceiling. The scale cell is a shrunk (scale 2)
+// accounting at the standard seed. The zone pair is `ciexp fleet`'s
+// headline (1-of-4 zones crash-looping at 1.2x with migration on),
+// gated with the rest of the figure by gateFleet — goodput floor, zero
+// stranded attempts, amplification ceiling. The scale cell is a shrunk (scale 2)
 // FleetScaleConfig soak under the conservation identities; the
 // canonical 10M-request run stays behind `ciexp -scale 42 fleet`.
 type fleetZoneBaselineRow struct {
@@ -305,14 +321,8 @@ func zoneBaselineRow(outage bool, res *fleet.Result) fleetZoneBaselineRow {
 }
 
 func measureFleetZoneCell(t *testing.T, eng *engine.Engine) any {
-	noOutage, outage, errs := measureFleetZone(eng, fleetBaselineConfig())
-	if len(errs) > 0 {
-		t.Fatalf("zone cells failed: %v", errs)
-	}
-	for _, v := range checkFleetZone(noOutage, outage) {
-		t.Errorf("zone gate violation: %s", v)
-	}
-	return []fleetZoneBaselineRow{zoneBaselineRow(false, noOutage), zoneBaselineRow(true, outage)}
+	fig := measureBaselineFleet(t, eng)
+	return []fleetZoneBaselineRow{zoneBaselineRow(false, fig.NoOutage), zoneBaselineRow(true, fig.Outage)}
 }
 
 func measureFleetScaleCell(t *testing.T, _ *engine.Engine) any {
@@ -347,18 +357,18 @@ var fleetZoneShifts = []shift{
 }
 
 // Quantum-adaptivity cell: the aggregate (design, policy) rows of the
-// `ciexp quantum` figure over the baseline workloads. checkQuantum's
+// `ciexp quantum` figure over the baseline workloads. gateQuantum's
 // acceptance gates — FeedbackPID beating the fixed quantum on p99.9
 // gap error within the CI overhead budget — hold baseline or not.
 func measureQuantumCell(t *testing.T, eng *engine.Engine) any {
-	fig, err := measureQuantum(eng, 1, baselineNames)
+	fig, errs, err := measureQuantum(eng, 1, baselineNames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Errs) > 0 {
-		t.Fatalf("quantum cells failed: %v", fig.Errs)
+	if len(errs) > 0 {
+		t.Fatalf("quantum cells failed: %v", errs)
 	}
-	for _, v := range fig.checkQuantum() {
+	for _, v := range gateQuantum(fig, Inputs{}) {
 		t.Errorf("quantum gate violation: %s", v)
 	}
 	if len(fig.Agg) == 0 {
@@ -401,7 +411,7 @@ func measureOverheadCell(name string) func(*testing.T, *engine.Engine) any {
 		if len(fig.Errs) > 0 {
 			t.Fatalf("sweep cells failed: %v", fig.Errs)
 		}
-		return fig.Rows[name]
+		return fig.Rows[0]
 	}
 }
 
@@ -532,6 +542,71 @@ func TestBaselineGatesCanFail(t *testing.T) {
 			if len(row.compare(shiftFirstRow(t, want.Data, s), want.Data)) == 0 {
 				t.Errorf("%s: %s moved past its band, and the comparator passed it", row.key, s.field)
 			}
+		}
+	}
+}
+
+// Every figure's gate passes a healthy planted input and fails the
+// same input with one guarded value broken. No model runs; a gate that
+// passes its broken input is reported.
+func TestFigureGatesCanFail(t *testing.T) {
+	slo := Inputs{Flags: &cliflags.Flags{SLOP999Us: 500, MaxReject: 0.1, Scale: 1}}
+	okRun := appRun{Reproduced: true, Ledger: [6]int64{10, 8, 1, 1, 0, 32}}
+	chaos := func(run appRun) []chaosRow {
+		return []chaosRow{{Subsystem: "mtcp", Rate: 0.01, Throughput: 9, TailUs: 30, appRun: run, BaseThroughput: 9.4, BaseTailUs: 29}}
+	}
+	ramp := func(p999 float64) []rampRow {
+		return []rampRow{{Mult: 1.0, Admission: true, Res: shenango.Result{P999Us: p999}}}
+	}
+	soak := func(shed bool) *soakFigure {
+		return &soakFigure{Rows: []soakRow{{soakPhase: soakPhase{1.0, 0.001}, Res: shenango.Result{P999Us: 100}, Reproduced: true}},
+			MTCP: okRun, MTCPShed: shed}
+	}
+	fleetFig := func(crashes, migrated int64) *fleetFigure {
+		res := func(goodput float64) *fleet.Result {
+			return &fleet.Result{Injected: 100, Attempts: 105, GoodputRPS: goodput, Crashes: crashes,
+				Ejections: 1, Readmissions: 1, ZoneCrashes: 1, Migrated: migrated}
+		}
+		return &fleetFigure{Rows: []fleetRow{{Load: fleetSoakLoad, Res: res(100)}, {Load: fleetSoakLoad, Crash: true, Res: res(95)}},
+			NoOutage: res(100), Outage: res(95)}
+	}
+	quantum := func(fbP999 int64) *quantumFigure {
+		return &quantumFigure{Workloads: []string{"w"}, Agg: []quantumRow{
+			{Design: "CI", Policy: "fixed", P999Err: 25000}, {Design: "CI", Policy: "feedback", P999Err: fbP999}}}
+	}
+	sanitizeFig := func(divergences int) *sanitizeFigure {
+		return &sanitizeFigure{Rows: []sanitizeRow{{Design: "CI", Programs: 1, Divergences: divergences}}}
+	}
+	interleaveRows := func(racy int) []interleaveRow { return []interleaveRow{{Name: "m", Racy: racy}} }
+	for _, tc := range []struct {
+		gate         string
+		healthy, bad func() []string
+	}{
+		{"chaos", func() []string { return gateChaos(chaos(okRun), slo) },
+			func() []string { bad := okRun; bad.Reproduced = false; return gateChaos(chaos(bad), slo) }},
+		{"ramp", func() []string { return gateRamp(ramp(100), slo) }, func() []string { return gateRamp(ramp(900), slo) }},
+		{"soak", func() []string { return gateSoak(soak(true), slo) }, func() []string { return gateSoak(soak(false), slo) }},
+		{"fleet soak pair", func() []string { return gateFleet(fleetFig(1, 1), slo) },
+			func() []string { return gateFleet(fleetFig(0, 1), slo) }},
+		{"fleet zone pair", func() []string { return gateFleet(fleetFig(1, 1), slo) },
+			func() []string { return gateFleet(fleetFig(1, 0), slo) }},
+		{"fleet scale soak", func() []string { return gateFleet(fleetFig(1, 1), slo) }, func() []string {
+			f := fleetFig(1, 1)
+			f.Scale = &fleet.Result{Injected: 5}
+			return gateFleet(f, Inputs{Flags: &cliflags.Flags{Scale: fleetScaleTarget}})
+		}},
+		{"quantum", func() []string { return gateQuantum(quantum(23000), slo) },
+			func() []string { return gateQuantum(quantum(26000), slo) }},
+		{"sanitize", func() []string { return gateSanitize(sanitizeFig(0), slo) },
+			func() []string { return gateSanitize(sanitizeFig(1), slo) }},
+		{"interleave", func() []string { return gateInterleave(interleaveRows(0), slo) },
+			func() []string { return gateInterleave(interleaveRows(1), slo) }},
+	} {
+		if v := tc.healthy(); len(v) > 0 {
+			t.Errorf("%s: the healthy input fails its gate: %v", tc.gate, v)
+		}
+		if v := tc.bad(); len(v) == 0 {
+			t.Errorf("%s: the gate passed its broken input", tc.gate)
 		}
 	}
 }

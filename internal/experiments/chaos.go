@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -40,7 +39,42 @@ const (
 	chaosThroughputFloor = 0.4
 )
 
-// chaosRow is one (subsystem, rate) cell of the sweep.
+// appRun is what the progress, determinism and conservation
+// invariants judge of one app run: its failure, whether a re-run under
+// the same plan matched it bit for bit, and mtcp's request ledger
+// (issued, completed, aborted, rejected, outstanding, connections;
+// zero elsewhere).
+type appRun struct {
+	Err        error
+	Reproduced bool
+	Ledger     [6]int64
+}
+
+// mtcpRun runs cfg twice, checked, and returns the first run and its
+// evidence.
+func mtcpRun(cfg mtcp.Config) (mtcp.Result, appRun) {
+	r, err := mtcp.RunChecked(cfg)
+	r2, _ := mtcp.RunChecked(cfg)
+	return r, appRun{err, r2 == r, [6]int64{r.Issued, r.CompletedAll, r.Aborted, r.Rejects, r.Outstanding, int64(cfg.Conns)}}
+}
+
+func (e appRun) violations() []string {
+	var v []string
+	if e.Err != nil {
+		v = append(v, fmt.Sprintf("progress: %v", e.Err))
+	}
+	if !e.Reproduced {
+		v = append(v, "determinism: re-run differs")
+	}
+	if l := e.Ledger; l[0] != l[1]+l[2]+l[3]+l[4] || l[4] < 0 || l[4] > l[5] {
+		v = append(v, fmt.Sprintf("conservation: issued=%d completed=%d aborted=%d rejects=%d outstanding=%d",
+			l[0], l[1], l[2], l[3], l[4]))
+	}
+	return v
+}
+
+// chaosRow is one (subsystem, rate) cell of the sweep: the headline
+// numbers and the evidence the invariants are judged on.
 type chaosRow struct {
 	Subsystem string
 	Rate      float64
@@ -51,26 +85,16 @@ type chaosRow struct {
 	// Recovered summarizes the fault-recovery activity observed
 	// (retransmits, re-steers or fallback ops, by subsystem).
 	Recovered int64
-	// Violations lists every invariant the run broke (empty = pass).
-	Violations []string
+	appRun
+	// BaseThroughput and BaseTailUs are the fault-free references (at a
+	// non-zero rate); ffwd's floor is MCS, the design it degrades toward.
+	BaseThroughput, BaseTailUs float64
 }
 
-func (r chaosRow) ok() string {
-	if len(r.Violations) == 0 {
-		return "ok"
-	}
-	return fmt.Sprintf("VIOLATED: %v", r.Violations)
-}
-
-// runChaos sweeps all three systems applications across the given
-// fault rates on the engine, one (rate, application) cell each, and
-// checks the invariants at every point. The returned rows carry any
-// violations (it never converts them into errors — callers decide, so
-// the printer can show a full table).
+// runChaos sweeps all three systems applications across the fault
+// rates on the engine, one (rate, application) cell each. The
+// rows carry the evidence; gateChaos judges it.
 func runChaos(eng *engine.Engine, seed uint64, rates []float64) []chaosRow {
-	if len(rates) == 0 {
-		rates = chaosRates
-	}
 	apps := []func(seed uint64, rate float64) chaosRow{chaosMTCP, chaosShenango, chaosFFWD}
 	n := len(apps)
 	label := func(i int) string { return fmt.Sprintf("chaos/%g/%d", rates[i/n], i%n) }
@@ -81,30 +105,15 @@ func runChaos(eng *engine.Engine, seed uint64, rates []float64) []chaosRow {
 }
 
 func chaosMTCP(seed uint64, rate float64) chaosRow {
-	cfg := mtcp.Config{
+	r, run := mtcpRun(mtcp.Config{
 		Mode: mtcp.CI, Conns: 32, Adaptive: true,
 		Seed: seed, FaultPlan: faults.Uniform(seed, rate),
-	}
-	row := chaosRow{Subsystem: "mtcp", Rate: rate}
-	r, err := mtcp.RunChecked(cfg)
-	row.Throughput = r.ThroughputGbps
-	row.TailUs = r.P99LatencyUs
-	row.Recovered = r.Retransmits
-	if err != nil {
-		row.Violations = append(row.Violations, fmt.Sprintf("progress: %v", err))
-	}
-	if r2, _ := mtcp.RunChecked(cfg); r2 != r {
-		row.Violations = append(row.Violations, "determinism: re-run differs")
-	}
-	if r.Issued != r.CompletedAll+r.Aborted+r.Rejects+r.Outstanding || r.Outstanding < 0 || r.Outstanding > int64(cfg.Conns) {
-		row.Violations = append(row.Violations,
-			fmt.Sprintf("conservation: issued=%d completed=%d aborted=%d rejects=%d outstanding=%d",
-				r.Issued, r.CompletedAll, r.Aborted, r.Rejects, r.Outstanding))
-	}
+	})
+	row := chaosRow{Subsystem: "mtcp", Rate: rate, Throughput: r.ThroughputGbps, TailUs: r.P99LatencyUs,
+		Recovered: r.Retransmits, appRun: run}
 	if rate > 0 {
 		base, _ := mtcp.RunChecked(mtcp.Config{Mode: mtcp.CI, Conns: 32, Adaptive: true, Seed: seed})
-		row.Violations = append(row.Violations, boundedDegradation(
-			r.ThroughputGbps, base.ThroughputGbps, r.P99LatencyUs, base.P99LatencyUs)...)
+		row.BaseThroughput, row.BaseTailUs = base.ThroughputGbps, base.P99LatencyUs
 	}
 	return row
 }
@@ -114,21 +123,13 @@ func chaosShenango(seed uint64, rate float64) chaosRow {
 		Kind: shenango.CIHosted, OfferedLoad: 200e3,
 		Seed: seed, FaultPlan: faults.Uniform(seed, rate),
 	}
-	row := chaosRow{Subsystem: "shenango", Rate: rate}
 	r, err := shenango.RunChecked(cfg)
-	row.Throughput = r.AchievedLoad
-	row.TailUs = r.P999Us
-	row.Recovered = r.ReSteers
-	if err != nil {
-		row.Violations = append(row.Violations, fmt.Sprintf("progress: %v", err))
-	}
-	if r2, _ := shenango.RunChecked(cfg); r2 != r {
-		row.Violations = append(row.Violations, "determinism: re-run differs")
-	}
+	r2, _ := shenango.RunChecked(cfg)
+	row := chaosRow{Subsystem: "shenango", Rate: rate, Throughput: r.AchievedLoad, TailUs: r.P999Us,
+		Recovered: r.ReSteers, appRun: appRun{Err: err, Reproduced: r2 == r}}
 	if rate > 0 {
 		base, _ := shenango.RunChecked(shenango.Config{Kind: shenango.CIHosted, OfferedLoad: 200e3, Seed: seed})
-		row.Violations = append(row.Violations, boundedDegradation(
-			r.AchievedLoad, base.AchievedLoad, r.P999Us, base.P999Us)...)
+		row.BaseThroughput, row.BaseTailUs = base.AchievedLoad, base.P999Us
 	}
 	return row
 }
@@ -138,64 +139,69 @@ func chaosFFWD(seed uint64, rate float64) chaosRow {
 		Design: ffwd.DelegationCI, Threads: 32, RecordLatencies: true,
 		Seed: seed, FaultPlan: faults.Uniform(seed, rate),
 	}
-	row := chaosRow{Subsystem: "ffwd", Rate: rate}
 	r := ffwd.Run(cfg)
-	row.Throughput = r.ThroughputMops
-	row.TailUs = float64(r.LatencySummary.Max) / 2600
-	row.Recovered = r.FallbackOps
-	if r2 := ffwd.Run(cfg); r2 != r {
-		row.Violations = append(row.Violations, "determinism: re-run differs")
-	}
+	row := chaosRow{Subsystem: "ffwd", Rate: rate, Throughput: r.ThroughputMops,
+		TailUs: float64(r.LatencySummary.Max) / 2600, Recovered: r.FallbackOps, appRun: appRun{Reproduced: ffwd.Run(cfg) == r}}
 	if rate > 0 {
 		base := ffwd.Run(ffwd.Config{Design: ffwd.DelegationCI, Threads: 32, RecordLatencies: true, Seed: seed})
-		mcs := ffwd.Run(ffwd.Config{Design: ffwd.MCS, Threads: 32, Seed: seed})
-		// ffwd degrades toward the MCS fallback, so its floor is
-		// relative to MCS, not to fault-free delegation.
-		if r.ThroughputMops < chaosThroughputFloor*mcs.ThroughputMops {
-			row.Violations = append(row.Violations,
-				fmt.Sprintf("degradation: %.2f Mops below MCS floor %.2f", r.ThroughputMops, mcs.ThroughputMops))
-		}
-		baseTail := float64(base.LatencySummary.Max) / 2600
-		if row.TailUs > chaosTailFactor*baseTail {
-			row.Violations = append(row.Violations,
-				fmt.Sprintf("degradation: tail %.1fµs exceeds %gx fault-free %.1fµs",
-					row.TailUs, chaosTailFactor, baseTail))
-		}
+		row.BaseThroughput = ffwd.Run(ffwd.Config{Design: ffwd.MCS, Threads: 32, Seed: seed}).ThroughputMops
+		row.BaseTailUs = float64(base.LatencySummary.Max) / 2600
 	}
 	return row
 }
 
-// boundedDegradation checks invariant 3 against a fault-free baseline.
-func boundedDegradation(tput, baseTput, tail, baseTail float64) []string {
-	var v []string
-	if tput < chaosThroughputFloor*baseTput {
-		v = append(v, fmt.Sprintf("degradation: throughput %.3g below %.2fx fault-free %.3g",
-			tput, chaosThroughputFloor, baseTput))
+// violations checks one row against the invariants: progress,
+// determinism, conservation and, under faults, bounded degradation.
+func (r chaosRow) violations() []string {
+	v := r.appRun.violations()
+	if r.Rate == 0 {
+		return v
 	}
-	if baseTail > 0 && tail > chaosTailFactor*baseTail {
+	switch {
+	case r.Throughput >= chaosThroughputFloor*r.BaseThroughput:
+	case r.Subsystem == "ffwd":
+		v = append(v, fmt.Sprintf("degradation: %.2f Mops below MCS floor %.2f", r.Throughput, r.BaseThroughput))
+	default:
+		v = append(v, fmt.Sprintf("degradation: throughput %.3g below %.2fx fault-free %.3g",
+			r.Throughput, chaosThroughputFloor, r.BaseThroughput))
+	}
+	if r.BaseTailUs > 0 && r.TailUs > chaosTailFactor*r.BaseTailUs {
 		v = append(v, fmt.Sprintf("degradation: tail %.1fµs exceeds %gx fault-free %.1fµs",
-			tail, chaosTailFactor, baseTail))
+			r.TailUs, chaosTailFactor, r.BaseTailUs))
 	}
 	return v
 }
 
-// printChaos runs the sweep and renders the invariant table. It
-// returns an error if any invariant was violated, so `ciexp chaos`
-// exits non-zero on a broken degradation path.
-func printChaos(w io.Writer, eng *engine.Engine, seed uint64, rates []float64) error {
-	fmt.Fprintf(w, "Chaos sweep (seed %d): graceful degradation under uniform fault plans\n", seed)
-	fmt.Fprintf(w, "%-10s %-7s %12s %12s %10s  %s\n",
-		"subsystem", "rate", "throughput", "tail(µs)", "recovered", "invariants")
-	rows := runChaos(eng, seed, rates)
-	bad := 0
+// gateChaos is the chaos figure's gate: every row's invariant
+// violations.
+func gateChaos(rows []chaosRow, _ Inputs) []string {
+	var v []string
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-7.3g %12.3f %12.1f %10d  %s\n",
-			r.Subsystem, r.Rate, r.Throughput, r.TailUs, r.Recovered, r.ok())
-		bad += len(r.Violations)
+		v = append(v, r.violations()...)
 	}
-	if bad > 0 {
-		return fmt.Errorf("chaos: %d invariant violation(s)", bad)
+	return v
+}
+
+// chaosTable lays the sweep out with each row's invariant verdict.
+func chaosTable(rows []chaosRow, in Inputs) *table {
+	t := &table{
+		title: []string{fmt.Sprintf("Chaos sweep (seed %d): graceful degradation under uniform fault plans", in.Flags.Seed)},
+		cols: []column{{"subsystem", "%-10s", ""}, {"rate", "%-7s", "%-7.3g"}, {"throughput", "%12s", "%12.3f"},
+			{"tail(µs)", "%12s", "%12.1f"}, {"recovered", "%10s", "%10d"}, {"invariants", " %s", ""}},
+		sep:      " ",
+		failures: "invariant violation(s)",
+		closing:  []string{"all invariants hold: determinism, conservation, bounded degradation, progress"},
 	}
-	fmt.Fprintln(w, "all invariants hold: determinism, conservation, bounded degradation, progress")
-	return nil
+	for _, r := range rows {
+		t.rows = append(t.rows, []any{r.Subsystem, r.Rate, r.Throughput, r.TailUs, r.Recovered, verdict(r.violations())})
+	}
+	return t
+}
+
+// verdict is a row's guard column: ok, or what it violated.
+func verdict(v []string) string {
+	if len(v) == 0 {
+		return "ok"
+	}
+	return fmt.Sprintf("VIOLATED: %v", v)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -50,40 +49,32 @@ func sweep[T any](eng *engine.Engine, n int, label func(i int) string, cell func
 }
 
 // workloadSweep runs measure over sel with each workload one cell,
-// named tag/<workload> when it fails. It returns the surviving
-// workloads' names alongside their results.
+// named tag/<workload> when it fails.
 func workloadSweep[T any](eng *engine.Engine, sel []*workloads.Workload, tag string,
-	measure func(wl *workloads.Workload) (T, error)) ([]string, []T, []cellError) {
-
-	type named struct {
-		name string
-		val  T
-	}
-	cells, errs := sweep(eng, len(sel), func(i int) string { return tag + "/" + sel[i].Name },
-		func(i int) (named, error) {
-			val, err := measure(sel[i])
-			return named{sel[i].Name, val}, err
-		})
-	names := make([]string, len(cells))
-	vals := make([]T, len(cells))
-	for i, c := range cells {
-		names[i], vals[i] = c.name, c.val
-	}
-	return names, vals, errs
+	measure func(wl *workloads.Workload) (T, error)) ([]T, []cellError) {
+	return sweep(eng, len(sel), func(i int) string { return tag + "/" + sel[i].Name },
+		func(i int) (T, error) { return measure(sel[i]) })
 }
 
-// renderCellErrors prints a failure footer (nothing on a clean sweep,
-// keeping successful output byte-identical to the serial pipeline) and
-// returns an aggregate error when any cell failed.
-func renderCellErrors(w io.Writer, errs []cellError) error {
-	if len(errs) == 0 {
-		return nil
+// againstBaseline measures one row per item of wl against the
+// workload's baseline run at threads; the first failure fails the
+// workload's cell.
+func againstBaseline[I, R any](eng *engine.Engine, wl *workloads.Workload, scale, threads int,
+	items []I, measure func(base baseline, it I) (R, error)) ([]R, error) {
+
+	base, err := baselineCached(eng, wl, scale, threads)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(w, "%d sweep cell(s) failed:\n", len(errs))
-	for _, ce := range errs {
-		fmt.Fprintf(w, "  %-24s %s\n", ce.Cell, ce.Err)
+	rows := make([]R, 0, len(items))
+	for _, it := range items {
+		row, err := measure(base, it)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
-	return fmt.Errorf("%d sweep cell(s) failed", len(errs))
+	return rows, nil
 }
 
 // progEntry is the cached compilation of one (workload, scale, config)
@@ -128,6 +119,15 @@ func ciThread(m *ir.Module, threads int, scope *obs.Scope,
 		th.RT.EventsPerInterval = events
 	}
 	return th, th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(handlerWorkCycles) })
+}
+
+// scopeOf is the engine's observability scope (nil, which is off,
+// without an engine).
+func scopeOf(eng *engine.Engine) *obs.Scope {
+	if eng == nil {
+		return nil
+	}
+	return eng.Obs
 }
 
 // sourceModule returns the workload's uninstrumented module, memoized

@@ -33,8 +33,7 @@ func renderOverheadSubset(t *testing.T, eng *engine.Engine) string {
 	t.Helper()
 	fig := measureFigureOverheadSel(eng, 1, 1, baselineDesigns, detSubset(t))
 	var buf bytes.Buffer
-	fig.render(&buf)
-	if err := renderCellErrors(&buf, fig.Errs); err != nil {
+	if err := overheadTable(fig, Inputs{}).render(&buf, "fig9", nil, fig.Errs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -122,14 +121,13 @@ func TestSweepPartialFailure(t *testing.T) {
 	if ce := fig.Errs[0]; !strings.Contains(ce.Cell, "boom") || ce.Err == "" {
 		t.Errorf("cell error %+v does not identify the failing cell", ce)
 	}
-	for _, name := range []string{"radix", "histogram"} {
-		rows, ok := fig.Rows[name]
-		if !ok || len(rows) != len(designs) {
+	if len(fig.Rows) != 2 {
+		t.Fatalf("rows = %v, want the two surviving workloads'", fig.Rows)
+	}
+	for i, name := range []string{"radix", "histogram"} {
+		if rows := fig.Rows[i]; len(rows) != len(designs) || rows[0].Workload != name {
 			t.Errorf("surviving workload %s lost its rows (%v)", name, rows)
 		}
-	}
-	if _, ok := fig.Rows["boom"]; ok {
-		t.Error("failed cell produced rows")
 	}
 	for _, m := range fig.Medians {
 		if m <= 0 {
@@ -138,8 +136,8 @@ func TestSweepPartialFailure(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := renderCellErrors(&buf, fig.Errs); err == nil {
-		t.Error("renderCellErrors must return an aggregate error for a failed sweep")
+	if err := overheadTable(fig, Inputs{}).render(&buf, "fig9", nil, fig.Errs); err == nil {
+		t.Error("render must return an aggregate error for a failed sweep")
 	}
 	out := buf.String()
 	if !strings.Contains(out, "1 sweep cell(s) failed") || !strings.Contains(out, "boom") {
@@ -148,9 +146,10 @@ func TestSweepPartialFailure(t *testing.T) {
 
 	// A clean sweep writes no footer at all — that is what keeps
 	// success output byte-identical to the legacy pipeline.
-	buf.Reset()
-	if err := renderCellErrors(&buf, nil); err != nil || buf.Len() != 0 {
-		t.Errorf("clean sweep rendered a footer: err=%v output=%q", err, buf.String())
+	var clean bytes.Buffer
+	if err := overheadTable(fig, Inputs{}).render(&clean, "fig9", nil, nil); err != nil ||
+		strings.Contains(clean.String(), "failed") {
+		t.Errorf("clean sweep rendered a footer: err=%v output=%q", err, clean.String())
 	}
 }
 

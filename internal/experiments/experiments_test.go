@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ci/instrument"
+	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -210,13 +211,14 @@ func TestTable7Full(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all 28 workloads at 2 thread counts")
 	}
-	rows, geo, cerrs := measureTable7(testEngine(), 1)
+	rows, cerrs := measureTable7(testEngine(), 1)
 	if len(cerrs) > 0 {
 		t.Fatalf("cell errors: %v", cerrs)
 	}
-	if len(rows) != 28 {
-		t.Fatalf("rows = %d, want 28", len(rows))
+	if len(rows) != 29 {
+		t.Fatalf("rows = %d, want 28 and the geo-mean", len(rows))
 	}
+	rows, geo := rows[:28], rows[28]
 	for _, r := range rows {
 		if r.PTms1 <= 0 || r.CI1 < 1 || r.N1 < r.CI1*0.95 {
 			t.Errorf("%s: PT=%.2f CI=%.2f N=%.2f", r.Workload, r.PTms1, r.CI1, r.N1)
@@ -313,7 +315,7 @@ func TestProbeExecutionReduction(t *testing.T) {
 
 // The chaos sweep's invariants — determinism, conservation, bounded
 // degradation, progress — must hold at every standard rate, and the
-// printer must render a row per (subsystem, rate) cell.
+// figure must pass its gate.
 func TestChaosInvariantsHold(t *testing.T) {
 	rows := runChaos(testEngine(), 1, chaosRates)
 	if want := 3 * len(chaosRates); len(rows) != want {
@@ -321,8 +323,8 @@ func TestChaosInvariantsHold(t *testing.T) {
 	}
 	sawRecovery := false
 	for _, r := range rows {
-		if len(r.Violations) > 0 {
-			t.Errorf("%s @ %g: %v", r.Subsystem, r.Rate, r.Violations)
+		if v := r.violations(); len(v) > 0 {
+			t.Errorf("%s @ %g: %v", r.Subsystem, r.Rate, v)
 		}
 		if r.Rate == 0 && r.Recovered != 0 {
 			t.Errorf("%s @ 0: recovery activity without faults (%d)", r.Subsystem, r.Recovered)
@@ -335,8 +337,9 @@ func TestChaosInvariantsHold(t *testing.T) {
 		t.Error("no subsystem exercised a recovery path at 1% faults")
 	}
 	var buf bytes.Buffer
-	if err := printChaos(&buf, testEngine(), 1, []float64{0.01}); err != nil {
-		t.Fatalf("printChaos: %v", err)
+	in := Inputs{Eng: testEngine(), Flags: &cliflags.Flags{Seed: 1}, Quick: true}
+	if err := figureNamed(t, "chaos").Run(&buf, in); err != nil {
+		t.Fatalf("chaos: %v", err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("all invariants hold")) {
 		t.Errorf("unexpected chaos output:\n%s", buf.String())
@@ -375,4 +378,16 @@ func TestFigure10PopulatesIntervalErrorMetrics(t *testing.T) {
 			t.Errorf("metrics report lacks %q", want)
 		}
 	}
+}
+
+// figureNamed returns the Figures entry called name.
+func figureNamed(t *testing.T, name string) Figure {
+	t.Helper()
+	for _, fig := range Figures {
+		if fig.Name == name {
+			return fig
+		}
+	}
+	t.Fatalf("no figure %q", name)
+	return Figure{}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/ci/instrument"
 	"repro/internal/cliflags"
 	"repro/internal/engine"
-	"repro/internal/workloads"
+	"repro/internal/mtcp"
 )
 
 // Inputs is what a figure reads from the ciexp command line: the
@@ -32,62 +32,58 @@ type Figure struct {
 
 // Figures lists every ciexp subcommand in `ciexp all` order.
 var Figures = []Figure{
-	{"fig4", func(w io.Writer, in Inputs) error { return printFigure4(w, in.Eng) }},
-	{"fig5", func(w io.Writer, in Inputs) error { return printFigure5(w, in.Eng) }},
-	{"fig6", func(w io.Writer, in Inputs) error { return printFigure6(w, in.Eng) }},
-	{"fig7", func(w io.Writer, in Inputs) error { return printFigure7(w, in.Eng) }},
-	{"fig8", func(w io.Writer, in Inputs) error { return printFigure8(w, in.Eng) }},
-	{"fig9", func(w io.Writer, in Inputs) error {
-		return printFigureOverhead(w, in.Eng, 1, in.Flags.Scale, in.All)
-	}},
-	{"fig10", func(w io.Writer, in Inputs) error { return PrintFigure10(w, in.Eng, in.Flags.Scale) }},
-	{"fig11", func(w io.Writer, in Inputs) error {
-		return printFigureOverhead(w, in.Eng, 32, in.Flags.Scale, in.All)
-	}},
-	{"fig12", func(w io.Writer, in Inputs) error { return printFigure12(w, in.Eng, in.Flags.Scale, in.Quick) }},
-	{"table7", func(w io.Writer, in Inputs) error { return PrintTable7(w, in.Eng, in.Flags.Scale) }},
-	{"hybrid", func(w io.Writer, in Inputs) error { return printHybrid(w, in.Eng, in.Flags.Scale) }},
-	{"allowable", func(w io.Writer, in Inputs) error { return printAllowable(w, in.Eng, in.Flags.Scale) }},
-	{"probes", func(w io.Writer, in Inputs) error { return printProbeCounts(w, in.Eng, in.Flags.Scale) }},
-	{"chaos", func(w io.Writer, in Inputs) error {
-		rates := chaosRates
-		if in.Quick {
-			rates = []float64{0.01}
-		}
-		return printChaos(w, in.Eng, in.Flags.Seed, rates)
-	}},
-	{"ramp", func(w io.Writer, in Inputs) error {
+	figure("fig4", func(in Inputs) ([]mtcp.Result, []cellError, error) { return measured(measureMTCP(in.Eng, "fig4", 0)) },
+		mtcpTable("Figure 4: mTCP epserver/epwget, 10 Gbps, 16 threads"), nil),
+	figure("fig5", func(in Inputs) ([]mtcp.Result, []cellError, error) { return measured(measureMTCP(in.Eng, "fig5", 1e6)) },
+		mtcpTable("Figure 5: mTCP with 1M-cycle work per request"), nil),
+	figure("fig6", measureFigure6, figure6Table, nil),
+	figure("fig7", measureFigure7, figure7Table, nil),
+	figure("fig8", measureFigure8, figure8Table, nil),
+	overheadFigure("fig9", 1),
+	fig10,
+	overheadFigure("fig11", 32),
+	figure("fig12", func(in Inputs) ([]sweepPoint, []cellError, error) {
+		return measureFigure12(in.Eng, in.Flags.Scale, nil, pick(in, nil, subsetWorkloads))
+	}, figure12Table, nil),
+	table7,
+	figure("hybrid", func(in Inputs) ([]hybridRow, []cellError, error) {
+		return measured(measureHybrid(in.Eng, hybridWorkloads, 5000, 2.0, in.Flags.Scale))
+	}, hybridTable, nil),
+	figure("allowable", func(in Inputs) ([]allowablePoint, []cellError, error) {
+		return measured(measureAllowableError(in.Eng, nil, in.Flags.Scale))
+	}, allowableTable, nil),
+	figure("probes", func(in Inputs) ([]probeCountRow, []cellError, error) {
+		return measured(measureProbeCounts(in.Eng, in.Flags.Scale, 5000))
+	}, probesTable, nil),
+	figure("chaos", func(in Inputs) ([]chaosRow, []cellError, error) {
+		return runChaos(in.Eng, in.Flags.Seed, pick(in, chaosRates, []float64{0.01})), nil, nil
+	}, chaosTable, gateChaos),
+	figure("ramp", func(in Inputs) ([]rampRow, []cellError, error) {
 		qp, err := in.Flags.ParseQuantum()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		f := in.Flags
-		return printRamp(w, in.Eng, f.Seed, f.SoakDuration*int64(f.Scale), f.SLO(), qp)
-	}},
-	{"soak", func(w io.Writer, in Inputs) error {
-		qp, err := in.Flags.ParseQuantum()
-		if err != nil {
-			return err
-		}
-		f := in.Flags
-		return printSoak(w, in.Eng, f.Seed, f.SoakDuration*int64(f.Scale), f.SLO(), in.Quick, qp)
-	}},
-	{"fleet", func(w io.Writer, in Inputs) error {
-		cfg, err := in.Flags.FleetConfig(in.Flags.SoakDuration)
-		if err != nil {
-			return err
-		}
-		return printFleet(w, in.Eng, cfg, in.Quick, int64(in.Flags.Scale))
-	}},
-	{"quantum", func(w io.Writer, in Inputs) error { return printQuantum(w, in.Eng, in.Flags.Scale, in.Quick) }},
-	{"sanitize", func(w io.Writer, in Inputs) error { return printSanitize(w, in.Eng, in.Flags.Scale, in.Quick) }},
-	{"interleave", func(w io.Writer, in Inputs) error {
-		bound := in.Flags.Bound
-		if in.Quick {
-			bound = 1
-		}
-		return printInterleave(w, in.Eng, bound, in.Quick)
-	}},
+		return measured(measureLoadRamp(in.Eng, in.Flags.Seed, soakHorizon(in), nil, qp))
+	}, rampTable, gateRamp),
+	figure("soak", measureSoakFigure, soakTable, gateSoak),
+	figure("fleet", measureFleetFigure, fleetTable, gateFleet),
+	figure("quantum", func(in Inputs) (*quantumFigure, []cellError, error) {
+		return measureQuantum(in.Eng, in.Flags.Scale, pick(in, nil, []string{"radix", "histogram", "matrix_multiply", "dedup"}))
+	}, quantumTable, gateQuantum),
+	figure("sanitize", func(in Inputs) (*sanitizeFigure, []cellError, error) {
+		return measured(measureSanitize(in.Eng, pick(in, 300, 50), in.Flags.Scale))
+	}, sanitizeTable, gateSanitize),
+	figure("interleave", func(in Inputs) ([]interleaveRow, []cellError, error) {
+		return measured(runInterleaveSweep(in.Eng, pick(in, 20, 6), pick(in, in.Flags.Bound, 1)))
+	}, interleaveTable, gateInterleave),
+}
+
+// pick is a figure's full grid, or its smoke grid under -quick.
+func pick[T any](in Inputs, full, quick T) T {
+	if in.Quick {
+		return quick
+	}
+	return full
 }
 
 // figureDesigns are the designs plotted in Figures 9-11.
@@ -101,93 +97,110 @@ var figureDesigns = []instrument.Design{
 var allDesigns = append(append([]instrument.Design{}, figureDesigns...),
 	instrument.NaiveCycles, instrument.CnBCycles)
 
-// printFigureOverhead renders Figure 9 (threads=1) / Figure 11
-// (threads=32) as a table of per-workload overheads. With all set, the
-// prose-only designs (Naive-Cycles, CnB-Cycles) are included. Failed
-// cells are reported after the table and produce a non-nil error
-// without suppressing the successful rows.
-func printFigureOverhead(w io.Writer, eng *engine.Engine, threads, scale int, all bool) error {
-	designs := figureDesigns
-	if all {
-		designs = allDesigns
-	}
-	fig := measureFigureOverheadSel(eng, threads, scale, designs, allWorkloads())
-	fig.render(w)
-	return renderCellErrors(w, fig.Errs)
+// soakHorizon is the ramp's per-cell and the soak's per-phase virtual
+// time: -soak-duration cycles times -scale.
+func soakHorizon(in Inputs) int64 { return in.Flags.SoakDuration * int64(in.Flags.Scale) }
+
+// overheadFigure is Figure 9 (threads=1) or Figure 11 (threads=32); -all
+// adds the prose-only designs (Naive-Cycles, CnB-Cycles).
+func overheadFigure(name string, threads int) Figure {
+	return figure(name, func(in Inputs) (*figureOverhead, []cellError, error) {
+		designs := figureDesigns
+		if in.All {
+			designs = allDesigns
+		}
+		fig := measureFigureOverheadSel(in.Eng, threads, in.Flags.Scale, designs, allWorkloads())
+		return fig, fig.Errs, nil
+	}, overheadTable, nil)
 }
 
-// render writes the figure as the evaluation's table format.
-func (fig *figureOverhead) render(w io.Writer) {
-	figName := "Figure 9"
+// overheadTable lays Figure 9/11 out as one row of per-design
+// overheads per workload, then the medians.
+func overheadTable(fig *figureOverhead, _ Inputs) *table {
+	name := "Figure 9"
 	if fig.Threads != 1 {
-		figName = "Figure 11"
+		name = "Figure 11"
 	}
-	fmt.Fprintf(w, "%s: overhead of CI designs, %d thread(s), %d-cycle interval\n",
-		figName, fig.Threads, fig.IntervalCycles)
-	fmt.Fprintf(w, "%-18s", "workload")
+	t := &table{
+		title: []string{fmt.Sprintf("%s: overhead of CI designs, %d thread(s), %d-cycle interval",
+			name, fig.Threads, fig.IntervalCycles)},
+		cols: []column{{"workload", "%-18s", ""}},
+	}
 	for _, d := range fig.Designs {
-		fmt.Fprintf(w, "%12s", d)
+		t.cols = append(t.cols, column{d.String(), "%12s", "%11.1f%%"})
 	}
-	fmt.Fprintln(w)
-	for _, wl := range workloads.All {
-		rows, ok := fig.Rows[wl.Name]
-		if !ok {
-			continue
+	for _, rows := range fig.Rows {
+		row := []any{rows[0].Workload}
+		for _, r := range rows {
+			row = append(row, r.Overhead*100)
 		}
-		fmt.Fprintf(w, "%-18s", wl.Name)
-		for _, row := range rows {
-			fmt.Fprintf(w, "%11.1f%%", row.Overhead*100)
-		}
-		fmt.Fprintln(w)
+		t.rows = append(t.rows, row)
 	}
-	fmt.Fprintf(w, "%-18s", "median")
+	median := []any{"median"}
 	for _, m := range fig.Medians {
-		fmt.Fprintf(w, "%11.1f%%", m*100)
+		median = append(median, m*100)
 	}
-	fmt.Fprintln(w)
+	t.rows = append(t.rows, median)
+	return t
 }
+
+var (
+	fig10 = figure("fig10", func(in Inputs) ([]accuracyRow, []cellError, error) {
+		return measured(measureFigureAccuracy(in.Eng, in.Flags.Scale, figureDesigns))
+	}, accuracyTable, nil)
+	table7 = figure("table7", func(in Inputs) ([]table7Row, []cellError, error) {
+		return measured(measureTable7(in.Eng, in.Flags.Scale))
+	}, table7Table, nil)
+)
 
 // PrintFigure10 renders the interval-accuracy table.
 func PrintFigure10(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, errs := measureFigureAccuracy(eng, scale, figureDesigns)
-	fmt.Fprintln(w, "Figure 10: interval error vs 5000-cycle target (cycles), 1 thread")
-	fmt.Fprintf(w, "%-18s%-12s%10s%10s%10s%10s%10s\n",
-		"workload", "design", "p10", "median", "p90", "p99", "mean")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s%-12s%10d%10d%10d%10d%10.0f\n",
-			r.Workload, r.Design.String(), r.Errors.P10, r.Errors.P50,
-			r.Errors.P90, r.Errors.P99, r.Errors.MeanVal)
-	}
-	return renderCellErrors(w, errs)
-}
-
-// printFigure12 renders the CI vs hardware-interrupt interval sweep.
-func printFigure12(w io.Writer, eng *engine.Engine, scale int, quick bool) error {
-	var names []string
-	if quick {
-		names = subsetWorkloads
-	}
-	pts, cerrs, err := measureFigure12(eng, scale, nil, names)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 12: slowdown vs interrupt interval (median across workloads)")
-	fmt.Fprintf(w, "%12s%14s%14s\n", "interval", "CI", "HW-interrupt")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%12d%13.2fx%13.2fx\n", p.IntervalCycles, p.CISlowdown, p.HWSlowdown)
-	}
-	return renderCellErrors(w, cerrs)
+	return fig10.Run(w, Inputs{Eng: eng, Flags: &cliflags.Flags{Scale: scale}})
 }
 
 // PrintTable7 renders Table 7.
 func PrintTable7(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, geo, errs := measureTable7(eng, scale)
-	fmt.Fprintln(w, "Table 7: runtimes (PT in model-ms) and normalized CI / Naive, 1 & 32 threads")
-	fmt.Fprintf(w, "%-18s%10s%8s%8s%10s%8s%8s\n", "workload", "PT(1)", "CI(1)", "N(1)", "PT(32)", "CI(32)", "N(32)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s%10.1f%8.2f%8.2f%10.1f%8.2f%8.2f\n",
-			r.Workload, r.PTms1, r.CI1, r.N1, r.PTms32, r.CI32, r.N32)
+	return table7.Run(w, Inputs{Eng: eng, Flags: &cliflags.Flags{Scale: scale}})
+}
+
+func accuracyTable(rows []accuracyRow, _ Inputs) *table {
+	t := &table{
+		title: []string{"Figure 10: interval error vs 5000-cycle target (cycles), 1 thread"},
+		cols: []column{{"workload", "%-18s", ""}, {"design", "%-12s", ""}, {"p10", "%10s", "%10d"},
+			{"median", "%10s", "%10d"}, {"p90", "%10s", "%10d"}, {"p99", "%10s", "%10d"}, {"mean", "%10s", "%10.0f"}},
 	}
-	fmt.Fprintf(w, "%-18s%10s%8.2f%8.2f%10s%8.2f%8.2f\n", "geo-mean", "", geo.CI1, geo.N1, "", geo.CI32, geo.N32)
-	return renderCellErrors(w, errs)
+	for _, r := range rows {
+		e := r.Errors
+		t.rows = append(t.rows, []any{r.Workload, r.Design.String(), e.P10, e.P50, e.P90, e.P99, e.MeanVal})
+	}
+	return t
+}
+
+func figure12Table(pts []sweepPoint, _ Inputs) *table {
+	t := &table{
+		title: []string{"Figure 12: slowdown vs interrupt interval (median across workloads)"},
+		cols:  []column{{"interval", "%12s", "%12d"}, {"CI", "%14s", "%13.2fx"}, {"HW-interrupt", "%14s", "%13.2fx"}},
+	}
+	for _, p := range pts {
+		t.rows = append(t.rows, []any{p.IntervalCycles, p.CISlowdown, p.HWSlowdown})
+	}
+	return t
+}
+
+// table7Table lays Table 7 out; its last row is the geo-mean, which has
+// no absolute runtimes.
+func table7Table(rows []table7Row, _ Inputs) *table {
+	t := &table{
+		title: []string{"Table 7: runtimes (PT in model-ms) and normalized CI / Naive, 1 & 32 threads"},
+		cols: []column{{"workload", "%-18s", ""}, {"PT(1)", "%10s", "%10.1f"}, {"CI(1)", "%8s", "%8.2f"},
+			{"N(1)", "%8s", "%8.2f"}, {"PT(32)", "%10s", "%10.1f"}, {"CI(32)", "%8s", "%8.2f"}, {"N(32)", "%8s", "%8.2f"}},
+	}
+	for i, r := range rows {
+		var pt1, pt32 any = r.PTms1, r.PTms32
+		if i == len(rows)-1 {
+			pt1, pt32 = "", ""
+		}
+		t.rows = append(t.rows, []any{r.Workload, pt1, r.CI1, r.N1, pt32, r.CI32, r.N32})
+	}
+	return t
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -104,9 +105,6 @@ type fleetRow struct {
 // checked before the row is returned. Rows come back ordered by
 // (load, no-crash-first).
 func measureFleetRamp(eng *engine.Engine, base fleet.Config, loads []float64) ([]fleetRow, []cellError) {
-	if len(loads) == 0 {
-		loads = fleetLoadFactors
-	}
 	label := func(i int) string { return fmt.Sprintf("fleet/%.1fx/crash=%t", loads[i/2], i%2 == 1) }
 	return sweep(eng, 2*len(loads), label, func(i int) (fleetRow, error) {
 		cfg := base
@@ -122,56 +120,6 @@ func measureFleetRamp(eng *engine.Engine, base fleet.Config, loads []float64) ([
 		}
 		return fleetRow{Load: loads[i/2], Crash: crash, Res: res}, nil
 	})
-}
-
-// measureFleetZone runs the zone-outage pair: the no-outage and
-// zone-0-crash-looping soaks at the overloaded load point, both with
-// 4 zones and migration on. Each cell's conservation oracle (which
-// includes the migration identities) is checked before returning; a
-// failed cell leaves both results nil.
-func measureFleetZone(eng *engine.Engine, base fleet.Config) (noOutage, outage *fleet.Result, cellErrs []cellError) {
-	label := func(i int) string { return fmt.Sprintf("fleet/zone/outage=%t", i == 1) }
-	cells, cellErrs := sweep(eng, 2, label, func(i int) (*fleet.Result, error) {
-		res := fleet.Run(FleetZoneConfig(base, i == 1), nil)
-		return res, res.Conservation()
-	})
-	if len(cellErrs) > 0 {
-		return nil, nil, cellErrs
-	}
-	return cells[0], cells[1], nil
-}
-
-// checkFleetZone judges the zone-outage pair: the outage must have
-// happened and been drained by migration with nothing stranded, and
-// the cluster must ride through it — goodput within the zone floor of
-// the no-outage run, amplification inside the budget bound.
-func checkFleetZone(noOutage, outage *fleet.Result) []string {
-	var v []string
-	if noOutage == nil || outage == nil {
-		return []string{"zone pair incomplete (a cell failed)"}
-	}
-	if outage.ZoneCrashes == 0 {
-		v = append(v, "zone plan injected no zone outages")
-	}
-	if outage.Migrated == 0 {
-		v = append(v, "zone outages migrated no queued work")
-	}
-	var stranded int64
-	for _, st := range outage.PerReplica {
-		stranded += st.StrandedQueued
-	}
-	if stranded != 0 {
-		v = append(v, fmt.Sprintf("migration stranded %d queued attempts", stranded))
-	}
-	if ratio := outage.GoodputRPS / noOutage.GoodputRPS; ratio < fleetZoneGoodputFloor {
-		v = append(v, fmt.Sprintf("zone-outage goodput %.1f%% of no-outage run (floor %.0f%%)",
-			100*ratio, 100*fleetZoneGoodputFloor))
-	}
-	if amp := outage.Amplification(); amp > fleetAmpCeiling+1e-9 {
-		v = append(v, fmt.Sprintf("retry amplification %.3f exceeds %.2f under zone outage",
-			amp, fleetAmpCeiling))
-	}
-	return v
 }
 
 // FleetScaleConfig is the `-scale`-keyed large-cluster soak: 64
@@ -197,35 +145,82 @@ func FleetScaleConfig(seed uint64, scale int64) fleet.Config {
 // fleetScaleTarget is the canonical -scale for the 10M-request soak.
 const fleetScaleTarget = 42
 
-// printFleetScale runs the scale soak and proves the conservation
-// identities intact and the injection volume at the advertised scale.
-// The scale proof of the migration + zone layer.
-func printFleetScale(w io.Writer, seed uint64, scale int64) error {
-	cfg := FleetScaleConfig(seed, scale)
-	fmt.Fprintf(w, "fleet scale soak (seed %d, scale %d): %d replicas / %d zones, %.0f ms horizon\n",
-		seed, scale, cfg.Replicas, cfg.Zones, float64(cfg.HorizonCycles)/2.6e6)
-	res := fleet.Run(cfg, nil)
-	if err := res.Conservation(); err != nil {
-		return fmt.Errorf("fleet scale: %w", err)
-	}
-	fmt.Fprintf(w, "  injected %.2fM requests, goodput %.2fM rps, migrated %d (failed %d), zone outages %d\n",
-		float64(res.Injected)/1e6, res.GoodputRPS/1e6,
-		res.Migrated, res.MigrationFailed, res.ZoneCrashes)
-	if res.Injected < 10_000_000 && scale >= fleetScaleTarget {
-		return fmt.Errorf("fleet scale: only %d requests injected at scale %d (want >= 10M)", res.Injected, scale)
-	}
-	return nil
+// fleetFigure is the sweep, the zone-outage pair (nil when a cell
+// failed) and, at -scale > 1, the scale soak.
+type fleetFigure struct {
+	Base             fleet.Config
+	Rows             []fleetRow
+	NoOutage, Outage *fleet.Result
+	Scale            *fleet.Result
 }
 
-// checkFleetSoak judges the crash/no-crash pair at the soak load
-// against the resilience guards, returning one string per violation.
-// deadlineUs is the per-request deadline (the well-behaved tenants'
-// p99.9 SLO bound).
-func checkFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
-	var v []string
+func measureFleetFigure(in Inputs) (*fleetFigure, []cellError, error) {
+	base, err := in.Flags.FleetConfig(in.Flags.SoakDuration)
+	if err != nil {
+		return nil, nil, err
+	}
+	// -quick runs only the soak load: the shape the cmd/ciexp output
+	// goldens pin.
+	loads := pick(in, fleetLoadFactors, []float64{fleetSoakLoad})
+	return measured(measureFleet(in.Eng, base, loads, int64(in.Flags.Scale)))
+}
+
+// measureFleet runs the sweep over loads, the zone-outage pair — the
+// no-outage and zone-0-crash-looping soaks at the soak load, 4 zones,
+// migration on, each cell checked by the conservation oracle — and at
+// scale > 1 the `-scale`-keyed 64-replica soak.
+func measureFleet(eng *engine.Engine, base fleet.Config, loads []float64, scale int64) (*fleetFigure, []cellError) {
+	rows, errs := measureFleetRamp(eng, base, loads)
+	f := &fleetFigure{Base: base, Rows: rows}
+	label := func(i int) string { return fmt.Sprintf("fleet/zone/outage=%t", i == 1) }
+	zone, zoneErrs := sweep(eng, 2, label, func(i int) (*fleet.Result, error) {
+		res := fleet.Run(FleetZoneConfig(base, i == 1), nil)
+		return res, res.Conservation()
+	})
+	if len(zoneErrs) == 0 {
+		f.NoOutage, f.Outage = zone[0], zone[1]
+	}
+	if scale > 1 {
+		f.Scale = fleet.Run(FleetScaleConfig(base.Seed, scale), nil)
+	}
+	return f, append(errs, zoneErrs...)
+}
+
+// gateFleet judges the soak-load crash/no-crash pair, every row's retry
+// amplification, the zone-outage pair, and the scale soak's
+// conservation identities and (at scale >= 42) 10M-request volume.
+func gateFleet(f *fleetFigure, in Inputs) []string {
+	v := soakPairViolations(f.Rows, float64(fleet.DefaultDeadlineCycles)/fleet.CyclesPerUs)
+	v = append(v, zonePairViolations(f.NoOutage, f.Outage)...)
+	if f.Scale == nil {
+		return v
+	}
+	if err := f.Scale.Conservation(); err != nil {
+		v = append(v, fmt.Sprintf("fleet scale: %v", err))
+	}
+	if scale := in.Flags.Scale; f.Scale.Injected < 10_000_000 && scale >= fleetScaleTarget {
+		v = append(v, fmt.Sprintf("fleet scale: only %d requests injected at scale %d (want >= 10M)", f.Scale.Injected, scale))
+	}
+	return v
+}
+
+// soakPairViolations judges the crash/no-crash pair at the soak load:
+// the crash plan must have played out, goodput must hold the floor,
+// every row's retry amplification the budget bound, and the
+// well-behaved tenants their p99.9 SLO (deadlineUs, the per-request
+// deadline).
+func soakPairViolations(rows []fleetRow, deadlineUs float64) []string {
+	pair := map[bool]*fleet.Result{} // by crash plan
+	for _, r := range rows {
+		if r.Load == fleetSoakLoad {
+			pair[r.Crash] = r.Res
+		}
+	}
+	noCrash, crash := pair[false], pair[true]
 	if noCrash == nil || crash == nil {
 		return []string{"soak pair incomplete (a cell failed)"}
 	}
+	var v []string
 	if crash.Crashes == 0 {
 		v = append(v, "crash plan injected no crashes")
 	}
@@ -239,17 +234,14 @@ func checkFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
 		v = append(v, fmt.Sprintf("crash goodput %.1f%% of no-crash run (floor %.0f%%)",
 			100*ratio, 100*fleetGoodputFloor))
 	}
-	for _, r := range []*fleet.Result{noCrash, crash} {
-		if amp := r.Amplification(); amp > fleetAmpCeiling+1e-9 {
+	for _, r := range rows {
+		if amp := r.Res.Amplification(); amp > fleetAmpCeiling+1e-9 {
 			v = append(v, fmt.Sprintf("retry amplification %.3f exceeds %.2f (crash=%t)",
-				amp, fleetAmpCeiling, r.Crashes > 0))
+				amp, fleetAmpCeiling, r.Res.Crashes > 0))
 		}
 	}
 	for i, ts := range crash.PerTenant {
-		if ts.Misbehaving {
-			continue
-		}
-		if ts.P999Us > deadlineUs {
+		if !ts.Misbehaving && ts.P999Us > deadlineUs {
 			v = append(v, fmt.Sprintf("well-behaved tenant %d p99.9 %.0fµs exceeds the %.0fµs deadline SLO",
 				i, ts.P999Us, deadlineUs))
 		}
@@ -257,70 +249,79 @@ func checkFleetSoak(noCrash, crash *fleet.Result, deadlineUs float64) []string {
 	return v
 }
 
-// printFleet runs the sweep and renders the figure table, then judges
-// the soak-load crash/no-crash pair against the resilience guards, the
-// zone-outage pair (1-of-4 zones crash-looping with migration on)
-// against the zone guards, and — when scale > 1 — the `-scale`-keyed
-// 64-replica soak. Violations and failed cells return an error so
-// `ciexp fleet` exits non-zero. With quick, only the soak load runs
-// (the shape the cmd/ciexp output goldens pin).
-func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, scale int64) error {
-	loads := fleetLoadFactors
-	if quick {
-		loads = []float64{fleetSoakLoad}
+// zonePairViolations judges the zone-outage pair: the outage must have
+// happened and been drained by migration with nothing stranded, and
+// the cluster must ride through it — goodput within the zone floor of
+// the no-outage run, amplification inside the budget bound.
+func zonePairViolations(noOutage, outage *fleet.Result) []string {
+	if noOutage == nil || outage == nil {
+		return []string{"zone pair incomplete (a cell failed)"}
 	}
-	fmt.Fprintf(w, "Fleet soak (seed %d): %d replicas (%s), %d tenants, capacity %.2f M req/s\n",
-		base.Seed, base.Replicas, base.Policy, base.Tenants, fleet.CapacityRPS(base.Replicas)/1e6)
-	fmt.Fprintf(w, "%-6s %-6s %9s %8s %9s %10s %8s %8s %6s %6s %7s\n",
-		"load", "crash", "goodput", "p50(µs)", "p99.9(µs)", "max(µs)", "retries", "hedges", "amp", "eject", "failed")
-	rows, cellErrs := measureFleetRamp(eng, base, loads)
-	var noCrash, crash *fleet.Result
-	for _, r := range rows {
-		res := r.Res
-		fmt.Fprintf(w, "%-6.1f %-6t %8.2fM %8.1f %9.1f %10.1f %8d %8d %6.3f %6d %7d\n",
-			r.Load, r.Crash, res.GoodputRPS/1e6, res.P50Us, res.P999Us, res.MaxUs,
-			res.Retries, res.Hedges, res.Amplification(), res.Ejections, res.AttemptFailed)
-		if r.Load == fleetSoakLoad {
-			if r.Crash {
-				crash = res
-			} else {
-				noCrash = res
-			}
-		}
+	var v []string
+	if outage.ZoneCrashes == 0 {
+		v = append(v, "zone plan injected no zone outages")
 	}
-	violations := checkFleetSoak(noCrash, crash, float64(fleet.DefaultDeadlineCycles)/fleet.CyclesPerUs)
-	// Zone-outage headline: 1-of-4 zones crash-looping at the soak
-	// load with migration draining its queues.
-	noOutage, outage, zoneErrs := measureFleetZone(eng, base)
-	cellErrs = append(cellErrs, zoneErrs...)
-	if noOutage != nil && outage != nil {
-		fmt.Fprintf(w, "zone outage (%d zones, zone 0 crash-looping, migration on):\n", fleetZoneCount)
-		for _, p := range []struct {
-			name string
-			res  *fleet.Result
-		}{{"no-outage", noOutage}, {"outage", outage}} {
-			fmt.Fprintf(w, "  %-10s goodput %.2fM rps, p99.9 %.1fµs, zone crashes %d, migrated %d (failed %d), amp %.3f\n",
-				p.name, p.res.GoodputRPS/1e6, p.res.P999Us, p.res.ZoneCrashes,
-				p.res.Migrated, p.res.MigrationFailed, p.res.Amplification())
-		}
-		fmt.Fprintf(w, "  goodput under outage: %.1f%% of no-outage (floor %.0f%%)\n",
-			100*outage.GoodputRPS/noOutage.GoodputRPS, 100*fleetZoneGoodputFloor)
+	if outage.Migrated == 0 {
+		v = append(v, "zone outages migrated no queued work")
 	}
-	violations = append(violations, checkFleetZone(noOutage, outage)...)
+	var stranded int64
+	for _, st := range outage.PerReplica {
+		stranded += st.StrandedQueued
+	}
+	if stranded != 0 {
+		v = append(v, fmt.Sprintf("migration stranded %d queued attempts", stranded))
+	}
+	if ratio := outage.GoodputRPS / noOutage.GoodputRPS; ratio < fleetZoneGoodputFloor {
+		v = append(v, fmt.Sprintf("zone-outage goodput %.1f%% of no-outage run (floor %.0f%%)",
+			100*ratio, 100*fleetZoneGoodputFloor))
+	}
+	if amp := outage.Amplification(); amp > fleetAmpCeiling+1e-9 {
+		v = append(v, fmt.Sprintf("retry amplification %.3f exceeds %.2f under zone outage",
+			amp, fleetAmpCeiling))
+	}
+	return v
+}
 
-	for _, v := range violations {
-		fmt.Fprintf(w, "resilience violation: %s\n", v)
+// fleetTable lays the sweep out, then the zone-outage pair and, when
+// every guard holds, the scale soak.
+func fleetTable(f *fleetFigure, in Inputs) *table {
+	b := f.Base
+	t := &table{
+		title: []string{fmt.Sprintf("Fleet soak (seed %d): %d replicas (%s), %d tenants, capacity %.2f M req/s",
+			b.Seed, b.Replicas, b.Policy, b.Tenants, fleet.CapacityRPS(b.Replicas)/1e6)},
+		cols: []column{{"load", "%-6s", "%-6.1f"}, {"crash", "%-6s", "%-6t"}, {"goodput", "%9s", "%8.2fM"},
+			{"p50(µs)", "%8s", "%8.1f"}, {"p99.9(µs)", "%9s", "%9.1f"}, {"max(µs)", "%10s", "%10.1f"},
+			{"retries", "%8s", "%8d"}, {"hedges", "%8s", "%8d"}, {"amp", "%6s", "%6.3f"},
+			{"eject", "%6s", "%6d"}, {"failed", "%7s", "%7d"}},
+		sep:       " ",
+		violation: "resilience violation: ",
+		failures:  "resilience violation(s)",
 	}
-	if err := renderCellErrors(w, cellErrs); err != nil {
-		return err
+	for _, r := range f.Rows {
+		res := r.Res
+		t.rows = append(t.rows, []any{r.Load, r.Crash, res.GoodputRPS / 1e6, res.P50Us, res.P999Us, res.MaxUs,
+			res.Retries, res.Hedges, res.Amplification(), res.Ejections, res.AttemptFailed})
 	}
-	if len(violations) > 0 {
-		return fmt.Errorf("fleet: %d resilience violation(s)", len(violations))
+	if no, out := f.NoOutage, f.Outage; no != nil && out != nil {
+		t.notes = []string{fmt.Sprintf("zone outage (%d zones, zone 0 crash-looping, migration on):", fleetZoneCount)}
+		for i, res := range []*fleet.Result{no, out} {
+			t.notes = append(t.notes, fmt.Sprintf("  %-10s goodput %.2fM rps, p99.9 %.1fµs, zone crashes %d, migrated %d (failed %d), amp %.3f",
+				[]string{"no-outage", "outage"}[i], res.GoodputRPS/1e6, res.P999Us, res.ZoneCrashes,
+				res.Migrated, res.MigrationFailed, res.Amplification()))
+		}
+		t.notes = append(t.notes, fmt.Sprintf("  goodput under outage: %.1f%% of no-outage (floor %.0f%%)",
+			100*out.GoodputRPS/no.GoodputRPS, 100*fleetZoneGoodputFloor))
 	}
-	if scale > 1 {
-		return printFleetScale(w, base.Seed, scale)
+	if s := f.Scale; s != nil {
+		cfg := FleetScaleConfig(b.Seed, int64(in.Flags.Scale))
+		t.closing = []string{
+			fmt.Sprintf("fleet scale soak (seed %d, scale %d): %d replicas / %d zones, %.0f ms horizon",
+				b.Seed, in.Flags.Scale, cfg.Replicas, cfg.Zones, float64(cfg.HorizonCycles)/2.6e6),
+			fmt.Sprintf("  injected %.2fM requests, goodput %.2fM rps, migrated %d (failed %d), zone outages %d",
+				float64(s.Injected)/1e6, s.GoodputRPS/1e6, s.Migrated, s.MigrationFailed, s.ZoneCrashes),
+		}
 	}
-	return nil
+	return t
 }
 
 // PrintFleetPlan renders the seeded fault schedule `ciexp fleet`'s
@@ -335,8 +336,24 @@ func printFleet(w io.Writer, eng *engine.Engine, base fleet.Config, quick bool, 
 // fleet` zone cell) are shown too. The debugging window into the
 // fleet fault plan (ciexp fleetplan).
 func PrintFleetPlan(w io.Writer, seed uint64, replicas, zones int, horizonCycles int64, migrate bool) {
-	if zones <= 0 {
-		zones = 1
+	zones = max(zones, 1)
+	// windows lists a crash stream's [onset–recovery] windows inside the
+	// horizon, or that there are none.
+	windows := func(next func() (gap, down int64, ok bool), none string) string {
+		var b strings.Builder
+		for t := int64(0); ; {
+			gap, down, ok := next()
+			if !ok || t+gap >= horizonCycles {
+				break
+			}
+			t += gap
+			fmt.Fprintf(&b, " [%.2f–%.2f ms]", float64(t)/2.6e6, float64(t+down)/2.6e6)
+			t += down
+		}
+		if b.Len() == 0 {
+			return " (no " + none + " inside the horizon)"
+		}
+		return b.String()
 	}
 	plan := fleetCrashPlan(seed)
 	fmt.Fprintf(w, "fleet crash plan (seed %d, horizon %.1f ms): mean gap %.1f ms, down %.1f ms, migration %s\n",
@@ -345,50 +362,18 @@ func PrintFleetPlan(w io.Writer, seed uint64, replicas, zones int, horizonCycles
 		map[bool]string{true: "on (queued work drains at crash)", false: "off (queued work dies into retries)"}[migrate])
 	for i := 0; i < replicas; i++ {
 		inj := faults.New(plan, fmt.Sprintf("fleet/replica%d", i))
-		fmt.Fprintf(w, "replica %d (zone %d):", i, i%zones)
-		t, n := int64(0), 0
-		for {
-			gap, down, ok := inj.NextCrash()
-			if !ok || t+gap >= horizonCycles {
-				break
-			}
-			t += gap
-			fmt.Fprintf(w, " [%.2f–%.2f ms]", float64(t)/2.6e6, float64(t+down)/2.6e6)
-			t += down
-			n++
-		}
-		if n == 0 {
-			fmt.Fprintf(w, " (no crashes inside the horizon)")
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "replica %d (zone %d):%s\n", i, i%zones, windows(inj.NextCrash, "crashes"))
 	}
-	if zones <= 1 {
+	if zones == 1 {
 		return
 	}
 	zplan := fleetZonePlan(seed)
 	fmt.Fprintf(w, "zone outage plan (%d zones, zone 0 only): mean gap %.1f ms, down %.1f ms\n",
 		zones, float64(zplan.ZoneCrashMeanGapCycles)/2.6e6, float64(zplan.ZoneCrashDownCycles)/2.6e6)
+	members := ""
+	for i := 0; i < replicas; i += zones {
+		members += fmt.Sprintf(" %d", i)
+	}
 	inj := faults.New(zplan, "fleet/zone0")
-	fmt.Fprintf(w, "zone 0 (replicas")
-	for i := 0; i < replicas; i++ {
-		if i%zones == 0 {
-			fmt.Fprintf(w, " %d", i)
-		}
-	}
-	fmt.Fprintf(w, "):")
-	t, n := int64(0), 0
-	for {
-		gap, down, ok := inj.NextZoneCrash()
-		if !ok || t+gap >= horizonCycles {
-			break
-		}
-		t += gap
-		fmt.Fprintf(w, " [%.2f–%.2f ms]", float64(t)/2.6e6, float64(t+down)/2.6e6)
-		t += down
-		n++
-	}
-	if n == 0 {
-		fmt.Fprintf(w, " (no zone outages inside the horizon)")
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "zone 0 (replicas%s):%s\n", members, windows(inj.NextZoneCrash, "zone outages"))
 }

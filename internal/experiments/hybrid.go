@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
@@ -41,89 +40,81 @@ type hybridRow struct {
 func measureHybrid(eng *engine.Engine, names []string, target int64, deadlineMult float64, scale int) ([]hybridRow, []cellError) {
 	label := func(i int) string { return "hybrid/" + names[i] }
 	return sweep(eng, len(names), label, func(i int) (hybridRow, error) {
-		return measureHybridOne(eng, names[i], target, deadlineMult, scale)
-	})
-}
-
-// measureHybridOne runs one program's CI-only vs hybrid comparison.
-func measureHybridOne(eng *engine.Engine, name string, target int64, deadlineMult float64, scale int) (hybridRow, error) {
-	src, err := hybridProgram(name, scale)
-	if err != nil {
-		return hybridRow{}, err
-	}
-	base, err := runBaseline(src, name, 1)
-	if err != nil {
-		return hybridRow{}, err
-	}
-	prog, err := core.Compile(src,
-		core.WithDesign(instrument.CI), core.WithProbeInterval(probeIntervalIR))
-	if err != nil {
-		return hybridRow{}, err
-	}
-	row := hybridRow{Workload: name}
-
-	runOne := func(hybrid bool) (stats.Summary, float64, int64, error) {
-		// The watchdog is a plain timer interrupt into a user
-		// handler (timer_create/SIGEV), far cheaper than the
-		// PMU-overflow signal path of Figure 12: ~10k cycles
-		// total, ~4k of it before the handler runs.
-		model := vm.Default()
-		model.HWInterruptCost = 10000
-		model.HWTrapCost = 4000
-		machine := newMachine(prog.Mod, model, 1)
-		var gaps []int64
-		var lastFire int64
-		var th *vm.Thread
-		deliver := func() {
-			now := th.Now()
-			gaps = append(gaps, now-lastFire)
-			lastFire = now
-			th.Charge(handlerWorkCycles)
+		name := names[i]
+		src, err := hybridProgram(name, scale)
+		if err != nil {
+			return hybridRow{}, err
 		}
-		if hybrid {
-			machine.HW = &vm.HWConfig{
-				IntervalCycles: int64(deadlineMult * float64(target)),
-				Handler: func(t *vm.Thread) {
-					deliver()
-					t.RearmHW()
-				},
+		base, err := runBaseline(src, name, 1)
+		if err != nil {
+			return hybridRow{}, err
+		}
+		prog, err := core.Compile(src,
+			core.WithDesign(instrument.CI), core.WithProbeInterval(probeIntervalIR))
+		if err != nil {
+			return hybridRow{}, err
+		}
+
+		runOne := func(hybrid bool) (stats.Summary, float64, int64, error) {
+			// The watchdog is a plain timer interrupt into a user
+			// handler (timer_create/SIGEV), far cheaper than the
+			// PMU-overflow signal path of Figure 12: ~10k cycles
+			// total, ~4k of it before the handler runs.
+			model := vm.Default()
+			model.HWInterruptCost = 10000
+			model.HWTrapCost = 4000
+			machine := newMachine(prog.Mod, model, 1)
+			var gaps []int64
+			var lastFire int64
+			var th *vm.Thread
+			deliver := func() {
+				now := th.Now()
+				gaps = append(gaps, now-lastFire)
+				lastFire = now
+				th.Charge(handlerWorkCycles)
 			}
-		}
-		th = machine.NewThread(0)
-		th.RT.IRPerCycle = base.IRPerCycle
-		th.RT.RegisterCI(target, func(uint64) {
-			deliver()
 			if hybrid {
-				th.RearmHW()
+				machine.HW = &vm.HWConfig{
+					IntervalCycles: int64(deadlineMult * float64(target)),
+					Handler: func(t *vm.Thread) {
+						deliver()
+						t.RearmHW()
+					},
+				}
 			}
-		})
-		if _, err := th.Run("main", 0); err != nil {
-			return stats.Summary{}, 0, 0, err
+			th = machine.NewThread(0)
+			th.RT.IRPerCycle = base.IRPerCycle
+			th.RT.RegisterCI(target, func(uint64) {
+				deliver()
+				if hybrid {
+					th.RearmHW()
+				}
+			})
+			if _, err := th.Run("main", 0); err != nil {
+				return stats.Summary{}, 0, 0, err
+			}
+			errs := make([]int64, 0, len(gaps))
+			for _, g := range gaps {
+				errs = append(errs, g-target)
+			}
+			if len(errs) == 0 {
+				errs = []int64{0}
+			}
+			over := float64(th.Stats.Cycles)/float64(base.Cycles) - 1
+			return stats.Summarize(errs), over, th.Stats.HWInterrupts, nil
 		}
-		errs := make([]int64, 0, len(gaps))
-		for _, g := range gaps {
-			errs = append(errs, g-target)
-		}
-		if len(errs) == 0 {
-			errs = []int64{0}
-		}
-		over := float64(th.Stats.Cycles)/float64(base.Cycles) - 1
-		return stats.Summarize(errs), over, th.Stats.HWInterrupts, nil
-	}
 
-	ciSum, ciOver, _, err := runOne(false)
-	if err != nil {
-		return hybridRow{}, err
-	}
-	hySum, hyOver, hwFires, err := runOne(true)
-	if err != nil {
-		return hybridRow{}, err
-	}
-	row.CIP99, row.HybridP99 = ciSum.P99, hySum.P99
-	row.CIMax, row.HybridMax = ciSum.Max, hySum.Max
-	row.CIOverhead, row.HybridOverhead = ciOver, hyOver
-	row.WatchdogFires = hwFires
-	return row, nil
+		ciSum, ciOver, _, err := runOne(false)
+		if err != nil {
+			return hybridRow{}, err
+		}
+		hySum, hyOver, hwFires, err := runOne(true)
+		if err != nil {
+			return hybridRow{}, err
+		}
+		return hybridRow{Workload: name, CIP99: ciSum.P99, HybridP99: hySum.P99, CIMax: ciSum.Max, HybridMax: hySum.Max,
+			CIOverhead: ciOver, HybridOverhead: hyOver, WatchdogFires: hwFires}, nil
+	})
 }
 
 // hybridProgram resolves a Table-7 workload name or the synthetic
@@ -177,16 +168,16 @@ var hybridWorkloads = []string{
 	"reverse_index", "barnes", "swaptions",
 }
 
-// printHybrid renders the future-work hybrid comparison.
-func printHybrid(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, errs := measureHybrid(eng, hybridWorkloads, 5000, 2.0, scale)
-	fmt.Fprintln(w, "Hybrid CI + hardware watchdog (paper §5.4 future work), 5000-cycle target")
-	fmt.Fprintf(w, "%-18s%12s%12s%12s%12s%10s%10s%10s\n",
-		"workload", "CI p99 err", "hyb p99", "CI max", "hyb max", "CI ovh", "hyb ovh", "hw fires")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s%12d%12d%12d%12d%9.1f%%%9.1f%%%10d\n",
-			r.Workload, r.CIP99, r.HybridP99, r.CIMax, r.HybridMax,
-			r.CIOverhead*100, r.HybridOverhead*100, r.WatchdogFires)
+func hybridTable(rows []hybridRow, _ Inputs) *table {
+	t := &table{
+		title: []string{"Hybrid CI + hardware watchdog (paper §5.4 future work), 5000-cycle target"},
+		cols: []column{{"workload", "%-18s", ""}, {"CI p99 err", "%12s", "%12d"}, {"hyb p99", "%12s", "%12d"},
+			{"CI max", "%12s", "%12d"}, {"hyb max", "%12s", "%12d"}, {"CI ovh", "%10s", "%9.1f%%"},
+			{"hyb ovh", "%10s", "%9.1f%%"}, {"hw fires", "%10s", "%10d"}},
 	}
-	return renderCellErrors(w, errs)
+	for _, r := range rows {
+		t.rows = append(t.rows, []any{r.Workload, r.CIP99, r.HybridP99, r.CIMax, r.HybridMax,
+			r.CIOverhead * 100, r.HybridOverhead * 100, r.WatchdogFires})
+	}
+	return t
 }

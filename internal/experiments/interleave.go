@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ci/fuzz"
 	"repro/internal/engine"
@@ -26,9 +25,8 @@ type interleaveRow struct {
 	Feasible, Total int64
 	// Schedules is the number of explored forced-fire schedules.
 	Schedules int
-	// Shared counts classified shared addresses; ByClass the verdicts.
-	Shared  int
-	ByClass map[interleave.Class]int
+	// Shared counts classified shared addresses.
+	Shared int
 	// Racy / NonCommute are the failure counts (0/0 = clean).
 	Racy, NonCommute int
 	// Undelivered / Inconclusive are exploration caveats, reported so
@@ -40,24 +38,20 @@ type interleaveRow struct {
 
 // newInterleaveRow summarizes one explorer report as a table row.
 func newInterleaveRow(name string, rep *interleave.Report) interleaveRow {
+	racy := rep.Unclassified()
 	row := interleaveRow{
 		Name:     name,
 		Feasible: int64(rep.FeasibleSites), Total: rep.TotalSites,
 		Schedules:   rep.Schedules,
 		Shared:      len(rep.Addrs),
-		ByClass:     make(map[interleave.Class]int),
-		Racy:        len(rep.Unclassified()),
+		Racy:        len(racy),
 		NonCommute:  len(rep.NonCommute),
 		Undelivered: rep.Undelivered, Inconclusive: rep.Inconclusive,
 	}
-	for _, a := range rep.Addrs {
-		row.ByClass[a.Class]++
-	}
-	for _, a := range rep.Unclassified() {
+	if len(racy) > 0 {
+		a := racy[0]
 		row.Detail = fmt.Sprintf("word %d RACY (main %s, handler %s)", a.Addr, a.MainSite, a.HandlerSite)
-		break
-	}
-	if row.Detail == "" && len(rep.NonCommute) > 0 {
+	} else if len(rep.NonCommute) > 0 {
 		nc := rep.NonCommute[0]
 		row.Detail = fmt.Sprintf("fire@%v: %s", nc.Schedule, nc.Detail)
 	}
@@ -72,38 +66,21 @@ type interleaveSpec struct {
 	opts interleave.Options
 }
 
-// appInterleaveSpecs returns the three systems applications' CI
-// sharing-protocol models.
-func appInterleaveSpecs() []interleaveSpec {
+// runInterleaveSweep verifies the three systems applications' CI
+// sharing-protocol models and `seeds` fuzz programs with generated
+// handlers at the given context bound. One module is one engine cell;
+// the whole sweep shards across the engine pool, and each cell's own
+// exploration runs serially so results are byte-identical at any
+// worker count.
+func runInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]interleaveRow, []cellError) {
 	mm, mo := mtcp.InterleaveSpec()
 	sm, so := shenango.InterleaveSpec()
 	fm, fo := ffwd.InterleaveSpec()
-	return []interleaveSpec{
-		{"mtcp/ring", mm, mo},
-		{"shenango/iokernel", sm, so},
-		{"ffwd/delegation", fm, fo},
-	}
-}
-
-// runInterleaveSweep verifies the three app models and `seeds` fuzz
-// programs with generated handlers at the given context bound. One
-// module is one engine cell; the whole sweep shards across the engine
-// pool, and each cell's own exploration runs serially so results are
-// byte-identical at any worker count.
-func runInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]interleaveRow, []cellError) {
-	specs := appInterleaveSpecs()
-	for i := 0; i < seeds; i++ {
-		seed := uint64(i + 1)
-		opts := interleave.Options{
-			ContextBound: bound,
-			LimitInstrs:  5_000_000,
-			MaxSchedules: 300,
-		}
-		specs = append(specs, interleaveSpec{
-			name: fmt.Sprintf("fuzz/seed%d", seed),
-			mod:  fuzz.Generate(seed, fuzz.Options{MaxDepth: 2, MaxStmts: 4, WithHandler: true}),
-			opts: opts,
-		})
+	specs := []interleaveSpec{{"mtcp/ring", mm, mo}, {"shenango/iokernel", sm, so}, {"ffwd/delegation", fm, fo}}
+	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+		specs = append(specs, interleaveSpec{fmt.Sprintf("fuzz/seed%d", seed),
+			fuzz.Generate(seed, fuzz.Options{MaxDepth: 2, MaxStmts: 4, WithHandler: true}),
+			interleave.Options{LimitInstrs: 5_000_000, MaxSchedules: 300}})
 	}
 	for i := range specs {
 		specs[i].opts.ContextBound = bound
@@ -118,33 +95,39 @@ func runInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]interleaveRow, 
 	})
 }
 
-// printInterleave renders the interleaving sweep and returns an error
-// when any module has an unclassified race or a non-commutative
-// schedule. quick shrinks the fuzz corpus for smoke-test use.
-func printInterleave(w io.Writer, eng *engine.Engine, bound int, quick bool) error {
-	seeds := 20
-	if quick {
-		seeds = 6
-	}
-	fmt.Fprintf(w, "Handler interleaving sweep: 3 app models + %d fuzz programs, context bound %d\n", seeds, bound)
-	rows, errs := runInterleaveSweep(eng, seeds, bound)
-	fmt.Fprintf(w, "%-20s%10s%11s%8s%6s%12s%13s\n",
-		"module", "feasible", "schedules", "shared", "racy", "noncommute", "undelivered")
-	bad := 0
+// hazard reports whether the module has an unclassified race or a
+// non-commutative schedule.
+func (r interleaveRow) hazard() bool { return r.Racy > 0 || r.NonCommute > 0 }
+
+// gateInterleave is the interleaving sweep's gate: one violation per
+// module with a hazard.
+func gateInterleave(rows []interleaveRow, _ Inputs) []string {
+	var v []string
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-20s%7d/%-4d%9d%8d%6d%12d%13d\n",
-			r.Name, r.Feasible, r.Total, r.Schedules, r.Shared, r.Racy, r.NonCommute, r.Undelivered)
-		if r.Racy > 0 || r.NonCommute > 0 {
-			bad++
-			fmt.Fprintf(w, "  first failure: %s\n", r.Detail)
+		if r.hazard() {
+			v = append(v, r.Name+": "+r.Detail)
 		}
 	}
-	if err := renderCellErrors(w, errs); err != nil {
-		return err
+	return v
+}
+
+// interleaveTable lays the sweep out, each hazardous module's first
+// failure under its row.
+func interleaveTable(rows []interleaveRow, in Inputs) *table {
+	t := &table{
+		title: []string{fmt.Sprintf("Handler interleaving sweep: 3 app models + %d fuzz programs, context bound %d",
+			pick(in, 20, 6), pick(in, in.Flags.Bound, 1))},
+		cols: []column{{"module", "%-20s", ""}, {"feasible", "%10s", ""}, {"schedules", "%11s", "%9d"},
+			{"shared", "%8s", "%8d"}, {"racy", "%6s", "%6d"}, {"noncommute", "%12s", "%12d"}, {"undelivered", "%13s", "%13d"}},
+		failures: "module(s) with interleaving hazards",
+		closing:  []string{"interleave: all handler placements commute, no unclassified races"},
 	}
-	if bad > 0 {
-		return fmt.Errorf("interleave: %d module(s) with interleaving hazards", bad)
+	for _, r := range rows {
+		t.rows = append(t.rows, []any{r.Name, fmt.Sprintf("%7d/%-4d", r.Feasible, r.Total), r.Schedules,
+			r.Shared, r.Racy, r.NonCommute, r.Undelivered})
+		if r.hazard() {
+			t.rows = append(t.rows, []any{"  first failure: " + r.Detail})
+		}
 	}
-	fmt.Fprintln(w, "interleave: all handler placements commute, no unclassified races")
-	return nil
+	return t
 }

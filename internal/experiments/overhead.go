@@ -4,19 +4,22 @@
 // 9-12, Table 7) and, via the app simulators, the mTCP, Shenango and
 // FFWD results (Figures 4-8).
 //
-// Figures lists them as data, each a name and the function that
-// regenerates it, and ciexp is a loop over that table. Every figure
-// runs its cells through one sweep loop (sweep, and workloadSweep for
-// the one-cell-per-workload sweeps) on the parallel experiment engine
+// Figures lists them as data and ciexp is a loop over that list. Each
+// figure is three steps joined by figure: a measure step runs its cells
+// into typed rows, a table step lays the rows out, and a gate (none for
+// the paper's figures) returns one message per violation; render is the
+// one place a figure is printed. Every measure step runs its cells
+// through one sweep loop (sweep, and workloadSweep for the
+// one-cell-per-workload sweeps) on the parallel experiment engine
 // (internal/engine): cells are virtual-time independent, so they are
 // sharded across a bounded worker pool, instrumented modules and
 // baseline runs are memoized across cells, and results merge in input
-// order — output is byte-identical at any worker count, and a
-// single-worker engine reproduces the legacy serial pipeline exactly.
+// order — output is byte-identical at any worker count.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
@@ -147,10 +150,7 @@ func measureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.De
 	// observability scope: probe-site profile, handler spans. A
 	// calibration pass that converged ran with the measured run's
 	// parameters, so it is that run unless a scope has to see it.
-	var scope *obs.Scope
-	if eng != nil {
-		scope = eng.Obs
-	}
+	scope := scopeOf(eng)
 	if !converged || scope.Enabled() {
 		if th, id, err = run(record, scope); err != nil {
 			return overheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
@@ -184,8 +184,9 @@ type figureOverhead struct {
 	Threads        int
 	IntervalCycles int64
 	Designs        []instrument.Design
-	// Rows[workload][design index]
-	Rows map[string][]overheadRow
+	// Rows holds each measured workload's rows, one per design, in
+	// workload order.
+	Rows [][]overheadRow
 	// Medians[design index] is the median overhead across workloads.
 	Medians []float64
 	// Errs collects failed workload cells; their rows are absent and
@@ -203,28 +204,21 @@ func measureFigureOverheadSel(eng *engine.Engine, threads, scale int, designs []
 		Threads:        threads,
 		IntervalCycles: 5000,
 		Designs:        designs,
-		Rows:           make(map[string][]overheadRow),
 	}
-	names, cells, errs := workloadSweep(eng, sel, "overhead",
-		func(wl *workloads.Workload) ([]overheadRow, error) {
-			base, err := baselineCached(eng, wl, scale, threads)
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]overheadRow, 0, len(designs))
-			for _, d := range designs {
-				row, err := measureOverhead(eng, wl, d, base, scale, threads, fig.IntervalCycles, false)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, row)
-			}
-			return rows, nil
+	cells, errs := workloadSweep(eng, sel, "overhead", func(wl *workloads.Workload) ([]overheadRow, error) {
+		return againstBaseline(eng, wl, scale, threads, designs, func(base baseline, d instrument.Design) (overheadRow, error) {
+			return measureOverhead(eng, wl, d, base, scale, threads, fig.IntervalCycles, false)
 		})
+	})
 	fig.Errs = errs
+	// Rows follow the paper's workload order, whatever sel's.
+	paperIndex := func(rows []overheadRow) int {
+		return slices.IndexFunc(workloads.All, func(wl workloads.Workload) bool { return wl.Name == rows[0].Workload })
+	}
+	slices.SortStableFunc(cells, func(a, b []overheadRow) int { return paperIndex(a) - paperIndex(b) })
 	perDesign := make([][]float64, len(designs))
-	for i, rows := range cells {
-		fig.Rows[names[i]] = rows
+	fig.Rows = cells
+	for _, rows := range cells {
 		for di, row := range rows {
 			perDesign[di] = append(perDesign[di], row.Overhead)
 		}
@@ -242,8 +236,6 @@ type accuracyRow struct {
 	Design   instrument.Design
 	// Errors summarizes (gap - target) in cycles.
 	Errors stats.Summary
-	// MedianError is the signed median error.
-	MedianError int64
 }
 
 // measureFigureAccuracy computes Figure 10: interval error percentiles
@@ -252,22 +244,15 @@ type accuracyRow struct {
 // fatal.
 func measureFigureAccuracy(eng *engine.Engine, scale int, designs []instrument.Design) ([]accuracyRow, []cellError) {
 	const target = 5000
-	_, cells, errs := workloadSweep(eng, allWorkloads(), "accuracy",
-		func(wl *workloads.Workload) ([]accuracyRow, error) {
-			base, err := baselineCached(eng, wl, scale, 1)
+	cells, errs := workloadSweep(eng, allWorkloads(), "accuracy", func(wl *workloads.Workload) ([]accuracyRow, error) {
+		return againstBaseline(eng, wl, scale, 1, designs, func(base baseline, d instrument.Design) (accuracyRow, error) {
+			row, err := measureOverhead(eng, wl, d, base, scale, 1, target, true)
 			if err != nil {
-				return nil, err
+				return accuracyRow{}, err
 			}
-			var rows []accuracyRow
-			for _, d := range designs {
-				row, err := measureOverhead(eng, wl, d, base, scale, 1, target, true)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, newAccuracyRow(eng, row, target))
-			}
-			return rows, nil
+			return newAccuracyRow(eng, row, target), nil
 		})
+	})
 	var out []accuracyRow
 	for _, rows := range cells {
 		out = append(out, rows...)
@@ -285,11 +270,7 @@ func newAccuracyRow(eng *engine.Engine, row overheadRow, target int64) accuracyR
 	if len(errsCy) == 0 {
 		errsCy = []int64{0}
 	}
-	var scope *obs.Scope
-	if eng != nil {
-		scope = eng.Obs
-	}
-	if scope.Enabled() {
+	if scope := scopeOf(eng); scope.Enabled() {
 		// Feed the per-design interval-error histograms behind
 		// ciexp -metrics (absolute error, paper-CDF style, plus the
 		// signed distribution).
@@ -302,8 +283,7 @@ func newAccuracyRow(eng *engine.Engine, row overheadRow, target int64) accuracyR
 			scope.Observe("interval_abs_error/"+row.Design.String(), e)
 		}
 	}
-	sum := stats.Summarize(errsCy)
-	return accuracyRow{Workload: row.Workload, Design: row.Design, Errors: sum, MedianError: sum.P50}
+	return accuracyRow{Workload: row.Workload, Design: row.Design, Errors: stats.Summarize(errsCy)}
 }
 
 // sweepPoint is one (interval, kind) aggregate of Figure 12.
@@ -341,7 +321,7 @@ func measureFigure12(eng *engine.Engine, scale int, intervals []int64, names []s
 			return nil, nil, err
 		}
 	}
-	_, cells, errs := workloadSweep(eng, sel, "fig12",
+	cells, errs := workloadSweep(eng, sel, "fig12",
 		func(wl *workloads.Workload) (fig12Cell, error) {
 			return measureFig12Workload(eng, wl, scale, intervals)
 		})
@@ -416,10 +396,10 @@ const modelGHz = 2.6
 
 // measureTable7 reproduces Table 7: per-workload absolute baseline
 // runtime plus normalized CI and Naive runtimes for 1 and 32 threads,
-// with the geo-mean row. One workload is one engine cell; failed cells
+// then the geo-mean row. One workload is one engine cell; failed cells
 // drop out of the table and the geo-mean.
-func measureTable7(eng *engine.Engine, scale int) ([]table7Row, table7Row, []cellError) {
-	_, rows, errs := workloadSweep(eng, allWorkloads(), "table7",
+func measureTable7(eng *engine.Engine, scale int) ([]table7Row, []cellError) {
+	rows, errs := workloadSweep(eng, allWorkloads(), "table7",
 		func(wl *workloads.Workload) (table7Row, error) { return measureTable7Workload(eng, wl, scale) })
 	var ci1s, n1s, ci32s, n32s []float64
 	for _, row := range rows {
@@ -428,14 +408,8 @@ func measureTable7(eng *engine.Engine, scale int) ([]table7Row, table7Row, []cel
 		ci32s = append(ci32s, row.CI32)
 		n32s = append(n32s, row.N32)
 	}
-	g := table7Row{
-		Workload: "geo-mean",
-		CI1:      stats.GeoMean(ci1s),
-		N1:       stats.GeoMean(n1s),
-		CI32:     stats.GeoMean(ci32s),
-		N32:      stats.GeoMean(n32s),
-	}
-	return rows, g, errs
+	return append(rows, table7Row{Workload: "geo-mean", CI1: stats.GeoMean(ci1s), N1: stats.GeoMean(n1s),
+		CI32: stats.GeoMean(ci32s), N32: stats.GeoMean(n32s)}), errs
 }
 
 func measureTable7Workload(eng *engine.Engine, wl *workloads.Workload, scale int) (table7Row, error) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
@@ -31,7 +30,7 @@ type probeCountRow struct {
 // measureProbeCounts runs each workload under CI and Naive and counts
 // probe executions. One workload is one engine cell.
 func measureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]probeCountRow, []cellError) {
-	_, rows, errs := workloadSweep(eng, allWorkloads(), "probes",
+	return workloadSweep(eng, allWorkloads(), "probes",
 		func(wl *workloads.Workload) (probeCountRow, error) {
 			base, err := baselineCached(eng, wl, scale, 1)
 			if err != nil {
@@ -64,23 +63,21 @@ func measureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]
 			}
 			return row, nil
 		})
-	return rows, errs
 }
 
-// printProbeCounts renders the probe-execution comparison.
-func printProbeCounts(w io.Writer, eng *engine.Engine, scale int) error {
-	rows, errs := measureProbeCounts(eng, scale, 5000)
-	fmt.Fprintln(w, "Probe executions, CI vs Naive (§5.4: CI reduces executions >50% in most programs)")
-	fmt.Fprintf(w, "%-18s%14s%14s%12s%12s%10s\n",
-		"workload", "CI dynamic", "Naive dyn", "reduction", "CI static", "taken")
+func probesTable(rows []probeCountRow, _ Inputs) *table {
+	t := &table{
+		title: []string{"Probe executions, CI vs Naive (§5.4: CI reduces executions >50% in most programs)"},
+		cols: []column{{"workload", "%-18s", ""}, {"CI dynamic", "%14s", "%14d"}, {"Naive dyn", "%14s", "%14d"},
+			{"reduction", "%12s", "%11.0f%%"}, {"CI static", "%12s", "%12d"}, {"taken", "%10s", "%9.1f%%"}},
+	}
 	over50 := 0
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s%14d%14d%11.0f%%%12d%9.1f%%\n",
-			r.Workload, r.CIProbes, r.NaiveProbes, r.Reduction*100, r.CIStatic, r.TakenRate*100)
+		t.rows = append(t.rows, []any{r.Workload, r.CIProbes, r.NaiveProbes, r.Reduction * 100, r.CIStatic, r.TakenRate * 100})
 		if r.Reduction > 0.5 {
 			over50++
 		}
 	}
-	fmt.Fprintf(w, "%d/%d workloads above 50%% reduction\n", over50, len(rows))
-	return renderCellErrors(w, errs)
+	t.notes = []string{fmt.Sprintf("%d/%d workloads above 50%% reduction", over50, len(rows))}
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ci/ciruntime"
 	"repro/internal/ci/instrument"
@@ -70,12 +69,6 @@ func quantumClassOf(rng *sim.RNG) int {
 	return len(quantumClasses) - 1
 }
 
-// quantumCost is the charged service cost of one request of the class
-// at the figure's load multiple.
-func quantumCost(class int) int64 {
-	return int64(quantumLoadMult * float64(quantumClasses[class].Cost))
-}
-
 // quantumVariant is one (design, policy) column pair of the figure.
 type quantumVariant struct {
 	Design string // CI, Naive, HW, UIntr
@@ -113,18 +106,6 @@ type quantumRow struct {
 	FinalInterval int64
 }
 
-// quantumPolicyFor builds the policy under test; nil for "fixed" (no
-// policy installed — the registration interval never moves).
-func quantumPolicyFor(policy string, classOf func() int) ciruntime.QuantumPolicy {
-	switch policy {
-	case "aimd":
-		return &ciruntime.AIMD{}
-	case "feedback":
-		return &ciruntime.FeedbackPID{ClassOf: classOf}
-	}
-	return nil
-}
-
 // measureQuantumVariant runs one workload under one (design, policy)
 // pair and summarizes its gap error against the target quantum.
 func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int,
@@ -136,7 +117,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	serve := func(charge func(int64)) {
 		class := quantumClassOf(rng)
 		lastClass = class
-		cost := quantumCost(class)
+		cost := int64(quantumLoadMult * float64(quantumClasses[class].Cost))
 		charged += cost
 		charge(cost)
 	}
@@ -159,8 +140,11 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		th.RT.IRPerCycle = base.IRPerCycle
 		th.RT.RecordIntervals = true
 		id := th.RT.RegisterCI(quantumTargetCycles, func(uint64) { serve(th.Charge) })
-		if p := quantumPolicyFor(v.Policy, func() int { return lastClass }); p != nil {
-			th.RT.SetPolicy(id, p)
+		switch v.Policy { // "fixed" installs none: the interval never moves
+		case "aimd":
+			th.RT.SetPolicy(id, &ciruntime.AIMD{})
+		case "feedback":
+			th.RT.SetPolicy(id, &ciruntime.FeedbackPID{ClassOf: func() int { return lastClass }})
 		}
 		if _, err := th.Run("main", 0); err != nil {
 			return row, fmt.Errorf("%s %s/%s: %w", wl.Name, v.Design, v.Policy, err)
@@ -227,50 +211,37 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	return row, nil
 }
 
-// quantumFigure is the full sweep: per-workload rows plus the
-// per-variant aggregate (median error quantiles and overhead across
-// workloads, summed fire/overrun counts).
+// quantumFigure is the full sweep: each measured workload's rows, one
+// per variant, plus the per-variant aggregate (median error quantiles
+// and overhead across workloads, summed fire/overrun counts).
 type quantumFigure struct {
 	Workloads []string
-	Rows      map[string][]quantumRow
+	Rows      [][]quantumRow
 	Agg       []quantumRow
-	Errs      []cellError
 }
 
 // measureQuantum runs the adaptivity sweep over the named workloads
 // (nil = the figure's default selection). One workload — all eight
 // variants — is one engine cell.
-func measureQuantum(eng *engine.Engine, scale int, names []string) (*quantumFigure, error) {
+func measureQuantum(eng *engine.Engine, scale int, names []string) (*quantumFigure, []cellError, error) {
 	if len(names) == 0 {
 		names = subsetWorkloads
 	}
 	sel, err := workloadsByName(names)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fig := &quantumFigure{Rows: make(map[string][]quantumRow)}
-	ran, cells, errs := workloadSweep(eng, sel, "quantum",
-		func(wl *workloads.Workload) ([]quantumRow, error) {
-			base, err := baselineCached(eng, wl, scale, 1)
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]quantumRow, 0, len(quantumVariants))
-			for _, v := range quantumVariants {
-				row, err := measureQuantumVariant(eng, wl, scale, base, v)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, row)
-			}
-			return rows, nil
+	cells, errs := workloadSweep(eng, sel, "quantum", func(wl *workloads.Workload) ([]quantumRow, error) {
+		return againstBaseline(eng, wl, scale, 1, quantumVariants, func(base baseline, v quantumVariant) (quantumRow, error) {
+			return measureQuantumVariant(eng, wl, scale, base, v)
 		})
-	fig.Workloads, fig.Errs = ran, errs
-	for i, rows := range cells {
-		fig.Rows[ran[i]] = rows
+	})
+	fig := &quantumFigure{Rows: cells}
+	for _, rows := range cells {
+		fig.Workloads = append(fig.Workloads, rows[0].Workload)
 	}
 	fig.Agg = aggregateQuantum(fig)
-	return fig, nil
+	return fig, errs, nil
 }
 
 // aggregateQuantum folds the per-workload rows into one row per
@@ -282,8 +253,8 @@ func aggregateQuantum(fig *quantumFigure) []quantumRow {
 		var p50s, p999s, maxes, finals []int64
 		var gapMeans, ovhs []float64
 		out := quantumRow{Workload: "median", Design: v.Design, Policy: v.Policy}
-		for _, name := range fig.Workloads {
-			row := fig.Rows[name][vi]
+		for _, rows := range fig.Rows {
+			row := rows[vi]
 			p50s = append(p50s, row.P50Err)
 			p999s = append(p999s, row.P999Err)
 			maxes = append(maxes, row.MaxErr)
@@ -317,11 +288,11 @@ func (fig *quantumFigure) quantumAgg(design, policy string) (quantumRow, bool) {
 	return quantumRow{}, false
 }
 
-// checkQuantum evaluates the figure's acceptance gates and returns one
-// message per violation: FeedbackPID must beat the fixed interval on
-// p99.9 gap error under the CI design, and an adaptive CI row must not
-// cost more than the overhead budget on top of the fixed CI row.
-func (fig *quantumFigure) checkQuantum() []string {
+// gateQuantum is the quantum figure's acceptance gate: FeedbackPID
+// must beat the fixed interval on p99.9 gap error under the CI design,
+// and an adaptive CI row must not cost more than the overhead budget
+// on top of the fixed CI row.
+func gateQuantum(fig *quantumFigure, _ Inputs) []string {
 	var bad []string
 	fixed, ok1 := fig.quantumAgg("CI", "fixed")
 	fb, ok2 := fig.quantumAgg("CI", "feedback")
@@ -343,37 +314,19 @@ func (fig *quantumFigure) checkQuantum() []string {
 	return bad
 }
 
-// printQuantum runs the sweep and renders the adaptivity table, then
-// applies the acceptance gates so `ciexp quantum` exits non-zero when
-// the feedback controller stops beating the fixed quantum or the CI
-// rows leave the overhead budget. quick shrinks the workload set.
-func printQuantum(w io.Writer, eng *engine.Engine, scale int, quick bool) error {
-	var names []string
-	if quick {
-		names = []string{"radix", "histogram", "matrix_multiply", "dedup"}
+func quantumTable(fig *quantumFigure, _ Inputs) *table {
+	t := &table{
+		title: []string{fmt.Sprintf("Quantum adaptivity: handler-gap error vs %d-cycle target at %.1fx load, mixed request classes (%d workloads)",
+			quantumTargetCycles, quantumLoadMult, len(fig.Workloads))},
+		cols: []column{{"design", "%-8s", ""}, {"policy", "%-10s", ""}, {"p50|err|", "%12s", "%12d"},
+			{"p99.9|err|", "%14s", "%14d"}, {"max|err|", "%12s", "%12d"}, {"mean-gap", "%12s", "%12.0f"},
+			{"ovh", "%10s", "%9.1f%%"}, {"overruns", "%10s", "%10d"}, {"final-int", "%10s", "%10d"}},
+		violation: "gate violation: ",
+		failures:  "gate violation(s)",
 	}
-	fig, err := measureQuantum(eng, scale, names)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Quantum adaptivity: handler-gap error vs %d-cycle target at %.1fx load, mixed request classes (%d workloads)\n",
-		quantumTargetCycles, quantumLoadMult, len(fig.Workloads))
-	fmt.Fprintf(w, "%-8s%-10s%12s%14s%12s%12s%10s%10s%10s\n",
-		"design", "policy", "p50|err|", "p99.9|err|", "max|err|", "mean-gap", "ovh", "overruns", "final-int")
 	for _, r := range fig.Agg {
-		fmt.Fprintf(w, "%-8s%-10s%12d%14d%12d%12.0f%9.1f%%%10d%10d\n",
-			r.Design, r.Policy, r.P50Err, r.P999Err, r.MaxErr, r.MeanGap,
-			100*r.Overhead, r.Overruns, r.FinalInterval)
+		t.rows = append(t.rows, []any{r.Design, r.Policy, r.P50Err, r.P999Err, r.MaxErr, r.MeanGap,
+			100 * r.Overhead, r.Overruns, r.FinalInterval})
 	}
-	violations := fig.checkQuantum()
-	for _, v := range violations {
-		fmt.Fprintf(w, "gate violation: %s\n", v)
-	}
-	if err := renderCellErrors(w, fig.Errs); err != nil {
-		return err
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("quantum: %d gate violation(s)", len(violations))
-	}
-	return nil
+	return t
 }

@@ -18,12 +18,12 @@ var quantumNames = []string{"radix", "histogram"}
 func TestQuantumWorkerDeterminism(t *testing.T) {
 	var figs []*quantumFigure
 	for _, workers := range []int{1, 4} {
-		fig, err := measureQuantum(engine.New(workers), 1, quantumNames)
+		fig, errs, err := measureQuantum(engine.New(workers), 1, quantumNames)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(fig.Errs) > 0 {
-			t.Fatalf("workers=%d: quantum cells failed: %v", workers, fig.Errs)
+		if len(errs) > 0 {
+			t.Fatalf("workers=%d: quantum cells failed: %v", workers, errs)
 		}
 		figs = append(figs, fig)
 	}
@@ -41,12 +41,12 @@ func TestQuantumWorkerDeterminism(t *testing.T) {
 // samples — a variant with zero fires means its delivery mechanism
 // never engaged and the comparison is vacuous.
 func TestQuantumAllVariantsFire(t *testing.T) {
-	fig, err := measureQuantum(engine.New(0), 1, quantumNames)
+	fig, errs, err := measureQuantum(engine.New(0), 1, quantumNames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Errs) > 0 {
-		t.Fatalf("quantum cells failed: %v", fig.Errs)
+	if len(errs) > 0 {
+		t.Fatalf("quantum cells failed: %v", errs)
 	}
 	for _, r := range fig.Agg {
 		if r.Fires == 0 {
@@ -73,7 +73,7 @@ func TestQuantumAllVariantsFire(t *testing.T) {
 	}
 }
 
-// checkQuantum's gates, exercised on fabricated aggregates so both the
+// gateQuantum's gates, exercised on fabricated aggregates so both the
 // passing and each failing direction are pinned without a full sweep.
 func TestCheckQuantumGates(t *testing.T) {
 	mk := func(fixedP999, fbP999 int64, fixedOvh, aimdOvh, fbOvh float64) *quantumFigure {
@@ -86,18 +86,18 @@ func TestCheckQuantumGates(t *testing.T) {
 			},
 		}
 	}
-	if bad := mk(25000, 23000, 0.03, 0.03, 0.04).checkQuantum(); len(bad) != 0 {
+	if bad := gateQuantum(mk(25000, 23000, 0.03, 0.03, 0.04), Inputs{}); len(bad) != 0 {
 		t.Errorf("healthy figure flagged: %v", bad)
 	}
-	if bad := mk(23000, 25000, 0.03, 0.03, 0.03).checkQuantum(); len(bad) != 1 ||
+	if bad := gateQuantum(mk(23000, 25000, 0.03, 0.03, 0.03), Inputs{}); len(bad) != 1 ||
 		!strings.Contains(bad[0], "p99.9") {
 		t.Errorf("regressed controller not flagged: %v", bad)
 	}
-	if bad := mk(25000, 23000, 0.03, 0.08, 0.03).checkQuantum(); len(bad) != 1 ||
+	if bad := gateQuantum(mk(25000, 23000, 0.03, 0.08, 0.03), Inputs{}); len(bad) != 1 ||
 		!strings.Contains(bad[0], "aimd") {
 		t.Errorf("over-budget aimd row not flagged: %v", bad)
 	}
-	if bad := (&quantumFigure{}).checkQuantum(); len(bad) != 1 {
+	if bad := gateQuantum(&quantumFigure{}, Inputs{}); len(bad) != 1 {
 		t.Errorf("empty sweep must report an ungateable figure: %v", bad)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ci/ciruntime"
 	"repro/internal/engine"
@@ -46,11 +45,7 @@ func rampExcess(mult float64) float64 {
 	if mult <= 0 {
 		return 0
 	}
-	e := 1 - rampOperationalFrac/mult
-	if e < 0 {
-		return 0
-	}
-	return e
+	return max(0, 1-rampOperationalFrac/mult)
 }
 
 // rampOverloadConfig is the tuned shenango admission configuration the
@@ -70,10 +65,6 @@ type rampRow struct {
 	// Res is the full shenango result, including the overload snapshot.
 	Res shenango.Result
 }
-
-// goodputFrac is the achieved load as a fraction of the saturating
-// capacity.
-func (r rampRow) goodputFrac() float64 { return r.Res.AchievedLoad / rampSaturatingLoad }
 
 // measureLoadRamp sweeps shenango (CIHosted) across mults × {admission
 // off, on}. One run is one engine cell; rows come back ordered by
@@ -106,40 +97,40 @@ func measureLoadRamp(eng *engine.Engine, seed uint64, durationCycles int64, mult
 	})
 }
 
-// printRamp runs the sweep and renders the figure table, then checks
-// the SLO against every admission-enabled row with rampExcess(mult) as
-// the unavoidable refusal fraction. A zero SLO checks nothing;
-// violations and failed cells return an error so `ciexp ramp` exits
-// non-zero. A non-nil quantum factory (-quantum-policy aimd|feedback)
-// runs the whole ramp under that adaptive handler-interval policy —
-// the SLO guards must hold regardless of how the interval controller
-// moves the probe quantum.
-func printRamp(w io.Writer, eng *engine.Engine, seed uint64, durationCycles int64, slo overload.SLO, quantum func() ciruntime.QuantumPolicy) error {
-	fmt.Fprintf(w, "Load ramp (seed %d): shenango+CI under offered load vs %.2f M req/s capacity\n",
-		seed, rampSaturatingLoad/1e6)
-	fmt.Fprintf(w, "%-6s %-6s %10s %9s %10s %8s %7s %7s %6s\n",
-		"load", "admit", "goodput", "p50(µs)", "p99.9(µs)", "reject", "shed", "miner", "brown")
-	rows, cellErrs := measureLoadRamp(eng, seed, durationCycles, nil, quantum)
-	var violations []string
+// gateRamp is the ramp figure's gate: the -slo-p999us/-max-reject SLO
+// against every admission-enabled row, with rampExcess(mult) as the
+// unavoidable refusal fraction. A zero SLO checks nothing. It holds
+// under any -quantum-policy: the guards must not depend on how the
+// interval controller moves the probe quantum.
+func gateRamp(rows []rampRow, in Inputs) []string {
+	slo := in.Flags.SLO()
+	var v []string
 	for _, r := range rows {
-		s := r.Res.Overload
-		fmt.Fprintf(w, "%-6.1f %-6t %9.2f%% %9.1f %10.1f %7.1f%% %7d %6.0f%% %6d\n",
-			r.Mult, r.Admission, 100*r.goodputFrac(), r.Res.MedianUs, r.Res.P999Us,
-			100*s.RejectFrac(), s.Shed, 100*r.Res.MinerHashRate, s.MaxBrownout)
-		if r.Admission {
-			if err := slo.Check(r.Res.P999Us, s.RejectFrac(), rampExcess(r.Mult)); err != nil {
-				violations = append(violations, fmt.Sprintf("%.1fx: %v", r.Mult, err))
-			}
+		if !r.Admission {
+			continue
+		}
+		if err := slo.Check(r.Res.P999Us, r.Res.Overload.RejectFrac(), rampExcess(r.Mult)); err != nil {
+			v = append(v, fmt.Sprintf("%.1fx: %v", r.Mult, err))
 		}
 	}
-	for _, v := range violations {
-		fmt.Fprintf(w, "SLO violation at %s\n", v)
+	return v
+}
+
+func rampTable(rows []rampRow, in Inputs) *table {
+	t := &table{
+		title: []string{fmt.Sprintf("Load ramp (seed %d): shenango+CI under offered load vs %.2f M req/s capacity",
+			in.Flags.Seed, rampSaturatingLoad/1e6)},
+		cols: []column{{"load", "%-6s", "%-6.1f"}, {"admit", "%-6s", "%-6t"}, {"goodput", "%10s", "%9.2f%%"},
+			{"p50(µs)", "%9s", "%9.1f"}, {"p99.9(µs)", "%10s", "%10.1f"}, {"reject", "%8s", "%7.1f%%"},
+			{"shed", "%7s", "%7d"}, {"miner", "%7s", "%6.0f%%"}, {"brown", "%6s", "%6d"}},
+		sep:       " ",
+		violation: "SLO violation at ",
+		failures:  "SLO violation(s)",
 	}
-	if err := renderCellErrors(w, cellErrs); err != nil {
-		return err
+	for _, r := range rows {
+		s := r.Res.Overload
+		t.rows = append(t.rows, []any{r.Mult, r.Admission, 100 * r.Res.AchievedLoad / rampSaturatingLoad, r.Res.MedianUs, r.Res.P999Us,
+			100 * s.RejectFrac(), s.Shed, 100 * r.Res.MinerHashRate, s.MaxBrownout})
 	}
-	if len(violations) > 0 {
-		return fmt.Errorf("ramp: %d SLO violation(s)", len(violations))
-	}
-	return nil
+	return t
 }

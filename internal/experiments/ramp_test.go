@@ -141,13 +141,13 @@ func TestRampQuantumPoliciesHoldSLO(t *testing.T) {
 		if !differs {
 			t.Errorf("%s: sweep byte-identical to the fixed quantum — policy never reached the poll loop", name)
 		}
-		soakRows, soakErrs := runSoak(eng, 7, rampTestDuration, soakQuickPhases, slo, factory)
+		soakRows, soakErrs := runSoak(eng, 7, rampTestDuration, soakQuickPhases, factory)
 		if len(soakErrs) > 0 {
 			t.Fatalf("%s: soak cells failed: %v", name, soakErrs)
 		}
 		for _, r := range soakRows {
-			if len(r.Violations) > 0 {
-				t.Errorf("%s soak phase %d (%.1fx): %v", name, r.Phase, r.Mult, r.Violations)
+			if v := r.violations(slo); len(v) > 0 {
+				t.Errorf("%s soak phase %d (%.1fx): %v", name, r.Phase, r.Mult, v)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/ci/fuzz"
 	"repro/internal/ci/instrument"
@@ -22,8 +21,8 @@ import (
 // CoreDet-style and naive-balance baselines, and the probe-free
 // user-interrupt design (whose oracle run proves the uninstrumented
 // module is untouched). The remaining designs are covered by the fuzz
-// package's differential tests. An array (not a slice) so the per-cell
-// verdict arrays below can be sized from it at compile time.
+// package's differential tests. An array (not a slice) so a program's
+// per-design verdicts can be sized from it at compile time.
 var sanitizeDesigns = [...]instrument.Design{
 	instrument.CI, instrument.CICycles, instrument.CD, instrument.CnB,
 	instrument.UserInterrupt,
@@ -50,21 +49,17 @@ type sanitizeRow struct {
 	FirstFailure string
 }
 
-// sanitizeVerdict classifies one (seed, design) compile+oracle outcome.
-type sanitizeVerdict int
-
-const (
-	verdictClean sanitizeVerdict = iota
-	verdictInconclusive
-	verdictStageError
-	verdictDivergence
-)
-
-type sanitizeCell struct {
-	Verdicts [len(sanitizeDesigns)]sanitizeVerdict
-	Failures [len(sanitizeDesigns)]string
-	// TierDiverged marks per-design tier-differential divergences.
-	TierDiverged [len(sanitizeDesigns)]bool
+// add folds one program's verdicts into r, keeping r's first failure.
+func (r *sanitizeRow) add(o sanitizeRow) {
+	r.Programs += o.Programs
+	r.Clean += o.Clean
+	r.Inconclusive += o.Inconclusive
+	r.StageErrors += o.StageErrors
+	r.Divergences += o.Divergences
+	r.TierDivergences += o.TierDivergences
+	if r.FirstFailure == "" {
+		r.FirstFailure = o.FirstFailure
+	}
 }
 
 // runSanitizeSweep fuzzes `seeds` programs and pushes each through
@@ -75,8 +70,9 @@ type sanitizeCell struct {
 // `ciexp sanitize` gates the compiled tier's bit exactness over the
 // same fuzz corpus.
 func runSanitizeSweep(eng *engine.Engine, seeds int) ([]sanitizeRow, []cellError) {
+	type verdicts [len(sanitizeDesigns)]sanitizeRow // one program's, per design
 	label := func(i int) string { return fmt.Sprintf("sanitize/seed%d", i+1) }
-	cells, errs := sweep(eng, seeds, label, func(i int) (sanitizeCell, error) {
+	cells, errs := sweep(eng, seeds, label, func(i int) (verdicts, error) {
 		seed := uint64(i + 1)
 		src := fuzz.Generate(seed, fuzz.Options{
 			MaxDepth: 2, MaxStmts: 5, MaxFuncs: 2, WithExterns: seed%4 == 0,
@@ -85,82 +81,68 @@ func runSanitizeSweep(eng *engine.Engine, seeds int) ([]sanitizeRow, []cellError
 			Args:        []int64{int64(seed % 4096)},
 			LimitInstrs: 30_000_000,
 		}
-		var cell sanitizeCell
+		var cell verdicts
 		for di, d := range sanitizeDesigns {
 			prog, err := sanitize.CompileChecked(src, core.Config{
 				Design: d, ProbeIntervalIR: 200,
 			}, sanitize.Options{Exec: true, ExecOptions: eo})
+			r := &cell[di]
+			r.Programs = 1
 			var se *sanitize.StageError
 			var div *sanitize.Divergence
 			switch {
 			case err == nil:
-				cell.Verdicts[di] = verdictClean
-				terr := sanitize.DiffTiers(prog.Mod, eo)
-				var tdiv *sanitize.Divergence
-				switch {
+				r.Clean = 1
+				switch terr := sanitize.DiffTiers(prog.Mod, eo); {
 				case terr == nil || errors.Is(terr, sanitize.ErrInconclusive):
-				case errors.As(terr, &tdiv):
-					cell.TierDiverged[di] = true
-					cell.Failures[di] = fmt.Sprintf("seed %d: %v", seed, tdiv)
+				case errors.As(terr, &div):
+					r.TierDivergences, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, div)
 				default:
 					return cell, fmt.Errorf("seed %d/%v: tier oracle: %w", seed, d, terr)
 				}
 			case errors.Is(err, sanitize.ErrInconclusive):
-				cell.Verdicts[di] = verdictInconclusive
+				r.Inconclusive = 1
 			case errors.As(err, &se):
-				cell.Verdicts[di] = verdictStageError
-				cell.Failures[di] = fmt.Sprintf("seed %d: %v", seed, se)
+				r.StageErrors, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, se)
 			case errors.As(err, &div):
-				cell.Verdicts[di] = verdictDivergence
-				cell.Failures[di] = fmt.Sprintf("seed %d: %v", seed, div)
+				r.Divergences, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, div)
 			default:
 				return cell, fmt.Errorf("seed %d/%v: %w", seed, d, err)
 			}
 		}
 		return cell, nil
 	})
-
 	rows := make([]sanitizeRow, len(sanitizeDesigns))
 	for di, d := range sanitizeDesigns {
 		rows[di].Design = d.String()
-	}
-	for _, cell := range cells {
-		for di := range sanitizeDesigns {
-			r := &rows[di]
-			r.Programs++
-			switch cell.Verdicts[di] {
-			case verdictClean:
-				r.Clean++
-			case verdictInconclusive:
-				r.Inconclusive++
-			case verdictStageError:
-				r.StageErrors++
-			case verdictDivergence:
-				r.Divergences++
-			}
-			if cell.TierDiverged[di] {
-				r.TierDivergences++
-			}
-			if cell.Failures[di] != "" && r.FirstFailure == "" {
-				r.FirstFailure = cell.Failures[di]
-			}
+		for _, cell := range cells {
+			rows[di].add(cell[di])
 		}
 	}
 	return rows, errs
 }
 
-// sanitizeWorkloads compiles every paper workload under every oracle
-// design with the engine's sanitize-on-miss mode forced on, proving the
-// stage checks hold on the curated benchmarks, not just fuzz programs.
-// Returns the number of clean (workload, design) cells.
-func sanitizeWorkloads(eng *engine.Engine, scale int) (int, []cellError) {
+// sanitizeFigure is the fuzz corpus's per-design verdicts and the count
+// of stage-check-clean (workload, design) compiles.
+type sanitizeFigure struct {
+	Seeds int
+	Rows  []sanitizeRow
+	Clean int
+}
+
+// measureSanitize runs the fuzz sweep over seeds programs, then
+// compiles every paper workload under every oracle design with the
+// engine's sanitize-on-miss mode forced on, proving the stage checks
+// hold on the curated benchmarks, not just fuzz programs.
+func measureSanitize(eng *engine.Engine, seeds, scale int) (*sanitizeFigure, []cellError) {
+	rows, errs := runSanitizeSweep(eng, seeds)
+	f := &sanitizeFigure{Seeds: seeds, Rows: rows}
 	prev := eng.SanitizeOnMiss
 	eng.SanitizeOnMiss = true
 	defer func() { eng.SanitizeOnMiss = prev }()
-
 	sel := allWorkloads()
 	label := func(i int) string { return "sanitize/" + sel[i].Name }
-	cells, errs := sweep(eng, len(sel), label, func(i int) (int, error) {
+	cells, werrs := sweep(eng, len(sel), label, func(i int) (int, error) {
 		clean := 0
 		for _, d := range sanitizeDesigns {
 			if _, err := compileCached(eng, sel[i], scale,
@@ -171,48 +153,44 @@ func sanitizeWorkloads(eng *engine.Engine, scale int) (int, []cellError) {
 		}
 		return clean, nil
 	})
-	total := 0
 	for _, n := range cells {
-		total += n
+		f.Clean += n
 	}
-	return total, errs
+	return f, append(errs, werrs...)
 }
 
-// printSanitize renders the sanitizer sweep and exits non-zero (via the
-// returned error) when any stage check or oracle verdict failed. quick
-// shrinks the fuzz corpus for smoke-test use.
-func printSanitize(w io.Writer, eng *engine.Engine, scale int, quick bool) error {
-	seeds := 300
-	if quick {
-		seeds = 50
-	}
-	fmt.Fprintf(w, "Translation-validation sweep: %d fuzz programs x %d designs (stage checks + differential oracle) + tier-differential oracle (compiled vs interpreter)\n",
-		seeds, len(sanitizeDesigns))
-	rows, errs := runSanitizeSweep(eng, seeds)
-	fmt.Fprintf(w, "%-12s%10s%8s%14s%13s%13s%12s%11s\n",
-		"design", "programs", "clean", "inconclusive", "stage errs", "divergences", "tier runs", "tier divs")
-	bad := 0
-	for _, r := range rows {
-		// Every clean program is one tier-oracle run.
-		fmt.Fprintf(w, "%-12s%10d%8d%14d%13d%13d%12d%11d\n",
-			r.Design, r.Programs, r.Clean, r.Inconclusive, r.StageErrors, r.Divergences, r.Clean, r.TierDivergences)
-		bad += r.StageErrors + r.Divergences + r.TierDivergences
-		if r.FirstFailure != "" {
-			fmt.Fprintf(w, "  first failure: %s\n", r.FirstFailure)
+// gateSanitize is the sanitizer's gate: one violation per stage error,
+// oracle divergence or tier divergence.
+func gateSanitize(f *sanitizeFigure, _ Inputs) []string {
+	var v []string
+	for _, r := range f.Rows {
+		for range r.StageErrors + r.Divergences + r.TierDivergences {
+			v = append(v, r.Design+" failed validation")
 		}
 	}
+	return v
+}
 
-	clean, werrs := sanitizeWorkloads(eng, scale)
-	fmt.Fprintf(w, "workloads: %d/%d (workload, design) cells stage-check clean\n",
-		clean, len(allWorkloads())*len(sanitizeDesigns))
-	errs = append(errs, werrs...)
-
-	if err := renderCellErrors(w, errs); err != nil {
-		return err
+// sanitizeTable lays the sweep out, each design's first failure under
+// its row; every clean program is one tier-oracle run.
+func sanitizeTable(f *sanitizeFigure, _ Inputs) *table {
+	t := &table{
+		title: []string{fmt.Sprintf("Translation-validation sweep: %d fuzz programs x %d designs (stage checks + differential oracle) + tier-differential oracle (compiled vs interpreter)",
+			f.Seeds, len(sanitizeDesigns))},
+		cols: []column{{"design", "%-12s", ""}, {"programs", "%10s", "%10d"}, {"clean", "%8s", "%8d"},
+			{"inconclusive", "%14s", "%14d"}, {"stage errs", "%13s", "%13d"}, {"divergences", "%13s", "%13d"},
+			{"tier runs", "%12s", "%12d"}, {"tier divs", "%11s", "%11d"}},
+		notes: []string{fmt.Sprintf("workloads: %d/%d (workload, design) cells stage-check clean",
+			f.Clean, len(allWorkloads())*len(sanitizeDesigns))},
+		failures: "validation failure(s)",
+		closing:  []string{"sanitize: all programs validated"},
 	}
-	if bad > 0 {
-		return fmt.Errorf("sanitize: %d validation failure(s)", bad)
+	for _, r := range f.Rows {
+		t.rows = append(t.rows, []any{r.Design, r.Programs, r.Clean, r.Inconclusive, r.StageErrors, r.Divergences,
+			r.Clean, r.TierDivergences})
+		if r.FirstFailure != "" {
+			t.rows = append(t.rows, []any{"  first failure: " + r.FirstFailure})
+		}
 	}
-	fmt.Fprintln(w, "sanitize: all programs validated")
-	return nil
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ci/ciruntime"
 	"repro/internal/engine"
@@ -29,41 +28,59 @@ type soakPhase struct {
 }
 
 // soakPhases is the standard script: ramp up into 2x overload under
-// faults, then back down to verify recovery.
-var soakPhases = []soakPhase{
-	{Mult: 0.5, FaultRate: 0},
-	{Mult: 1.0, FaultRate: 0.001},
-	{Mult: 2.0, FaultRate: 0.01},
-	{Mult: 1.2, FaultRate: 0.001},
-	{Mult: 0.8, FaultRate: 0},
+// faults, then back down to verify recovery. soakQuickPhases is the
+// -quick subset: saturation and overload only.
+var (
+	soakPhases      = []soakPhase{{0.5, 0}, {1.0, 0.001}, {2.0, 0.01}, {1.2, 0.001}, {0.8, 0}}
+	soakQuickPhases = []soakPhase{{1.0, 0.001}, {2.0, 0.01}}
+)
+
+// soakFigure is the script run, one row per phase, and the companion
+// mtcp run: the CI server saturated by compute-heavy closed-loop clients
+// under 1% loss with the plane on, which must shed via NACKs.
+type soakFigure struct {
+	Phases   []soakPhase
+	Rows     []soakRow
+	MTCP     appRun
+	MTCPShed bool
 }
 
-// soakQuickPhases is the -quick subset: saturation and overload only.
-var soakQuickPhases = []soakPhase{
-	{Mult: 1.0, FaultRate: 0.001},
-	{Mult: 2.0, FaultRate: 0.01},
-}
-
-// soakRow is one phase's outcome. Violations lists every guard the
-// phase broke (empty = pass); it is computed deterministically inside
-// the cell so rows shard cleanly across workers.
+// soakRow is one phase's outcome; Reproduced reports whether a re-run
+// under the same composed fault plan matched it bit for bit.
 type soakRow struct {
 	Phase int
 	soakPhase
 	Res        shenango.Result
-	Violations []string
+	Reproduced bool
+}
+
+// measureSoakFigure runs the scripted soak (-quick: saturation and
+// overload only) and its mtcp companion over twice the phase length.
+func measureSoakFigure(in Inputs) (*soakFigure, []cellError, error) {
+	qp, err := in.Flags.ParseQuantum()
+	if err != nil {
+		return nil, nil, err
+	}
+	seed, horizon := in.Flags.Seed, soakHorizon(in)
+	f := &soakFigure{Phases: pick(in, soakPhases, soakQuickPhases)}
+	rows, errs := runSoak(in.Eng, seed, horizon, f.Phases, qp)
+	r, run := mtcpRun(mtcp.Config{
+		Mode: mtcp.CI, Conns: 64, WorkCycles: 100_000, Adaptive: true,
+		Seed: seed, DurationCycles: 2 * horizon,
+		FaultPlan: faults.Uniform(seed, 0.01),
+		Overload:  &overload.Config{DeadlineCycles: 2_000_000, TargetDelayCycles: 500_000},
+	})
+	f.Rows, f.MTCP, f.MTCPShed = rows, run, r.Overload.Rejected > 0 && r.Rejects > 0
+	return f, errs, nil
 }
 
 // runSoak executes the phases on the engine (one phase = one cell) with
-// the admission plane on, checking per phase: the run's own invariants
+// the admission plane on. RunChecked applies the run's own invariants
 // (shenango's conservation oracle plus the overload plane's accounting
-// oracle via RunChecked), determinism under the composed fault plan,
-// and the SLO with the phase's unavoidable excess. A non-nil quantum
-// factory runs every phase under that adaptive handler-interval policy.
-func runSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []soakPhase, slo overload.SLO, quantum func() ciruntime.QuantumPolicy) ([]soakRow, []cellError) {
-	if len(phases) == 0 {
-		phases = soakPhases
-	}
+// oracle); each phase runs twice so the gate can judge determinism
+// under the composed fault plan. A non-nil quantum factory runs every
+// phase under that adaptive handler-interval policy.
+func runSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []soakPhase, quantum func() ciruntime.QuantumPolicy) ([]soakRow, []cellError) {
 	label := func(i int) string { return fmt.Sprintf("soak/phase%d/%.1fx", i, phases[i].Mult) }
 	return sweep(eng, len(phases), label, func(i int) (soakRow, error) {
 		p := phases[i]
@@ -78,92 +95,72 @@ func runSoak(eng *engine.Engine, seed uint64, phaseDuration int64, phases []soak
 		if p.FaultRate > 0 {
 			cfg.FaultPlan = faults.Uniform(seed+uint64(i), p.FaultRate)
 		}
-		row := soakRow{Phase: i, soakPhase: p}
 		res, err := shenango.RunChecked(cfg)
 		if err != nil {
-			return row, err
+			return soakRow{}, err
 		}
-		row.Res = res
-		if res2, _ := shenango.RunChecked(cfg); res2 != res {
-			row.Violations = append(row.Violations, "determinism: re-run differs")
-		}
-		if err := slo.Check(res.P999Us, res.Overload.RejectFrac(), rampExcess(p.Mult)); err != nil {
-			row.Violations = append(row.Violations, err.Error())
-		}
-		if p.Mult >= 2 && res.Overload.MaxBrownout < 1 {
-			row.Violations = append(row.Violations, "brownout never engaged at 2x load")
-		}
-		return row, nil
+		res2, _ := shenango.RunChecked(cfg)
+		return soakRow{Phase: i, soakPhase: p, Res: res, Reproduced: res2 == res}, nil
 	})
 }
 
-// soakMTCP is the companion mtcp cell: the CI server saturated by
-// compute-heavy closed-loop clients under 1% loss with the plane on.
-// It must shed via NACKs, conserve every request, and stay
-// deterministic.
-func soakMTCP(seed uint64, duration int64) []string {
-	cfg := mtcp.Config{
-		Mode: mtcp.CI, Conns: 64, WorkCycles: 100_000, Adaptive: true,
-		Seed: seed, DurationCycles: duration,
-		FaultPlan: faults.Uniform(seed, 0.01),
-		Overload:  &overload.Config{DeadlineCycles: 2_000_000, TargetDelayCycles: 500_000},
-	}
+// violations checks one phase: determinism, the SLO with the phase's
+// unavoidable excess, and brownout engaging at 2x load.
+func (r soakRow) violations(slo overload.SLO) []string {
 	var v []string
-	r, err := mtcp.RunChecked(cfg)
-	if err != nil {
-		return append(v, fmt.Sprintf("progress: %v", err))
-	}
-	if r2, _ := mtcp.RunChecked(cfg); r2 != r {
+	if !r.Reproduced {
 		v = append(v, "determinism: re-run differs")
 	}
-	if r.Issued != r.CompletedAll+r.Aborted+r.Rejects+r.Outstanding {
-		v = append(v, fmt.Sprintf("conservation: issued=%d completedAll=%d aborted=%d rejects=%d outstanding=%d",
-			r.Issued, r.CompletedAll, r.Aborted, r.Rejects, r.Outstanding))
+	if err := slo.Check(r.Res.P999Us, r.Res.Overload.RejectFrac(), rampExcess(r.Mult)); err != nil {
+		v = append(v, err.Error())
 	}
-	if r.Overload.Rejected == 0 || r.Rejects == 0 {
+	if r.Mult >= 2 && r.Res.Overload.MaxBrownout < 1 {
+		v = append(v, "brownout never engaged at 2x load")
+	}
+	return v
+}
+
+// companion judges the mtcp companion run; a run that failed to
+// progress is judged on nothing else.
+func (f *soakFigure) companion() []string {
+	if f.MTCP.Err != nil {
+		return []string{fmt.Sprintf("progress: %v", f.MTCP.Err)}
+	}
+	v := f.MTCP.violations()
+	if !f.MTCPShed {
 		v = append(v, "saturated mtcp never shed (no rejects/NACKs)")
 	}
 	return v
 }
 
-// printSoak runs the scripted soak and renders the per-phase table,
-// then the mtcp companion verdict. Any violated guard in any phase
-// returns an error, so `ciexp soak` exits non-zero.
-func printSoak(w io.Writer, eng *engine.Engine, seed uint64, phaseDuration int64, slo overload.SLO, quick bool, quantum func() ciruntime.QuantumPolicy) error {
-	phases := soakPhases
-	if quick {
-		phases = soakQuickPhases
+// gateSoak is the soak figure's gate: every phase's guards under the
+// -slo-p999us/-max-reject SLO, and the mtcp companion's.
+func gateSoak(f *soakFigure, in Inputs) []string {
+	var v []string
+	for _, r := range f.Rows {
+		v = append(v, r.violations(in.Flags.SLO())...)
 	}
-	fmt.Fprintf(w, "Soak (seed %d, %d phases x %.1f ms): chaos + load ramp under the overload plane\n",
-		seed, len(phases), float64(phaseDuration)/2.6e6)
-	fmt.Fprintf(w, "%-6s %-6s %-7s %10s %10s %8s %6s  %s\n",
-		"phase", "load", "faults", "goodput", "p99.9(µs)", "reject", "brown", "guards")
-	rows, cellErrs := runSoak(eng, seed, phaseDuration, phases, slo, quantum)
-	bad := 0
-	for _, r := range rows {
+	return append(v, f.companion()...)
+}
+
+// soakTable lays the soak out with each phase's guard verdict, then the
+// mtcp companion's.
+func soakTable(f *soakFigure, in Inputs) *table {
+	t := &table{
+		title: []string{fmt.Sprintf("Soak (seed %d, %d phases x %.1f ms): chaos + load ramp under the overload plane",
+			in.Flags.Seed, len(f.Phases), float64(soakHorizon(in))/2.6e6)},
+		cols: []column{{"phase", "%-6s", "%-6d"}, {"load", "%-6s", "%-6.1f"}, {"faults", "%-7s", "%-7.3g"},
+			{"goodput", "%10s", "%9.2f%%"}, {"p99.9(µs)", "%10s", "%10.1f"}, {"reject", "%8s", "%7.1f%%"},
+			{"brown", "%6s", "%6d"}, {"guards", " %s", ""}},
+		sep:      " ",
+		notes:    []string{"mtcp saturation companion: " + verdict(f.companion())},
+		failures: "guard violation(s)",
+		closing:  []string{"all phases within SLO; determinism, conservation and brownout guards hold"},
+	}
+	for _, r := range f.Rows {
 		s := r.Res.Overload
-		verdict := "ok"
-		if len(r.Violations) > 0 {
-			verdict = fmt.Sprintf("VIOLATED: %v", r.Violations)
-			bad += len(r.Violations)
-		}
-		fmt.Fprintf(w, "%-6d %-6.1f %-7.3g %9.2f%% %10.1f %7.1f%% %6d  %s\n",
-			r.Phase, r.Mult, r.FaultRate, 100*r.Res.AchievedLoad/rampSaturatingLoad,
-			r.Res.P999Us, 100*s.RejectFrac(), s.MaxBrownout, verdict)
+		t.rows = append(t.rows, []any{r.Phase, r.Mult, r.FaultRate, 100 * r.Res.AchievedLoad / rampSaturatingLoad,
+			r.Res.P999Us, 100 * s.RejectFrac(), s.MaxBrownout, verdict(r.violations(in.Flags.SLO()))})
 	}
-	mv := soakMTCP(seed, 2*phaseDuration)
-	if len(mv) == 0 {
-		fmt.Fprintln(w, "mtcp saturation companion: ok")
-	} else {
-		fmt.Fprintf(w, "mtcp saturation companion: VIOLATED: %v\n", mv)
-		bad += len(mv)
-	}
-	if err := renderCellErrors(w, cellErrs); err != nil {
-		return err
-	}
-	if bad > 0 {
-		return fmt.Errorf("soak: %d guard violation(s)", bad)
-	}
-	fmt.Fprintln(w, "all phases within SLO; determinism, conservation and brownout guards hold")
-	return nil
+	return t
 }

@@ -19,8 +19,6 @@
 package ffwd
 
 import (
-	"fmt"
-
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -322,9 +320,4 @@ func maxI(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-14s T=%-3d %8.2f Mops  mean %6.0f cy", r.Design, r.Threads, r.ThroughputMops, r.MeanLatency)
 }

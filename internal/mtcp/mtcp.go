@@ -32,8 +32,6 @@
 package mtcp
 
 import (
-	"fmt"
-
 	"repro/internal/ci/ciruntime"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -898,10 +896,4 @@ func (s *server) result() Result {
 		res.P99LatencyUs = toUs(stats.Percentile(s.latencies, 99))
 	}
 	return res
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-7s conns=%-5d %6.2f Gbps  mean %7.1fµs  p50 %7.1fµs  p99 %8.1fµs  drops=%d",
-		r.Mode, r.Conns, r.ThroughputGbps, r.MeanLatencyUs, r.MedianLatencyUs, r.P99LatencyUs, r.Drops)
 }

@@ -85,68 +85,74 @@ type Trace struct {
 
 // Execute runs m (on a private clone) and records its trace.
 func Execute(m *ir.Module, opts ExecOptions) (*Trace, error) {
+	tr := &Trace{}
+	th, _, rv, err := execute(m, vm.TierInterpreter, opts, "baseline", func(th *vm.Thread) {
+		th.OnStore = func(fn, block string, addr, val int64) {
+			tr.Stores = append(tr.Stores, storeEv{addr, val})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr.Ret = rv
+	tr.Mem = th.VM.Memory()
+	return tr, nil
+}
+
+// execute is the oracle's one run setup: m's entry function on a
+// private clone, on one thread of a fresh VM on tier under the options'
+// step budget, with a no-op CI handler registered so probes deliver
+// (hid is its id). The entry gets the options' arguments unless it
+// takes none. hook installs the run's observers on the thread before it
+// starts. A step-budget error comes back as ErrInconclusive; both it
+// and any other failure name who ran.
+func execute(m *ir.Module, tier vm.Tier, opts ExecOptions, who string, hook func(*vm.Thread)) (th *vm.Thread, hid int, rv int64, err error) {
 	opts = opts.withDefaults()
 	mm := m.Clone()
 	machine := vm.New(mm, nil, 1)
+	machine.Tier = tier
 	machine.LimitInstrs = opts.LimitInstrs
-	th := machine.NewThread(0)
-	th.RT.RegisterCI(opts.IntervalCycles, func(uint64) {})
-	tr := &Trace{}
-	th.OnStore = func(fn, block string, addr, val int64) {
-		tr.Stores = append(tr.Stores, storeEv{addr, val})
-	}
+	th = machine.NewThread(0)
+	hid = th.RT.RegisterCI(opts.IntervalCycles, func(uint64) {})
+	hook(th)
 	args := opts.Args
 	if f := mm.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
 		args = nil
 	}
-	rv, err := th.Run(entryFunc, args...)
-	if err != nil {
-		if errors.Is(err, vm.ErrStepBudget) {
-			return nil, fmt.Errorf("%w: baseline hit the step budget: %v", ErrInconclusive, err)
-		}
-		return nil, fmt.Errorf("sanitize: baseline run failed: %w", err)
+	rv, err = th.Run(entryFunc, args...)
+	switch {
+	case errors.Is(err, vm.ErrStepBudget):
+		err = fmt.Errorf("%w: %s hit the step budget: %v", ErrInconclusive, who, err)
+	case err != nil:
+		err = fmt.Errorf("sanitize: %s run failed: %w", who, err)
 	}
-	tr.Ret = rv
-	tr.Mem = machine.Memory()
-	return tr, nil
+	return th, hid, rv, err
 }
 
 // DiffTrace runs the instrumented module (on a private clone) against a
 // recorded baseline trace and returns a *Divergence at the first
 // observable difference, ErrInconclusive on budget exhaustion, or nil.
 func DiffTrace(base *Trace, instrumented *ir.Module, design string, opts ExecOptions) error {
-	opts = opts.withDefaults()
-	mm := instrumented.Clone()
-	machine := vm.New(mm, nil, 1)
-	machine.LimitInstrs = opts.LimitInstrs
-	th := machine.NewThread(0)
-	th.RT.RegisterCI(opts.IntervalCycles, func(uint64) {})
 	var div *Divergence
 	step := 0
-	th.OnStore = func(fn, block string, addr, val int64) {
-		if div == nil {
-			switch {
-			case step >= len(base.Stores):
-				div = &Divergence{Stage: "exec", Design: design, Func: fn, Block: block, Step: step,
-					Detail: fmt.Sprintf("extra store mem[%d]=%d (baseline made %d stores)", addr, val, len(base.Stores))}
-			case base.Stores[step] != (storeEv{addr, val}):
-				want := base.Stores[step]
-				div = &Divergence{Stage: "exec", Design: design, Func: fn, Block: block, Step: step,
-					Detail: fmt.Sprintf("store mem[%d]=%d, baseline stored mem[%d]=%d", addr, val, want.addr, want.val)}
+	th, _, rv, err := execute(instrumented, vm.TierInterpreter, opts, "instrumented "+design, func(th *vm.Thread) {
+		th.OnStore = func(fn, block string, addr, val int64) {
+			if div == nil {
+				switch {
+				case step >= len(base.Stores):
+					div = &Divergence{Stage: "exec", Design: design, Func: fn, Block: block, Step: step,
+						Detail: fmt.Sprintf("extra store mem[%d]=%d (baseline made %d stores)", addr, val, len(base.Stores))}
+				case base.Stores[step] != (storeEv{addr, val}):
+					want := base.Stores[step]
+					div = &Divergence{Stage: "exec", Design: design, Func: fn, Block: block, Step: step,
+						Detail: fmt.Sprintf("store mem[%d]=%d, baseline stored mem[%d]=%d", addr, val, want.addr, want.val)}
+				}
 			}
+			step++
 		}
-		step++
-	}
-	args := opts.Args
-	if f := mm.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
-		args = nil
-	}
-	rv, err := th.Run(entryFunc, args...)
+	})
 	if err != nil {
-		if errors.Is(err, vm.ErrStepBudget) {
-			return fmt.Errorf("%w: instrumented %s hit the step budget: %v", ErrInconclusive, design, err)
-		}
-		return fmt.Errorf("sanitize: instrumented %s run failed: %w", design, err)
+		return err
 	}
 	if div != nil {
 		return div
@@ -159,7 +165,7 @@ func DiffTrace(base *Trace, instrumented *ir.Module, design string, opts ExecOpt
 		return &Divergence{Stage: "exec", Design: design, Step: -1,
 			Detail: fmt.Sprintf("returned %d, baseline returned %d", rv, base.Ret)}
 	}
-	mem := machine.Memory()
+	mem := th.VM.Memory()
 	if i := memDiff(mem, base.Mem); i >= 0 {
 		return &Divergence{Stage: "exec", Design: design, Step: -1,
 			Detail: fmt.Sprintf("final mem[%d] = %d, baseline %d", i, wordAt(mem, i), wordAt(base.Mem, i))}

@@ -9,7 +9,6 @@
 package sanitize
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/ir"
@@ -40,33 +39,20 @@ type TierTrace struct {
 // the compiled tier supports them natively (no deopt), so the oracle
 // compares real compiled execution rather than a deopted shadow of it.
 func runTier(m *ir.Module, tier vm.Tier, opts ExecOptions) (*TierTrace, error) {
-	opts = opts.withDefaults()
-	mm := m.Clone()
-	machine := vm.New(mm, nil, 1)
-	machine.Tier = tier
-	machine.LimitInstrs = opts.LimitInstrs
-	th := machine.NewThread(0)
-	hid := th.RT.RegisterCI(opts.IntervalCycles, func(uint64) {})
 	tr := &TierTrace{}
-	th.OnStore = func(fn, block string, addr, val int64) {
-		tr.stores = append(tr.stores, tierStoreEv{addr, val, false})
-	}
-	th.OnAtomic = func(fn, block string, addr, old, add int64) {
-		tr.stores = append(tr.stores, tierStoreEv{addr, old + add, true})
-	}
-	args := opts.Args
-	if f := mm.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
-		args = nil
-	}
-	rv, err := th.Run(entryFunc, args...)
-	if err != nil {
-		if errors.Is(err, vm.ErrStepBudget) {
-			return nil, fmt.Errorf("%w: %s tier hit the step budget: %v", ErrInconclusive, tier, err)
+	th, hid, rv, err := execute(m, tier, opts, tier.String()+" tier", func(th *vm.Thread) {
+		th.OnStore = func(fn, block string, addr, val int64) {
+			tr.stores = append(tr.stores, tierStoreEv{addr, val, false})
 		}
-		return nil, fmt.Errorf("sanitize: %s tier run failed: %w", tier, err)
+		th.OnAtomic = func(fn, block string, addr, old, add int64) {
+			tr.stores = append(tr.stores, tierStoreEv{addr, old + add, true})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	tr.Ret = rv
-	tr.Mem = machine.Memory()
+	tr.Mem = th.VM.Memory()
 	tr.Fires = th.RT.Fires(hid)
 	tr.Stats = th.Stats
 	return tr, nil

@@ -12,8 +12,6 @@
 package shenango
 
 import (
-	"fmt"
-
 	"repro/internal/ci/ciruntime"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -160,16 +158,6 @@ type Result struct {
 	// MinerShedFrac is the fraction of the run brownout kept the hosted
 	// miner parked (CIHosted only).
 	MinerShedFrac float64
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	tag := r.Kind.String()
-	if r.Kind == CIHosted {
-		tag = fmt.Sprintf("%s(%d)", tag, r.IntervalCycles)
-	}
-	return fmt.Sprintf("%-18s load=%7.0f/s  achieved=%7.0f/s  p50=%7.1fµs  p99.9=%8.1fµs  miner=%4.0f%%",
-		tag, r.OfferedLoad, r.AchievedLoad, r.MedianUs, r.P999Us, r.MinerHashRate*100)
 }
 
 type request struct {
