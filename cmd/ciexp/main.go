@@ -185,22 +185,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	in := experiments.Inputs{Eng: cf.Engine(), Flags: cf, Quick: *quick, All: *all}
+	var errs []error
 	for _, fig := range figs {
-		if e := fig.Run(stdout, in); e != nil && err == nil {
-			err = fmt.Errorf("%s: %w", fig.Name, e)
+		errs = append(errs, fig.Run(stdout, in))
+	}
+	errs = append(errs, cf.Finish(stdout, stderr), stopProfile())
+	// Every named figure runs even after one fails, and each failure
+	// (a figure's error names its figure) gets its own stderr line;
+	// the exit status is 1 if any did.
+	code := 0
+	for _, err := range errs {
+		if err != nil {
+			fmt.Fprintln(stderr, "ciexp:", err)
+			code = 1
 		}
 	}
-	if e := cf.Finish(stdout, stderr); e != nil && err == nil {
-		err = e
-	}
-	if e := stopProfile(); e != nil && err == nil {
-		err = e
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "ciexp:", err)
-		return 1
-	}
-	return 0
+	return code
 }
 
 // selectFigures resolves subcommand names to the figures they name, in

@@ -65,13 +65,13 @@ func TestOutputGolden(t *testing.T) {
 		{"fleet_replicas4.golden", []string{"-quick", "-replicas", "4", "fleet"}, 0, ""},
 		{"fleet_zones2_migrate.golden", []string{"-quick", "-zones", "2", "-migrate", "fleet"}, 0, ""},
 		// A 1 µs p99.9 bound fails every admission row of the ramp and
-		// every soak phase; only the first figure's error reaches stderr.
+		// every soak phase; each figure's error reaches stderr, named once.
 		{"gate_violations.golden", []string{"-quick", "-slo-p999us", "1", "ramp", "soak"}, 1,
-			"ciexp: ramp: ramp: 4 SLO violation(s)\n"},
+			"ciexp: ramp: 4 SLO violation(s)\nciexp: soak: 2 guard violation(s)\n"},
 		// A 1 ms horizon is too short for the crash and zone plans to
 		// play out, so both fleet pairs fail their guards.
 		{"fleet_gate_violations.golden", []string{"-quick", "-soak-duration", "2600000", "fleet"}, 1,
-			"ciexp: fleet: fleet: 3 resilience violation(s)\n"},
+			"ciexp: fleet: 3 resilience violation(s)\n"},
 	} {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -378,33 +378,55 @@ exit:
 	}
 }
 
+// §2.6 modular compilation: an imported function's cost summary prices
+// its call sites, and a local definition of the same name wins over the
+// import.
 func TestImportedCostsUsed(t *testing.T) {
-	src := `
+	const caller = `
+import @libfn
 func @caller(%n) {
 entry:
   %r = call @libfn(%n)
   ret %r
 }
+`
+	// A transparent 5000-instruction callee makes the caller long
+	// enough to need probes of its own; without the import the call is
+	// priced as a single instruction.
+	imported := CostTable{"libfn": {Name: "libfn", Cost: Const(5000)}}
+	for _, tc := range []struct {
+		imported     CostTable
+		instrumented bool
+		cost         int64
+		marks        int
+	}{
+		{imported, true, 5002, 2},
+		{nil, false, 2, 0},
+	} {
+		res := Analyze(ir.MustParse(caller), Options{ProbeInterval: 100, Imported: tc.imported})
+		fr := res.Funcs["caller"]
+		if fr.Instrumented != tc.instrumented || fr.Cost != Const(tc.cost) || len(fr.Marks) != tc.marks {
+			t.Errorf("imports %v: caller instrumented=%t cost=%+v marks=%d, want %t, Const(%d), %d",
+				tc.imported, fr.Instrumented, fr.Cost, len(fr.Marks), tc.instrumented, tc.cost, tc.marks)
+		}
+	}
+
+	// A local (trivial) definition shadows an instrumented, unknown-cost
+	// import: callees are analysed before their callers, so the caller
+	// is priced by the local result.
+	local := caller + `
 func @libfn(%x) {
 entry:
   ret %x
 }
 `
-	// Pretend libfn came from another build unit with a big const cost;
-	// the local (trivial) definition is shadowed by the imported entry,
-	// exercising the §2.6 path.
-	m := ir.MustParse(src)
-	imported := CostTable{"libfn": {Name: "libfn", Instrumented: true, Cost: Unknown()}}
-	res := Analyze(m, Options{ProbeInterval: 100, Imported: imported})
-	caller := res.Funcs["caller"]
-	// Local analysis of libfn overwrites the imported entry afterwards,
-	// but caller was analyzed... order is call-graph: libfn first, so
-	// the local result wins. Verify the table has the local cost.
-	if res.Costs["libfn"].Cost.Kind == CostUnknown {
-		t.Log("local analysis overwrote import as expected")
-	}
-	if caller == nil {
-		t.Fatal("caller missing")
+	shadow := CostTable{"libfn": {Name: "libfn", Instrumented: true, Cost: Unknown()}}
+	res := Analyze(ir.MustParse(local), Options{ProbeInterval: 100, Imported: shadow})
+	want := Analyze(ir.MustParse(local), Options{ProbeInterval: 100})
+	for _, name := range []string{"libfn", "caller"} {
+		if got, w := res.Costs[name], want.Costs[name]; got != w {
+			t.Errorf("%s: cost summary %+v with a shadowed import, want the local %+v", name, got, w)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,23 +14,7 @@ import (
 func TestPrintFleetPlanGolden(t *testing.T) {
 	var buf bytes.Buffer
 	PrintFleetPlan(&buf, 1, 8, 4, 26_000_000, true)
-	golden := filepath.Join("testdata", "fleet_plan.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("fleet plan drifted from golden file (rerun with -update if intended):\ngot:\n%s\nwant:\n%s",
-			buf.Bytes(), want)
-	}
+	checkGolden(t, "fleet_plan.golden", buf.String())
 }
 
 // The zone and migration columns are structural, not incidental: every

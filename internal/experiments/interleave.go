@@ -30,7 +30,7 @@ type interleaveRow struct {
 	// Racy / NonCommute are the failure counts (0/0 = clean).
 	Racy, NonCommute int
 	// Undelivered / Inconclusive are exploration caveats, reported so
-	// thin coverage is never silent.
+	// thin coverage is never silent; an inconclusive run fails the gate.
 	Undelivered, Inconclusive int
 	// Detail is the first failure detail, if any.
 	Detail string
@@ -52,8 +52,9 @@ func newInterleaveRow(name string, rep *interleave.Report) interleaveRow {
 		a := racy[0]
 		row.Detail = fmt.Sprintf("word %d RACY (main %s, handler %s)", a.Addr, a.MainSite, a.HandlerSite)
 	} else if len(rep.NonCommute) > 0 {
-		nc := rep.NonCommute[0]
-		row.Detail = fmt.Sprintf("fire@%v: %s", nc.Schedule, nc.Detail)
+		row.Detail = fmt.Sprintf("fire@%v: %s", rep.NonCommute[0].Schedule, rep.NonCommute[0].Detail)
+	} else if rep.Inconclusive > 0 {
+		row.Detail = fmt.Sprintf("%d run(s) hit the step budget", rep.Inconclusive)
 	}
 	return row
 }
@@ -82,12 +83,11 @@ func runInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]interleaveRow, 
 			fuzz.Generate(seed, fuzz.Options{MaxDepth: 2, MaxStmts: 4, WithHandler: true}),
 			interleave.Options{LimitInstrs: 5_000_000, MaxSchedules: 300}})
 	}
-	for i := range specs {
-		specs[i].opts.ContextBound = bound
-	}
 	label := func(i int) string { return "interleave/" + specs[i].name }
 	return sweep(eng, len(specs), label, func(i int) (interleaveRow, error) {
-		rep, err := interleave.VerifyHandlers(specs[i].mod, engine.Serial(), specs[i].opts)
+		opts := specs[i].opts
+		opts.ContextBound = bound
+		rep, err := interleave.VerifyHandlers(specs[i].mod, engine.Serial(), opts)
 		if err != nil {
 			return interleaveRow{}, err
 		}
@@ -95,9 +95,9 @@ func runInterleaveSweep(eng *engine.Engine, seeds, bound int) ([]interleaveRow, 
 	})
 }
 
-// hazard reports whether the module has an unclassified race or a
-// non-commutative schedule.
-func (r interleaveRow) hazard() bool { return r.Racy > 0 || r.NonCommute > 0 }
+// hazard reports whether the module has an unclassified race, a
+// non-commutative schedule or an inconclusive run.
+func (r interleaveRow) hazard() bool { return r.Racy > 0 || r.NonCommute > 0 || r.Inconclusive > 0 }
 
 // gateInterleave is the interleaving sweep's gate: one violation per
 // module with a hazard.
@@ -117,14 +117,14 @@ func interleaveTable(rows []interleaveRow, in Inputs) *table {
 	t := &table{
 		title: []string{fmt.Sprintf("Handler interleaving sweep: 3 app models + %d fuzz programs, context bound %d",
 			pick(in, 20, 6), pick(in, in.Flags.Bound, 1))},
-		cols: []column{{"module", "%-20s", ""}, {"feasible", "%10s", ""}, {"schedules", "%11s", "%9d"},
-			{"shared", "%8s", "%8d"}, {"racy", "%6s", "%6d"}, {"noncommute", "%12s", "%12d"}, {"undelivered", "%13s", "%13d"}},
+		cols: []column{{"module", "%-20s", ""}, {"feasible", "%10s", ""}, {"schedules", "%11s", "%9d"}, {"shared", "%8s", "%8d"},
+			{"racy", "%6s", "%6d"}, {"noncommute", "%12s", "%12d"}, {"undelivered", "%13s", "%13d"}, {"inconclusive", "%14s", "%14d"}},
 		failures: "module(s) with interleaving hazards",
 		closing:  []string{"interleave: all handler placements commute, no unclassified races"},
 	}
 	for _, r := range rows {
 		t.rows = append(t.rows, []any{r.Name, fmt.Sprintf("%7d/%-4d", r.Feasible, r.Total), r.Schedules,
-			r.Shared, r.Racy, r.NonCommute, r.Undelivered})
+			r.Shared, r.Racy, r.NonCommute, r.Undelivered, r.Inconclusive})
 		if r.hazard() {
 			t.rows = append(t.rows, []any{"  first failure: " + r.Detail})
 		}

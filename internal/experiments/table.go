@@ -34,7 +34,7 @@ func figure[R any](name string, measure func(Inputs) (R, []cellError, error),
 	return Figure{name, func(w io.Writer, in Inputs) error {
 		r, errs, err := measure(in)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		var violations []string
 		if gate != nil {
@@ -49,7 +49,7 @@ func measured[R any](r R, errs []cellError) (R, []cellError, error) { return r, 
 
 // render writes the table, the gate's violations and the failed cells
 // (nothing on a clean sweep), then the closing lines if all is well. It
-// returns the figure's error: the failed cells' first, else the gate's.
+// returns the figure's named error: the failed cells' first, else the gate's.
 func (t *table) render(w io.Writer, name string, violations []string, errs []cellError) error {
 	lines := func(prefix string, ls ...string) {
 		for _, l := range ls {
@@ -91,7 +91,7 @@ func (t *table) render(w io.Writer, name string, violations []string, errs []cel
 		for _, ce := range errs {
 			fmt.Fprintf(w, "  %-24s %s\n", ce.Cell, ce.Err)
 		}
-		return fmt.Errorf("%d sweep cell(s) failed", len(errs))
+		return fmt.Errorf("%s: %d sweep cell(s) failed", name, len(errs))
 	}
 	if len(violations) > 0 {
 		return fmt.Errorf("%s: %d %s", name, len(violations), t.failures)

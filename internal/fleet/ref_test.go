@@ -310,6 +310,9 @@ func TestEpochOrderMatchesReference(t *testing.T) {
 			Tenants: 1 + rng.Intn(8), Replicas: 1 + rng.Intn(16), Seed: uint64(trial),
 			LoadFactor: 0.5 + rng.Float64(), HedgeDelayCycles: 1,
 			MisbehavingTenant: rng.Intn(3) - 1,
+			// The trial steps at most five epochs; a short horizon keeps
+			// newClients from presizing full-length latency lists.
+			HorizonCycles: 5 * EpochCycles,
 		}.withDefaults()
 		cl := newClients(cfg)
 		cl.hedgeBudget = float64(rng.Intn(30))
