@@ -72,6 +72,10 @@ func TestOutputGolden(t *testing.T) {
 		// play out, so both fleet pairs fail their guards.
 		{"fleet_gate_violations.golden", []string{"-quick", "-soak-duration", "2600000", "fleet"}, 1,
 			"ciexp: fleet: 3 resilience violation(s)\n"},
+		// An unknown balancer policy fails the figure before it runs a
+		// cell: nothing on stdout, and stderr names the figure once.
+		{"fleet_bad_lb.golden", []string{"-quick", "-lb", "bad", "fleet"}, 1,
+			"ciexp: fleet: unknown balancer policy \"bad\" (want rr, least, or p2c)\n"},
 	} {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -277,9 +277,12 @@ func (o *options) exec(path string, stdout, stderr io.Writer) error {
 }
 
 // sanitizeAll compiles mod under full translation validation for every
-// probe design and prints one verdict per design. Any stage-check
-// failure or oracle divergence fails the check; an exhausted oracle
-// step budget is reported but tolerated (the static checks still ran).
+// probe design and prints one verdict per design. A stage-check failure
+// or an oracle divergence is a FAIL; an oracle that ran out of its step
+// budget before both runs finished is inconclusive, since the static
+// checks passed but the runs were never compared. Either fails the
+// check: only a design that passed both is ok. The oracle's budget is
+// -limit per run, capped at the oracle's own default.
 func (o *options) sanitizeAll(mod *ir.Module, args []int64, stdout io.Writer) error {
 	var err error
 	for _, d := range instrument.Designs {
@@ -288,19 +291,30 @@ func (o *options) sanitizeAll(mod *ir.Module, args []int64, stdout io.Writer) er
 			ProbeIntervalIR:  o.cf.ProbeInterval,
 			AllowableErrorIR: o.cf.AllowableError,
 		}, sanitize.Options{
-			Exec:              true,
-			ExecOptions:       sanitize.ExecOptions{Args: args, IntervalCycles: o.interval},
-			AllowInconclusive: true,
+			Exec: true,
+			ExecOptions: sanitize.ExecOptions{
+				Args:           args,
+				IntervalCycles: o.interval,
+				LimitInstrs:    min(o.limit, oracleLimit),
+			},
 		})
-		if cerr != nil {
-			err = errVerdict
-			fmt.Fprintf(stdout, "%-14s FAIL: %v\n", d, cerr)
-		} else {
+		switch {
+		case cerr == nil:
 			fmt.Fprintf(stdout, "%-14s ok (stage checks + differential oracle)\n", d)
+			continue
+		case errors.Is(cerr, sanitize.ErrInconclusive):
+			fmt.Fprintf(stdout, "%-14s inconclusive: %v\n", d, cerr)
+		default:
+			fmt.Fprintf(stdout, "%-14s FAIL: %v\n", d, cerr)
 		}
+		err = errVerdict
 	}
 	return err
 }
+
+// oracleLimit is sanitize.ExecOptions' default step budget, the most
+// -sanitize lets -limit (default 1e9) give the oracle.
+const oracleLimit = 50_000_000
 
 // dumpAnalysis instruments mod as a CI compile does, through the
 // instrumenter, and prints the analysis that placed the probes.

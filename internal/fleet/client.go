@@ -22,9 +22,28 @@ const (
 var paretoRatio = math.Pow(paretoXm/paretoH, paretoAlpha)
 
 func paretoDemand(rng *sim.RNG) int64 {
-	u := rng.Float64()
-	x := paretoXm / math.Pow(1-u*(1-paretoRatio), 1/paretoAlpha)
+	return paretoQuantile(1 - rng.Float64()*(1-paretoRatio))
+}
+
+// paretoQuantile is xm / w^(1/alpha), truncated: the demand at inverse
+// CDF base w. With alpha = 1.5, w^(1/alpha) is cbrt(w*w), which is
+// cheaper than math.Pow's Log and Exp. The two agree to within a few
+// ulps, which moves the truncated demand only when the quotient lies
+// next to an integer; there the draw takes math.Pow's quotient, so
+// every demand is the one math.Pow gives.
+func paretoQuantile(w float64) int64 {
+	x := paretoXm / math.Cbrt(w*w)
+	if nearInteger(x) {
+		x = paretoXm / math.Pow(w, 1/paretoAlpha)
+	}
 	return int64(x)
+}
+
+// nearInteger reports whether x > 0 lies within x·1e-12 of an integer:
+// thousands of ulps, far wider than cbrt's and Pow's errors.
+func nearInteger(x float64) bool {
+	f := x - math.Floor(x)
+	return min(f, 1-f) < x*1e-12
 }
 
 // retryBackoffBase is the first-retry backoff (~50 µs), doubling per
@@ -365,7 +384,13 @@ func (cl *clients) fill(res *Result) {
 	res.HedgeDenied = cl.hedgeDenied
 	// Each tenant's latencies are sorted once, in place, for its own
 	// tails; the cluster-wide tails are read off those sorted lists by
-	// rank, without merging them.
+	// rank, without merging them. One scratch list, as long as the
+	// longest, serves every tenant's radix sort.
+	longest := 0
+	for i := range cl.perTenant {
+		longest = max(longest, len(cl.perTenant[i].lats))
+	}
+	scratch := make([]int64, longest)
 	lists := make([][]int64, 0, len(cl.perTenant))
 	for i := range cl.perTenant {
 		acc := &cl.perTenant[i]
@@ -375,7 +400,7 @@ func (cl *clients) fill(res *Result) {
 			Misbehaving: acc.misbehaving,
 		}
 		if len(acc.lats) > 0 {
-			slices.Sort(acc.lats)
+			radixSort(acc.lats, scratch)
 			ts.P99Us = float64(stats.PercentileSorted(acc.lats, 99)) / CyclesPerUs
 			ts.P999Us = float64(stats.PercentileSorted(acc.lats, 99.9)) / CyclesPerUs
 			lists = append(lists, acc.lats)
@@ -394,5 +419,47 @@ func (cl *clients) fill(res *Result) {
 	}
 	if cl.overflow != nil {
 		res.InvariantErrs = append(res.InvariantErrs, cl.overflow.Error())
+	}
+}
+
+// radixBits is the digit width of radixSort: a 2048-entry count table
+// fits in L1, and two passes cover every latency below 2^22 cycles
+// (1.6 ms, past DefaultDeadlineCycles).
+const radixBits = 11
+
+// radixSort sorts xs ascending, as slices.Sort does, by least
+// significant digit first: one counting pass and one scatter per
+// radixBits digit, and only as many digits as the largest value has.
+// scratch must be at least as long as xs. A negative value sends the
+// whole list to slices.Sort.
+func radixSort(xs, scratch []int64) {
+	var top int64
+	for _, v := range xs {
+		if v < 0 {
+			slices.Sort(xs)
+			return
+		}
+		top |= v
+	}
+	src, dst := xs, scratch[:len(xs)]
+	for shift := uint(0); shift < 64 && top>>shift != 0; shift += radixBits {
+		var count [1 << radixBits]int
+		for _, v := range src {
+			count[v>>shift&(1<<radixBits-1)]++
+		}
+		at := 0
+		for d, c := range count {
+			count[d] = at
+			at += c
+		}
+		for _, v := range src {
+			d := v >> shift & (1<<radixBits - 1)
+			dst[count[d]] = v
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if len(xs) > 0 && &src[0] != &xs[0] {
+		copy(xs, src)
 	}
 }

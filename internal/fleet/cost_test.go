@@ -41,16 +41,17 @@ func TestRunAllocsPerAttempt(t *testing.T) {
 // at the time of writing plus 5%. The counts repeat to within a few
 // hundred bytes a run.
 //
-//	             ring, growing latency lists,     slab, presized lists,
-//	             merge copy, inline histograms    rank tails, lazy histograms
-//	mini scale   203.1 (7 125 048 B)              96.9 (3 400 184 B)
-//	mini zone     97.0 (4 542 152 B)              69.7 (3 264 120 B)
+//	             ring, growing latency        slab, presized lists,     breaker windows
+//	             lists, merge copy,           rank tails, lazy          without histograms,
+//	             inline histograms            histograms                radix scratch
+//	mini scale   203.1 (7 125 048 B)          96.9 (3 400 184 B)        40.0 (1 402 284 B)
+//	mini zone     97.0 (4 542 152 B)          69.7 (3 264 120 B)        65.3 (3 059 900 B)
 func TestRunBytesPerAttempt(t *testing.T) {
 	scale, zone := benchShapes(1)
 	for _, tc := range []struct {
 		goldenCase
 		bound float64
-	}{{goldenCase{"scale", scale}, 101.7}, {goldenCase{"zone", zone}, 73.2}} {
+	}{{goldenCase{"scale", scale}, 42.0}, {goldenCase{"zone", zone}, 68.6}} {
 		var attempts int64
 		bytes := bytesPerRun(2, func() { attempts = fleet.Run(tc.cfg, nil).Attempts })
 		per := bytes / float64(attempts)

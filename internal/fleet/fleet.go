@@ -83,10 +83,12 @@
 //     Each tenant's list is sized once, at set-up, for its Poisson
 //     arrivals over the horizon plus four standard deviations, so it
 //     practically never regrows. At the end each list is sorted once,
-//     in place, for the tenant's tails; the cluster tails are read off
-//     the sorted lists by rank (stats.PercentileSortedLists), and the
-//     max is the largest list tail, so no merged copy is built and
-//     every percentile stays exact.
+//     in place, for the tenant's tails, by an LSD radix sort (11-bit
+//     digits, two passes for any latency below 2^22 cycles) through
+//     one scratch list as long as the longest; the cluster tails are
+//     read off the sorted lists by rank (stats.PercentileSortedLists),
+//     and the max is the largest list tail, so no merged copy is built
+//     and every percentile stays exact.
 //
 // The overload controllers inside (one per replica, per backend, per
 // tenant) run without an obs scope and allocate nothing per decision.
@@ -158,7 +160,7 @@ func ParsePolicy(s string) (Policy, error) {
 			return Policy(i), nil
 		}
 	}
-	return 0, fmt.Errorf("fleet: unknown balancer policy %q (want rr, least, or p2c)", s)
+	return 0, fmt.Errorf("unknown balancer policy %q (want rr, least, or p2c)", s)
 }
 
 // Config tunes one fleet run. Zero fields take the documented

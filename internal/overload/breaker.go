@@ -26,15 +26,14 @@ func (s State) String() string { return stateNames[s] }
 // BreakerConfig tunes the circuit breaker. Zero fields take the
 // documented defaults.
 type BreakerConfig struct {
-	// Disabled turns the breaker off entirely: it admits everything,
-	// records nothing and carries no window histogram, which makes its
-	// controller ~32 KB smaller.
+	// Disabled turns the breaker off entirely: it admits everything
+	// and records nothing.
 	Disabled bool
 	// ErrFracTrip trips the breaker when a full window's failure
 	// fraction exceeds it (default 0.5).
 	ErrFracTrip float64
 	// LatencyP99Cycles additionally trips the breaker when a window's
-	// p99 latency (from the window's stats.LogHist) exceeds it
+	// p99 latency (stats.LogHist resolution, see breaker) exceeds it
 	// (0 = latency does not trip).
 	LatencyP99Cycles int64
 	// MinSamples is the minimum window population before the window is
@@ -67,11 +66,13 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // HalfOpen probing. All transitions happen on caller timestamps, so the
 // breaker is as deterministic as the rest of the plane.
 //
-// A disabled breaker never records a sample (breakerTick, allow and
-// observe return first), so it has no window histogram: winHist is nil,
-// and New allocates the ~31 KB LogHist only for an enabled breaker.
-// A fleet runs most of its controllers (replica admission, tenant
-// gates) with the breaker off.
+// A window keeps its first winCap successful latencies inline and
+// takes its p99 with stats.LogHistQuantile, which answers exactly as a
+// stats.LogHist of the same samples would. A window that sees more
+// moves them into the spill histogram, allocated on the first such
+// window and kept for the later ones. The fleet's health-check
+// breakers take one probe per poll over a five-poll window and never
+// spill; the apps' request-driven breakers do.
 type breaker struct {
 	cfg BreakerConfig
 
@@ -83,17 +84,46 @@ type breaker struct {
 	winStart int64
 	winErr   int64
 	winTotal int64
-	winHist  *stats.LogHist // nil when cfg.Disabled
+	winLat   [winCap]int64  // the first winCap successes' latencies
+	winHist  *stats.LogHist // every success once a window spills; nil until then
 
 	probesLeft   int64
 	probeSuccess int64
 }
 
-// init configures the breaker; hist is its window histogram, nil
-// exactly when cfg.Disabled.
-func (b *breaker) init(cfg BreakerConfig, hist *stats.LogHist) {
-	b.cfg = cfg
-	b.winHist = hist
+// winCap is how many successful latencies a window keeps inline.
+const winCap = 8
+
+// successes is how many latencies the current window holds: each
+// sample counted in winTotal that was not an error.
+func (b *breaker) successes() int64 { return b.winTotal - b.winErr }
+
+// record keeps a success's latency, already counted in winTotal:
+// inline while the window has room, in the spill histogram after.
+func (b *breaker) record(latency int64) {
+	n := b.successes()
+	if n <= winCap {
+		b.winLat[n-1] = latency
+		return
+	}
+	if n == winCap+1 {
+		if b.winHist == nil {
+			b.winHist = new(stats.LogHist)
+		}
+		for _, v := range b.winLat {
+			b.winHist.Add(v)
+		}
+	}
+	b.winHist.Add(latency)
+}
+
+// p99 is the window's p99 latency, as a stats.LogHist of its
+// successes reports it.
+func (b *breaker) p99() int64 {
+	if n := b.successes(); n <= winCap {
+		return stats.LogHistQuantile(b.winLat[:n], 99)
+	}
+	return b.winHist.Quantile(99)
 }
 
 // cooldown resolves the configured or defaulted open duration.
@@ -150,7 +180,7 @@ func (c *Controller) breakerTick(now int64) {
 	}
 	if b.winTotal >= b.cfg.MinSamples {
 		errFrac := float64(b.winErr) / float64(b.winTotal)
-		lat := b.winHist.Quantile(99)
+		lat := b.p99()
 		if errFrac > b.cfg.ErrFracTrip ||
 			(b.cfg.LatencyP99Cycles > 0 && lat > b.cfg.LatencyP99Cycles) {
 			b.transition(c, Open, now)
@@ -159,17 +189,16 @@ func (c *Controller) breakerTick(now int64) {
 	b.resetWindow(now)
 }
 
-// resetWindow starts a fresh window at now. Every sample the histogram
-// holds was counted in winTotal, so an empty window (every poll of an
-// Open or HalfOpen breaker, every idle rotation) has nothing to clear.
+// resetWindow starts a fresh window at now. Only a window that spilled
+// has a histogram to clear; the inline latencies past successes() are
+// never read.
 func (b *breaker) resetWindow(now int64) {
 	b.winStart = now
-	if b.winTotal == 0 {
-		return
+	if b.successes() > winCap {
+		*b.winHist = stats.LogHist{}
 	}
 	b.winErr = 0
 	b.winTotal = 0
-	*b.winHist = stats.LogHist{}
 }
 
 // allow is the breaker's admission gate: Closed admits, Open rejects,
@@ -225,7 +254,7 @@ func (b *breaker) observe(c *Controller, now, latency int64, failed bool) {
 		if failed {
 			b.winErr++
 		} else {
-			b.winHist.Add(latency)
+			b.record(latency)
 		}
 	}
 }

@@ -10,8 +10,9 @@
 // One *Controller guards one serving app instance. It provides, in
 // admission order:
 //
-//  1. circuit breaking — a rolling error/latency window (stats.LogHist
-//     per window) trips the breaker open; after a cooldown it half-opens
+//  1. circuit breaking — a rolling error/latency window (its p99 at
+//     stats.LogHist resolution, from a few inline samples or a spill
+//     histogram) trips the breaker open; after a cooldown it half-opens
 //     and admits a bounded number of probe requests before closing;
 //  2. deadline propagation with early rejection — every request carries
 //     deadline = arrival + DeadlineCycles, and admission rejects a
@@ -41,7 +42,6 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // Priority classifies a request for brownout shedding. Apps tag
@@ -245,21 +245,7 @@ func New(cfg *Config) *Controller {
 	if cfg == nil {
 		return nil
 	}
-	// One allocation either way: an enabled breaker's window histogram
-	// lives in the same object as its controller, a disabled one has
-	// none (see breaker).
-	var c *Controller
-	var hist *stats.LogHist
-	if cfg.Breaker.Disabled {
-		c = &Controller{}
-	} else {
-		both := &struct {
-			Controller
-			hist stats.LogHist
-		}{}
-		c, hist = &both.Controller, &both.hist
-	}
-	c.cfg = cfg.withDefaults()
+	c := &Controller{cfg: cfg.withDefaults()}
 	c.sc = c.cfg.Obs
 	if c.sc.Enabled() { // a nil scope never reads a name
 		c.names = obsNames{
@@ -280,7 +266,7 @@ func New(cfg *Config) *Controller {
 		}
 	}
 	c.tokens = c.cfg.Burst
-	c.breaker.init(c.cfg.Breaker, hist)
+	c.breaker.cfg = c.cfg.Breaker
 	return c
 }
 

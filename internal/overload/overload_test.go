@@ -2,10 +2,12 @@ package overload
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // A nil controller is the disabled plane: everything admits, nothing
@@ -162,6 +164,53 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	if c.Snapshot().BreakerTrips != 1 {
 		t.Fatalf("trips = %d, want 1", c.Snapshot().BreakerTrips)
+	}
+}
+
+// A window's p99 is what a stats.LogHist of its successes reports,
+// whether the window stays inline or spills into the histogram, and a
+// spilled window leaves nothing behind: every window is checked
+// against a fresh LogHist. The breaker never judges (MinSamples is out
+// of reach), so it stays Closed and records every window.
+func TestBreakerWindowP99MatchesLogHist(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := New(&Config{WindowCycles: 1000, Breaker: BreakerConfig{MinSamples: 1 << 40}})
+	now := int64(0)
+	for w := 0; w < 2000; w++ {
+		var ref stats.LogHist
+		for i, n := 0, rng.Intn(3*winCap); i < n; i++ {
+			lat := rng.Int63n(1 << uint(1+rng.Intn(30)))
+			failed := rng.Intn(5) == 0
+			c.Observe(now, lat, failed)
+			if !failed {
+				ref.Add(lat)
+			}
+		}
+		if got, want := c.breaker.p99(), ref.Quantile(99); got != want {
+			t.Fatalf("window %d (%d successes): p99 %d, LogHist %d", w, ref.N(), got, want)
+		}
+		now += 1000
+		c.Poll(now, 0)
+	}
+}
+
+// One slow success trips the latency gate from an inline window and
+// from a spilled one alike; the same windows without it do not.
+func TestBreakerLatencyTrip(t *testing.T) {
+	for _, n := range []int{winCap - 2, winCap, winCap + 1, 3 * winCap} {
+		for _, slow := range []bool{false, true} {
+			c := New(&Config{WindowCycles: 1000, Breaker: BreakerConfig{MinSamples: 3, LatencyP99Cycles: 10_000}})
+			for i := 0; i < n; i++ {
+				c.Observe(0, 500+int64(i), false)
+			}
+			if slow {
+				c.Observe(0, 50_000, false)
+			}
+			c.Poll(1000, 0)
+			if tripped := c.BreakerState() == Open; tripped != slow {
+				t.Errorf("%d fast successes, slow %v: tripped %v", n, slow, tripped)
+			}
+		}
 	}
 }
 

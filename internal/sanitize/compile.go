@@ -1,8 +1,6 @@
 package sanitize
 
 import (
-	"errors"
-
 	"repro/internal/core"
 	"repro/internal/ir"
 )
@@ -14,9 +12,6 @@ type Options struct {
 	Exec bool
 	// ExecOptions parameterizes the oracle (zero value = defaults).
 	ExecOptions ExecOptions
-	// AllowInconclusive makes an ErrInconclusive oracle verdict (step
-	// budget exhausted) non-fatal. Static stage checks still apply.
-	AllowInconclusive bool
 }
 
 // CompileChecked compiles src under full translation validation: the
@@ -25,7 +20,9 @@ type Options struct {
 // run before the checks), DebugVerify is forced on, and — with
 // opts.Exec — the differential execution oracle runs on the result.
 // The returned error is a *StageError or *Divergence when validation
-// fails.
+// fails, and wraps ErrInconclusive when the stage checks passed but the
+// oracle ran out of its step budget: a verdict the caller reports, not
+// a pass.
 func CompileChecked(src *ir.Module, cfg core.Config, opts Options) (*core.Program, error) {
 	ck := NewChecker()
 	userF, userM := cfg.FuncStageHook, cfg.ModStageHook
@@ -52,9 +49,8 @@ func CompileChecked(src *ir.Module, cfg core.Config, opts Options) (*core.Progra
 		return nil, err
 	}
 	if opts.Exec {
-		oerr := DiffExec(src, prog.Mod, cfg.Design.String(), opts.ExecOptions)
-		if oerr != nil && !(opts.AllowInconclusive && errors.Is(oerr, ErrInconclusive)) {
-			return nil, oerr
+		if err := DiffExec(src, prog.Mod, cfg.Design.String(), opts.ExecOptions); err != nil {
+			return nil, err
 		}
 	}
 	return prog, nil

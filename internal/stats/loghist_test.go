@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -108,5 +109,55 @@ func TestLogHistAddDoesNotAllocate(t *testing.T) {
 	v := int64(-5000)
 	if n := testing.AllocsPerRun(1000, func() { h.Add(v); v += 37 }); n != 0 {
 		t.Fatalf("LogHist.Add allocates %v objects per call, want 0", n)
+	}
+}
+
+// LogHistQuantile must answer exactly as a LogHist fed the same
+// samples: over random windows of every size class the breaker sees
+// (n = 1 up to a spill-sized few hundred), all-negative, mixed and
+// all-positive, with values in the exact region (|v| < 32) and the log
+// region, and at every p the controllers and summaries ask for plus
+// the out-of-range ones, one so small that p/100·n underflows, and NaN.
+func TestLogHistQuantileMatchesHistogram(t *testing.T) {
+	ps := []float64{-5, 0, 5e-324, 0.001, 1, 10, 50, 90, 99, 99.9, 99.999, 100, 250, math.NaN()}
+	check := func(name string, xs []int64) {
+		t.Helper()
+		var h LogHist
+		for _, v := range xs {
+			h.Add(v)
+		}
+		for _, p := range ps {
+			got := LogHistQuantile(append([]int64(nil), xs...), p)
+			if want := h.Quantile(p); got != want {
+				t.Fatalf("%s %v: LogHistQuantile(p=%v) = %d, LogHist.Quantile = %d", name, xs, p, got, want)
+			}
+		}
+	}
+	check("empty", nil)
+	for _, v := range []int64{0, 1, -1, 31, 32, -32, 33, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64 + 1} {
+		check("single", []int64{v})
+	}
+	rng := rand.New(rand.NewSource(58))
+	draw := func() int64 {
+		if rng.Intn(3) == 0 {
+			return rng.Int63n(logHistSub) // exact region
+		}
+		return rng.Int63n(1<<uint(1+rng.Intn(50))) + 1
+	}
+	for trial := 0; trial < 4000; trial++ {
+		// 0 all-positive, 1 all-negative, 2 mixed.
+		shape := trial % 3
+		n := 1 + rng.Intn(8)
+		if trial%10 == 0 {
+			n = 1 + rng.Intn(300)
+		}
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = draw()
+			if shape == 1 || shape == 2 && rng.Intn(2) == 0 {
+				xs[i] = -xs[i]
+			}
+		}
+		check([]string{"positive", "negative", "mixed"}[shape], xs)
 	}
 }

@@ -312,6 +312,35 @@ func (h *LogHist) Quantile(p float64) int64 {
 	return h.max
 }
 
+// LogHistQuantile returns what LogHist.Quantile(p) returns once every
+// sample of xs has been added, without building the histogram: the
+// nearest-rank sample's bucket lower edge, clamped to [min, max], with
+// p<=0 the minimum, p>=100 the maximum and 0 for no samples. It sorts
+// xs in place, so it suits a window of a few samples, where clearing
+// a LogHist would cost more than the sort.
+func LogHistQuantile(xs []int64, p float64) int64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	slices.Sort(xs)
+	lo, hi := xs[0], xs[len(xs)-1]
+	if p <= 0 {
+		return lo
+	}
+	if p >= 100 {
+		return hi
+	}
+	rank := int64(math.Ceil(p / 100 * float64(len(xs))))
+	if rank < 1 { // p is NaN, or p/100·n underflows to 0
+		rank = 1
+	}
+	v := xs[rank-1] // rank <= len(xs): p < 100 rounds p/100 below 1
+	if v < 0 {
+		return clamp(-logBucketLow(logBucket(-v)), lo, hi)
+	}
+	return clamp(logBucketLow(logBucket(v)), lo, hi)
+}
+
 func clamp(v, lo, hi int64) int64 {
 	if v < lo {
 		return lo
