@@ -97,7 +97,8 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.entry, "entry", "main", "entry function")
 	fs.StringVar(&o.args, "args", "", "comma-separated int64 arguments for the entry function")
 	fs.IntVar(&o.threads, "threads", 1, "VM threads")
-	fs.Int64Var(&o.limit, "limit", 1_000_000_000, "per-thread instruction limit")
+	fs.Int64Var(&o.limit, "limit", 1_000_000_000, fmt.Sprintf(
+		"per-thread instruction limit; under -sanitize, the oracle's step budget per run (capped at %dM)", oracleLimit/1_000_000))
 	fs.BoolVar(&o.optimize, "O", false, "run the IR optimizer before instrumenting")
 	fs.Float64Var(&o.sloP999Us, "slo-p999us", 500, "SLO: p99.9 inter-fire interval ceiling in µs (0 disables the guard)")
 	fs.Float64Var(&o.sloMaxUs, "slo-maxus", 0, "SLO: worst-case inter-fire gap ceiling in µs (0 disables the guard)")
@@ -303,7 +304,7 @@ func (o *options) sanitizeAll(mod *ir.Module, args []int64, stdout io.Writer) er
 			fmt.Fprintf(stdout, "%-14s ok (stage checks + differential oracle)\n", d)
 			continue
 		case errors.Is(cerr, sanitize.ErrInconclusive):
-			fmt.Fprintf(stdout, "%-14s inconclusive: %v\n", d, cerr)
+			fmt.Fprintf(stdout, "%-14s %v\n", d, cerr)
 		default:
 			fmt.Fprintf(stdout, "%-14s FAIL: %v\n", d, cerr)
 		}

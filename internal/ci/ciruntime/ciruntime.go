@@ -4,10 +4,12 @@
 // single-handler fast path. One Runtime instance serves one thread —
 // compiler-interrupt state is thread-local by design.
 //
-// The runtime is driven by probe callbacks (ProbeIR, ProbeCycles,
-// ProbeEvent, ProbeEventCycles) that the VM invokes when it executes
-// the corresponding probe instructions. "now" arguments are virtual
-// cycle timestamps supplied by the caller.
+// The runtime is driven by probe callbacks that the VM invokes when it
+// executes the corresponding probe instructions: the IR and CI-Cycles
+// probes as an untaken check (ProbeIRDue, ProbeCyclesDue) followed,
+// when it passes, by the taken half (FireDueIR, FireDueCycles), and the
+// event probes as one call (ProbeEvent, ProbeEventCycles). "now"
+// arguments are virtual cycle timestamps supplied by the caller.
 package ciruntime
 
 import "math"
@@ -393,19 +395,10 @@ func (rt *Runtime) FireDueIR(now int64) int {
 	return fired
 }
 
-// ProbeCycles is the CI-Cycles probe (§4): the IR count gates a cycle
-// counter read; the handler fires only when the measured cycle interval
-// has elapsed. Returns how many cycle-counter reads were performed and
-// how many handlers fired (for VM cost accounting).
-func (rt *Runtime) ProbeCycles(inc int64, now int64) (reads, fired int) {
-	if !rt.ProbeCyclesDue(inc, now) {
-		return 0, 0
-	}
-	return rt.FireDueCycles(now)
-}
-
-// ProbeCyclesDue is the untaken fast path of ProbeCycles: advance the
-// IR counter, stamp the clock, and report whether the IR gate for the
+// ProbeCyclesDue is the untaken half of the CI-Cycles probe (§4), in
+// which the IR count gates a cycle-counter read and a handler fires
+// only when its measured cycle interval has elapsed: advance the IR
+// counter, stamp the clock, and report whether the IR gate for the
 // next cycle-counter read passed. On true the caller must invoke
 // FireDueCycles for the taken half.
 func (rt *Runtime) ProbeCyclesDue(inc int64, now int64) bool {
@@ -414,9 +407,11 @@ func (rt *Runtime) ProbeCyclesDue(inc int64, now int64) bool {
 	return rt.inscount >= rt.cycGateIR
 }
 
-// FireDueCycles is the taken half of ProbeCycles: perform the cycle
-// read, fire handlers past their cycle interval, and re-aim the IR gate
-// at roughly half the minimum remaining interval.
+// FireDueCycles is the taken half of the CI-Cycles probe: perform the
+// cycle read, fire handlers past their cycle interval, and re-aim the
+// IR gate at roughly half the minimum remaining interval. It returns
+// how many cycle-counter reads were performed and how many handlers
+// fired (for VM cost accounting).
 func (rt *Runtime) FireDueCycles(now int64) (reads, fired int) {
 	reads = 1
 	minRemaining := int64(never)

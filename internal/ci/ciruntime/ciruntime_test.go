@@ -147,6 +147,15 @@ func TestMultipleHandlersDifferentIntervals(t *testing.T) {
 	}
 }
 
+// probeCycles runs one whole CI-Cycles probe as the VM does: the
+// untaken check, then the taken half when the check passes.
+func probeCycles(rt *Runtime, inc, now int64) (reads, fired int) {
+	if !rt.ProbeCyclesDue(inc, now) {
+		return 0, 0
+	}
+	return rt.FireDueCycles(now)
+}
+
 func TestProbeCyclesFiresOnElapsedCycles(t *testing.T) {
 	rt := New()
 	fires := 0
@@ -158,7 +167,7 @@ func TestProbeCyclesFiresOnElapsedCycles(t *testing.T) {
 	// (e.g. stalls): pure IR would fire early; CI-Cycles must not.
 	for i := 0; i < 1000; i++ {
 		now += 10 // 10 cycles per 100 IR: "slow" code
-		r, _ := rt.ProbeCycles(100, now)
+		r, _ := probeCycles(rt, 100, now)
 		reads += r
 	}
 	if fires != 10 {
@@ -247,7 +256,7 @@ func TestNoHandlersCheap(t *testing.T) {
 		if rt.ProbeIR(1000, int64(i)) != 0 {
 			t.Fatal("fired without handlers")
 		}
-		if r, f := rt.ProbeCycles(1000, int64(i)); r != 0 || f != 0 {
+		if r, f := probeCycles(rt, 1000, int64(i)); r != 0 || f != 0 {
 			t.Fatal("cycle probe active without handlers")
 		}
 	}
@@ -476,7 +485,7 @@ func TestAdaptiveAppliesToProbeCycles(t *testing.T) {
 	now := int64(0)
 	for i := 0; i < 6; i++ {
 		now += 10_000 // every fire is 10x the target: overruns
-		rt.ProbeCycles(100_000, now)
+		probeCycles(rt, 100_000, now)
 	}
 	if rt.Overruns(id) == 0 {
 		t.Error("no overruns detected on the cycles path")

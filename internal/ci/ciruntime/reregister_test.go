@@ -18,7 +18,7 @@ func TestReRegisterDoesNotInheritStaleBaseline(t *testing.T) {
 	step := func(until int64) {
 		for now < until {
 			now += 1000
-			rt.ProbeCycles(1000, now)
+			probeCycles(rt, 1000, now)
 		}
 	}
 	step(100_000)
@@ -55,7 +55,7 @@ func TestRegisterBeforeFirstProbeKeepsZeroBaseline(t *testing.T) {
 	now := int64(0)
 	for now < 50_000 {
 		now += 1000
-		rt.ProbeCycles(1000, now)
+		probeCycles(rt, 1000, now)
 	}
 	ivs := rt.Intervals(id)
 	if len(ivs) == 0 {

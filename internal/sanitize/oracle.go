@@ -10,7 +10,9 @@ import (
 
 // ErrInconclusive marks a differential run that hit a watchdog budget
 // before either side could finish: not a divergence, but not a pass.
-var ErrInconclusive = errors.New("sanitize: differential run inconclusive")
+// Its text is the bare verdict, which the wrapping error follows with
+// the run that ran out and the budget.
+var ErrInconclusive = errors.New("inconclusive")
 
 // Divergence is a first-class semantic difference between baseline and
 // instrumented execution.
@@ -122,7 +124,7 @@ func execute(m *ir.Module, tier vm.Tier, opts ExecOptions, who string, hook func
 	rv, err = th.Run(entryFunc, args...)
 	switch {
 	case errors.Is(err, vm.ErrStepBudget):
-		err = fmt.Errorf("%w: %s hit the step budget: %v", ErrInconclusive, who, err)
+		err = fmt.Errorf("%w: %s hit the step budget of %d instructions", ErrInconclusive, who, opts.LimitInstrs)
 	case err != nil:
 		err = fmt.Errorf("sanitize: %s run failed: %w", who, err)
 	}

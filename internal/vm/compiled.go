@@ -6,6 +6,14 @@
 // check specialized down to a single counter compare
 // (ciruntime.ProbeIRDue / ProbeCyclesDue).
 //
+// The tiers share semantics, not dispatch: a taken probe (probeTaken),
+// hardware interrupts (checkHW), external calls (execExtCall), the
+// cache-miss draw (memCost) and the frame pool are code both tiers
+// call. Dispatch, the untaken probe check, fusion and superblocks are
+// this tier's own, and so what the tier oracle (sanitize.DiffTiers)
+// compares against the interpreter; faults in shared code are left to
+// the goldens.
+//
 // The tier is cycle-exact with the interpreter: every Stats field
 // (Cycles, Instrs, Probes, fires, cycle reads) matches bit for bit at
 // every observation point. The rules that make that hold:
@@ -22,11 +30,11 @@
 //
 // Deopt rules: a thread with an OnProbe hook (forced-fire schedules)
 // or an enabled obs scope falls back to the interpreter at
-// Run/CallHandler entry — those surfaces observe per-instruction
-// state the fast path does not materialize. The
-// OnStore/OnLoad/OnAtomic observers are supported natively (nil-checked
-// on memory ops only), so the differential oracle compares real
-// compiled execution, not a deopt shadow.
+// Run/CallHandler entry. Those are per-probe hooks, which execProbe
+// runs around the shared taken half and a compiled probe does not
+// have. The OnStore/OnLoad/OnAtomic observers are supported natively
+// (nil-checked on memory ops only), so the differential oracle
+// compares real compiled execution, not a deopt shadow.
 package vm
 
 import (
@@ -718,12 +726,12 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 	}
 }
 
-// emitProbe specializes the probe check into the dispatch loop: the
-// untaken path of the IR designs is Probes++, the ProbeBase charge, and
-// ciruntime's single counter compare; everything else lives in the
-// taken helpers. The thread is guaranteed OnProbe-free and obs-free
-// here (deopt rules), so the interpreter's forced-fire and profiling
-// arms are statically absent.
+// emitProbe specializes the probe's untaken check into the dispatch
+// loop: for the IR designs it is Probes++, the ProbeBase charge, and
+// ciruntime's single counter compare. The taken half is the
+// interpreter's own probeTaken, reached through taken. The thread is
+// guaranteed OnProbe-free and obs-free here (deopt rules), so the
+// interpreter's forced-fire and profiling arms are statically absent.
 func emitProbe(ec *emitCtx, p *ir.ProbeInfo, next int) op {
 	probeBase := ec.model.ProbeBase
 	switch p.Kind {
@@ -736,7 +744,7 @@ func emitProbe(ec *emitCtx, p *ir.ProbeInfo, next int) op {
 			if !t.RT.ProbeIRDue(inc, t.Stats.Cycles) {
 				return next
 			}
-			return t.probeIRTaken(fr, next)
+			return taken(fr, ir.ProbeIR, 0, next)
 		}
 	case ir.ProbeIRLoop:
 		pinc, indVar, base := p.Inc, p.IndVar, p.Base
@@ -751,7 +759,7 @@ func emitProbe(ec *emitCtx, p *ir.ProbeInfo, next int) op {
 			if !t.RT.ProbeIRDue(iters*pinc, t.Stats.Cycles) {
 				return next
 			}
-			return t.probeIRTaken(fr, next)
+			return taken(fr, ir.ProbeIRLoop, 0, next)
 		}
 	case ir.ProbeCycles:
 		inc := p.Inc
@@ -762,7 +770,7 @@ func emitProbe(ec *emitCtx, p *ir.ProbeInfo, next int) op {
 			if !t.RT.ProbeCyclesDue(inc, t.Stats.Cycles) {
 				return next
 			}
-			return t.probeCyclesTaken(fr, next)
+			return taken(fr, ir.ProbeCycles, 0, next)
 		}
 	case ir.ProbeCyclesLoop:
 		pinc, indVar, base := p.Inc, p.IndVar, p.Base
@@ -777,105 +785,31 @@ func emitProbe(ec *emitCtx, p *ir.ProbeInfo, next int) op {
 			if !t.RT.ProbeCyclesDue(iters*pinc, t.Stats.Cycles) {
 				return next
 			}
-			return t.probeCyclesTaken(fr, next)
+			return taken(fr, ir.ProbeCyclesLoop, 0, next)
 		}
 	case ir.ProbeEvent:
+		// No cheap gate: every event reaches the runtime, as in the CnB
+		// design.
 		inc := p.Inc
 		return func(fr *frame) int {
-			return fr.t.probeEvent(fr, inc, next)
+			fr.t.Stats.Probes++
+			fr.t.Stats.Cycles += probeBase
+			return taken(fr, ir.ProbeEvent, inc, next)
 		}
 	default: // ir.ProbeEventCycles
 		return func(fr *frame) int {
-			return fr.t.probeEventCycles(fr, next)
+			fr.t.Stats.Probes++
+			return taken(fr, ir.ProbeEventCycles, 0, next)
 		}
 	}
 }
 
-// probeIRTaken is the taken half of a compiled IR probe, charging and
-// guarding exactly as the interpreter's execProbe does.
-func (t *Thread) probeIRTaken(fr *frame, next int) int {
-	before := t.Stats.Cycles
-	prev := t.inHandler
-	t.inHandler = true
-	fired := t.RT.FireDueIR(t.Stats.Cycles)
-	t.inHandler = prev
-	if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
+// taken runs the shared taken half of a probe for a compiled closure,
+// returning next, or -1 with fr.err set.
+func taken(fr *frame, kind ir.ProbeKind, inc int64, next int) int {
+	if _, err := fr.t.probeTaken(kind, inc); err != nil {
 		fr.err = err
 		return -1
-	}
-	if fired > 0 {
-		m := t.model
-		t.Stats.ProbesTaken++
-		t.Stats.HandlerCalls += int64(fired)
-		t.Stats.Cycles += m.ProbeTakenExtra + int64(fired)*m.HandlerInvoke
-	}
-	return next
-}
-
-// probeCyclesTaken is the taken half of a compiled CI-Cycles probe.
-func (t *Thread) probeCyclesTaken(fr *frame, next int) int {
-	m := t.model
-	before := t.Stats.Cycles
-	prev := t.inHandler
-	t.inHandler = true
-	reads, fired := t.RT.FireDueCycles(t.Stats.Cycles)
-	t.inHandler = prev
-	if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
-		fr.err = err
-		return -1
-	}
-	t.Stats.CycleReads += int64(reads)
-	t.Stats.Cycles += int64(reads) * m.CycleRead
-	if fired > 0 {
-		t.Stats.ProbesTaken++
-		t.Stats.HandlerCalls += int64(fired)
-		t.Stats.Cycles += m.ProbeTakenExtra + int64(fired)*m.HandlerInvoke
-	}
-	return next
-}
-
-// probeEvent mirrors the interpreter's ProbeEvent arm (no cheap gate:
-// every event reaches the runtime, as in the CnB design).
-func (t *Thread) probeEvent(fr *frame, inc int64, next int) int {
-	m := t.model
-	t.Stats.Probes++
-	t.Stats.Cycles += m.ProbeBase
-	before := t.Stats.Cycles
-	prev := t.inHandler
-	t.inHandler = true
-	fired := t.RT.ProbeEvent(inc, t.Stats.Cycles)
-	t.inHandler = prev
-	if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
-		fr.err = err
-		return -1
-	}
-	if fired > 0 {
-		t.Stats.ProbesTaken++
-		t.Stats.HandlerCalls += int64(fired)
-		t.Stats.Cycles += m.ProbeTakenExtra + int64(fired)*m.HandlerInvoke
-	}
-	return next
-}
-
-// probeEventCycles mirrors the interpreter's ProbeEventCycles arm.
-func (t *Thread) probeEventCycles(fr *frame, next int) int {
-	m := t.model
-	t.Stats.Probes++
-	before := t.Stats.Cycles
-	prev := t.inHandler
-	t.inHandler = true
-	reads, fired := t.RT.ProbeEventCycles(t.Stats.Cycles)
-	t.inHandler = prev
-	if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
-		fr.err = err
-		return -1
-	}
-	t.Stats.CycleReads += int64(reads)
-	t.Stats.Cycles += m.ProbeBase + int64(reads)*m.CycleRead
-	if fired > 0 {
-		t.Stats.ProbesTaken++
-		t.Stats.HandlerCalls += int64(fired)
-		t.Stats.Cycles += m.ProbeTakenExtra + int64(fired)*m.HandlerInvoke
 	}
 	return next
 }

@@ -668,12 +668,11 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// execProbe runs one probe instruction, charging model costs and
-// driving the CI runtime. CI handlers fire inside the RT.Probe* calls;
-// the thread is marked as being in interrupt context for their
-// duration so re-entering Run is caught, and any cycles they bill via
-// Charge are checked against the overrun budget. f and b identify the
-// probe's IR site for the observability profile; every obs call is
+// execProbe runs one probe instruction on the interpreter: the
+// untaken check, then the shared taken half (probeTaken) only when the
+// check says a fire is due. Around those it runs the interpreter-only
+// parts: the OnProbe forced fires and the observability profile. f and
+// b identify the probe's IR site for the profile; every obs call is
 // guarded on t.obs so the disabled path stays allocation-free.
 func (t *Thread) execProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, regs []int64) error {
 	m := t.model
@@ -684,64 +683,26 @@ func (t *Thread) execProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, regs []int6
 	}
 	probeStart := t.Stats.Cycles
 	inc := p.Inc
-	switch p.Kind {
-	case ir.ProbeIRLoop, ir.ProbeCyclesLoop:
-		iters := regs[p.IndVar] - regs[p.Base]
-		if iters < 0 {
-			iters = 0
-		}
-		inc = iters * p.Inc
+	if p.Kind == ir.ProbeIRLoop || p.Kind == ir.ProbeCyclesLoop {
+		inc = max(regs[p.IndVar]-regs[p.Base], 0) * p.Inc
 	}
-	var fired, reads int
+	due := true
 	switch p.Kind {
 	case ir.ProbeIR, ir.ProbeIRLoop:
 		t.Stats.Cycles += m.ProbeBase
-		before := t.Stats.Cycles
-		prev := t.inHandler
-		t.inHandler = true
-		fired = t.RT.ProbeIR(inc, t.Stats.Cycles)
-		t.inHandler = prev
-		if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
-			return err
-		}
+		due = t.RT.ProbeIRDue(inc, t.Stats.Cycles)
 	case ir.ProbeCycles, ir.ProbeCyclesLoop:
 		t.Stats.Cycles += m.ProbeBase
-		before := t.Stats.Cycles
-		prev := t.inHandler
-		t.inHandler = true
-		reads, fired = t.RT.ProbeCycles(inc, t.Stats.Cycles)
-		t.inHandler = prev
-		if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
-			return err
-		}
-		t.Stats.CycleReads += int64(reads)
-		t.Stats.Cycles += int64(reads) * m.CycleRead
+		due = t.RT.ProbeCyclesDue(inc, t.Stats.Cycles)
 	case ir.ProbeEvent:
 		t.Stats.Cycles += m.ProbeBase
-		before := t.Stats.Cycles
-		prev := t.inHandler
-		t.inHandler = true
-		fired = t.RT.ProbeEvent(inc, t.Stats.Cycles)
-		t.inHandler = prev
-		if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
-			return err
-		}
-	case ir.ProbeEventCycles:
-		before := t.Stats.Cycles
-		prev := t.inHandler
-		t.inHandler = true
-		reads, fired = t.RT.ProbeEventCycles(t.Stats.Cycles)
-		t.inHandler = prev
-		if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
-			return err
-		}
-		t.Stats.CycleReads += int64(reads)
-		t.Stats.Cycles += m.ProbeBase + int64(reads)*m.CycleRead
 	}
-	if fired > 0 {
-		t.Stats.ProbesTaken++
-		t.Stats.HandlerCalls += int64(fired)
-		t.Stats.Cycles += m.ProbeTakenExtra + int64(fired)*m.HandlerInvoke
+	var fired int
+	if due {
+		var err error
+		if fired, err = t.probeTaken(p.Kind, inc); err != nil {
+			return err
+		}
 	}
 	if forced > 0 {
 		n, err := t.forceFire(forced)
@@ -762,6 +723,48 @@ func (t *Thread) execProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, regs []int6
 		}
 	}
 	return nil
+}
+
+// probeTaken is the taken half of a probe of the given kind, shared by
+// both tiers. The caller has counted the probe and charged ProbeBase
+// (ProbeEventCycles charges it here, after the cycle read), and for
+// the IR and cycles kinds its untaken check has said a fire is due;
+// inc is the event weight of a ProbeEvent and unused otherwise. The
+// runtime's sweep runs in interrupt context, so re-entering Run from a
+// handler is caught, and what the handlers bill via Charge is checked
+// against the overrun budget before the cycle reads, the taken probe
+// and the handler invokes are billed.
+func (t *Thread) probeTaken(kind ir.ProbeKind, inc int64) (int, error) {
+	m := t.model
+	before := t.Stats.Cycles
+	var fired, reads int
+	prev := t.inHandler
+	t.inHandler = true
+	switch kind {
+	case ir.ProbeIR, ir.ProbeIRLoop:
+		fired = t.RT.FireDueIR(before)
+	case ir.ProbeCycles, ir.ProbeCyclesLoop:
+		reads, fired = t.RT.FireDueCycles(before)
+	case ir.ProbeEvent:
+		fired = t.RT.ProbeEvent(inc, before)
+	case ir.ProbeEventCycles:
+		reads, fired = t.RT.ProbeEventCycles(before)
+	}
+	t.inHandler = prev
+	if err := t.checkOverrun(t.Stats.Cycles-before, max(fired, 1), "CI"); err != nil {
+		return 0, err
+	}
+	if kind == ir.ProbeEventCycles {
+		t.Stats.Cycles += m.ProbeBase
+	}
+	t.Stats.CycleReads += int64(reads)
+	t.Stats.Cycles += int64(reads) * m.CycleRead
+	if fired > 0 {
+		t.Stats.ProbesTaken++
+		t.Stats.HandlerCalls += int64(fired)
+		t.Stats.Cycles += m.ProbeTakenExtra + int64(fired)*m.HandlerInvoke
+	}
+	return fired, nil
 }
 
 // forceFire delivers n unconditional handler sweeps at the current
