@@ -35,10 +35,10 @@
 // A checked compile followed by a run is spelled
 // `cirun -sanitize p.ir && cirun p.ir`.
 //
-// Runs execute on the VM's compiled tier. A run whose probes an
-// enabled observability scope watches (-hot, -trace, -metrics) falls
-// back to the interpreter, which the compiled tier matches cycle for
-// cycle.
+// Runs execute on the VM's compiled tier, which matches the
+// interpreter cycle for cycle. A run whose probes an enabled
+// observability scope watches (-hot, -trace, -metrics) runs the
+// compiled tier's hooked form, whose probes also record the profile.
 //
 // -quantum-policy picks the handler interval controller (fixed, aimd,
 // feedback). -trace FILE writes a Chrome trace_event JSON of the run
@@ -69,7 +69,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sanitize"
 	"repro/internal/stats"
-	"repro/internal/vm"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -209,7 +208,6 @@ func (o *options) exec(path string, stdout, stderr io.Writer) error {
 		core.WithProbeInterval(o.cf.ProbeInterval),
 		core.WithAllowableError(o.cf.AllowableError),
 		core.WithOptimize(o.optimize),
-		core.WithTier(vm.TierCompiled),
 		core.WithObs(scope))
 	if err != nil {
 		return err

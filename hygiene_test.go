@@ -27,7 +27,10 @@ import (
 //     slices.SortFunc and slices.SortStableFunc take a typed
 //     comparison and no reflection-based swapper;
 //   - no fmt.Fprint* in internal/experiments outside fprintAllowed: a
-//     figure returns a table, and one renderer prints every table.
+//     figure returns a table, and one renderer prints every table;
+//   - no tier pick (vm.TierCompiled, vm.TierInterpreter, core.WithTier)
+//     outside tierPickAllowed: every other run takes the VM's default,
+//     compiled tier, whose hooked form serves observed runs too.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -49,6 +52,11 @@ var fprintAllowed = map[string]string{
 	"internal/experiments/table.go":                "the renderer every figure prints through",
 	"internal/experiments/fleet.go:PrintFleetPlan": "the fleet fault plan's debugging printout (ciexp fleetplan)",
 }
+
+// tierPickAllowed are the places that name a VM tier: the VM itself,
+// the tier oracle whose reference leg is the interpreter, and the
+// benchmark that measures both tiers.
+var tierPickAllowed = []string{"internal/vm/", "internal/sanitize/", "benchmark/"}
 
 // hotPaths are the packages between IR text and an instrumented module,
 // and the fleet model's: the fleet, its overload controllers and the
@@ -139,6 +147,11 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					}
 				case imp == "sort" && (sel == "Slice" || sel == "SliceStable") && onHotPath(path):
 					report(n, "sort."+sel+" on a hot path; use slices.SortFunc or slices.SortStableFunc")
+				case (imp == "repro/internal/vm" && (sel == "TierCompiled" || sel == "TierInterpreter")) ||
+					(imp == "repro/internal/core" && sel == "WithTier"):
+					if !hasPrefix(path, tierPickAllowed) {
+						report(n, "tier pick "+pkg.Name+"."+sel+" outside the VM, the tier oracle and the benchmark")
+					}
 				case imp == "fmt" && strings.HasPrefix(sel, "Fprint") && strings.HasPrefix(path, "internal/experiments/"):
 					_, inFile := fprintAllowed[path]
 					if _, inFunc := fprintAllowed[path+":"+fn]; !inFile && !inFunc {
@@ -152,8 +165,10 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 	return out
 }
 
-func onHotPath(path string) bool {
-	for _, p := range hotPaths {
+func onHotPath(path string) bool { return hasPrefix(path, hotPaths) }
+
+func hasPrefix(path string, prefixes []string) bool {
+	for _, p := range prefixes {
 		if strings.HasPrefix(path, p) {
 			return true
 		}
@@ -251,6 +266,68 @@ func PrintFleetPlan(w io.Writer) { fmt.Fprint(w, "plan") }
 	} {
 		if got := hygieneViolations(fset, path, f); len(got) != want {
 			t.Errorf("%s: want %d violations, got %d:\n%s", path, want, len(got), strings.Join(got, "\n"))
+		}
+	}
+}
+
+// The tier rule flags exactly the lines a fixture marks with a want
+// comment, outside the VM, the tier oracle and the benchmark.
+func TestHygieneTierRule(t *testing.T) {
+	const src = `package p
+
+import (
+	"repro/internal/core"
+	"repro/internal/vm"
+)
+
+func f() []core.Option {
+	v := vm.New(nil, nil, 1)
+	v.Tier = vm.TierInterpreter // want "tier pick vm.TierInterpreter"
+	v.Tier = vm.TierCompiled    // want "tier pick vm.TierCompiled"
+	var tier vm.Tier
+	return []core.Option{core.WithTier(tier), core.WithThreads(2)} // want "tier pick core.WithTier"
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{}
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if msg, ok := strings.CutPrefix(c.Text, "// want "); ok {
+				want[fset.Position(c.Pos()).Line], _ = strconv.Unquote(msg)
+			}
+		}
+	}
+	for path, flagged := range map[string]bool{
+		"internal/experiments/p.go": true,
+		"cmd/cirun/p.go":            true,
+		"internal/vm/p.go":          false,
+		"internal/sanitize/p.go":    false,
+		"benchmark/p.go":            false,
+	} {
+		got := map[int]string{}
+		for _, v := range hygieneViolations(fset, path, f) {
+			// v is "file:line:col: message".
+			parts := strings.SplitN(v, ":", 4)
+			line, _ := strconv.Atoi(parts[1])
+			got[line] = strings.TrimSpace(parts[3])
+		}
+		if !flagged {
+			if len(got) != 0 {
+				t.Errorf("%s: want no violation, got %v", path, got)
+			}
+			continue
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: flagged lines %v, want %v", path, got, want)
+		}
+		for line, msg := range want {
+			if !strings.HasPrefix(got[line], msg) {
+				t.Errorf("%s:%d: got %q, want a message starting %q", path, line, got[line], msg)
+			}
 		}
 	}
 }

@@ -47,10 +47,6 @@ type Config struct {
 	// Optimize runs the IR optimizer (package opt) before the CI
 	// analysis, mirroring the paper's use of -O3 IR.
 	Optimize bool
-	// Tier selects the VM execution tier at run time (interpreter by
-	// default). It lives in the compile-side Config so engine cache
-	// keys and ConfigOf-derived identities separate tiers.
-	Tier vm.Tier
 	// DebugVerify re-verifies the IR after every pipeline stage and
 	// fails compilation at the first stage that corrupts it.
 	DebugVerify bool
@@ -203,10 +199,7 @@ func (p *Program) Run(fn string, opts ...Option) (*RunResult, error) {
 	machine := vm.New(p.Mod, nil, threads)
 	machine.LimitInstrs = rc.LimitInstrs
 	machine.Obs = scope
-	machine.Tier = p.cfg.Tier
-	if st.tierSet {
-		machine.Tier = st.cfg.Tier
-	}
+	machine.Tier = st.tier
 	res := &RunResult{
 		Stats:     make([]vm.Stats, threads),
 		Intervals: make([][]int64, threads),

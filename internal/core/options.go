@@ -21,15 +21,13 @@ import (
 	"repro/internal/vm"
 )
 
-// settings is the resolved option state: compile config, run config
-// and the observability scope shared by both phases.
+// settings is the resolved option state: compile config, run config,
+// the observability scope shared by both phases and the run's tier.
 type settings struct {
-	cfg Config
-	rc  RunConfig
-	obs *obs.Scope
-	// tierSet marks an explicit WithTier so Program.Run can distinguish
-	// "override the compiled-in tier" from the zero value.
-	tierSet bool
+	cfg  Config
+	rc   RunConfig
+	obs  *obs.Scope
+	tier vm.Tier
 }
 
 // Option configures Compile and/or Run. Compile ignores run-only
@@ -88,17 +86,12 @@ func WithOptimize(on bool) Option {
 	return func(s *settings) { s.cfg.Optimize = on }
 }
 
-// WithTier selects the VM execution tier: vm.TierInterpreter (the
-// default and the reference semantics) or vm.TierCompiled (the
-// closure-threaded compiled tier, cycle-exact with the interpreter).
-// The tier participates in compile-side Config so engine cache keys
-// separate tiers; at Run it selects the machine's engine. A run-time
-// WithTier overrides the tier the program was compiled with.
+// WithTier is a run-only option that selects the VM execution tier:
+// vm.TierCompiled (the default, the closure-threaded compiled tier) or
+// vm.TierInterpreter (the reference semantics, cycle-exact with it).
+// Compile ignores it.
 func WithTier(t vm.Tier) Option {
-	return func(s *settings) {
-		s.cfg.Tier = t
-		s.tierSet = true
-	}
+	return func(s *settings) { s.tier = t }
 }
 
 // WithObs attaches an observability scope to both phases: Compile

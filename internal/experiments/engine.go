@@ -88,16 +88,14 @@ type progEntry struct {
 // cfgKey folds every compilation-relevant core.Config field into a
 // cache key component.
 func cfgKey(cfg core.Config) string {
-	return fmt.Sprintf("%v/pi%d/ae%d/lt%t/lc%t/o%t/tier-%s",
+	return fmt.Sprintf("%v/pi%d/ae%d/lt%t/lc%t/o%t",
 		cfg.Design, cfg.ProbeIntervalIR, cfg.AllowableErrorIR,
-		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize, cfg.Tier)
+		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize)
 }
 
-// newMachine builds a VM over m on the compiled tier under the
-// experiments' run limit.
+// newMachine builds a VM over m under the experiments' run limit.
 func newMachine(m *ir.Module, model *vm.CostModel, threads int) *vm.VM {
 	v := vm.New(m, model, threads)
-	v.Tier = vm.TierCompiled
 	v.LimitInstrs = runLimit
 	return v
 }
@@ -177,9 +175,6 @@ func compileMaybeChecked(eng *engine.Engine, src *ir.Module, opts []core.Option)
 // is shared across cells; callers must treat it as read-only (VM runs
 // do — the fingerprint guard in the cache proves it).
 func compileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts ...core.Option) (*core.Program, error) {
-	// Programs run on the compiled tier (an explicit WithTier among
-	// opts still wins — options apply in order).
-	opts = append([]core.Option{core.WithTier(vm.TierCompiled)}, opts...)
 	cfg := core.ConfigOf(opts...)
 	if eng == nil || eng.Cache == nil || cfg.ImportedCosts != nil {
 		return compileMaybeChecked(eng, sourceModule(eng, wl, scale), opts)

@@ -35,9 +35,9 @@ type TierTrace struct {
 }
 
 // runTier executes m (on a private clone) under one tier and records
-// its trace. Both tiers attach the same OnStore/OnAtomic observers —
-// the compiled tier supports them natively (no deopt), so the oracle
-// compares real compiled execution rather than a deopted shadow of it.
+// its trace. Both tiers attach the same OnStore/OnAtomic observers,
+// which the compiled tier's plain form checks on its memory ops, so
+// the oracle compares the compiled code every unobserved run executes.
 func runTier(m *ir.Module, tier vm.Tier, opts ExecOptions) (*TierTrace, error) {
 	tr := &TierTrace{}
 	th, hid, rv, err := execute(m, tier, opts, tier.String()+" tier", func(th *vm.Thread) {

@@ -28,13 +28,12 @@
 //   - Fused pairs preserve the interpreter's interleaving of charges,
 //     fault checks and observer calls; fusion only removes dispatch.
 //
-// Deopt rules: a thread with an OnProbe hook (forced-fire schedules)
-// or an enabled obs scope falls back to the interpreter at
-// Run/CallHandler entry. Those are per-probe hooks, which execProbe
-// runs around the shared taken half and a compiled probe does not
-// have. The OnStore/OnLoad/OnAtomic observers are supported natively
-// (nil-checked on memory ops only), so the differential oracle
-// compares real compiled execution, not a deopt shadow.
+// Hooks: a thread with a per-probe hook — OnProbe (forced-fire
+// schedules) or an enabled obs scope — runs a second, hooked form of
+// the module, built lazily per VM like the plain one, whose probe
+// units call the interpreter's own execProbe; every other unit is the
+// plain form's. The OnStore/OnLoad/OnAtomic observers are nil-checked
+// on memory ops in both forms.
 package vm
 
 import (
@@ -48,11 +47,11 @@ import (
 type Tier int
 
 const (
-	// TierInterpreter is the switch-dispatch interpreter — the default
-	// and the reference semantics.
-	TierInterpreter Tier = iota
-	// TierCompiled is the closure-threaded compiled tier.
-	TierCompiled
+	// TierCompiled is the closure-threaded compiled tier, the default.
+	TierCompiled Tier = iota
+	// TierInterpreter is the switch-dispatch interpreter: the reference
+	// semantics of the tier oracle.
+	TierInterpreter
 )
 
 // String names the tier.
@@ -97,23 +96,33 @@ type cfunc struct {
 	code     []op
 }
 
-// compiledModule caches the compiled form of a module; built at most
-// once per VM (under VM.compileOnce), shared by all threads. Closures
-// capture only immutable compile-time state (cost constants, IR
-// metadata, callee pointers) and reach all mutable state through the
-// frame's thread, so every thread of the VM can run them.
+// compiledModule caches one form of a module, built at most once per
+// VM and shared by all threads. Closures capture only immutable
+// compile-time state (cost constants, IR metadata, callee pointers)
+// and reach all mutable state through the frame's thread, so every
+// thread of the VM can run them.
 type compiledModule struct {
 	funcs map[string]*cfunc
+	// hooked marks the hooked form, whose probes call execProbe.
+	hooked bool
 	// superblocks counts the loop closures compileFunc emitted, and
 	// addrOps the address-mode µops in their bodies.
 	superblocks, addrOps int
 }
 
-// compiledMod returns the module's compiled form, building it on first
-// use.
-func (vm *VM) compiledMod() *compiledModule {
-	vm.compileOnce.Do(func() { vm.compiled = compileModule(vm.Mod, vm.Model) })
-	return vm.compiled
+// compiledMod returns the module's plain compiled form, or its hooked
+// form when hooked is set, building it on first use.
+func (vm *VM) compiledMod(hooked bool) *compiledModule {
+	vm.compileMu.Lock()
+	defer vm.compileMu.Unlock()
+	form := &vm.compiled
+	if hooked {
+		form = &vm.hooked
+	}
+	if *form == nil {
+		*form = compileModule(vm.Mod, vm.Model, hooked)
+	}
+	return *form
 }
 
 // unitKind classifies one compiled unit (possibly a fused pair).
@@ -235,8 +244,8 @@ func FusiblePairs(m *ir.Module) (cmpBr, loadArith, arithStore int) {
 // model. Functions are compiled in two phases — shells first, then
 // code — so OpCall closures can capture callee shells before their
 // code exists (recursion, forward references).
-func compileModule(mod *ir.Module, model *CostModel) *compiledModule {
-	cm := &compiledModule{funcs: make(map[string]*cfunc, len(mod.Funcs))}
+func compileModule(mod *ir.Module, model *CostModel, hooked bool) *compiledModule {
+	cm := &compiledModule{funcs: make(map[string]*cfunc, len(mod.Funcs)), hooked: hooked}
 	for _, f := range mod.Funcs {
 		if len(f.Blocks) == 0 {
 			continue // fall back to the interpreter's behavior
@@ -301,7 +310,7 @@ func compileFunc(cf *cfunc, f *ir.Func, mod *ir.Module, model *CostModel, cm *co
 	ec := &emitCtx{f: f, mod: mod, model: model, cm: cm, pcOf: pcOf, superPC: superPC}
 	for i, b := range f.Blocks {
 		p := plans[i]
-		emitBlock(ec, b, p, code)
+		emitBlock(ec, f, b, p, code)
 	}
 	for _, c := range cands {
 		code[c.pc] = emitSuperblock(ec, c.head, c.body, c.cmp, c.bp)
@@ -332,13 +341,15 @@ func (ec *emitCtx) entry(b *ir.Block) int {
 // emitBlock emits the block's units and epilogue into code. Maximal
 // runs of uSimple units are batch-charged at the run's first slot
 // (cycles and instruction counts folded into one pair of adds); all
-// other units charge themselves in interpreter order.
-func emitBlock(ec *emitCtx, b *ir.Block, p blockPlan, code []op) {
+// other units charge themselves in interpreter order. f is ec.f, passed
+// apart so that a hooked probe's capture of it does not make ec's maps
+// escape to the heap.
+func emitBlock(ec *emitCtx, f *ir.Func, b *ir.Block, p blockPlan, code []op) {
 	units := p.units
 	pc := p.pc
 	for i := 0; i < len(units); {
 		if units[i].kind != uSimple {
-			code[pc] = emitUnit(ec, b, units[i], pc+1)
+			code[pc] = emitUnit(ec, f, b, units[i], pc+1)
 			pc++
 			i++
 			continue
@@ -505,7 +516,7 @@ func compileCompute(in *ir.Instr, next int) op {
 }
 
 // emitUnit emits one non-simple unit.
-func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
+func emitUnit(ec *emitCtx, f *ir.Func, b *ir.Block, u unit, next int) op {
 	in := u.a
 	m := ec.model
 	fname, bname := ec.f.Name, b.Name
@@ -712,6 +723,9 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 			return next
 		}
 	case uProbe:
+		if ec.cm.hooked {
+			return hookedProbe(f, b, in.Probe, next)
+		}
 		return emitProbe(ec, in.Probe, next)
 	default: // uBad
 		cost := m.OpCost[in.Op]
@@ -729,9 +743,9 @@ func emitUnit(ec *emitCtx, b *ir.Block, u unit, next int) op {
 // emitProbe specializes the probe's untaken check into the dispatch
 // loop: for the IR designs it is Probes++, the ProbeBase charge, and
 // ciruntime's single counter compare. The taken half is the
-// interpreter's own probeTaken, reached through taken. The thread is
-// guaranteed OnProbe-free and obs-free here (deopt rules), so the
-// interpreter's forced-fire and profiling arms are statically absent.
+// interpreter's own probeTaken, reached through taken. It is the plain
+// form's probe, so it has no hook arm, and each kind's closure keeps
+// its heap size class (TestPlainProbeClosureSize).
 func emitProbe(ec *emitCtx, p *ir.ProbeInfo, next int) op {
 	probeBase := ec.model.ProbeBase
 	switch p.Kind {
@@ -812,6 +826,18 @@ func taken(fr *frame, kind ir.ProbeKind, inc int64, next int) int {
 		return -1
 	}
 	return next
+}
+
+// hookedProbe is the hooked form's probe unit: the interpreter's
+// execProbe, which runs the hooks at the IR site f/b.
+func hookedProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, next int) op {
+	return func(fr *frame) int {
+		if err := fr.t.execProbe(f, b, p, fr.regs); err != nil {
+			fr.err = err
+			return -1
+		}
+		return next
+	}
 }
 
 // emitEpilogue emits the block-end slot: terminator charge, step

@@ -3,9 +3,9 @@ package vm
 // Allocation discipline of both tiers: once a thread has warmed its
 // frame pool and its VM has grown memory over the words the program
 // touches, a whole run — dispatch, probes, memory ops, nested calls —
-// must be 0-alloc with observers disabled. On the compiled tier,
-// attaching an observer surface deopts the thread to the interpreter
-// and must not corrupt stats while doing so.
+// must be 0-alloc with observers disabled, and with an OnProbe hook
+// attached. On the compiled tier, a per-probe hook moves the thread
+// to the module's hooked form, which must keep stats exact.
 
 import (
 	"testing"
@@ -64,18 +64,23 @@ func TestCompiledFastPathZeroAlloc(t *testing.T) {
 		v.LimitInstrs = 50_000_000
 		th := v.NewThread(0)
 		th.RT.RegisterCI(2000, func(uint64) {})
-		// Warm up: the first run compiles the module, grows the frame
-		// pool and grows memory.
-		if _, err := th.Run("main", 5000); err != nil {
-			t.Fatal(err)
-		}
-		n := testing.AllocsPerRun(20, func() {
+		// Plain, then with an OnProbe hook that forces nothing (the
+		// compiled tier's hooked form). Each form's first run is a
+		// warm-up: it compiles the form, grows the frame pool and grows
+		// memory.
+		for _, hook := range []func() int{nil, func() int { return 0 }} {
+			th.OnProbe = hook
 			if _, err := th.Run("main", 5000); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if n != 0 {
-			t.Errorf("%s run allocated %.2f times with observers disabled, want 0", tier, n)
+			n := testing.AllocsPerRun(20, func() {
+				if _, err := th.Run("main", 5000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s run allocated %.2f times (OnProbe set: %v), want 0", tier, n, hook != nil)
+			}
 		}
 		if th.Stats.ProbesTaken == 0 || th.Stats.HandlerCalls == 0 {
 			t.Fatalf("measurement missed the probe fire path: %+v", th.Stats)
@@ -83,11 +88,12 @@ func TestCompiledFastPathZeroAlloc(t *testing.T) {
 	})
 }
 
-// Enabling an observer surface mid-stream deopts the thread to the
-// interpreter; the deopted run must produce exactly the stat deltas the
-// interpreter produces, and detaching must return to the compiled tier
-// with no drift in either direction.
-func TestCompiledObserverDeoptKeepsStatsExact(t *testing.T) {
+// A thread with an enabled obs scope or an OnProbe hook runs the
+// compiled tier's hooked form. Its run must produce exactly the stat
+// deltas the interpreter produces under the same hook, and one thread
+// moving between the hooked and the plain form across runs must show
+// no drift in either direction.
+func TestHookedCompiledKeepsStatsExact(t *testing.T) {
 	const iters = 3000
 	statDelta := func(t *testing.T, tier Tier, scope *obs.Scope) (Stats, int64) {
 		t.Helper()
@@ -104,21 +110,21 @@ func TestCompiledObserverDeoptKeepsStatsExact(t *testing.T) {
 		return th.Stats, rv
 	}
 
-	// obs-enabled compiled run: deopts, and must match the interpreter's
-	// obs-enabled run exactly (the interpreter is the reference for the
-	// observer surfaces).
+	// obs-enabled compiled run: the hooked form must match the
+	// interpreter's obs-enabled run exactly.
 	refObs, refObsRV := statDelta(t, TierInterpreter, obs.New(0))
 	gotObs, gotObsRV := statDelta(t, TierCompiled, obs.New(0))
 	if gotObs != refObs || gotObsRV != refObsRV {
-		t.Errorf("deopted compiled run drifted from interpreter:\n interp  %+v rv=%d\n compiled %+v rv=%d",
+		t.Errorf("hooked compiled run drifted from interpreter:\n interp  %+v rv=%d\n compiled %+v rv=%d",
 			refObs, refObsRV, gotObs, gotObsRV)
 	}
 
-	// A single thread must transition deopt -> fast path -> deopt
-	// without stats corruption. Drive the identical phase sequence
-	// through an interpreter thread and a compiled thread (whose middle
-	// phase runs the fast path) and require byte-identical Stats at
-	// every phase boundary — the CI runtime state carries across runs,
+	// A single thread must move hooked -> plain -> hooked without
+	// stats corruption. Drive the identical phase sequence through an
+	// interpreter thread and a compiled thread (whose middle phase runs
+	// the plain form, and whose outer phases force a sweep at every
+	// probe in the hooked form) and require byte-identical Stats at
+	// every phase boundary: the CI runtime state carries across runs,
 	// so equality here proves the transition leaves no residue.
 	phases := func(t *testing.T, tier Tier) []Stats {
 		t.Helper()
@@ -130,9 +136,9 @@ func TestCompiledObserverDeoptKeepsStatsExact(t *testing.T) {
 		var snaps []Stats
 		for phase := 0; phase < 3; phase++ {
 			if phase == 1 {
-				th.OnProbe = nil // fast path on the compiled tier
+				th.OnProbe = nil // the plain form on the compiled tier
 			} else {
-				th.OnProbe = func() int { return 1 } // forces the interpreter
+				th.OnProbe = func() int { return 1 } // the hooked form
 			}
 			if _, err := th.Run("main", iters); err != nil {
 				t.Fatal(err)

@@ -71,18 +71,18 @@ type VM struct {
 	// thread. Nil (the default) is the disabled scope and keeps the
 	// probe-fire path allocation-free.
 	Obs *obs.Scope
-	// Tier selects the execution engine: TierInterpreter (the default,
-	// and the reference semantics) or TierCompiled, which pre-decodes
-	// the module into closure-threaded code with fused superinstructions
-	// and a single-compare untaken-probe path. The compiled tier is
-	// cycle-exact — Stats match the interpreter bit for bit — and
-	// threads with an OnProbe hook or an enabled obs scope
-	// transparently deoptimize back to the interpreter (see
-	// compiled.go for the deopt rules).
+	// Tier selects the execution engine: TierCompiled (the zero value)
+	// pre-decodes the module into closure-threaded code; TierInterpreter
+	// is the reference semantics the tier oracle compares it against.
+	// The tiers are cycle-exact — Stats match bit for bit — and both run
+	// every hook (see compiled.go).
 	Tier Tier
 
-	compileOnce sync.Once
-	compiled    *compiledModule
+	// compileMu guards the plain and the hooked compiled forms, each
+	// built on first use (compiledMod).
+	compileMu sync.Mutex
+	compiled  *compiledModule
+	hooked    *compiledModule
 
 	// mem is the allocated prefix of the logical memory; every word
 	// at or past len(mem) and below memWords is zero.
@@ -269,14 +269,13 @@ func (t *Thread) Run(fn string, args ...int64) (int64, error) {
 	return t.exec(f, args)
 }
 
-// exec routes execution to the selected tier. The compiled tier only
-// runs when no deopt-forcing observer is attached: OnProbe (forced-fire
-// schedules) and an enabled obs scope both need the interpreter's full
-// observation surface, so those threads fall back per run. OnStore/OnLoad/OnAtomic are supported natively by the
-// compiled closures and do not deopt.
+// exec runs f on the VM's tier, the one place that chooses an
+// executor: on the compiled tier, a thread with OnProbe or an enabled
+// obs scope runs the module's hooked form, every other thread the
+// plain form.
 func (t *Thread) exec(f *ir.Func, args []int64) (int64, error) {
-	if t.VM.Tier == TierCompiled && t.OnProbe == nil && t.obs == nil {
-		if cf := t.VM.compiledMod().funcs[f.Name]; cf != nil {
+	if t.VM.Tier == TierCompiled {
+		if cf := t.VM.compiledMod(t.OnProbe != nil || t.obs != nil).funcs[f.Name]; cf != nil {
 			return t.callCompiled(cf, args)
 		}
 	}
@@ -668,10 +667,11 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// execProbe runs one probe instruction on the interpreter: the
-// untaken check, then the shared taken half (probeTaken) only when the
-// check says a fire is due. Around those it runs the interpreter-only
-// parts: the OnProbe forced fires and the observability profile. f and
+// execProbe runs one probe instruction on the interpreter and in the
+// compiled tier's hooked form: the untaken check, then the shared taken
+// half (probeTaken) only when the check says a fire is due. Around
+// those it runs the per-probe hooks: the OnProbe forced fires and the
+// observability profile. f and
 // b identify the probe's IR site for the profile; every obs call is
 // guarded on t.obs so the disabled path stays allocation-free.
 func (t *Thread) execProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, regs []int64) error {

@@ -510,21 +510,23 @@ exit:
 }
 `
 	type result struct {
-		rv    int64
-		stats Stats
-		fires uint64
-		err   string
+		rv     int64
+		stats  Stats
+		fires  uint64
+		err    string
+		events string
 	}
 	// A row runs one design plainly, with a CI handler that overruns
 	// MaxHandlerCycles at its first delivery (UIntr carries no probes,
-	// so there the overrunning handler is the uintr one), or with an
-	// OnProbe schedule forcing a sweep at every 97th probe site (which
-	// sends the compiled tier's thread to the interpreter: the row pins
-	// that fallback).
+	// so there the overrunning handler is the uintr one), under an
+	// enabled obs scope whose events must match too, or with an OnProbe
+	// schedule forcing a sweep at every 97th probe site. The observed
+	// and forced rows run the compiled tier's hooked form.
 	type stress int
 	const (
 		plain stress = iota
 		overrun
+		observed
 		forced
 	)
 	exec := func(t *testing.T, tier Tier, d instrument.Design, s stress) result {
@@ -538,6 +540,9 @@ exit:
 		}
 		v := newVM(m, nil, 1, tier)
 		v.LimitInstrs = 50_000_000
+		if s == observed {
+			v.Obs = obs.New(0)
+		}
 		var th *Thread
 		var fires uint64
 		handler := func(uint64) { fires++ }
@@ -572,23 +577,41 @@ exit:
 		if err != nil {
 			r.err = err.Error()
 		}
+		if s == observed {
+			r.events = fmt.Sprint(v.Obs.Events(), v.Obs.HotSites(0))
+		}
 		return r
 	}
 	type row struct {
 		name string
 		d    instrument.Design
 		s    stress
+		// miscompiled plants MiscompileForTest's cycle drift in the
+		// compiled leg: the row passes only if the drift shows, which
+		// proves a hooked thread runs compiled code.
+		miscompiled bool
 	}
 	var rows []row
 	for _, d := range instrument.Designs {
-		rows = append(rows, row{string(d), d, plain}, row{"overrun/" + d.String(), d, overrun})
+		rows = append(rows, row{name: string(d), d: d, s: plain},
+			row{name: "overrun/" + d.String(), d: d, s: overrun},
+			row{name: "obs/" + d.String(), d: d, s: observed})
 	}
-	rows = append(rows, row{"forced", instrument.CI, forced})
+	rows = append(rows, row{name: "forced", d: instrument.CI, s: forced},
+		row{name: "miscompiled/obs", d: instrument.CI, s: observed, miscompiled: true},
+		row{name: "miscompiled/forced", d: instrument.CI, s: forced, miscompiled: true})
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			ref := exec(t, TierInterpreter, r.d, r.s)
+			if r.miscompiled {
+				MiscompileForTest = true
+				defer func() { MiscompileForTest = false }()
+			}
 			got := exec(t, TierCompiled, r.d, r.s)
-			if got != ref {
+			switch {
+			case r.miscompiled && (got.stats.Cycles >= ref.stats.Cycles || got.rv != ref.rv):
+				t.Errorf("a hooked thread on the default tier missed the planted cycle drift:\n interp   %+v\n compiled %+v", ref, got)
+			case !r.miscompiled && got != ref:
 				t.Errorf("tier divergence:\n interp  %+v\n compiled %+v", ref, got)
 			}
 		})
@@ -1080,8 +1103,13 @@ exit:
 func TestTraceTimeline(t *testing.T) {
 	// The interrupt timeline of a run (handler fires, external calls)
 	// lands in the obs scope that -trace writes out. An enabled scope
-	// deopts the compiled tier to the interpreter; running both tiers
-	// pins that the fallback keeps the timeline.
+	// runs the compiled tier's hooked form; its timeline and probe-site
+	// profile must equal the interpreter's event for event.
+	type timeline struct {
+		events []obs.Event
+		sites  []obs.SiteStat
+	}
+	var got [2]timeline
 	forEachTier(t, func(t *testing.T, tier Tier) {
 		m := ir.MustParse(`
 extern @lib cost 3000
@@ -1142,5 +1170,13 @@ exit:
 		if scope.Dropped() == 0 {
 			t.Error("expected drops with a small ring")
 		}
+		got[tier] = timeline{scope.Events(), scope.HotSites(0)}
 	})
+	ref, cmp := got[TierInterpreter], got[TierCompiled]
+	if !slices.Equal(cmp.events, ref.events) {
+		t.Errorf("compiled timeline differs from the interpreter's:\n interp   %v\n compiled %v", ref.events, cmp.events)
+	}
+	if len(ref.sites) == 0 || !slices.Equal(cmp.sites, ref.sites) {
+		t.Errorf("probe-site profiles differ:\n interp   %+v\n compiled %+v", ref.sites, cmp.sites)
+	}
 }
