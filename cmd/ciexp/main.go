@@ -76,6 +76,9 @@
 // count, and -workers 1 reproduces the serial pipeline exactly). Every
 // VM run executes on the compiled tier, which matches the interpreter
 // cycle for cycle; `ciexp sanitize` checks that over its fuzz corpus.
+// Every compile the engine makes runs the translation-validation stage
+// checks, and after the figures ciexp re-fingerprints every module the
+// cells shared and exits 1 if one was written to.
 //
 // Observability: -trace FILE writes a Chrome trace_event JSON of the
 // run (probe fires, VM stage transitions, engine cache hits/misses,
@@ -88,9 +91,7 @@
 // scale soak's horizon),
 // -quick (subset of workloads for fig12; single fault rate for chaos;
 // smaller fuzz corpus for sanitize; two phases for soak), -seed N
-// (chaos/soak fault-plan seed), -workers N, -sanitize
-// (route every cache-miss compile in any sweep through the
-// translation-validation stage checks), -trace FILE, -metrics,
+// (chaos/soak fault-plan seed), -workers N, -trace FILE, -metrics,
 // -slo-p999us/-max-reject (the overload SLO guard for ramp and soak),
 // -soak-duration N (per-phase cycles; the fleet and fleetplan horizon),
 // -quantum-policy fixed|aimd|feedback (the handler-interval policy for
@@ -189,7 +190,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, fig := range figs {
 		errs = append(errs, fig.Run(stdout, in))
 	}
-	errs = append(errs, cf.Finish(stdout, stderr), stopProfile())
+	// The figures share cached modules read-only; a write to one fails
+	// the run.
+	errs = append(errs, experiments.VerifyCache(in.Eng), cf.Finish(stdout, stderr), stopProfile())
 	// Every named figure runs even after one fails, and each failure
 	// (a figure's error names its figure) gets its own stderr line;
 	// the exit status is 1 if any did.

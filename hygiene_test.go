@@ -31,6 +31,10 @@ import (
 //   - no tier pick (vm.TierCompiled, vm.TierInterpreter, core.WithTier)
 //     outside tierPickAllowed: every other run takes the VM's default,
 //     compiled tier, whose hooked form serves observed runs too.
+//   - no core.Compile, core.CompileConfig or core.CompileText in
+//     internal/experiments: every figure compiles through
+//     sanitize.CompileChecked, so every program a figure measures was
+//     stage-checked.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -57,6 +61,10 @@ var fprintAllowed = map[string]string{
 // the tier oracle whose reference leg is the interpreter, and the
 // benchmark that measures both tiers.
 var tierPickAllowed = []string{"internal/vm/", "internal/sanitize/", "benchmark/"}
+
+// uncheckedCompiles are the core entry points that compile without the
+// translation-validation stage checks.
+var uncheckedCompiles = map[string]bool{"Compile": true, "CompileConfig": true, "CompileText": true}
 
 // hotPaths are the packages between IR text and an instrumented module,
 // and the fleet model's: the fleet, its overload controllers and the
@@ -152,6 +160,8 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					if !hasPrefix(path, tierPickAllowed) {
 						report(n, "tier pick "+pkg.Name+"."+sel+" outside the VM, the tier oracle and the benchmark")
 					}
+				case imp == "repro/internal/core" && uncheckedCompiles[sel] && strings.HasPrefix(path, "internal/experiments/"):
+					report(n, "core."+sel+" in internal/experiments; compile through sanitize.CompileChecked")
 				case imp == "fmt" && strings.HasPrefix(sel, "Fprint") && strings.HasPrefix(path, "internal/experiments/"):
 					_, inFile := fprintAllowed[path]
 					if _, inFunc := fprintAllowed[path+":"+fn]; !inFile && !inFunc {
@@ -288,6 +298,46 @@ func f() []core.Option {
 	return []core.Option{core.WithTier(tier), core.WithThreads(2)} // want "tier pick core.WithTier"
 }
 `
+	checkWantRule(t, src, map[string]bool{
+		"internal/experiments/p.go": true,
+		"cmd/cirun/p.go":            true,
+		"internal/vm/p.go":          false,
+		"internal/sanitize/p.go":    false,
+		"benchmark/p.go":            false,
+	})
+}
+
+// The compile rule flags the unchecked compile entry points in
+// internal/experiments only.
+func TestHygieneCompileRule(t *testing.T) {
+	const src = `package p
+
+import (
+	"repro/internal/core"
+	"repro/internal/sanitize"
+)
+
+func f() {
+	_, _ = core.Compile(nil)                      // want "core.Compile in internal/experiments"
+	_, _ = core.CompileConfig(nil, core.Config{}) // want "core.CompileConfig in internal/experiments"
+	_, _ = core.CompileText("")                   // want "core.CompileText in internal/experiments"
+	_, _ = sanitize.CompileChecked(nil, core.ConfigOf(), sanitize.Options{})
+}
+`
+	checkWantRule(t, src, map[string]bool{
+		"internal/experiments/p.go": true,
+		"internal/core/p.go":        false,
+		"cmd/cirun/p.go":            false,
+		"benchmark/p.go":            false,
+	})
+}
+
+// checkWantRule parses src and checks, under each path marked true,
+// that exactly the lines carrying a want comment are flagged, each with
+// a message starting with the comment's quoted text, and under each
+// path marked false that nothing is.
+func checkWantRule(t *testing.T, src string, paths map[string]bool) {
+	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
@@ -301,13 +351,7 @@ func f() []core.Option {
 			}
 		}
 	}
-	for path, flagged := range map[string]bool{
-		"internal/experiments/p.go": true,
-		"cmd/cirun/p.go":            true,
-		"internal/vm/p.go":          false,
-		"internal/sanitize/p.go":    false,
-		"benchmark/p.go":            false,
-	} {
+	for path, flagged := range paths {
 		got := map[int]string{}
 		for _, v := range hygieneViolations(fset, path, f) {
 			// v is "file:line:col: message".

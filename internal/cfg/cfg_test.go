@@ -533,41 +533,3 @@ exit:
 		t.Error("NoReg cannot be stable")
 	}
 }
-
-// StrictDomPairs must agree with pairwise Dominates queries and skip
-// unreachable blocks.
-func TestStrictDomPairs(t *testing.T) {
-	f := diamond(t)
-	g := New(f)
-	dom := Dominators(g)
-	got := make(map[[2]int]bool)
-	for _, p := range dom.StrictDomPairs() {
-		if got[p] {
-			t.Errorf("duplicate pair %v", p)
-		}
-		got[p] = true
-	}
-	want := 0
-	for a := 0; a < g.N; a++ {
-		for b := 0; b < g.N; b++ {
-			if a == b || !g.Reachable(a) || !g.Reachable(b) {
-				continue
-			}
-			if dom.Dominates(a, b) {
-				want++
-				if !got[[2]int{a, b}] {
-					t.Errorf("missing pair (%d, %d)", a, b)
-				}
-			} else if got[[2]int{a, b}] {
-				t.Errorf("spurious pair (%d, %d)", a, b)
-			}
-		}
-	}
-	if len(got) != want {
-		t.Errorf("got %d pairs, want %d", len(got), want)
-	}
-	// Diamond: entry strictly dominates a, b, join; nothing else.
-	if want != 3 {
-		t.Errorf("diamond has %d strict-dominance pairs, want 3", want)
-	}
-}

@@ -87,26 +87,6 @@ func chk(idom []int32, g *Graph) {
 	}
 }
 
-// StrictDomPairs returns every ordered pair (a, b) of reachable blocks
-// where a strictly dominates b, by walking each block's immediate-
-// dominator chain to the entry — O(n·h) for dominator-tree height h,
-// versus O(n²·h) for pairwise Dominates queries. Translation-validation
-// snapshots (internal/sanitize) use it to compare the dominance
-// relation across pipeline stages.
-func (t *DomTree) StrictDomPairs() [][2]int {
-	var out [][2]int
-	for b := 0; b < t.g.N; b++ {
-		if !t.g.Reachable(b) || t.IDom[b] < 0 {
-			continue
-		}
-		for a := int32(b); a != t.IDom[a]; {
-			a = t.IDom[a]
-			out = append(out, [2]int{int(a), b})
-		}
-	}
-	return out
-}
-
 // Dominates reports whether block a dominates block b (reflexive).
 func (t *DomTree) Dominates(a, b int) bool {
 	if t.IDom[b] == -1 && b != 0 {

@@ -69,11 +69,6 @@ type Options struct {
 	// Analysis configures the CI analysis (probe interval, allowable
 	// error).
 	Analysis analysis.Options
-	// DebugVerify re-runs ir.Verify after every internal stage — each
-	// analysis-side function rewrite plus the module-level observation
-	// points below — and fails Instrument at the first stage that leaves
-	// the IR malformed, naming the stage.
-	DebugVerify bool
 	// StageHook, when non-nil, observes the whole module at each
 	// module-level pipeline point: "input" (before any rewriting),
 	// "analysis" (after Analyze's canonicalization and loop rewrites,
@@ -99,30 +94,9 @@ type Result struct {
 // clone first to keep an uninstrumented copy.
 func Instrument(m *ir.Module, opts Options) (*Result, error) {
 	res := &Result{Mod: m}
-	var stageErr error
 	observe := func(stage string) {
-		if opts.DebugVerify && stageErr == nil {
-			if err := m.Verify(); err != nil {
-				stageErr = fmt.Errorf("instrument: stage %q left a malformed module: %w", stage, err)
-			}
-		}
 		if opts.StageHook != nil {
 			opts.StageHook(stage, m)
-		}
-	}
-	if opts.DebugVerify {
-		// Chain a per-function verifier ahead of any user hook so each
-		// analysis-side rewrite is checked the moment it lands.
-		user := opts.Analysis.StageHook
-		opts.Analysis.StageHook = func(stage string, f *ir.Func) {
-			if stageErr == nil {
-				if err := f.Verify(); err != nil {
-					stageErr = fmt.Errorf("instrument: analysis stage %q left @%s malformed: %w", stage, f.Name, err)
-				}
-			}
-			if user != nil {
-				user(stage, f)
-			}
 		}
 	}
 	observe("input")
@@ -151,9 +125,6 @@ func Instrument(m *ir.Module, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("instrument: unknown design %d", opts.Design)
 	}
 	observe("probes")
-	if stageErr != nil {
-		return nil, stageErr
-	}
 	if err := m.Verify(); err != nil {
 		return nil, fmt.Errorf("instrument: output does not verify: %w", err)
 	}

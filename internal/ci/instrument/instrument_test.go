@@ -50,7 +50,7 @@ func countProbes(m *ir.Module) (total int, byKind map[ir.ProbeKind]int) {
 func instrumentSrc(t *testing.T, src string, d Design) (*ir.Module, *Result) {
 	t.Helper()
 	m := ir.MustParse(src)
-	res, err := Instrument(m, Options{Design: d, Analysis: analysis.Options{ProbeInterval: 100}, DebugVerify: true})
+	res, err := Instrument(m, Options{Design: d, Analysis: analysis.Options{ProbeInterval: 100}})
 	if err != nil {
 		t.Fatalf("Instrument(%v): %v", d, err)
 	}
@@ -195,7 +195,7 @@ exit:
 `
 	for _, d := range Designs {
 		m := ir.MustParse(src)
-		res, err := Instrument(m, Options{Design: d, Analysis: analysis.Options{ProbeInterval: 100}, DebugVerify: true})
+		res, err := Instrument(m, Options{Design: d, Analysis: analysis.Options{ProbeInterval: 100}})
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -208,7 +208,7 @@ exit:
 func TestAllDesignsVerify(t *testing.T) {
 	for _, d := range Designs {
 		m := ir.MustParse(loopProgram)
-		if _, err := Instrument(m, Options{Design: d, Analysis: analysis.Options{ProbeInterval: 100}, DebugVerify: true}); err != nil {
+		if _, err := Instrument(m, Options{Design: d, Analysis: analysis.Options{ProbeInterval: 100}}); err != nil {
 			t.Errorf("%v: %v", d, err)
 		}
 		if err := m.Verify(); err != nil {
@@ -221,10 +221,9 @@ func TestStageHooksObservePipeline(t *testing.T) {
 	m := ir.MustParse(loopProgram)
 	var modStages, funcStages []string
 	_, err := Instrument(m, Options{
-		Design:      CI,
-		Analysis:    analysis.Options{ProbeInterval: 100, StageHook: func(stage string, f *ir.Func) { funcStages = append(funcStages, stage) }},
-		DebugVerify: true,
-		StageHook:   func(stage string, mod *ir.Module) { modStages = append(modStages, stage) },
+		Design:    CI,
+		Analysis:  analysis.Options{ProbeInterval: 100, StageHook: func(stage string, f *ir.Func) { funcStages = append(funcStages, stage) }},
+		StageHook: func(stage string, mod *ir.Module) { modStages = append(modStages, stage) },
 	})
 	if err != nil {
 		t.Fatal(err)

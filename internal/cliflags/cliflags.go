@@ -70,8 +70,7 @@ type Flags struct {
 	QuantumPolicy string
 
 	// AddEngine
-	Workers  int
-	Sanitize bool
+	Workers int
 
 	// AddSeed / AddScale
 	Seed  uint64
@@ -158,11 +157,9 @@ func ParseQuantum(name string) (func() ciruntime.QuantumPolicy, error) {
 	return nil, fmt.Errorf("unknown quantum policy %q (want fixed, aimd or feedback)", name)
 }
 
-// AddEngine registers the experiment-engine flags -workers and
-// -sanitize.
+// AddEngine registers the experiment-engine flag -workers.
 func (f *Flags) AddEngine() *Flags {
 	f.fs.IntVar(&f.Workers, "workers", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
-	f.fs.BoolVar(&f.Sanitize, "sanitize", false, "run stage-by-stage translation validation on every compile")
 	return f
 }
 
@@ -341,11 +338,10 @@ func (f *Flags) Scope() *obs.Scope {
 	return f.scope
 }
 
-// Engine builds the experiment engine from -workers/-sanitize and
-// attaches the observability scope.
+// Engine builds the experiment engine from -workers and attaches the
+// observability scope.
 func (f *Flags) Engine() *engine.Engine {
 	eng := engine.New(f.Workers)
-	eng.SanitizeOnMiss = f.Sanitize
 	eng.AttachObs(f.Scope())
 	return eng
 }

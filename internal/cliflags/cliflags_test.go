@@ -43,7 +43,7 @@ func TestSharedDefaults(t *testing.T) {
 	if f.Design != "ci" || f.ProbeInterval != 250 || f.AllowableError != 0 {
 		t.Errorf("compile defaults: %+v", f)
 	}
-	if f.Workers != 0 || f.Sanitize {
+	if f.Workers != 0 {
 		t.Errorf("engine defaults: %+v", f)
 	}
 	if f.Seed != 1 || f.Scale != 1 {

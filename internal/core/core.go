@@ -47,9 +47,6 @@ type Config struct {
 	// Optimize runs the IR optimizer (package opt) before the CI
 	// analysis, mirroring the paper's use of -O3 IR.
 	Optimize bool
-	// DebugVerify re-verifies the IR after every pipeline stage and
-	// fails compilation at the first stage that corrupts it.
-	DebugVerify bool
 	// FuncStageHook observes each function after every analysis-side
 	// rewrite ("canonicalize", "loop-transform", "loop-clone").
 	FuncStageHook analysis.StageHook
@@ -103,8 +100,7 @@ func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 			DisableLoopClone:     cfg.DisableLoopClone,
 			StageHook:            cfg.FuncStageHook,
 		},
-		DebugVerify: cfg.DebugVerify,
-		StageHook:   cfg.ModStageHook,
+		StageHook: cfg.ModStageHook,
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"container/list"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -117,8 +119,9 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
 }
 
-// Range calls fn for every completed entry. It snapshots the entries
-// under the lock and invokes fn outside it, so fn may use the cache.
+// Range calls fn for every completed entry, in key order. It snapshots
+// the entries under the lock and invokes fn outside it, so fn may use
+// the cache.
 func (c *Cache) Range(fn func(key string, val any)) {
 	c.mu.Lock()
 	snapshot := make([]*cacheEntry, 0, len(c.entries))
@@ -128,6 +131,7 @@ func (c *Cache) Range(fn func(key string, val any)) {
 		}
 	}
 	c.mu.Unlock()
+	slices.SortFunc(snapshot, func(a, b *cacheEntry) int { return strings.Compare(a.key, b.key) })
 	for _, e := range snapshot {
 		fn(e.key, e.val)
 	}

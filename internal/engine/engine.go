@@ -8,11 +8,6 @@ import "repro/internal/obs"
 type Engine struct {
 	Pool  *Pool
 	Cache *Cache
-	// SanitizeOnMiss routes cache-miss compilations through the
-	// translation-validation sanitizer (stage checks on every pass)
-	// instead of the plain pipeline. Cache hits are unaffected, so the
-	// cost is paid once per distinct (workload, scale, config) cell.
-	SanitizeOnMiss bool
 	// Obs, when enabled, receives engine-level telemetry: cache
 	// hit/miss instants and counters. Attach it via AttachObs so the
 	// cache observer is wired as well.

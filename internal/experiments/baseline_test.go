@@ -197,6 +197,10 @@ func TestFigureGatesCanFail(t *testing.T) {
 			func() []string { return gateQuantum(quantum(26000), slo) }},
 		{"sanitize", func() []string { return gateSanitize(sanitizeFig(0), slo) },
 			func() []string { return gateSanitize(sanitizeFig(1), slo) }},
+		{"sanitize inconclusive", func() []string { return gateSanitize(sanitizeFig(0), slo) },
+			func() []string {
+				return gateSanitize(&sanitizeFigure{Rows: []sanitizeRow{{Design: "CI", Programs: 1, Inconclusive: 1}}}, slo)
+			}},
 		{"interleave", func() []string { return gateInterleave(interleaveRows(0), slo) },
 			func() []string { return gateInterleave(interleaveRows(1), slo) }},
 		{"interleave inconclusive", func() []string { return gateInterleave(interleaveRows(0), slo) },

@@ -119,22 +119,10 @@ func ciThread(m *ir.Module, threads int, scope *obs.Scope,
 	return th, th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(handlerWorkCycles) })
 }
 
-// scopeOf is the engine's observability scope (nil, which is off,
-// without an engine).
-func scopeOf(eng *engine.Engine) *obs.Scope {
-	if eng == nil {
-		return nil
-	}
-	return eng.Obs
-}
-
 // sourceModule returns the workload's uninstrumented module, memoized
-// per (workload, scale) and shared read-only across cells (core.Compile
-// clones it before instrumenting). With a nil engine it builds fresh.
+// per (workload, scale) and shared read-only across cells (every
+// compile clones it before instrumenting).
 func sourceModule(eng *engine.Engine, wl *workloads.Workload, scale int) *ir.Module {
-	if eng == nil || eng.Cache == nil {
-		return wl.Build(scale)
-	}
 	key := fmt.Sprintf("src/%s/s%d", wl.Name, scale)
 	v, _ := eng.Cache.Get(key, func() (any, error) {
 		return engine.GuardModule(wl.Build(scale)), nil
@@ -145,9 +133,6 @@ func sourceModule(eng *engine.Engine, wl *workloads.Workload, scale int) *ir.Mod
 // baselineCached returns the workload's uninstrumented baseline run,
 // memoized per (workload, scale, threads).
 func baselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads int) (baseline, error) {
-	if eng == nil || eng.Cache == nil {
-		return measureBaseline(wl, scale, threads)
-	}
 	key := fmt.Sprintf("base/%s/s%d/t%d", wl.Name, scale, threads)
 	v, err := eng.Cache.Get(key, func() (any, error) {
 		return runBaseline(sourceModule(eng, wl, scale), wl.Name, threads)
@@ -158,30 +143,24 @@ func baselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads i
 	return v.(baseline), nil
 }
 
-// compileMaybeChecked compiles src under the resolved options, routing
-// through the translation-validation sanitizer when the engine asks
-// for it (Engine.SanitizeOnMiss). Sanitized compiles pay for
-// stage-by-stage semantic checks; with memoization the cost lands only
-// on cache misses.
-func compileMaybeChecked(eng *engine.Engine, src *ir.Module, opts []core.Option) (*core.Program, error) {
-	if eng != nil && eng.SanitizeOnMiss {
-		return sanitize.CompileChecked(src, core.ConfigOf(opts...), sanitize.Options{})
-	}
-	return core.Compile(src, opts...)
-}
-
 // compileCached compiles the workload under the given options, memoized
-// per (workload, scale, resolved config). The returned program's module
-// is shared across cells; callers must treat it as read-only (VM runs
-// do — the fingerprint guard in the cache proves it).
+// per (workload, scale, resolved config). Every compile runs the
+// translation-validation stage checks (sanitize.CompileChecked), so a
+// cell's verdict does not depend on which figure compiled it first.
+// The returned program's module is shared across cells; callers must
+// treat it as read-only (VM runs do — the fingerprint guard in the
+// cache proves it).
 func compileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts ...core.Option) (*core.Program, error) {
 	cfg := core.ConfigOf(opts...)
-	if eng == nil || eng.Cache == nil || cfg.ImportedCosts != nil {
-		return compileMaybeChecked(eng, sourceModule(eng, wl, scale), opts)
+	compile := func() (*core.Program, error) {
+		return sanitize.CompileChecked(sourceModule(eng, wl, scale), cfg, sanitize.Options{})
+	}
+	if cfg.ImportedCosts != nil {
+		return compile() // an imported cost table has no cache key
 	}
 	key := fmt.Sprintf("prog/%s/s%d/%s", wl.Name, scale, cfgKey(cfg))
 	v, err := eng.Cache.Get(key, func() (any, error) {
-		prog, err := compileMaybeChecked(eng, sourceModule(eng, wl, scale), opts)
+		prog, err := compile()
 		if err != nil {
 			return nil, err
 		}
@@ -191,6 +170,27 @@ func compileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts .
 		return nil, err
 	}
 	return v.(progEntry).Prog, nil
+}
+
+// VerifyCache re-fingerprints every guarded module in the engine's
+// cache, the shared sources and the compiled programs, and returns the
+// first, in key order, that a consumer wrote to instead of cloning.
+// ciexp runs it after its figures: sharing one module across cells is
+// sound only while it passes.
+func VerifyCache(eng *engine.Engine) error {
+	var first error
+	eng.Cache.Range(func(key string, val any) {
+		g, ok := val.(*engine.GuardedModule)
+		if e, isProg := val.(progEntry); isProg {
+			g, ok = e.Guard, true
+		}
+		if ok && first == nil {
+			if err := g.Verify(); err != nil {
+				first = fmt.Errorf("engine cache %s: %w", key, err)
+			}
+		}
+	})
+	return first
 }
 
 // subsetWorkloads is the representative subset, one workload per

@@ -3,13 +3,13 @@ package experiments
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/ci/instrument"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ir"
 	"repro/internal/workloads"
@@ -59,6 +59,23 @@ func renderOverheadSubset(t *testing.T, eng *engine.Engine) string {
 	return buf.String()
 }
 
+// A cell that writes to a shared cached module instead of cloning it
+// fails VerifyCache, which names the entry.
+func TestVerifyCacheCatchesMutation(t *testing.T) {
+	eng := testEngine()
+	prog, err := compileCached(eng, workloads.ByName("histogram"), 1, core.WithDesign(instrument.CI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyCache(eng); err != nil {
+		t.Fatalf("clean cache: %v", err)
+	}
+	prog.Mod.Funcs[0].Blocks[0].Instrs[0].Imm++
+	if err := VerifyCache(eng); err == nil || !strings.Contains(err.Error(), "prog/histogram/s1/CI/") {
+		t.Fatalf("err = %v, want the mutated program's entry", err)
+	}
+}
+
 // The tentpole determinism claim: the sweep's rendered output is
 // byte-identical at every worker count, and no cached module is
 // mutated along the way.
@@ -67,7 +84,7 @@ func TestEngineWorkerDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 8, 3} {
 		eng := engine.New(workers)
 		outputs = append(outputs, renderOverheadSubset(t, eng))
-		if err := verifyCachedModules(eng); err != nil {
+		if err := VerifyCache(eng); err != nil {
 			t.Errorf("workers=%d: %v", workers, err)
 		}
 	}
@@ -155,30 +172,4 @@ func TestSweepPartialFailure(t *testing.T) {
 		strings.Contains(clean.String(), "failed") {
 		t.Errorf("clean sweep rendered a footer: err=%v output=%q", err, clean.String())
 	}
-}
-
-// verifyCachedModules re-fingerprints every guarded module in the
-// engine's cache and returns the first mutation found. Run after a
-// sweep, it proves that sharing instrumented modules across cells
-// (instead of deep-copying per cell) is sound.
-func verifyCachedModules(eng *engine.Engine) error {
-	if eng == nil || eng.Cache == nil {
-		return nil
-	}
-	var firstErr error
-	eng.Cache.Range(func(key string, val any) {
-		var g *engine.GuardedModule
-		switch v := val.(type) {
-		case *engine.GuardedModule:
-			g = v
-		case progEntry:
-			g = v.Guard
-		default:
-			return
-		}
-		if err := g.Verify(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", key, err)
-		}
-	})
-	return firstErr
 }

@@ -19,8 +19,8 @@ import (
 func testEngine() *engine.Engine { return engine.New(4) }
 
 func TestMeasureBaseline(t *testing.T) {
-	wl := workloads.ByName("histogram")
-	base, err := measureBaseline(wl, 1, 1)
+	wl, eng := workloads.ByName("histogram"), testEngine()
+	base, err := baselineCached(eng, wl, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestMeasureBaseline(t *testing.T) {
 	if base.IRPerCycle <= 0.1 || base.IRPerCycle > 2 {
 		t.Errorf("IR/cycle = %v, implausible", base.IRPerCycle)
 	}
-	base32, err := measureBaseline(wl, 1, 32)
+	base32, err := baselineCached(eng, wl, 1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ir"
+	"repro/internal/sanitize"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -49,8 +50,8 @@ func measureHybrid(eng *engine.Engine, names []string, target int64, deadlineMul
 		if err != nil {
 			return hybridRow{}, err
 		}
-		prog, err := core.Compile(src,
-			core.WithDesign(instrument.CI), core.WithProbeInterval(probeIntervalIR))
+		prog, err := sanitize.CompileChecked(src,
+			core.Config{Design: instrument.CI, ProbeIntervalIR: probeIntervalIR}, sanitize.Options{})
 		if err != nil {
 			return hybridRow{}, err
 		}

@@ -47,17 +47,12 @@ type baseline struct {
 	IRPerCycle float64
 }
 
-// measureBaseline runs the workload uninstrumented on one
-// representative thread of a T-thread machine (threads are
-// virtual-time independent; the contention model carries the thread
-// count) and returns the reference cycles and the profiled IR/cycle
-// ratio used to tune the CI runtime (§4 footnote 3).
-func measureBaseline(wl *workloads.Workload, scale, threads int) (baseline, error) {
-	return runBaseline(wl.Build(scale), wl.Name, threads)
-}
-
-// runBaseline measures the uninstrumented module m (shared read-only
-// when it comes from the engine cache).
+// runBaseline runs the uninstrumented module m (shared read-only when
+// it comes from the engine cache) on one representative thread of a
+// T-thread machine (threads are virtual-time independent; the
+// contention model carries the thread count) and returns the reference
+// cycles and the profiled IR/cycle ratio used to tune the CI runtime
+// (§4 footnote 3).
 func runBaseline(m *ir.Module, name string, threads int) (baseline, error) {
 	th := newMachine(m, nil, threads).NewThread(0)
 	if _, err := th.Run("main", 0); err != nil {
@@ -150,7 +145,7 @@ func measureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.De
 	// observability scope: probe-site profile, handler spans. A
 	// calibration pass that converged ran with the measured run's
 	// parameters, so it is that run unless a scope has to see it.
-	scope := scopeOf(eng)
+	scope := eng.Obs
 	if !converged || scope.Enabled() {
 		if th, id, err = run(record, scope); err != nil {
 			return overheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
@@ -270,7 +265,7 @@ func newAccuracyRow(eng *engine.Engine, row overheadRow, target int64) accuracyR
 	if len(errsCy) == 0 {
 		errsCy = []int64{0}
 	}
-	if scope := scopeOf(eng); scope.Enabled() {
+	if scope := eng.Obs; scope.Enabled() {
 		// Feed the per-design interval-error histograms behind
 		// ciexp -metrics (absolute error, paper-CDF style, plus the
 		// signed distribution).

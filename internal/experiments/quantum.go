@@ -194,7 +194,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	if len(errs) == 0 {
 		errs = []int64{0}
 	}
-	if eng != nil && eng.Obs.Enabled() {
+	if eng.Obs.Enabled() {
 		// The per-variant interval-error histograms behind
 		// `ciexp quantum -metrics`.
 		name := "quantum/abs_error/" + v.Design + "/" + v.Policy

@@ -15,10 +15,11 @@ type Options struct {
 }
 
 // CompileChecked compiles src under full translation validation: the
-// stage checker is wired into every pipeline hook (chained after any
-// hooks already present in cfg, so test doubles that corrupt a stage
-// run before the checks), DebugVerify is forced on, and — with
-// opts.Exec — the differential execution oracle runs on the result.
+// stage checker, which verifies the IR before it checks anything else,
+// is wired into every pipeline hook (chained after any hooks already
+// present in cfg, so test doubles that corrupt a stage run before the
+// checks), and — with opts.Exec — the differential execution oracle
+// runs on the result.
 // The returned error is a *StageError or *Divergence when validation
 // fails, and wraps ErrInconclusive when the stage checks passed but the
 // oracle ran out of its step budget: a verdict the caller reports, not
@@ -26,7 +27,6 @@ type Options struct {
 func CompileChecked(src *ir.Module, cfg core.Config, opts Options) (*core.Program, error) {
 	ck := NewChecker()
 	userF, userM := cfg.FuncStageHook, cfg.ModStageHook
-	cfg.DebugVerify = true
 	cfg.FuncStageHook = func(stage string, f *ir.Func) {
 		if userF != nil {
 			userF(stage, f)

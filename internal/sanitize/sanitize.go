@@ -29,7 +29,10 @@
 package sanitize
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/cfg"
@@ -60,19 +63,28 @@ func (e *StageError) Error() string {
 	return fmt.Sprintf("sanitize: [%s] %s check failed: %s", where, e.Check, e.Detail)
 }
 
-// funcSnap is a per-function structural snapshot taken after a stage.
-// The checks walk its lists, which are in block order, so that of
+// funcSnap is a per-function structural snapshot taken after a stage:
+// the block names by index, and the graph and dominator tree the
+// checker built for them. Its lists are in block order, so that of
 // several violations the same one is reported first on every run.
 type funcSnap struct {
-	stage  string
-	names  []string           // all block names, in block order
-	blocks map[string]bool    // all block names
-	reach  map[string]bool    // reachable block names
-	pairs  [][2]string        // (a, b) where a strictly dominates b, reachable only, by b's index
-	dom    map[[2]string]bool // the pairs as a set
+	stage string
+	names []string       // block names, by block index
+	at    map[string]int // block index, by name
+	g     *cfg.Graph
+	dt    *cfg.DomTree
 	// irreducible describes the first retreating edge whose target does
 	// not dominate its source, "" if there is none.
 	irreducible string
+}
+
+// live returns the index of the block named name if it exists and is
+// reachable, or -1.
+func (s *funcSnap) live(name string) int {
+	if i, ok := s.at[name]; ok && s.g.Reachable(i) {
+		return i
+	}
+	return -1
 }
 
 // Checker accumulates stage observations for one compilation. Attach
@@ -82,12 +94,11 @@ type funcSnap struct {
 // pipeline is sequential.
 type Checker struct {
 	funcs map[string]*funcSnap
-	// inputText / analysisText are printed snapshots used as the
-	// probe-only-diff baseline: CI designs diff against the post-analysis
-	// module, baseline designs against the input.
-	inputText    string
-	analysisText string
-	err          error // the first violation
+	// base is the probe-only-diff baseline, a copy of the module: CI
+	// designs diff against the post-analysis module, baseline designs
+	// against the input.
+	base *ir.Module
+	err  error // the first violation
 }
 
 // NewChecker returns an empty Checker.
@@ -112,13 +123,18 @@ func (c *Checker) CheckFunc(stage string, f *ir.Func) {
 		c.report(stage, f.Name, "verify", err.Error())
 		return
 	}
-	cur, g := snapFunc(stage, f)
+	c.check(stage, f)
+}
+
+// check is CheckFunc on a verified function.
+func (c *Checker) check(stage string, f *ir.Func) {
+	cur := snapFunc(stage, f)
 	prev := c.funcs[f.Name]
 	if prev != nil && prev.irreducible == "" && cur.irreducible != "" {
 		c.report(stage, f.Name, "irreducible", cur.irreducible)
 	}
 	if stage == "loop-clone" {
-		c.checkCloneEdges(stage, f, g)
+		c.checkCloneEdges(stage, f, cur.g)
 	}
 	if prev != nil {
 		c.checkReachMonotonic(stage, f.Name, prev, cur)
@@ -143,26 +159,21 @@ func (c *Checker) CheckModule(stage string, m *ir.Module) {
 	}
 	switch stage {
 	case "input":
-		c.inputText = m.String()
+		c.base = m.Clone()
 		for _, f := range m.Funcs {
-			snap, _ := snapFunc(stage, f)
-			c.funcs[f.Name] = snap
+			c.funcs[f.Name] = snapFunc(stage, f)
 		}
 	case "analysis":
-		c.analysisText = m.String()
+		c.base = m.Clone()
 		for _, f := range m.Funcs {
-			c.CheckFunc(stage, f)
+			c.check(stage, f)
 		}
 	case "probes":
 		for _, f := range m.Funcs {
-			c.CheckFunc(stage, f)
+			c.check(stage, f)
 		}
-		base := c.analysisText
-		if base == "" {
-			base = c.inputText
-		}
-		if base != "" {
-			if err := ProbeOnlyDiff(base, m); err != nil {
+		if c.base != nil {
+			if err := probeOnlyDiff(c.base, m); err != nil {
 				c.report(stage, "", "probe-only-diff", err.Error())
 			}
 		}
@@ -171,27 +182,13 @@ func (c *Checker) CheckModule(stage string, m *ir.Module) {
 
 // snapFunc computes the structural snapshot of f. It reindexes f (a
 // maintenance no-op for well-formed pipeline states).
-func snapFunc(stage string, f *ir.Func) (*funcSnap, *cfg.Graph) {
+func snapFunc(stage string, f *ir.Func) *funcSnap {
 	an := cfg.NewAnalyses(f)
 	g, dt := an.Graph(), an.Dom()
-	s := &funcSnap{
-		stage:  stage,
-		names:  make([]string, len(f.Blocks)),
-		blocks: make(map[string]bool, len(f.Blocks)),
-		reach:  make(map[string]bool, len(f.Blocks)),
-		dom:    make(map[[2]string]bool),
-	}
+	n := len(f.Blocks)
+	s := &funcSnap{stage: stage, names: make([]string, n), at: make(map[string]int, n), g: g, dt: dt}
 	for i, b := range f.Blocks {
-		s.names[i] = b.Name
-		s.blocks[b.Name] = true
-	}
-	for _, bi := range g.RPO {
-		s.reach[f.Blocks[bi].Name] = true
-	}
-	for _, p := range dt.StrictDomPairs() {
-		pair := [2]string{f.Blocks[p[0]].Name, f.Blocks[p[1]].Name}
-		s.pairs = append(s.pairs, pair)
-		s.dom[pair] = true
+		s.names[i], s.at[b.Name] = b.Name, i
 	}
 	// An edge t→h is retreating when h does not come after t in reverse
 	// postorder. In a reducible graph every retreating edge is a back
@@ -202,19 +199,22 @@ func snapFunc(stage string, f *ir.Func) (*funcSnap, *cfg.Graph) {
 			if g.RPOIndex[h] <= g.RPOIndex[t] && !dt.Dominates(int(h), int(t)) {
 				s.irreducible = fmt.Sprintf("retreating edge %q -> %q enters a loop its target does not dominate",
 					f.Blocks[t].Name, f.Blocks[h].Name)
-				return s, g
+				return s
 			}
 		}
 	}
-	return s, g
+	return s
 }
 
 // checkReachMonotonic: a block that was reachable before the stage and
 // still exists must still be reachable — transforms may delete blocks
 // but never orphan them.
 func (c *Checker) checkReachMonotonic(stage, fn string, prev, cur *funcSnap) {
-	for _, name := range prev.names {
-		if prev.reach[name] && cur.blocks[name] && !cur.reach[name] {
+	for i, name := range prev.names {
+		if !prev.g.Reachable(i) {
+			continue
+		}
+		if j, ok := cur.at[name]; ok && !cur.g.Reachable(j) {
 			c.report(stage, fn, "reachability",
 				fmt.Sprintf("block %q was reachable after stage %q but is now orphaned", name, prev.stage))
 		}
@@ -223,11 +223,27 @@ func (c *Checker) checkReachMonotonic(stage, fn string, prev, cur *funcSnap) {
 
 // checkDomPreserved: for CFG-neutral or interposing-only stages, if a
 // dominated b before and both survive reachable, a still dominates b.
+// It is enough to check each surviving b against its nearest strict
+// dominator before the stage that survives: every other surviving
+// dominator of b dominated that one, which is checked in turn, and
+// dominance is transitive.
 func (c *Checker) checkDomPreserved(stage, fn string, prev, cur *funcSnap) {
-	for _, p := range prev.pairs {
-		if cur.reach[p[0]] && cur.reach[p[1]] && !cur.dom[p] {
-			c.report(stage, fn, "dominance",
-				fmt.Sprintf("%q dominated %q after stage %q but no longer does", p[0], p[1], prev.stage))
+	for b, name := range prev.names {
+		nb := cur.live(name)
+		if !prev.g.Reachable(b) || nb < 0 {
+			continue
+		}
+		for a := b; a != int(prev.dt.IDom[a]); {
+			a = int(prev.dt.IDom[a])
+			na := cur.live(prev.names[a])
+			if na < 0 {
+				continue
+			}
+			if !cur.dt.Dominates(na, nb) {
+				c.report(stage, fn, "dominance",
+					fmt.Sprintf("%q dominated %q after stage %q but no longer does", prev.names[a], name, prev.stage))
+			}
+			break
 		}
 	}
 }
@@ -272,41 +288,68 @@ func (c *Checker) checkCloneEdges(stage string, f *ir.Func, g *cfg.Graph) {
 	}
 }
 
-// StripProbes removes every OpProbe instruction from m, in place, and
-// returns m.
-func StripProbes(m *ir.Module) *ir.Module {
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			out := b.Instrs[:0]
-			for _, in := range b.Instrs {
-				if in.Op != ir.OpProbe {
-					out = append(out, in)
-				}
+// probeOnlyDiff checks that post, its probes skipped, is pre: probe
+// insertion must be the only difference. It walks the two modules side
+// by side and renders IR as text only to name the first difference.
+func probeOnlyDiff(pre, post *ir.Module) error {
+	if pre.Name != post.Name || pre.MemWords != post.MemWords || len(pre.Funcs) != len(post.Funcs) ||
+		!maps.Equal(pre.Imports, post.Imports) ||
+		!maps.EqualFunc(pre.Externs, post.Externs, func(a, b *ir.Extern) bool { return *a == *b }) {
+		return errors.New("probe insertion changed the module's header, imports, externs or function list")
+	}
+	for i, pf := range pre.Funcs {
+		qf := post.Funcs[i]
+		if pf.Name != qf.Name || pf.NumParams != qf.NumParams || pf.NoInstrument != qf.NoInstrument ||
+			len(pf.Blocks) != len(qf.Blocks) {
+			return fmt.Errorf("probe insertion changed the signature or block count of @%s", pf.Name)
+		}
+		for j, pb := range pf.Blocks {
+			qb := qf.Blocks[j]
+			if pb.Name != qb.Name || !sameTerm(&pb.Term, &qb.Term) {
+				return fmt.Errorf("probe insertion changed @%s block %q (%q) into block %q (%q)",
+					pf.Name, pb.Name, pb.Term.String(), qb.Name, qb.Term.String())
 			}
-			b.Instrs = out
+			k := 0
+			for qi := range qb.Instrs {
+				q := &qb.Instrs[qi]
+				switch {
+				case q.Op == ir.OpProbe:
+					continue
+				case k == len(pb.Instrs):
+					return fmt.Errorf("probe insertion added %q to @%s block %q", q.String(), pf.Name, pb.Name)
+				case !sameInstr(&pb.Instrs[k], q):
+					return fmt.Errorf("probe insertion changed non-probe IR in @%s block %q: %q -> %q",
+						pf.Name, pb.Name, pb.Instrs[k].String(), q.String())
+				}
+				k++
+			}
+			if k != len(pb.Instrs) {
+				return fmt.Errorf("probe insertion dropped %q from @%s block %q", pb.Instrs[k].String(), pf.Name, pb.Name)
+			}
 		}
 	}
-	return m
+	return nil
 }
 
-// ProbeOnlyDiff checks that post, with its probes stripped, prints
-// identically to the pre-instrumentation text: probe insertion must be
-// the only difference. Returns nil on a clean diff, or an error naming
-// the first diverging line.
-func ProbeOnlyDiff(preText string, post *ir.Module) error {
-	got := StripProbes(post.Clone()).String()
-	if got == preText {
-		return nil
+func sameInstr(a, b *ir.Instr) bool {
+	if a.Op != b.Op || a.BImm != b.BImm || a.Dst != b.Dst || a.A != b.A || a.B != b.B || a.Imm != b.Imm ||
+		(a.Call == nil) != (b.Call == nil) || (a.Probe == nil) != (b.Probe == nil) {
+		return false
 	}
-	wantLines := strings.Split(preText, "\n")
-	gotLines := strings.Split(got, "\n")
-	n := min(len(wantLines), len(gotLines))
-	for i := 0; i < n; i++ {
-		if wantLines[i] != gotLines[i] {
-			return fmt.Errorf("probe insertion changed non-probe IR at line %d: %q -> %q",
-				i+1, wantLines[i], gotLines[i])
-		}
+	if a.Call != nil && (a.Call.Callee != b.Call.Callee || !slices.Equal(a.Call.Args, b.Call.Args)) {
+		return false
 	}
-	return fmt.Errorf("probe insertion changed non-probe IR length: %d lines -> %d lines",
-		len(wantLines), len(gotLines))
+	return a.Probe == nil || *a.Probe == *b.Probe
+}
+
+func sameTerm(a, b *ir.Terminator) bool {
+	return a.Kind == b.Kind && a.Cond == b.Cond && a.Val == b.Val &&
+		blockName(a.Then) == blockName(b.Then) && blockName(a.Else) == blockName(b.Else)
+}
+
+func blockName(b *ir.Block) string {
+	if b == nil {
+		return ""
+	}
+	return b.Name
 }
