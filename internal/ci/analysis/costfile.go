@@ -33,7 +33,9 @@ func ExportCosts(t CostTable) ([]byte, error) {
 	return json.MarshalIndent(cf, "", "  ")
 }
 
-// ImportCosts parses a cost file produced by ExportCosts.
+// ImportCosts parses a cost file produced by ExportCosts. It rejects a
+// file the analysis cannot use: an unknown cost kind, an affine cost of
+// a negative parameter, or a function named twice.
 func ImportCosts(data []byte) (CostTable, error) {
 	var cf costFile
 	if err := json.Unmarshal(data, &cf); err != nil {
@@ -44,6 +46,15 @@ func ImportCosts(data []byte) (CostTable, error) {
 	}
 	t := make(CostTable, len(cf.Funcs))
 	for _, fi := range cf.Funcs {
+		switch c := fi.Cost; {
+		case c.Kind > CostAffine:
+			return nil, fmt.Errorf("analysis: cost file: %q has unknown cost kind %d", fi.Name, c.Kind)
+		case c.Kind == CostAffine && c.Param < 0:
+			return nil, fmt.Errorf("analysis: cost file: %q has affine cost of parameter %d", fi.Name, c.Param)
+		}
+		if _, dup := t[fi.Name]; dup {
+			return nil, fmt.Errorf("analysis: cost file names %q twice", fi.Name)
+		}
 		t[fi.Name] = fi
 	}
 	return t, nil

@@ -36,7 +36,8 @@ type sanitizeRow struct {
 	// Clean counts programs that passed both stage checks and oracle;
 	// each of them also ran under the tier-differential oracle.
 	Clean int
-	// Inconclusive counts oracle runs that hit the step budget.
+	// Inconclusive counts oracle runs, differential or tier, that hit
+	// the step budget.
 	Inconclusive int
 	// StageErrors counts static stage-check failures.
 	StageErrors int
@@ -60,6 +61,29 @@ func (r *sanitizeRow) add(o sanitizeRow) {
 	if r.FirstFailure == "" {
 		r.FirstFailure = o.FirstFailure
 	}
+}
+
+// verdict folds one oracle run's error into r: a stage error, a
+// divergence of the differential or the tier oracle, or a run that hit
+// its step budget, which is not a pass whichever oracle ran out. Any
+// other error is returned.
+func (r *sanitizeRow) verdict(seed uint64, err error) error {
+	var se *sanitize.StageError
+	var div *sanitize.Divergence
+	switch {
+	case err == nil:
+	case errors.Is(err, sanitize.ErrInconclusive):
+		r.Inconclusive++
+	case errors.As(err, &se):
+		r.StageErrors, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, se)
+	case errors.As(err, &div) && div.Stage == "tier":
+		r.TierDivergences, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, div)
+	case errors.As(err, &div):
+		r.Divergences, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, div)
+	default:
+		return err
+	}
+	return nil
 }
 
 // runSanitizeSweep fuzzes `seeds` programs and pushes each through
@@ -88,25 +112,11 @@ func runSanitizeSweep(eng *engine.Engine, seeds int) ([]sanitizeRow, []cellError
 			}, sanitize.Options{Exec: true, ExecOptions: eo})
 			r := &cell[di]
 			r.Programs = 1
-			var se *sanitize.StageError
-			var div *sanitize.Divergence
-			switch {
-			case err == nil:
+			if err == nil {
 				r.Clean = 1
-				switch terr := sanitize.DiffTiers(prog.Mod, eo); {
-				case terr == nil || errors.Is(terr, sanitize.ErrInconclusive):
-				case errors.As(terr, &div):
-					r.TierDivergences, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, div)
-				default:
-					return cell, fmt.Errorf("seed %d/%v: tier oracle: %w", seed, d, terr)
-				}
-			case errors.Is(err, sanitize.ErrInconclusive):
-				r.Inconclusive = 1
-			case errors.As(err, &se):
-				r.StageErrors, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, se)
-			case errors.As(err, &div):
-				r.Divergences, r.FirstFailure = 1, fmt.Sprintf("seed %d: %v", seed, div)
-			default:
+				err = sanitize.DiffTiers(prog.Mod, eo)
+			}
+			if err := r.verdict(seed, err); err != nil {
 				return cell, fmt.Errorf("seed %d/%v: %w", seed, d, err)
 			}
 		}

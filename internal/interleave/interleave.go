@@ -41,6 +41,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/sanitize"
 )
 
 // ErrNoHandler is returned when the module has no handler function to
@@ -200,12 +201,14 @@ func (r *Report) Err() error {
 		ErrRace, racy, len(r.NonCommute))
 }
 
-// VerifyHandlers runs the record → detect → explore pipeline over src
-// and returns the classified report. The returned error is reserved
-// for infrastructure failures (compile errors, missing functions, VM
-// faults in the cadence/baseline runs — including handler watchdog
-// errors, which surface here rather than being swallowed); interleaving
-// findings live in the report and its Err method.
+// VerifyHandlers compiles src through the stage-checked compile
+// (sanitize.CompileChecked), runs the record → detect → explore
+// pipeline over it and returns the classified report. The returned
+// error is reserved for infrastructure failures (compile and
+// stage-check errors, missing functions, VM faults in the
+// cadence/baseline runs — including handler watchdog errors, which
+// surface here rather than being swallowed); interleaving findings
+// live in the report and its Err method.
 func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if src.FuncByName(handlerFunc) == nil {
@@ -214,9 +217,8 @@ func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, 
 	if src.FuncByName(opts.Entry) == nil {
 		return nil, fmt.Errorf("interleave: no entry function %q", opts.Entry)
 	}
-	prog, err := core.Compile(src,
-		core.WithDesign(opts.Design),
-		core.WithProbeInterval(opts.ProbeIntervalIR))
+	prog, err := sanitize.CompileChecked(src,
+		core.Config{Design: opts.Design, ProbeIntervalIR: opts.ProbeIntervalIR}, sanitize.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("interleave: compile: %w", err)
 	}

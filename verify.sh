@@ -1,9 +1,9 @@
 #!/bin/sh
 # Repo verification gate: formatting, static checks, build, tests, ten
-# seconds of parser fuzzing, the benchmark on mini inputs, and a traced
-# ciexp run. Every ciexp gate's quick run (chaos, soak, quantum,
-# sanitize, interleave, fleet and the rest) is a golden that `go test`
-# checks: cmd/ciexp TestOutputGolden.
+# seconds each of parser and cost-file fuzzing, the benchmark on mini
+# inputs, and a traced ciexp run. Every ciexp gate's quick run (chaos,
+# soak, quantum, sanitize, interleave, fleet and the rest) is a golden
+# that `go test` checks: cmd/ciexp TestOutputGolden.
 # Run from the repo root; exits non-zero on the first failure, and
 # fails if anything it started is still running when it ends.
 set -eu
@@ -91,6 +91,12 @@ stage "go test -race" 2400 go test -race ./...
 # same text. A failing input lands in internal/ir/testdata/fuzz/ and
 # fails every later `go test` until it is fixed and committed.
 stage "parser fuzz" 300 go test ./internal/ir -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s
+
+# The cost-file boundary (§2.6) under the same fuzzer: an imported cost
+# file is rejected, or it round-trips through ExportCosts and a module
+# importing every function it names compiles without a panic. A failing
+# input lands in internal/ci/analysis/testdata/fuzz/.
+stage "cost-file fuzz" 300 go test ./internal/ci/analysis -run '^$' -fuzz '^FuzzImportCosts$' -fuzztime 10s
 
 # The repository benchmark on its smallest inputs: all four workloads,
 # scored runs only, every operation checked (see benchmark/README.md).
