@@ -32,9 +32,14 @@ import (
 //     outside tierPickAllowed: every other run takes the VM's default,
 //     compiled tier, whose hooked form serves observed runs too.
 //   - no core.Compile, core.CompileConfig or core.CompileText in
-//     internal/experiments: every figure compiles through
-//     sanitize.CompileChecked, so every program a figure measures was
-//     stage-checked.
+//     internal/experiments or internal/interleave (checkedCompileOnly):
+//     every figure and the interleave verifier compile through
+//     sanitize.CompileChecked, so every program a figure measures or
+//     the verifier explores was stage-checked.
+//   - no vm.New, (*vm.VM).NewThread or write to a thread's
+//     RT.IRPerCycle in internal/experiments: every figure runs through
+//     core's one run primitive (core.RunThread, core.Calibrate), which
+//     sets up the machine, the IR/cycle ratio and the handler once.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -65,6 +70,10 @@ var tierPickAllowed = []string{"internal/vm/", "internal/sanitize/", "benchmark/
 // uncheckedCompiles are the core entry points that compile without the
 // translation-validation stage checks.
 var uncheckedCompiles = map[string]bool{"Compile": true, "CompileConfig": true, "CompileText": true}
+
+// checkedCompileOnly are the packages that compile only through
+// sanitize.CompileChecked.
+var checkedCompileOnly = []string{"internal/experiments/", "internal/interleave/"}
 
 // hotPaths are the packages between IR text and an instrumented module,
 // and the fleet model's: the fleet, its overload controllers and the
@@ -137,7 +146,18 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 				if _, ok := goStmtAllowed[path+":"+fn]; !ok {
 					report(n, "go statement outside the allow-list")
 				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "IRPerCycle" && inExperiments(path) {
+						if rt, ok := sel.X.(*ast.SelectorExpr); ok && rt.Sel.Name == "RT" {
+							report(lhs, "write to RT.IRPerCycle in internal/experiments; run through core.RunThread")
+						}
+					}
+				}
 			case *ast.SelectorExpr:
+				if n.Sel.Name == "NewThread" && inExperiments(path) {
+					report(n, "NewThread in internal/experiments; run through core.RunThread")
+				}
 				pkg, ok := n.X.(*ast.Ident)
 				if !ok {
 					break
@@ -160,9 +180,11 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					if !hasPrefix(path, tierPickAllowed) {
 						report(n, "tier pick "+pkg.Name+"."+sel+" outside the VM, the tier oracle and the benchmark")
 					}
-				case imp == "repro/internal/core" && uncheckedCompiles[sel] && strings.HasPrefix(path, "internal/experiments/"):
-					report(n, "core."+sel+" in internal/experiments; compile through sanitize.CompileChecked")
-				case imp == "fmt" && strings.HasPrefix(sel, "Fprint") && strings.HasPrefix(path, "internal/experiments/"):
+				case imp == "repro/internal/core" && uncheckedCompiles[sel] && hasPrefix(path, checkedCompileOnly):
+					report(n, "core."+sel+" outside the checked compile; compile through sanitize.CompileChecked")
+				case imp == "repro/internal/vm" && sel == "New" && inExperiments(path):
+					report(n, "vm.New in internal/experiments; run through core.RunThread")
+				case imp == "fmt" && strings.HasPrefix(sel, "Fprint") && inExperiments(path):
 					_, inFile := fprintAllowed[path]
 					if _, inFunc := fprintAllowed[path+":"+fn]; !inFile && !inFunc {
 						report(n, "fmt."+sel+" outside the figure renderer; return the rows in a table")
@@ -176,6 +198,8 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 }
 
 func onHotPath(path string) bool { return hasPrefix(path, hotPaths) }
+
+func inExperiments(path string) bool { return strings.HasPrefix(path, "internal/experiments/") }
 
 func hasPrefix(path string, prefixes []string) bool {
 	for _, p := range prefixes {
@@ -291,7 +315,7 @@ import (
 )
 
 func f() []core.Option {
-	v := vm.New(nil, nil, 1)
+	var v vm.VM
 	v.Tier = vm.TierInterpreter // want "tier pick vm.TierInterpreter"
 	v.Tier = vm.TierCompiled    // want "tier pick vm.TierCompiled"
 	var tier vm.Tier
@@ -308,7 +332,7 @@ func f() []core.Option {
 }
 
 // The compile rule flags the unchecked compile entry points in
-// internal/experiments only.
+// internal/experiments and internal/interleave only.
 func TestHygieneCompileRule(t *testing.T) {
 	const src = `package p
 
@@ -318,15 +342,46 @@ import (
 )
 
 func f() {
-	_, _ = core.Compile(nil)                      // want "core.Compile in internal/experiments"
-	_, _ = core.CompileConfig(nil, core.Config{}) // want "core.CompileConfig in internal/experiments"
-	_, _ = core.CompileText("")                   // want "core.CompileText in internal/experiments"
+	_, _ = core.Compile(nil)                      // want "core.Compile outside the checked compile"
+	_, _ = core.CompileConfig(nil, core.Config{}) // want "core.CompileConfig outside the checked compile"
+	_, _ = core.CompileText("")                   // want "core.CompileText outside the checked compile"
 	_, _ = sanitize.CompileChecked(nil, core.ConfigOf(), sanitize.Options{})
 }
 `
 	checkWantRule(t, src, map[string]bool{
 		"internal/experiments/p.go": true,
+		"internal/interleave/p.go":  true,
 		"internal/core/p.go":        false,
+		"internal/sanitize/p.go":    false,
+		"cmd/cirun/p.go":            false,
+		"benchmark/p.go":            false,
+	})
+}
+
+// The run rule flags a hand-built machine, thread or IR/cycle ratio in
+// internal/experiments only; reading the ratio and running through
+// core are not flagged.
+func TestHygieneRunRule(t *testing.T) {
+	const src = `package p
+
+import (
+	"repro/internal/core"
+	"repro/internal/vm"
+)
+
+func f(base struct{ IRPerCycle float64 }) {
+	machine := vm.New(nil, nil, 1) // want "vm.New in internal/experiments"
+	th := machine.NewThread(0)     // want "NewThread in internal/experiments"
+	th.RT.IRPerCycle = 0.5         // want "write to RT.IRPerCycle in internal/experiments"
+	th.RT.IRPerCycle *= 2          // want "write to RT.IRPerCycle in internal/experiments"
+	base.IRPerCycle = th.RT.IRPerCycle
+	_, _ = core.RunThread(nil, core.Setup{IRPerCycle: base.IRPerCycle}, "main", 0)
+}
+`
+	checkWantRule(t, src, map[string]bool{
+		"internal/experiments/p.go": true,
+		"internal/core/p.go":        false,
+		"internal/sanitize/p.go":    false,
 		"cmd/cirun/p.go":            false,
 		"benchmark/p.go":            false,
 	})

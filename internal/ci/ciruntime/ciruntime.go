@@ -58,9 +58,6 @@ type Runtime struct {
 	// RecordIntervals enables per-handler inter-fire gap recording (in
 	// cycles), used by the accuracy experiments.
 	RecordIntervals bool
-	// OnFire, when non-nil, observes every handler invocation: handler
-	// id, IR delta, and the gap in cycles since its previous fire.
-	OnFire func(id int, irDelta uint64, gapCycles int64)
 
 	inscount      int64
 	events        int64
@@ -297,9 +294,6 @@ func (rt *Runtime) fire(h *handlerState, now int64) {
 	h.adapt(gap, rt.IRPerCycle)
 	if rt.RecordIntervals {
 		h.intervals = append(h.intervals, gap)
-	}
-	if rt.OnFire != nil {
-		rt.OnFire(h.id, uint64(delta), gap)
 	}
 	h.disable++
 	h.fn(uint64(delta))

@@ -237,19 +237,6 @@ func TestIntervalsRecorded(t *testing.T) {
 	}
 }
 
-func TestOnFireHook(t *testing.T) {
-	rt := New()
-	var hookCalls int
-	rt.OnFire = func(id int, delta uint64, gap int64) { hookCalls++ }
-	rt.RegisterCI(10, func(uint64) {})
-	for i := 0; i < 10; i++ {
-		rt.ProbeIR(100, int64(i*3))
-	}
-	if hookCalls == 0 {
-		t.Error("OnFire never called")
-	}
-}
-
 func TestNoHandlersCheap(t *testing.T) {
 	rt := New()
 	for i := 0; i < 10; i++ {

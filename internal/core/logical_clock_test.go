@@ -38,11 +38,10 @@ func TestLogicalClock(t *testing.T) {
 		machine := vm.New(prog.Mod, model, 1)
 		machine.LimitInstrs = 200_000_000
 		th := machine.NewThread(0)
-		th.RT.OnFire = func(int, uint64, int64) {
+		th.RT.RegisterCI(5000, func(uint64) {
 			logical = append(logical, th.RT.InsCount())
 			cycles = append(cycles, th.Now())
-		}
-		th.RT.RegisterCI(5000, func(uint64) {})
+		})
 		if _, err := th.Run("main", 0); err != nil {
 			t.Fatal(err)
 		}

@@ -21,13 +21,15 @@ import (
 	"repro/internal/vm"
 )
 
-// settings is the resolved option state: compile config, run config,
-// the observability scope shared by both phases and the run's tier.
+// settings is the resolved option state: the compile config, the
+// run's set-up with its per-thread arguments and quantum policies, and
+// the observability scope shared by both phases.
 type settings struct {
-	cfg  Config
-	rc   RunConfig
-	obs  *obs.Scope
-	tier vm.Tier
+	cfg     Config
+	run     Setup
+	args    func(id int) []int64
+	quantum func() ciruntime.QuantumPolicy
+	obs     *obs.Scope
 }
 
 // Option configures Compile and/or Run. Compile ignores run-only
@@ -91,7 +93,7 @@ func WithOptimize(on bool) Option {
 // vm.TierInterpreter (the reference semantics, cycle-exact with it).
 // Compile ignores it.
 func WithTier(t vm.Tier) Option {
-	return func(s *settings) { s.tier = t }
+	return func(s *settings) { s.run.Tier = t }
 }
 
 // WithObs attaches an observability scope to both phases: Compile
@@ -104,25 +106,31 @@ func WithObs(scope *obs.Scope) Option {
 
 // WithThreads runs the entry function on n VM threads.
 func WithThreads(n int) Option {
-	return func(s *settings) { s.rc.Threads = n }
+	return func(s *settings) { s.run.Threads = n }
 }
 
 // WithArgv passes the same fixed arguments to every thread.
 func WithArgv(vals ...int64) Option {
 	return func(s *settings) {
-		s.rc.Args = func(int) []int64 { return vals }
+		s.args = func(int) []int64 { return vals }
 	}
 }
 
 // WithInterval registers the run handler with this CI interval
-// (cycles) on every thread.
+// (cycles) on every thread. Under the UserInterrupt design the same
+// value is the hardware timer's cadence instead. Zero registers none.
 func WithInterval(cycles int64) Option {
-	return func(s *settings) { s.rc.IntervalCycles = cycles }
+	return func(s *settings) { s.run.Interval = cycles }
 }
 
 // WithHandler sets the interrupt handler registered by WithInterval.
 func WithHandler(h func(irSinceLast uint64)) Option {
-	return func(s *settings) { s.rc.Handler = h }
+	return func(s *settings) {
+		s.run.Handler = nil
+		if h != nil {
+			s.run.Handler = func(_ *vm.Thread, irDelta uint64) { h(irDelta) }
+		}
+	}
 }
 
 // WithQuantumPolicy installs an interval-control policy on the run
@@ -132,15 +140,16 @@ func WithHandler(h func(irSinceLast uint64)) Option {
 // interval fixed. Ignored by the UserInterrupt design, whose cadence
 // is a hardware timer rather than a probe-driven runtime.
 func WithQuantumPolicy(make func() ciruntime.QuantumPolicy) Option {
-	return func(s *settings) { s.rc.Quantum = make }
+	return func(s *settings) { s.quantum = make }
 }
 
-// WithRecordIntervals records inter-fire gaps on handler id 1.
+// WithRecordIntervals records each thread's inter-fire gaps
+// (RunResult.Intervals).
 func WithRecordIntervals(on bool) Option {
-	return func(s *settings) { s.rc.RecordIntervals = on }
+	return func(s *settings) { s.run.Record = on }
 }
 
 // WithLimit bounds per-thread execution in executed instructions.
 func WithLimit(n int64) Option {
-	return func(s *settings) { s.rc.LimitInstrs = n }
+	return func(s *settings) { s.run.Limit = n }
 }

@@ -61,25 +61,17 @@ func measureAllowableError(eng *engine.Engine, values []int64, scale int) ([]all
 				return allowablePoint{}, err
 			}
 			probes += prog.Instr.Probes
-			th, id := ciThread(prog.Mod, 1, nil, base.IRPerCycle, target, nil)
-			th.RT.RecordIntervals = true
-			if _, err := th.Run("main", 0); err != nil {
+			s := measuredRun(1, base.IRPerCycle, target)
+			s.Record = true
+			r, err := core.RunThread(prog.Mod, s, "main", 0)
+			if err != nil {
 				return allowablePoint{}, fmt.Errorf("%s: %w", name, err)
 			}
-			overheads = append(overheads, float64(th.Stats.Cycles)/float64(base.Cycles)-1)
-			for _, g := range th.RT.Intervals(id) {
-				e := g - target
-				if e < 0 {
-					e = -e
-				}
-				absErrs = append(absErrs, e)
-			}
+			overheads = append(overheads, float64(r.Stats.Cycles)/float64(base.Cycles)-1)
+			absErrs = append(absErrs, core.IntervalErrors(r.Gaps, target, true)...)
 		}
-		pt := allowablePoint{AllowableErrorIR: ae, MedianOverhead: stats.MedianF(overheads), Probes: probes}
-		if len(absErrs) > 0 {
-			pt.MedianAbsError = stats.Median(absErrs)
-		}
-		return pt, nil
+		return allowablePoint{AllowableErrorIR: ae, MedianOverhead: stats.MedianF(overheads),
+			MedianAbsError: stats.Median(absErrs), Probes: probes}, nil
 	})
 }
 

@@ -6,18 +6,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ir"
-	"repro/internal/obs"
 	"repro/internal/sanitize"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
 // This file binds the sweeps to the parallel experiment engine
 // (internal/engine): memoized source modules, baselines and compiled
-// programs keyed by (workload, scale, design, interval-config), the one
-// machine setup every measured run uses, and the one sweep loop every
-// figure runs on, whose per-cell error collection keeps one failing
-// cell from losing a multi-minute run.
+// programs keyed by (workload, scale, design, interval-config), and
+// the one sweep loop every figure runs on, whose per-cell error
+// collection keeps one failing cell from losing a multi-minute run.
 
 // cellError records one failed sweep cell; the surrounding sweep keeps
 // going and reports every failure at the end.
@@ -91,32 +88,6 @@ func cfgKey(cfg core.Config) string {
 	return fmt.Sprintf("%v/pi%d/ae%d/lt%t/lc%t/o%t",
 		cfg.Design, cfg.ProbeIntervalIR, cfg.AllowableErrorIR,
 		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize)
-}
-
-// newMachine builds a VM over m under the experiments' run limit.
-func newMachine(m *ir.Module, model *vm.CostModel, threads int) *vm.VM {
-	v := vm.New(m, model, threads)
-	v.LimitInstrs = runLimit
-	return v
-}
-
-// ciThread is the measured run's setup: the representative thread (id
-// 0) of a newMachine over the instrumented module m, observed by scope
-// (nil = off) and tuned to irPerCycle, with the measurement handler —
-// handlerWorkCycles of work per fire — registered at intervalCycles.
-// A non-nil events replaces the runtime's event-threshold rule before
-// registration. It returns the thread and the handler id.
-func ciThread(m *ir.Module, threads int, scope *obs.Scope,
-	irPerCycle float64, intervalCycles int64, events func(int64) int64) (*vm.Thread, int) {
-
-	machine := newMachine(m, nil, threads)
-	machine.Obs = scope // NewThread copies it
-	th := machine.NewThread(0)
-	th.RT.IRPerCycle = irPerCycle
-	if events != nil {
-		th.RT.EventsPerInterval = events
-	}
-	return th, th.RT.RegisterCI(intervalCycles, func(uint64) { th.Charge(handlerWorkCycles) })
 }
 
 // sourceModule returns the workload's uninstrumented module, memoized

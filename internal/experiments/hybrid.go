@@ -64,45 +64,29 @@ func measureHybrid(eng *engine.Engine, names []string, target int64, deadlineMul
 			model := vm.Default()
 			model.HWInterruptCost = 10000
 			model.HWTrapCost = 4000
-			machine := newMachine(prog.Mod, model, 1)
+			// Both sources deliver to one handler, and a gap is the
+			// time since the last delivery from either.
 			var gaps []int64
 			var lastFire int64
-			var th *vm.Thread
-			deliver := func() {
-				now := th.Now()
-				gaps = append(gaps, now-lastFire)
-				lastFire = now
-				th.Charge(handlerWorkCycles)
-			}
-			if hybrid {
-				machine.HW = &vm.HWConfig{
-					IntervalCycles: int64(deadlineMult * float64(target)),
-					Handler: func(t *vm.Thread) {
-						deliver()
+			s := core.Setup{Threads: 1, Model: model, Limit: runLimit, IRPerCycle: base.IRPerCycle, Interval: target,
+				Handler: func(t *vm.Thread, _ uint64) {
+					now := t.Now()
+					gaps = append(gaps, now-lastFire)
+					lastFire = now
+					t.Charge(handlerWorkCycles)
+					if hybrid {
 						t.RearmHW()
-					},
-				}
+					}
+				}}
+			if hybrid {
+				s.Timer = int64(deadlineMult * float64(target))
 			}
-			th = machine.NewThread(0)
-			th.RT.IRPerCycle = base.IRPerCycle
-			th.RT.RegisterCI(target, func(uint64) {
-				deliver()
-				if hybrid {
-					th.RearmHW()
-				}
-			})
-			if _, err := th.Run("main", 0); err != nil {
+			r, err := core.RunThread(prog.Mod, s, "main", 0)
+			if err != nil {
 				return stats.Summary{}, 0, 0, err
 			}
-			errs := make([]int64, 0, len(gaps))
-			for _, g := range gaps {
-				errs = append(errs, g-target)
-			}
-			if len(errs) == 0 {
-				errs = []int64{0}
-			}
-			over := float64(th.Stats.Cycles)/float64(base.Cycles) - 1
-			return stats.Summarize(errs), over, th.Stats.HWInterrupts, nil
+			over := float64(r.Stats.Cycles)/float64(base.Cycles) - 1
+			return stats.Summarize(core.IntervalErrors(gaps, target, false)), over, r.Stats.HWInterrupts, nil
 		}
 
 		ciSum, ciOver, _, err := runOne(false)

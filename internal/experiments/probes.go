@@ -43,18 +43,18 @@ func measureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]
 				if err != nil {
 					return row, err
 				}
-				th, _ := ciThread(prog.Mod, 1, nil, base.IRPerCycle, intervalCycles, nil)
-				if _, err := th.Run("main", 0); err != nil {
+				r, err := core.RunThread(prog.Mod, measuredRun(1, base.IRPerCycle, intervalCycles), "main", 0)
+				if err != nil {
 					return row, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
 				}
 				if d == instrument.CI {
-					row.CIProbes = th.Stats.Probes
+					row.CIProbes = r.Stats.Probes
 					row.CIStatic = prog.Instr.Probes
-					if th.Stats.Probes > 0 {
-						row.TakenRate = float64(th.Stats.ProbesTaken) / float64(th.Stats.Probes)
+					if r.Stats.Probes > 0 {
+						row.TakenRate = float64(r.Stats.ProbesTaken) / float64(r.Stats.Probes)
 					}
 				} else {
-					row.NaiveProbes = th.Stats.Probes
+					row.NaiveProbes = r.Stats.Probes
 					row.NaiveStatic = prog.Instr.Probes
 				}
 			}

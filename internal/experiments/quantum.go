@@ -7,6 +7,7 @@ import (
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -122,9 +123,10 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		charge(cost)
 	}
 
-	row := quantumRow{Workload: wl.Name, Design: v.Design, Policy: v.Policy}
-	var gaps []int64
-	var cycles int64
+	row := quantumRow{Workload: wl.Name, Design: v.Design, Policy: v.Policy, FinalInterval: quantumTargetCycles}
+	var m *ir.Module
+	s := core.Setup{Threads: 1, Limit: runLimit, Record: true,
+		Handler: func(t *vm.Thread, _ uint64) { serve(t.Charge) }}
 	switch v.Design {
 	case "CI", "Naive":
 		d := instrument.CI
@@ -136,64 +138,31 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		if err != nil {
 			return row, err
 		}
-		th := newMachine(prog.Mod, nil, 1).NewThread(0)
-		th.RT.IRPerCycle = base.IRPerCycle
-		th.RT.RecordIntervals = true
-		id := th.RT.RegisterCI(quantumTargetCycles, func(uint64) { serve(th.Charge) })
+		m, s.IRPerCycle, s.Interval = prog.Mod, base.IRPerCycle, quantumTargetCycles
 		switch v.Policy { // "fixed" installs none: the interval never moves
 		case "aimd":
-			th.RT.SetPolicy(id, &ciruntime.AIMD{})
+			s.Quantum = &ciruntime.AIMD{}
 		case "feedback":
-			th.RT.SetPolicy(id, &ciruntime.FeedbackPID{ClassOf: func() int { return lastClass }})
+			s.Quantum = &ciruntime.FeedbackPID{ClassOf: func() int { return lastClass }}
 		}
-		if _, err := th.Run("main", 0); err != nil {
-			return row, fmt.Errorf("%s %s/%s: %w", wl.Name, v.Design, v.Policy, err)
-		}
-		gaps = th.RT.Intervals(id)
-		cycles = th.Stats.Cycles
-		row.Overruns = th.RT.Overruns(id)
-		row.Fires = th.RT.Fires(id)
-		row.FinalInterval = th.RT.CurrentInterval(id)
 	case "HW", "UIntr":
-		machine := newMachine(sourceModule(eng, wl, scale), nil, 1)
-		var lastFire int64
-		machine.HW = &vm.HWConfig{
-			IntervalCycles: quantumTargetCycles,
-			User:           v.Design == "UIntr",
-			Handler: func(t *vm.Thread) {
-				now := t.Now()
-				gaps = append(gaps, now-lastFire)
-				lastFire = now
-				serve(t.Charge)
-			},
-		}
-		th := machine.NewThread(0)
-		if _, err := th.Run("main", 0); err != nil {
-			return row, fmt.Errorf("%s %s: %w", wl.Name, v.Design, err)
-		}
-		cycles = th.Stats.Cycles
-		row.Fires = th.Stats.HandlerCalls
-		row.FinalInterval = quantumTargetCycles
+		m, s.Timer, s.User = sourceModule(eng, wl, scale), quantumTargetCycles, v.Design == "UIntr"
 	default:
 		return row, fmt.Errorf("unknown quantum design %q", v.Design)
+	}
+	r, err := core.RunThread(m, s, "main", 0)
+	if err != nil {
+		return row, fmt.Errorf("%s %s/%s: %w", wl.Name, v.Design, v.Policy, err)
+	}
+	row.Fires = r.Stats.HandlerCalls
+	if r.CI != 0 {
+		row.Overruns, row.FinalInterval = r.RT.Overruns(r.CI), r.RT.CurrentInterval(r.CI)
 	}
 
 	// The first gap spans thread start (or registration) to the first
 	// fire — not a steady-state interval.
-	if len(gaps) > 0 {
-		gaps = gaps[1:]
-	}
-	errs := make([]int64, 0, len(gaps))
-	for _, g := range gaps {
-		e := g - quantumTargetCycles
-		if e < 0 {
-			e = -e
-		}
-		errs = append(errs, e)
-	}
-	if len(errs) == 0 {
-		errs = []int64{0}
-	}
+	gaps := r.Gaps[min(len(r.Gaps), 1):]
+	errs := core.IntervalErrors(gaps, quantumTargetCycles, true)
 	if eng.Obs.Enabled() {
 		// The per-variant interval-error histograms behind
 		// `ciexp quantum -metrics`.
@@ -207,7 +176,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	if len(gaps) > 0 {
 		row.MeanGap = stats.Summarize(gaps).MeanVal
 	}
-	row.Overhead = float64(cycles-charged)/float64(base.Cycles) - 1
+	row.Overhead = float64(r.Stats.Cycles-charged)/float64(base.Cycles) - 1
 	return row, nil
 }
 
