@@ -36,10 +36,13 @@ import (
 //     every figure and the interleave verifier compile through
 //     sanitize.CompileChecked, so every program a figure measures or
 //     the verifier explores was stage-checked.
-//   - no vm.New, (*vm.VM).NewThread or write to a thread's
-//     RT.IRPerCycle in internal/experiments: every figure runs through
-//     core's one run primitive (core.RunThread, core.Calibrate), which
-//     sets up the machine, the IR/cycle ratio and the handler once.
+//   - no (*vm.VM).NewThread or write to a thread's RT.IRPerCycle in
+//     internal/experiments: every figure runs through core's one run
+//     primitive (core.RunThread, core.Calibrate), which sets up the
+//     machine, the IR/cycle ratio and the handler once.
+//   - no vm.New outside vmNewAllowed: vm.New pre-decodes its module
+//     for one VM, so every other run builds its VM over a shared
+//     vm.Code (core.Program.Code), which pre-decodes once per program.
 //
 // Each allow-list entry is "file:function" with its reason. The paper's
 // multi-threaded figures need no entry: Figures 9 and 11 run one
@@ -66,6 +69,11 @@ var fprintAllowed = map[string]string{
 // the tier oracle whose reference leg is the interpreter, and the
 // benchmark that measures both tiers.
 var tierPickAllowed = []string{"internal/vm/", "internal/sanitize/", "benchmark/"}
+
+// vmNewAllowed are the places that may build a VM over a code of its
+// own: the VM itself, core, the oracles' one-off runs and the
+// benchmark.
+var vmNewAllowed = []string{"internal/vm/", "internal/core/", "internal/sanitize/", "benchmark/"}
 
 // uncheckedCompiles are the core entry points that compile without the
 // translation-validation stage checks.
@@ -182,8 +190,8 @@ func hygieneViolations(fset *token.FileSet, path string, f *ast.File) []string {
 					}
 				case imp == "repro/internal/core" && uncheckedCompiles[sel] && hasPrefix(path, checkedCompileOnly):
 					report(n, "core."+sel+" outside the checked compile; compile through sanitize.CompileChecked")
-				case imp == "repro/internal/vm" && sel == "New" && inExperiments(path):
-					report(n, "vm.New in internal/experiments; run through core.RunThread")
+				case imp == "repro/internal/vm" && sel == "New" && !hasPrefix(path, vmNewAllowed):
+					report(n, "vm.New outside the VM, core, the oracles and the benchmark; run on a shared vm.Code")
 				case imp == "fmt" && strings.HasPrefix(sel, "Fprint") && inExperiments(path):
 					_, inFile := fprintAllowed[path]
 					if _, inFunc := fprintAllowed[path+":"+fn]; !inFile && !inFunc {
@@ -370,10 +378,10 @@ import (
 )
 
 func f(base struct{ IRPerCycle float64 }) {
-	machine := vm.New(nil, nil, 1) // want "vm.New in internal/experiments"
-	th := machine.NewThread(0)     // want "NewThread in internal/experiments"
-	th.RT.IRPerCycle = 0.5         // want "write to RT.IRPerCycle in internal/experiments"
-	th.RT.IRPerCycle *= 2          // want "write to RT.IRPerCycle in internal/experiments"
+	machine := vm.NewCode(nil, nil).NewVM(1)
+	th := machine.NewThread(0) // want "NewThread in internal/experiments"
+	th.RT.IRPerCycle = 0.5     // want "write to RT.IRPerCycle in internal/experiments"
+	th.RT.IRPerCycle *= 2      // want "write to RT.IRPerCycle in internal/experiments"
 	base.IRPerCycle = th.RT.IRPerCycle
 	_, _ = core.RunThread(nil, core.Setup{IRPerCycle: base.IRPerCycle}, "main", 0)
 }
@@ -383,6 +391,30 @@ func f(base struct{ IRPerCycle float64 }) {
 		"internal/core/p.go":        false,
 		"internal/sanitize/p.go":    false,
 		"cmd/cirun/p.go":            false,
+		"benchmark/p.go":            false,
+	})
+}
+
+// The VM rule flags vm.New outside the VM, core, the oracles and the
+// benchmark; a VM over a shared code is not flagged anywhere.
+func TestHygieneNewRule(t *testing.T) {
+	const src = `package p
+
+import "repro/internal/vm"
+
+func f(code *vm.Code) {
+	_ = vm.New(nil, nil, 1) // want "vm.New outside the VM, core, the oracles and the benchmark"
+	_ = code.NewVM(1)
+	_ = vm.NewCode(nil, nil).NewVM(1)
+}
+`
+	checkWantRule(t, src, map[string]bool{
+		"internal/experiments/p.go": true,
+		"internal/interleave/p.go":  true,
+		"cmd/cirun/p.go":            true,
+		"internal/vm/p.go":          false,
+		"internal/core/p.go":        false,
+		"internal/sanitize/p.go":    false,
 		"benchmark/p.go":            false,
 	})
 }

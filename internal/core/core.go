@@ -20,12 +20,14 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ci/analysis"
 	"repro/internal/ci/instrument"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/vm"
 )
 
 // Config selects the instrumentation design and analysis parameters.
@@ -66,6 +68,9 @@ type Program struct {
 	Instr *instrument.Result
 	cfg   Config
 	obs   *obs.Scope
+	// code is built on first use, so Compile pays nothing for it.
+	codeOnce sync.Once
+	code     *vm.Code
 }
 
 // Compile clones src and instruments the clone per the resolved
@@ -106,6 +111,15 @@ func Compile(src *ir.Module, opts ...Option) (*Program, error) {
 		return nil, err
 	}
 	return &Program{Mod: m, Source: src, Instr: res, cfg: st.cfg, obs: st.obs}, nil
+}
+
+// Code is the program's module under the default cost model, compiled
+// for the VM at most once, on the first compiled-tier run, and shared
+// by every run of the program: Run, Calibrate and RunThread(p.Code(),
+// ...) on any goroutine.
+func (p *Program) Code() *vm.Code {
+	p.codeOnce.Do(func() { p.code = vm.NewCode(p.Mod, nil) })
+	return p.code
 }
 
 // CompileConfig compiles src from a programmatically built Config —

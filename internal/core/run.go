@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ci/ciruntime"
 	"repro/internal/ci/instrument"
-	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -16,16 +15,16 @@ import (
 // of a VM, Calibrate tunes a run's IR/cycle ratio to its target
 // interval, and Program.Run is a loop of RunThread's set-up over a
 // program's threads. Every measured run of the experiments goes
-// through RunThread or Calibrate.
+// through RunThread or Calibrate, and every run of one program shares
+// the program's vm.Code, so its module is pre-decoded once.
 
 // Setup is one thread's run: everything RunThread sets up once before
 // the thread starts. The zero value runs the thread of a one-thread VM
 // with no handler and no step budget.
 type Setup struct {
 	// Threads is the VM's thread count, which its contention model
-	// charges (at least 1); Model is its cost model (nil = vm.Default()).
+	// charges (at least 1). The cost model is the run's vm.Code's.
 	Threads int
-	Model   *vm.CostModel
 	// Limit bounds the thread's executed instructions (0 = none).
 	Limit int64
 	// Obs observes the run (nil = off); Tier picks its executor.
@@ -72,16 +71,16 @@ func (r ThreadRun) IRPerCycle() float64 {
 	return float64(r.Stats.Instrs) / float64(r.Stats.Cycles)
 }
 
-// RunThread runs fn(args) on thread 0 of an s.Threads-thread VM over m,
-// set up per s. m is only read, so a module shared across runs stays
-// intact.
-func RunThread(m *ir.Module, s Setup, fn string, args ...int64) (ThreadRun, error) {
-	return runOn(newVM(m, s), 0, s, fn, args...)
+// RunThread runs fn(args) on thread 0 of an s.Threads-thread VM over
+// code, set up per s. code is only read, so one Code (Program.Code)
+// serves any number of runs, concurrent ones included.
+func RunThread(code *vm.Code, s Setup, fn string, args ...int64) (ThreadRun, error) {
+	return runOn(newVM(code, s), 0, s, fn, args...)
 }
 
 // newVM builds the VM of a run set up per s.
-func newVM(m *ir.Module, s Setup) *vm.VM {
-	machine := vm.New(m, s.Model, s.Threads)
+func newVM(code *vm.Code, s Setup) *vm.VM {
+	machine := code.NewVM(s.Threads)
 	machine.LimitInstrs = s.Limit
 	machine.Obs = s.Obs
 	machine.Tier = s.Tier
@@ -155,7 +154,7 @@ func (p *Program) Calibrate(s Setup, fn string, args ...int64) (ThreadRun, error
 	s.Obs, s.Record = nil, true
 	s.IRPerCycle = cmp.Or(s.IRPerCycle, ciruntime.DefaultIRPerCycle)
 	for range 2 {
-		r, err := RunThread(p.Mod, s, fn, args...)
+		r, err := RunThread(p.Code(), s, fn, args...)
 		if err != nil {
 			return r, fmt.Errorf("core: calibration: %w", err)
 		}
@@ -178,7 +177,7 @@ func (p *Program) Calibrate(s Setup, fn string, args ...int64) (ThreadRun, error
 		}
 	}
 	s.Obs = scope
-	return RunThread(p.Mod, s, fn, args...)
+	return RunThread(p.Code(), s, fn, args...)
 }
 
 // IntervalErrors returns each gap's error against target, gap - target
@@ -239,7 +238,7 @@ func (p *Program) Run(fn string, opts ...Option) (*RunResult, error) {
 	if p.cfg.Design == instrument.UserInterrupt {
 		s.Interval, s.Timer, s.User = 0, target, true
 	}
-	machine := newVM(p.Mod, s)
+	machine := newVM(p.Code(), s)
 	res := &RunResult{
 		Stats:     make([]vm.Stats, s.Threads),
 		Intervals: make([][]int64, s.Threads),

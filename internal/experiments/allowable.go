@@ -63,7 +63,7 @@ func measureAllowableError(eng *engine.Engine, values []int64, scale int) ([]all
 			probes += prog.Instr.Probes
 			s := measuredRun(1, base.IRPerCycle, target)
 			s.Record = true
-			r, err := core.RunThread(prog.Mod, s, "main", 0)
+			r, err := core.RunThread(prog.Code(), s, "main", 0)
 			if err != nil {
 				return allowablePoint{}, fmt.Errorf("%s: %w", name, err)
 			}

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/ir"
 	"repro/internal/sanitize"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -74,6 +74,14 @@ func againstBaseline[I, R any](eng *engine.Engine, wl *workloads.Workload, scale
 	return rows, nil
 }
 
+// srcEntry is the cached source of one (workload, scale): the module
+// under a fingerprint guard, and its vm.Code, which every
+// uninstrumented run of the source shares.
+type srcEntry struct {
+	*engine.GuardedModule
+	Code *vm.Code
+}
+
 // progEntry is the cached compilation of one (workload, scale, config)
 // cell: the program plus a fingerprint guard proving VM runs never
 // mutate the shared instrumented module.
@@ -90,23 +98,32 @@ func cfgKey(cfg core.Config) string {
 		cfg.DisableLoopTransform, cfg.DisableLoopClone, cfg.Optimize)
 }
 
-// sourceModule returns the workload's uninstrumented module, memoized
-// per (workload, scale) and shared read-only across cells (every
-// compile clones it before instrumenting).
-func sourceModule(eng *engine.Engine, wl *workloads.Workload, scale int) *ir.Module {
+// source returns the workload's uninstrumented module and its code,
+// memoized per (workload, scale) and shared read-only across cells
+// (every compile clones the module before instrumenting).
+func source(eng *engine.Engine, wl *workloads.Workload, scale int) srcEntry {
 	key := fmt.Sprintf("src/%s/s%d", wl.Name, scale)
 	v, _ := eng.Cache.Get(key, func() (any, error) {
-		return engine.GuardModule(wl.Build(scale)), nil
+		g := engine.GuardModule(wl.Build(scale))
+		return srcEntry{GuardedModule: g, Code: vm.NewCode(g.Mod, nil)}, nil
 	})
-	return v.(*engine.GuardedModule).Mod
+	return v.(srcEntry)
 }
 
 // baselineCached returns the workload's uninstrumented baseline run,
-// memoized per (workload, scale, threads).
+// memoized per (workload, scale, threads): one representative thread
+// of a threads-thread machine (threads are virtual-time independent;
+// the contention model carries the thread count), whose cycles are the
+// reference and whose IR/cycle ratio tunes the CI runtime (§4 footnote
+// 3).
 func baselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads int) (baseline, error) {
 	key := fmt.Sprintf("base/%s/s%d/t%d", wl.Name, scale, threads)
 	v, err := eng.Cache.Get(key, func() (any, error) {
-		return runBaseline(sourceModule(eng, wl, scale), wl.Name, threads)
+		r, err := core.RunThread(source(eng, wl, scale).Code, core.Setup{Threads: threads, Limit: runLimit}, "main", 0)
+		if err != nil {
+			return nil, fmt.Errorf("%s baseline: %w", wl.Name, err)
+		}
+		return baseline{Cycles: r.Stats.Cycles, IRPerCycle: r.IRPerCycle()}, nil
 	})
 	if err != nil {
 		return baseline{}, err
@@ -124,7 +141,7 @@ func baselineCached(eng *engine.Engine, wl *workloads.Workload, scale, threads i
 func compileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts ...core.Option) (*core.Program, error) {
 	cfg := core.ConfigOf(opts...)
 	compile := func() (*core.Program, error) {
-		return sanitize.CompileChecked(sourceModule(eng, wl, scale), cfg, sanitize.Options{})
+		return sanitize.CompileChecked(source(eng, wl, scale).Mod, cfg, sanitize.Options{})
 	}
 	if cfg.ImportedCosts != nil {
 		return compile() // an imported cost table has no cache key
@@ -151,11 +168,14 @@ func compileCached(eng *engine.Engine, wl *workloads.Workload, scale int, opts .
 func VerifyCache(eng *engine.Engine) error {
 	var first error
 	eng.Cache.Range(func(key string, val any) {
-		g, ok := val.(*engine.GuardedModule)
-		if e, isProg := val.(progEntry); isProg {
-			g, ok = e.Guard, true
+		var g *engine.GuardedModule
+		switch e := val.(type) {
+		case srcEntry:
+			g = e.GuardedModule
+		case progEntry:
+			g = e.Guard
 		}
-		if ok && first == nil {
+		if g != nil && first == nil {
 			if err := g.Verify(); err != nil {
 				first = fmt.Errorf("engine cache %s: %w", key, err)
 			}

@@ -104,7 +104,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := core.RunThread(prog.Mod, measuredRun(1, base.IRPerCycle, 5000), "main", 0)
+		r, err := core.RunThread(prog.Code(), measuredRun(1, base.IRPerCycle, 5000), "main", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

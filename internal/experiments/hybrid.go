@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ir"
-	"repro/internal/sanitize"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -38,37 +37,40 @@ type hybridRow struct {
 // measureHybrid runs the comparison at the given target interval with
 // the watchdog deadline at deadlineMult × target. One program is one
 // engine cell; a failing program is reported without losing the rest.
+// Sources, baselines and programs come from the engine's cache, so a
+// program another figure compiled is not compiled again.
 func measureHybrid(eng *engine.Engine, names []string, target int64, deadlineMult float64, scale int) ([]hybridRow, []cellError) {
 	label := func(i int) string { return "hybrid/" + names[i] }
 	return sweep(eng, len(names), label, func(i int) (hybridRow, error) {
 		name := names[i]
-		src, err := hybridProgram(name, scale)
+		wl, err := hybridWorkload(name)
 		if err != nil {
 			return hybridRow{}, err
 		}
-		base, err := runBaseline(src, name, 1)
+		base, err := baselineCached(eng, wl, scale, 1)
 		if err != nil {
 			return hybridRow{}, err
 		}
-		prog, err := sanitize.CompileChecked(src,
-			core.Config{Design: instrument.CI, ProbeIntervalIR: probeIntervalIR}, sanitize.Options{})
+		prog, err := compileCached(eng, wl, scale,
+			core.WithDesign(instrument.CI), core.WithProbeInterval(probeIntervalIR))
 		if err != nil {
 			return hybridRow{}, err
 		}
+		// The watchdog is a plain timer interrupt into a user handler
+		// (timer_create/SIGEV), far cheaper than the PMU-overflow
+		// signal path of Figure 12: ~10k cycles total, ~4k of it before
+		// the handler runs. Both runs share the program under it.
+		model := vm.Default()
+		model.HWInterruptCost = 10000
+		model.HWTrapCost = 4000
+		code := vm.NewCode(prog.Mod, model)
 
 		runOne := func(hybrid bool) (stats.Summary, float64, int64, error) {
-			// The watchdog is a plain timer interrupt into a user
-			// handler (timer_create/SIGEV), far cheaper than the
-			// PMU-overflow signal path of Figure 12: ~10k cycles
-			// total, ~4k of it before the handler runs.
-			model := vm.Default()
-			model.HWInterruptCost = 10000
-			model.HWTrapCost = 4000
 			// Both sources deliver to one handler, and a gap is the
 			// time since the last delivery from either.
 			var gaps []int64
 			var lastFire int64
-			s := core.Setup{Threads: 1, Model: model, Limit: runLimit, IRPerCycle: base.IRPerCycle, Interval: target,
+			s := core.Setup{Threads: 1, Limit: runLimit, IRPerCycle: base.IRPerCycle, Interval: target,
 				Handler: func(t *vm.Thread, _ uint64) {
 					now := t.Now()
 					gaps = append(gaps, now-lastFire)
@@ -81,7 +83,7 @@ func measureHybrid(eng *engine.Engine, names []string, target int64, deadlineMul
 			if hybrid {
 				s.Timer = int64(deadlineMult * float64(target))
 			}
-			r, err := core.RunThread(prog.Mod, s, "main", 0)
+			r, err := core.RunThread(code, s, "main", 0)
 			if err != nil {
 				return stats.Summary{}, 0, 0, err
 			}
@@ -102,19 +104,23 @@ func measureHybrid(eng *engine.Engine, names []string, target int64, deadlineMul
 	})
 }
 
-// hybridProgram resolves a Table-7 workload name or the synthetic
+// hybridWorkload resolves a Table-7 workload name or the synthetic
 // "syscall-gaps" program whose long uninstrumented calls create the
 // exact tails the watchdog exists for.
-func hybridProgram(name string, scale int) (*ir.Module, error) {
-	if name == "syscall-gaps" {
-		return syscallGaps(scale), nil
+func hybridWorkload(name string) (*workloads.Workload, error) {
+	if name == syscallGapsWorkload.Name {
+		return &syscallGapsWorkload, nil
 	}
 	wl := workloads.ByName(name)
 	if wl == nil {
 		return nil, fmt.Errorf("unknown workload %q", name)
 	}
-	return wl.Build(scale), nil
+	return wl, nil
 }
+
+// syscallGapsWorkload wraps syscallGaps as a workload, so the engine
+// caches it under its own name like a Table-7 program.
+var syscallGapsWorkload = workloads.Workload{Name: "syscall-gaps", Build: syscallGaps}
 
 // syscallGaps is a service-style loop that periodically enters a long
 // uninstrumented library call (~60k cycles — a page-cache read, say):

@@ -24,7 +24,6 @@ import (
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/ir"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -41,20 +40,6 @@ const runLimit = 400_000_000
 type baseline struct {
 	Cycles     int64
 	IRPerCycle float64
-}
-
-// runBaseline runs the uninstrumented module m (shared read-only when
-// it comes from the engine cache) on one representative thread of a
-// T-thread machine (threads are virtual-time independent; the
-// contention model carries the thread count) and returns the reference
-// cycles and the profiled IR/cycle ratio used to tune the CI runtime
-// (§4 footnote 3).
-func runBaseline(m *ir.Module, name string, threads int) (baseline, error) {
-	r, err := core.RunThread(m, core.Setup{Threads: threads, Limit: runLimit}, "main", 0)
-	if err != nil {
-		return baseline{}, fmt.Errorf("%s baseline: %w", name, err)
-	}
-	return baseline{Cycles: r.Stats.Cycles, IRPerCycle: r.IRPerCycle()}, nil
 }
 
 // measuredRun is a measured CI run's set-up: the representative thread
@@ -101,7 +86,7 @@ func measureOverhead(eng *engine.Engine, wl *workloads.Workload, d instrument.De
 	if record {
 		r, err = prog.Calibrate(s, "main", 0)
 	} else {
-		r, err = core.RunThread(prog.Mod, s, "main", 0)
+		r, err = core.RunThread(prog.Code(), s, "main", 0)
 	}
 	if err != nil {
 		return overheadRow{}, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
@@ -287,20 +272,20 @@ func measureFig12Workload(eng *engine.Engine, wl *workloads.Workload, scale int,
 	if err != nil {
 		return fig12Cell{}, err
 	}
-	hwMod := sourceModule(eng, wl, scale)
+	hwCode := source(eng, wl, scale).Code
 	cell := fig12Cell{
 		CI: make([]float64, 0, len(intervals)),
 		HW: make([]float64, 0, len(intervals)),
 	}
 	for _, interval := range intervals {
-		ci, err := core.RunThread(prog.Mod, measuredRun(1, base.IRPerCycle, interval), "main", 0)
+		ci, err := core.RunThread(prog.Code(), measuredRun(1, base.IRPerCycle, interval), "main", 0)
 		if err != nil {
 			return fig12Cell{}, fmt.Errorf("%s CI@%d: %w", wl.Name, interval, err)
 		}
 		cell.CI = append(cell.CI, float64(ci.Stats.Cycles)/float64(base.Cycles))
 
 		// Hardware-interrupt run on the uninstrumented program.
-		hw, err := core.RunThread(hwMod, core.Setup{Threads: 1, Limit: runLimit, Timer: interval, Handler: chargeWork}, "main", 0)
+		hw, err := core.RunThread(hwCode, core.Setup{Threads: 1, Limit: runLimit, Timer: interval, Handler: chargeWork}, "main", 0)
 		if err != nil {
 			return fig12Cell{}, fmt.Errorf("%s HW@%d: %w", wl.Name, interval, err)
 		}

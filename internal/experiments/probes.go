@@ -43,7 +43,7 @@ func measureProbeCounts(eng *engine.Engine, scale int, intervalCycles int64) ([]
 				if err != nil {
 					return row, err
 				}
-				r, err := core.RunThread(prog.Mod, measuredRun(1, base.IRPerCycle, intervalCycles), "main", 0)
+				r, err := core.RunThread(prog.Code(), measuredRun(1, base.IRPerCycle, intervalCycles), "main", 0)
 				if err != nil {
 					return row, fmt.Errorf("%s/%v: %w", wl.Name, d, err)
 				}

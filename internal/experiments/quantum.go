@@ -7,7 +7,6 @@ import (
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -124,7 +123,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 	}
 
 	row := quantumRow{Workload: wl.Name, Design: v.Design, Policy: v.Policy, FinalInterval: quantumTargetCycles}
-	var m *ir.Module
+	var code *vm.Code
 	s := core.Setup{Threads: 1, Limit: runLimit, Record: true,
 		Handler: func(t *vm.Thread, _ uint64) { serve(t.Charge) }}
 	switch v.Design {
@@ -138,7 +137,7 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 		if err != nil {
 			return row, err
 		}
-		m, s.IRPerCycle, s.Interval = prog.Mod, base.IRPerCycle, quantumTargetCycles
+		code, s.IRPerCycle, s.Interval = prog.Code(), base.IRPerCycle, quantumTargetCycles
 		switch v.Policy { // "fixed" installs none: the interval never moves
 		case "aimd":
 			s.Quantum = &ciruntime.AIMD{}
@@ -146,11 +145,11 @@ func measureQuantumVariant(eng *engine.Engine, wl *workloads.Workload, scale int
 			s.Quantum = &ciruntime.FeedbackPID{ClassOf: func() int { return lastClass }}
 		}
 	case "HW", "UIntr":
-		m, s.Timer, s.User = sourceModule(eng, wl, scale), quantumTargetCycles, v.Design == "UIntr"
+		code, s.Timer, s.User = source(eng, wl, scale).Code, quantumTargetCycles, v.Design == "UIntr"
 	default:
 		return row, fmt.Errorf("unknown quantum design %q", v.Design)
 	}
-	r, err := core.RunThread(m, s, "main", 0)
+	r, err := core.RunThread(code, s, "main", 0)
 	if err != nil {
 		return row, fmt.Errorf("%s %s/%s: %w", wl.Name, v.Design, v.Policy, err)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/ir"
 	"repro/internal/sim"
 )
 
@@ -32,7 +32,7 @@ import (
 // engine pool, and fills rep. Worker-local accumulator folds are
 // merged in schedule index order, so the report is byte-identical at
 // any worker count.
-func explore(prog *ir.Module, eng *engine.Engine, opts Options, rep *Report, acc *accumulator) error {
+func explore(prog *core.Program, eng *engine.Engine, opts Options, rep *Report, acc *accumulator) error {
 	enum := execute(prog, opts, execEnumerate, nil)
 	if err := enum.fault(); err != nil {
 		return fmt.Errorf("interleave: enumeration run: %w", err)

@@ -225,7 +225,7 @@ func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, 
 	rep := &Report{Entry: opts.Entry, Handler: handlerFunc, Bound: opts.ContextBound}
 
 	// Record: one cadence run with the access taps on.
-	rec := execute(prog.Mod, opts, execCadence, nil)
+	rec := execute(prog, opts, execCadence, nil)
 	if err := rec.fault(); err != nil {
 		return nil, fmt.Errorf("interleave: record run: %w", err)
 	}
@@ -241,7 +241,7 @@ func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, 
 	// fire-free baseline.
 	acc := newAccumulator()
 	acc.fold(rec)
-	if err := explore(prog.Mod, eng, opts, rep, acc); err != nil {
+	if err := explore(prog, eng, opts, rep, acc); err != nil {
 		return nil, err
 	}
 	rep.Addrs = acc.classify(opts.Benign)

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/ir"
 	"repro/internal/vm"
 )
 
@@ -109,14 +109,16 @@ const (
 // neverCycles is a cadence interval no run can reach.
 const neverCycles = int64(1) << 60
 
-// execute performs one run of the instrumented module under the given
+// execute performs one run of the instrumented program under the given
 // mode. schedule (execSchedule only) lists forced-fire sites in
 // ascending order; a site listed twice fires the handler twice there.
-// The module is cloned per run, so executions are independent and safe
-// to shard across engine workers.
-func execute(prog *ir.Module, opts Options, mode execMode, schedule []int64) *Run {
-	mod := prog.Clone()
-	machine := vm.New(mod, nil, 1)
+// Each run has its own VM over the program's shared code, which only
+// reads the module: executions are independent and safe to shard
+// across engine workers, and the hooked form every run takes (OnProbe
+// is always set) is built once per program.
+func execute(prog *core.Program, opts Options, mode execMode, schedule []int64) *Run {
+	mod := prog.Mod
+	machine := prog.Code().NewVM(1)
 	machine.LimitInstrs = opts.LimitInstrs
 	machine.MaxHandlerCycles = opts.MaxHandlerCycles
 	th := machine.NewThread(0)

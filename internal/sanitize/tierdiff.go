@@ -9,6 +9,7 @@
 package sanitize
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ir"
@@ -60,48 +61,56 @@ func runTier(m *ir.Module, tier vm.Tier, opts ExecOptions) (*TierTrace, error) {
 
 // DiffTiers runs m under the interpreter (the reference semantics) and
 // the compiled tier and returns a *Divergence at the first observable
-// difference, ErrInconclusive when either side exhausts the step
-// budget, or nil when the tiers agree bit for bit.
+// difference, ErrInconclusive when the interpreter exhausts the step
+// budget, or nil when the tiers agree bit for bit. A compiled leg that
+// exhausts the budget the interpreter finished under is a divergence:
+// the tiers count instructions alike, so it ran a different program.
 func DiffTiers(m *ir.Module, opts ExecOptions) error {
 	ref, err := runTier(m, vm.TierInterpreter, opts)
 	if err != nil {
 		return err
 	}
 	got, err := runTier(m, vm.TierCompiled, opts)
+	if errors.Is(err, ErrInconclusive) {
+		return tierDivergence(-1, "hit the step budget of %d instructions, interpreter finished in %d",
+			opts.withDefaults().LimitInstrs, ref.Stats.Instrs)
+	}
 	if err != nil {
 		return err
 	}
 	return diffTierTraces(ref, got)
 }
 
+// tierDivergence is a tier-stage *Divergence of the compiled leg.
+func tierDivergence(step int, format string, args ...any) *Divergence {
+	return &Divergence{Stage: "tier", Design: "compiled", Step: step,
+		Detail: fmt.Sprintf(format, args...)}
+}
+
 // diffTierTraces compares a compiled-tier trace against the
 // interpreter reference, most-localizing check first (store stream,
 // then return value, memory, fire count, stats).
 func diffTierTraces(ref, got *TierTrace) error {
-	div := func(step int, format string, args ...any) *Divergence {
-		return &Divergence{Stage: "tier", Design: "compiled", Step: step,
-			Detail: fmt.Sprintf(format, args...)}
-	}
 	n := min(len(ref.stores), len(got.stores))
 	for i := 0; i < n; i++ {
 		if ref.stores[i] != got.stores[i] {
-			return div(i, "store %+v, interpreter stored %+v", got.stores[i], ref.stores[i])
+			return tierDivergence(i, "store %+v, interpreter stored %+v", got.stores[i], ref.stores[i])
 		}
 	}
 	if len(got.stores) != len(ref.stores) {
-		return div(n, "made %d stores, interpreter made %d", len(got.stores), len(ref.stores))
+		return tierDivergence(n, "made %d stores, interpreter made %d", len(got.stores), len(ref.stores))
 	}
 	if got.Ret != ref.Ret {
-		return div(-1, "returned %d, interpreter returned %d", got.Ret, ref.Ret)
+		return tierDivergence(-1, "returned %d, interpreter returned %d", got.Ret, ref.Ret)
 	}
 	if i := memDiff(got.Mem, ref.Mem); i >= 0 {
-		return div(-1, "final mem[%d] = %d, interpreter %d", i, wordAt(got.Mem, i), wordAt(ref.Mem, i))
+		return tierDivergence(-1, "final mem[%d] = %d, interpreter %d", i, wordAt(got.Mem, i), wordAt(ref.Mem, i))
 	}
 	if got.Fires != ref.Fires {
-		return div(-1, "handler fired %d times, interpreter %d", got.Fires, ref.Fires)
+		return tierDivergence(-1, "handler fired %d times, interpreter %d", got.Fires, ref.Fires)
 	}
 	if got.Stats != ref.Stats {
-		return div(-1, "stats drift: compiled %+v, interpreter %+v", got.Stats, ref.Stats)
+		return tierDivergence(-1, "stats drift: compiled %+v, interpreter %+v", got.Stats, ref.Stats)
 	}
 	return nil
 }

@@ -151,6 +151,47 @@ func TestTierCycleDriftShrinksToPinnedRepro(t *testing.T) {
 	}
 }
 
+// cycleSpinSrc counts loop trips until the cycle counter passes a
+// deadline. Its loop head fuses the compare into the branch, so under
+// MiscompileForTest the compiled tier charges each trip a cycle less
+// and needs more trips, and more instructions, to reach the deadline.
+const cycleSpinSrc = `
+mem 8
+func @main(%n) {
+entry:
+  %i = mov 0
+  jmp head
+head:
+  %t = rdcyc
+  %i = add %i, 1
+  %c = lt %t, 10000
+  br %c, head, exit
+exit:
+  ret %i
+}
+`
+
+// A compiled leg that exhausts a step budget the interpreter finished
+// under is a tier divergence that names the overrun, not an
+// inconclusive run: the tiers count instructions alike.
+func TestTierBudgetOverrunIsDivergence(t *testing.T) {
+	src := ir.MustParse(cycleSpinSrc)
+	eo := sanitize.ExecOptions{LimitInstrs: 3_800}
+	if err := sanitize.DiffTiers(src, eo); err != nil {
+		t.Fatalf("without a planted drift: %v", err)
+	}
+	vm.MiscompileForTest = true
+	defer func() { vm.MiscompileForTest = false }()
+	err := sanitize.DiffTiers(src, eo)
+	var div *sanitize.Divergence
+	if !errors.As(err, &div) || errors.Is(err, sanitize.ErrInconclusive) {
+		t.Fatalf("compiled leg over the budget: err = %v, want a *Divergence", err)
+	}
+	if div.Stage != "tier" || !strings.Contains(div.Detail, "step budget of 3800") {
+		t.Errorf("divergence = %+v, want a tier-stage divergence naming the budget", div)
+	}
+}
+
 // Every pinned reproducer must also agree across tiers (with no
 // planted bug), both raw and instrumented — the tier oracle's
 // regression anchor, mirroring TestPinnedReprosStayFixed.

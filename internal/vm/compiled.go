@@ -30,14 +30,18 @@
 //
 // Hooks: a thread with a per-probe hook — OnProbe (forced-fire
 // schedules) or an enabled obs scope — runs a second, hooked form of
-// the module, built lazily per VM like the plain one, whose probe
-// units call the interpreter's own execProbe; every other unit is the
-// plain form's. The OnStore/OnLoad/OnAtomic observers are nil-checked
-// on memory ops in both forms.
+// the module, whose probe units call the interpreter's own execProbe;
+// every other unit is the plain form's. The OnStore/OnLoad/OnAtomic
+// observers are nil-checked on memory ops in both forms.
+//
+// Both forms belong to a Code, the immutable compiled value of one
+// (module, cost model): each is built at most once, on first use, and
+// shared by every VM and goroutine that runs the Code.
 package vm
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -62,7 +66,7 @@ func (t Tier) String() string {
 	return "interpreter"
 }
 
-// MiscompileForTest, when set before a VM first compiles its module,
+// MiscompileForTest, when set before a Code first builds a form,
 // makes fused compare+branch epilogues skip the terminator cycle
 // charge — a deliberate cycle-only miscompile (memory and control flow
 // stay correct). The tier-differential harness uses it to prove the
@@ -96,11 +100,10 @@ type cfunc struct {
 	code     []op
 }
 
-// compiledModule caches one form of a module, built at most once per
-// VM and shared by all threads. Closures capture only immutable
-// compile-time state (cost constants, IR metadata, callee pointers)
-// and reach all mutable state through the frame's thread, so every
-// thread of the VM can run them.
+// compiledModule is one form of a module. Closures capture only
+// immutable compile-time state (cost constants, IR metadata, callee
+// pointers) and reach all mutable state through the frame's thread, so
+// any thread of any VM over the form's Code can run them, concurrently.
 type compiledModule struct {
 	funcs map[string]*cfunc
 	// hooked marks the hooked form, whose probes call execProbe.
@@ -110,19 +113,44 @@ type compiledModule struct {
 	superblocks, addrOps int
 }
 
-// compiledMod returns the module's plain compiled form, or its hooked
-// form when hooked is set, building it on first use.
-func (vm *VM) compiledMod(hooked bool) *compiledModule {
-	vm.compileMu.Lock()
-	defer vm.compileMu.Unlock()
-	form := &vm.compiled
+// Code is a module compiled against a cost model, the way the paper's
+// pass builds a binary once and runs it many times: an immutable value
+// that any number of VMs, on any goroutines, run at once. Its plain and
+// hooked forms are each pre-decoded at most once, on first use, so
+// creating a Code pre-decodes nothing until a compiled-tier run needs
+// it.
+// The module and the model are only read, by the Code and by every VM
+// over it.
+type Code struct {
+	mod           *ir.Module
+	model         *CostModel
+	plain, hooked lazyForm
+}
+
+// lazyForm is one form of a Code, built on first use.
+type lazyForm struct {
+	once sync.Once
+	cm   *compiledModule
+}
+
+// NewCode returns the Code of mod under model (nil for Default),
+// building neither form yet.
+func NewCode(mod *ir.Module, model *CostModel) *Code {
+	if model == nil {
+		model = Default()
+	}
+	return &Code{mod: mod, model: model}
+}
+
+// form returns the plain compiled form, or the hooked form when hooked
+// is set, building it on first use.
+func (c *Code) form(hooked bool) *compiledModule {
+	f := &c.plain
 	if hooked {
-		form = &vm.hooked
+		f = &c.hooked
 	}
-	if *form == nil {
-		*form = compileModule(vm.Mod, vm.Model, hooked)
-	}
-	return *form
+	f.once.Do(func() { f.cm = compileModule(c.mod, c.model, hooked) })
+	return f.cm
 }
 
 // unitKind classifies one compiled unit (possibly a fused pair).

@@ -227,7 +227,7 @@ func TestGrowingMemoryMatchesPreallocated(t *testing.T) {
 		}
 		withHandler := func(th *Thread) {
 			th.RT.RegisterCI(400, func(delta uint64) {
-				if th.VM.Mod.FuncByName("handler") == nil {
+				if th.VM.code.mod.FuncByName("handler") == nil {
 					return
 				}
 				if _, err := th.CallHandler("handler", int64(delta)); err != nil {

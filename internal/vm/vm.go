@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ci/ciruntime"
@@ -42,9 +41,10 @@ func (hw *HWConfig) costs(m *CostModel) (total, pre int64) {
 	return total, pre
 }
 
-// VM is a virtual machine instance: a module, a cost model, flat shared
-// memory and a thread count (used by the contention model). The
-// threads of one VM run one at a time.
+// VM is a virtual machine instance: a Code (a module under a cost
+// model), flat shared memory, a thread count (used by the contention
+// model) and run settings. The threads of one VM run one at a time;
+// VMs over one Code run independently and share its compiled forms.
 //
 // The memory is the module's MemWords words (at least one), all zero
 // at start; an address outside [0, MemWords) faults. Only the prefix a
@@ -52,8 +52,6 @@ func (hw *HWConfig) costs(m *CostModel) (total, pre int64) {
 // store past the prefix doubles it (capped at MemWords) before it
 // completes. Memory returns the whole logical memory.
 type VM struct {
-	Mod     *ir.Module
-	Model   *CostModel
 	Threads int
 	// HW, when non-nil, enables hardware interrupts on all threads.
 	HW *HWConfig
@@ -78,12 +76,9 @@ type VM struct {
 	// every hook (see compiled.go).
 	Tier Tier
 
-	// compileMu guards the plain and the hooked compiled forms, each
-	// built on first use (compiledMod).
-	compileMu sync.Mutex
-	compiled  *compiledModule
-	hooked    *compiledModule
-
+	// code is the module under its cost model, shared with every VM
+	// over it.
+	code *Code
 	// mem is the allocated prefix of the logical memory; every word
 	// at or past len(mem) and below memWords is zero.
 	mem      []int64
@@ -94,16 +89,18 @@ type VM struct {
 const memPrefix = 256
 
 // New creates a VM for the module with the given cost model (nil for
-// Default) and thread count (minimum 1).
+// Default) and thread count (minimum 1), over a Code of its own: a
+// caller that runs one module many times shares one Code instead
+// (NewCode, Code.NewVM).
 func New(mod *ir.Module, model *CostModel, threads int) *VM {
-	if model == nil {
-		model = Default()
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	words := max(mod.MemWords, 1)
-	return &VM{Mod: mod, Model: model, Threads: threads,
+	return NewCode(mod, model).NewVM(threads)
+}
+
+// NewVM creates a VM over c with the given thread count (minimum 1)
+// and its own memory.
+func (c *Code) NewVM(threads int) *VM {
+	words := max(c.mod.MemWords, 1)
+	return &VM{Threads: max(threads, 1), code: c,
 		mem: make([]int64, min(words, memPrefix)), memWords: words}
 }
 
@@ -219,8 +216,8 @@ func (vm *VM) NewThread(id int) *Thread {
 		VM:     vm,
 		ID:     id,
 		RT:     ciruntime.New(),
-		model:  vm.Model,
-		memMul: vm.Model.MemContention(vm.Threads),
+		model:  vm.code.model,
+		memMul: vm.code.model.MemContention(vm.Threads),
 		rng:    uint64(id)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3,
 		limit:  vm.LimitInstrs,
 		obs:    vm.Obs,
@@ -228,8 +225,8 @@ func (vm *VM) NewThread(id int) *Thread {
 	if vm.HW != nil {
 		t.nextHW = vm.HW.IntervalCycles
 	}
-	t.funcMap = make(map[string]*ir.Func, len(vm.Mod.Funcs))
-	for _, f := range vm.Mod.Funcs {
+	t.funcMap = make(map[string]*ir.Func, len(vm.code.mod.Funcs))
+	for _, f := range vm.code.mod.Funcs {
 		t.funcMap[f.Name] = f
 	}
 	return t
@@ -275,7 +272,7 @@ func (t *Thread) Run(fn string, args ...int64) (int64, error) {
 // plain form.
 func (t *Thread) exec(f *ir.Func, args []int64) (int64, error) {
 	if t.VM.Tier == TierCompiled {
-		if cf := t.VM.compiledMod(t.OnProbe != nil || t.obs != nil).funcs[f.Name]; cf != nil {
+		if cf := t.VM.code.form(t.OnProbe != nil || t.obs != nil).funcs[f.Name]; cf != nil {
 			return t.callCompiled(cf, args)
 		}
 	}
@@ -611,7 +608,7 @@ func (t *Thread) execExtCall(in *ir.Instr, regs []int64) error {
 		}
 		return nil
 	}
-	ext := t.VM.Mod.Externs[c.Callee]
+	ext := t.VM.code.mod.Externs[c.Callee]
 	if ext == nil {
 		return fmt.Errorf("vm: extcall to unknown extern %q", c.Callee)
 	}

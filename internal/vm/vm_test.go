@@ -264,7 +264,7 @@ exit:
 		}
 		// Overhead must be roughly interrupts * HWInterruptCost.
 		over := th.Stats.Cycles - base
-		wantMin := int64(fired) * v.Model.HWInterruptCost
+		wantMin := int64(fired) * v.code.model.HWInterruptCost
 		if over < wantMin {
 			t.Errorf("overhead %d < interrupts*cost %d", over, wantMin)
 		}
