@@ -172,7 +172,7 @@ func callOrder(m *ir.Module) ([]*ir.Func, map[string]bool) {
 				if in.Op != ir.OpCall {
 					continue
 				}
-				if callee := m.FuncByName(in.Call.Callee); callee != nil {
+				if callee := m.FuncByName(f.CallOf(in).Callee); callee != nil {
 					visit(callee)
 					// Propagate recursion discovered through this edge.
 					if st[callee.Name] == visiting {
@@ -272,7 +272,8 @@ func newAnalyzer(f *ir.Func, an *cfg.Analyses, sc *scratch, opts *Options, costs
 func (a *analyzer) instrCost(in *ir.Instr) (Cost, bool) {
 	switch in.Op {
 	case ir.OpCall:
-		fi, ok := a.costs[in.Call.Callee]
+		call := a.f.CallOf(in)
+		fi, ok := a.costs[call.Callee]
 		if !ok {
 			// Callee not yet analyzed (recursion) — treated as
 			// self-accounting.
@@ -284,10 +285,10 @@ func (a *analyzer) instrCost(in *ir.Instr) (Cost, bool) {
 		// Uninstrumented callee: charge its cost, substituting
 		// argument values into parametric costs.
 		cost := fi.Cost.Subst(func(p int) Cost {
-			if p >= len(in.Call.Args) {
+			if p >= len(call.Args) {
 				return Unknown()
 			}
-			arg := in.Call.Args[p]
+			arg := call.Args[p]
 			if c, ok := a.ri.ConstValue(arg); ok {
 				return Const(c)
 			}

@@ -157,8 +157,7 @@ func loopExitsToDynamicProbe(f *ir.Func, g *cfg.Graph, l *cfg.Loop) bool {
 			}
 			b := f.Blocks[si]
 			if len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpProbe {
-				k := b.Instrs[0].Probe.Kind
-				if k == ir.ProbeIRLoop || k == ir.ProbeCyclesLoop {
+				if b.Instrs[0].Probe().Loop() {
 					found = true
 					continue
 				}

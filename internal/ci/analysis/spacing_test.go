@@ -36,7 +36,7 @@ func instrumentForSpacing(t *testing.T, m *ir.Module, probeInterval int64) {
 				if mk.Loop {
 					kind = ir.ProbeIRLoop
 				}
-				pi := &ir.ProbeInfo{Kind: kind, Inc: mk.Inc, IndVar: mk.IndVar, Base: mk.Base}
+				pi := ir.ProbeInfo{Kind: kind, Inc: mk.Inc, IndVar: mk.IndVar, Base: mk.Base}
 				if !mk.Loop {
 					pi.IndVar, pi.Base = ir.NoReg, ir.NoReg
 				}
@@ -46,7 +46,7 @@ func instrumentForSpacing(t *testing.T, m *ir.Module, probeInterval int64) {
 				}
 				b.Instrs = append(b.Instrs, ir.Instr{})
 				copy(b.Instrs[idx+1:], b.Instrs[idx:])
-				b.Instrs[idx] = ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi}
+				b.Instrs[idx] = ir.ProbeInstr(pi)
 			}
 		}
 	}
@@ -115,8 +115,7 @@ exit:
 	for i := 0; i < 600; i++ {
 		x = b.BinI(ir.OpAdd, x, 1)
 	}
-	b.B.Instrs = append(b.B.Instrs, ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg,
-		Probe: &ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 600, IndVar: ir.NoReg, Base: ir.NoReg}})
+	b.B.Instrs = append(b.B.Instrs, ir.ProbeInstr(ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 600, IndVar: ir.NoReg, Base: ir.NoReg}))
 	b.Ret(x)
 	f.Reindex()
 	if err := CheckSpacing(f, 100, 200); err == nil {

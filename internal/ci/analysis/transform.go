@@ -193,28 +193,14 @@ func (a *analyzer) cloneLoop(c *Container, perIter int64) {
 	h := f.Blocks[l.Header]
 	ph := f.Blocks[l.Preheader]
 
-	// Deep-copy the loop blocks, in ascending index order: the clone of
-	// l.Blocks[k] is f.Blocks[base+k]. The copies' instructions, call
-	// records, call arguments and probe descriptions each share one
-	// array, as in ir.Module.Clone.
-	base, n, ncalls, nargs, nprobes := len(f.Blocks), 0, 0, 0, 0
+	// Copy the loop blocks, in ascending index order: the clone of
+	// l.Blocks[k] is f.Blocks[base+k]. The copies' instructions share
+	// one array; a copied call keeps its index into f's call table.
+	base, n := len(f.Blocks), 0
 	for _, bi := range l.Blocks {
-		for i := range f.Blocks[bi].Instrs {
-			in := &f.Blocks[bi].Instrs[i]
-			n++
-			if in.Call != nil {
-				ncalls++
-				nargs += len(in.Call.Args)
-			}
-			if in.Probe != nil {
-				nprobes++
-			}
-		}
+		n += len(f.Blocks[bi].Instrs)
 	}
 	instrs := make([]ir.Instr, n)
-	calls := make([]ir.Call, ncalls)
-	args := make([]ir.Reg, nargs)
-	probes := make([]ir.ProbeInfo, nprobes)
 	// The names are cut from one string: each block's name and ".fast",
 	// the header's with ".fastprobe", which has ".fast" as its prefix.
 	var sb strings.Builder
@@ -245,20 +231,6 @@ func (a *analyzer) cloneLoop(c *Container, perIter int64) {
 		names = names[end:]
 		n := copy(instrs, ob.Instrs)
 		nb.Instrs, instrs = instrs[:n:n], instrs[n:]
-		for i := range nb.Instrs {
-			in := &nb.Instrs[i]
-			if in.Call != nil {
-				calls[0].Callee = in.Call.Callee
-				if k := copy(args, in.Call.Args); k > 0 {
-					calls[0].Args, args = args[:k:k], args[k:]
-				}
-				in.Call, calls = &calls[0], calls[1:]
-			}
-			if in.Probe != nil {
-				probes[0] = *in.Probe
-				in.Probe, probes = &probes[0], probes[1:]
-			}
-		}
 		nb.Term = ob.Term
 	}
 	cloneOf := func(b *ir.Block) *ir.Block {

@@ -137,8 +137,7 @@ func Instrument(m *ir.Module, opts Options) (*Result, error) {
 // one at a time in that order, each before Instrs[Index] (or at the
 // end when Index is past it), gives the layout this builds directly.
 // Each marked block's instructions are rebuilt once, at their final
-// size, from one array per function, and the probes' descriptions come
-// from another.
+// size, from one array per function; a probe's operands are inline.
 func applyMarks(f *ir.Func, marks []analysis.Mark, cycles bool) int {
 	if len(marks) == 0 {
 		return 0
@@ -158,11 +157,8 @@ func applyMarks(f *ir.Func, marks []analysis.Mark, cycles bool) int {
 		}
 	}
 	instrs := make([]ir.Instr, total)
-	infos := make([]ir.ProbeInfo, len(ms))
 	probe := func(mk analysis.Mark) ir.Instr {
-		pi := &infos[0]
-		infos = infos[1:]
-		*pi = ir.ProbeInfo{Kind: ir.ProbeIR, Inc: mk.Inc, IndVar: ir.NoReg, Base: ir.NoReg}
+		pi := ir.ProbeInfo{Kind: ir.ProbeIR, Inc: mk.Inc, IndVar: ir.NoReg, Base: ir.NoReg}
 		switch {
 		case mk.Loop && cycles:
 			pi.Kind = ir.ProbeCyclesLoop
@@ -174,7 +170,7 @@ func applyMarks(f *ir.Func, marks []analysis.Mark, cycles bool) int {
 		if mk.Loop {
 			pi.IndVar, pi.Base = mk.IndVar, mk.Base
 		}
-		return ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi}
+		return ir.ProbeInstr(pi)
 	}
 	for len(ms) > 0 {
 		b, old := ms[0].Block, ms[0].Block.Instrs
@@ -261,7 +257,7 @@ func instrumentEveryBlock(m *ir.Module, opts Options, cycles, coredet bool) int 
 			kind = ir.ProbeCycles
 		}
 		// Every probed block is rebuilt once, one probe longer, from one
-		// array per function; the probes' descriptions share another.
+		// array per function.
 		nprobes, total := 0, 0
 		for i, b := range f.Blocks {
 			if has[i] {
@@ -270,7 +266,6 @@ func instrumentEveryBlock(m *ir.Module, opts Options, cycles, coredet bool) int 
 			}
 		}
 		instrs := make([]ir.Instr, total)
-		infos := make([]ir.ProbeInfo, nprobes)
 		for i, b := range f.Blocks {
 			if !has[i] {
 				continue
@@ -279,9 +274,7 @@ func instrumentEveryBlock(m *ir.Module, opts Options, cycles, coredet bool) int 
 			out := instrs[:n:n]
 			instrs = instrs[n:]
 			copy(out, b.Instrs)
-			infos[0] = ir.ProbeInfo{Kind: kind, Inc: inc[i], IndVar: ir.NoReg, Base: ir.NoReg}
-			out[n-1] = ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: &infos[0]}
-			infos = infos[1:]
+			out[n-1] = ir.ProbeInstr(ir.ProbeInfo{Kind: kind, Inc: inc[i], IndVar: ir.NoReg, Base: ir.NoReg})
 			b.Instrs = out
 		}
 		probes += nprobes
@@ -375,19 +368,18 @@ func instrumentCallsAndBackedges(m *ir.Module, cycles bool) int {
 				latch[t] = true
 			}
 		}
+		event := ir.ProbeInstr(ir.ProbeInfo{Kind: kind, Inc: 1, IndVar: ir.NoReg, Base: ir.NoReg})
 		for bi, b := range f.Blocks {
 			var out []ir.Instr
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpCall || in.Op == ir.OpExtCall {
-					out = append(out, ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg,
-						Probe: &ir.ProbeInfo{Kind: kind, Inc: 1, IndVar: ir.NoReg, Base: ir.NoReg}})
+					out = append(out, event)
 					probes++
 				}
 				out = append(out, in)
 			}
 			if latch[bi] {
-				out = append(out, ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg,
-					Probe: &ir.ProbeInfo{Kind: kind, Inc: 1, IndVar: ir.NoReg, Base: ir.NoReg}})
+				out = append(out, event)
 				probes++
 			}
 			b.Instrs = out

@@ -39,7 +39,7 @@ func countProbes(m *ir.Module) (total int, byKind map[ir.ProbeKind]int) {
 			for i := range b.Instrs {
 				if b.Instrs[i].Op == ir.OpProbe {
 					total++
-					byKind[b.Instrs[i].Probe.Kind]++
+					byKind[b.Instrs[i].Kind]++
 				}
 			}
 		}

@@ -35,11 +35,11 @@ func applyMarksRef(f *ir.Func, marks []analysis.Mark, cycles bool) int {
 			case cycles:
 				kind = ir.ProbeCycles
 			}
-			pi := &ir.ProbeInfo{Kind: kind, Inc: mk.Inc, IndVar: mk.IndVar, Base: mk.Base}
+			pi := ir.ProbeInfo{Kind: kind, Inc: mk.Inc, IndVar: mk.IndVar, Base: mk.Base}
 			if !mk.Loop {
 				pi.IndVar, pi.Base = ir.NoReg, ir.NoReg
 			}
-			in := ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi}
+			in := ir.ProbeInstr(pi)
 			idx := mk.Index
 			if idx > len(b.Instrs) {
 				idx = len(b.Instrs)
@@ -87,8 +87,8 @@ func instrumentEveryBlockRef(m *ir.Module, opts Options, cycles, coredet bool) i
 			if !has[i] {
 				continue
 			}
-			pi := &ir.ProbeInfo{Kind: kind, Inc: inc[i], IndVar: ir.NoReg, Base: ir.NoReg}
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, Probe: pi})
+			pi := ir.ProbeInfo{Kind: kind, Inc: inc[i], IndVar: ir.NoReg, Base: ir.NoReg}
+			b.Instrs = append(b.Instrs, ir.ProbeInstr(pi))
 			probes++
 		}
 	}

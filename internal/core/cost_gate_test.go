@@ -41,10 +41,12 @@ func compileAll(t *testing.T, mods []*ir.Module, opts []Option) {
 // from one string and the reducer's per-function arrays from scratch
 // one Analyze call reuses, it read 2 375, 2 375, 491 and 2 605 (Naive's
 // nine more than before are the call-record arrays of the clones of the
-// nine programs that make calls); it reads 1 837, 1 838, 491 and 2 060
-// now.
+// nine programs that make calls), and before instructions held no
+// pointers (probe operands inline, call records in per-function
+// tables, so no per-function probe arrays) 1 809, 1 810, 463 and
+// 2 032; it reads 1 778, 1 778, 432 and 2 001 now.
 func TestCompileAllocsPerConfig(t *testing.T) {
-	bound := map[string]float64{"CI": 1929, "CI-Cycles": 1930, "Naive": 516, "CI+opt": 2163}
+	bound := map[string]float64{"CI": 1867, "CI-Cycles": 1867, "Naive": 454, "CI+opt": 2102}
 	mods := table7()
 	for _, c := range goldenConfigs {
 		allocs := testing.AllocsPerRun(3, func() { compileAll(t, mods, c.opts) })
@@ -63,11 +65,13 @@ func TestCompileAllocsPerConfig(t *testing.T) {
 // graph to one int32 array and the analyses to one reused bundle per
 // module, the measurement read CI 666 056 B, CI-Cycles 666 056 B,
 // Naive 304 736 B and CI+opt 832 264 B. Before the block slab and the
-// reducer's scratch it read 440 504, 440 504, 185 904 and 494 200; it
-// reads 431 171, 431 171, 186 448 and 484 189 now (Naive's 544 more are
-// the slab's slice header every Func now carries).
+// reducer's scratch it read 440 504, 440 504, 185 904 and 494 200.
+// Before instructions shrank to 24 bytes and held no pointers (probe
+// operands inline, call records in per-function tables) it read
+// 432 067, 432 067, 187 344 and 485 085; it reads 397 915, 397 899,
+// 131 552 and 450 005 now.
 func TestCompileBytesPerConfig(t *testing.T) {
-	bound := map[string]float64{"CI": 452730, "CI-Cycles": 452730, "Naive": 195770, "CI+opt": 508398}
+	bound := map[string]float64{"CI": 417811, "CI-Cycles": 417811, "Naive": 138130, "CI+opt": 472506}
 	mods := table7()
 	for _, c := range goldenConfigs {
 		bytes := bytesPerRun(3, func() { compileAll(t, mods, c.opts) })

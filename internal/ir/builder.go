@@ -8,9 +8,6 @@ import "fmt"
 type Builder struct {
 	F *Func
 	B *Block
-	// calls is a chunk the call records of Call and ExtCall are taken
-	// from.
-	calls []Call
 }
 
 // NewBuilder returns a builder positioned at the function's entry
@@ -104,23 +101,20 @@ func (bl *Builder) AtomicAdd(base Reg, off int64, val Reg) Reg {
 
 // Call emits Dst = callee(args...) and returns Dst.
 func (bl *Builder) Call(callee string, args ...Reg) Reg {
-	return bl.emit(Instr{Op: OpCall, Dst: bl.F.NewReg(), Call: bl.call(callee, args)})
+	return bl.call(OpCall, callee, args)
 }
 
 // ExtCall emits Dst = extern callee(args...) and returns Dst.
 func (bl *Builder) ExtCall(callee string, args ...Reg) Reg {
-	return bl.emit(Instr{Op: OpExtCall, Dst: bl.F.NewReg(), Call: bl.call(callee, args)})
+	return bl.call(OpExtCall, callee, args)
 }
 
-// call returns a call record taken from the builder's chunk.
-func (bl *Builder) call(callee string, args []Reg) *Call {
-	if len(bl.calls) == 0 {
-		bl.calls = make([]Call, 16)
-	}
-	c := &bl.calls[0]
-	bl.calls = bl.calls[1:]
-	*c = Call{Callee: callee, Args: args}
-	return c
+// call emits a call instruction of opcode op with its record added to
+// the function's call table.
+func (bl *Builder) call(op Opcode, callee string, args []Reg) Reg {
+	bl.F.Calls = append(bl.F.Calls, Call{Callee: callee, Args: args})
+	imm := int64(len(bl.F.Calls) - 1)
+	return bl.emit(Instr{Op: op, Dst: bl.F.NewReg(), A: NoReg, B: NoReg, Imm: imm})
 }
 
 // Jmp terminates the current block with an unconditional jump.

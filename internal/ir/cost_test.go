@@ -61,8 +61,9 @@ func TestParseAndCloneManyBlocks(t *testing.T) {
 }
 
 // TestCloneSlicesDoNotShareCapacity checks the property that makes the
-// clone's shared arrays safe: appending to one block's instructions or
-// one call's arguments must not write into the next.
+// clone's shared arrays safe: appending to one block's instructions,
+// one call's arguments or one function's call table must not write
+// into the next.
 func TestCloneSlicesDoNotShareCapacity(t *testing.T) {
 	m := ir.MustParse(`
 func @f(%a, %b) {
@@ -76,14 +77,15 @@ next:
 }
 func @g() {
 only:
+  %x = call @g()
   ret
 }`)
 	for name, mod := range map[string]*ir.Module{"parsed": m, "cloned": m.Clone()} {
 		want := mod.String()
 		f := mod.Funcs[0]
 		entry := f.Blocks[0]
-		first := &entry.Instrs[0]
-		first.Call.Args = append(first.Call.Args, 0)[:2]
+		f.Calls[0].Args = append(f.Calls[0].Args, 0)[:2]
+		f.Calls = append(f.Calls, ir.Call{Callee: "f"})[:2]
 		entry.Instrs = append(entry.Instrs, ir.Instr{Op: ir.OpNop, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg})[:2]
 		f.Blocks = append(f.Blocks, entry)[:2]
 		if got := mod.String(); got != want {

@@ -64,9 +64,9 @@ const (
 	// OpAtomicAdd performs Dst = Mem[A+Imm]; Mem[A+Imm] += B atomically
 	// with respect to other VM threads.
 	OpAtomicAdd
-	// OpCall invokes Call.Callee (a function in the same module) with
-	// Call.Args; the callee's return value lands in Dst (NoReg discards
-	// it).
+	// OpCall invokes a function of the same module through a call
+	// record of the enclosing function's table (Func.Calls); the
+	// callee's return value lands in Dst (NoReg discards it).
 	OpCall
 	// OpExtCall invokes an uninstrumented external function declared in
 	// the module's extern table. The VM charges its declared cost; the
@@ -76,7 +76,7 @@ const (
 	// llvm.readcyclecounter intrinsic of the paper).
 	OpReadCycles
 	// OpProbe is inserted by the instrumentation phase (§4); its
-	// behaviour is described by the attached ProbeInfo.
+	// operands are described by Instr.Probe.
 	OpProbe
 	numOpcodes
 )
@@ -148,8 +148,8 @@ func (k ProbeKind) String() string {
 	return fmt.Sprintf("probekind(%d)", uint8(k))
 }
 
-// ProbeInfo describes an instrumentation probe attached to an OpProbe
-// instruction.
+// ProbeInfo describes an instrumentation probe: the operands of an
+// OpProbe instruction, which keeps them inline (see Instr).
 type ProbeInfo struct {
 	Kind ProbeKind
 	// Inc is the statically computed IR-instruction increment (for
@@ -157,12 +157,20 @@ type ProbeInfo struct {
 	// event weight (for ProbeEvent*).
 	Inc int64
 	// IndVar and Base are the loop-transform registers: the increment
-	// contributed is (IndVar - Base) * Inc.
+	// contributed is (IndVar - Base) * Inc. Other kinds leave them
+	// NoReg.
 	IndVar Reg
 	Base   Reg
 }
 
-// Call is the call record of an OpCall or OpExtCall instruction.
+// Loop reports whether the probe's increment comes from its loop
+// registers (ProbeIRLoop, ProbeCyclesLoop).
+func (p ProbeInfo) Loop() bool { return p.Kind == ProbeIRLoop || p.Kind == ProbeCyclesLoop }
+
+// Call is a call record of a function's table (Func.Calls): the target
+// and arguments of an OpCall or OpExtCall instruction. Records are not
+// changed after they are made, so instructions copied within a
+// function share theirs.
 type Call struct {
 	Callee string
 	Args   []Reg
@@ -176,19 +184,35 @@ type Call struct {
 //   - OpLoad:        Dst = Mem[A + Imm]        (A may be NoReg)
 //   - OpStore:       Mem[A + Imm] = B          (A may be NoReg)
 //   - OpAtomicAdd:   Dst = Mem[A+Imm]; Mem[A+Imm] += B
-//   - OpCall/OpExtCall: Dst = Call.Callee(Call.Args...)
-//   - OpProbe:       see Probe
+//   - OpCall/OpExtCall: Dst = c.Callee(c.Args...), where c is
+//     Calls[Imm] of the enclosing function (Func.CallOf); A and B are
+//     NoReg
+//   - OpProbe:       a probe of kind Kind with Inc in Imm, IndVar in A
+//     and Base in B (NoReg unless a loop kind); Dst is NoReg. Probe
+//     returns them as a ProbeInfo and ProbeInstr builds one.
 //
-// Only calls use Call and only probes use Probe, so those live behind
-// pointers and an instruction is 40 bytes.
+// An instruction holds no pointer: it is 24 bytes, and the garbage
+// collector neither scans an instruction array nor puts write barriers
+// on its copies.
 type Instr struct {
-	Op    Opcode
-	BImm  bool
-	Dst   Reg
-	A, B  Reg
-	Imm   int64
-	Call  *Call
-	Probe *ProbeInfo
+	Op   Opcode
+	BImm bool
+	// Kind is the probe kind of an OpProbe; other opcodes leave it
+	// zero.
+	Kind ProbeKind
+	Dst  Reg
+	A, B Reg
+	Imm  int64
+}
+
+// Probe returns the operands of an OpProbe instruction.
+func (in *Instr) Probe() ProbeInfo {
+	return ProbeInfo{Kind: in.Kind, Inc: in.Imm, IndVar: in.A, Base: in.B}
+}
+
+// ProbeInstr returns the OpProbe instruction with p's operands.
+func ProbeInstr(p ProbeInfo) Instr {
+	return Instr{Op: OpProbe, Kind: p.Kind, Dst: NoReg, A: p.IndVar, B: p.Base, Imm: p.Inc}
 }
 
 // TermKind enumerates block terminators.
@@ -244,6 +268,9 @@ type Func struct {
 	NumRegs int
 	// Blocks holds the function body; Blocks[0] is the entry block.
 	Blocks []*Block
+	// Calls is the function's call table: the record of each OpCall or
+	// OpExtCall instruction, found at the instruction's Imm.
+	Calls []Call
 	// NoInstrument corresponds to "#pragma ci_probe disable": the
 	// instrumentation phase must not add probes to this function.
 	NoInstrument bool
@@ -262,6 +289,10 @@ func (f *Func) Entry() *Block {
 	}
 	return f.Blocks[0]
 }
+
+// CallOf returns the call record of in, an OpCall or OpExtCall of f.
+// Records are shared and must not be changed.
+func (f *Func) CallOf(in *Instr) *Call { return &f.Calls[in.Imm] }
 
 // NewReg allocates a fresh virtual register.
 func (f *Func) NewReg() Reg {
@@ -411,11 +442,11 @@ func (m *Module) DeclareExtern(name string, cost int64) *Extern {
 // configurations. Block indices must be fresh (Func.Reindex): branch
 // targets are found through them.
 //
-// The copy's functions, blocks, instructions, call records, call
-// arguments and probe descriptions each come out of one array sized by
-// a counting pass. Every slice handed out has its capacity cut at its
-// length, so an append to one block or call copies out of the array and
-// cannot reach its neighbour.
+// The copy's functions, blocks, instructions, call records and call
+// arguments each come out of one array sized by a counting pass. Every
+// slice handed out has its capacity cut at its length, so an append to
+// one block or call table copies out of the array and cannot reach its
+// neighbour. Instructions hold no pointers, so they copy as they are.
 func (m *Module) Clone() *Module {
 	nm := NewModule(m.Name)
 	nm.MemWords = m.MemWords
@@ -426,20 +457,15 @@ func (m *Module) Clone() *Module {
 	for name := range m.Imports {
 		nm.Imports[name] = true
 	}
-	var nblocks, ninstrs, ncalls, nargs, nprobes int
+	var nblocks, ninstrs, ncalls, nargs int
 	for _, f := range m.Funcs {
 		nblocks += len(f.Blocks)
+		ncalls += len(f.Calls)
+		for i := range f.Calls {
+			nargs += len(f.Calls[i].Args)
+		}
 		for _, b := range f.Blocks {
 			ninstrs += len(b.Instrs)
-			for i := range b.Instrs {
-				if c := b.Instrs[i].Call; c != nil {
-					ncalls++
-					nargs += len(c.Args)
-				}
-				if b.Instrs[i].Probe != nil {
-					nprobes++
-				}
-			}
 		}
 	}
 	funcs := make([]Func, len(m.Funcs))
@@ -449,12 +475,19 @@ func (m *Module) Clone() *Module {
 	instrs := make([]Instr, ninstrs)
 	calls := make([]Call, ncalls)
 	args := make([]Reg, nargs)
-	probes := make([]ProbeInfo, nprobes)
 	for fi, f := range m.Funcs {
 		nf := &funcs[fi]
 		*nf = *f
-		nf.Mod, nf.spare = nm, nil
+		nf.Mod, nf.spare, nf.Calls = nm, nil, nil
 		nm.Funcs[fi] = nf
+		if k := copy(calls, f.Calls); k > 0 {
+			nf.Calls, calls = calls[:k:k], calls[k:]
+			for i := range nf.Calls {
+				c := &nf.Calls[i]
+				a := copy(args, c.Args)
+				c.Args, args = args[:a:a], args[a:]
+			}
+		}
 		n := len(f.Blocks)
 		nf.Blocks = blockPtrs[:n:n]
 		for i, b := range f.Blocks {
@@ -463,23 +496,6 @@ func (m *Module) Clone() *Module {
 			k := copy(instrs, b.Instrs)
 			*nb = Block{Name: b.Name, Instrs: instrs[:k:k], Term: b.Term, Index: i}
 			instrs = instrs[k:]
-			for j := range nb.Instrs {
-				in := &nb.Instrs[j]
-				if in.Call != nil {
-					c := &calls[0]
-					calls = calls[1:]
-					c.Callee = in.Call.Callee
-					if len(in.Call.Args) > 0 {
-						a := copy(args, in.Call.Args)
-						c.Args, args = args[:a:a], args[a:]
-					}
-					in.Call = c
-				}
-				if in.Probe != nil {
-					probes[0] = *in.Probe
-					in.Probe, probes = &probes[0], probes[1:]
-				}
-			}
 		}
 		// All blocks exist now, so terminators can point at them.
 		for _, nb := range nf.Blocks {

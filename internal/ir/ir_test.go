@@ -223,27 +223,33 @@ func TestCloneCopiesProbes(t *testing.T) {
 	f := m.NewFunc("f", 0)
 	b := NewBuilder(f)
 	entry := b.B
-	entry.Instrs = append(entry.Instrs, Instr{Op: OpProbe, Dst: NoReg, A: NoReg, B: NoReg,
-		Probe: &ProbeInfo{Kind: ProbeIR, Inc: 42, IndVar: NoReg, Base: NoReg}})
+	entry.Instrs = append(entry.Instrs, ProbeInstr(ProbeInfo{Kind: ProbeIR, Inc: 42, IndVar: NoReg, Base: NoReg}))
 	b.Ret(NoReg)
 	c := m.Clone()
-	cp := c.FuncByName("f").Blocks[0].Instrs[0].Probe
-	if cp == f.Blocks[0].Instrs[0].Probe {
-		t.Fatal("probe info aliased between clone and original")
+	cp := &c.FuncByName("f").Blocks[0].Instrs[0]
+	if got := cp.Probe(); got != f.Blocks[0].Instrs[0].Probe() {
+		t.Fatalf("clone's probe = %+v, want %+v", got, f.Blocks[0].Instrs[0].Probe())
 	}
-	cp.Inc = 7
-	if f.Blocks[0].Instrs[0].Probe.Inc != 42 {
+	cp.Imm = 7
+	if f.Blocks[0].Instrs[0].Probe().Inc != 42 {
 		t.Error("probe mutation leaked into original")
 	}
 }
 
-// A clone's call records and probe descriptions are its own: editing a
+// A clone's call tables and probe operands are its own: editing a
 // callee, an argument or a probe of the clone leaves the source as it
-// was.
+// was. Each function's table comes out of one array per module, so an
+// edit of one function's records must not reach another's either, and
+// a linked module must still call the right callees.
 func TestCloneOwnsCallAndProbeRecords(t *testing.T) {
 	m := MustParse(`
 extern @lib cost 10
 func @g(%a, %b) {
+entry:
+  %c = call @h(%a)
+  ret %c
+}
+func @h(%a) {
 entry:
   ret %a
 }
@@ -256,18 +262,71 @@ entry:
 }`)
 	want := m.String()
 	c := m.Clone()
-	ins := c.FuncByName("f").Blocks[0].Instrs
-	ins[0].Call.Callee = "lib"
-	ins[0].Call.Args[1] = 0
-	ins[1].Call.Callee = "g"
-	ins[1].Call.Args[0] = 1
-	ins[2].Probe.Inc = 99
-	ins[2].Probe.Base = 0
+	f := c.FuncByName("f")
+	if len(f.Calls) != 2 || len(c.FuncByName("g").Calls) != 1 || cap(f.Calls) != 2 {
+		t.Fatalf("clone's call tables: f %d (cap %d), g %d records; want 2, 2 and 1",
+			len(f.Calls), cap(f.Calls), len(c.FuncByName("g").Calls))
+	}
+	f.Calls[0].Callee = "lib"
+	f.Calls[0].Args[1] = 1 // %y
+	f.Calls[1].Callee = "g"
+	f.Calls[1].Args[0] = 2 // %z
+	ins := f.Blocks[0].Instrs
+	ins[2].Imm = 99
+	ins[2].B = 0
 	if got := m.String(); got != want {
 		t.Errorf("source changed by edits of its clone:\n%s\nwant:\n%s", got, want)
 	}
+	if got := c.FuncByName("g").String(); got != m.FuncByName("g").String() {
+		t.Errorf("edits of @f's calls reached @g's:\n%s", got)
+	}
 	if c.String() == want {
 		t.Error("the clone's edits did not take")
+	}
+
+	// Link clones its inputs: the linked module keeps each function's
+	// table, so every call still reaches its callee.
+	lib := MustParse(`
+func @leaf(%a) {
+entry:
+  %b = add %a, 1
+  ret %b
+}`)
+	app := MustParse(`
+import @leaf
+func @main(%x) {
+entry:
+  %y = call @leaf(%x)
+  %z = call @mid(%y, %x)
+  ret %z
+}
+func @mid(%p, %q) {
+entry:
+  %r = call @leaf(%q)
+  %s = add %p, %r
+  ret %s
+}`)
+	linked, err := Link("linked", app, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCalls := map[string][]string{"main": {"leaf", "mid"}, "mid": {"leaf"}, "leaf": nil}
+	for _, fn := range linked.Funcs {
+		var got []string
+		for _, b := range fn.Blocks {
+			for i := range b.Instrs {
+				if in := &b.Instrs[i]; in.Op == OpCall {
+					got = append(got, fn.CallOf(in).Callee)
+				}
+			}
+		}
+		if !slices.Equal(got, wantCalls[fn.Name]) {
+			t.Errorf("linked @%s calls %v, want %v", fn.Name, got, wantCalls[fn.Name])
+		}
+	}
+	app.FuncByName("main").Calls[0].Callee = "mid"
+	if got := linked.FuncByName("main").CallOf(&linked.FuncByName("main").Blocks[0].Instrs[0]).Callee; got != "leaf" {
+		t.Errorf("an edit of Link's input reached its output: @main calls @%s first", got)
 	}
 }
 
@@ -398,8 +457,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				m := NewModule("t")
 				f := m.NewFunc("f", 0)
 				e := f.NewBlock("entry")
-				e.Instrs = append(e.Instrs, Instr{Op: OpProbe, Dst: NoReg, A: NoReg, B: NoReg,
-					Probe: &ProbeInfo{Kind: ProbeIRLoop, Inc: 3, IndVar: NoReg, Base: NoReg}})
+				e.Instrs = append(e.Instrs, ProbeInstr(ProbeInfo{Kind: ProbeIRLoop, Inc: 3, IndVar: NoReg, Base: NoReg}))
 				e.Term = Terminator{Kind: TermRet, Val: NoReg, Cond: NoReg}
 				return m
 			},

@@ -47,7 +47,7 @@ var byteClass = func() (t [utf8.RuneSelf]uint8) {
 
 // parser reads the source in one pass, a line at a time. Every name it
 // stores (module, functions, blocks, callees, externs) is a substring
-// of src, and blocks, instructions, call records and call arguments are
+// of src, and blocks, instructions, call tables and call arguments are
 // carved out of slabs sized by count, so the work per line allocates
 // nothing.
 type parser struct {
@@ -58,10 +58,9 @@ type parser struct {
 
 	mod *Module
 	// Slabs for the whole module, with the capacities count computed.
-	// Blocks and call records are reached through pointers and the
-	// other three through sub-slices taken after their last append, so
-	// where count fell short an append merely moves on to a larger
-	// array.
+	// Blocks are reached through pointers and the other four through
+	// sub-slices taken after their last append, so where count fell
+	// short an append merely moves on to a larger array.
 	blocks    []Block
 	blockPtrs []*Block
 	instrs    []Instr
@@ -71,6 +70,7 @@ type parser struct {
 	// per-function state
 	fn         *Func
 	firstBlock int               // offset of fn's first block in blockPtrs
+	firstCall  int               // offset of fn's first call record in calls
 	regs       map[string]Reg    // named registers
 	labels     map[string]*Block // block labels
 	cur        *Block
@@ -266,6 +266,7 @@ func (p *parser) parseFuncHeader(toks []string) error {
 	p.fn = p.mod.NewFunc(name, len(params))
 	p.fn.NoInstrument = noInstr
 	p.firstBlock = len(p.blockPtrs)
+	p.firstCall = len(p.calls)
 	clear(p.regs)
 	clear(p.labels)
 	p.cur = nil
@@ -399,6 +400,9 @@ func (p *parser) parseBody(toks []string) error {
 		}
 		p.closeBlock()
 		p.fn.Blocks = p.blockPtrs[p.firstBlock:len(p.blockPtrs):len(p.blockPtrs)]
+		if n := len(p.calls); n > p.firstCall {
+			p.fn.Calls = p.calls[p.firstCall:n:n]
+		}
 		if err := p.resolveTerms(); err != nil {
 			return err
 		}
@@ -575,7 +579,7 @@ func (p *parser) parseInstr(toks []string) (Instr, error) {
 			c.Args = p.args[first:n:n]
 		}
 		p.calls = append(p.calls, c)
-		return Instr{Op: op, Dst: dst, A: NoReg, B: NoReg, Call: &p.calls[len(p.calls)-1]}, nil
+		return Instr{Op: op, Dst: dst, A: NoReg, B: NoReg, Imm: int64(len(p.calls) - 1 - p.firstCall)}, nil
 	case op == OpReadCycles:
 		if len(args) != 0 {
 			return Instr{}, p.errf("usage: %%d = rdcyc")
@@ -593,8 +597,8 @@ func (p *parser) parseInstr(toks []string) (Instr, error) {
 		if err != nil {
 			return Instr{}, err
 		}
-		pi := &ProbeInfo{Kind: kind, Inc: inc, IndVar: NoReg, Base: NoReg}
-		if kind == ProbeIRLoop || kind == ProbeCyclesLoop {
+		pi := ProbeInfo{Kind: kind, Inc: inc, IndVar: NoReg, Base: NoReg}
+		if pi.Loop() {
 			if len(args) != 4 {
 				return Instr{}, p.errf("loop probe requires %%ind and %%base")
 			}
@@ -607,7 +611,7 @@ func (p *parser) parseInstr(toks []string) (Instr, error) {
 		} else if len(args) != 2 {
 			return Instr{}, p.errf("usage: probe <kind> <inc>")
 		}
-		return Instr{Op: OpProbe, Dst: NoReg, A: NoReg, B: NoReg, Probe: pi}, nil
+		return ProbeInstr(pi), nil
 	}
 	return Instr{}, p.errf("unhandled opcode %q", opName)
 }

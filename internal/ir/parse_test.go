@@ -114,7 +114,7 @@ entry:
 	for _, in := range f.Blocks[0].Instrs {
 		if in.Op == OpProbe {
 			probes++
-			if in.Probe.Kind == ProbeIRLoop && (in.Probe.IndVar == NoReg || in.Probe.Base == NoReg) {
+			if p := in.Probe(); p.Kind == ProbeIRLoop && (p.IndVar == NoReg || p.Base == NoReg) {
 				t.Error("loop probe lost registers")
 			}
 		}
@@ -453,6 +453,20 @@ func FuzzParse(f *testing.F) {
 	for _, src := range srcs {
 		f.Add(src)
 	}
+	// Calls in more than one function, so that the clone check below
+	// starts from call tables it must keep apart.
+	f.Add(`extern @x cost 3
+func @g(%a) {
+entry:
+  %b = call @h(%a, %a)
+  %c = extcall @x(%b)
+  ret %c
+}
+func @h(%a, %b) {
+entry:
+  %c = call @g(%b)
+  ret %c
+}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := Parse(src)
 		if err != nil {
@@ -468,6 +482,15 @@ func FuzzParse(f *testing.F) {
 		}
 		if m2.String() != text {
 			t.Fatalf("round trip unstable:\n%s\nvs\n%s", text, m2.String())
+		}
+		// A clone copies every function's call table out of one array:
+		// it must verify and print as its source does.
+		c := m.Clone()
+		if verr := c.Verify(); verr != nil {
+			t.Fatalf("clone does not verify: %v\n%s", verr, text)
+		}
+		if got := c.String(); got != text {
+			t.Fatalf("clone prints differently:\n%s\nvs\n%s", got, text)
 		}
 	})
 }

@@ -65,7 +65,7 @@ func (f *Func) write(sb *strings.Builder) {
 		fmt.Fprintf(sb, "%s:\n", b.Name)
 		for i := range b.Instrs {
 			sb.WriteString("  ")
-			sb.WriteString(b.Instrs[i].String())
+			sb.WriteString(f.InstrString(&b.Instrs[i]))
 			sb.WriteByte('\n')
 		}
 		sb.WriteString("  ")
@@ -82,8 +82,9 @@ func regStr(r Reg) string {
 	return fmt.Sprintf("%%%d", r)
 }
 
-// String renders one instruction in textual IR syntax.
-func (in *Instr) String() string {
+// InstrString renders in, an instruction of f, in textual IR syntax:
+// f's call table holds a call's callee and arguments.
+func (f *Func) InstrString(in *Instr) string {
 	switch in.Op {
 	case OpNop:
 		return "nop"
@@ -99,11 +100,12 @@ func (in *Instr) String() string {
 	case OpAtomicAdd:
 		return fmt.Sprintf("%s = aadd %s, %d, %s", regStr(in.Dst), regStr(in.A), in.Imm, regStr(in.B))
 	case OpCall, OpExtCall:
+		c := f.CallOf(in)
 		var args []string
-		for _, a := range in.Call.Args {
+		for _, a := range c.Args {
 			args = append(args, regStr(a))
 		}
-		callee := fmt.Sprintf("%s @%s(%s)", in.Op, in.Call.Callee, strings.Join(args, ", "))
+		callee := fmt.Sprintf("%s @%s(%s)", in.Op, c.Callee, strings.Join(args, ", "))
 		if in.Dst == NoReg {
 			return callee
 		}
@@ -111,9 +113,9 @@ func (in *Instr) String() string {
 	case OpReadCycles:
 		return fmt.Sprintf("%s = rdcyc", regStr(in.Dst))
 	case OpProbe:
-		p := in.Probe
+		p := in.Probe()
 		s := fmt.Sprintf("probe %s %d", p.Kind, p.Inc)
-		if p.Kind == ProbeIRLoop || p.Kind == ProbeCyclesLoop {
+		if p.Loop() {
 			s += fmt.Sprintf(" %s %s", regStr(p.IndVar), regStr(p.Base))
 		}
 		return s

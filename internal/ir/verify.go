@@ -86,11 +86,11 @@ func (f *Func) Verify() error {
 				checkReg(b, in.A, "base")
 				checkReg(b, in.B, "value")
 			case OpCall, OpExtCall:
-				c := in.Call
-				if c == nil {
+				if uint64(in.Imm) >= uint64(len(f.Calls)) {
 					fail("block %q: %s without a call record", b.Name, in.Op)
 					continue
 				}
+				c := f.CallOf(in)
 				if in.Op == OpExtCall {
 					if _, ok := f.Mod.Externs[c.Callee]; !ok {
 						fail("block %q: extcall to undeclared extern @%s", b.Name, c.Callee)
@@ -115,14 +115,10 @@ func (f *Func) Verify() error {
 			case OpReadCycles:
 				checkReg(b, in.Dst, "dst")
 			case OpProbe:
-				if in.Probe == nil {
-					fail("block %q: probe without ProbeInfo", b.Name)
-					continue
-				}
-				if in.Probe.Kind == ProbeIRLoop || in.Probe.Kind == ProbeCyclesLoop {
-					checkReg(b, in.Probe.IndVar, "probe indvar")
-					checkReg(b, in.Probe.Base, "probe base")
-					if in.Probe.IndVar == NoReg || in.Probe.Base == NoReg {
+				if p := in.Probe(); p.Loop() {
+					checkReg(b, p.IndVar, "probe indvar")
+					checkReg(b, p.Base, "probe base")
+					if p.IndVar == NoReg || p.Base == NoReg {
 						fail("block %q: loop probe requires indvar and base registers", b.Name)
 					}
 				}

@@ -62,7 +62,7 @@ func TestVerifyErrorPaths(t *testing.T) {
 			name: "dangling callee",
 			corrupt: func(m *Module) {
 				f := m.FuncByName("main")
-				f.Blocks[0].Instrs[1].Call.Callee = "ghost"
+				f.Calls[0].Callee = "ghost"
 			},
 			want: `ir: @main: block "entry": call to undefined function @ghost`,
 		},
@@ -118,7 +118,7 @@ func TestVerifyMessagesAreDistinct(t *testing.T) {
 		},
 		"stale":   func(m *Module) { m.FuncByName("main").Blocks[1].Index = 3 },
 		"reg":     func(m *Module) { m.FuncByName("main").Blocks[0].Instrs[0].A = Reg(50) },
-		"dangled": func(m *Module) { m.FuncByName("main").Blocks[0].Instrs[1].Call.Callee = "nope" },
+		"dangled": func(m *Module) { m.FuncByName("main").Calls[0].Callee = "nope" },
 	}
 	seen := make(map[string]string)
 	for label, corrupt := range corruptions {

@@ -314,14 +314,12 @@ func eliminateDead(f *ir.Func, an *cfg.Analyses, uses []int) int {
 					markUse(in.A)
 					markUse(in.B)
 				case ir.OpCall, ir.OpExtCall:
-					for _, a := range in.Call.Args {
+					for _, a := range f.CallOf(in).Args {
 						markUse(a)
 					}
 				case ir.OpProbe:
-					if in.Probe != nil {
-						markUse(in.Probe.IndVar)
-						markUse(in.Probe.Base)
-					}
+					markUse(in.A)
+					markUse(in.B)
 				default:
 					if in.Op.IsBinary() {
 						markUse(in.A)

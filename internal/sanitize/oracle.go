@@ -85,7 +85,7 @@ type Trace struct {
 	Mem    []int64
 }
 
-// Execute runs m (on a private clone) and records its trace.
+// Execute runs m, which it only reads, and records its trace.
 func Execute(m *ir.Module, opts ExecOptions) (*Trace, error) {
 	tr := &Trace{}
 	th, _, rv, err := execute(m, vm.TierInterpreter, opts, "baseline", func(th *vm.Thread) {
@@ -101,24 +101,23 @@ func Execute(m *ir.Module, opts ExecOptions) (*Trace, error) {
 	return tr, nil
 }
 
-// execute is the oracle's one run setup: m's entry function on a
-// private clone, on one thread of a fresh VM on tier under the options'
-// step budget, with a no-op CI handler registered so probes deliver
-// (hid is its id). The entry gets the options' arguments unless it
-// takes none. hook installs the run's observers on the thread before it
+// execute is the oracle's one run setup: m's entry function, on one
+// thread of a fresh VM over m (which the VM only reads, so m needs no
+// private copy) on tier under the options' step budget, with a no-op CI
+// handler registered so probes deliver (hid is its id). The entry gets
+// the options' arguments unless it takes none. hook installs the run's observers on the thread before it
 // starts. A step-budget error comes back as ErrInconclusive; both it
 // and any other failure name who ran.
 func execute(m *ir.Module, tier vm.Tier, opts ExecOptions, who string, hook func(*vm.Thread)) (th *vm.Thread, hid int, rv int64, err error) {
 	opts = opts.withDefaults()
-	mm := m.Clone()
-	machine := vm.New(mm, nil, 1)
+	machine := vm.New(m, nil, 1)
 	machine.Tier = tier
 	machine.LimitInstrs = opts.LimitInstrs
 	th = machine.NewThread(0)
 	hid = th.RT.RegisterCI(opts.IntervalCycles, func(uint64) {})
 	hook(th)
 	args := opts.Args
-	if f := mm.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
+	if f := m.FuncByName(entryFunc); f != nil && f.NumParams == 0 {
 		args = nil
 	}
 	rv, err = th.Run(entryFunc, args...)
@@ -131,7 +130,7 @@ func execute(m *ir.Module, tier vm.Tier, opts ExecOptions, who string, hook func
 	return th, hid, rv, err
 }
 
-// DiffTrace runs the instrumented module (on a private clone) against a
+// DiffTrace runs the instrumented module, which it only reads, against a
 // recorded baseline trace and returns a *Divergence at the first
 // observable difference, ErrInconclusive on budget exhaustion, or nil.
 func DiffTrace(base *Trace, instrumented *ir.Module, design string, opts ExecOptions) error {

@@ -316,30 +316,35 @@ func probeOnlyDiff(pre, post *ir.Module) error {
 				case q.Op == ir.OpProbe:
 					continue
 				case k == len(pb.Instrs):
-					return fmt.Errorf("probe insertion added %q to @%s block %q", q.String(), pf.Name, pb.Name)
-				case !sameInstr(&pb.Instrs[k], q):
+					return fmt.Errorf("probe insertion added %q to @%s block %q", qf.InstrString(q), pf.Name, pb.Name)
+				case !sameInstr(pf, &pb.Instrs[k], qf, q):
 					return fmt.Errorf("probe insertion changed non-probe IR in @%s block %q: %q -> %q",
-						pf.Name, pb.Name, pb.Instrs[k].String(), q.String())
+						pf.Name, pb.Name, pf.InstrString(&pb.Instrs[k]), qf.InstrString(q))
 				}
 				k++
 			}
 			if k != len(pb.Instrs) {
-				return fmt.Errorf("probe insertion dropped %q from @%s block %q", pb.Instrs[k].String(), pf.Name, pb.Name)
+				return fmt.Errorf("probe insertion dropped %q from @%s block %q", pf.InstrString(&pb.Instrs[k]), pf.Name, pb.Name)
 			}
 		}
 	}
 	return nil
 }
 
-func sameInstr(a, b *ir.Instr) bool {
-	if a.Op != b.Op || a.BImm != b.BImm || a.Dst != b.Dst || a.A != b.A || a.B != b.B || a.Imm != b.Imm ||
-		(a.Call == nil) != (b.Call == nil) || (a.Probe == nil) != (b.Probe == nil) {
+// sameInstr reports whether a, an instruction of pf, and b, one of qf,
+// are the same: a call's record is compared by its callee and
+// arguments, not by its index in the function's table.
+func sameInstr(pf *ir.Func, a *ir.Instr, qf *ir.Func, b *ir.Instr) bool {
+	if a.Op != ir.OpCall && a.Op != ir.OpExtCall {
+		return *a == *b
+	}
+	x, y := *a, *b
+	x.Imm, y.Imm = 0, 0
+	if x != y {
 		return false
 	}
-	if a.Call != nil && (a.Call.Callee != b.Call.Callee || !slices.Equal(a.Call.Args, b.Call.Args)) {
-		return false
-	}
-	return a.Probe == nil || *a.Probe == *b.Probe
+	ca, cb := pf.CallOf(a), qf.CallOf(b)
+	return ca.Callee == cb.Callee && slices.Equal(ca.Args, cb.Args)
 }
 
 func sameTerm(a, b *ir.Terminator) bool {

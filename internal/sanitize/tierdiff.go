@@ -35,7 +35,7 @@ type TierTrace struct {
 	Stats  vm.Stats
 }
 
-// runTier executes m (on a private clone) under one tier and records
+// runTier executes m, which it only reads, under one tier and records
 // its trace. Both tiers attach the same OnStore/OnAtomic observers,
 // which the compiled tier's plain form checks on its memory ops, so
 // the oracle compares the compiled code every unobserved run executes.

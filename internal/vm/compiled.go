@@ -105,7 +105,9 @@ type cfunc struct {
 // pointers) and reach all mutable state through the frame's thread, so
 // any thread of any VM over the form's Code can run them, concurrently.
 type compiledModule struct {
-	funcs map[string]*cfunc
+	// funcs holds the compiled function of each function of the
+	// module, at its index in Module.Funcs (nil for an empty body).
+	funcs []*cfunc
 	// hooked marks the hooked form, whose probes call execProbe.
 	hooked bool
 	// superblocks counts the loop closures compileFunc emitted, and
@@ -115,15 +117,24 @@ type compiledModule struct {
 
 // Code is a module compiled against a cost model, the way the paper's
 // pass builds a binary once and runs it many times: an immutable value
-// that any number of VMs, on any goroutines, run at once. Its plain and
-// hooked forms are each pre-decoded at most once, on first use, so
-// creating a Code pre-decodes nothing until a compiled-tier run needs
-// it.
+// that any number of VMs, on any goroutines, run at once. It owns the
+// module's function table, each function's calls resolved to their
+// callees once, so a thread looks nothing up by name to make a call.
+// Its plain and hooked forms are each pre-decoded at most once, on
+// first use, so creating a Code pre-decodes nothing until a
+// compiled-tier run needs it.
 // The module and the model are only read, by the Code and by every VM
 // over it.
 type Code struct {
-	mod           *ir.Module
-	model         *CostModel
+	mod   *ir.Module
+	model *CostModel
+	// byName maps a function's name to its index in mod.Funcs.
+	byName map[string]int
+	// callees[i][k] is the index in mod.Funcs of the callee of
+	// mod.Funcs[i].Calls[k], or -1 when the module defines no function
+	// of that name (an extern's record, or a call that fails when it
+	// runs).
+	callees       [][]int32
 	plain, hooked lazyForm
 }
 
@@ -134,12 +145,31 @@ type lazyForm struct {
 }
 
 // NewCode returns the Code of mod under model (nil for Default),
-// building neither form yet.
+// building neither form yet. Every function's call table is resolved
+// here, into one array for the module.
 func NewCode(mod *ir.Module, model *CostModel) *Code {
 	if model == nil {
 		model = Default()
 	}
-	return &Code{mod: mod, model: model}
+	c := &Code{mod: mod, model: model, byName: make(map[string]int, len(mod.Funcs)),
+		callees: make([][]int32, len(mod.Funcs))}
+	ncalls := 0
+	for i, f := range mod.Funcs {
+		c.byName[f.Name] = i
+		ncalls += len(f.Calls)
+	}
+	all := make([]int32, ncalls)
+	for i, f := range mod.Funcs {
+		n := len(f.Calls)
+		c.callees[i], all = all[:n:n], all[n:]
+		for k := range f.Calls {
+			c.callees[i][k] = -1
+			if fi, ok := c.byName[f.Calls[k].Callee]; ok {
+				c.callees[i][k] = int32(fi)
+			}
+		}
+	}
+	return c
 }
 
 // form returns the plain compiled form, or the hooked form when hooked
@@ -149,7 +179,7 @@ func (c *Code) form(hooked bool) *compiledModule {
 	if hooked {
 		f = &c.hooked
 	}
-	f.once.Do(func() { f.cm = compileModule(c.mod, c.model, hooked) })
+	f.once.Do(func() { f.cm = compileModule(c, hooked) })
 	return f.cm
 }
 
@@ -268,21 +298,22 @@ func FusiblePairs(m *ir.Module) (cmpBr, loadArith, arithStore int) {
 	return cmpBr, loadArith, arithStore
 }
 
-// compileModule compiles every function of the module against the cost
+// compileModule compiles every function of c's module against its cost
 // model. Functions are compiled in two phases — shells first, then
 // code — so OpCall closures can capture callee shells before their
 // code exists (recursion, forward references).
-func compileModule(mod *ir.Module, model *CostModel, hooked bool) *compiledModule {
-	cm := &compiledModule{funcs: make(map[string]*cfunc, len(mod.Funcs)), hooked: hooked}
-	for _, f := range mod.Funcs {
+func compileModule(c *Code, hooked bool) *compiledModule {
+	mod := c.mod
+	cm := &compiledModule{funcs: make([]*cfunc, len(mod.Funcs)), hooked: hooked}
+	for i, f := range mod.Funcs {
 		if len(f.Blocks) == 0 {
 			continue // fall back to the interpreter's behavior
 		}
-		cm.funcs[f.Name] = &cfunc{name: f.Name, numParams: f.NumParams, numRegs: f.NumRegs}
+		cm.funcs[i] = &cfunc{name: f.Name, numParams: f.NumParams, numRegs: f.NumRegs}
 	}
-	for _, f := range mod.Funcs {
-		if cf := cm.funcs[f.Name]; cf != nil {
-			compileFunc(cf, f, mod, model, cm)
+	for i, f := range mod.Funcs {
+		if cf := cm.funcs[i]; cf != nil {
+			compileFunc(cf, f, c.callees[i], c.model, cm)
 		}
 	}
 	return cm
@@ -295,7 +326,7 @@ type blockPlan struct {
 	pc    int       // pc of the block's first unit (or its epilogue)
 }
 
-func compileFunc(cf *cfunc, f *ir.Func, mod *ir.Module, model *CostModel, cm *compiledModule) {
+func compileFunc(cf *cfunc, f *ir.Func, callees []int32, model *CostModel, cm *compiledModule) {
 	// Layout pass: select units per block and assign pcs. Every block
 	// gets exactly len(units)+1 slots — the +1 is the terminator
 	// epilogue (fused with the trailing compare when cmpBr is set).
@@ -335,7 +366,7 @@ func compileFunc(cf *cfunc, f *ir.Func, mod *ir.Module, model *CostModel, cm *co
 	code := make([]op, pc)
 
 	// Emission pass.
-	ec := &emitCtx{f: f, mod: mod, model: model, cm: cm, pcOf: pcOf, superPC: superPC}
+	ec := &emitCtx{f: f, callees: callees, model: model, cm: cm, pcOf: pcOf, superPC: superPC}
 	for i, b := range f.Blocks {
 		p := plans[i]
 		emitBlock(ec, f, b, p, code)
@@ -349,8 +380,9 @@ func compileFunc(cf *cfunc, f *ir.Func, mod *ir.Module, model *CostModel, cm *co
 }
 
 type emitCtx struct {
-	f       *ir.Func
-	mod     *ir.Module
+	f *ir.Func
+	// callees is f's call table resolved (Code.callees).
+	callees []int32
 	model   *CostModel
 	cm      *compiledModule
 	pcOf    map[*ir.Block]int
@@ -686,10 +718,12 @@ func emitUnit(ec *emitCtx, f *ir.Func, b *ir.Block, u unit, next int) op {
 		}
 	case uCall:
 		callCost := m.OpCost[ir.OpCall]
-		callee := ec.cm.funcs[in.Call.Callee]
-		calleeName := in.Call.Callee
-		argRegs := in.Call.Args
-		dst := in.Dst
+		var callee *cfunc
+		if fi := ec.callees[in.Imm]; fi >= 0 {
+			callee = ec.cm.funcs[fi]
+		}
+		c := f.CallOf(in)
+		calleeName, argRegs, dst := c.Callee, c.Args, in.Dst
 		if callee == nil {
 			return func(fr *frame) int {
 				t := fr.t
@@ -730,11 +764,11 @@ func emitUnit(ec *emitCtx, f *ir.Func, b *ir.Block, u unit, next int) op {
 			return next
 		}
 	case uExtCall:
-		instr := in
+		c, dst := f.CallOf(in), in.Dst
 		return func(fr *frame) int {
 			t := fr.t
 			t.Stats.Instrs++
-			if err := t.execExtCall(instr, fr.regs); err != nil {
+			if err := t.execExtCall(c, dst, fr.regs); err != nil {
 				fr.err = err
 				return -1
 			}
@@ -751,10 +785,11 @@ func emitUnit(ec *emitCtx, f *ir.Func, b *ir.Block, u unit, next int) op {
 			return next
 		}
 	case uProbe:
+		p := in.Probe()
 		if ec.cm.hooked {
-			return hookedProbe(f, b, in.Probe, next)
+			return hookedProbe(f, b, p, next)
 		}
-		return emitProbe(ec, in.Probe, next)
+		return emitProbe(ec, &p, next)
 	default: // uBad
 		cost := m.OpCost[in.Op]
 		opc := in.Op
@@ -858,7 +893,7 @@ func taken(fr *frame, kind ir.ProbeKind, inc int64, next int) int {
 
 // hookedProbe is the hooked form's probe unit: the interpreter's
 // execProbe, which runs the hooks at the IR site f/b.
-func hookedProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, next int) op {
+func hookedProbe(f *ir.Func, b *ir.Block, p ir.ProbeInfo, next int) op {
 	return func(fr *frame) int {
 		if err := fr.t.execProbe(f, b, p, fr.regs); err != nil {
 			fr.err = err

@@ -42,16 +42,16 @@ func (s regSet) orInto(o regSet) bool {
 	return changed
 }
 
-// instrRegs reports the registers one instruction reads (use) and
-// writes (def), in the exact order the interpreter and the compiled
+// instrRegs reports the registers in, an instruction of f, reads (use)
+// and writes (def), in the exact order the interpreter and the compiled
 // closures touch them. Loop-probe closures read their induction and
 // base registers; unknown opcodes halt with an error before touching
 // any register, so they contribute nothing.
-func instrRegs(in *ir.Instr, use, def func(ir.Reg)) {
+func instrRegs(f *ir.Func, in *ir.Instr, use, def func(ir.Reg)) {
 	switch {
 	case in.Op == ir.OpNop:
 	case in.Op == ir.OpProbe:
-		if p := in.Probe; p != nil && (p.Kind == ir.ProbeIRLoop || p.Kind == ir.ProbeCyclesLoop) {
+		if p := in.Probe(); p.Loop() {
 			use(p.IndVar)
 			use(p.Base)
 		}
@@ -77,7 +77,7 @@ func instrRegs(in *ir.Instr, use, def func(ir.Reg)) {
 		use(in.B)
 		def(in.Dst)
 	case in.Op == ir.OpCall, in.Op == ir.OpExtCall:
-		for _, r := range in.Call.Args {
+		for _, r := range f.CallOf(in).Args {
 			use(r)
 		}
 		def(in.Dst)
@@ -105,7 +105,7 @@ func liveInRegs(f *ir.Func) []int32 {
 	for i, b := range f.Blocks {
 		g, k := gen[i], kill[i]
 		for j := range b.Instrs {
-			instrRegs(&b.Instrs[j],
+			instrRegs(f, &b.Instrs[j],
 				func(r ir.Reg) {
 					if !k.has(r) {
 						g.add(r)

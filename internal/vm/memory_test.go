@@ -169,8 +169,7 @@ exit:
 	forEachTier(t, func(t *testing.T, tier Tier) {
 		m := ir.MustParse(src)
 		b := m.FuncByName("main").BlockByName("onext")
-		b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg,
-			Probe: &ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 50, IndVar: ir.NoReg, Base: ir.NoReg}})
+		b.Instrs = append(b.Instrs, ir.ProbeInstr(ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 50, IndVar: ir.NoReg, Base: ir.NoReg}))
 		if err := m.Verify(); err != nil {
 			t.Fatal(err)
 		}

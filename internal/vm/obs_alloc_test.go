@@ -12,7 +12,7 @@ import (
 	"repro/internal/obs"
 )
 
-func probeFixture(scope *obs.Scope) (*Thread, *ir.Func, *ir.Block, *ir.ProbeInfo, []int64) {
+func probeFixture(scope *obs.Scope) (*Thread, *ir.Func, *ir.Block, ir.ProbeInfo, []int64) {
 	m := ir.MustParse(`
 func @main() {
 entry:
@@ -26,7 +26,7 @@ entry:
 	th.RT.RegisterCI(100, func(uint64) {})
 	f := m.Funcs[0]
 	b := f.Blocks[0]
-	p := &ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 50, IndVar: ir.NoReg, Base: ir.NoReg}
+	p := ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 50, IndVar: ir.NoReg, Base: ir.NoReg}
 	return th, f, b, p, make([]int64, 4)
 }
 

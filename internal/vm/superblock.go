@@ -262,7 +262,7 @@ func superblockBody(head *ir.Block, p *blockPlan, planOf map[*ir.Block]*blockPla
 // the batched loop path rather than vacuously passing on code that
 // never enters it.
 func Superblocks(m *ir.Module) (loops, addrOps int) {
-	cm := compileModule(m, Default(), false)
+	cm := NewCode(m, nil).form(false)
 	return cm.superblocks, cm.addrOps
 }
 

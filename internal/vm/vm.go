@@ -201,7 +201,6 @@ type Thread struct {
 	inHandler  bool
 	depth      int
 	limit      int64
-	funcMap    map[string]*ir.Func
 	// frames is the register-frame pool of both tiers, indexed by call
 	// depth − 1. Pointers are stable (each frame is allocated once, the
 	// first time its depth is reached), so frames in flight across a
@@ -224,10 +223,6 @@ func (vm *VM) NewThread(id int) *Thread {
 	}
 	if vm.HW != nil {
 		t.nextHW = vm.HW.IntervalCycles
-	}
-	t.funcMap = make(map[string]*ir.Func, len(vm.code.mod.Funcs))
-	for _, f := range vm.code.mod.Funcs {
-		t.funcMap[f.Name] = f
 	}
 	return t
 }
@@ -256,33 +251,44 @@ func (t *Thread) Run(fn string, args ...int64) (int64, error) {
 	if t.inHandler {
 		return 0, fmt.Errorf("vm: %w: Run(%q) from interrupt context", ErrHandlerReentrancy, fn)
 	}
-	f := t.funcMap[fn]
-	if f == nil {
-		return 0, fmt.Errorf("vm: no function %q", fn)
+	fi, err := t.lookup(fn, args)
+	if err != nil {
+		return 0, err
 	}
-	if len(args) != f.NumParams {
-		return 0, fmt.Errorf("vm: %q takes %d args, got %d", fn, f.NumParams, len(args))
-	}
-	return t.exec(f, args)
+	return t.exec(fi, args)
 }
 
-// exec runs f on the VM's tier, the one place that chooses an
-// executor: on the compiled tier, a thread with OnProbe or an enabled
-// obs scope runs the module's hooked form, every other thread the
-// plain form.
-func (t *Thread) exec(f *ir.Func, args []int64) (int64, error) {
+// lookup returns the index of function fn in the module, checking that
+// it takes len(args) arguments.
+func (t *Thread) lookup(fn string, args []int64) (int, error) {
+	fi, ok := t.VM.code.byName[fn]
+	if !ok {
+		return 0, fmt.Errorf("vm: no function %q", fn)
+	}
+	if f := t.VM.code.mod.Funcs[fi]; len(args) != f.NumParams {
+		return 0, fmt.Errorf("vm: %q takes %d args, got %d", fn, f.NumParams, len(args))
+	}
+	return fi, nil
+}
+
+// exec runs function fi of the module on the VM's tier, the one place
+// that chooses an executor: on the compiled tier, a thread with OnProbe
+// or an enabled obs scope runs the module's hooked form, every other
+// thread the plain form.
+func (t *Thread) exec(fi int, args []int64) (int64, error) {
 	if t.VM.Tier == TierCompiled {
-		if cf := t.VM.code.form(t.OnProbe != nil || t.obs != nil).funcs[f.Name]; cf != nil {
+		if cf := t.VM.code.form(t.OnProbe != nil || t.obs != nil).funcs[fi]; cf != nil {
 			return t.callCompiled(cf, args)
 		}
 	}
+	f := t.VM.code.mod.Funcs[fi]
 	fr, err := t.pushFrame(f.Name, f.NumRegs)
 	if err != nil {
 		return 0, err
 	}
 	clear(fr.regs)
 	copy(fr.regs, args)
-	rv, err := t.call(f, fr.regs)
+	rv, err := t.call(fi, fr.regs)
 	t.depth--
 	return rv, err
 }
@@ -399,22 +405,24 @@ func (t *Thread) checkOverrun(charged int64, fired int, kind string) error {
 
 const maxDepth = 4096
 
-// call interprets f in regs, the register file of the frame its caller
-// pushed with the arguments in place and every other register zero.
-// The caller pops the frame.
-func (t *Thread) call(f *ir.Func, regs []int64) (int64, error) {
+// call interprets function fi of the module in regs, the register file
+// of the frame its caller pushed with the arguments in place and every
+// other register zero. The caller pops the frame.
+func (t *Thread) call(fi int, regs []int64) (int64, error) {
 	m := t.model
+	f, callees := t.VM.code.mod.Funcs[fi], t.VM.code.callees[fi]
 	b := f.Blocks[0]
 	for {
 		// Walking a slice rather than an index keeps the instruction's
-		// address in one register: with 40-byte instructions the
+		// address in one register: when instructions were 40 bytes the
 		// indexed form rebuilt it from base and index per field, and
-		// vm_interp ran about a tenth slower.
+		// vm_interp ran about a tenth slower. At 24 bytes an index
+		// still scales by a size that is not a power of two.
 		for ins := b.Instrs; len(ins) > 0; ins = ins[1:] {
 			in := &ins[0]
 			switch in.Op {
 			case ir.OpProbe:
-				if err := t.execProbe(f, b, in.Probe, regs); err != nil {
+				if err := t.execProbe(f, b, in.Probe(), regs); err != nil {
 					return 0, err
 				}
 				continue
@@ -467,19 +475,21 @@ func (t *Thread) call(f *ir.Func, regs []int64) (int64, error) {
 				}
 			case ir.OpCall:
 				t.Stats.Cycles += m.OpCost[ir.OpCall]
-				callee := t.funcMap[in.Call.Callee]
-				if callee == nil {
-					return 0, fmt.Errorf("vm: call to unknown function %q", in.Call.Callee)
+				c := f.CallOf(in)
+				ci := callees[in.Imm]
+				if ci < 0 {
+					return 0, fmt.Errorf("vm: call to unknown function %q", c.Callee)
 				}
+				callee := t.VM.code.mod.Funcs[ci]
 				cfr, err := t.pushFrame(callee.Name, callee.NumRegs)
 				if err != nil {
 					return 0, err
 				}
-				for k, r := range in.Call.Args {
+				for k, r := range c.Args {
 					cfr.regs[k] = regs[r]
 				}
-				clear(cfr.regs[len(in.Call.Args):])
-				rv, err := t.call(callee, cfr.regs)
+				clear(cfr.regs[len(c.Args):])
+				rv, err := t.call(int(ci), cfr.regs)
 				t.depth--
 				if err != nil {
 					return 0, err
@@ -488,7 +498,7 @@ func (t *Thread) call(f *ir.Func, regs []int64) (int64, error) {
 					regs[in.Dst] = rv
 				}
 			case ir.OpExtCall:
-				if err := t.execExtCall(in, regs); err != nil {
+				if err := t.execExtCall(f.CallOf(in), in.Dst, regs); err != nil {
 					return 0, err
 				}
 			case ir.OpReadCycles:
@@ -582,16 +592,16 @@ func (t *Thread) call(f *ir.Func, regs []int64) (int64, error) {
 	}
 }
 
-// execExtCall executes one external (uninstrumented) call — shared
-// verbatim by both execution tiers so the libci intrinsics, blocking
-// coalescing, and mid-call hardware-interrupt delivery stay
-// tier-independent. The caller has already counted the instruction.
-func (t *Thread) execExtCall(in *ir.Instr, regs []int64) error {
+// execExtCall executes one external (uninstrumented) call, of record c
+// with its result register dst — shared verbatim by both execution
+// tiers so the libci intrinsics, blocking coalescing, and mid-call
+// hardware-interrupt delivery stay tier-independent. The caller has
+// already counted the instruction.
+func (t *Thread) execExtCall(c *ir.Call, dst ir.Reg, regs []int64) error {
 	// libci intrinsics (Table 2): programs call
 	// ci_disable/ci_enable as externs; the VM routes them
 	// to the thread's CI runtime. ciid comes from the
 	// first argument (0 = all handlers, per §2.2).
-	c := in.Call
 	if c.Callee == "ci_disable" || c.Callee == "ci_enable" {
 		t.Stats.Cycles += 4
 		ciid := 0
@@ -603,8 +613,8 @@ func (t *Thread) execExtCall(in *ir.Instr, regs []int64) error {
 		} else {
 			t.RT.Enable(ciid)
 		}
-		if in.Dst != ir.NoReg {
-			regs[in.Dst] = 0
+		if dst != ir.NoReg {
+			regs[dst] = 0
 		}
 		return nil
 	}
@@ -651,8 +661,8 @@ func (t *Thread) execExtCall(in *ir.Instr, regs []int64) error {
 		t.obs.Span("vm", "extcall", int32(t.ID), extStart, t.Stats.Cycles,
 			obs.S("callee", ext.Name))
 	}
-	if in.Dst != ir.NoReg {
-		regs[in.Dst] = 0
+	if dst != ir.NoReg {
+		regs[dst] = 0
 	}
 	return nil
 }
@@ -671,7 +681,7 @@ func b2i(b bool) int64 {
 // observability profile. f and
 // b identify the probe's IR site for the profile; every obs call is
 // guarded on t.obs so the disabled path stays allocation-free.
-func (t *Thread) execProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, regs []int64) error {
+func (t *Thread) execProbe(f *ir.Func, b *ir.Block, p ir.ProbeInfo, regs []int64) error {
 	m := t.model
 	t.Stats.Probes++
 	var forced int
@@ -680,7 +690,7 @@ func (t *Thread) execProbe(f *ir.Func, b *ir.Block, p *ir.ProbeInfo, regs []int6
 	}
 	probeStart := t.Stats.Cycles
 	inc := p.Inc
-	if p.Kind == ir.ProbeIRLoop || p.Kind == ir.ProbeCyclesLoop {
+	if p.Loop() {
 		inc = max(regs[p.IndVar]-regs[p.Base], 0) * p.Inc
 	}
 	due := true
@@ -801,16 +811,13 @@ func (t *Thread) forceFire(n int) (int, error) {
 // probes executed by the handler's own code never consult OnProbe and
 // a nested Run attempt still trips the reentrancy guard.
 func (t *Thread) CallHandler(fn string, args ...int64) (int64, error) {
-	f := t.funcMap[fn]
-	if f == nil {
-		return 0, fmt.Errorf("vm: no function %q", fn)
-	}
-	if len(args) != f.NumParams {
-		return 0, fmt.Errorf("vm: %q takes %d args, got %d", fn, f.NumParams, len(args))
+	fi, err := t.lookup(fn, args)
+	if err != nil {
+		return 0, err
 	}
 	prev := t.inHandler
 	t.inHandler = true
-	rv, err := t.exec(f, args)
+	rv, err := t.exec(fi, args)
 	t.inHandler = prev
 	return rv, err
 }

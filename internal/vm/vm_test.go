@@ -1180,3 +1180,33 @@ exit:
 		t.Errorf("probe-site profiles differ:\n interp   %+v\n compiled %+v", ref.sites, cmp.sites)
 	}
 }
+
+// A call to a function the module does not define is resolved when the
+// Code is made, but fails only when it executes, on both tiers, with
+// the name it called: a run that never reaches it succeeds.
+func TestUnknownCalleeFailsWhenCalled(t *testing.T) {
+	m := ir.NewModule("t")
+	f := m.NewFunc("main", 1)
+	b := ir.NewBuilder(f)
+	call, done := b.Block("call"), b.Block("done")
+	b.Br(0, call, done)
+	b.SetBlock(call)
+	b.Call("ghost", 0)
+	b.Jmp(done)
+	b.SetBlock(done)
+	b.Ret(0)
+	forEachTier(t, func(t *testing.T, tier Tier) {
+		code := NewCode(m, nil)
+		for _, arg := range []int64{0, 1} {
+			v := code.NewVM(1)
+			v.Tier = tier
+			_, err := v.NewThread(0).Run("main", arg)
+			switch {
+			case arg == 0 && err != nil:
+				t.Errorf("main(0) never calls @ghost, but failed: %v", err)
+			case arg == 1 && (err == nil || err.Error() != `vm: call to unknown function "ghost"`):
+				t.Errorf("main(1) = %v, want the unknown-function error", err)
+			}
+		}
+	})
+}

@@ -59,8 +59,7 @@ func probedLoop(t *testing.T) *ir.Module {
 	t.Helper()
 	m := ir.MustParse(loopSrc)
 	b := m.FuncByName("main").BlockByName("head")
-	b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg,
-		Probe: &ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 5, IndVar: ir.NoReg, Base: ir.NoReg}})
+	b.Instrs = append(b.Instrs, ir.ProbeInstr(ir.ProbeInfo{Kind: ir.ProbeIR, Inc: 5, IndVar: ir.NoReg, Base: ir.NoReg}))
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
 	}
