@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fleet"
+	"repro/internal/interleave"
 	"repro/internal/shenango"
 	"repro/internal/vm"
 )
@@ -205,6 +206,12 @@ func TestFigureGatesCanFail(t *testing.T) {
 			func() []string { return gateInterleave(interleaveRows(1), slo) }},
 		{"interleave inconclusive", func() []string { return gateInterleave(interleaveRows(0), slo) },
 			func() []string { return gateInterleave([]interleaveRow{{Name: "m", Inconclusive: 1}}, slo) }},
+		{"interleave classes", func() []string { return gateInterleave(interleaveRows(0), slo) },
+			func() []string {
+				spec := interleave.Spec{Name: "m", Words: []interleave.Word{{Addr: 0, Class: interleave.ClassObserved}}}
+				rep := &interleave.Report{Addrs: []interleave.AddrReport{{Addr: 0, Class: interleave.ClassAtomic}}}
+				return gateInterleave([]interleaveRow{newInterleaveRow(&spec, rep)}, slo)
+			}},
 	} {
 		if v := tc.healthy(); len(v) > 0 {
 			t.Errorf("%s: the healthy input fails its gate: %v", tc.gate, v)

@@ -21,10 +21,10 @@ import (
 //	C      (3)  the delegated fetch-and-add counter — handler-side
 //	            atomic adds; main reads it at the end.
 //
-// Expected classes: REQ/REQSEQ observed, DONE protected, C atomic —
-// zero unclassified. The CheckRun law is delegation conservation:
-// every published request is served exactly once, so the counter
-// equals the completion watermark and never exceeds the sequence.
+// InterleaveSpec declares these classes. The CheckRun law is
+// delegation conservation: every published request is served exactly
+// once, so the counter equals the completion watermark and never
+// exceeds the sequence.
 const interleaveIR = `
 module ffwd-ci
 mem 64
@@ -77,15 +77,20 @@ done:
 }
 `
 
-// InterleaveSpec returns the DelegationCI sharing-protocol model and
-// verifier options for interleave.VerifyHandlers.
-func InterleaveSpec() (*ir.Module, interleave.Options) {
-	m := ir.MustParse(interleaveIR)
-	opts := interleave.Options{
-		RetOnly:  true,
-		CheckRun: checkDelegation,
+// InterleaveSpec returns the DelegationCI sharing-protocol model, its
+// verifier options and the class of each shared word.
+func InterleaveSpec() interleave.Spec {
+	return interleave.Spec{
+		Name: "ffwd/delegation",
+		Mod:  ir.MustParse(interleaveIR),
+		Opts: interleave.Options{RetOnly: true, CheckRun: checkDelegation},
+		Words: []interleave.Word{
+			{Addr: 0, Class: interleave.ClassObserved},
+			{Addr: 1, Class: interleave.ClassObserved},
+			{Addr: 2, Class: interleave.ClassProtected},
+			{Addr: 3, Class: interleave.ClassAtomic},
+		},
 	}
-	return m, opts
 }
 
 // checkDelegation is the conservation law for one run: served work

@@ -1,6 +1,9 @@
 package interleave
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // The Detect stage. Inline handlers give the happens-before relation a
 // degenerate but useful shape: every access within one epoch is
@@ -33,9 +36,6 @@ const (
 	// ClassProtected: every main access runs under ci_disable, so no
 	// handler epoch can interleave with main's use of the address.
 	ClassProtected
-	// ClassAnnotated: racy by the rules above, but explicitly
-	// allow-listed via Options.Benign with a justification.
-	ClassAnnotated
 	// ClassRacy: an unclassified handler/main race — the verifier's
 	// finding.
 	ClassRacy
@@ -53,8 +53,6 @@ func (c Class) String() string {
 		return "same-value"
 	case ClassProtected:
 		return "protected"
-	case ClassAnnotated:
-		return "annotated"
 	default:
 		return "RACY"
 	}
@@ -64,8 +62,6 @@ func (c Class) String() string {
 type AddrReport struct {
 	Addr  int64
 	Class Class
-	// Note carries the benign justification for ClassAnnotated.
-	Note string
 	// Access counts aggregated over every folded run (reads include
 	// the read half of nothing — adds count as writes).
 	MainReads, MainWrites       int
@@ -196,7 +192,7 @@ func (a *accumulator) merge(b *accumulator) {
 // classify renders the accumulated evidence into sorted per-address
 // verdicts. Only addresses touched by both sides appear: an address
 // one side never sees cannot race.
-func (a *accumulator) classify(benign map[int64]string) []AddrReport {
+func (a *accumulator) classify() []AddrReport {
 	var out []AddrReport
 	for addr, s := range a.states {
 		if !s.mainAccess || !s.hAccess {
@@ -223,15 +219,10 @@ func (a *accumulator) classify(benign map[int64]string) []AddrReport {
 		case !s.mainUnprotected:
 			rep.Class = ClassProtected
 		default:
-			if note, ok := benign[addr]; ok {
-				rep.Class = ClassAnnotated
-				rep.Note = note
-			} else {
-				rep.Class = ClassRacy
-			}
+			rep.Class = ClassRacy
 		}
 		out = append(out, rep)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(x, y AddrReport) int { return cmp.Compare(x.Addr, y.Addr) })
 	return out
 }

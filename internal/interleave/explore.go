@@ -1,8 +1,9 @@
 package interleave
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -127,9 +128,9 @@ func buildSchedules(feasible []int64, opts Options) (schedules [][]int64, sample
 		return
 	}
 	pairSites := feasible
-	if len(pairSites) > opts.MaxPairSites {
-		truncated = len(pairSites) - opts.MaxPairSites
-		pairSites = strideSample(pairSites, opts.MaxPairSites)
+	if len(pairSites) > maxPairSites {
+		truncated = len(pairSites) - maxPairSites
+		pairSites = strideSample(pairSites, maxPairSites)
 	}
 	var multi [][]int64
 	for k := 2; k <= opts.ContextBound; k++ {
@@ -147,23 +148,10 @@ func buildSchedules(feasible []int64, opts Options) (schedules [][]int64, sample
 		}
 		sampled += len(multi) - opts.MaxSchedules
 		multi = multi[:opts.MaxSchedules]
-		sort.Slice(multi, func(i, j int) bool { return scheduleLess(multi[i], multi[j]) })
+		slices.SortFunc(multi, func(a, b []int64) int { return cmp.Or(cmp.Compare(len(a), len(b)), slices.Compare(a, b)) })
 	}
 	schedules = append(schedules, multi...)
 	return
-}
-
-// scheduleLess orders schedules by length, then lexicographically.
-func scheduleLess(a, b []int64) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // combosWithRepetition emits every non-decreasing k-tuple over sites.
@@ -273,16 +261,12 @@ func compare(base, got *runDigest, opts Options) string {
 }
 
 func sortedKeys(ms ...map[int64]int64) []int64 {
-	seen := make(map[int64]bool)
 	var out []int64
 	for _, m := range ms {
 		for k := range m {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
+			out = append(out, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -180,7 +180,7 @@ func TestExplorationDeterministicAcrossWorkers(t *testing.T) {
 	// schedule index order. Run a module big enough to enumerate pairs.
 	m := fuzz.Generate(5, fuzz.Options{WithHandler: true})
 	injectRace(m)
-	opts := Options{ContextBound: 2, MaxSchedules: 120, MaxPairSites: 8, LimitInstrs: 2_000_000}
+	opts := Options{ContextBound: 2, MaxSchedules: 120, LimitInstrs: 2_000_000}
 
 	render := func(eng *engine.Engine) string {
 		rep, err := VerifyHandlers(m, eng, opts)

@@ -11,7 +11,7 @@
 //
 //  1. Record — run the module with the VM's OnLoad/OnStore/OnAtomic
 //     taps, tagging every access with an epoch (main, or the k'th
-//     handler invocation) and the probe site the epoch began at.
+//     handler invocation).
 //  2. Detect — classify every address shared between handler and main
 //     epochs: benign patterns (read-only sharing, atomic counters,
 //     same-value stores, ci_disable-protected regions, handler-read
@@ -26,20 +26,20 @@
 //     sanitize ddmin reducer to a minimal reproducer (see shrink.go)
 //     pinned under testdata/repro/.
 //
-// VerifyHandlers is the CompileChecked-style entry; cmd/ciexp
-// (interleave subcommand) and cmd/cirun (-interleave race table) wire
-// it to the CLI.
+// VerifyHandlers is the CompileChecked-style entry; cmd/cirun
+// (-interleave race table) wires it to the CLI. A Spec declares one
+// module with its options and the class each shared word must get:
+// each app model returns one, and cmd/ciexp's interleave subcommand
+// fails a module whose classes differ from its declaration.
 package interleave
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/ir"
 	"repro/internal/sanitize"
 )
@@ -60,6 +60,11 @@ const handlerFunc = "handler"
 // schedules past MaxSchedules.
 const scheduleSeed = 1
 
+// maxPairSites caps the feasible sites that enter multi-fire schedule
+// enumeration; bound-1 schedules always cover every feasible site.
+// Truncation is reported (Report.PairTruncated), never silent.
+const maxPairSites = 24
+
 // Options configures VerifyHandlers. The zero value verifies @handler
 // against @main under the CI design with sensible exploration caps.
 type Options struct {
@@ -79,17 +84,12 @@ type Options struct {
 	// LimitInstrs bounds each run (default 20M). Runs that exhaust it
 	// count as inconclusive, never as findings.
 	LimitInstrs int64
-	// MaxHandlerCycles enables the VM overrun watchdog (0 = off).
-	MaxHandlerCycles int64
 	// ContextBound is the maximum number of forced handler fires per
 	// schedule (default 2; 1..3 supported).
 	ContextBound int
-	// MaxPairSites caps the feasible sites that enter multi-fire
-	// schedule enumeration (default 24; bound-1 schedules always cover
-	// every feasible site). Truncation is reported, never silent.
-	MaxPairSites int
-	// MaxSchedules caps the multi-fire schedules explored (default
-	// 2000); the excess is sampled out deterministically.
+	// MaxSchedules caps the single-fire and, separately, the
+	// multi-fire schedules explored (default 2000 each); the excess is
+	// sampled out deterministically.
 	MaxSchedules int
 	// RetOnly weakens the commutativity oracle to return-value
 	// equality. App models whose handlers feed work to main (queue
@@ -100,14 +100,6 @@ type Options struct {
 	// app-specific conservation law). A returned error marks the run's
 	// schedule as non-commutative.
 	CheckRun func(r *Run) error
-	// Benign annotates addresses whose races are intentionally benign;
-	// the justification string appears in the race table. Annotated
-	// addresses do not fail Err.
-	Benign map[int64]string
-	// FaultPlan, when enabled, injects stall/overrun spikes into every
-	// handler invocation (the faults package's handler stream) — used
-	// by the watchdog-surfacing tests.
-	FaultPlan *faults.Plan
 }
 
 func (o Options) withDefaults() Options {
@@ -132,9 +124,6 @@ func (o Options) withDefaults() Options {
 	if o.ContextBound > 3 {
 		o.ContextBound = 3
 	}
-	if o.MaxPairSites <= 0 {
-		o.MaxPairSites = 24
-	}
 	if o.MaxSchedules <= 0 {
 		o.MaxSchedules = 2000
 	}
@@ -156,9 +145,9 @@ type Report struct {
 	FeasibleSites int
 	// Bound is the context bound explored.
 	Bound int
-	// Schedules counts explored schedules; Sampled counts multi-fire
-	// schedules dropped by MaxSchedules; PairTruncated counts feasible
-	// sites excluded from multi-fire enumeration by MaxPairSites.
+	// Schedules counts explored schedules; Sampled counts schedules
+	// dropped by MaxSchedules; PairTruncated counts feasible sites
+	// excluded from multi-fire enumeration by maxPairSites.
 	Schedules     int
 	Sampled       int
 	PairTruncated int
@@ -178,8 +167,7 @@ type NonCommute struct {
 	Detail   string
 }
 
-// Unclassified returns the addresses still classified as racy after
-// benign annotation.
+// Unclassified returns the addresses classified as racy.
 func (r *Report) Unclassified() []AddrReport {
 	var out []AddrReport
 	for _, a := range r.Addrs {
@@ -205,10 +193,10 @@ func (r *Report) Err() error {
 // (sanitize.CompileChecked), runs the record → detect → explore
 // pipeline over it and returns the classified report. The returned
 // error is reserved for infrastructure failures (compile and
-// stage-check errors, missing functions, VM faults in the
-// cadence/baseline runs — including handler watchdog errors, which
-// surface here rather than being swallowed); interleaving findings
-// live in the report and its Err method.
+// stage-check errors, missing functions, VM faults in the record,
+// enumeration and baseline runs — including a fault in the handler's
+// own IR body, which surfaces here rather than being swallowed);
+// interleaving findings live in the report and its Err method.
 func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if src.FuncByName(handlerFunc) == nil {
@@ -244,7 +232,6 @@ func VerifyHandlers(src *ir.Module, eng *engine.Engine, opts Options) (*Report, 
 	if err := explore(prog, eng, opts, rep, acc); err != nil {
 		return nil, err
 	}
-	rep.Addrs = acc.classify(opts.Benign)
-	sort.Slice(rep.Addrs, func(i, j int) bool { return rep.Addrs[i].Addr < rep.Addrs[j].Addr })
+	rep.Addrs = acc.classify()
 	return rep, nil
 }

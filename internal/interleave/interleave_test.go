@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/ir"
 	"repro/internal/vm"
 )
@@ -228,56 +227,25 @@ entry:
 	}
 }
 
-func TestBenignAnnotationReclassifies(t *testing.T) {
-	// Same hazard as above, but main never reads the word back: the
-	// final value is handler-owned and main's stream is unaffected. The
-	// race is real but intentionally benign; the annotation must move
-	// it out of Err while keeping it visible in the table.
-	src := mainHead + `
-  %acc = add %acc, 3
-  %acc = and %acc, 1023
-  store _, 5, %acc
-` + mainTail + `
-func @handler(%ir) {
-entry:
-  store _, 5, %ir
-  ret %ir
-}
-`
-	plain := verify(t, src, Options{})
-	if got := classOf(t, plain, 5); got != ClassRacy {
-		t.Fatalf("unannotated class = %v, want RACY", got)
-	}
-	rep := verify(t, src, Options{
-		Benign: map[int64]string{5: "last-writer-wins scratch word"},
-	})
-	if got := classOf(t, rep, 5); got != ClassAnnotated {
-		t.Errorf("annotated class = %v, want annotated", got)
-	}
-	if err := rep.Err(); err != nil {
-		t.Errorf("Err = %v, want nil after annotation", err)
-	}
-}
-
 func TestHandlerWatchdogErrorsSurface(t *testing.T) {
+	// A handler whose own IR faults (a store past the end of memory)
+	// is an infrastructure error of the record run, not a finding.
 	src := mainHead + `
   %acc = add %acc, 3
 ` + mainTail + `
 func @handler() {
 entry:
   %one = mov 1
-  %o = aadd _, 9, %one
-  ret %o
+  store _, 4096, %one
+  ret %one
 }
 `
 	m := ir.MustParse(src)
 	_, err := VerifyHandlers(m, engine.Serial(), Options{
-		IntervalCycles:   50, // fire on cadence within this short run
-		MaxHandlerCycles: 50,
-		FaultPlan:        &faults.Plan{Seed: 7, OverrunProb: 1, OverrunCycles: 100_000},
+		IntervalCycles: 50, // fire on cadence within this short run
 	})
-	if !errors.Is(err, vm.ErrHandlerOverrun) {
-		t.Errorf("VerifyHandlers with overrun injection = %v, want ErrHandlerOverrun", err)
+	if !errors.Is(err, vm.ErrMemFault) {
+		t.Errorf("VerifyHandlers with a faulting handler = %v, want ErrMemFault", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/vm"
 )
 
@@ -18,24 +17,11 @@ const (
 	KindAdd
 )
 
-func (k AccessKind) String() string {
-	switch k {
-	case KindLoad:
-		return "load"
-	case KindStore:
-		return "store"
-	default:
-		return "aadd"
-	}
-}
-
 // Access is one recorded memory operation, tagged with the epoch it
 // executed in: epoch 0 is main code, epoch k > 0 is the k'th handler
-// invocation of the run. Site is the main-context probe ordinal the
-// handler fired at (0 for main-epoch accesses).
+// invocation of the run.
 type Access struct {
 	Epoch     int
-	Site      int64
 	Fn, Block string
 	Kind      AccessKind
 	Addr      int64
@@ -52,16 +38,13 @@ type Access struct {
 
 // Run is one recorded execution of the module.
 type Run struct {
-	// Schedule is the forced-fire site list this run executed under
-	// (nil for the cadence record run and the fire-free baseline).
-	Schedule []int64
 	// Ret is the entry function's return value.
 	Ret int64
 	// Err is the main run's error, nil on clean completion.
 	Err error
-	// HandlerErr is the first error a handler's IR body raised
-	// (watchdog trips included); handler closures cannot propagate
-	// errors through the CI runtime, so the recorder stashes them.
+	// HandlerErr is the first error a handler's IR body raised;
+	// handler closures cannot propagate errors through the CI runtime,
+	// so the recorder stashes them.
 	HandlerErr error
 	// Accesses is the tagged access trace (only when recording).
 	Accesses []Access
@@ -120,29 +103,23 @@ func execute(prog *core.Program, opts Options, mode execMode, schedule []int64) 
 	mod := prog.Mod
 	machine := prog.Code().NewVM(1)
 	machine.LimitInstrs = opts.LimitInstrs
-	machine.MaxHandlerCycles = opts.MaxHandlerCycles
 	th := machine.NewThread(0)
 
-	run := &Run{Schedule: schedule}
+	run := &Run{}
 	interval := opts.IntervalCycles
 	if mode != execCadence {
 		interval = neverCycles
 	}
-	inj := faults.New(opts.FaultPlan, "interleave/handler")
 	hFn := mod.FuncByName(handlerFunc)
 
-	// epoch/curSite tag accesses: the handler closure opens an epoch
-	// for the duration of its IR body. Handlers cannot nest (the CI
-	// runtime holds the per-handler disable during fire), so a plain
-	// save-less reset is sound.
+	// epoch tags accesses: the handler closure opens an epoch for the
+	// duration of its IR body. Handlers cannot nest (the CI runtime
+	// holds the per-handler disable during fire), so a plain save-less
+	// reset is sound.
 	epoch := 0
-	curSite := int64(0)
 	th.RT.RegisterCI(interval, func(irDelta uint64) {
 		run.Fires++
 		epoch = run.Fires
-		if d := inj.Stall() + inj.Overrun(); d > 0 {
-			th.Charge(d)
-		}
 		var args []int64
 		if hFn.NumParams >= 1 {
 			args = make([]int64, hFn.NumParams)
@@ -157,7 +134,6 @@ func execute(prog *core.Program, opts Options, mode execMode, schedule []int64) 
 	schedIdx := 0
 	th.OnProbe = func() int {
 		run.Sites++
-		curSite = run.Sites
 		switch mode {
 		case execEnumerate:
 			if th.RT.CanFire() {
@@ -176,26 +152,18 @@ func execute(prog *core.Program, opts Options, mode execMode, schedule []int64) 
 	}
 
 	if mode != execEnumerate {
+		record := func(a Access) {
+			a.Epoch, a.Protected = epoch, epoch == 0 && !th.RT.CanFire()
+			run.Accesses = append(run.Accesses, a)
+		}
 		th.OnLoad = func(fn, block string, addr, val int64) {
-			run.Accesses = append(run.Accesses, Access{
-				Epoch: epoch, Site: site(epoch, curSite), Fn: fn, Block: block,
-				Kind: KindLoad, Addr: addr, Val: val,
-				Protected: epoch == 0 && !th.RT.CanFire(),
-			})
+			record(Access{Fn: fn, Block: block, Kind: KindLoad, Addr: addr, Val: val})
 		}
 		th.OnStore = func(fn, block string, addr, val int64) {
-			run.Accesses = append(run.Accesses, Access{
-				Epoch: epoch, Site: site(epoch, curSite), Fn: fn, Block: block,
-				Kind: KindStore, Addr: addr, Val: val,
-				Protected: epoch == 0 && !th.RT.CanFire(),
-			})
+			record(Access{Fn: fn, Block: block, Kind: KindStore, Addr: addr, Val: val})
 		}
 		th.OnAtomic = func(fn, block string, addr, old, add int64) {
-			run.Accesses = append(run.Accesses, Access{
-				Epoch: epoch, Site: site(epoch, curSite), Fn: fn, Block: block,
-				Kind: KindAdd, Addr: addr, Val: old + add, Add: add,
-				Protected: epoch == 0 && !th.RT.CanFire(),
-			})
+			record(Access{Fn: fn, Block: block, Kind: KindAdd, Addr: addr, Val: old + add, Add: add})
 		}
 	}
 
@@ -212,14 +180,4 @@ func execute(prog *core.Program, opts Options, mode execMode, schedule []int64) 
 	run.Ret, run.Err = th.Run(opts.Entry, args...)
 	run.Mem = machine.Memory()
 	return run
-}
-
-// site attributes an access to the probe site its epoch began at:
-// handler accesses carry the fire site, main accesses carry 0 (main is
-// one epoch spanning the whole run).
-func site(epoch int, cur int64) int64 {
-	if epoch > 0 {
-		return cur
-	}
-	return 0
 }

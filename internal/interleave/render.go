@@ -18,11 +18,11 @@ func (r *Report) WriteTable(w io.Writer) error {
 		fmt.Fprintln(w, "shared addresses: none")
 	} else {
 		tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-		fmt.Fprintln(tw, "  addr\tclass\tmain r/w\thandler r/w\tmain site\thandler site\tnote")
+		fmt.Fprintln(tw, "  addr\tclass\tmain r/w\thandler r/w\tmain site\thandler site")
 		for _, a := range r.Addrs {
-			fmt.Fprintf(tw, "  %d\t%s\t%d/%d\t%d/%d\t%s\t%s\t%s\n",
+			fmt.Fprintf(tw, "  %d\t%s\t%d/%d\t%d/%d\t%s\t%s\n",
 				a.Addr, a.Class, a.MainReads, a.MainWrites,
-				a.HandlerReads, a.HandlerWrites, a.MainSite, a.HandlerSite, a.Note)
+				a.HandlerReads, a.HandlerWrites, a.MainSite, a.HandlerSite)
 		}
 		if err := tw.Flush(); err != nil {
 			return err

@@ -7,7 +7,7 @@ import (
 	"repro/internal/ir"
 )
 
-// InterleaveSpec is the IR model of the CI-mode sharing protocol that
+// interleaveIR is the IR model of the CI-mode sharing protocol that
 // the interleaving verifier checks: the stack-loop handler produces
 // received work into a single-producer single-consumer ring, and the
 // application drains it. The full simulator is a discrete-event model,
@@ -25,9 +25,8 @@ import (
 //	             only under ci_disable (slots the consumer touches
 //	             are outside the producer's window).
 //
-// Expected classes: HEAD observed, TAIL/BACKLOG atomic, slots
-// protected — zero unclassified. Item k carries value 3k+1, so the
-// CheckRun conservation law pins lost/duplicated items at any fire
+// InterleaveSpec declares these classes. Item k carries value 3k+1, so
+// the CheckRun conservation law pins lost/duplicated items at any fire
 // placement: RESULT must equal the exact sum of the HEAD items
 // drained, and BACKLOG must equal TAIL-HEAD.
 const interleaveIR = `
@@ -94,19 +93,23 @@ done:
 }
 `
 
-// InterleaveSpec returns the CI-mode sharing protocol model and the
-// verifier options (conservation CheckRun included) for
-// interleave.VerifyHandlers.
-func InterleaveSpec() (*ir.Module, interleave.Options) {
-	m := ir.MustParse(interleaveIR)
-	opts := interleave.Options{
-		// The ring protocol is placement-dependent by design (more
-		// fires deliver more work), so equivalence is the constant
-		// return plus the conservation law, not the store stream.
-		RetOnly:  true,
-		CheckRun: checkRing,
+// InterleaveSpec returns the CI-mode sharing protocol model, its
+// verifier options and the class of each shared word.
+func InterleaveSpec() interleave.Spec {
+	return interleave.Spec{
+		Name: "mtcp/ring",
+		Mod:  ir.MustParse(interleaveIR),
+		// The ring protocol is placement-dependent by design (more fires
+		// deliver more work), so equivalence is the constant return plus
+		// the conservation law, not the store stream.
+		Opts: interleave.Options{RetOnly: true, CheckRun: checkRing},
+		Words: []interleave.Word{
+			{Addr: 0, Class: interleave.ClassObserved},
+			{Addr: 1, Class: interleave.ClassAtomic},
+			{Addr: 2, Class: interleave.ClassAtomic},
+			{Addr: 8, Last: 23, Class: interleave.ClassProtected},
+		},
 	}
-	return m, opts
 }
 
 // checkRing is the conservation law for one run of the ring model:

@@ -17,22 +17,6 @@ func saturatedOverloadConfig() Config {
 	}
 }
 
-// Same seed, a fault plan AND admission enabled: byte-identical
-// results (the TestFaultRunsDeterministic pattern with the overload
-// plane in the loop).
-func TestFaultOverloadRunsDeterministic(t *testing.T) {
-	cfg := saturatedOverloadConfig()
-	cfg.FaultPlan = faults.Uniform(99, 0.01)
-	a := Run(cfg)
-	b := Run(cfg)
-	if a != b {
-		t.Errorf("fault+overload runs differ:\n%+v\n%+v", a, b)
-	}
-	if a.Overload.Offered() == 0 {
-		t.Fatal("overload plane saw no admission decisions")
-	}
-}
-
 // Under saturation the plane must shed (reject or expire) rather than
 // queue without bound, and the shed load shows up as client NACKs that
 // conserve the request count.
@@ -79,19 +63,6 @@ func TestBrownoutDefersRetransmitHeavyConns(t *testing.T) {
 	}
 	if r.Overload.Deferred == 0 {
 		t.Error("brownout never deferred a retransmit-heavy connection")
-	}
-}
-
-// A disabled plane is the zero value everywhere: no snapshot activity,
-// no NACKs, and the conservation identity degenerates to the old
-// three-term form.
-func TestOverloadDisabledIsInert(t *testing.T) {
-	r := Run(Config{Mode: CI, Conns: 32, Adaptive: true, FaultPlan: faults.Uniform(99, 0.01)})
-	if r.Overload != (overload.Snapshot{}) {
-		t.Errorf("disabled plane left a snapshot: %+v", r.Overload)
-	}
-	if r.Rejects != 0 {
-		t.Errorf("disabled plane NACKed %d requests", r.Rejects)
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 //	             when deciding core reallocation.
 //	POLLS   (3)  handler-private poll tally.
 //
-// Expected classes: STEERED atomic, ALIVE same-value, PROGRESS
-// observed — zero unclassified. The racy variant (see
+// InterleaveSpec declares these classes. The racy variant (see
 // InterleaveRacySpec) steers with a load/add/store instead of the
 // atomic add: the verifier must catch that lost-update — it is the
 // bug the atomic in the production model exists to prevent.
@@ -106,22 +105,28 @@ entry:
 }
 `
 
-// InterleaveSpec returns the CIHosted sharing-protocol model and
-// verifier options for interleave.VerifyHandlers.
-func InterleaveSpec() (*ir.Module, interleave.Options) {
-	m := ir.MustParse(interleaveIR)
-	opts := interleave.Options{
-		RetOnly:  true,
-		CheckRun: checkBeacons,
-	}
-	return m, opts
+// InterleaveSpec returns the CIHosted sharing-protocol model, its
+// verifier options and the class of each shared word.
+func InterleaveSpec() interleave.Spec {
+	return interleave.Spec{Name: "shenango/iokernel", Mod: ir.MustParse(interleaveIR),
+		Opts: interleave.Options{RetOnly: true, CheckRun: checkBeacons}, Words: sharedWords(interleave.ClassAtomic)}
 }
 
-// InterleaveRacySpec returns the deliberately-racy steering variant:
-// the verifier must classify word 0 as RACY. Kept as a permanent
+// InterleaveRacySpec returns the deliberately-racy steering variant,
+// whose word 0 the verifier must classify RACY. Kept as a permanent
 // detection regression, not a production model.
-func InterleaveRacySpec() (*ir.Module, interleave.Options) {
-	return ir.MustParse(interleaveRacyIR), interleave.Options{RetOnly: true}
+func InterleaveRacySpec() interleave.Spec {
+	return interleave.Spec{Name: "shenango/iokernel-racy", Mod: ir.MustParse(interleaveRacyIR),
+		Opts: interleave.Options{RetOnly: true}, Words: sharedWords(interleave.ClassRacy)}
+}
+
+// sharedWords declares the model's shared words, STEERED as steered.
+func sharedWords(steered interleave.Class) []interleave.Word {
+	return []interleave.Word{
+		{Addr: 0, Class: steered},
+		{Addr: 1, Class: interleave.ClassSameValue},
+		{Addr: 2, Class: interleave.ClassObserved},
+	}
 }
 
 // checkBeacons validates one run's end state: the liveness beacon must

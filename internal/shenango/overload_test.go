@@ -3,7 +3,6 @@ package shenango
 import (
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/overload"
 )
 
@@ -14,22 +13,6 @@ func overloadedConfig() Config {
 		Kind: CIHosted, OfferedLoad: 4.3e6, Seed: 7,
 		DurationCycles: 26_000_000,
 		Overload:       &overload.Config{DeadlineCycles: 200_000},
-	}
-}
-
-// Same seed, a fault plan AND admission enabled: byte-identical
-// results (the TestFaultRunsDeterministic pattern with the overload
-// plane in the loop).
-func TestFaultOverloadRunsDeterministic(t *testing.T) {
-	cfg := overloadedConfig()
-	cfg.FaultPlan = faults.Uniform(99, 0.01)
-	a := Run(cfg)
-	b := Run(cfg)
-	if a != b {
-		t.Errorf("fault+overload runs differ:\n%+v\n%+v", a, b)
-	}
-	if a.Overload.Offered() == 0 {
-		t.Fatal("overload plane saw no admission decisions")
 	}
 }
 
@@ -52,17 +35,5 @@ func TestOverloadShedsAtTwiceCapacity(t *testing.T) {
 	}
 	if r.MinerShedFrac <= 0 {
 		t.Error("brownout never parked the miner")
-	}
-}
-
-// A disabled plane leaves the result untouched: zero snapshot, no
-// miner shedding, and the pre-overload fault behavior intact.
-func TestOverloadDisabledIsInert(t *testing.T) {
-	r := Run(Config{Kind: CIHosted, OfferedLoad: 200e3, Seed: 7, FaultPlan: faults.Uniform(7, 0.01)})
-	if r.Overload != (overload.Snapshot{}) {
-		t.Errorf("disabled plane left a snapshot: %+v", r.Overload)
-	}
-	if r.MinerShedFrac != 0 {
-		t.Errorf("disabled plane shed the miner: %v", r.MinerShedFrac)
 	}
 }
