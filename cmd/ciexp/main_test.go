@@ -104,6 +104,43 @@ func TestTraceLineOnToolStderr(t *testing.T) {
 	}
 }
 
+// A traced run with -metrics prints its metrics report, histograms
+// included, and writes a trace file that tracecheck accepts; tracecheck
+// rejects the same file cut short.
+func TestTraceMetricsAndTracecheck(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-quick", "-workers", "1", "-trace", path, "-metrics", "fig4"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.Bytes())
+	}
+	if !strings.Contains(stdout.String(), "# histograms") {
+		t.Errorf("-metrics printed no histograms section:\n%s", stdout.Bytes())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"tracecheck", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("tracecheck exit %d; stderr:\n%s", code, stderr.Bytes())
+	}
+	if want := "tracecheck: " + path + " OK\n"; !strings.HasSuffix(stdout.String(), want) {
+		t.Errorf("tracecheck stdout = %q, want it to end %q", stdout.String(), want)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.json")
+	if err := os.WriteFile(cut, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"tracecheck", cut}, &stdout, &stderr); code != 1 {
+		t.Errorf("tracecheck of a truncated file: exit %d, want 1; stderr:\n%s", code, stderr.Bytes())
+	}
+}
+
 // Every named figure runs, once and in experiments.Figures order; an
 // unknown name rejects the whole command line before anything runs.
 func TestSelectFigures(t *testing.T) {

@@ -31,11 +31,11 @@ import (
 //   - no tier pick (vm.TierCompiled, vm.TierInterpreter, core.WithTier)
 //     outside tierPickAllowed: every other run takes the VM's default,
 //     compiled tier, whose hooked form serves observed runs too.
-//   - no core.Compile, core.CompileConfig or core.CompileText in
-//     internal/experiments or internal/interleave (checkedCompileOnly):
-//     every figure and the interleave verifier compile through
-//     sanitize.CompileChecked, so every program a figure measures or
-//     the verifier explores was stage-checked.
+//   - no core.Compile or core.CompileConfig in internal/experiments or
+//     internal/interleave (checkedCompileOnly): every figure and the
+//     interleave verifier compile through sanitize.CompileChecked, so
+//     every program a figure measures or the verifier explores was
+//     stage-checked.
 //   - no (*vm.VM).NewThread or write to a thread's RT.IRPerCycle in
 //     internal/experiments: every figure runs through core's one run
 //     primitive (core.RunThread, core.Calibrate), which sets up the
@@ -55,7 +55,6 @@ var goStmtAllowed = map[string]string{
 var fileWriteAllowed = map[string]string{
 	"internal/obs/trace.go:WriteTraceFile":       "the -trace file a user asked for",
 	"internal/cliflags/cliflags.go:StartProfile": "the -cpuprofile and -memprofile files a user asked for",
-	"internal/sanitize/repro.go:SaveRepro":       "pins a shrunk reproducer as a test input under testdata/repro",
 }
 
 // fprintAllowed are the places in internal/experiments that print,
@@ -77,7 +76,7 @@ var vmNewAllowed = []string{"internal/vm/", "internal/core/", "internal/sanitize
 
 // uncheckedCompiles are the core entry points that compile without the
 // translation-validation stage checks.
-var uncheckedCompiles = map[string]bool{"Compile": true, "CompileConfig": true, "CompileText": true}
+var uncheckedCompiles = map[string]bool{"Compile": true, "CompileConfig": true}
 
 // checkedCompileOnly are the packages that compile only through
 // sanitize.CompileChecked.
@@ -352,7 +351,6 @@ import (
 func f() {
 	_, _ = core.Compile(nil)                      // want "core.Compile outside the checked compile"
 	_, _ = core.CompileConfig(nil, core.Config{}) // want "core.CompileConfig outside the checked compile"
-	_, _ = core.CompileText("")                   // want "core.CompileText outside the checked compile"
 	_, _ = sanitize.CompileChecked(nil, core.ConfigOf(), sanitize.Options{})
 }
 `

@@ -82,7 +82,7 @@ exit:
 // cadence across the module boundary.
 func ExampleImportCosts() {
 	// Build unit 1: the library, exporting its cost file.
-	lib, err := core.CompileText(libSrc,
+	lib, err := core.Compile(ir.MustParse(libSrc),
 		core.WithDesign(instrument.CI),
 		core.WithProbeInterval(250))
 	if err != nil {
@@ -99,7 +99,7 @@ func ExampleImportCosts() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := core.CompileText(appSrc,
+	app, err := core.Compile(ir.MustParse(appSrc),
 		core.WithDesign(instrument.CI),
 		core.WithProbeInterval(250),
 		core.WithImportedCosts(imported))

@@ -5,7 +5,7 @@
 //
 // Typical usage (functional options; see options.go):
 //
-//	prog, err := core.CompileText(src,
+//	prog, err := core.Compile(ir.MustParse(src),
 //	    core.WithDesign(instrument.CI),
 //	    core.WithProbeInterval(250))
 //	stats, err := prog.Run("main",
@@ -129,15 +129,6 @@ func (p *Program) Code() *vm.Code {
 func CompileConfig(src *ir.Module, cfg Config, opts ...Option) (*Program, error) {
 	withCfg := func(s *settings) { s.cfg = cfg }
 	return Compile(src, append([]Option{withCfg}, opts...)...)
-}
-
-// CompileText parses textual IR and compiles it.
-func CompileText(src string, opts ...Option) (*Program, error) {
-	m, err := ir.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(m, opts...)
 }
 
 // ExportCosts serializes the program's function cost table for

@@ -30,7 +30,7 @@ exit:
 `
 
 func TestCompileTextAndRun(t *testing.T) {
-	prog, err := CompileText(loopSrc, WithDesign(instrument.CI), WithProbeInterval(200))
+	prog, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.CI), WithProbeInterval(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCompileRejectsInvalidModule(t *testing.T) {
 }
 
 func TestExportCosts(t *testing.T) {
-	prog, err := CompileText(loopSrc, WithDesign(instrument.CI), WithProbeInterval(100))
+	prog, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.CI), WithProbeInterval(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestExportCosts(t *testing.T) {
 		t.Errorf("cost file lacks main: %s", data)
 	}
 	// Non-CI designs have no cost table.
-	progN, err := CompileText(loopSrc, WithDesign(instrument.Naive))
+	progN, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.Naive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunMultiThreads(t *testing.T) {
 }
 
 func TestRunRecordsIntervals(t *testing.T) {
-	prog, err := CompileText(loopSrc, WithDesign(instrument.CI), WithProbeInterval(200))
+	prog, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.CI), WithProbeInterval(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunRecordsIntervals(t *testing.T) {
 }
 
 func TestRunUnknownFunction(t *testing.T) {
-	prog, err := CompileText(loopSrc)
+	prog, err := Compile(ir.MustParse(loopSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ exit:
   ret %s
 }
 `
-	plain, err := CompileText(src, WithDesign(instrument.CI), WithProbeInterval(200))
+	plain, err := Compile(ir.MustParse(src), WithDesign(instrument.CI), WithProbeInterval(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := CompileText(src, WithDesign(instrument.CI), WithProbeInterval(200), WithOptimize(true))
+	opt, err := Compile(ir.MustParse(src), WithDesign(instrument.CI), WithProbeInterval(200), WithOptimize(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ entry:
   ret %b
 }
 `
-	lib, err := CompileText(libSrc,
+	lib, err := Compile(ir.MustParse(libSrc),
 		WithDesign(instrument.CI),
 		WithProbeInterval(150))
 	if err != nil {
@@ -255,7 +255,7 @@ entry:
 	if !imported["heavy"].Instrumented {
 		t.Errorf("heavy export = %+v, want instrumented", imported["heavy"])
 	}
-	app, err := CompileText(appSrc,
+	app, err := Compile(ir.MustParse(appSrc),
 		WithDesign(instrument.CI),
 		WithProbeInterval(150),
 		WithImportedCosts(imported))

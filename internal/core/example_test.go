@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ci/instrument"
 	"repro/internal/core"
+	"repro/internal/ir"
 )
 
 // Table 1 of the paper: a program registers a Compiler Interrupt
@@ -13,7 +14,7 @@ import (
 // printing the IR executed since its previous call. The IR is the
 // equivalent of Table 1's counting loop: main increments a shared
 // counter a large, bounded number of times.
-func ExampleCompileText() {
+func ExampleCompile() {
 	const program = `
 module quickstart
 mem 64
@@ -34,7 +35,7 @@ done:
   ret %i
 }
 `
-	prog, err := core.CompileText(program,
+	prog, err := core.Compile(ir.MustParse(program),
 		core.WithDesign(instrument.CI),
 		core.WithProbeInterval(250))
 	if err != nil {

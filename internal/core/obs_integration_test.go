@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ci/instrument"
+	"repro/internal/ir"
 	"repro/internal/obs"
 )
 
@@ -13,7 +14,7 @@ import (
 // -metrics report is built from.
 func TestCompileRunWithObsScope(t *testing.T) {
 	scope := obs.New(0)
-	prog, err := CompileText(loopSrc,
+	prog, err := Compile(ir.MustParse(loopSrc),
 		WithDesign(instrument.CI), WithProbeInterval(200), WithObs(scope))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestCompileRunWithObsScope(t *testing.T) {
 // the run unobserved without failing.
 func TestRunScopeFallback(t *testing.T) {
 	scope := obs.New(0)
-	prog, err := CompileText(loopSrc,
+	prog, err := Compile(ir.MustParse(loopSrc),
 		WithDesign(instrument.CI), WithProbeInterval(200), WithObs(scope))
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestRunScopeFallback(t *testing.T) {
 		t.Error("run did not fall back to the compile-time scope")
 	}
 
-	plain, err := CompileText(loopSrc, WithDesign(instrument.CI), WithProbeInterval(200))
+	plain, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.CI), WithProbeInterval(200))
 	if err != nil {
 		t.Fatal(err)
 	}

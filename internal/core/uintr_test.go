@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ci/ciruntime"
 	"repro/internal/ci/instrument"
+	"repro/internal/ir"
 	"repro/internal/obs"
 )
 
@@ -14,7 +15,7 @@ import (
 // cadence, and the run result carries the recorded gaps and the UIntr
 // delivery counter instead of probe statistics.
 func TestUserInterruptRunDeliversWithoutProbes(t *testing.T) {
-	prog, err := CompileText(loopSrc, WithDesign(instrument.UserInterrupt))
+	prog, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.UserInterrupt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestUserInterruptRunDeliversWithoutProbes(t *testing.T) {
 // feed, skipping the first delivery's meaningless gap.
 func TestUserInterruptObsHistograms(t *testing.T) {
 	scope := obs.New(0)
-	prog, err := CompileText(loopSrc, WithDesign(instrument.UserInterrupt), WithObs(scope))
+	prog, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.UserInterrupt), WithObs(scope))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestUserInterruptObsHistograms(t *testing.T) {
 // policy-driven runs are deterministic: identical invocations return
 // identical recorded gap sequences.
 func TestQuantumPolicyRunDeterministic(t *testing.T) {
-	prog, err := CompileText(loopSrc, WithDesign(instrument.CI), WithProbeInterval(200))
+	prog, err := Compile(ir.MustParse(loopSrc), WithDesign(instrument.CI), WithProbeInterval(200))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,6 @@ type Cache struct {
 	cap     int
 	entries map[string]*cacheEntry
 	lru     *list.List // front = most recently used; completed entries only
-
-	hits, misses, evictions int64
 }
 
 type cacheEntry struct {
@@ -58,7 +56,6 @@ func NewCache(cap int) *Cache {
 func (c *Cache) Get(key string, build func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		c.hits++
 		if e.elem != nil {
 			c.lru.MoveToFront(e.elem)
 		}
@@ -71,7 +68,6 @@ func (c *Cache) Get(key string, build func() (any, error)) (any, error) {
 	}
 	e := &cacheEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
-	c.misses++
 	c.mu.Unlock()
 	if c.Observer != nil {
 		c.Observer(key, false)
@@ -93,30 +89,10 @@ func (c *Cache) Get(key string, build func() (any, error)) (any, error) {
 			victim := oldest.Value.(*cacheEntry)
 			c.lru.Remove(oldest)
 			delete(c.entries, victim.key)
-			c.evictions++
 		}
 	}
 	c.mu.Unlock()
 	return e.val, e.err
-}
-
-// Len reports the number of completed entries resident in the cache.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// CacheStats is a point-in-time snapshot of cache accounting.
-type CacheStats struct {
-	Hits, Misses, Evictions int64
-}
-
-// Stats returns the cache's hit/miss/eviction counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
 }
 
 // Range calls fn for every completed entry, in key order. It snapshots

@@ -70,6 +70,15 @@ func TestMapSerialExecutionOrder(t *testing.T) {
 	}
 }
 
+// entries counts the cache's completed entries.
+func entries(c *engine.Cache) int {
+	n := 0
+	c.Range(func(string, any) { n++ })
+	return n
+}
+
+// A hit builds nothing: three lookups of one key run its build once and
+// leave one entry.
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := engine.NewCache(8)
 	builds := 0
@@ -83,12 +92,8 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	if builds != 1 {
 		t.Errorf("build ran %d times, want 1", builds)
 	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want 2 hits / 1 miss / 0 evictions", st)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if n := entries(c); n != 1 {
+		t.Errorf("entries = %d, want 1", n)
 	}
 }
 
@@ -106,11 +111,8 @@ func TestCacheEvictionUnderCap(t *testing.T) {
 	get("b")
 	get("a") // refresh a: b is now LRU
 	get("c") // evicts b
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if n := entries(c); n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 	get("a") // must still be resident
 	get("b") // must rebuild
@@ -132,8 +134,8 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	if builds != 2 {
 		t.Errorf("failed build ran %d times, want 2 (no caching of errors)", builds)
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after failures, want 0", c.Len())
+	if n := entries(c); n != 0 {
+		t.Errorf("entries = %d after failures, want 0", n)
 	}
 	if _, err := c.Get("k", func() (any, error) { return 1, nil }); err != nil {
 		t.Errorf("recovery Get failed: %v", err)

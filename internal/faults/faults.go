@@ -56,7 +56,8 @@ type Plan struct {
 	// Whole-replica crash/restart: the server process dies, losing all
 	// queued and in-flight work, and restarts cold after the down time.
 	// Onsets are exponentially spaced with the given mean gap; zero gap
-	// disables crashes.
+	// disables crashes. Only fleet replicas consume these two fields;
+	// the app models ignore them.
 	CrashMeanGapCycles int64
 	CrashDownCycles    int64 // down time per crash (default 2_600_000 ≈ 1 ms)
 

@@ -20,9 +20,9 @@ func quickOpts() Options {
 	return Options{ContextBound: 1, MaxSchedules: 64, LimitInstrs: 2_000_000}
 }
 
-// reproOpts is the configuration minimal reproducers are shrunk and
-// re-verified under: a dense probe interval keeps straight-line
-// candidates probeable, so the reduction is free to drop every loop.
+// reproOpts is the configuration the pinned reproducers are verified
+// under: a dense probe interval keeps their straight-line code
+// probeable.
 func reproOpts() Options {
 	o := quickOpts()
 	o.MaxSchedules = 16
@@ -50,7 +50,7 @@ func TestFuzzCorpusWithHandlerIsClean(t *testing.T) {
 
 // injectRace plants a lost-update hazard into a generated module: the
 // handler plain-stores its changing IR-delta argument into a shared
-// word main read-modify-writes. Used by the shrink and determinism
+// word main read-modify-writes. Used by the detection and determinism
 // tests as a realistic "bug a fuzz run would catch".
 func injectRace(m *ir.Module) {
 	h := m.FuncByName("handler")
@@ -88,45 +88,6 @@ func TestInjectedRaceIsDetected(t *testing.T) {
 	}
 }
 
-func TestShrinkRacePinsMinimalReproducer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ddmin reduction is slow")
-	}
-	m := fuzz.Generate(3, fuzz.Options{WithHandler: true})
-	injectRace(m)
-	opts := reproOpts()
-	red := ShrinkRace(m, engine.Serial(), opts)
-
-	blocks := 0
-	for _, f := range red.Funcs {
-		blocks += len(f.Blocks)
-	}
-	if blocks > 3 {
-		t.Errorf("reduced module has %d blocks, want <= 3:\n%s", blocks, red.String())
-	}
-	// The reduction must preserve the failure...
-	rep, err := VerifyHandlers(red, engine.Serial(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Err() == nil {
-		t.Fatal("reduced module no longer races")
-	}
-	// ...and survive a save/load round trip.
-	dir := t.TempDir()
-	if _, err := sanitize.SaveRepro(dir, "race_roundtrip", red,
-		"interleave: injected lost-update, shrunk by ShrinkRace"); err != nil {
-		t.Fatal(err)
-	}
-	back, err := sanitize.LoadRepros(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 {
-		t.Fatalf("LoadRepros returned %d modules", len(back))
-	}
-}
-
 // TestPinnedReproducersStillRace auto-loads every module committed
 // under testdata/repro/ and asserts the verifier still fails it — the
 // inverse polarity of sanitize's pinned regressions: these are
@@ -151,27 +112,6 @@ func TestPinnedReproducersStillRace(t *testing.T) {
 			t.Errorf("repro %s: pinned race no longer detected", r.Name)
 		}
 	}
-}
-
-// TestPinInjectedRaceRepro regenerates the committed reproducer. Run
-// with PIN_INTERLEAVE_REPRO=1 after a verifier change that invalidates
-// the pinned module (and re-review the result — it must stay racy).
-func TestPinInjectedRaceRepro(t *testing.T) {
-	if os.Getenv("PIN_INTERLEAVE_REPRO") == "" {
-		t.Skip("set PIN_INTERLEAVE_REPRO=1 to regenerate testdata/repro")
-	}
-	m := fuzz.Generate(3, fuzz.Options{WithHandler: true})
-	injectRace(m)
-	red := ShrinkRace(m, engine.Serial(), reproOpts())
-	path, err := sanitize.SaveRepro(filepath.Join("testdata", "repro"), "lost_update", red,
-		"interleave: lost-update race, handler plain-stores a word main RMWs.\n"+
-			"Injected into fuzz seed 3 (WithHandler) and shrunk by ShrinkRace;\n"+
-			"verified under reproOpts (ProbeIntervalIR=2, bound 1).\n"+
-			"Regenerate with PIN_INTERLEAVE_REPRO=1 go test -run TestPinInjectedRaceRepro .")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("pinned %s", path)
 }
 
 func TestExplorationDeterministicAcrossWorkers(t *testing.T) {

@@ -7,7 +7,7 @@
 // or mutates state mid-invariant, and whether that is safe depends on
 // where the probe landed.
 //
-// The verifier works in four stages:
+// The verifier works in three stages:
 //
 //  1. Record — run the module with the VM's OnLoad/OnStore/OnAtomic
 //     taps, tagging every access with an epoch (main, or the k'th
@@ -22,9 +22,9 @@
 //     equal return value, equal main-epoch store stream, equal atomic
 //     deltas and equal final memory outside handler-owned words prove
 //     the handler commutes with main at every placement.
-//  4. Shrink — on a racy or non-commutative module, reduce it with the
-//     sanitize ddmin reducer to a minimal reproducer (see shrink.go)
-//     pinned under testdata/repro/.
+//
+// A minimal racy module is pinned under testdata/repro/, and the
+// verifier must keep failing it.
 //
 // VerifyHandlers is the CompileChecked-style entry; cmd/cirun
 // (-interleave race table) wires it to the CLI. A Spec declares one

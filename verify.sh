@@ -1,9 +1,11 @@
 #!/bin/sh
 # Repo verification gate: formatting, static checks, build, tests, ten
-# seconds each of parser and cost-file fuzzing, the benchmark on mini
-# inputs, and a traced ciexp run. Every ciexp gate's quick run (chaos,
-# soak, quantum, sanitize, interleave, fleet and the rest) is a golden
-# that `go test` checks: cmd/ciexp TestOutputGolden.
+# seconds each of parser and cost-file fuzzing, and the reachability
+# ledger, whose covered pass also runs the benchmark on mini inputs.
+# Every ciexp gate's quick run (chaos, soak, quantum, sanitize,
+# interleave, fleet and the rest) is a golden that `go test` checks:
+# cmd/ciexp TestOutputGolden; a traced run and tracecheck are
+# cmd/ciexp TestTraceMetricsAndTracecheck.
 # Run from the repo root; exits non-zero on the first failure, and
 # fails if anything it started is still running when it ends.
 set -eu
@@ -98,18 +100,48 @@ stage "parser fuzz" 300 go test ./internal/ir -run '^$' -fuzz '^FuzzParse$' -fuz
 # input lands in internal/ci/analysis/testdata/fuzz/.
 stage "cost-file fuzz" 300 go test ./internal/ci/analysis -run '^$' -fuzz '^FuzzImportCosts$' -fuzztime 10s
 
-# The repository benchmark on its smallest inputs: all four workloads,
-# scored runs only, every operation checked (see benchmark/README.md).
-# It says that the benchmark still builds and verifies, not how fast
-# anything is.
-stage "benchmark smoke" 600 go run ./benchmark -size mini -trace 0 -seconds 2
-
-# Observability end-to-end: a figure run with -trace must emit a
-# well-formed Chrome trace_event JSON (validated in Go; no jq needed).
-trace_tmp="${TMPDIR:-/tmp}/ciexp-trace-smoke.json"
-stage "trace smoke" 600 sh -c '
-    go run ./cmd/ciexp -quick -trace "$1" -metrics fig10 > /dev/null &&
-        go run ./cmd/ciexp tracecheck "$1"' sh "$trace_tmp"
-rm -f "$trace_tmp"
+# The reachability ledger: which non-test functions under internal/
+# and cmd/ no shipped command runs. The command tests (their golden
+# tables are the ciexp and cirun invocations) and one benchmark pass
+# on mini inputs run under statement coverage; the benchmark's child
+# processes inherit GOCOVERDIR, and they are the only callers of
+# internal/opt. The pass checks every operation it runs, so it is also
+# the benchmark's smoke test. A function left at 0.0% (main, String
+# and Error methods exempt, as in the surface ledger) needs a
+# "file:Func<TAB>reason" line in testdata/reach_allow.txt, and a line
+# whose function is reached, or gone, fails too: the list only shrinks.
+# unreached prints the 0.0% rows of `go tool covdata func` under
+# internal/ and cmd/ as file:Func, without line numbers or pointer
+# receivers' stars.
+unreached='$NF == "0.0%" && $1 ~ /^repro\/(internal|cmd)\// && $2 != "main" && $2 !~ /\.(String|Error)$/ {
+    sub(/^repro\//, "", $1); sub(/:[0-9]+:$/, "", $1); sub(/^\*/, "", $2); print $1 ":" $2 }'
+stage "reach" 900 sh -c '
+    set -eu
+    d=$(mktemp -d "${TMPDIR:-/tmp}/verify-reach.XXXXXX")
+    trap "rm -rf \"\$d\"" EXIT
+    mkdir "$d/cov"
+    go test -count=1 -cover -coverpkg=./... ./cmd/... -args -test.gocoverdir="$d/cov" > "$d/test.out" ||
+        { cat "$d/test.out" >&2; exit 1; }
+    go build -cover -coverpkg=./... -o "$d/benchmark" ./benchmark
+    GOCOVERDIR="$d/cov" "$d/benchmark" -size mini -seconds 1 -reps 1 > "$d/bench.out" 2>&1 ||
+        { cat "$d/bench.out" >&2; exit 1; }
+    go tool covdata func -i "$d/cov" | awk "$1" | sort -u > "$d/unreached"
+    status=0
+    tab=$(printf "\t")
+    if grep -nv "^[^$tab][^$tab]*$tab[^ $tab]" testdata/reach_allow.txt >&2; then
+        echo "reach: testdata/reach_allow.txt: the lines above are not file:Func<TAB>reason" >&2
+        status=1
+    fi
+    cut -f1 testdata/reach_allow.txt | sort -u > "$d/allowed"
+    for f in $(comm -23 "$d/unreached" "$d/allowed"); do
+        echo "reach: $f: no shipped command runs it: delete it, or give it a reasoned line in testdata/reach_allow.txt" >&2
+        status=1
+    done
+    for f in $(comm -13 "$d/unreached" "$d/allowed"); do
+        echo "reach: $f: a shipped command runs it, or it is gone: delete its line in testdata/reach_allow.txt" >&2
+        status=1
+    done
+    [ $status = 1 ] || echo "reach: $(wc -l < "$d/unreached") functions no shipped command runs, each with a reason"
+    exit $status' sh "$unreached"
 
 echo "verify: OK"
